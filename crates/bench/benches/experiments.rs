@@ -195,6 +195,16 @@ fn bench_kernels(c: &mut Criterion) {
         let scene = Scene::random(SceneConfig::paper(), 3);
         b.iter(|| black_box(scene.octree()))
     });
+    g.bench_function("octree_build_clutter", |b| {
+        // The map step of the benchmark's plan_clutter workload: 24
+        // obstacles, depth 6.
+        let config = SceneConfig {
+            octree_depth: 6,
+            ..SceneConfig::with_obstacles(24)
+        };
+        let scene = Scene::random(config, 3);
+        b.iter(|| black_box(scene.octree()))
+    });
     g.finish();
 }
 

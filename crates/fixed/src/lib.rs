@@ -106,8 +106,8 @@ impl Fx {
         self.0
     }
 
-    /// Converts from `f32`, rounding to nearest and saturating to the
-    /// representable range.
+    /// Converts from `f32`, rounding to nearest (ties away from zero) and
+    /// saturating to the representable range.
     ///
     /// Non-finite inputs saturate: `NaN` maps to zero, `+inf` to [`Fx::MAX`],
     /// `-inf` to [`Fx::MIN`].
@@ -118,20 +118,19 @@ impl Fx {
     /// use mp_fixed::Fx;
     /// assert_eq!(Fx::from_f32(100.0), Fx::MAX);
     /// assert_eq!(Fx::from_f32(f32::NAN), Fx::ZERO);
+    /// assert_eq!(Fx::from_f32(-1.5 / 4096.0).to_bits(), -2);
     /// ```
     #[inline]
     pub fn from_f32(v: f32) -> Fx {
-        if v.is_nan() {
-            return Fx::ZERO;
-        }
-        let scaled = (v * SCALE as f32).round();
-        if scaled >= i16::MAX as f32 {
-            Fx::MAX
-        } else if scaled <= i16::MIN as f32 {
-            Fx::MIN
-        } else {
-            Fx(scaled as i16)
-        }
+        // Rounding commutes with clamping to integer rails, so clamp first;
+        // the truncation below is then exact and `s - t` is the exact
+        // fractional part. No libm `roundf` call: this sits under every box
+        // quantization. NaN survives the clamp, truncates to 0 and fails
+        // both tie comparisons, so it maps to zero.
+        let s = (v * SCALE as f32).clamp(i16::MIN as f32, i16::MAX as f32);
+        let t = s as i32;
+        let frac = s - t as f32;
+        Fx((t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16)
     }
 
     /// Converts to `f32` exactly (every `Fx` is exactly representable).

@@ -18,16 +18,25 @@
 //!   to Q3.12 and children subdivide the *dequantized* box. Both are
 //!   bit-identical to what the corresponding on-the-fly traversal produces.
 //!
-//! Nodes are BFS-ordered (children have higher addresses than parents), so
-//! the arena is built in one forward pass and is a pure function of the
-//! node array and root box.
+//! The arena is emitted during the build, not derived from the finished
+//! tree: the octree builder's one breadth-first loop classifies a node's
+//! octants and, in the same step, appends each occupied octant as an entry
+//! with both boxes, giving a partial one the next node address and its node
+//! boxes (`Octree::pruned` replays a tree through the same loop). Nodes are
+//! numbered in creation order, so every array only grows at its end, and
+//! the arena stays a pure function of the node array and root box.
+//!
+//! The builder classifies each node against only the obstacles its
+//! ancestors kept. An octant drops an obstacle when it misses the
+//! obstacle's culling box: the obstacle grown by one Q3.12 step times the
+//! largest coordinate magnitude in play. The f32 rounding between exact
+//! geometry and any descendant's computed box and overlap test stays under
+//! 2^-19 of that magnitude, so a dropped obstacle touches no descendant:
+//! culling changes no occupancy, and so no entry or box of the arena.
 
 use mp_fixed::Fx;
 use mp_geometry::soa::AabbSoa;
-use mp_geometry::AabbF;
-
-use crate::node::{Node, Occupancy};
-use crate::octree::Octree;
+use mp_geometry::{Aabb, AabbF};
 
 /// Child-address sentinel for fully occupied entries (no child node).
 pub const NO_CHILD: u32 = u32::MAX;
@@ -56,48 +65,53 @@ pub struct FlatOctree {
 }
 
 impl FlatOctree {
-    /// Flattens a BFS-ordered node array over the given root box.
-    pub(crate) fn build(nodes: &[Node], root: AabbF) -> FlatOctree {
-        let n = nodes.len();
-        let mut flat = FlatOctree {
-            entry_start: Vec::with_capacity(n + 1),
-            octants: Vec::new(),
-            full: Vec::new(),
-            children: Vec::new(),
-            aabbs: AabbSoa::new(),
-            aabbs_oocd: AabbSoa::new(),
-            node_aabbs: vec![root; n],
-            node_aabbs_oocd: vec![root; n],
-        };
-        for (idx, node) in nodes.iter().enumerate() {
-            flat.entry_start.push(flat.octants.len() as u32);
-            let parent = flat.node_aabbs[idx];
-            let parent_oocd = flat.node_aabbs_oocd[idx];
-            for octant in 0..8 {
-                let occ = node.occupancy(octant);
-                if !occ.is_occupied() {
-                    continue;
-                }
-                let oct = Octree::octant_aabb(&parent, octant);
-                let oct_fx = Octree::octant_aabb(&parent_oocd, octant).quantize();
-                flat.octants.push(octant as u8);
-                flat.full.push(occ == Occupancy::Full);
-                flat.aabbs.push(&oct);
-                flat.aabbs_oocd.push(&oct_fx);
-                if occ == Occupancy::Partial {
-                    let child = node
-                        .child_address(octant)
-                        .expect("partial octant must have a child");
-                    flat.children.push(child);
-                    flat.node_aabbs[child as usize] = oct;
-                    flat.node_aabbs_oocd[child as usize] = oct_fx.to_f32();
-                } else {
-                    flat.children.push(NO_CHILD);
-                }
-            }
+    /// An arena holding only the root node's boxes. The octree builder
+    /// appends nodes with [`FlatOctree::open_node`] and
+    /// [`FlatOctree::push_entry`] and seals it with [`FlatOctree::close`].
+    pub(crate) fn new(root: AabbF) -> FlatOctree {
+        FlatOctree {
+            node_aabbs: vec![root],
+            node_aabbs_oocd: vec![root],
+            ..FlatOctree::default()
         }
-        flat.entry_start.push(flat.octants.len() as u32);
-        flat
+    }
+
+    /// Starts the next node's entry range.
+    pub(crate) fn open_node(&mut self) {
+        self.entry_start.push(self.octants.len() as u32);
+    }
+
+    /// Appends an occupied octant of the open node with its boxes in both
+    /// chains. `child` is the address of the node refining a partial octant
+    /// (`None` for a full one); it must be the next unused address, whose
+    /// node boxes this records.
+    pub(crate) fn push_entry(
+        &mut self,
+        octant: usize,
+        aabb: &AabbF,
+        aabb_oocd: &Aabb<Fx>,
+        child: Option<u32>,
+    ) {
+        self.octants.push(octant as u8);
+        self.full.push(child.is_none());
+        self.children.push(child.unwrap_or(NO_CHILD));
+        self.aabbs.push(aabb);
+        self.aabbs_oocd.push(aabb_oocd);
+        if let Some(child) = child {
+            debug_assert_eq!(child as usize, self.node_aabbs.len());
+            self.node_aabbs.push(*aabb);
+            self.node_aabbs_oocd.push(aabb_oocd.to_f32());
+        }
+    }
+
+    /// Ends the last node's entry range.
+    ///
+    /// Spare capacity from growth is kept on purpose: trimming every array
+    /// to its length leaves odd-sized holes when a tree is dropped, and in a
+    /// map-then-plan loop the next tree's growth could not reuse them, which
+    /// raised the process's peak resident set.
+    pub(crate) fn close(&mut self) {
+        self.entry_start.push(self.octants.len() as u32);
     }
 
     /// Total entries (occupied octants) in the arena.
@@ -171,7 +185,9 @@ impl FlatOctree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_geometry::{Aabb, Vec3};
+    use crate::node::Occupancy;
+    use crate::octree::Octree;
+    use mp_geometry::Vec3;
 
     fn sample_tree() -> Octree {
         let obs = [

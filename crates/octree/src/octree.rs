@@ -4,9 +4,10 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use mp_fixed::RESOLUTION;
 use mp_geometry::{AabbF, Vec3};
 
-use crate::flat::FlatOctree;
+use crate::flat::{FlatOctree, NO_CHILD};
 use crate::node::{Node, Occupancy, PackNodeError};
 
 thread_local! {
@@ -54,10 +55,10 @@ pub struct Octree {
     nodes: Vec<Node>,
     root: AabbF,
     max_depth: u32,
-    // Deterministic function of (nodes, root), rebuilt by the constructors —
-    // derived Clone/PartialEq stay consistent. Behind an Arc because trees
-    // are cloned per checker throughout the benchmarks and the arena is by
-    // far the largest part of the struct.
+    // Deterministic function of (nodes, root), emitted in the same pass as
+    // the nodes — derived Clone/PartialEq stay consistent. Behind an Arc
+    // because trees are cloned per checker throughout the benchmarks and
+    // the arena is by far the largest part of the struct.
     flat: Arc<FlatOctree>,
 }
 
@@ -82,6 +83,11 @@ impl Octree {
     /// the true obstacle set — collision detection against it can produce
     /// false positives but never false negatives.
     ///
+    /// An octant is full when some obstacle contains it, partial when some
+    /// obstacle overlaps it, and empty otherwise. Each node is classified
+    /// only against the obstacles that survived culling at its ancestors,
+    /// which gives exactly the occupancies a scan over every obstacle would.
+    ///
     /// # Panics
     ///
     /// Panics if `max_depth` is 0 or exceeds [`MAX_SUPPORTED_DEPTH`].
@@ -90,42 +96,54 @@ impl Octree {
             (1..=MAX_SUPPORTED_DEPTH).contains(&max_depth),
             "max_depth must be in 1..={MAX_SUPPORTED_DEPTH}, got {max_depth}"
         );
-        let mut nodes = vec![Node::empty()];
-        let mut queue: VecDeque<(usize, AabbF, u32)> = VecDeque::new();
-        queue.push_back((0, root, 0));
-
-        while let Some((idx, aabb, depth)) = queue.pop_front() {
-            let mut node = Node::empty();
-            let mut partial_octants = Vec::new();
-            for octant in 0..8 {
-                let oct_aabb = Octree::octant_aabb(&aabb, octant);
-                let occ = classify(&oct_aabb, obstacles);
-                let occ = if occ == Occupancy::Partial && depth + 1 >= max_depth {
-                    Occupancy::Full // leaf quantization: conservative
-                } else {
-                    occ
-                };
-                node.set_occupancy(octant, occ);
-                if occ == Occupancy::Partial {
-                    partial_octants.push((octant, oct_aabb));
+        // Culling. A child octant keeps the parent's candidates whose
+        // culling box overlaps it: the obstacle grown on every side by one
+        // Q3.12 step times the largest coordinate magnitude in play (the
+        // root's, or the obstacle's own where larger). Between exact
+        // geometry and a descendant's computed box and overlap test lie at
+        // most ten subdivisions and the test itself, whose f32 rounding
+        // stays under 2^-19 of that magnitude, 128 times below the slack.
+        // So an obstacle that misses an octant's culling box overlaps (and
+        // so contains) no box ever subdivided from it, and dropping it
+        // changes no occupancy. For a root centred on the origin the slack
+        // is an eighth of a depth-10 leaf's side, so little survives that a
+        // tighter box would drop.
+        let reach = |b: &AabbF| (b.center.abs() + b.half.abs()).max_element();
+        let root_reach = reach(&root);
+        let culling: Vec<AabbF> = obstacles
+            .iter()
+            .map(|o| {
+                let slack = RESOLUTION * root_reach.max(reach(o));
+                AabbF::new(o.center, o.half + Vec3::splat(slack))
+            })
+            .collect();
+        // Candidate lists: a range of obstacle indices per pending node.
+        let mut pool: Vec<u32> = (0..obstacles.len() as u32).collect();
+        let all = (0, pool.len() as u32);
+        emit(root, max_depth, all, |&(lo, hi), _, oct, refine| {
+            let start = pool.len();
+            let mut occ = Occupancy::Empty;
+            for k in lo..hi {
+                let i = pool[k as usize] as usize;
+                if !culling[i].overlaps(oct) {
+                    continue;
+                }
+                if obstacles[i].contains_aabb(oct) {
+                    pool.truncate(start);
+                    return (Occupancy::Full, (0, 0));
+                }
+                if obstacles[i].overlaps(oct) {
+                    occ = Occupancy::Partial;
+                }
+                if refine {
+                    pool.push(i as u32);
                 }
             }
-            node.set_child_base(nodes.len() as u32);
-            for &(_, oct_aabb) in &partial_octants {
-                let child_idx = nodes.len();
-                nodes.push(Node::empty());
-                queue.push_back((child_idx, oct_aabb, depth + 1));
+            if occ == Occupancy::Empty {
+                pool.truncate(start);
             }
-            nodes[idx] = node;
-        }
-
-        let flat = Arc::new(FlatOctree::build(&nodes, root));
-        Octree {
-            nodes,
-            root,
-            max_depth,
-            flat,
-        }
+            (occ, (start as u32, pool.len() as u32))
+        })
     }
 
     /// The flattened arena mirror of this tree (entry ranges, precomputed
@@ -297,40 +315,13 @@ impl Octree {
         if max_depth >= self.max_depth {
             return self.clone();
         }
-        // Rebuild breadth-first, truncating at the new depth.
-        let mut nodes = vec![Node::empty()];
-        let mut queue: VecDeque<(usize, u32, u32)> = VecDeque::new(); // new idx, old addr, depth
-        queue.push_back((0, 0, 0));
-        while let Some((new_idx, old_addr, depth)) = queue.pop_front() {
-            let old = self.nodes[old_addr as usize];
-            let mut node = Node::empty();
-            for octant in 0..8 {
-                let occ = match old.occupancy(octant) {
-                    Occupancy::Partial if depth + 1 >= max_depth => Occupancy::Full,
-                    other => other,
-                };
-                node.set_occupancy(octant, occ);
-            }
-            node.set_child_base(nodes.len() as u32);
-            for octant in 0..8 {
-                if node.occupancy(octant) == Occupancy::Partial {
-                    let old_child = old
-                        .child_address(octant)
-                        .expect("partial octant must have a child");
-                    let child_idx = nodes.len();
-                    nodes.push(Node::empty());
-                    queue.push_back((child_idx, old_child, depth + 1));
-                }
-            }
-            nodes[new_idx] = node;
-        }
-        let flat = Arc::new(FlatOctree::build(&nodes, self.root));
-        Octree {
-            nodes,
-            root: self.root,
-            max_depth,
-            flat,
-        }
+        // Replay the stored occupancies; the emitter's leaf quantization
+        // turns the partial octants at the new depth limit full.
+        emit(self.root, max_depth, 0u32, |&addr, octant, _, _| {
+            let node = &self.nodes[addr as usize];
+            let child = node.child_address(octant).unwrap_or(NO_CHILD);
+            (node.occupancy(octant), child)
+        })
     }
 
     /// Fraction of the root volume that is occupied (leaf-quantized).
@@ -347,21 +338,60 @@ impl Octree {
     }
 }
 
-/// Classifies an octant against the obstacle set.
-fn classify(octant: &AabbF, obstacles: &[AabbF]) -> Occupancy {
-    let mut any_overlap = false;
-    for obs in obstacles {
-        if obs.contains_aabb(octant) {
-            return Occupancy::Full;
+/// The breadth-first emitter behind [`Octree::build_in`] and
+/// [`Octree::pruned`]: grows the node array and its flat arena in one pass.
+///
+/// `classify(state, octant, octant_box, refine)` gives an octant's
+/// occupancy and the state its child node is classified from; that state
+/// is kept only for a partial octant that is refined, i.e. above the depth
+/// limit. A partial octant at the depth limit becomes full (leaf
+/// quantization).
+fn emit<S>(
+    root: AabbF,
+    max_depth: u32,
+    root_state: S,
+    mut classify: impl FnMut(&S, usize, &AabbF, bool) -> (Occupancy, S),
+) -> Octree {
+    let mut nodes = vec![Node::empty()];
+    let mut flat = FlatOctree::new(root);
+    // A child takes the next free address when it is created, so the queue
+    // yields nodes in address order.
+    let mut queue = VecDeque::from([(root_state, 0u32)]);
+    let mut addr = 0u32;
+    while let Some((state, depth)) = queue.pop_front() {
+        let refine = depth + 1 < max_depth;
+        let (parent, parent_oocd) = (flat.node_aabb(addr), flat.node_aabb_oocd(addr));
+        let mut node = Node::empty();
+        node.set_child_base(nodes.len() as u32);
+        flat.open_node();
+        for octant in 0..8 {
+            let oct = Octree::octant_aabb(&parent, octant);
+            let (occ, child_state) = classify(&state, octant, &oct, refine);
+            let occ = match occ {
+                Occupancy::Partial if !refine => Occupancy::Full,
+                occ => occ,
+            };
+            node.set_occupancy(octant, occ);
+            if !occ.is_occupied() {
+                continue;
+            }
+            let child = (occ == Occupancy::Partial).then(|| {
+                nodes.push(Node::empty());
+                queue.push_back((child_state, depth + 1));
+                nodes.len() as u32 - 1
+            });
+            let oct_oocd = Octree::octant_aabb(&parent_oocd, octant).quantize();
+            flat.push_entry(octant, &oct, &oct_oocd, child);
         }
-        if obs.overlaps(octant) {
-            any_overlap = true;
-        }
+        nodes[addr as usize] = node;
+        addr += 1;
     }
-    if any_overlap {
-        Occupancy::Partial
-    } else {
-        Occupancy::Empty
+    flat.close();
+    Octree {
+        nodes,
+        root,
+        max_depth,
+        flat: Arc::new(flat),
     }
 }
 

@@ -1,0 +1,212 @@
+//! The octree builder against its definition. `Octree::build_in` culls
+//! obstacles node by node and emits the flat arena while it classifies;
+//! this oracle re-derives every node from scratch, classifying each octant
+//! by a scan over *all* obstacles and subdividing every arena box on the
+//! fly in both chains. It runs on seeded clutter and on hand-placed
+//! boundary cases, in a unit, an off-origin and a non-unit root, at depths
+//! 1–7, and pins `Octree::pruned`, which shares the builder's emitter, to a
+//! direct build.
+
+use mpaccel::fixed::RESOLUTION;
+use mpaccel::geometry::{Aabb, AabbF, Vec3};
+use mpaccel::octree::{Occupancy, Octree, Scene, SceneConfig};
+
+/// Classifies an octant by scanning every obstacle: full when one contains
+/// it, partial when one overlaps it, empty otherwise.
+fn full_scan(octant: &AabbF, obstacles: &[AabbF]) -> Occupancy {
+    if obstacles.iter().any(|o| o.contains_aabb(octant)) {
+        Occupancy::Full
+    } else if obstacles.iter().any(|o| o.overlaps(octant)) {
+        Occupancy::Partial
+    } else {
+        Occupancy::Empty
+    }
+}
+
+/// A box's six coordinates as bit patterns, so that `-0.0 != 0.0`.
+fn bits(b: &AabbF) -> [u32; 6] {
+    [
+        b.center.x, b.center.y, b.center.z, b.half.x, b.half.y, b.half.z,
+    ]
+    .map(f32::to_bits)
+}
+
+/// Walks `tree` from its root and re-derives every node: occupancies by a
+/// full scan (partial becomes full at the depth limit), and the arena's
+/// entries and boxes by subdividing on the fly, in the `f32` chain and in
+/// the OOCD chain that re-quantizes every level.
+fn check_against_definition(tree: &Octree, obstacles: &[AabbF]) {
+    let (flat, root) = (tree.flat(), tree.root_aabb());
+    let mut visited = 0;
+    let mut stack = vec![(0u32, 0u32, root, root)];
+    while let Some((addr, depth, parent, parent_oocd)) = stack.pop() {
+        visited += 1;
+        let at = format!("depth-{} tree in {root:?}, node {addr}", tree.max_depth());
+        assert_eq!(bits(&flat.node_aabb(addr)), bits(&parent), "{at}: box");
+        assert_eq!(
+            bits(&flat.node_aabb_oocd(addr)),
+            bits(&parent_oocd),
+            "{at}: OOCD box"
+        );
+        let node = tree.node(addr);
+        let mut entries = flat.entries(addr);
+        for octant in 0..8 {
+            let oct = Octree::octant_aabb(&parent, octant);
+            let want = match full_scan(&oct, obstacles) {
+                Occupancy::Partial if depth + 1 == tree.max_depth() => Occupancy::Full,
+                occ => occ,
+            };
+            assert_eq!(node.occupancy(octant), want, "{at}, octant {octant}");
+            if !want.is_occupied() {
+                continue;
+            }
+            let e = entries.next().expect("an arena entry per occupied octant");
+            let oct_oocd = Octree::octant_aabb(&parent_oocd, octant).quantize();
+            assert_eq!(flat.octant(e) as usize, octant, "{at}: entry {e}");
+            assert_eq!(flat.is_full(e), want == Occupancy::Full, "{at}: entry {e}");
+            assert_eq!(bits(&flat.aabb(e)), bits(&oct), "{at}: entry {e} box");
+            assert_eq!(
+                flat.aabbs_oocd().get(e),
+                oct_oocd,
+                "{at}: entry {e} OOCD box"
+            );
+            if let Some(child) = node.child_address(octant) {
+                assert_eq!(flat.child(e), child, "{at}: entry {e} child");
+                stack.push((child, depth + 1, oct, oct_oocd.to_f32()));
+            }
+        }
+        assert_eq!(entries.next(), None, "{at}: stray arena entry");
+    }
+    assert_eq!(visited, tree.node_count(), "every node is reached once");
+}
+
+/// A box from its min and max corners.
+fn cuboid(min: [f32; 3], max: [f32; 3]) -> AabbF {
+    let v = |c: [f32; 3]| Vec3::new(c[0], c[1], c[2]);
+    Aabb::from_min_max(v(min), v(max))
+}
+
+/// Obstacles, in the unit root's frame, placed where culling or rounding
+/// could go wrong.
+fn boundary_cases() -> Vec<AabbF> {
+    let step = RESOLUTION;
+    let mut cases = Vec::new();
+    // A face on a plane first cut at depth j = 1..=7 (an odd multiple of
+    // 2^(1-j)), one box on each side, the plane's axis cycling. The box
+    // below the plane touches the octants above it from outside.
+    let planes = [0.0, 0.5, -0.25, 0.625, -0.3125, 0.65625, -0.671875];
+    for (j, &p) in planes.iter().enumerate() {
+        let (axis, o) = (j % 3, 0.13 * j as f32 - 0.4);
+        let (mut lo, mut hi) = ([o, o - 0.1, o + 0.05], [o + 0.09, o + 0.02, o + 0.17]);
+        lo[axis] = p;
+        hi[axis] = p + 0.07;
+        cases.push(cuboid(lo, hi));
+        let (mut lo, mut hi) = ([-o - 0.1, o + 0.2, -o], [-o + 0.03, o + 0.31, -o + 0.11]);
+        lo[axis] = p - 0.05;
+        hi[axis] = p;
+        cases.push(cuboid(lo, hi));
+    }
+    cases.extend([
+        // Faces one Q3.12 step off a plane, and two boxes one step apart.
+        cuboid([0.5 + step, -0.9, -0.9], [0.6, -0.8, -0.8]),
+        cuboid([-0.9, 0.2, 0.4], [-0.8, 0.25 - step, 0.5]),
+        cuboid([0.1, 0.1, -0.7], [0.2, 0.2, -0.6]),
+        cuboid([0.2 + step, 0.1, -0.7], [0.3, 0.2, -0.6]),
+        // Zero extent: a point on a depth-4 corner, a plate in a plane.
+        cuboid([0.125, -0.375, 0.5], [0.125, -0.375, 0.5]),
+        cuboid([-0.6, -0.6, 0.25], [-0.3, -0.45, 0.25]),
+        // Spanning the world in x and y, and far beyond it in x.
+        cuboid([-1.0, -1.0, -0.85], [1.0, 1.0, -0.8]),
+        cuboid([-4.0, 0.7, -0.3], [4.0, 0.72, 0.1]),
+        // Wholly outside the root, and touching its face from outside.
+        cuboid([2.0, 2.0, 2.0], [3.0, 3.0, 3.0]),
+        cuboid([1.0, -0.2, -0.2], [1.5, 0.2, 0.2]),
+        // Coordinates that dwarf the root's, with a face on x = 0.5.
+        Aabb::new(Vec3::new(1.0e6 + 0.5, 0.0, 0.0), Vec3::new(1.0e6, 0.3, 0.3)),
+    ]);
+    cases
+}
+
+/// The unit root, one off the origin, and a larger one off the origin.
+fn roots() -> [AabbF; 3] {
+    [
+        Aabb::new(Vec3::zero(), Vec3::splat(1.0)),
+        Aabb::new(Vec3::new(0.3, -0.7, 1.1), Vec3::splat(1.0)),
+        Aabb::new(Vec3::new(-0.25, 0.5, 0.125), Vec3::splat(2.5)),
+    ]
+}
+
+/// Two seeded 24-obstacle scenes, the boundary cases, and a set whose
+/// first obstacle covers the whole root, mapped from the unit root's frame
+/// into `root`'s.
+fn obstacle_sets(root: &AabbF) -> Vec<Vec<AabbF>> {
+    let clutter = |seed| {
+        Scene::random(SceneConfig::with_obstacles(24), seed)
+            .obstacles()
+            .to_vec()
+    };
+    let covering = vec![cuboid([-1.5; 3], [1.5; 3]), cuboid([0.1; 3], [0.2; 3])];
+    [clutter(0), clutter(1), boundary_cases(), covering]
+        .into_iter()
+        .map(|set| {
+            set.iter()
+                .map(|o| {
+                    Aabb::new(
+                        root.center + o.center.mul_elementwise(root.half),
+                        o.half.mul_elementwise(root.half),
+                    )
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn build_matches_a_full_scan_and_the_subdivision_chains() {
+    for root in roots() {
+        for obstacles in obstacle_sets(&root) {
+            for depth in 1..=7 {
+                check_against_definition(&Octree::build_in(root, &obstacles, depth), &obstacles);
+            }
+        }
+    }
+}
+
+#[test]
+fn culling_is_exact_for_coordinates_far_beyond_the_root() {
+    // Near 1e6 an f32 is a multiple of 1/16, so tests against `far` round
+    // coarsely: the depth-2 octant x in [0.555, 1.11] reads as clear of its
+    // face at x = 1.125, while the depth-7 octant on the same face, 0.015
+    // short of it, reads as inside it. `near` keeps the octants between
+    // them partial. A culling slack scaled to the root's coordinates alone
+    // would drop `far` at depth 2 and leave that leaf empty.
+    let root = Aabb::new(Vec3::zero(), Vec3::splat(1.11));
+    let far = Aabb::new(
+        Vec3::new(1.0e6 + 1.125, 0.0, 0.0),
+        Vec3::new(1.0e6, 0.3, 0.3),
+    );
+    let near = cuboid([1.078, 0.005, 0.005], [1.088, 0.012, 0.012]);
+    let obstacles = [far, near];
+    check_against_definition(&Octree::build_in(root, &obstacles, 7), &obstacles);
+}
+
+#[test]
+fn pruning_matches_a_direct_build() {
+    for root in roots() {
+        for obstacles in obstacle_sets(&root) {
+            let trees: Vec<Octree> = (1..=7)
+                .map(|d| Octree::build_in(root, &obstacles, d))
+                .collect();
+            for deep in &trees {
+                for shallow in trees.iter().filter(|t| t.max_depth() < deep.max_depth()) {
+                    assert!(
+                        deep.pruned(shallow.max_depth()) == *shallow,
+                        "depth-{} tree pruned to {} in {root:?}",
+                        deep.max_depth(),
+                        shallow.max_depth()
+                    );
+                }
+            }
+        }
+    }
+}
