@@ -25,119 +25,16 @@
 //! * `--metrics FILE` — unified metrics registry dump with per-shard and
 //!   per-tenant series (text table, or CSV when the path ends in `.csv`).
 
-use std::process::ExitCode;
+use mp_bench::experiments::fleet;
+use mp_bench::soak_cli::SoakCli;
 
-fn write_file(what: &str, path: &str, content: &str) -> Result<(), ExitCode> {
-    std::fs::write(path, content).map_err(|e| {
-        eprintln!("fleet_soak: cannot write {what} to `{path}`: {e}");
-        ExitCode::FAILURE
-    })
-}
-
-fn main() -> ExitCode {
-    let mut out: Option<String> = None;
-    let mut csv: Option<String> = None;
-    let mut scaling_csv: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut flight: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--out" | "--csv" | "--scaling-csv" | "--trace" | "--flight" | "--metrics" => {
-                let Some(path) = args.next() else {
-                    eprintln!("fleet_soak: {flag} requires a file path");
-                    return ExitCode::from(2);
-                };
-                match flag {
-                    "--out" => out = Some(path),
-                    "--csv" => csv = Some(path),
-                    "--scaling-csv" => scaling_csv = Some(path),
-                    "--trace" => trace = Some(path),
-                    "--flight" => flight = Some(path),
-                    _ => metrics = Some(path),
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: fleet_soak [--out FILE] [--csv FILE] [--scaling-csv FILE] [--trace FILE] [--flight FILE] [--metrics FILE]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("fleet_soak: unknown argument `{other}` (try --help)");
-                return ExitCode::from(2);
-            }
-        }
+fn main() -> std::process::ExitCode {
+    SoakCli {
+        name: "fleet_soak",
+        run: fleet::run,
+        scaling: Some(fleet::scaling_report),
+        capture: fleet::capture_trace,
+        metrics: fleet::metrics_registry,
     }
-
-    let scale = mp_bench::Scale::from_env();
-    let report = mp_bench::experiments::fleet::run(scale);
-    println!("{report}");
-    let write = |what: &str, path: &Option<String>, content: &dyn Fn() -> String| match path {
-        Some(p) => write_file(what, p, &content()),
-        None => Ok(()),
-    };
-    if let Err(code) = write("report", &out, &|| report.to_string())
-        .and_then(|()| write("CSV", &csv, &|| report.to_csv()))
-    {
-        return code;
-    }
-    if let Some(path) = &scaling_csv {
-        // The goodput-vs-shards curve (1..32 shards, fixed offered load).
-        let scaling = mp_bench::experiments::fleet::scaling_report(scale);
-        println!("{scaling}");
-        if let Err(code) = write_file("scaling CSV", path, &scaling.to_csv()) {
-            return code;
-        }
-    }
-
-    if trace.is_some() || flight.is_some() || metrics.is_some() {
-        use mp_bench::experiments::fleet::{capture_trace, metrics_registry};
-        let pool = threadpool::ThreadPool::from_env();
-        let (session, summary) = capture_trace(scale, &pool);
-        let streams = session.streams();
-        if let Some(path) = &trace {
-            let json = mp_telemetry::chrome_trace_json(&streams);
-            if let Err(e) = mp_telemetry::validate_json(&json) {
-                eprintln!("fleet_soak: generated trace JSON is invalid: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Err(code) = write_file("trace", path, &json) {
-                return code;
-            }
-            let events: usize = streams.iter().map(|s| s.events.len()).sum();
-            eprintln!(
-                "fleet_soak: wrote {events} events across {} streams to `{path}` (open in https://ui.perfetto.dev)",
-                streams.len()
-            );
-        }
-        if let Some(path) = &flight {
-            if let Err(code) = write_file(
-                "flight report",
-                path,
-                &mp_telemetry::flight_report(&streams),
-            ) {
-                return code;
-            }
-            eprintln!(
-                "fleet_soak: wrote flight recorder ({} incidents seen) to `{path}`",
-                session.incidents_seen()
-            );
-        }
-        if let Some(path) = &metrics {
-            let reg = metrics_registry(&summary);
-            let dump = if path.ends_with(".csv") {
-                reg.to_csv()
-            } else {
-                reg.render_text()
-            };
-            if let Err(code) = write_file("metrics", path, &dump) {
-                return code;
-            }
-            eprintln!("fleet_soak: wrote {} metrics to `{path}`", reg.len());
-        }
-    }
-    ExitCode::SUCCESS
+    .main()
 }

@@ -17,6 +17,7 @@
 pub mod engine;
 pub mod experiments;
 pub mod report;
+pub mod soak_cli;
 pub mod workloads;
 
 pub use engine::RunSummary;

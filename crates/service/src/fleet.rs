@@ -1,9 +1,11 @@
-//! The sharded planning fleet: consistent-hash routing, seeded shard
-//! chaos with failover, hedged requests, and per-tenant isolation.
+//! The planning fleet: the one discrete-event loop behind both
+//! [`run_fleet`] and the single planning service
+//! ([`crate::service::run_service`]), which runs it as a one-shard fleet
+//! with hedging, failover, fairness and chaos off.
 //!
-//! A fleet is N independent shards, each a full single-shard service
-//! (bounded queue, dispatcher, accelerator pool, fault injectors,
-//! degradation ladder, circuit breakers), joined by a router:
+//! A fleet is N shards, each a bounded queue in front of its own
+//! accelerator pool (dispatcher, fault injectors, degradation ladder,
+//! circuit breakers, integrity state), joined by a router:
 //!
 //! ```text
 //!  tenants ─► token buckets ─► consistent-hash ring ─► shard 0..N
@@ -14,6 +16,14 @@
 //!                  (duplicate to second shard,            stall / flap →
 //!                   first response wins)                  failover + rejoin
 //! ```
+//!
+//! Inside a shard, a dispatcher moves requests onto the first idle
+//! healthy instance of its [`AcceleratorPool`] at a tier the congestion
+//! controller and the remaining slack allow; per-instance
+//! [`FaultInjector`]s strike dispatches, which retry with exponential
+//! backoff until the circuit breaker quarantines a persistently faulty
+//! instance; and the integrity pipeline certifies, votes on, and scrubs
+//! silently corrupted plans.
 //!
 //! Robustness mechanics, all deterministic in virtual time:
 //!
@@ -37,25 +47,27 @@
 //!   an adversarial tenant throttles and starves itself, not its
 //!   neighbors.
 //!
-//! One run is still a single-threaded discrete-event simulation over one
+//! One run is a single-threaded discrete-event simulation over one
 //! global event queue, so a 16-shard chaos soak is a pure function of its
 //! configuration — byte-identical on any machine at any thread count.
+//!
+//! Telemetry uses one vocabulary whichever entry point runs the loop:
+//! `service` instants, per-instance `inst/N` occupancy spans and `rail/N`
+//! power tracks, a per-shard `queue/N` depth track, and flight-recorder
+//! incidents that each name their shard.
 
 use mp_planner::QualityTier;
-use mp_sim::fault::{FaultInjector, FaultKind, ShardFaultKind, ShardFaultPlan};
+use mp_sim::fault::{FaultInjector, FaultKind, FaultPlan, SdcPlan, ShardFaultKind, ShardFaultPlan};
 use mp_sim::vtime::{EventQueue, VirtualNs, NS_PER_US};
-use mp_telemetry::{self as telemetry, arg2, ArgValue, IncidentKind, Lane};
+use mp_telemetry::{self as telemetry, arg2, ArgValue, Args, IncidentKind, Lane};
 use mpaccel_core::pool::AcceleratorPool;
 
 use crate::catalog::PlanCatalog;
 use crate::integrity::IntegrityState;
 use crate::metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 use crate::request::{Request, ShedReason, TenantSpec, Verdict};
-use crate::ring::HashRing;
-use crate::service::{
-    build_injectors, build_integrity, choose_tier, mix, roll_dispatch_fault, service_time_ns,
-    us_to_ns, ServiceConfig, BENCH_HORIZON_NS,
-};
+use crate::ring::{mix, HashRing};
+use crate::service::ServiceConfig;
 use crate::tenant::{FairQueue, TenantPolicy, TokenBucket};
 
 /// Hedged-request policy.
@@ -121,8 +133,8 @@ pub struct FleetConfig {
     /// Shard-failure handling policy.
     pub failover: FailoverConfig,
     /// Per-tenant isolation (token buckets + weighted fair queueing).
-    /// Off collapses every shard queue to the shared single-shard
-    /// discipline and admits all traffic.
+    /// Off collapses every shard queue to one shared bounded FIFO/EDF
+    /// queue and admits all traffic.
     pub fairness: bool,
     /// Fleet seed (request keys, ring placement, fault streams).
     pub seed: u64,
@@ -143,60 +155,145 @@ impl Default for FleetConfig {
     }
 }
 
-enum Event {
-    /// A request reaches the fleet door: admission, routing, enqueue.
-    Arrive(usize),
-    /// A request copy (re-)enters shard `shard`'s queue (retry backoff,
-    /// tier step-down, failover re-route).
-    Enqueue { shard: usize, req: usize },
-    /// Shard `shard`'s instance `inst` finishes a dispatch begun in
-    /// epoch `epoch` at tier `tier` (stale epochs are crash casualties).
-    /// The rolled fault and tier ride in the event: an instance freed at
-    /// exactly this timestamp can be re-acquired by an earlier-queued
-    /// event before this one pops, so the inflight slot may already hold
-    /// the next dispatch.
-    Complete {
-        shard: usize,
-        inst: usize,
-        req: usize,
-        epoch: u32,
-        tier: usize,
-        token: u64,
-        fault: Option<FaultKind>,
-        voted: bool,
-    },
-    /// Re-run the given shard's dispatcher (quarantine expiry / busy
-    /// instance freed).
-    Wake(usize),
-    /// Hedge check: duplicate the request if it is still unresolved.
-    Hedge(usize),
-    /// Index into the precomputed chaos schedule fires.
-    Chaos(usize),
-    /// A crashed shard comes back.
-    Rejoin(usize),
-    /// Run one known-answer scrub probe against a benched instance of the
-    /// given shard.
-    Scrub { shard: usize, inst: usize },
+/// Bench horizon for integrity quarantines: far enough that only a scrub
+/// readmission brings the instance back, finite so pool arithmetic never
+/// overflows.
+const BENCH_HORIZON_NS: VirtualNs = VirtualNs::MAX / 4;
+
+fn us_to_ns(us: f64) -> VirtualNs {
+    (us * NS_PER_US as f64).round().max(1.0) as VirtualNs
 }
 
+/// Exact service time (ns) of catalog `key` at ladder index `tier_idx`,
+/// before any fault slowdown.
+fn service_time_ns(catalog: &PlanCatalog, key: usize, tier_idx: usize) -> VirtualNs {
+    us_to_ns(
+        catalog
+            .entry(key, QualityTier::from_index(tier_idx))
+            .modeled_us,
+    )
+}
+
+/// The dispatcher's tier decision for one request: the congestion
+/// controller's base tier, raised to the request's floor from failed
+/// attempts, then stepped down the ladder until the tier fits the
+/// remaining slack. `None` means no admissible tier fits (the
+/// hopeless-shed case; never returned when admission control is off).
+fn choose_tier(
+    catalog: &PlanCatalog,
+    cfg: &ServiceConfig,
+    req: &Request,
+    queued: usize,
+    healthy: usize,
+    now: VirtualNs,
+) -> Option<usize> {
+    let base = cfg.degrade.load_tier(queued, healthy);
+    let mut tier_idx = base.index().max(req.tier_floor);
+    if cfg.admission {
+        let slack = req.slack_ns(now);
+        while cfg.degrade.enabled
+            && tier_idx + 1 < QualityTier::COUNT
+            && service_time_ns(catalog, req.key, tier_idx) > slack
+        {
+            tier_idx += 1;
+        }
+        if service_time_ns(catalog, req.key, tier_idx) > slack {
+            return None;
+        }
+    }
+    Some(tier_idx)
+}
+
+/// Rolls the fault environment for one dispatch. A slow-unit fault
+/// stretches the service time but still completes (masked); every other
+/// kind wastes the dispatch (detected at completion) and is returned for
+/// the retry path.
+fn roll_dispatch_fault(
+    inj: &mut FaultInjector,
+    slow_factor: u64,
+    service_ns: &mut VirtualNs,
+) -> Option<FaultKind> {
+    inj.counters_mut().queries += 1;
+    let mut fault = FaultKind::ALL.into_iter().find(|&k| inj.fires(k));
+    if fault == Some(FaultKind::SlowUnit) {
+        *service_ns *= slow_factor.max(1);
+        inj.counters_mut().masked += 1;
+        fault = None;
+    }
+    fault
+}
+
+/// One running dispatch, carried whole by its completion event: an
+/// instance freed at exactly the completion timestamp can be re-acquired
+/// by an earlier-queued event before the completion pops, so the
+/// instance's inflight slot may already hold the next dispatch. Fields
+/// are packed so the event stays within 24 bytes.
+#[derive(Clone, Copy, Debug)]
+struct Dispatch {
+    req: u32,
+    /// Shard crash epoch at dispatch; completions from older epochs are
+    /// crash casualties.
+    epoch: u32,
+    /// Per-shard dispatch token, matched against the inflight slot.
+    token: u32,
+    shard: u16,
+    inst: u16,
+    tier: u8,
+    fault: Option<FaultKind>,
+    voted: bool,
+}
+
+// A plain one-byte tag: left to itself the compiler hides the tag in a
+// niche of `Dispatch`, which every event pop then has to decode.
+#[repr(u8)]
+enum Event {
+    /// A request copy (re-)enters a shard's queue (retry backoff,
+    /// certification re-plan, failover re-route).
+    Enqueue { shard: u16, req: u32 },
+    /// A dispatch finishes.
+    Complete(Dispatch),
+    /// Re-run the given shard's dispatcher (quarantine expiry / busy
+    /// instance freed).
+    Wake(u16),
+    /// Hedge check: duplicate the request if it is still unresolved.
+    Hedge(u32),
+    /// Index into the precomputed chaos schedule fires.
+    Chaos(u32),
+    /// A crashed shard comes back.
+    Rejoin(u16),
+    /// Run one known-answer scrub probe against a benched instance.
+    Scrub { shard: u16, inst: u16 },
+}
+
+// Completions are the most frequent event; keep every event this small.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
 /// Fleet-side per-request state (the [`Request`] itself carries the
-/// single-shard fields).
-#[derive(Clone, Debug)]
+/// per-dispatch fields), packed like the events.
+#[derive(Clone, Copy, Debug, Default)]
 struct ReqState {
-    /// Ring route key (`(tenant, catalog key)` hashed by the ring).
-    route_key: u64,
     /// Shard the request was first enqueued on.
-    primary: usize,
-    /// Whether a hedge duplicate was fired.
-    hedged: bool,
-    /// Shard the hedge duplicate landed on, for win attribution.
-    twin: Option<usize>,
+    primary: u16,
+    /// Shard the hedge duplicate landed on, once one was fired.
+    twin: Option<u16>,
     /// Live copies (queued or in flight) across shards. When the last
     /// copy dies without a completion, the request resolves failed.
-    copies: u32,
+    copies: u16,
     /// Failover re-routes consumed.
     failovers: u32,
 }
+
+/// One served request's latency and where it was served, for the fleet,
+/// shard, and tenant latency histograms.
+#[derive(Clone, Copy)]
+struct Served {
+    latency_ns: VirtualNs,
+    shard: u16,
+    tenant: u32,
+}
+
+/// An idle inflight slot.
+const IDLE: (usize, u32) = (usize::MAX, 0);
 
 struct Shard {
     queue: FairQueue,
@@ -206,13 +303,15 @@ struct Shard {
     /// for this shard's instances. Survives crash epochs: SDC is a
     /// property of the silicon, not of the queue the crash wiped.
     integrity: IntegrityState,
-    /// Per-instance `(request, dispatch token)` for the running dispatch
-    /// (`usize::MAX` when idle); the token disambiguates back-to-back
+    /// Per-instance `(request, dispatch token)` of the running dispatch
+    /// ([`IDLE`] when idle); the token disambiguates back-to-back
     /// dispatches that share a timestamp.
-    inflight: Vec<(usize, u64)>,
-    /// Monotone per-shard dispatch counter feeding the tokens.
-    dispatch_seq: u64,
-    /// Earliest outstanding wake, as in the single-shard loop.
+    inflight: Vec<(usize, u32)>,
+    /// Wrapping per-shard dispatch counter feeding the tokens.
+    dispatch_seq: u32,
+    /// Earliest outstanding wake, if any. Without this guard every
+    /// stalled dispatch would push a fresh wake and overload runs would
+    /// drown in duplicate wake events.
     wake_at: Option<VirtualNs>,
     alive: bool,
     /// Crash epoch; completions from older epochs are ignored.
@@ -228,7 +327,97 @@ struct Shard {
     busy_accum: u64,
     quar_accum: u64,
     stats: ShardStats,
-    latencies: Vec<VirtualNs>,
+}
+
+impl Shard {
+    /// A fresh shard whose fault and silent-corruption streams derive
+    /// from `(cfg.seed, salt, instance)`. The standalone service uses
+    /// salt 0 and fleet shard `s` salt `s + 1`.
+    fn new(cfg: &FleetConfig, weights: &[u64], salt: u64) -> Shard {
+        let sc = &cfg.shard;
+        let faults = &sc.faults;
+        let injectors = (0..sc.instances)
+            .map(|i| {
+                let rate = faults.rate_per_kind
+                    * if faults.lemon == Some(i) {
+                        faults.lemon_factor
+                    } else {
+                        1.0
+                    };
+                FaultInjector::new(FaultPlan::uniform(
+                    rate.min(0.9),
+                    mix(cfg.seed ^ 0xFA17_0000 ^ (salt << 8) ^ i as u64),
+                ))
+            })
+            .collect();
+        let sdc = SdcPlan {
+            seed: mix(cfg.seed ^ 0x5DC0_0000 ^ (salt << 8)),
+            verdict_flip_rate: faults.sdc_rate,
+            memo_corrupt_rate: 0.0,
+            node_corrupt_rate: 0.0,
+        };
+        // The naive baseline queues without bound (capped only to keep
+        // the share arithmetic in range).
+        let capacity = if sc.admission {
+            sc.queue_capacity
+        } else {
+            1 << 32
+        };
+        Shard {
+            queue: FairQueue::new(sc.policy, capacity, weights, cfg.fairness),
+            pool: AcceleratorPool::new(sc.instances),
+            injectors,
+            integrity: IntegrityState::new(
+                sc.integrity,
+                sdc,
+                sc.instances,
+                faults.sdc_hot,
+                faults.sdc_hot_factor,
+                salt,
+            ),
+            inflight: vec![IDLE; sc.instances],
+            dispatch_seq: 0,
+            wake_at: None,
+            alive: true,
+            epoch: 0,
+            stall_until: 0,
+            stall_factor: 1,
+            catchup_until: 0,
+            busy_accum: 0,
+            quar_accum: 0,
+            stats: ShardStats::default(),
+        }
+    }
+}
+
+/// Trace arguments naming a request and its shard.
+fn req_shard(id: usize, s: usize) -> Args {
+    arg2(
+        "req",
+        ArgValue::U64(id as u64),
+        "shard",
+        ArgValue::U64(s as u64),
+    )
+}
+
+/// Trace arguments naming an instance and its shard.
+fn shard_inst(s: usize, inst: usize) -> Args {
+    arg2(
+        "shard",
+        ArgValue::U64(s as u64),
+        "inst",
+        ArgValue::U64(inst as u64),
+    )
+}
+
+/// Records a loop event as a `service` instant and, when a flight
+/// recorder is installed, as an incident of the same kind whose detail is
+/// only formatted then.
+fn report(kind: IncidentKind, args: Args, detail: impl FnOnce() -> String) {
+    telemetry::instant_args("service", kind.label(), args);
+    if telemetry::active() {
+        telemetry::incident_kind(kind, &detail());
+    }
 }
 
 struct Fleet<'a> {
@@ -243,18 +432,28 @@ struct Fleet<'a> {
     chaos: Vec<mp_sim::fault::ShardFaultEvent>,
     summary: FleetSummary,
     tenants: Vec<TenantStats>,
-    tenant_lat: Vec<Vec<VirtualNs>>,
-    latencies: Vec<VirtualNs>,
+    served: Vec<Served>,
     /// Requests resolved so far; once every request has a verdict the
     /// scrub schedules stop re-arming and the event queue drains.
     resolved: usize,
 }
 
 impl Fleet<'_> {
+    /// Fleet-global index of shard `s`'s instance `inst`, naming its
+    /// occupancy and power-rail trace lanes.
+    fn lane(&self, what: &'static str, s: usize, inst: usize) -> Lane {
+        Lane::new(what, (s * self.cfg.shard.instances + inst) as u32)
+    }
+
+    /// Ring route key of request `id`: its `(tenant, catalog key)`.
+    fn route_key(&self, id: usize) -> u64 {
+        ((self.reqs[id].tenant as u64) << 40) ^ self.reqs[id].key as u64
+    }
+
     fn schedule_wake(&mut self, s: usize, at: VirtualNs) {
         if self.shards[s].wake_at.is_none_or(|w| at < w) {
             self.shards[s].wake_at = Some(at);
-            self.events.push(at, Event::Wake(s));
+            self.events.push(at, Event::Wake(s as u16));
         }
     }
 
@@ -318,25 +517,45 @@ impl Fleet<'_> {
             .collect()
     }
 
-    /// Enqueues a copy of `id` on shard `s`. Returns `false` (and sheds
-    /// nothing itself) when the tenant's queue share is full.
-    fn enqueue_on(&mut self, s: usize, id: usize, _now: VirtualNs) -> bool {
-        let t = self.reqs[id].tenant;
-        let deadline = self.reqs[id].deadline_ns;
-        if !self.shards[s].queue.try_push(t, id, deadline) {
+    /// Queues a copy of `id` on shard `s`. Returns `false` when the
+    /// tenant's queue share is full (the caller decides what that means).
+    fn try_enqueue(&mut self, s: usize, id: usize) -> bool {
+        let (t, deadline) = (self.reqs[id].tenant, self.reqs[id].deadline_ns);
+        let sh = &mut self.shards[s];
+        if !sh.queue.try_push(t, id, deadline) {
             return false;
         }
-        self.shards[s].stats.offered += 1;
+        sh.stats.offered += 1;
+        telemetry::counter_on(
+            Lane::new("queue", s as u32),
+            "queue_depth",
+            sh.queue.len() as f64,
+        );
         true
     }
 
+    /// Queues a copy of `id` on shard `s`, or sheds that copy when the
+    /// tenant's queue share is full. Returns whether it was queued.
+    fn enqueue(&mut self, s: usize, id: usize, now: VirtualNs) -> bool {
+        if self.try_enqueue(s, id) {
+            return true;
+        }
+        self.shards[s].stats.sheds += 1;
+        report(IncidentKind::ShedQueueFull, req_shard(id, s), || {
+            format!("req={id} shard={s} t_ns={now}")
+        });
+        self.copy_dies(id, Verdict::Shed(ShedReason::QueueFull));
+        false
+    }
+
+    /// A request reaches the fleet door: admission, routing, enqueue.
     fn arrive(&mut self, id: usize, now: VirtualNs) {
         let t = self.reqs[id].tenant;
         if self.cfg.fairness {
             if let Some(bucket) = &mut self.buckets[t] {
                 if !bucket.try_take(now) {
                     telemetry::instant_args(
-                        "fleet",
+                        "service",
                         "throttled",
                         arg2(
                             "req",
@@ -350,7 +569,7 @@ impl Fleet<'_> {
                 }
             }
         }
-        let key = self.states[id].route_key;
+        let key = self.route_key(id);
         let target = if self.cfg.failover.enabled {
             let loads = self.loads(now);
             let Some(s) = self.ring.route(key, &loads, self.cfg.spill_bound_pct) else {
@@ -375,74 +594,41 @@ impl Fleet<'_> {
             }
             s
         };
-        self.states[id].primary = target;
-        if !self.enqueue_on(target, id, now) {
-            self.shards[target].stats.sheds += 1;
-            telemetry::instant_args(
-                "fleet",
-                "shed_queue_full",
-                arg2(
-                    "req",
-                    ArgValue::U64(id as u64),
-                    "shard",
-                    ArgValue::U64(target as u64),
-                ),
-            );
-            if telemetry::active() {
-                telemetry::incident(&format!(
-                    "shed_queue_full req={id} shard={target} t_ns={now}"
-                ));
-            }
-            self.resolve(id, Verdict::Shed(ShedReason::QueueFull));
+        self.states[id].primary = target as u16;
+        self.states[id].copies = 1;
+        if !self.enqueue(target, id, now) {
             return;
         }
-        self.states[id].copies = 1;
         if self.cfg.hedge.enabled && self.ring.alive_count() > 1 {
             let slack = self.reqs[id].slack_ns(now);
             let delay = (self.cfg.hedge.delay_us * NS_PER_US).min(slack / 2).max(1);
-            self.events.push(now + delay, Event::Hedge(id));
+            self.events.push(now + delay, Event::Hedge(id as u32));
         }
         self.dispatch(target, now);
     }
 
     fn hedge(&mut self, id: usize, now: VirtualNs) {
-        if self.reqs[id].verdict.is_some() || self.states[id].hedged {
+        if self.reqs[id].verdict.is_some() || self.states[id].twin.is_some() {
             return;
         }
-        let key = self.states[id].route_key;
+        let key = self.route_key(id);
+        let primary = usize::from(self.states[id].primary);
         // Duplicate onto the next distinct alive shard; fall back to the
         // ring's secondary when the original target is already gone.
         let twin = match self.ring.secondary(key) {
-            Some(s) if s != self.states[id].primary => Some(s),
-            _ => self
-                .ring
-                .primary(key)
-                .filter(|&s| s != self.states[id].primary),
+            Some(s) if s != primary => Some(s),
+            _ => self.ring.primary(key).filter(|&s| s != primary),
         };
         let Some(twin) = twin else { return };
-        if !self.enqueue_on(twin, id, now) {
+        if !self.try_enqueue(twin, id) {
             return; // hedge suppressed: the twin's queue share is full
         }
-        self.states[id].hedged = true;
-        self.states[id].twin = Some(twin);
+        self.states[id].twin = Some(twin as u16);
         self.states[id].copies += 1;
         self.summary.hedges_fired += 1;
-        telemetry::instant_args(
-            "fleet",
-            "hedge_fired",
-            arg2(
-                "req",
-                ArgValue::U64(id as u64),
-                "shard",
-                ArgValue::U64(twin as u64),
-            ),
-        );
-        if telemetry::active() {
-            telemetry::incident_kind(
-                IncidentKind::HedgeFired,
-                &format!("req={id} twin={twin} t_ns={now}"),
-            );
-        }
+        report(IncidentKind::HedgeFired, req_shard(id, twin), || {
+            format!("req={id} shard={twin} t_ns={now}")
+        });
         self.dispatch(twin, now);
     }
 
@@ -468,50 +654,58 @@ impl Fleet<'_> {
                     Some(id) => break id,
                 }
             };
+            let queued = self.shards[s].queue.len();
+            telemetry::counter_on(Lane::new("queue", s as u32), "queue_depth", queued as f64);
 
+            // Tier choice: congestion controller first, then the
+            // request's floor from failed attempts, then slack-fit.
             let Some(tier_idx) = choose_tier(
                 self.catalog,
                 &self.cfg.shard,
                 &self.reqs[id],
-                self.shards[s].queue.len(),
+                queued,
                 self.shards[s].pool.healthy(now),
                 now,
             ) else {
                 self.shards[s].stats.sheds += 1;
-                if telemetry::active() {
-                    telemetry::incident(&format!("shed_hopeless req={id} shard={s} t_ns={now}"));
-                }
+                let slack = self.reqs[id].slack_ns(now);
+                report(IncidentKind::ShedHopeless, req_shard(id, s), || {
+                    format!("req={id} shard={s} slack_ns={slack} t_ns={now}")
+                });
                 self.copy_dies(id, Verdict::Shed(ShedReason::Hopeless));
                 continue;
             };
 
+            let sh = &mut self.shards[s];
             let mut service_ns = service_time_ns(self.catalog, self.reqs[id].key, tier_idx);
             let fault = roll_dispatch_fault(
-                &mut self.shards[s].injectors[inst],
+                &mut sh.injectors[inst],
                 self.cfg.shard.faults.slow_factor,
                 &mut service_ns,
             );
             // A stalled shard serves, just several times slower — the
             // latency-tail failure hedging is for.
-            if now < self.shards[s].stall_until {
-                service_ns *= self.shards[s].stall_factor.max(1);
+            if now < sh.stall_until {
+                service_ns *= sh.stall_factor.max(1);
             }
             // Suspicion-scored voting: a suspect instance re-executes the
             // dispatch (temporal duplicate-dispatch), doubling its
             // modeled service time.
-            let voted = self.shards[s].integrity.dispatch_vote(inst);
+            let voted = sh.integrity.dispatch_vote(inst);
             if voted {
                 service_ns *= 2;
             }
             self.reqs[id].attempts += 1;
-            self.reqs[id].tier_floor = tier_idx;
-            let token = self.shards[s].dispatch_seq;
-            self.shards[s].dispatch_seq += 1;
-            self.shards[s].inflight[inst] = (id, token);
-            self.shards[s].pool.begin(inst, now, service_ns);
+            self.reqs[id].tier_floor = tier_idx; // remember the served tier
+            let token = sh.dispatch_seq;
+            sh.dispatch_seq = token.wrapping_add(1);
+            sh.inflight[inst] = (id, token);
+            sh.pool.begin(inst, now, service_ns);
+            let epoch = sh.epoch;
+            // Instance occupancy as one Perfetto row per instance.
             telemetry::complete_at(
-                Lane::new("inst", (s * self.cfg.shard.instances + inst) as u32),
-                "fleet",
+                self.lane("inst", s, inst),
+                "service",
                 if fault.is_some() {
                     "serve_faulted"
                 } else {
@@ -526,19 +720,18 @@ impl Fleet<'_> {
                     ArgValue::Str(QualityTier::from_index(tier_idx).label()),
                 ),
             );
-            let epoch = self.shards[s].epoch;
             self.events.push(
                 now + service_ns,
-                Event::Complete {
-                    shard: s,
-                    inst,
-                    req: id,
+                Event::Complete(Dispatch {
+                    req: id as u32,
                     epoch,
-                    tier: tier_idx,
                     token,
+                    shard: s as u16,
+                    inst: inst as u16,
+                    tier: tier_idx as u8,
                     fault,
                     voted,
-                },
+                }),
             );
         }
     }
@@ -550,25 +743,24 @@ impl Fleet<'_> {
     fn bench_liar(&mut self, s: usize, inst: usize, now: VirtualNs) {
         if self.shards[s].pool.healthy(now) > 1 {
             self.shards[s].pool.quarantine(inst, BENCH_HORIZON_NS);
-            telemetry::instant_args(
-                "fleet",
-                "bench_liar",
-                arg2(
-                    "shard",
-                    ArgValue::U64(s as u64),
-                    "inst",
-                    ArgValue::U64(inst as u64),
-                ),
-            );
+            telemetry::instant_args("service", "bench_liar", shard_inst(s, inst));
             if telemetry::active() {
-                telemetry::incident(&format!(
-                    "quarantine shard={s} inst={inst} liar=1 t_ns={now}"
-                ));
+                telemetry::incident_kind(
+                    IncidentKind::Quarantine,
+                    &format!("shard={s} inst={inst} liar=1 t_ns={now}"),
+                );
             }
         }
+        self.schedule_scrub(s, inst, now);
+    }
+
+    fn schedule_scrub(&mut self, s: usize, inst: usize, now: VirtualNs) {
         self.events.push(
             now + self.cfg.shard.integrity.scrub_period_us * NS_PER_US,
-            Event::Scrub { shard: s, inst },
+            Event::Scrub {
+                shard: s as u16,
+                inst: inst as u16,
+            },
         );
     }
 
@@ -579,45 +771,24 @@ impl Fleet<'_> {
         }
         if self.shards[s].integrity.scrub_probe(inst) {
             self.shards[s].pool.readmit(inst, now);
-            telemetry::instant_args(
-                "fleet",
-                "scrub_readmit",
-                arg2(
-                    "shard",
-                    ArgValue::U64(s as u64),
-                    "inst",
-                    ArgValue::U64(inst as u64),
-                ),
-            );
-            if telemetry::active() {
-                telemetry::incident(&format!(
-                    "scrub_readmit shard={s} inst={inst} probes={} t_ns={now}",
-                    self.shards[s].integrity.stats.scrub_probes
-                ));
-            }
+            let probes = self.shards[s].integrity.stats.scrub_probes;
+            report(IncidentKind::ScrubReadmit, shard_inst(s, inst), || {
+                format!("shard={s} inst={inst} probes={probes} t_ns={now}")
+            });
             self.dispatch(s, now);
         } else if self.resolved < self.reqs.len() {
-            self.events.push(
-                now + self.cfg.shard.integrity.scrub_period_us * NS_PER_US,
-                Event::Scrub { shard: s, inst },
-            );
+            self.schedule_scrub(s, inst, now);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn complete(
-        &mut self,
-        s: usize,
-        inst: usize,
-        id: usize,
-        epoch: u32,
-        tier: usize,
-        token: u64,
-        fault: Option<FaultKind>,
-        voted: bool,
-        now: VirtualNs,
-    ) {
-        if epoch != self.shards[s].epoch {
+    fn complete(&mut self, d: Dispatch, now: VirtualNs) {
+        let (s, inst, id, tier) = (
+            usize::from(d.shard),
+            usize::from(d.inst),
+            d.req as usize,
+            usize::from(d.tier),
+        );
+        if d.epoch != self.shards[s].epoch {
             // The shard crashed while this dispatch ran; the copy was
             // already failed over or written off at crash time.
             return;
@@ -625,45 +796,51 @@ impl Fleet<'_> {
         // Clear the inflight slot unless the instance was re-acquired at
         // this exact timestamp (the slot then belongs to the next
         // dispatch and must stay).
-        if self.shards[s].inflight[inst] == (id, token) {
-            self.shards[s].inflight[inst] = (usize::MAX, 0);
+        if self.shards[s].inflight[inst] == (id, d.token) {
+            self.shards[s].inflight[inst] = IDLE;
         }
 
         let quality = QualityTier::from_index(tier);
         let entry = *self.catalog.entry(self.reqs[id].key, quality);
         // Energy the dispatch actually spent: the catalog attempt cost,
-        // doubled when suspicion voting re-executed it. The shard is
-        // billed for every completion it produced — including copies
+        // doubled when suspicion voting re-executed it. Slow-unit faults
+        // stretch time, not work, so the energy is unchanged. The shard
+        // is billed for every completion it produced — including copies
         // whose result turns out to be useless — while the fleet ledger
         // splits winning attempts from wasted ones below.
-        let attempt_pj = if voted {
+        let attempt_pj = if d.voted {
             2.0 * entry.energy_pj
         } else {
             entry.energy_pj
         };
         self.shards[s].stats.energy_pj += attempt_pj;
-        // Per-shard power-rail counter track (pJ/µs ≡ µW), one lane per
-        // fleet-global instance, mirroring the dispatch occupancy lanes.
+        // Power-rail counter track: the datapath power this dispatch drew
+        // while it ran (pJ/µs ≡ µW), one lane per instance. Vote
+        // re-execution doubles energy and time alike, so the rail shows
+        // the per-execution figure.
         telemetry::counter_on(
-            Lane::new("rail", (s * self.cfg.shard.instances + inst) as u32),
+            self.lane("rail", s, inst),
             "power_uw",
             entry.energy_pj / entry.modeled_us.max(1e-9),
         );
 
-        if let Some(_kind) = fault {
+        if d.fault.is_some() {
             self.summary.fleet.wasted_energy_pj += attempt_pj;
-            self.shards[s].injectors[inst].counters_mut().detected += 1;
-            let quarantined = self
+            let sh = &mut self.shards[s];
+            sh.injectors[inst].counters_mut().detected += 1;
+            if self
                 .cfg
                 .shard
                 .breaker
-                .on_fault(&mut self.shards[s].pool, inst, now)
-                .is_some();
-            if quarantined {
-                self.shards[s].injectors[inst].counters_mut().quarantined += 1;
-                if telemetry::active() {
-                    telemetry::incident(&format!("quarantine shard={s} inst={inst} t_ns={now}"));
-                }
+                .on_fault(&mut sh.pool, inst, now)
+                .is_some()
+            {
+                sh.injectors[inst].counters_mut().quarantined += 1;
+                report(IncidentKind::Quarantine, shard_inst(s, inst), || {
+                    format!("shard={s} inst={inst} t_ns={now}")
+                });
+                // The expiry needs a wake in case the whole pool is idle
+                // but quarantined when it lands.
                 if let Some(at) = self.shards[s].pool.next_dispatchable_at(now) {
                     self.schedule_wake(s, at);
                 }
@@ -671,21 +848,24 @@ impl Fleet<'_> {
             if self.reqs[id].verdict.is_some() {
                 return; // a twin already won; drop the faulted copy
             }
-            if self.reqs[id].attempts > self.cfg.shard.retry.max_retries {
-                if telemetry::active() {
-                    telemetry::incident(&format!(
-                        "failed_faults req={id} shard={s} attempts={} t_ns={now}",
-                        self.reqs[id].attempts
-                    ));
-                }
+            let attempts = self.reqs[id].attempts;
+            if attempts > self.cfg.shard.retry.max_retries {
+                report(IncidentKind::FailedFaults, req_shard(id, s), || {
+                    format!("req={id} shard={s} attempts={attempts} t_ns={now}")
+                });
                 self.copy_dies(id, Verdict::FailedFaults);
             } else {
-                let shift = (self.reqs[id].attempts - 1).min(16);
+                let shift = (attempts - 1).min(16);
                 let backoff = (self.cfg.shard.retry.backoff_us * NS_PER_US) << shift;
                 self.shards[s].injectors[inst].counters_mut().redispatches += 1;
                 self.summary.fleet.retries += 1;
-                self.events
-                    .push(now + backoff, Event::Enqueue { shard: s, req: id });
+                self.events.push(
+                    now + backoff,
+                    Event::Enqueue {
+                        shard: d.shard,
+                        req: d.req,
+                    },
+                );
             }
             return;
         }
@@ -698,170 +878,151 @@ impl Fleet<'_> {
             self.summary.fleet.wasted_energy_pj += attempt_pj;
             return;
         }
-        if entry.solved {
-            // Integrity pipeline: roll this instance's silent-corruption
-            // stream (resolving any vote), then certify before the
-            // request may resolve as Completed.
-            let ci = self.shards[s].integrity.completion(inst, voted);
-            if ci.bench {
-                self.bench_liar(s, inst, now);
+        if !entry.solved {
+            // Budget exhausted without a path: the attempt's energy is
+            // spent either way. Step down the ladder and try again
+            // immediately (the cheap re-plan path).
+            self.summary.fleet.wasted_energy_pj += attempt_pj;
+            if tier + 1 < QualityTier::COUNT {
+                self.reqs[id].tier_floor = self.reqs[id].tier_floor.max(tier + 1);
+                self.summary.fleet.tier_stepdowns += 1;
+                self.enqueue(s, id, now);
+            } else {
+                self.copy_dies(id, Verdict::Unsolved);
             }
-            let mut done = now;
-            if self.cfg.shard.integrity.certify {
-                let certify_ns = us_to_ns(entry.certify_us);
-                let stats = &mut self.shards[s].integrity.stats;
-                stats.certify_ns += certify_ns;
-                stats.certify_hist.observe(entry.certify_us.round() as u64);
-                done = now + certify_ns;
-                if ci.ships_corrupt {
-                    // The independent cascade rejects the corrupted plan:
-                    // attribute, then re-plan degraded under whatever
-                    // budget remains. The rejected attempt's energy
-                    // bought nothing.
-                    self.summary.fleet.wasted_energy_pj += attempt_pj;
-                    self.shards[s].integrity.stats.certify_failed += 1;
-                    self.shards[s].integrity.accuse(inst);
-                    telemetry::instant_args(
-                        "fleet",
-                        "certify_failed",
-                        arg2(
-                            "req",
-                            ArgValue::U64(id as u64),
-                            "shard",
-                            ArgValue::U64(s as u64),
-                        ),
-                    );
-                    if telemetry::active() {
-                        telemetry::incident(&format!(
-                            "certify_failed req={id} shard={s} inst={inst} tier={} t_ns={now}",
-                            quality.label()
-                        ));
-                    }
-                    if self.reqs[id].attempts > self.cfg.shard.retry.max_retries {
-                        // Replan budget exhausted: fail closed — an
-                        // unresolved request, never an unsafe plan.
-                        self.copy_dies(id, Verdict::FailedFaults);
-                        return;
-                    }
-                    if tier + 1 < QualityTier::COUNT {
-                        self.reqs[id].tier_floor = self.reqs[id].tier_floor.max(tier + 1);
-                        self.summary.fleet.tier_stepdowns += 1;
-                    }
-                    self.events.push(done, Event::Enqueue { shard: s, req: id });
+            return;
+        }
+
+        // Integrity pipeline: roll this instance's silent-corruption
+        // stream (resolving any vote), then certify before the request
+        // may resolve as Completed.
+        let ci = self.shards[s].integrity.completion(inst, d.voted);
+        if ci.bench {
+            self.bench_liar(s, inst, now);
+        }
+        let mut done = now;
+        if self.cfg.shard.integrity.certify {
+            let certify_ns = us_to_ns(entry.certify_us);
+            let stats = &mut self.shards[s].integrity.stats;
+            stats.certify_ns += certify_ns;
+            stats.certify_hist.observe(entry.certify_us.round() as u64);
+            done = now + certify_ns;
+            if ci.ships_corrupt {
+                // The independent cascade rejects the corrupted plan:
+                // attribute, then re-plan degraded under whatever budget
+                // remains. The rejected attempt's energy bought nothing.
+                self.summary.fleet.wasted_energy_pj += attempt_pj;
+                self.shards[s].integrity.stats.certify_failed += 1;
+                self.shards[s].integrity.accuse(inst);
+                report(IncidentKind::CertifyFailed, req_shard(id, s), || {
+                    format!(
+                        "req={id} shard={s} inst={inst} tier={} t_ns={now}",
+                        quality.label()
+                    )
+                });
+                if self.reqs[id].attempts > self.cfg.shard.retry.max_retries {
+                    // Replan budget exhausted: fail closed — an
+                    // unresolved request, never an unsafe plan.
+                    self.copy_dies(id, Verdict::FailedFaults);
                     return;
                 }
-                self.shards[s].integrity.stats.certified += 1;
-                self.shards[s].integrity.exonerate(inst);
-            } else if ci.ships_corrupt {
-                // Undefended: the unsafe plan ships as a "success".
-                self.shards[s].integrity.stats.sdc_escaped += 1;
-                telemetry::instant_args(
-                    "fleet",
-                    "sdc_escaped",
-                    arg2(
-                        "req",
-                        ArgValue::U64(id as u64),
-                        "shard",
-                        ArgValue::U64(s as u64),
-                    ),
+                if tier + 1 < QualityTier::COUNT {
+                    self.reqs[id].tier_floor = self.reqs[id].tier_floor.max(tier + 1);
+                    self.summary.fleet.tier_stepdowns += 1;
+                }
+                self.events.push(
+                    done,
+                    Event::Enqueue {
+                        shard: d.shard,
+                        req: d.req,
+                    },
                 );
-                if telemetry::active() {
-                    telemetry::incident(&format!(
-                        "sdc_escaped req={id} shard={s} inst={inst} tier={} t_ns={now}",
-                        quality.label()
-                    ));
-                }
+                return;
             }
-            let now = done;
-            let latency = now - self.reqs[id].arrival_ns;
-            let verdict = if now <= self.reqs[id].deadline_ns {
-                Verdict::OnTime {
-                    tier: quality,
-                    latency_ns: latency,
-                }
-            } else {
-                let late_ns = now - self.reqs[id].deadline_ns;
-                if telemetry::active() {
-                    telemetry::incident(&format!(
-                        "deadline_miss req={id} shard={s} tier={} late_ns={late_ns} t_ns={now}",
-                        quality.label()
-                    ));
-                }
-                Verdict::Late {
-                    tier: quality,
-                    latency_ns: latency,
-                }
-            };
-            if self.states[id].twin == Some(s) {
-                self.summary.hedge_wins += 1;
-            }
-            self.summary.fleet.tier_served[tier] += 1;
-            self.summary.fleet.energy_pj += attempt_pj;
-            self.summary.fleet.tier_energy_pj[tier] += attempt_pj;
-            if tier > 0 {
-                // Energy the ladder saved by serving this key below full
-                // quality.
-                let full_pj = self
-                    .catalog
-                    .entry(self.reqs[id].key, QualityTier::Full)
-                    .energy_pj;
-                self.summary.fleet.degraded_saved_pj += full_pj - entry.energy_pj;
-            }
-            if let Some(budget) = self.cfg.shard.energy_budget_pj_per_plan {
-                if attempt_pj > budget {
-                    self.summary.fleet.energy_breaches += 1;
-                    telemetry::instant_args(
-                        "fleet",
-                        "energy_budget_breach",
-                        arg2(
-                            "req",
-                            ArgValue::U64(id as u64),
-                            "pj",
-                            ArgValue::F64(attempt_pj),
-                        ),
-                    );
-                    if telemetry::active() {
-                        telemetry::incident_kind(
-                            IncidentKind::EnergyBudgetBreach,
-                            &format!(
-                                "req={id} shard={s} tier={} pj={:.0} budget_pj={budget:.0} \
-                                 t_ns={now}",
-                                quality.label(),
-                                attempt_pj
-                            ),
-                        );
-                    }
-                }
-            }
-            self.latencies.push(latency);
-            self.shards[s].latencies.push(latency);
-            self.shards[s].stats.served += 1;
-            if matches!(verdict, Verdict::OnTime { .. }) {
-                self.shards[s].stats.on_time += 1;
-            }
-            let t = self.reqs[id].tenant;
-            self.tenants[t].energy_pj += attempt_pj;
-            self.tenant_lat[t].push(latency);
-            self.resolve(id, verdict);
-        } else if tier + 1 < QualityTier::COUNT {
-            // Budget exhausted without a path: the attempt's energy is
-            // spent either way.
-            self.summary.fleet.wasted_energy_pj += attempt_pj;
-            self.reqs[id].tier_floor = self.reqs[id].tier_floor.max(tier + 1);
-            self.summary.fleet.tier_stepdowns += 1;
-            if !self.enqueue_on(s, id, now) {
-                self.shards[s].stats.sheds += 1;
-                self.copy_dies(id, Verdict::Shed(ShedReason::QueueFull));
+            self.shards[s].integrity.stats.certified += 1;
+            self.shards[s].integrity.exonerate(inst);
+        } else if ci.ships_corrupt {
+            // Undefended: the unsafe plan ships as a "success".
+            self.shards[s].integrity.stats.sdc_escaped += 1;
+            report(IncidentKind::SdcEscaped, req_shard(id, s), || {
+                format!(
+                    "req={id} shard={s} inst={inst} tier={} t_ns={now}",
+                    quality.label()
+                )
+            });
+        }
+        let now = done;
+        let latency = now - self.reqs[id].arrival_ns;
+        let verdict = if now <= self.reqs[id].deadline_ns {
+            Verdict::OnTime {
+                tier: quality,
+                latency_ns: latency,
             }
         } else {
-            self.summary.fleet.wasted_energy_pj += attempt_pj;
-            self.copy_dies(id, Verdict::Unsolved);
+            let late_ns = now - self.reqs[id].deadline_ns;
+            report(IncidentKind::DeadlineMiss, req_shard(id, s), || {
+                format!(
+                    "req={id} shard={s} tier={} late_ns={late_ns} t_ns={now}",
+                    quality.label()
+                )
+            });
+            Verdict::Late {
+                tier: quality,
+                latency_ns: latency,
+            }
+        };
+        if self.states[id].twin == Some(d.shard) {
+            self.summary.hedge_wins += 1;
         }
+        let fleet = &mut self.summary.fleet;
+        fleet.tier_served[tier] += 1;
+        fleet.energy_pj += attempt_pj;
+        fleet.tier_energy_pj[tier] += attempt_pj;
+        if tier > 0 {
+            // Energy the ladder saved by serving this key below full
+            // quality.
+            let full_pj = self
+                .catalog
+                .entry(self.reqs[id].key, QualityTier::Full)
+                .energy_pj;
+            fleet.degraded_saved_pj += full_pj - entry.energy_pj;
+        }
+        if let Some(budget) = self.cfg.shard.energy_budget_pj_per_plan {
+            if attempt_pj > budget {
+                fleet.energy_breaches += 1;
+                let args = arg2(
+                    "req",
+                    ArgValue::U64(id as u64),
+                    "pj",
+                    ArgValue::F64(attempt_pj),
+                );
+                report(IncidentKind::EnergyBudgetBreach, args, || {
+                    format!(
+                        "req={id} shard={s} tier={} pj={attempt_pj:.0} budget_pj={budget:.0} \
+                         t_ns={now}",
+                        quality.label()
+                    )
+                });
+            }
+        }
+        let sh = &mut self.shards[s];
+        sh.stats.served += 1;
+        if matches!(verdict, Verdict::OnTime { .. }) {
+            sh.stats.on_time += 1;
+        }
+        let t = self.reqs[id].tenant;
+        self.tenants[t].energy_pj += attempt_pj;
+        self.served.push(Served {
+            latency_ns: latency,
+            shard: d.shard,
+            tenant: t as u32,
+        });
+        self.resolve(id, verdict);
     }
 
-    /// A copy re-enters shard `s` (retry backoff, failover, step-down
-    /// deferred through the event queue). Dead-shard targets re-route
-    /// (defended) or die (undefended).
+    /// A copy re-enters shard `s` (retry backoff, certification re-plan,
+    /// failover). Dead-shard targets re-route (defended) or die
+    /// (undefended).
     fn re_enqueue(&mut self, s: usize, id: usize, now: VirtualNs) {
         if self.reqs[id].verdict.is_some() {
             return;
@@ -870,11 +1031,8 @@ impl Fleet<'_> {
             self.failover_copy(id, s, now);
             return;
         }
-        if self.enqueue_on(s, id, now) {
+        if self.enqueue(s, id, now) {
             self.dispatch(s, now);
-        } else {
-            self.shards[s].stats.sheds += 1;
-            self.copy_dies(id, Verdict::Shed(ShedReason::QueueFull));
         }
     }
 
@@ -885,17 +1043,15 @@ impl Fleet<'_> {
         if self.cfg.failover.enabled && self.states[id].failovers < self.cfg.failover.max_failovers
         {
             let loads = self.loads(now);
-            if let Some(target) =
-                self.ring
-                    .route(self.states[id].route_key, &loads, self.cfg.spill_bound_pct)
-            {
+            let key = self.route_key(id);
+            if let Some(target) = self.ring.route(key, &loads, self.cfg.spill_bound_pct) {
                 self.states[id].failovers += 1;
                 self.summary.rerouted += 1;
                 self.events.push(
                     now,
                     Event::Enqueue {
-                        shard: target,
-                        req: id,
+                        shard: target as u16,
+                        req: id as u32,
                     },
                 );
                 return;
@@ -927,7 +1083,7 @@ impl Fleet<'_> {
         for entry in &mut self.shards[s].inflight {
             if entry.0 != usize::MAX {
                 victims.push(entry.0);
-                *entry = (usize::MAX, 0);
+                *entry = IDLE;
             }
         }
         let before_rerouted = self.summary.rerouted;
@@ -941,7 +1097,7 @@ impl Fleet<'_> {
         let rerouted = self.summary.rerouted - before_rerouted;
         let lost = self.summary.lost_to_shards - before_lost;
         telemetry::instant_args(
-            "fleet",
+            "service",
             "shard_crash",
             arg2(
                 "shard",
@@ -956,7 +1112,8 @@ impl Fleet<'_> {
                 &format!("shard={s} rerouted={rerouted} lost={lost} t_ns={now}"),
             );
         }
-        self.events.push(now + duration_ns.max(1), Event::Rejoin(s));
+        self.events
+            .push(now + duration_ns.max(1), Event::Rejoin(s as u16));
     }
 
     fn rejoin(&mut self, s: usize, now: VirtualNs) {
@@ -970,7 +1127,7 @@ impl Fleet<'_> {
             self.shards[s].catchup_until = now + self.cfg.failover.catchup_us * NS_PER_US;
         }
         telemetry::instant_args(
-            "fleet",
+            "service",
             "shard_rejoin",
             arg2("shard", ArgValue::U64(s as u64), "t_ns", ArgValue::U64(now)),
         );
@@ -986,7 +1143,7 @@ impl Fleet<'_> {
                 sh.stall_until = sh.stall_until.max(now + ev.duration_ns);
                 sh.stall_factor = ev.slow_factor.max(2);
                 telemetry::instant_args(
-                    "fleet",
+                    "service",
                     "shard_stall",
                     arg2(
                         "shard",
@@ -1012,8 +1169,9 @@ impl Fleet<'_> {
 /// # Panics
 ///
 /// Panics if the catalog is empty, `cfg.shards == 0`,
-/// `cfg.shard.instances == 0`, or `policies` is non-empty with a length
-/// different from `tenants`.
+/// `cfg.shard.instances == 0`, `policies` is non-empty with a length
+/// different from `tenants`, or the run exceeds the packed event limits
+/// (2^16 shards or instances per shard, 2^32 requests).
 pub fn run_fleet(
     catalog: &PlanCatalog,
     tenants: &[TenantSpec],
@@ -1022,8 +1180,27 @@ pub fn run_fleet(
     cfg: &FleetConfig,
     chaos_plan: &ShardFaultPlan,
 ) -> FleetSummary {
+    simulate(catalog, tenants, policies, duration_ns, cfg, chaos_plan, 1)
+}
+
+/// The loop behind [`run_fleet`] and [`crate::service::run_service`].
+/// Shard `s` draws its fault and silent-corruption streams with salt
+/// `first_salt + s` (see [`Shard::new`]).
+pub(crate) fn simulate(
+    catalog: &PlanCatalog,
+    tenants: &[TenantSpec],
+    policies: &[TenantPolicy],
+    duration_ns: VirtualNs,
+    cfg: &FleetConfig,
+    chaos_plan: &ShardFaultPlan,
+    first_salt: u64,
+) -> FleetSummary {
     assert!(catalog.num_keys() > 0, "empty catalog");
     assert!(cfg.shards > 0, "fleet needs at least one shard");
+    assert!(
+        cfg.shards <= 1 << 16 && cfg.shard.instances <= 1 << 16,
+        "shards and instances per shard must fit the packed events"
+    );
     assert!(
         policies.is_empty() || policies.len() == tenants.len(),
         "policies must pair with tenants"
@@ -1038,8 +1215,6 @@ pub fn run_fleet(
     };
 
     let mut reqs = Vec::new();
-    let mut states = Vec::new();
-    let mut events = EventQueue::new();
     let mut tenant_stats = Vec::with_capacity(tenants.len());
     for (ti, tenant) in tenants.iter().enumerate() {
         let arrivals = match policy(ti).window_us {
@@ -1052,7 +1227,6 @@ pub fn run_fleet(
         for (ai, arrival_ns) in arrivals.into_iter().enumerate() {
             let key = (mix(cfg.seed ^ ((ti as u64) << 40) ^ ai as u64) % catalog.num_keys() as u64)
                 as usize;
-            let id = reqs.len();
             reqs.push(Request {
                 tenant: ti,
                 arrival_ns,
@@ -1062,58 +1236,25 @@ pub fn run_fleet(
                 tier_floor: 0,
                 verdict: None,
             });
-            states.push(ReqState {
-                route_key: ((ti as u64) << 40) ^ key as u64,
-                primary: 0,
-                hedged: false,
-                twin: None,
-                copies: 0,
-                failovers: 0,
-            });
             stats.offered += 1;
-            events.push(arrival_ns, Event::Arrive(id));
         }
         tenant_stats.push(stats);
     }
 
+    assert!(
+        u32::try_from(reqs.len()).is_ok(),
+        "request ids must fit the packed events"
+    );
+    // Every arrival is known before the run starts, so arrivals stay out
+    // of the event queue (which then holds only the few events in flight)
+    // and are taken in (time, id) order, ahead of any queued event at the
+    // same instant, as if they had been queued first.
+    let mut arrivals: Vec<usize> = (0..reqs.len()).collect();
+    arrivals.sort_by_key(|&id| reqs[id].arrival_ns);
+
     let weights: Vec<u64> = (0..tenants.len()).map(|t| policy(t).weight).collect();
-    let queue_capacity = if cfg.shard.admission {
-        cfg.shard.queue_capacity
-    } else {
-        // The naive baseline queues without bound (capped only to keep
-        // the share arithmetic in range).
-        1 << 32
-    };
     let shards: Vec<Shard> = (0..cfg.shards)
-        .map(|s| Shard {
-            queue: FairQueue::new(cfg.shard.policy, queue_capacity, &weights, cfg.fairness),
-            pool: AcceleratorPool::new(cfg.shard.instances),
-            injectors: build_injectors(
-                &cfg.shard.faults,
-                cfg.shard.instances,
-                cfg.seed,
-                s as u64 + 1,
-            ),
-            integrity: build_integrity(
-                cfg.shard.integrity,
-                &cfg.shard.faults,
-                cfg.shard.instances,
-                cfg.seed,
-                s as u64 + 1,
-            ),
-            inflight: vec![(usize::MAX, 0); cfg.shard.instances],
-            dispatch_seq: 0,
-            wake_at: None,
-            alive: true,
-            epoch: 0,
-            stall_until: 0,
-            stall_factor: 1,
-            catchup_until: 0,
-            busy_accum: 0,
-            quar_accum: 0,
-            stats: ShardStats::default(),
-            latencies: Vec::new(),
-        })
+        .map(|s| Shard::new(cfg, &weights, first_salt + s as u64))
         .collect();
 
     let buckets: Vec<Option<TokenBucket>> = (0..tenants.len())
@@ -1125,8 +1266,9 @@ pub fn run_fleet(
         .collect();
 
     let chaos = chaos_plan.schedule(cfg.shards, duration_ns);
+    let mut events = EventQueue::new();
     for (i, ev) in chaos.iter().enumerate() {
-        events.push(ev.at_ns, Event::Chaos(i));
+        events.push(ev.at_ns, Event::Chaos(i as u32));
     }
 
     let offered = reqs.len() as u64;
@@ -1134,8 +1276,8 @@ pub fn run_fleet(
         catalog,
         cfg,
         ring: HashRing::new(cfg.shards, cfg.vnodes_per_shard, cfg.seed),
+        states: vec![ReqState::default(); reqs.len()],
         reqs,
-        states,
         shards,
         buckets,
         events,
@@ -1145,39 +1287,42 @@ pub fn run_fleet(
             ..FleetSummary::default()
         },
         tenants: tenant_stats,
-        tenant_lat: vec![Vec::new(); tenants.len()],
-        latencies: Vec::new(),
+        served: Vec::new(),
         resolved: 0,
     };
 
-    while let Some((now, ev)) = fleet.events.pop() {
+    let mut arrivals = arrivals.into_iter().peekable();
+    loop {
+        let next_queued = fleet.events.peek_time();
+        let arrival =
+            arrivals.next_if(|&id| next_queued.is_none_or(|t| fleet.reqs[id].arrival_ns <= t));
+        if let Some(id) = arrival {
+            let now = fleet.reqs[id].arrival_ns;
+            telemetry::set_time(now);
+            fleet.arrive(id, now);
+            continue;
+        }
+        let Some((now, ev)) = fleet.events.pop() else {
+            break;
+        };
         telemetry::set_time(now);
         match ev {
-            Event::Arrive(id) => fleet.arrive(id, now),
-            Event::Enqueue { shard, req } => fleet.re_enqueue(shard, req, now),
-            Event::Complete {
-                shard,
-                inst,
-                req,
-                epoch,
-                tier,
-                token,
-                fault,
-                voted,
-            } => {
-                fleet.complete(shard, inst, req, epoch, tier, token, fault, voted, now);
-                fleet.dispatch(shard, now);
+            Event::Enqueue { shard, req } => fleet.re_enqueue(shard.into(), req as usize, now),
+            Event::Complete(d) => {
+                fleet.complete(d, now);
+                fleet.dispatch(d.shard.into(), now);
             }
             Event::Wake(s) => {
+                let s = usize::from(s);
                 if fleet.shards[s].wake_at.is_some_and(|w| w <= now) {
                     fleet.shards[s].wake_at = None;
                 }
                 fleet.dispatch(s, now);
             }
-            Event::Hedge(id) => fleet.hedge(id, now),
-            Event::Chaos(idx) => fleet.chaos(idx, now),
-            Event::Rejoin(s) => fleet.rejoin(s, now),
-            Event::Scrub { shard, inst } => fleet.scrub(shard, inst, now),
+            Event::Hedge(id) => fleet.hedge(id as usize, now),
+            Event::Chaos(idx) => fleet.chaos(idx as usize, now),
+            Event::Rejoin(s) => fleet.rejoin(s.into(), now),
+            Event::Scrub { shard, inst } => fleet.scrub(shard.into(), inst.into(), now),
         }
     }
 
@@ -1186,12 +1331,22 @@ pub fn run_fleet(
         "every request must resolve"
     );
 
+    // One sort serves every latency histogram: splitting the sorted
+    // fleet list keeps each shard's and tenant's share sorted too.
+    let mut served = fleet.served;
+    served.sort_unstable_by_key(|x| x.latency_ns);
+    let mut shard_lat = vec![Vec::new(); cfg.shards];
+    let mut tenant_lat = vec![Vec::new(); tenants.len()];
+    for x in &served {
+        shard_lat[usize::from(x.shard)].push(x.latency_ns);
+        tenant_lat[x.tenant as usize].push(x.latency_ns);
+    }
     let mut summary = fleet.summary;
-    for (t, lat) in fleet.tenant_lat.into_iter().enumerate() {
+    for (t, lat) in tenant_lat.into_iter().enumerate() {
         fleet.tenants[t].set_latencies(lat);
     }
     summary.tenants = fleet.tenants;
-    for mut sh in fleet.shards {
+    for (mut sh, lat) in fleet.shards.into_iter().zip(shard_lat) {
         summary.fleet.quarantines += sh.quar_accum + sh.pool.total_quarantines();
         summary.fleet.busy_ns += sh.busy_accum + sh.pool.total_busy_ns();
         sh.stats.quarantines = sh.quar_accum + sh.pool.total_quarantines();
@@ -1200,10 +1355,12 @@ pub fn run_fleet(
             summary.fleet.resilience.merge(inj.counters());
         }
         summary.fleet.integrity.merge(&sh.integrity.stats);
-        sh.stats.set_latencies(std::mem::take(&mut sh.latencies));
+        sh.stats.set_latencies(lat);
         summary.shards.push(sh.stats);
     }
-    summary.fleet.set_latencies(fleet.latencies);
+    summary
+        .fleet
+        .set_latencies(served.iter().map(|x| x.latency_ns).collect());
     summary
 }
 

@@ -17,26 +17,28 @@
 //!                                         RRT → coarse RRT)   circuit breaker
 //! ```
 //!
+//! One shard is one blast radius, so the same loop scales out into a
+//! sharded fleet. The single service is simply a one-shard fleet:
+//!
 //! * [`catalog`] — every (scene, query, tier) planned once, up front, so
 //!   the event loop knows exact deterministic service times;
 //! * [`request`] — tenants, deadlines, and per-request verdicts;
-//! * [`queue`] — bounded FIFO/EDF queues with deterministic tie-breaks;
+//! * [`tenant`] — bounded FIFO/EDF shard queues with deterministic
+//!   tie-breaks, plus per-tenant token-bucket admission and weighted fair
+//!   queueing, so one abusive tenant degrades only itself;
 //! * [`degrade`] — the load-level controller choosing quality tiers;
 //! * [`breaker`] — per-instance circuit breaking (strikes → quarantine);
-//! * [`service`] — the discrete-event loop tying it all together;
-//! * [`metrics`] — goodput, miss rate, exact p50/p99/p999, tier mix.
-//!
-//! One shard is still one blast radius, so the service scales out into a
-//! sharded fleet:
-//!
+//! * [`integrity`] — silent-corruption certification, voting, and scrub;
 //! * [`ring`] — consistent-hash ring with bounded-load
 //!   power-of-two-choices spill (minimal key movement on shard death);
-//! * [`tenant`] — per-tenant token-bucket admission and weighted fair
-//!   queueing, so one abusive tenant degrades only itself;
-//! * [`fleet`] — N shards under seeded shard-failure chaos
-//!   (`mp_sim::fault::ShardFaultPlan`): crash failover with re-enqueue
-//!   budgets, rejoin catch-up throttling, and deadline-aware hedged
-//!   requests with first-response-wins cancellation.
+//! * [`fleet`] — the discrete-event loop tying it all together: N shards
+//!   under seeded shard-failure chaos (`mp_sim::fault::ShardFaultPlan`),
+//!   crash failover with re-enqueue budgets, rejoin catch-up throttling,
+//!   and deadline-aware hedged requests with first-response-wins
+//!   cancellation;
+//! * [`service`] — the single service's configuration and
+//!   [`run_service`], which runs the fleet loop with one shard;
+//! * [`metrics`] — goodput, miss rate, exact p50/p99/p999, tier mix.
 //!
 //! Every run is a pure function of its configuration: seeded arrival
 //! streams (`mp_sim::arrival`), seeded per-instance fault injectors
@@ -53,7 +55,6 @@ pub mod degrade;
 pub mod fleet;
 pub mod integrity;
 pub mod metrics;
-pub mod queue;
 pub mod request;
 pub mod ring;
 pub mod service;
@@ -65,8 +66,7 @@ pub use degrade::DegradeConfig;
 pub use fleet::{run_fleet, run_fleet_traced, FailoverConfig, FleetConfig, HedgeConfig};
 pub use integrity::{IntegrityConfig, IntegrityState, IntegrityStats};
 pub use metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
-pub use queue::{QueuePolicy, RequestQueue};
 pub use request::{Request, ShedReason, TenantSpec, Verdict};
 pub use ring::HashRing;
 pub use service::{run_service, run_service_traced, FaultProfile, RetryConfig, ServiceConfig};
-pub use tenant::{FairQueue, TenantPolicy, TokenBucket};
+pub use tenant::{FairQueue, QueuePolicy, TenantPolicy, TokenBucket};

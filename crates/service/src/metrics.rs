@@ -8,6 +8,13 @@ use mp_telemetry::{HistSnapshot, Registry};
 
 use crate::integrity::IntegrityStats;
 
+/// Sorts served-request latencies into a histogram (sorted samples keep
+/// its percentile queries copy-free).
+fn latency_hist(mut latencies_ns: Vec<VirtualNs>) -> HistSnapshot {
+    latencies_ns.sort_unstable();
+    HistSnapshot::from_samples(latencies_ns)
+}
+
 /// The aggregate outcome of one service run.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceSummary {
@@ -88,11 +95,8 @@ impl ServiceSummary {
     }
 
     /// Stores and sorts the served-request latencies.
-    pub fn set_latencies(&mut self, mut latencies_ns: Vec<VirtualNs>) {
-        latencies_ns.sort_unstable();
-        let mut hist = HistSnapshot::new();
-        hist.observe_all(&latencies_ns);
-        self.latency_hist = hist;
+    pub fn set_latencies(&mut self, latencies_ns: Vec<VirtualNs>) {
+        self.latency_hist = latency_hist(latencies_ns);
     }
 
     /// The served-latency distribution (ns).
@@ -294,11 +298,8 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// Stores and sorts this shard's served-request latencies.
-    pub fn set_latencies(&mut self, mut latencies_ns: Vec<VirtualNs>) {
-        latencies_ns.sort_unstable();
-        let mut hist = HistSnapshot::new();
-        hist.observe_all(&latencies_ns);
-        self.latency_hist = hist;
+    pub fn set_latencies(&mut self, latencies_ns: Vec<VirtualNs>) {
+        self.latency_hist = latency_hist(latencies_ns);
     }
 
     /// 99.9th-percentile latency this shard served (µs); 0 when idle.
@@ -346,11 +347,8 @@ impl TenantStats {
     }
 
     /// Stores and sorts this tenant's served-request latencies.
-    pub fn set_latencies(&mut self, mut latencies_ns: Vec<VirtualNs>) {
-        latencies_ns.sort_unstable();
-        let mut hist = HistSnapshot::new();
-        hist.observe_all(&latencies_ns);
-        self.latency_hist = hist;
+    pub fn set_latencies(&mut self, latencies_ns: Vec<VirtualNs>) {
+        self.latency_hist = latency_hist(latencies_ns);
     }
 
     /// On-time completions per arrival-window second.

@@ -21,9 +21,9 @@
 //! Everything is integer arithmetic on seeded hashes: the same ring and
 //! the same loads route the same request identically on any machine.
 
-/// splitmix64-style finalizer; the same mixer the service loop uses for
-/// request-key assignment, duplicated here so the ring stays freestanding.
-fn mix(mut z: u64) -> u64 {
+/// splitmix64-style finalizer, shared with the fleet loop's request-key
+/// assignment and fault-stream seeding.
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -112,6 +112,9 @@ impl HashRing {
     /// The shard owning `key` ignoring liveness — where an unrouted
     /// client would still send the request while the shard is down.
     pub fn owner(&self, key: u64) -> usize {
+        if self.alive.len() == 1 {
+            return 0; // a one-shard ring owns every key
+        }
         self.points[self.start(key)].1
     }
 

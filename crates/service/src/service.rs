@@ -1,30 +1,28 @@
-//! The deterministic simulated-time planning service event loop.
+//! The single planning service: its configuration and [`run_service`],
+//! which runs the fleet loop ([`crate::fleet`]) as a one-shard fleet.
 //!
-//! One run is a single-threaded discrete-event simulation (parallelism
-//! lives in campaign sweeps *around* runs and in the catalog build, both
-//! order-collected): tenants' pregenerated arrival streams feed an
-//! admission-controlled, bounded, deadline-aware queue; a dispatcher moves
-//! requests onto the first idle healthy instance of an
-//! [`AcceleratorPool`]; per-instance [`FaultInjector`]s strike dispatches,
-//! which retry with exponential backoff until the circuit breaker
-//! quarantines a persistently faulty instance; and a load-level controller
-//! steps congested traffic down the quality ladder instead of missing
-//! deadlines. Every random draw is seeded from the run configuration, so
-//! a run is a pure function of `(catalog, tenants, duration, config)`.
+//! Tenants' pregenerated arrival streams feed an admission-controlled,
+//! bounded, deadline-aware queue; a dispatcher moves requests onto the
+//! first idle healthy instance of an accelerator pool; per-instance fault
+//! injectors strike dispatches, which retry with exponential backoff
+//! until the circuit breaker quarantines a persistently faulty instance;
+//! and a load-level controller steps congested traffic down the quality
+//! ladder instead of missing deadlines. Every random draw is seeded from
+//! the run configuration, so a run is a pure function of `(catalog,
+//! tenants, duration, config)`.
 
-use mp_planner::QualityTier;
-use mp_sim::fault::{FaultInjector, FaultKind, FaultPlan, SdcPlan};
-use mp_sim::vtime::{EventQueue, VirtualNs, NS_PER_US};
-use mp_telemetry::{self as telemetry, arg1, arg2, ArgValue, Lane};
-use mpaccel_core::pool::AcceleratorPool;
+use mp_sim::fault::ShardFaultPlan;
+use mp_sim::vtime::VirtualNs;
+use mp_telemetry as telemetry;
 
 use crate::breaker::BreakerConfig;
 use crate::catalog::PlanCatalog;
 use crate::degrade::DegradeConfig;
-use crate::integrity::{IntegrityConfig, IntegrityState};
+use crate::fleet::{simulate, FailoverConfig, FleetConfig, HedgeConfig};
+use crate::integrity::IntegrityConfig;
 use crate::metrics::ServiceSummary;
-use crate::queue::{QueuePolicy, RequestQueue};
-use crate::request::{Request, ShedReason, TenantSpec, Verdict};
+use crate::request::TenantSpec;
+use crate::tenant::QueuePolicy;
 
 /// Retry-with-backoff policy for faulted dispatches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,15 +46,17 @@ impl Default for RetryConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultProfile {
     /// Per-kind fault probability per dispatch (see
-    /// [`FaultKind::ALL`]; a dispatch rolls every kind).
+    /// [`FaultKind::ALL`](mp_sim::fault::FaultKind::ALL); a dispatch
+    /// rolls every kind).
     pub rate_per_kind: f64,
     /// Instance with an elevated fault rate (the "lemon"), exercising the
     /// circuit breaker.
     pub lemon: Option<usize>,
     /// Rate multiplier for the lemon instance.
     pub lemon_factor: f64,
-    /// Service-time multiplier for [`FaultKind::SlowUnit`] faults (the
-    /// dispatch completes correctly, just slower).
+    /// Service-time multiplier for
+    /// [`FaultKind::SlowUnit`](mp_sim::fault::FaultKind::SlowUnit) faults
+    /// (the dispatch completes correctly, just slower).
     pub slow_factor: u64,
     /// Probability a clean, solved completion silently returns a
     /// corrupted (unsafe) plan — the SDC hazard no detection layer sees.
@@ -153,577 +153,10 @@ impl Default for ServiceConfig {
     }
 }
 
-enum Event {
-    /// A request arrives (or re-enters the queue after backoff or a tier
-    /// step-down).
-    Enqueue(usize),
-    /// Instance `inst` finishes the dispatch of request `req`.
-    Complete { inst: usize, req: usize },
-    /// Re-run the dispatcher (quarantine expiry / busy instance freed).
-    Wake,
-    /// Run one known-answer scrub probe against a benched instance.
-    Scrub { inst: usize },
-}
-
-/// Bench horizon for integrity quarantines: far enough that only a scrub
-/// readmission brings the instance back, finite so pool arithmetic never
-/// overflows.
-pub(crate) const BENCH_HORIZON_NS: VirtualNs = VirtualNs::MAX / 4;
-
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-pub(crate) fn us_to_ns(us: f64) -> VirtualNs {
-    (us * NS_PER_US as f64).round().max(1.0) as VirtualNs
-}
-
-/// Exact service time (ns) of catalog `key` at ladder index `tier_idx`,
-/// before any fault slowdown.
-pub(crate) fn service_time_ns(catalog: &PlanCatalog, key: usize, tier_idx: usize) -> VirtualNs {
-    us_to_ns(
-        catalog
-            .entry(key, QualityTier::from_index(tier_idx))
-            .modeled_us,
-    )
-}
-
-/// The dispatcher's tier decision for one request, shared verbatim by the
-/// single-shard loop and the fleet shards: the congestion controller's
-/// base tier, raised to the request's floor from failed attempts, then
-/// stepped down the ladder until the tier fits the remaining slack.
-/// `None` means no admissible tier fits (the hopeless-shed case; never
-/// returned when admission control is off).
-pub(crate) fn choose_tier(
-    catalog: &PlanCatalog,
-    cfg: &ServiceConfig,
-    req: &Request,
-    queued: usize,
-    healthy: usize,
-    now: VirtualNs,
-) -> Option<usize> {
-    let base = cfg.degrade.load_tier(queued, healthy);
-    let mut tier_idx = base.index().max(req.tier_floor);
-    if cfg.admission {
-        let slack = req.slack_ns(now);
-        while cfg.degrade.enabled
-            && tier_idx + 1 < QualityTier::COUNT
-            && service_time_ns(catalog, req.key, tier_idx) > slack
-        {
-            tier_idx += 1;
-        }
-        if service_time_ns(catalog, req.key, tier_idx) > slack {
-            return None;
-        }
-    }
-    Some(tier_idx)
-}
-
-/// Rolls the fault environment for one dispatch, shared verbatim by both
-/// loops. A slow-unit fault stretches the service time but still
-/// completes (masked); every other kind wastes the dispatch (detected at
-/// completion) and is returned for the retry path.
-pub(crate) fn roll_dispatch_fault(
-    inj: &mut FaultInjector,
-    slow_factor: u64,
-    service_ns: &mut VirtualNs,
-) -> Option<FaultKind> {
-    inj.counters_mut().queries += 1;
-    let mut fault = FaultKind::ALL.into_iter().find(|&k| inj.fires(k));
-    if fault == Some(FaultKind::SlowUnit) {
-        *service_ns *= slow_factor.max(1);
-        inj.counters_mut().masked += 1;
-        fault = None;
-    }
-    fault
-}
-
-/// Builds the seeded per-instance fault injectors for a pool, applying
-/// the lemon multiplier to the configured instance. `salt` separates the
-/// fault streams of different shards in a fleet (0 for a single shard).
-pub(crate) fn build_injectors(
-    faults: &FaultProfile,
-    instances: usize,
-    seed: u64,
-    salt: u64,
-) -> Vec<FaultInjector> {
-    (0..instances)
-        .map(|i| {
-            let rate = faults.rate_per_kind
-                * if faults.lemon == Some(i) {
-                    faults.lemon_factor
-                } else {
-                    1.0
-                };
-            FaultInjector::new(FaultPlan::uniform(
-                rate.min(0.9),
-                mix(seed ^ 0xFA17_0000 ^ (salt << 8) ^ i as u64),
-            ))
-        })
-        .collect()
-}
-
-/// Builds the per-instance integrity state for a pool, deriving every
-/// silent-corruption stream from `(seed, salt, instance)`. Shared by the
-/// single-shard loop and the fleet shards.
-pub(crate) fn build_integrity(
-    integrity: IntegrityConfig,
-    faults: &FaultProfile,
-    instances: usize,
-    seed: u64,
-    salt: u64,
-) -> IntegrityState {
-    let plan = SdcPlan {
-        seed: mix(seed ^ 0x5DC0_0000 ^ (salt << 8)),
-        verdict_flip_rate: faults.sdc_rate,
-        memo_corrupt_rate: 0.0,
-        node_corrupt_rate: 0.0,
-    };
-    IntegrityState::new(
-        integrity,
-        plan,
-        instances,
-        faults.sdc_hot,
-        faults.sdc_hot_factor,
-        salt,
-    )
-}
-
-struct Run<'a> {
-    catalog: &'a PlanCatalog,
-    cfg: &'a ServiceConfig,
-    reqs: Vec<Request>,
-    queue: RequestQueue,
-    pool: AcceleratorPool,
-    injectors: Vec<FaultInjector>,
-    integrity: IntegrityState,
-    events: EventQueue<Event>,
-    /// Per-instance in-flight dispatch: (request, rolled fault, voted).
-    inflight: Vec<(usize, Option<FaultKind>, bool)>,
-    summary: ServiceSummary,
-    latencies: Vec<VirtualNs>,
-    /// Requests resolved so far; once every request has a verdict the
-    /// scrub schedule stops re-arming and the event queue drains.
-    resolved: usize,
-    /// Earliest outstanding [`Event::Wake`], if any. Without this guard
-    /// every stalled dispatch would push a fresh wake and overload runs
-    /// would drown in duplicate wake events (one per queued request per
-    /// completion epoch).
-    wake_at: Option<VirtualNs>,
-}
-
-impl Run<'_> {
-    fn schedule_wake(&mut self, at: VirtualNs) {
-        if self.wake_at.is_none_or(|w| at < w) {
-            self.wake_at = Some(at);
-            self.events.push(at, Event::Wake);
-        }
-    }
-
-    fn resolve(&mut self, id: usize, verdict: Verdict) {
-        debug_assert!(self.reqs[id].verdict.is_none(), "request resolved twice");
-        match verdict {
-            Verdict::OnTime { .. } => self.summary.on_time += 1,
-            Verdict::Late { .. } => self.summary.late += 1,
-            Verdict::Shed(ShedReason::QueueFull) => self.summary.shed_queue_full += 1,
-            Verdict::Shed(ShedReason::Hopeless) => self.summary.shed_hopeless += 1,
-            Verdict::Shed(ShedReason::Throttled) => self.summary.shed_throttled += 1,
-            Verdict::Shed(ShedReason::ShardLost) => self.summary.shed_shard_lost += 1,
-            Verdict::FailedFaults => self.summary.failed_faults += 1,
-            Verdict::Unsolved => self.summary.unsolved += 1,
-        }
-        self.reqs[id].verdict = Some(verdict);
-        self.resolved += 1;
-    }
-
-    fn enqueue(&mut self, id: usize, now: VirtualNs) {
-        if self.cfg.admission && self.queue.len() >= self.cfg.queue_capacity {
-            telemetry::instant_args(
-                "service",
-                "shed_queue_full",
-                arg1("req", ArgValue::U64(id as u64)),
-            );
-            if telemetry::active() {
-                telemetry::incident(&format!("shed_queue_full req={id} t_ns={now}"));
-            }
-            self.resolve(id, Verdict::Shed(ShedReason::QueueFull));
-            return;
-        }
-        let deadline = self.reqs[id].deadline_ns;
-        self.queue.push(id, deadline);
-        telemetry::counter("queue_depth", self.queue.len() as f64);
-        let _ = now;
-    }
-
-    /// Exact service time (ns) of `req` at ladder index `tier_idx`,
-    /// before any fault slowdown.
-    fn service_ns(&self, id: usize, tier_idx: usize) -> VirtualNs {
-        let tier = QualityTier::from_index(tier_idx);
-        us_to_ns(self.catalog.entry(self.reqs[id].key, tier).modeled_us)
-    }
-
-    fn dispatch(&mut self, now: VirtualNs) {
-        loop {
-            let Some(inst) = self.pool.acquire(now) else {
-                if !self.queue.is_empty() {
-                    if let Some(at) = self.pool.next_dispatchable_at(now) {
-                        self.schedule_wake(at);
-                    }
-                }
-                return;
-            };
-            let Some(id) = self.queue.pop() else { return };
-            telemetry::counter("queue_depth", self.queue.len() as f64);
-
-            // Tier choice: congestion controller first, then the
-            // request's floor from failed attempts, then slack-fit.
-            let Some(tier_idx) = choose_tier(
-                self.catalog,
-                self.cfg,
-                &self.reqs[id],
-                self.queue.len(),
-                self.pool.healthy(now),
-                now,
-            ) else {
-                let slack = self.reqs[id].slack_ns(now);
-                telemetry::instant_args(
-                    "service",
-                    "shed_hopeless",
-                    arg1("req", ArgValue::U64(id as u64)),
-                );
-                if telemetry::active() {
-                    telemetry::incident(&format!(
-                        "shed_hopeless req={id} slack_ns={slack} t_ns={now}"
-                    ));
-                }
-                self.resolve(id, Verdict::Shed(ShedReason::Hopeless));
-                continue;
-            };
-
-            let mut service_ns = self.service_ns(id, tier_idx);
-            // Roll the fault environment for this dispatch (see
-            // `roll_dispatch_fault`): masked slow-units stretch the
-            // service time; everything else triggers the retry path.
-            let fault = roll_dispatch_fault(
-                &mut self.injectors[inst],
-                self.cfg.faults.slow_factor,
-                &mut service_ns,
-            );
-            // Suspicion-scored voting: a suspect instance re-executes the
-            // dispatch (temporal duplicate-dispatch), doubling its
-            // modeled service time.
-            let voted = self.integrity.dispatch_vote(inst);
-            if voted {
-                service_ns *= 2;
-            }
-            self.reqs[id].attempts += 1;
-            self.inflight[inst] = (id, fault, voted);
-            self.reqs[id].tier_floor = tier_idx; // remember the served tier
-            self.pool.begin(inst, now, service_ns);
-            // Instance occupancy as one Perfetto row per instance.
-            telemetry::complete_at(
-                Lane::new("inst", inst as u32),
-                "service",
-                if fault.is_some() {
-                    "serve_faulted"
-                } else {
-                    "serve"
-                },
-                now,
-                service_ns,
-                arg2(
-                    "req",
-                    ArgValue::U64(id as u64),
-                    "tier",
-                    ArgValue::Str(QualityTier::from_index(tier_idx).label()),
-                ),
-            );
-            self.events
-                .push(now + service_ns, Event::Complete { inst, req: id });
-        }
-    }
-
-    /// Benches a lying instance for scrubbing: out of rotation until a
-    /// scrub probe streak readmits it. The last healthy instance is never
-    /// pulled (degraded service beats no service), but its scrub schedule
-    /// still runs so the integrity state stays live.
-    fn bench_liar(&mut self, inst: usize, now: VirtualNs) {
-        if self.pool.healthy(now) > 1 {
-            self.pool.quarantine(inst, BENCH_HORIZON_NS);
-            telemetry::instant_args(
-                "service",
-                "bench_liar",
-                arg1("inst", ArgValue::U64(inst as u64)),
-            );
-            if telemetry::active() {
-                telemetry::incident(&format!("quarantine inst={inst} liar=1 t_ns={now}"));
-            }
-        }
-        self.events.push(
-            now + self.cfg.integrity.scrub_period_us * NS_PER_US,
-            Event::Scrub { inst },
-        );
-    }
-
-    /// One known-answer scrub probe against a benched instance.
-    fn scrub(&mut self, inst: usize, now: VirtualNs) {
-        if !self.integrity.is_benched(inst) {
-            return;
-        }
-        if self.integrity.scrub_probe(inst) {
-            self.pool.readmit(inst, now);
-            telemetry::instant_args(
-                "service",
-                "scrub_readmit",
-                arg1("inst", ArgValue::U64(inst as u64)),
-            );
-            if telemetry::active() {
-                telemetry::incident(&format!(
-                    "scrub_readmit inst={inst} probes={} t_ns={now}",
-                    self.integrity.stats.scrub_probes
-                ));
-            }
-            self.dispatch(now);
-        } else if self.resolved < self.reqs.len() {
-            self.events.push(
-                now + self.cfg.integrity.scrub_period_us * NS_PER_US,
-                Event::Scrub { inst },
-            );
-        }
-    }
-
-    fn complete(&mut self, inst: usize, id: usize, now: VirtualNs) {
-        let (_, fault, voted) = self.inflight[inst];
-        let tier_idx = self.reqs[id].tier_floor;
-        let tier = QualityTier::from_index(tier_idx);
-        let entry = *self.catalog.entry(self.reqs[id].key, tier);
-        // Energy the dispatch actually spent: the catalog attempt cost,
-        // doubled when suspicion voting re-executed it. Slow-unit faults
-        // stretch time, not work, so the energy is unchanged.
-        let attempt_pj = if voted {
-            2.0 * entry.energy_pj
-        } else {
-            entry.energy_pj
-        };
-        // Power-rail counter track: the datapath power this dispatch drew
-        // while it ran (pJ/µs ≡ µW). Vote re-execution doubles energy and
-        // time alike, so the rail shows the per-execution figure.
-        telemetry::counter_on(
-            Lane::new("rail", inst as u32),
-            "power_uw",
-            entry.energy_pj / entry.modeled_us.max(1e-9),
-        );
-        if let Some(_kind) = fault {
-            self.summary.wasted_energy_pj += attempt_pj;
-            self.injectors[inst].counters_mut().detected += 1;
-            if self
-                .cfg
-                .breaker
-                .on_fault(&mut self.pool, inst, now)
-                .is_some()
-            {
-                self.injectors[inst].counters_mut().quarantined += 1;
-                telemetry::instant_args(
-                    "service",
-                    "quarantine",
-                    arg1("inst", ArgValue::U64(inst as u64)),
-                );
-                if telemetry::active() {
-                    telemetry::incident(&format!("quarantine inst={inst} t_ns={now}"));
-                }
-                // The expiry needs a wake in case the whole pool is idle
-                // but quarantined when it lands.
-                if let Some(at) = self.pool.next_dispatchable_at(now) {
-                    self.schedule_wake(at);
-                }
-            }
-            if self.reqs[id].attempts > self.cfg.retry.max_retries {
-                telemetry::instant_args(
-                    "service",
-                    "failed_faults",
-                    arg1("req", ArgValue::U64(id as u64)),
-                );
-                if telemetry::active() {
-                    telemetry::incident(&format!(
-                        "failed_faults req={id} attempts={} t_ns={now}",
-                        self.reqs[id].attempts
-                    ));
-                }
-                self.resolve(id, Verdict::FailedFaults);
-            } else {
-                let shift = (self.reqs[id].attempts - 1).min(16);
-                let backoff = (self.cfg.retry.backoff_us * NS_PER_US) << shift;
-                self.injectors[inst].counters_mut().redispatches += 1;
-                self.summary.retries += 1;
-                self.events.push(now + backoff, Event::Enqueue(id));
-            }
-        } else {
-            self.pool.record_success(inst);
-            if entry.solved {
-                // Integrity pipeline: roll this instance's silent-
-                // corruption stream (resolving any vote), then certify
-                // before the request may resolve as Completed.
-                let ci = self.integrity.completion(inst, voted);
-                if ci.bench {
-                    self.bench_liar(inst, now);
-                }
-                let mut done = now;
-                if self.cfg.integrity.certify {
-                    let certify_ns = us_to_ns(entry.certify_us);
-                    self.integrity.stats.certify_ns += certify_ns;
-                    self.integrity
-                        .stats
-                        .certify_hist
-                        .observe(entry.certify_us.round() as u64);
-                    done = now + certify_ns;
-                    if ci.ships_corrupt {
-                        // The independent cascade rejects the corrupted
-                        // plan: attribute, then re-plan degraded under
-                        // whatever budget remains. The rejected attempt's
-                        // energy bought nothing.
-                        self.summary.wasted_energy_pj += attempt_pj;
-                        self.integrity.stats.certify_failed += 1;
-                        self.integrity.accuse(inst);
-                        telemetry::instant_args(
-                            "service",
-                            "certify_failed",
-                            arg2(
-                                "req",
-                                ArgValue::U64(id as u64),
-                                "inst",
-                                ArgValue::U64(inst as u64),
-                            ),
-                        );
-                        if telemetry::active() {
-                            telemetry::incident(&format!(
-                                "certify_failed req={id} inst={inst} tier={} t_ns={now}",
-                                tier.label()
-                            ));
-                        }
-                        if self.reqs[id].attempts > self.cfg.retry.max_retries {
-                            // Replan budget exhausted: fail closed — an
-                            // unresolved request, never an unsafe plan.
-                            self.resolve(id, Verdict::FailedFaults);
-                            return;
-                        }
-                        if tier_idx + 1 < QualityTier::COUNT {
-                            self.reqs[id].tier_floor = tier_idx + 1;
-                            self.summary.tier_stepdowns += 1;
-                        }
-                        self.events.push(done, Event::Enqueue(id));
-                        return;
-                    }
-                    self.integrity.stats.certified += 1;
-                    self.integrity.exonerate(inst);
-                } else if ci.ships_corrupt {
-                    // Undefended: the unsafe plan ships as a "success".
-                    self.integrity.stats.sdc_escaped += 1;
-                    telemetry::instant_args(
-                        "service",
-                        "sdc_escaped",
-                        arg2(
-                            "req",
-                            ArgValue::U64(id as u64),
-                            "inst",
-                            ArgValue::U64(inst as u64),
-                        ),
-                    );
-                    if telemetry::active() {
-                        telemetry::incident(&format!(
-                            "sdc_escaped req={id} inst={inst} tier={} t_ns={now}",
-                            tier.label()
-                        ));
-                    }
-                }
-                let now = done;
-                let latency = now - self.reqs[id].arrival_ns;
-                let verdict = if now <= self.reqs[id].deadline_ns {
-                    Verdict::OnTime {
-                        tier,
-                        latency_ns: latency,
-                    }
-                } else {
-                    let late_ns = now - self.reqs[id].deadline_ns;
-                    telemetry::instant_args(
-                        "service",
-                        "deadline_miss",
-                        arg2(
-                            "req",
-                            ArgValue::U64(id as u64),
-                            "late_ns",
-                            ArgValue::U64(late_ns),
-                        ),
-                    );
-                    if telemetry::active() {
-                        telemetry::incident(&format!(
-                            "deadline_miss req={id} tier={} late_ns={late_ns} t_ns={now}",
-                            tier.label()
-                        ));
-                    }
-                    Verdict::Late {
-                        tier,
-                        latency_ns: latency,
-                    }
-                };
-                self.summary.tier_served[tier_idx] += 1;
-                self.summary.energy_pj += attempt_pj;
-                self.summary.tier_energy_pj[tier_idx] += attempt_pj;
-                if tier_idx > 0 {
-                    // Energy the ladder saved by serving this key below
-                    // full quality.
-                    let full_pj = self
-                        .catalog
-                        .entry(self.reqs[id].key, QualityTier::Full)
-                        .energy_pj;
-                    self.summary.degraded_saved_pj += full_pj - entry.energy_pj;
-                }
-                if let Some(budget) = self.cfg.energy_budget_pj_per_plan {
-                    if attempt_pj > budget {
-                        self.summary.energy_breaches += 1;
-                        telemetry::instant_args(
-                            "service",
-                            "energy_budget_breach",
-                            arg2(
-                                "req",
-                                ArgValue::U64(id as u64),
-                                "pj",
-                                ArgValue::F64(attempt_pj),
-                            ),
-                        );
-                        if telemetry::active() {
-                            telemetry::incident(&format!(
-                                "energy_budget_breach req={id} tier={} pj={:.0} \
-                                 budget_pj={budget:.0} t_ns={now}",
-                                tier.label(),
-                                attempt_pj
-                            ));
-                        }
-                    }
-                }
-                self.latencies.push(latency);
-                self.resolve(id, verdict);
-            } else if tier_idx + 1 < QualityTier::COUNT {
-                // Budget exhausted without a path: step down the ladder
-                // and try again immediately (the cheap re-plan path). The
-                // exhausted attempt's energy is spent either way.
-                self.summary.wasted_energy_pj += attempt_pj;
-                self.reqs[id].tier_floor = tier_idx + 1;
-                self.summary.tier_stepdowns += 1;
-                self.enqueue(id, now);
-            } else {
-                self.summary.wasted_energy_pj += attempt_pj;
-                self.resolve(id, Verdict::Unsolved);
-            }
-        }
-    }
-}
-
-/// Runs the service simulation and returns its aggregate summary.
-/// Deterministic: identical inputs yield an identical summary, on any
-/// machine and at any ambient thread count.
+/// Runs the service simulation and returns its aggregate summary: the
+/// fleet loop with one shard and hedging, failover, fairness and shard
+/// chaos off. Deterministic: identical inputs yield an identical summary,
+/// on any machine and at any ambient thread count.
 ///
 /// # Panics
 ///
@@ -734,83 +167,23 @@ pub fn run_service(
     duration_ns: VirtualNs,
     cfg: &ServiceConfig,
 ) -> ServiceSummary {
-    assert!(catalog.num_keys() > 0, "empty catalog");
-    let mut reqs = Vec::new();
-    let mut events = EventQueue::new();
-    for (ti, tenant) in tenants.iter().enumerate() {
-        for (ai, arrival_ns) in tenant.process.generate(duration_ns).into_iter().enumerate() {
-            let key = (mix(cfg.seed ^ ((ti as u64) << 40) ^ ai as u64) % catalog.num_keys() as u64)
-                as usize;
-            let id = reqs.len();
-            reqs.push(Request {
-                tenant: ti,
-                arrival_ns,
-                deadline_ns: arrival_ns + tenant.deadline_us * NS_PER_US,
-                key,
-                attempts: 0,
-                tier_floor: 0,
-                verdict: None,
-            });
-            events.push(arrival_ns, Event::Enqueue(id));
-        }
-    }
-
-    let injectors = build_injectors(&cfg.faults, cfg.instances, cfg.seed, 0);
-    let integrity = build_integrity(cfg.integrity, &cfg.faults, cfg.instances, cfg.seed, 0);
-
-    let summary = ServiceSummary::for_run(duration_ns, cfg.instances, reqs.len() as u64);
-    let mut run = Run {
-        catalog,
-        cfg,
-        reqs,
-        queue: RequestQueue::new(cfg.policy),
-        pool: AcceleratorPool::new(cfg.instances),
-        injectors,
-        integrity,
-        events,
-        inflight: vec![(usize::MAX, None, false); cfg.instances],
-        summary,
-        latencies: Vec::new(),
-        resolved: 0,
-        wake_at: None,
+    let one_shard = FleetConfig {
+        shards: 1,
+        shard: *cfg,
+        hedge: HedgeConfig {
+            enabled: false,
+            ..HedgeConfig::default()
+        },
+        failover: FailoverConfig {
+            enabled: false,
+            ..FailoverConfig::default()
+        },
+        fairness: false,
+        seed: cfg.seed,
+        ..FleetConfig::default()
     };
-
-    while let Some((now, ev)) = run.events.pop() {
-        telemetry::set_time(now);
-        match ev {
-            Event::Enqueue(id) => {
-                run.enqueue(id, now);
-                run.dispatch(now);
-            }
-            Event::Complete { inst, req } => {
-                run.complete(inst, req, now);
-                run.dispatch(now);
-            }
-            Event::Wake => {
-                if run.wake_at.is_some_and(|w| w <= now) {
-                    run.wake_at = None;
-                }
-                run.dispatch(now);
-            }
-            Event::Scrub { inst } => {
-                run.scrub(inst, now);
-            }
-        }
-    }
-
-    debug_assert!(
-        run.reqs.iter().all(|r| r.verdict.is_some()),
-        "every request must resolve"
-    );
-    run.summary.quarantines = run.pool.total_quarantines();
-    run.summary.busy_ns = run.pool.total_busy_ns();
-    for inj in &run.injectors {
-        run.summary.resilience.merge(inj.counters());
-    }
-    run.summary.integrity = run.integrity.stats.clone();
-    let latencies = std::mem::take(&mut run.latencies);
-    run.summary.set_latencies(latencies);
-    run.summary
+    let none = ShardFaultPlan::none(0);
+    simulate(catalog, tenants, &[], duration_ns, &one_shard, &none, 0).fleet
 }
 
 /// [`run_service`] with telemetry: installs a `("service", stream_index)`
@@ -840,6 +213,7 @@ pub fn run_service_traced(
 mod tests {
     use super::*;
     use mp_octree::{benchmark_scenes, Scene};
+    use mp_planner::QualityTier;
     use mp_robot::RobotModel;
     use mp_sim::arrival::{ArrivalKind, ArrivalProcess};
     use std::sync::OnceLock;

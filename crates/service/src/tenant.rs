@@ -1,8 +1,8 @@
-//! Per-tenant isolation: token-bucket admission and weighted fair
-//! queueing.
+//! Shard queues and per-tenant isolation: bounded FIFO/EDF queues,
+//! token-bucket admission, and weighted fair queueing.
 //!
-//! The single-shard service treats all tenants as one traffic stream, so
-//! one adversarial tenant fills the bounded queue and everyone sheds. The
+//! Without fairness all tenants are one traffic stream, so one
+//! adversarial tenant fills the bounded queue and everyone sheds. A fair
 //! fleet isolates tenants twice:
 //!
 //! * **Admission** ([`TokenBucket`]): each tenant may carry a rate
@@ -17,16 +17,34 @@
 //!   weight-proportional slice of the queue capacity, so queue-full
 //!   sheds land on the tenant that overflowed, not on its neighbors.
 //!
-//! With fairness disabled the queue degenerates to the single shared
-//! bounded queue of the single-shard service, which keeps the undefended
-//! baseline honest.
+//! With fairness disabled the queue degenerates to one shared bounded
+//! FIFO/EDF heap (the single planning service's queue), which keeps the
+//! undefended baseline honest.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mp_sim::vtime::VirtualNs;
 
-use crate::queue::QueuePolicy;
+/// Queue discipline within a tenant (or of the one shared queue when
+/// fairness is off).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueuePolicy {
+    /// First-in first-out (arrival order).
+    Fifo,
+    /// Earliest-deadline-first, ties broken by arrival order.
+    Edf,
+}
+
+impl QueuePolicy {
+    /// Human-readable label.
+    pub fn label(self) -> &'static str {
+        match self {
+            QueuePolicy::Fifo => "fifo",
+            QueuePolicy::Edf => "edf",
+        }
+    }
+}
 
 /// A tenant's fleet policy: its fair-queueing weight, optional rate
 /// contract, and optional activity window.
@@ -278,16 +296,50 @@ mod tests {
     }
 
     #[test]
-    fn unfair_mode_is_one_shared_edf_queue() {
-        let mut q = FairQueue::new(QueuePolicy::Edf, 3, &[1, 1], false);
-        assert!(q.try_push(0, 10, 900));
-        assert!(q.try_push(1, 11, 100));
-        assert!(q.try_push(0, 12, 500));
-        assert!(!q.try_push(1, 13, 1), "shared capacity bounds everyone");
-        assert_eq!(
-            [q.pop(), q.pop(), q.pop(), q.pop()],
-            [Some(11), Some(12), Some(10), None]
+    fn unfair_mode_is_one_shared_bounded_queue() {
+        // (policy, capacity, pushes as (tenant, id, deadline), pop order):
+        // unfair mode ignores tenants, so each case is one bounded heap.
+        type Case = (
+            QueuePolicy,
+            usize,
+            &'static [(usize, usize, u64)],
+            &'static [usize],
         );
+        let cases: [Case; 3] = [
+            // EDF order, and the shared capacity bounds every tenant.
+            (
+                QueuePolicy::Edf,
+                3,
+                &[(0, 10, 900), (1, 11, 100), (0, 12, 500), (1, 13, 1)],
+                &[11, 12, 10],
+            ),
+            // FIFO pops in arrival order regardless of deadline.
+            (
+                QueuePolicy::Fifo,
+                8,
+                &[(0, 10, 900), (1, 11, 100), (0, 12, 500)],
+                &[10, 11, 12],
+            ),
+            // Equal EDF deadlines pop in arrival order.
+            (
+                QueuePolicy::Edf,
+                8,
+                &[(0, 10, 900), (1, 11, 100), (0, 12, 500), (1, 13, 100)],
+                &[11, 13, 12, 10],
+            ),
+        ];
+        for (policy, capacity, pushes, order) in cases {
+            let mut q = FairQueue::new(policy, capacity, &[1, 1], false);
+            let admitted = pushes
+                .iter()
+                .filter(|&&(t, id, deadline)| q.try_push(t, id, deadline))
+                .count();
+            assert_eq!(admitted, pushes.len().min(capacity), "{policy:?}");
+            assert_eq!(q.len(), order.len());
+            let popped: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(popped, order, "{policy:?}");
+            assert!(q.is_empty());
+        }
     }
 
     #[test]

@@ -139,9 +139,29 @@ impl HistSnapshot {
         }
     }
 
+    /// A histogram of `samples`, taking ownership of them.
+    pub fn from_samples(samples: Vec<u64>) -> HistSnapshot {
+        let mut buckets = [0; BUCKETS];
+        let mut sum = 0u128;
+        for &v in &samples {
+            buckets[bucket_index(v)] += 1;
+            sum += v as u128;
+        }
+        HistSnapshot {
+            sorted: samples.is_sorted(),
+            samples,
+            buckets,
+            sum,
+        }
+    }
+
     /// Merges another histogram's samples into this one.
     pub fn absorb(&mut self, other: &HistSnapshot) {
-        self.observe_all(&other.samples);
+        if self.samples.is_empty() {
+            *self = other.clone();
+        } else {
+            self.observe_all(&other.samples);
+        }
     }
 
     /// Number of samples.

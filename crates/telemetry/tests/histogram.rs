@@ -88,4 +88,14 @@ fn absorb_merges_counts_sums_and_buckets() {
     assert_eq!(a.sum(), 306);
     assert_eq!(a.percentile(0.999), Some(200));
     assert_eq!(a.buckets().iter().sum::<u64>(), 5);
+    // Absorbing into an empty histogram, or building one from owned
+    // samples, equals observing the same samples one by one.
+    let mut empty = HistSnapshot::new();
+    empty.absorb(&a);
+    assert_eq!(empty, a);
+    for samples in [vec![1, 2, 3, 100, 200], vec![200, 1, 100]] {
+        let mut observed = HistSnapshot::new();
+        observed.observe_all(&samples);
+        assert_eq!(HistSnapshot::from_samples(samples), observed);
+    }
 }

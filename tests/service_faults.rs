@@ -1,0 +1,125 @@
+//! Fault accounting of the planning service and fleet: every dispatch
+//! fault the injectors fire must end masked (a slow unit that still
+//! completes) or detected at its own completion. A completion that read
+//! its fault back from the instance's inflight slot, after the instance
+//! was re-acquired at that very timestamp, would take the next dispatch's
+//! fault instead, retrying clean work and serving faulted work.
+
+use std::sync::OnceLock;
+
+use mpaccel::octree::{benchmark_scenes, Scene};
+use mpaccel::planner::QualityTier;
+use mpaccel::robot::RobotModel;
+use mpaccel::service::{
+    run_fleet, run_service, FaultProfile, FleetConfig, PlanCatalog, ServiceConfig, TenantSpec,
+};
+use mpaccel::sim::arrival::{ArrivalKind, ArrivalProcess};
+use mpaccel::sim::fault::{ResilienceCounters, ShardFaultPlan};
+use threadpool::ThreadPool;
+
+const DURATION_NS: u64 = 50_000_000; // 50 ms simulated
+const SEEDS: std::ops::Range<u64> = 0..8;
+const RATES: [f64; 3] = [0.02, 0.05, 0.1];
+
+fn catalog() -> &'static PlanCatalog {
+    static CAT: OnceLock<PlanCatalog> = OnceLock::new();
+    CAT.get_or_init(|| {
+        let scenes: Vec<Scene> = benchmark_scenes().into_iter().take(2).collect();
+        PlanCatalog::build(&RobotModel::jaco2(), &scenes, 2, 3, &ThreadPool::new(2))
+            .expect("catalog builds")
+    })
+}
+
+/// Interactive Poisson plus bursty traffic at twice the saturating rate
+/// of four instances.
+fn tenants() -> Vec<TenantSpec> {
+    let rate = 2.0 * catalog().saturating_rate_per_s(4);
+    let deadline_us = (4.0 * catalog().mean_service_us(QualityTier::Full)) as u64;
+    vec![
+        TenantSpec {
+            label: "interactive",
+            process: ArrivalProcess {
+                kind: ArrivalKind::Poisson,
+                rate_per_s: rate * 0.7,
+                seed: 101,
+            },
+            deadline_us,
+        },
+        TenantSpec {
+            label: "bursty",
+            process: ArrivalProcess {
+                kind: ArrivalKind::Bursty {
+                    burst_factor: 5.0,
+                    period_us: 5_000,
+                    duty: 0.2,
+                },
+                rate_per_s: rate * 0.3,
+                seed: 202,
+            },
+            deadline_us: deadline_us * 2,
+        },
+    ]
+}
+
+/// Runs `run` over the seed x rate grid and lists every configuration
+/// whose injected faults are not all masked or detected.
+fn unaccounted(run: impl Fn(FaultProfile, u64) -> ResilienceCounters) -> Vec<String> {
+    let mut bad = Vec::new();
+    for seed in SEEDS {
+        for rate in RATES {
+            let r = run(FaultProfile::with_lemon(rate, 0, 3.0), seed);
+            assert!(r.injected_total() > 0, "seed {seed} rate {rate}: no faults");
+            if r.injected_total() != r.detected + r.masked {
+                bad.push(format!(
+                    "seed {seed} rate {rate}: injected {} != detected {} + masked {}",
+                    r.injected_total(),
+                    r.detected,
+                    r.masked
+                ));
+            }
+        }
+    }
+    bad
+}
+
+#[test]
+fn service_masks_or_detects_every_injected_fault() {
+    let tenants = tenants();
+    let bad = unaccounted(|faults, seed| {
+        let cfg = ServiceConfig {
+            faults,
+            seed,
+            ..ServiceConfig::default()
+        };
+        run_service(catalog(), &tenants, DURATION_NS, &cfg).resilience
+    });
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn fleet_masks_or_detects_every_injected_fault() {
+    let tenants = tenants();
+    let bad = unaccounted(|faults, seed| {
+        let cfg = FleetConfig {
+            shards: 2,
+            shard: ServiceConfig {
+                instances: 2,
+                faults,
+                ..ServiceConfig::default()
+            },
+            seed,
+            ..FleetConfig::default()
+        };
+        run_fleet(
+            catalog(),
+            &tenants,
+            &[],
+            DURATION_NS,
+            &cfg,
+            &ShardFaultPlan::none(seed),
+        )
+        .fleet
+        .resilience
+    });
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
