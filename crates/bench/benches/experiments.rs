@@ -11,7 +11,7 @@ use mp_bench::experiments::*;
 use mp_bench::Scale;
 
 fn scale() -> Scale {
-    Scale::from_env()
+    Scale::from_env().expect("invalid MPACCEL_BENCH_SCALE")
 }
 
 macro_rules! experiment_bench {
@@ -177,11 +177,6 @@ fn bench_kernels(c: &mut Criterion) {
             );
             black_box(obbs.len())
         })
-    });
-    g.bench_function("mlp_forward", |b| {
-        // The allocating baseline, kept as the scratch variant's foil.
-        #[allow(deprecated)]
-        b.iter(|| black_box(mlp.forward(black_box(&mlp_input))))
     });
     g.bench_function("mlp_forward_scratch", |b| {
         b.iter(|| {

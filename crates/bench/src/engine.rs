@@ -16,11 +16,16 @@
 use std::time::{Duration, Instant};
 
 use mp_robot::RobotModel;
+use mp_telemetry::{Registry, TelemetrySession};
 use threadpool::ThreadPool;
 
 use crate::experiments as e;
 use crate::report::Report;
 use crate::workloads::{BenchWorkload, Scale};
+
+/// One extra fully-instrumented run of an experiment: its telemetry
+/// session plus the metrics registry of the captured run.
+pub type Capture = fn(Scale, &ThreadPool) -> (TelemetrySession, Registry);
 
 /// One named experiment of the evaluation suite.
 #[derive(Clone, Copy, Debug)]
@@ -29,9 +34,12 @@ pub struct Experiment {
     pub name: &'static str,
     /// The experiment entry point.
     pub runner: fn(Scale) -> Report,
+    /// The capture behind `mp-bench <name> --trace/--flight/--metrics`
+    /// (only the service soaks have one).
+    pub capture: Option<Capture>,
 }
 
-/// The full suite in canonical (paper) order — the order `--bin all`
+/// The full suite in canonical (paper) order — the order `mp-bench all`
 /// prints and `BENCH.json` lists.
 pub fn experiments() -> Vec<Experiment> {
     macro_rules! exp {
@@ -39,6 +47,17 @@ pub fn experiments() -> Vec<Experiment> {
             Experiment {
                 name: stringify!($name),
                 runner: e::$name::run,
+                capture: None,
+            }
+        };
+        ($name:ident, capture) => {
+            Experiment {
+                name: stringify!($name),
+                runner: e::$name::run,
+                capture: Some(|scale, pool| {
+                    let (session, summary) = e::$name::capture_trace(scale, pool);
+                    (session, e::$name::metrics_registry(&summary))
+                }),
             }
         };
     }
@@ -60,10 +79,10 @@ pub fn experiments() -> Vec<Experiment> {
         exp!(batch_planning),
         exp!(planners),
         exp!(faults),
-        exp!(soak),
-        exp!(fleet),
+        exp!(soak, capture),
+        exp!(fleet, capture),
         exp!(fleet_scaling),
-        exp!(integrity),
+        exp!(integrity, capture),
         exp!(energy_observatory),
     ]
 }
@@ -289,11 +308,6 @@ pub fn run_selected(list: &[Experiment], scale: Scale, pool: &ThreadPool) -> Run
     }
 }
 
-/// Runs the full suite ([`experiments`]) on the pool.
-pub fn run_all(scale: Scale, pool: &ThreadPool) -> RunSummary {
-    run_selected(&experiments(), scale, pool)
-}
-
 /// Writes `BENCH.json` for a run. The path comes from the
 /// `MPACCEL_BENCH_JSON` environment variable, defaulting to
 /// `BENCH.json` in the current directory.
@@ -326,6 +340,12 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 22, "duplicate experiment names");
+        let captured: Vec<&str> = all
+            .iter()
+            .filter(|x| x.capture.is_some())
+            .map(|x| x.name)
+            .collect();
+        assert_eq!(captured, ["soak", "fleet", "integrity"]);
     }
 
     #[test]

@@ -254,7 +254,7 @@ pub fn scaling_data(scale: Scale) -> Vec<ScalingPoint> {
 }
 
 /// Renders the goodput-vs-shards curve as its own report (the
-/// `fleet_soak --scaling-csv` artifact, `results/csv/fleet_scaling.csv`).
+/// `fleet_scaling` experiment, `results/csv/fleet_scaling.csv`).
 pub fn scaling_report(scale: Scale) -> Report {
     let catalog = soak::catalog(scale);
     let points = scaling_sweep(&catalog, scale);

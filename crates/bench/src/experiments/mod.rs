@@ -1,8 +1,9 @@
 //! One module per paper table/figure. Every experiment is a pure function
 //! from a [`Scale`](crate::workloads::Scale) to a
 //! [`Report`](crate::report::Report) (or a small set of reports), so the
-//! same code backs the CLI binaries, the Criterion benches, and the
-//! shape-assertion tests.
+//! same code backs the `mp-bench` command line (one subcommand per
+//! experiment, in [`engine::experiments`](crate::engine::experiments)
+//! order), the Criterion benches, and the shape-assertion tests.
 
 pub mod ablation;
 pub mod batch_planning;

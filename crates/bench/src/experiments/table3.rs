@@ -36,8 +36,8 @@ pub struct Table3Data {
     /// genuinely empirical row of the table.
     pub host_measured_ms: f64,
     /// Per-query wall-clock nanoseconds behind [`Table3Data::host_measured_ms`],
-    /// as a log-bucketed histogram with exact percentiles (`--timings` on
-    /// the `table3` binary prints mean/p50/p99 from it).
+    /// as a log-bucketed histogram with exact percentiles (`mp-bench
+    /// table3 --timings` prints mean/p50/p99 from it).
     pub host_hist: mp_telemetry::HistSnapshot,
 }
 
@@ -232,8 +232,8 @@ pub fn data(scale: Scale) -> Table3Data {
 }
 
 /// Renders the host per-query timing distribution (real wall clock, so
-/// never part of the deterministic report; the `table3` binary prints it
-/// under `--timings`).
+/// never part of the deterministic report; `mp-bench table3 --timings`
+/// prints it).
 pub fn timings(d: &Table3Data) -> String {
     let h = &d.host_hist;
     let ns = |q| h.percentile(q).unwrap_or(0);
@@ -253,7 +253,7 @@ pub fn run(scale: Scale) -> Report {
     render(&data(scale))
 }
 
-/// Renders already-computed [`Table3Data`] (the binary reuses one
+/// Renders already-computed [`Table3Data`] (`mp-bench` reuses one
 /// computation for the report and the `--timings` dump).
 pub fn render(d: &Table3Data) -> Report {
     let mut r = Report::new(

@@ -2,8 +2,9 @@
 //! paper's evaluation (§7).
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning a
-//! [`report::Report`]; thin binaries in `src/bin/` print them
-//! (`cargo run -p mp-bench --release --bin fig07`), Criterion benches in
+//! [`report::Report`] and is listed in [`engine::experiments`]; the one
+//! `mp-bench` binary prints them (`cargo run --release -p mp-bench --
+//! fig07`, or `-- all` for the whole suite), Criterion benches in
 //! `benches/` time the underlying simulations, and the experiment index in
 //! `DESIGN.md` maps paper artifacts to these targets.
 //!
@@ -17,7 +18,6 @@
 pub mod engine;
 pub mod experiments;
 pub mod report;
-pub mod soak_cli;
 pub mod workloads;
 
 pub use engine::RunSummary;

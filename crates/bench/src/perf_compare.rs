@@ -4,11 +4,12 @@
 //! written before those keys existed, in which case the energy rows are
 //! skipped).
 //!
-//! Usage: `perf_compare [BASELINE [FRESH]]`, defaulting to
+//! Usage: `mp-bench perf_compare [BASELINE [FRESH]]`, defaulting to
 //! `BENCH.baseline.json` vs `BENCH.json`. Intended as a non-gating CI
-//! step: copy the committed `BENCH.json` aside, regenerate it with the
-//! `perf` bin, then run this to print the trajectory. Comparison never
-//! fails the build — only unreadable/unparseable inputs exit non-zero.
+//! step: copy the committed `BENCH.json` aside, regenerate it with
+//! `mp-bench perf`, then run this to print the trajectory. Comparison
+//! never fails the build — only unreadable/unparseable inputs exit
+//! non-zero.
 //!
 //! The parser is hand-rolled for the one schema the engine writes (the
 //! workspace is hermetic, no serde): top-level scalar keys plus the flat
@@ -90,25 +91,18 @@ fn pct(old: f64, new: f64) -> f64 {
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let baseline_path = args
-        .first()
-        .map(String::as_str)
-        .unwrap_or("BENCH.baseline.json");
-    let fresh_path = args.get(1).map(String::as_str).unwrap_or("BENCH.json");
+/// Prints the comparison of two `BENCH.json` files. Only unreadable or
+/// malformed inputs fail (exit code 2); the deltas never do.
+pub fn run(baseline_path: &str, fresh_path: &str) -> Result<(), ExitCode> {
     let (base, fresh) = match (load(baseline_path), load(fresh_path)) {
         (Ok(b), Ok(f)) => (b, f),
         (b, f) => {
-            for r in [b, f] {
-                if let Err(e) = r {
-                    eprintln!("error: {e}");
-                }
+            for e in [b.err(), f.err()].into_iter().flatten() {
+                eprintln!("mp-bench: {e}");
             }
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     };
-
     println!("perf comparison: {baseline_path} (baseline) vs {fresh_path} (fresh)");
     if base.scale != fresh.scale || base.threads != fresh.threads {
         println!(
@@ -126,29 +120,39 @@ fn main() -> ExitCode {
         "  cd checks       {:>10}    -> {:>10}",
         base.cd_checks, fresh.cd_checks
     );
+    let speedup = fresh.cd_checks_per_sec / base.cd_checks_per_sec.max(1e-12);
     println!(
-        "  cd checks/sec   {:>10.0}    -> {:>10.0}  ({:+.1}%, {:.2}x)",
+        "  cd checks/sec   {:>10.0}    -> {:>10.0}  ({:+.1}%, {speedup:.2}x)",
         base.cd_checks_per_sec,
         fresh.cd_checks_per_sec,
         pct(base.cd_checks_per_sec, fresh.cd_checks_per_sec),
-        fresh.cd_checks_per_sec / base.cd_checks_per_sec.max(1e-12),
     );
     // Energy trajectory (modeled, so deltas here are real regressions or
     // wins in work done, never host noise). Skipped when either side
-    // predates the energy keys.
-    match (base.pj_per_cd_check, fresh.pj_per_cd_check) {
-        (Some(b), Some(f)) => println!(
-            "  pJ/CD-check     {b:>10.3}    -> {f:>10.3}  ({:+.1}%)",
-            pct(b, f)
+    // predates the energy keys. Each row: stdout label, step-summary
+    // label, baseline, fresh.
+    let energy = [
+        (
+            "pJ/CD-check",
+            "pJ/CD-check",
+            base.pj_per_cd_check,
+            fresh.pj_per_cd_check,
         ),
-        _ => println!("  pJ/CD-check     (absent on one side; skipped)"),
-    }
-    match (base.uj_per_plan_full, fresh.uj_per_plan_full) {
-        (Some(b), Some(f)) => println!(
-            "  uJ/plan (full)  {b:>10.3}    -> {f:>10.3}  ({:+.1}%)",
-            pct(b, f)
+        (
+            "uJ/plan (full)",
+            "uJ/plan (full tier)",
+            base.uj_per_plan_full,
+            fresh.uj_per_plan_full,
         ),
-        _ => println!("  uJ/plan (full)  (absent on one side; skipped)"),
+    ];
+    for (label, _, b, f) in energy {
+        match (b, f) {
+            (Some(b), Some(f)) => println!(
+                "  {label:<16}{b:>10.3}    -> {f:>10.3}  ({:+.1}%)",
+                pct(b, f)
+            ),
+            _ => println!("  {label:<16}(absent on one side; skipped)"),
+        }
     }
     println!(
         "  {:<12} {:>12} {:>12} {:>9}",
@@ -175,66 +179,60 @@ fn main() -> ExitCode {
             println!("  {name:<12} {:>12} {:>12.1} (new)", "-", new_wall * 1e3);
         }
     }
-
-    // On CI, surface the two headline numbers — CD throughput and the
+    // On CI, surface the headline numbers — CD throughput, energy and the
     // planners experiment wall — in the job's step summary so the perf
     // trajectory is readable without opening the log.
-    if let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") {
-        let wall = |s: &Summary| {
-            s.experiments
-                .iter()
-                .find(|(n, _)| n == "planners")
-                .map(|(_, w)| *w)
-        };
-        let planners = match (wall(&base), wall(&fresh)) {
-            (Some(b), Some(f)) => format!(
-                "| planners wall | {:.1} ms | {:.1} ms | {:+.1}% |\n",
-                b * 1e3,
-                f * 1e3,
+    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else {
+        return Ok(());
+    };
+    let energy_rows: String = energy
+        .iter()
+        .filter_map(|&(_, label, b, f)| {
+            let (b, f) = (b?, f?);
+            Some(format!(
+                "| {label} | {b:.3} | {f:.3} | {:+.1}% |\n",
                 pct(b, f)
-            ),
-            _ => String::new(),
-        };
-        let energy_row = |label: &str, b: Option<f64>, f: Option<f64>| match (b, f) {
-            (Some(b), Some(f)) => {
-                format!("| {label} | {b:.3} | {f:.3} | {:+.1}% |\n", pct(b, f))
-            }
-            _ => String::new(),
-        };
-        let energy = format!(
-            "{}{}",
-            energy_row("pJ/CD-check", base.pj_per_cd_check, fresh.pj_per_cd_check),
-            energy_row(
-                "uJ/plan (full tier)",
-                base.uj_per_plan_full,
-                fresh.uj_per_plan_full
-            ),
-        );
-        let md = format!(
-            "### Perf vs committed baseline ({} scale, {} thread(s))\n\n\
-             | metric | baseline | fresh | delta |\n|---|---|---|---|\n\
-             | cd_checks_per_sec | {:.0} | {:.0} | {:+.1}% ({:.2}x) |\n\
-             | total wall | {:.3} s | {:.3} s | {:+.1}% |\n{energy}{planners}",
-            fresh.scale,
-            fresh.threads,
-            base.cd_checks_per_sec,
-            fresh.cd_checks_per_sec,
-            pct(base.cd_checks_per_sec, fresh.cd_checks_per_sec),
-            fresh.cd_checks_per_sec / base.cd_checks_per_sec.max(1e-12),
-            base.total_wall_s,
-            fresh.total_wall_s,
-            pct(base.total_wall_s, fresh.total_wall_s),
-        );
-        if let Err(e) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| std::io::Write::write_all(&mut f, md.as_bytes()))
-        {
-            eprintln!("warning: could not write step summary {path}: {e}");
-        }
+            ))
+        })
+        .collect();
+    let wall = |s: &Summary| {
+        s.experiments
+            .iter()
+            .find(|(n, _)| n == "planners")
+            .map(|(_, w)| *w)
+    };
+    let planners = match (wall(&base), wall(&fresh)) {
+        (Some(b), Some(f)) => format!(
+            "| planners wall | {:.1} ms | {:.1} ms | {:+.1}% |\n",
+            b * 1e3,
+            f * 1e3,
+            pct(b, f)
+        ),
+        _ => String::new(),
+    };
+    let md = format!(
+        "### Perf vs committed baseline ({} scale, {} thread(s))\n\n\
+         | metric | baseline | fresh | delta |\n|---|---|---|---|\n\
+         | cd_checks_per_sec | {:.0} | {:.0} | {:+.1}% ({speedup:.2}x) |\n\
+         | total wall | {:.3} s | {:.3} s | {:+.1}% |\n{energy_rows}{planners}",
+        fresh.scale,
+        fresh.threads,
+        base.cd_checks_per_sec,
+        fresh.cd_checks_per_sec,
+        pct(base.cd_checks_per_sec, fresh.cd_checks_per_sec),
+        base.total_wall_s,
+        fresh.total_wall_s,
+        pct(base.total_wall_s, fresh.total_wall_s),
+    );
+    if let Err(e) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, md.as_bytes()))
+    {
+        eprintln!("mp-bench: warning: could not write step summary {path}: {e}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]

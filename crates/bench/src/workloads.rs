@@ -28,11 +28,24 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `MPACCEL_BENCH_SCALE` (`quick`/`full`), defaulting to quick.
-    pub fn from_env() -> Scale {
-        match std::env::var("MPACCEL_BENCH_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
+    /// Reads `MPACCEL_BENCH_SCALE` (`quick`/`full`), defaulting to quick
+    /// when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted values when the variable
+    /// holds anything else, so a typo never runs the wrong suite silently.
+    pub fn from_env() -> Result<Scale, String> {
+        Scale::from_var(std::env::var("MPACCEL_BENCH_SCALE").ok().as_deref())
+    }
+
+    fn from_var(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") | Some("FULL") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "MPACCEL_BENCH_SCALE=`{other}` is not one of quick|full"
+            )),
         }
     }
 
@@ -272,6 +285,16 @@ mod tests {
     fn scale_from_env_defaults_quick() {
         assert_eq!(Scale::default(), Scale::Quick);
         assert!(Scale::Quick.scenes() <= Scale::Full.scenes());
+    }
+
+    #[test]
+    fn scale_variable_accepts_quick_or_full_only() {
+        assert_eq!(Scale::from_var(None), Ok(Scale::Quick));
+        assert_eq!(Scale::from_var(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::from_var(Some("full")), Ok(Scale::Full));
+        assert_eq!(Scale::from_var(Some("FULL")), Ok(Scale::Full));
+        let err = Scale::from_var(Some("ful")).unwrap_err();
+        assert!(err.contains("`ful`") && err.contains("quick|full"), "{err}");
     }
 
     #[test]

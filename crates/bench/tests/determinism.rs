@@ -1,6 +1,6 @@
 //! Determinism regression test for the parallel benchmark engine: the
 //! rendered reports must be byte-identical whatever the thread-pool width
-//! (the engine's core contract — see `engine.rs` and `--bin all`).
+//! (the engine's core contract — see `engine.rs` and `mp-bench all`).
 //!
 //! A representative subset keeps the test fast in debug builds while still
 //! crossing every source of shared state: the workload cache (all), the

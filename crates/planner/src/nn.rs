@@ -82,18 +82,6 @@ impl Dense {
         }
     }
 
-    /// Forward pass, allocating the output vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != inputs`.
-    #[deprecated(note = "allocates per call; use `forward_into` with a reused buffer")]
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.outputs);
-        self.forward_into(x, &mut out);
-        out
-    }
-
     /// Forward pass into a caller-provided buffer (cleared first) — the
     /// allocation-free form [`Mlp::forward_scratch`] builds on.
     ///
@@ -176,16 +164,6 @@ impl Mlp {
             })
             .collect();
         Mlp { layers }
-    }
-
-    /// Forward inference, allocating fresh buffers per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input size does not match the first layer.
-    #[deprecated(note = "allocates per call; use `forward_scratch` with a reused `MlpScratch`")]
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        self.forward_scratch(x, &mut MlpScratch::default()).to_vec()
     }
 
     /// Forward inference through reusable ping-pong buffers: no per-layer
@@ -337,15 +315,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the allocating path is the reference under test
-    fn scratch_inference_matches_allocating_forward() {
+    fn reused_scratch_matches_a_fresh_one() {
         let mlp = Mlp::new(&[6, 24, 12, 3], Activation::Tanh, 21);
         let mut scratch = MlpScratch::default();
         // Reuse the same scratch across calls: results must stay identical
-        // to the allocating path.
+        // to inference through a fresh scratch.
         for i in 0..5 {
             let x: Vec<f32> = (0..6).map(|j| ((i * 6 + j) as f32 * 0.37).sin()).collect();
-            let expect = mlp.forward(&x);
+            let expect = mlp.forward_scratch(&x, &mut MlpScratch::default()).to_vec();
             assert_eq!(mlp.forward_scratch(&x, &mut scratch), expect.as_slice());
         }
     }
