@@ -65,7 +65,6 @@ fn bench_table2(c: &mut Criterion) {
 fn bench_kernels(c: &mut Criterion) {
     use mp_geometry::cascade::{cascaded_obb_aabb, CascadeConfig};
     use mp_geometry::sat::sat_first_separating;
-    use mp_geometry::soa::{cascade_batch_soa, sat_batch_soa, CascadeBatchScratch};
     use mp_geometry::{Aabb, Mat3, Obb, Vec3};
     use mp_octree::{Scene, SceneConfig};
     use mp_planner::nn::{Activation, Mlp, MlpScratch};
@@ -115,57 +114,6 @@ fn bench_kernels(c: &mut Criterion) {
             }))
         })
     });
-    // Batched counterparts of the two benches above: one OBB against a
-    // whole SoA lane range, and the flat-arena traversal the software
-    // checker now runs.
-    let flat = tree.flat();
-    let full_range = 0..flat.entry_count();
-    let mut batch_scratch = CascadeBatchScratch::default();
-    let mut sat_out = Vec::new();
-    let mut cascade_out = Vec::new();
-    g.bench_function("sat_batch_soa_all_axes", |b| {
-        b.iter(|| {
-            sat_batch_soa(
-                black_box(&obb_f32),
-                flat.aabbs(),
-                black_box(full_range.clone()),
-                1,
-                15,
-                &mut batch_scratch,
-                &mut sat_out,
-            );
-            black_box(sat_out.len())
-        })
-    });
-    let mut stack: Vec<u32> = Vec::new();
-    g.bench_function("octree_query_flat_batched", |b| {
-        b.iter(|| {
-            let mut hits = 0u32;
-            stack.clear();
-            stack.push(0);
-            while let Some(addr) = stack.pop() {
-                let range = flat.entries(addr);
-                cascade_batch_soa(
-                    black_box(&obb_f32),
-                    &cfg,
-                    flat.aabbs(),
-                    range.clone(),
-                    &mut batch_scratch,
-                    &mut cascade_out,
-                );
-                for (lane, e) in range.enumerate() {
-                    if cascade_out[lane].colliding {
-                        if flat.is_full(e) {
-                            hits += 1;
-                        } else {
-                            stack.push(flat.child(e));
-                        }
-                    }
-                }
-            }
-            black_box(hits)
-        })
-    });
     g.bench_function("forward_kinematics_obbs", |b| {
         b.iter(|| {
             fk::link_obbs_into(
@@ -203,12 +151,12 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// Microbenchmarks of the batch planning engine's two hot kernels: the
-/// rake-style motion validator (shared-checker edge stream) and the
+/// Microbenchmarks of the batch planning engine's two hot kernels: motion
+/// validation through the shared checker (`check_motion`) and the
 /// per-round cross-query gather (eight lanes' nearest-neighbour lookups
 /// against a grown SoA tree).
 fn bench_batch_engine(c: &mut Criterion) {
-    use mp_collision::{RakeValidator, SoftwareChecker};
+    use mp_collision::{check_motion, SoftwareChecker};
     use mp_octree::{Scene, SceneConfig};
     use mp_planner::rrt::Tree;
     use mp_robot::{Motion, RobotModel};
@@ -223,7 +171,6 @@ fn bench_batch_engine(c: &mut Criterion) {
     // A mid-length motion between two sampled configurations — the shape
     // of one pending batch edge.
     let motion = Motion::new(robot.sample_config(&mut rng), robot.sample_config(&mut rng));
-    let mut rake = RakeValidator::new();
 
     // A grown tree (4096 nodes) plus one round of lane targets.
     let mut grown = Tree::new(robot.home());
@@ -233,13 +180,8 @@ fn bench_batch_engine(c: &mut Criterion) {
     let targets: Vec<_> = (0..8).map(|_| robot.sample_config(&mut rng)).collect();
 
     let mut g = c.benchmark_group("batch_engine");
-    g.bench_function("rake_validate", |b| {
-        b.iter(|| {
-            black_box(
-                rake.check_motion(&mut checker, black_box(&motion), 0.04)
-                    .colliding,
-            )
-        })
+    g.bench_function("check_motion", |b| {
+        b.iter(|| black_box(check_motion(&mut checker, black_box(&motion), 0.04).colliding))
     });
     g.bench_function("cross_query_gather", |b| {
         // One lockstep round's gather: all eight lanes' NN scans.

@@ -2,15 +2,18 @@
 //! measured head-to-head. The sequential baseline plans each query with
 //! its own freshly built checker (octree clone + cold FK scratch); the
 //! batched run streams every lane of a scene through one shared checker
-//! with rake-style motion validation (`mp_planner::batch`). The table
-//! pins the contract: identical per-lane plans and CD counts, with the
-//! per-scene checker builds collapsed from one-per-query to one.
+//! (`mp_planner::batch`), each edge validated pose by pose with
+//! `check_motion`. The table pins the contract: identical per-lane plans
+//! and CD counts, with the per-scene checker builds collapsed from
+//! one-per-query to one.
 //!
 //! All reported numbers are deterministic (counters, not walls); the
 //! wall-clock payoff shows up in `BENCH.json` and in the criterion
-//! microbenches (`rake_validate`, `cross_query_gather`).
+//! microbenches (`check_motion`, `cross_query_gather`). The "rake-replay"
+//! wording in the printed notes names the replay stream below; it is kept
+//! so the committed report stays byte-identical.
 
-use mp_collision::{CollisionChecker, RakeValidator, SoftwareChecker};
+use mp_collision::{check_motion, CollisionChecker, SoftwareChecker};
 use mp_octree::benchmark_scenes;
 use mp_planner::batch::{rrt_connect_batch, BatchQuery};
 use mp_planner::queries::generate_queries;
@@ -36,7 +39,7 @@ pub struct ScenePoint {
     /// Whether every lane's path, node count and CD-query count matched
     /// the sequential run exactly.
     pub identical: bool,
-    /// CD pose checks spent re-validating the solved plans as one rake
+    /// CD pose checks spent re-validating the solved plans as one motion
     /// stream through the still-hot shared checker.
     pub replay_checks: u64,
     /// Whether every solved plan stayed collision-free in every replay
@@ -86,10 +89,9 @@ pub fn data(scale: Scale) -> Vec<ScenePoint> {
                 && s.cd_queries == b.stats.pose_queries
         });
         let plan_checks = checker.stats().pose_queries;
-        // Replay: every solved plan's edges re-validated as one rake
+        // Replay: every solved plan's edges re-validated as one motion
         // stream through the still-hot checker — the steady-state shape
         // of a motion server streaming certified plans back out.
-        let mut rake = RakeValidator::new();
         let mut replay_all_valid = true;
         for _ in 0..replay_rounds {
             for b in &batched {
@@ -98,10 +100,7 @@ pub fn data(scale: Scale) -> Vec<ScenePoint> {
                 };
                 for w in path.windows(2) {
                     let edge = Motion::new(w[0].clone(), w[1].clone());
-                    if rake
-                        .check_motion(&mut checker, &edge, cfg.cspace_step)
-                        .colliding
-                    {
+                    if check_motion(&mut checker, &edge, cfg.cspace_step).colliding {
                         replay_all_valid = false;
                     }
                 }

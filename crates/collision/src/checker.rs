@@ -96,6 +96,8 @@ pub trait CollisionChecker {
     fn robot(&self) -> &RobotModel;
 
     /// Returns `true` if the robot collides with the environment at `cfg`.
+    /// A configuration with a non-finite joint (NaN or ±inf) is reported
+    /// as colliding.
     ///
     /// # Panics
     ///
@@ -203,6 +205,12 @@ impl CollisionChecker for SoftwareChecker {
         assert_eq!(cfg.dof(), self.robot.dof(), "configuration DOF mismatch");
         self.stats.pose_queries += 1;
         crate::metrics::record_pose_checks(1);
+        // A NaN or ±inf joint turns every link OBB into NaN, which every
+        // sphere filter reads as "free": report the pose as colliding
+        // instead (collision wins), without walking the octree.
+        if !cfg.is_finite() {
+            return true;
+        }
         // Hot path: the sampled query span only exists under the
         // `telemetry` feature so the default build keeps this kernel free
         // of instrumentation instructions.

@@ -32,7 +32,5 @@ pub mod motion;
 pub mod self_collision;
 
 pub use checker::{attributed, CdStats, CollisionChecker, SoftwareChecker};
-pub use motion::{
-    check_motion, check_path, MotionResult, RakeValidator, DEFAULT_CSPACE_STEP, RAKE_WIDTH,
-};
+pub use motion::{check_motion, check_path, MotionResult, DEFAULT_CSPACE_STEP};
 pub use self_collision::SelfCollisionMatrix;

@@ -26,7 +26,8 @@ pub struct MotionResult {
 
 /// Sequentially checks the discrete poses of a motion, stopping at the
 /// first collision (the serial baseline whose work efficiency parallel
-/// schedulers are measured against, §3).
+/// schedulers are measured against, §3). Poses are interpolated into one
+/// reused buffer, so the walk allocates once per motion.
 ///
 /// # Panics
 ///
@@ -38,8 +39,9 @@ pub fn check_motion(
     step: f32,
 ) -> MotionResult {
     let n = motion.pose_count(step);
+    let mut pose = JointConfig::zeros(motion.from.dof());
     for i in 0..n {
-        let pose = motion.pose(i, n);
+        motion.pose_into(i, n, &mut pose);
         if checker.check_pose(&pose) {
             return MotionResult {
                 colliding: true,
@@ -54,74 +56,6 @@ pub fn check_motion(
         first_hit: None,
         poses_checked: n,
         pose_count: n,
-    }
-}
-
-/// Width of the validation rake: how many interpolated poses each block
-/// of rake-style motion validation covers. Matches the SoA kernel lane
-/// count so one rake block is one kernel-sized unit of work.
-pub const RAKE_WIDTH: usize = 8;
-
-/// Rake-style motion validation: poses are interpolated a fixed-width
-/// block at a time into reusable lanes, then resolved in sequential order
-/// with early exit on the first colliding lane.
-///
-/// The rake changes the *schedule* of interpolation — block-at-a-time
-/// into scratch lanes instead of one freshly allocated pose per step —
-/// not which poses are checked or in what order they are resolved, so the
-/// [`MotionResult`] and every [`crate::CdStats`] counter are bit-identical
-/// to [`check_motion`]. This is the unit of work the cross-query batch
-/// engine streams per scene.
-#[derive(Clone, Debug, Default)]
-pub struct RakeValidator {
-    lanes: Vec<JointConfig>,
-}
-
-impl RakeValidator {
-    /// Creates a validator with empty scratch lanes.
-    pub fn new() -> RakeValidator {
-        RakeValidator::default()
-    }
-
-    /// Checks a motion rake-style. Semantics (result and work counters)
-    /// are identical to [`check_motion`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not positive or the motion's DOF does not match
-    /// the checker's robot.
-    pub fn check_motion(
-        &mut self,
-        checker: &mut impl CollisionChecker,
-        motion: &Motion,
-        step: f32,
-    ) -> MotionResult {
-        let n = motion.pose_count(step);
-        self.lanes.resize_with(RAKE_WIDTH, || JointConfig::zeros(0));
-        let mut base = 0;
-        while base < n {
-            let width = RAKE_WIDTH.min(n - base);
-            for (lane, slot) in self.lanes[..width].iter_mut().enumerate() {
-                motion.pose_into(base + lane, n, slot);
-            }
-            for lane in 0..width {
-                if checker.check_pose(&self.lanes[lane]) {
-                    return MotionResult {
-                        colliding: true,
-                        first_hit: Some(base + lane),
-                        poses_checked: base + lane + 1,
-                        pose_count: n,
-                    };
-                }
-            }
-            base += width;
-        }
-        MotionResult {
-            colliding: false,
-            first_hit: None,
-            poses_checked: n,
-            pose_count: n,
-        }
     }
 }
 
@@ -216,31 +150,49 @@ mod tests {
         assert_eq!(check_path(&mut checker, &detour, 0.05), None);
     }
 
-    #[test]
-    fn rake_matches_sequential_result_and_stats() {
-        // Colliding sweep: identical MotionResult AND identical counters.
-        let (mut seq, motion) = planar_fixture();
-        let (mut rake_chk, _) = planar_fixture();
-        let mut rake = RakeValidator::new();
-        let a = check_motion(&mut seq, &motion, 0.05);
-        let b = rake.check_motion(&mut rake_chk, &motion, 0.05);
-        assert_eq!(a, b);
-        assert_eq!(seq.stats(), rake_chk.stats());
+    /// The explicit reference: every pose of `motion.discretize(step)`,
+    /// checked in order until the first hit.
+    fn reference_check_motion(
+        checker: &mut SoftwareChecker,
+        motion: &Motion,
+        step: f32,
+    ) -> MotionResult {
+        let poses = motion.discretize(step);
+        let n = poses.len();
+        let first_hit = poses.iter().position(|p| checker.check_pose(p));
+        MotionResult {
+            colliding: first_hit.is_some(),
+            first_hit,
+            poses_checked: first_hit.map_or(n, |i| i + 1),
+            pose_count: n,
+        }
+    }
 
-        // Free motion spanning several rake blocks.
+    #[test]
+    fn check_motion_matches_pose_by_pose_reference() {
+        // Colliding sweep: identical MotionResult AND identical counters.
+        let (mut got_chk, motion) = planar_fixture();
+        let (mut want_chk, _) = planar_fixture();
+        let got = check_motion(&mut got_chk, &motion, 0.05);
+        let want = reference_check_motion(&mut want_chk, &motion, 0.05);
+        assert!(want.colliding);
+        assert_eq!(got, want);
+        assert_eq!(got_chk.stats(), want_chk.stats());
+
+        // Free motion of more than 8 poses.
         let robot = RobotModel::planar_2dof();
         let env = Octree::build(&[], 4);
-        let mut seq = SoftwareChecker::new(robot.clone(), env.clone());
-        let mut rake_chk = SoftwareChecker::new(robot, env);
+        let mut got_chk = SoftwareChecker::new(robot.clone(), env.clone());
+        let mut want_chk = SoftwareChecker::new(robot, env);
         let m = Motion::new(
             JointConfig::new(vec![0.0, 0.0]),
             JointConfig::new(vec![1.3, -0.7]),
         );
-        let a = check_motion(&mut seq, &m, 0.04);
-        let b = rake.check_motion(&mut rake_chk, &m, 0.04);
-        assert_eq!(a, b);
-        assert!(a.pose_count > RAKE_WIDTH);
-        assert_eq!(seq.stats(), rake_chk.stats());
+        let got = check_motion(&mut got_chk, &m, 0.04);
+        let want = reference_check_motion(&mut want_chk, &m, 0.04);
+        assert!(!want.colliding && want.pose_count > 8);
+        assert_eq!(got, want);
+        assert_eq!(got_chk.stats(), want_chk.stats());
     }
 
     #[test]

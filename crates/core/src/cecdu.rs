@@ -43,6 +43,22 @@ pub const OBB_GEN_INTERVAL: u64 = 2;
 /// rotation): counted into the energy proxy.
 const OBB_GEN_MULTS: u64 = 24;
 
+/// The verdict for a pose with a non-finite joint: NaN or ±inf turns every
+/// link OBB into NaN, which the sphere filters read as "free", so the pose
+/// is rejected before OBB generation and resolved conservatively —
+/// collision wins — in the Result Collector's one reporting cycle.
+fn non_finite_pose() -> CecduResult {
+    CecduResult {
+        colliding: true,
+        cycles: 1,
+        links_checked: 0,
+        ops: OpCounter {
+            cd_queries: 1,
+            ..OpCounter::default()
+        },
+    }
+}
+
 /// Result of one robot-pose collision query on a CECDU.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CecduResult {
@@ -129,7 +145,9 @@ impl CecduSim {
         self.octree = octree;
     }
 
-    /// Runs one robot-pose collision query, cycle by cycle.
+    /// Runs one robot-pose collision query, cycle by cycle. A pose with a
+    /// non-finite joint (NaN or ±inf) is rejected before OBB generation
+    /// and reported as colliding.
     ///
     /// # Panics
     ///
@@ -137,6 +155,9 @@ impl CecduSim {
     pub fn check_pose(&self, pose: &JointConfig) -> CecduResult {
         assert_eq!(pose.dof(), self.robot.dof(), "configuration DOF mismatch");
         mp_collision::metrics::record_pose_checks(1);
+        if !pose.is_finite() {
+            return non_finite_pose();
+        }
         #[cfg(feature = "telemetry")]
         let tele_span = mp_telemetry::sampled_span("core", "cecdu_pose");
         let (mut frames, mut obbs) = FK_SCRATCH.with(Cell::take);
@@ -211,8 +232,7 @@ impl CecduSim {
 
     /// [`CecduSim::check_pose`] with fault injection.
     ///
-    /// Each link OBB traversal runs through
-    /// [`run_oocd_with_faults`](crate::oocd::run_oocd_with_faults) (SRAM
+    /// Each link OBB traversal runs through [`run_oocd_with_faults`] (SRAM
     /// upsets), and each link is additionally an opportunity for a
     /// [`FaultKind::Saturation`] event in the fixed-point intersection
     /// datapath, which inverts that link's verdict. With `detection`
@@ -220,7 +240,8 @@ impl CecduSim {
     /// overflow flag the Result Collector reads out; structural checks in
     /// the OOCD are always active. Early exit on a colliding link is
     /// preserved, so faults on later links may go unobserved — exactly as
-    /// in hardware.
+    /// in hardware. A non-finite pose is rejected as colliding before any
+    /// link is dispatched, so it injects no fault.
     pub fn check_pose_with_faults(
         &self,
         pose: &JointConfig,
@@ -228,6 +249,13 @@ impl CecduSim {
         detection: bool,
     ) -> FaultyCecduOutcome {
         assert_eq!(pose.dof(), self.robot.dof(), "configuration DOF mismatch");
+        if !pose.is_finite() {
+            return FaultyCecduOutcome {
+                result: non_finite_pose(),
+                detected: false,
+                faults_injected: 0,
+            };
+        }
         let (mut frames, mut obbs) = FK_SCRATCH.with(Cell::take);
         link_obbs_into(&self.robot, pose, self.trig, &mut frames, &mut obbs);
         let oocd_cfg = OocdConfig {

@@ -1,9 +1,8 @@
 //! Fault detection and recovery across the CDU array.
 //!
-//! [`FaultTolerantCduArray`] wraps a CECDU array as a single
-//! [`CduModel`](crate::sas::CduModel) the SAS can dispatch to, injecting
-//! hardware faults from a seeded [`FaultPlan`] and recovering per the
-//! configured [`RecoveryMode`]:
+//! [`FaultTolerantCduArray`] wraps a CECDU array as a single [`CduModel`]
+//! the SAS can dispatch to, injecting hardware faults from a seeded
+//! [`FaultPlan`] and recovering per the configured [`RecoveryMode`]:
 //!
 //! * **Detection** — SRAM parity over each 24-bit node word, structural
 //!   traversal checks (undecodable words, out-of-range pointers, read
@@ -168,7 +167,7 @@ struct UnitState {
 
 /// A fault-injected CECDU array with detection, re-dispatch, quarantine,
 /// and an optional oracle voter, usable anywhere a
-/// [`CduModel`](crate::sas::CduModel) is expected.
+/// [`CduModel`] is expected.
 ///
 /// The clean reference evaluation used to classify verdicts is an
 /// accounting device, not simulated hardware: its work is excluded from

@@ -6,9 +6,6 @@ use core::ops::{Add, Mul, Neg, Sub};
 
 use mp_fixed::Fx;
 
-use crate::soa::SatConsts;
-use crate::vec3::Vector3;
-
 /// A numeric type the geometry kernels can run on.
 ///
 /// Implemented for `f32` (exact software reference) and [`Fx`] (the Q3.12
@@ -61,43 +58,6 @@ pub trait Scalar:
             other
         }
     }
-
-    /// Batch-kernel dispatch hook: per-lane sphere–AABB verdicts (see
-    /// `crate::soa`). The default generic loop is the reference; `f32`
-    /// reroutes to the explicitly width-blocked path when the `simd`
-    /// feature is enabled. Both produce bit-identical results — this hook
-    /// only selects the code shape handed to the optimizer.
-    #[doc(hidden)]
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn soa_sphere_lanes(
-        p: Vector3<Self>,
-        r2: Self,
-        cx: &[Self],
-        cy: &[Self],
-        cz: &[Self],
-        hx: &[Self],
-        hy: &[Self],
-        hz: &[Self],
-        out: &mut [bool],
-    ) {
-        crate::soa::sphere_lanes_generic(p, r2, cx, cy, cz, hx, hy, hz, out);
-    }
-
-    /// Batch-kernel dispatch hook: one SAT axis swept across lanes (see
-    /// `crate::soa`); same `simd`-feature rerouting as
-    /// [`Scalar::soa_sphere_lanes`].
-    #[doc(hidden)]
-    #[inline]
-    fn soa_sat_axis_lanes(
-        raw: u8,
-        c: &SatConsts<Self>,
-        ts: [&[Self]; 3],
-        bs: [&[Self]; 3],
-        first: &mut [u8],
-    ) {
-        crate::soa::sat_axis_lanes_generic(raw, c, ts, bs, first);
-    }
 }
 
 impl Scalar for f32 {
@@ -124,34 +84,6 @@ impl Scalar for f32 {
     #[inline]
     fn to_f32(self) -> f32 {
         self
-    }
-
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn soa_sphere_lanes(
-        p: Vector3<f32>,
-        r2: f32,
-        cx: &[f32],
-        cy: &[f32],
-        cz: &[f32],
-        hx: &[f32],
-        hy: &[f32],
-        hz: &[f32],
-        out: &mut [bool],
-    ) {
-        crate::soa::wide::sphere_lanes_f32(p, r2, cx, cy, cz, hx, hy, hz, out);
-    }
-
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn soa_sat_axis_lanes(
-        raw: u8,
-        c: &SatConsts<f32>,
-        ts: [&[f32]; 3],
-        bs: [&[f32]; 3],
-        first: &mut [u8],
-    ) {
-        crate::soa::wide::sat_axis_lanes_f32(raw, c, ts, bs, first);
     }
 }
 

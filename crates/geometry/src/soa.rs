@@ -1,35 +1,27 @@
-//! Structure-of-arrays batch kernels: one OBB against N AABBs.
+//! Structure-of-arrays AABB lanes and the hoisted cascade kernel.
 //!
 //! The scalar kernels in [`crate::sat`] and [`crate::cascade`] test one
-//! OBB–AABB pair at a time. The paper's CECDU instead exploits
-//! *intra*-collision-detection parallelism — many separating axes and many
-//! voxels evaluated concurrently (§4, Fig 9–10). This module is the software
+//! OBB–AABB pair at a time and re-derive every OBB-side expression per
+//! pair. The paper's CECDU instead keeps one link OBB resident while it
+//! streams octree boxes past it (§4, Fig 9–10). This module is the software
 //! analogue: candidate AABBs live in an [`AabbSoa`] (each coordinate in its
-//! own contiguous array) and the kernels sweep one axis of arithmetic across
-//! all lanes as flat array loops the autovectorizer can widen into SIMD.
+//! own contiguous array, the flat octree arena's layout), and
+//! [`HoistedCascade`] holds one OBB's cascade state — squared sphere radii
+//! and lazily derived SAT constants — across every box a walk touches.
 //!
-//! Every batch kernel is **bit-identical, lane for lane, to its scalar
-//! counterpart** — same verdict, same first separating axis, same
-//! multiplication count. The cycle-level hardware models and the benchmark
-//! engine's replay memoization depend on those outputs exactly, so the batch
-//! path only hoists *lane-invariant* OBB-side expressions (identical
-//! operands and operation order give identical IEEE-754 and fixed-point
-//! results) and never reorders per-lane arithmetic.
-//!
-//! With the `simd` feature (on by default) the `f32` lane loops run through
-//! an explicitly width-blocked path (fixed 8-lane chunks, see
-//! [`wide`](self::wide)) instead of relying on the autovectorizer's
-//! judgement; results are identical either way. The blocked path sits
-//! behind a runtime width switch ([`wide::dispatch_width`]) so a build can
-//! fall back to the generic sweep without recompiling; compiling with
-//! `--no-default-features` removes the blocked path entirely.
-
-use core::ops::Range;
+//! [`HoistedCascade::outcome`] is **bit-identical to the scalar
+//! [`crate::cascade::cascaded_obb_aabb`]**, which stays as its oracle:
+//! same verdict, exit stage, first separating axis and multiplication
+//! count. The cycle-level hardware models and the benchmark engine's replay
+//! memoization depend on those outputs exactly, so the kernel only hoists
+//! OBB-side expressions (identical operands and operation order give
+//! identical IEEE-754 and fixed-point results) and never reorders per-box
+//! arithmetic.
 
 use crate::aabb::Aabb;
 use crate::cascade::{CascadeConfig, CascadeOutcome, ExitStage};
 use crate::obb::Obb;
-use crate::sat::{range_mult_count, AxisId, SatResult};
+use crate::sat::{range_mult_count, AxisId};
 use crate::scalar::Scalar;
 use crate::sphere::SPHERE_AABB_MULS;
 use crate::vec3::Vector3;
@@ -38,9 +30,9 @@ use crate::vec3::Vector3;
 /// matching the hardware's center+size octant representation of §5.2 and the
 /// scalar [`Aabb`]).
 ///
-/// Each component is a plain `Vec<S>`, so a lane range is a dense,
-/// contiguous scalar array the autovectorizer can widen directly (`Fx` is
-/// `#[repr(transparent)]` over `i16`, making its lanes dense `i16` arrays).
+/// Each component is a plain `Vec<S>`, so every coordinate is one dense,
+/// contiguous scalar array (`Fx` is `#[repr(transparent)]` over `i16`,
+/// making its lanes dense `i16` arrays).
 ///
 /// # Examples
 ///
@@ -145,9 +137,8 @@ impl<S: Scalar> AabbSoa<S> {
     }
 }
 
-/// Lane-invariant OBB-side constants of the 15 axis tests, hoisted once per
-/// batch. Every value is produced by exactly the scalar kernel's expression
-/// on exactly the scalar kernel's operands, so per-lane results stay
+/// OBB-side constants of the 15 axis tests, hoisted once per OBB. Every value is produced by exactly the scalar kernel's expression
+/// on exactly the scalar kernel's operands, so per-box results stay
 /// bit-identical to [`crate::sat::test_axis`].
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug)]
@@ -205,139 +196,9 @@ impl<S: Scalar> SatConsts<S> {
     }
 }
 
-/// Reusable lane buffers for the batch kernels. One instance per checker /
-/// traversal keeps the hot path allocation-free.
-#[derive(Clone, Debug, Default)]
-pub struct CascadeBatchScratch<S> {
-    tx: Vec<S>,
-    ty: Vec<S>,
-    tz: Vec<S>,
-    bs_hit: Vec<bool>,
-    ins_hit: Vec<bool>,
-    first: Vec<u8>,
-}
-
-fn resize_fill<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) {
-    v.clear();
-    v.resize(n, fill);
-}
-
-/// Generic per-lane sphere–AABB pass: `out[l]` is the verdict of the scalar
-/// [`crate::sphere::sphere_aabb_overlap`] for lane `l`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sphere_lanes_generic<S: Scalar>(
-    p: Vector3<S>,
-    r2: S,
-    cx: &[S],
-    cy: &[S],
-    cz: &[S],
-    hx: &[S],
-    hy: &[S],
-    hz: &[S],
-    out: &mut [bool],
-) {
-    // Zipped iteration instead of indexing: one length check per slice up
-    // front, no per-lane bounds checks inside the sweep.
-    let n = out.len();
-    let lanes = cx[..n]
-        .iter()
-        .zip(&cy[..n])
-        .zip(&cz[..n])
-        .zip(&hx[..n])
-        .zip(&hy[..n])
-        .zip(&hz[..n]);
-    for (o, (((((&cx, &cy), &cz), &hx), &hy), &hz)) in out.iter_mut().zip(lanes) {
-        // Scalar reference: closest = p.max(min_corner).min(max_corner);
-        // d = closest - p; d.dot(d) <= r*r — identical per-component ops.
-        let qx = p.x.max_val(cx - hx).min_val(cx + hx);
-        let qy = p.y.max_val(cy - hy).min_val(cy + hy);
-        let qz = p.z.max_val(cz - hz).min_val(cz + hz);
-        let dx = qx - p.x;
-        let dy = qy - p.y;
-        let dz = qz - p.z;
-        let dist2 = dx * dx + dy * dy + dz * dz;
-        *o = dist2 <= r2;
-    }
-}
-
-/// Generic per-lane evaluation of one SAT axis: where lane `l` has no
-/// recorded separating axis yet (`first[l] == 0`) and axis `raw` separates,
-/// records `first[l] = raw`. Identical inequality and operand order as
-/// [`crate::sat::test_axis`].
-pub(crate) fn sat_axis_lanes_generic<S: Scalar>(
-    raw: u8,
-    c: &SatConsts<S>,
-    ts: [&[S]; 3],
-    bs: [&[S]; 3],
-    first: &mut [u8],
-) {
-    let n = first.len();
-    match raw {
-        i @ 1..=3 => {
-            let i = (i - 1) as usize;
-            let (t_i, b_i, rb) = (ts[i], bs[i], c.rb_face[i]);
-            for l in 0..n {
-                if first[l] == 0 && t_i[l].abs() > b_i[l] + rb {
-                    first[l] = raw;
-                }
-            }
-        }
-        j @ 4..=6 => {
-            let j = (j - 4) as usize;
-            let (r0, r1, r2) = (c.r[0][j], c.r[1][j], c.r[2][j]);
-            let (a0, a1, a2) = (c.abs_r[0][j], c.abs_r[1][j], c.abs_r[2][j]);
-            let rb = c.a[j];
-            let (tx, ty, tz) = (ts[0], ts[1], ts[2]);
-            let (bx, by, bz) = (bs[0], bs[1], bs[2]);
-            for l in 0..n {
-                let dist = (tx[l] * r0 + ty[l] * r1 + tz[l] * r2).abs();
-                let ra = bx[l] * a0 + by[l] * a1 + bz[l] * a2;
-                if first[l] == 0 && dist > ra + rb {
-                    first[l] = raw;
-                }
-            }
-        }
-        k => {
-            let k = (k - 7) as usize;
-            let i = k / 3;
-            let j = k % 3;
-            let i1 = (i + 1) % 3;
-            let i2 = (i + 2) % 3;
-            let (ea, eb) = (c.eps_r[i2][j], c.eps_r[i1][j]);
-            let (ra_hi, ra_lo) = (c.r[i1][j], c.r[i2][j]);
-            let rb = c.rb_cross[k];
-            let (t1, t2) = (ts[i1], ts[i2]);
-            let (b1, b2) = (bs[i1], bs[i2]);
-            for l in 0..n {
-                let ra = b1[l] * ea + b2[l] * eb;
-                let dist = (t2[l] * ra_hi - t1[l] * ra_lo).abs();
-                if first[l] == 0 && dist > ra + rb {
-                    first[l] = raw;
-                }
-            }
-        }
-    }
-}
-
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn sphere_lanes<S: Scalar>(
-    p: Vector3<S>,
-    r2: S,
-    cx: &[S],
-    cy: &[S],
-    cz: &[S],
-    hx: &[S],
-    hy: &[S],
-    hz: &[S],
-    out: &mut [bool],
-) {
-    S::soa_sphere_lanes(p, r2, cx, cy, cz, hx, hy, hz, out);
-}
-
-/// Single-lane form of [`sat_axis_lanes_generic`]: does axis `raw` separate
-/// the pair with translation `t` and AABB half extents `b`? Same expressions
-/// and operand order as [`crate::sat::test_axis`].
+/// Does axis `raw` (1-based, [`AxisId`] order) separate the pair with
+/// translation `t` and AABB half extents `b`? Same expressions and operand
+/// order as [`crate::sat::test_axis`].
 #[inline]
 fn sat_axis_lane<S: Scalar>(raw: u8, c: &SatConsts<S>, t: [S; 3], b: [S; 3]) -> bool {
     match raw {
@@ -384,261 +245,17 @@ pub fn sat_overlaps_hoisted<S: Scalar>(
     !(1..=15u8).any(|raw| sat_axis_lane(raw, consts, t, b))
 }
 
-#[inline]
-fn sat_axis_lanes<S: Scalar>(
-    raw: u8,
-    c: &SatConsts<S>,
-    ts: [&[S]; 3],
-    bs: [&[S]; 3],
-    first: &mut [u8],
-) {
-    S::soa_sat_axis_lanes(raw, c, ts, bs, first);
-}
-
-/// Validates and borrows the six coordinate slices of `range`.
-#[allow(clippy::type_complexity)]
-fn lanes<'a, S: Scalar>(
-    aabbs: &'a AabbSoa<S>,
-    range: &Range<usize>,
-) -> (&'a [S], &'a [S], &'a [S], &'a [S], &'a [S], &'a [S]) {
-    assert!(
-        range.start <= range.end && range.end <= aabbs.len(),
-        "lane range {range:?} out of bounds for batch of {}",
-        aabbs.len()
-    );
-    (
-        &aabbs.cx[range.clone()],
-        &aabbs.cy[range.clone()],
-        &aabbs.cz[range.clone()],
-        &aabbs.hx[range.clone()],
-        &aabbs.hy[range.clone()],
-        &aabbs.hz[range.clone()],
-    )
-}
-
-/// Batched sphere–AABB overlap: one sphere (`center`, `radius`) against the
-/// AABB lanes `range` of the batch. `out[l]` is bit-identical to the scalar
-/// [`crate::sphere::sphere_aabb_overlap`] on lane `range.start + l` — this
-/// is the cascade's filter primitive (Fig 9) swept across lanes.
-///
-/// # Panics
-///
-/// Panics if `range` exceeds the batch.
-pub fn sphere_aabb_batch_soa<S: Scalar>(
-    center: Vector3<S>,
-    radius: S,
-    aabbs: &AabbSoa<S>,
-    range: Range<usize>,
-    out: &mut Vec<bool>,
-) {
-    let (cx, cy, cz, hx, hy, hz) = lanes(aabbs, &range);
-    resize_fill(out, range.len(), false);
-    let r2 = radius * radius;
-    sphere_lanes(center, r2, cx, cy, cz, hx, hy, hz, out);
-}
-
-/// Batched staged SAT: one OBB against the AABB lanes `range`, testing the
-/// contiguous axis range `start..start + len` (1-based ids). `out[l]` is
-/// bit-identical to [`crate::sat::sat_batch_range`] on lane
-/// `range.start + l`: same first separating axis, same `axes_tested`, same
-/// multiplication count.
-///
-/// # Panics
-///
-/// Panics if `range` exceeds the batch or the axis range leaves `1..=15`.
-pub fn sat_batch_soa<S: Scalar>(
-    obb: &Obb<S>,
-    aabbs: &AabbSoa<S>,
-    range: Range<usize>,
-    start: u8,
-    len: u8,
-    scratch: &mut CascadeBatchScratch<S>,
-    out: &mut Vec<SatResult>,
-) {
-    assert!(
-        start >= 1 && len >= 1 && start + len - 1 <= 15,
-        "axis range {start}+{len} out of 1..=15"
-    );
-    let (cx, cy, cz, hx, hy, hz) = lanes(aabbs, &range);
-    let n = range.len();
-    out.clear();
-    if n == 0 {
-        return;
-    }
-    fill_translations(obb, cx, cy, cz, scratch, n);
-    let consts = SatConsts::new(obb);
-    resize_fill(&mut scratch.first, n, 0);
-    for raw in start..start + len {
-        sat_axis_lanes(
-            raw,
-            &consts,
-            [&scratch.tx, &scratch.ty, &scratch.tz],
-            [hx, hy, hz],
-            &mut scratch.first,
-        );
-    }
-    let mults = range_mult_count(start, len);
-    out.extend(scratch.first.iter().map(|&f| SatResult {
-        separating: (f != 0).then(|| AxisId::new(f)),
-        axes_tested: len as u32,
-        mults,
-    }));
-}
-
-/// Per-lane `t = obb.center - aabb.center` (the translation every axis test
-/// starts from), identical to the scalar kernel's subtraction.
-fn fill_translations<S: Scalar>(
-    obb: &Obb<S>,
-    cx: &[S],
-    cy: &[S],
-    cz: &[S],
-    scratch: &mut CascadeBatchScratch<S>,
-    n: usize,
-) {
-    resize_fill(&mut scratch.tx, n, S::zero());
-    resize_fill(&mut scratch.ty, n, S::zero());
-    resize_fill(&mut scratch.tz, n, S::zero());
-    let p = obb.center;
-    for l in 0..n {
-        scratch.tx[l] = p.x - cx[l];
-        scratch.ty[l] = p.y - cy[l];
-        scratch.tz[l] = p.z - cz[l];
-    }
-}
-
-/// Batched cascaded intersection test (Fig 10): one OBB against the AABB
-/// lanes `range`. `out[l]` is bit-identical to the scalar
-/// [`crate::cascade::cascaded_obb_aabb`] on lane `range.start + l` —
-/// verdict, exit stage, separating axis, multiplication count and stages
-/// executed all match exactly.
-///
-/// The sphere filters run lane-parallel — in the benchmark traversals they
-/// resolve the overwhelming majority of lanes (Fig 8: >96 % of separating
-/// exits are caught by the bounding-sphere test), so the batch does the bulk
-/// of its arithmetic in the SIMD-width sweeps. Lanes neither filter decides
-/// fall back to the scalar cascade, which re-runs the two sphere tests
-/// (deterministic arithmetic on identical operands — they conclude exactly
-/// as the sweeps did) and continues into the SAT stages with early exit,
-/// never paying for axes a resolved lane would have skipped.
-///
-/// # Panics
-///
-/// Panics if `range` exceeds the batch.
-pub fn cascade_batch_soa<S: Scalar>(
-    obb: &Obb<S>,
-    cfg: &CascadeConfig,
-    aabbs: &AabbSoa<S>,
-    range: Range<usize>,
-    scratch: &mut CascadeBatchScratch<S>,
-    out: &mut Vec<CascadeOutcome>,
-) {
-    let (cx, cy, cz, hx, hy, hz) = lanes(aabbs, &range);
-    let n = range.len();
-    out.clear();
-    if n == 0 {
-        return;
-    }
-
-    // Stage 1: bounding-sphere sweep across every lane.
-    let mut survivors = n;
-    if cfg.bounding_sphere_filter {
-        resize_fill(&mut scratch.bs_hit, n, false);
-        let r2 = obb.bounding_radius * obb.bounding_radius;
-        sphere_lanes(obb.center, r2, cx, cy, cz, hx, hy, hz, &mut scratch.bs_hit);
-        survivors = scratch.bs_hit.iter().filter(|&&hit| hit).count();
-    }
-    // Stage 2: inscribed-sphere sweep, skipped when stage 1 already cleared
-    // the whole batch.
-    if cfg.inscribed_sphere_filter && survivors > 0 {
-        resize_fill(&mut scratch.ins_hit, n, false);
-        let r2 = obb.inscribed_radius * obb.inscribed_radius;
-        sphere_lanes(obb.center, r2, cx, cy, cz, hx, hy, hz, &mut scratch.ins_hit);
-    }
-
-    // Resolve: sphere-decided lanes replay the scalar cascade's control
-    // flow as pure flag logic; undecided lanes run the SAT stages with the
-    // OBB-side constants hoisted once per batch, early-exiting a stage at
-    // its first separating axis (the outcome only records that first axis
-    // and the stage's fixed multiplication count, so the skipped axes are
-    // unobservable).
-    let mut consts: Option<SatConsts<S>> = None;
-    let sphere_stage = u32::from(cfg.bounding_sphere_filter || cfg.inscribed_sphere_filter);
-    let sphere_mults = (u32::from(cfg.bounding_sphere_filter)
-        + u32::from(cfg.inscribed_sphere_filter))
-        * SPHERE_AABB_MULS;
-    for l in 0..n {
-        if cfg.bounding_sphere_filter && !scratch.bs_hit[l] {
-            // Bounding sphere *misses* the box => provably free.
-            out.push(CascadeOutcome {
-                colliding: false,
-                exit: ExitStage::BoundingSphere,
-                separating_axis: None,
-                mults: SPHERE_AABB_MULS,
-                stages_executed: 1,
-            });
-            continue;
-        }
-        if cfg.inscribed_sphere_filter && scratch.ins_hit[l] {
-            let mut mults = SPHERE_AABB_MULS;
-            if cfg.bounding_sphere_filter {
-                mults += SPHERE_AABB_MULS;
-            }
-            out.push(CascadeOutcome {
-                colliding: true,
-                exit: ExitStage::InscribedSphere,
-                separating_axis: None,
-                mults,
-                stages_executed: 1,
-            });
-            continue;
-        }
-        let c = consts.get_or_insert_with(|| SatConsts::new(obb));
-        let p = obb.center;
-        let t = [p.x - cx[l], p.y - cy[l], p.z - cz[l]];
-        let b = [hx[l], hy[l], hz[l]];
-        let mut mults = sphere_mults;
-        let mut stages = sphere_stage;
-        let mut resolved = false;
-        for k in 0..3 {
-            let (start, len) = cfg.split.stage_range(k);
-            mults += range_mult_count(start, len);
-            stages += 1;
-            if let Some(raw) = (start..start + len).find(|&raw| sat_axis_lane(raw, c, t, b)) {
-                out.push(CascadeOutcome {
-                    colliding: false,
-                    exit: ExitStage::Sat(k as u8 + 1),
-                    separating_axis: Some(AxisId::new(raw)),
-                    mults,
-                    stages_executed: stages,
-                });
-                resolved = true;
-                break;
-            }
-        }
-        if !resolved {
-            out.push(CascadeOutcome {
-                colliding: true,
-                exit: ExitStage::Exhausted,
-                separating_axis: None,
-                mults,
-                stages_executed: stages,
-            });
-        }
-    }
-}
-
-/// One OBB's cascade state hoisted for a whole traversal (or a whole rake
-/// of traversals): the sphere radii are squared once, and the SAT constants
-/// are derived lazily on the first lane that reaches the SAT stages — then
-/// reused for every subsequent lane instead of being rebuilt per node the
-/// way [`cascade_batch_soa`] has to when called once per octree node.
+/// One OBB's cascade state hoisted for a whole traversal: the sphere radii
+/// are squared once, and the SAT constants are derived lazily on the first
+/// box that reaches the SAT stages — then reused for every later box
+/// instead of being rebuilt per pair.
 ///
 /// [`HoistedCascade::outcome`] is **bit-identical** to the scalar
-/// [`crate::cascade::cascaded_obb_aabb`] (and therefore to
-/// [`cascade_batch_soa`]) on the same pair: same verdict, exit stage, first
-/// separating axis, multiplication count and stages executed. It is the
-/// per-lane kernel of the rake-style motion validator: one instance per
-/// (pose, link) OBB, driven across every entry its octree walk touches.
+/// [`crate::cascade::cascaded_obb_aabb`] on the same pair: same verdict,
+/// exit stage, first separating axis, multiplication count and stages
+/// executed. It is the production cascade kernel: the software checker and
+/// the OOCD model both drive one instance per (pose, link) OBB across every
+/// entry its octree walk touches.
 ///
 /// # Examples
 ///
@@ -686,53 +303,24 @@ impl<S: Scalar> HoistedCascade<S> {
         }
     }
 
-    /// Squared distance from the OBB centre to the box `(c, h)` — the
-    /// shared quantity both sphere filters compare against their squared
-    /// radius; per-component arithmetic identical to the scalar
-    /// [`crate::sphere::sphere_aabb_overlap`].
-    #[inline]
-    fn sphere_d2(&self, cx: S, cy: S, cz: S, hx: S, hy: S, hz: S) -> S {
-        let p = self.obb.center;
-        let qx = p.x.max_val(cx - hx).min_val(cx + hx);
-        let qy = p.y.max_val(cy - hy).min_val(cy + hy);
-        let qz = p.z.max_val(cz - hz).min_val(cz + hz);
-        let dx = qx - p.x;
-        let dy = qy - p.y;
-        let dz = qz - p.z;
-        dx * dx + dy * dy + dz * dz
-    }
-
     /// Runs the cascade against one AABB given as raw center/half lanes
     /// (the layout [`AabbSoa::coord_lanes`] exposes). Bit-identical to
     /// [`crate::cascade::cascaded_obb_aabb`] on the reconstructed box.
     #[inline]
     pub fn outcome(&mut self, cx: S, cy: S, cz: S, hx: S, hy: S, hz: S) -> CascadeOutcome {
+        // Squared distance from the OBB centre to the box, shared by both
+        // sphere filters: per-component arithmetic identical to the scalar
+        // `sphere::sphere_aabb_overlap`.
+        let p = self.obb.center;
         let d2 = if self.sphere_stage != 0 {
-            self.sphere_d2(cx, cy, cz, hx, hy, hz)
+            let qx = p.x.max_val(cx - hx).min_val(cx + hx);
+            let qy = p.y.max_val(cy - hy).min_val(cy + hy);
+            let qz = p.z.max_val(cz - hz).min_val(cz + hz);
+            let (dx, dy, dz) = (qx - p.x, qy - p.y, qz - p.z);
+            dx * dx + dy * dy + dz * dz
         } else {
             self.br2
         };
-        self.outcome_with_d2(d2, cx, cy, cz, hx, hy, hz)
-    }
-
-    /// [`HoistedCascade::outcome`] with the sphere-stage squared distance
-    /// already computed (e.g. by a lane-blocked prefilter sweep over a
-    /// whole octree node). `d2` must equal what
-    /// [`HoistedCascade::outcome`] would derive for the same box — the
-    /// clamp point is radius-independent, so one value serves both the
-    /// bounding and the inscribed filter.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn outcome_with_d2(
-        &mut self,
-        d2: S,
-        cx: S,
-        cy: S,
-        cz: S,
-        hx: S,
-        hy: S,
-        hz: S,
-    ) -> CascadeOutcome {
         // Same polarity as the scalar filter (`overlap = d2 <= r2`, exit
         // on `!overlap`), so incomparable values take the identical arm.
         let bounding_overlap = d2 <= self.br2;
@@ -758,11 +346,18 @@ impl<S: Scalar> HoistedCascade<S> {
                 stages_executed: 1,
             };
         }
+        self.sat_stages([p.x - cx, p.y - cy, p.z - cz], [hx, hy, hz])
+    }
+
+    /// The SAT stages of the cascade for a box the sphere filters left
+    /// undecided: translation `t` and AABB half extents `b`.
+    // Out of line so the sphere filters, which decide most boxes (Fig 8),
+    // inline into the octree walks without the SAT stages' register
+    // pressure; measured 1–4% faster on the benchmark's planning workloads.
+    #[inline(never)]
+    fn sat_stages(&mut self, t: [S; 3], b: [S; 3]) -> CascadeOutcome {
         let obb = &self.obb;
         let c = self.consts.get_or_insert_with(|| SatConsts::new(obb));
-        let p = self.obb.center;
-        let t = [p.x - cx, p.y - cy, p.z - cz];
-        let b = [hx, hy, hz];
         let mut mults = self.sphere_mults;
         let mut stages = self.sphere_stage;
         for k in 0..3 {
@@ -789,166 +384,10 @@ impl<S: Scalar> HoistedCascade<S> {
     }
 }
 
-/// Explicitly width-blocked `f32` lane kernels (the `simd` feature).
-///
-/// The crate forbids `unsafe`, and stable Rust has no portable SIMD API, so
-/// "explicit" here means fixed 8-lane blocking with per-chunk local arrays —
-/// the shape LLVM reliably turns into packed vector instructions without
-/// having to prove anything about dynamic trip counts. The arithmetic per
-/// lane is exactly the generic kernel's (f32 SIMD lanes are IEEE-754
-/// identical to scalar ops), so results do not change with the feature.
-#[cfg(feature = "simd")]
-pub mod wide {
-    // The fixed-width `for k in 0..LANES` index loops are the point: a
-    // constant trip count over local arrays is what LLVM packs into vector
-    // registers, where iterator chains can defeat the pattern match.
-    #![allow(clippy::needless_range_loop)]
-
-    use super::SatConsts;
-    use crate::scalar::Scalar;
-    use crate::vec3::Vector3;
-
-    /// Block width: 8 × f32 = one AVX register.
-    pub const LANES: usize = 8;
-
-    /// Runtime kernel width: `8` routes `f32` lane sweeps through the
-    /// width-blocked kernels below, `1` falls back to the generic sweep
-    /// (identical results — the switch exists so a deployment can disable
-    /// explicit blocking without a scalar rebuild). Selected once per
-    /// process from `MPACCEL_SIMD_WIDTH` (accepted values: `1`, `8`;
-    /// default `8`).
-    pub fn dispatch_width() -> usize {
-        use std::sync::OnceLock;
-        static WIDTH: OnceLock<usize> = OnceLock::new();
-        *WIDTH.get_or_init(
-            || match std::env::var("MPACCEL_SIMD_WIDTH").ok().as_deref() {
-                Some("1") => 1,
-                _ => LANES,
-            },
-        )
-    }
-
-    /// Width-blocked counterpart of the generic sphere–AABB lane pass.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sphere_lanes_f32(
-        p: Vector3<f32>,
-        r2: f32,
-        cx: &[f32],
-        cy: &[f32],
-        cz: &[f32],
-        hx: &[f32],
-        hy: &[f32],
-        hz: &[f32],
-        out: &mut [bool],
-    ) {
-        let n = out.len();
-        if dispatch_width() < LANES {
-            return super::sphere_lanes_generic(p, r2, cx, cy, cz, hx, hy, hz, out);
-        }
-        let mut base = 0;
-        while base + LANES <= n {
-            let mut d2 = [0f32; LANES];
-            for k in 0..LANES {
-                let l = base + k;
-                let qx = p.x.max_val(cx[l] - hx[l]).min_val(cx[l] + hx[l]);
-                let qy = p.y.max_val(cy[l] - hy[l]).min_val(cy[l] + hy[l]);
-                let qz = p.z.max_val(cz[l] - hz[l]).min_val(cz[l] + hz[l]);
-                let dx = qx - p.x;
-                let dy = qy - p.y;
-                let dz = qz - p.z;
-                d2[k] = dx * dx + dy * dy + dz * dz;
-            }
-            for k in 0..LANES {
-                out[base + k] = d2[k] <= r2;
-            }
-            base += LANES;
-        }
-        super::sphere_lanes_generic(
-            p,
-            r2,
-            &cx[base..n],
-            &cy[base..n],
-            &cz[base..n],
-            &hx[base..n],
-            &hy[base..n],
-            &hz[base..n],
-            &mut out[base..n],
-        );
-    }
-
-    /// Width-blocked counterpart of the generic per-axis SAT lane pass.
-    pub fn sat_axis_lanes_f32(
-        raw: u8,
-        c: &SatConsts<f32>,
-        ts: [&[f32]; 3],
-        bs: [&[f32]; 3],
-        first: &mut [u8],
-    ) {
-        let n = first.len();
-        if dispatch_width() < LANES {
-            return super::sat_axis_lanes_generic(raw, c, ts, bs, first);
-        }
-        let mut sep = [false; LANES];
-        let mut base = 0;
-        while base + LANES <= n {
-            match raw {
-                i @ 1..=3 => {
-                    let i = (i - 1) as usize;
-                    let (t_i, b_i, rb) = (ts[i], bs[i], c.rb_face[i]);
-                    for k in 0..LANES {
-                        let l = base + k;
-                        sep[k] = t_i[l].abs() > b_i[l] + rb;
-                    }
-                }
-                j @ 4..=6 => {
-                    let j = (j - 4) as usize;
-                    let (r0, r1, r2) = (c.r[0][j], c.r[1][j], c.r[2][j]);
-                    let (a0, a1, a2) = (c.abs_r[0][j], c.abs_r[1][j], c.abs_r[2][j]);
-                    let rb = c.a[j];
-                    for k in 0..LANES {
-                        let l = base + k;
-                        let dist = (ts[0][l] * r0 + ts[1][l] * r1 + ts[2][l] * r2).abs();
-                        let ra = bs[0][l] * a0 + bs[1][l] * a1 + bs[2][l] * a2;
-                        sep[k] = dist > ra + rb;
-                    }
-                }
-                kx => {
-                    let kx = (kx - 7) as usize;
-                    let i = kx / 3;
-                    let j = kx % 3;
-                    let i1 = (i + 1) % 3;
-                    let i2 = (i + 2) % 3;
-                    let (ea, eb) = (c.eps_r[i2][j], c.eps_r[i1][j]);
-                    let (rhi, rlo) = (c.r[i1][j], c.r[i2][j]);
-                    let rb = c.rb_cross[kx];
-                    for k in 0..LANES {
-                        let l = base + k;
-                        let ra = bs[i1][l] * ea + bs[i2][l] * eb;
-                        let dist = (ts[i2][l] * rhi - ts[i1][l] * rlo).abs();
-                        sep[k] = dist > ra + rb;
-                    }
-                }
-            }
-            for k in 0..LANES {
-                let l = base + k;
-                if first[l] == 0 && sep[k] {
-                    first[l] = raw;
-                }
-            }
-            base += LANES;
-        }
-        let ts_tail = [&ts[0][base..n], &ts[1][base..n], &ts[2][base..n]];
-        let bs_tail = [&bs[0][base..n], &bs[1][base..n], &bs[2][base..n]];
-        super::sat_axis_lanes_generic(raw, c, ts_tail, bs_tail, &mut first[base..n]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cascade::cascaded_obb_aabb;
-    use crate::sat::sat_batch_range;
-    use crate::sphere::sphere_aabb_overlap;
     use crate::{Mat3, Vec3};
 
     fn sample_boxes() -> (Obb<f32>, AabbSoa<f32>) {
@@ -985,56 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn sphere_batch_matches_scalar() {
-        let (obb, soa) = sample_boxes();
-        let mut out = Vec::new();
-        sphere_aabb_batch_soa(
-            obb.center,
-            obb.bounding_radius,
-            &soa,
-            0..soa.len(),
-            &mut out,
-        );
-        for (l, &got) in out.iter().enumerate() {
-            let want = sphere_aabb_overlap(obb.center, obb.bounding_radius, &soa.get(l));
-            assert_eq!(got, want, "lane {l}");
-        }
-    }
-
-    #[test]
-    fn sat_batch_matches_scalar_per_lane() {
-        let (obb, soa) = sample_boxes();
-        let mut scratch = CascadeBatchScratch::default();
-        let mut out = Vec::new();
-        for (start, len) in [(1u8, 6u8), (7, 5), (12, 4), (1, 15)] {
-            sat_batch_soa(&obb, &soa, 0..soa.len(), start, len, &mut scratch, &mut out);
-            for (l, got) in out.iter().enumerate() {
-                let want = sat_batch_range(&obb, &soa.get(l), start, len);
-                assert_eq!(*got, want, "lane {l} axes {start}+{len}");
-            }
-        }
-    }
-
-    #[test]
-    fn cascade_batch_matches_scalar_per_lane() {
-        let (obb, soa) = sample_boxes();
-        let mut scratch = CascadeBatchScratch::default();
-        let mut out = Vec::new();
-        for cfg in [
-            CascadeConfig::proposed(),
-            CascadeConfig::without_filters(),
-            CascadeConfig::bounding_only(),
-        ] {
-            cascade_batch_soa(&obb, &cfg, &soa, 0..soa.len(), &mut scratch, &mut out);
-            assert_eq!(out.len(), soa.len());
-            for (l, got) in out.iter().enumerate() {
-                let want = cascaded_obb_aabb(&obb, &soa.get(l), &cfg);
-                assert_eq!(*got, want, "lane {l} cfg {cfg:?}");
-            }
-        }
-    }
-
-    #[test]
     fn hoisted_cascade_matches_scalar_per_lane() {
         let (obb, soa) = sample_boxes();
         for cfg in [
@@ -1065,65 +454,5 @@ mod tests {
             );
             assert_eq!(got, cascaded_obb_aabb(&q, &b, &cfg), "lane {l}");
         }
-    }
-
-    #[test]
-    fn cascade_batch_fixed_point_matches_scalar() {
-        let (obb, soa) = sample_boxes();
-        let q = obb.quantize();
-        let mut qsoa = AabbSoa::new();
-        for i in 0..soa.len() {
-            qsoa.push(&soa.get(i).quantize());
-        }
-        let cfg = CascadeConfig::proposed();
-        let mut scratch = CascadeBatchScratch::default();
-        let mut out = Vec::new();
-        cascade_batch_soa(&q, &cfg, &qsoa, 0..qsoa.len(), &mut scratch, &mut out);
-        for (l, got) in out.iter().enumerate() {
-            let want = cascaded_obb_aabb(&q, &qsoa.get(l), &cfg);
-            assert_eq!(*got, want, "lane {l}");
-        }
-    }
-
-    #[test]
-    fn subrange_is_lane_exact() {
-        let (obb, soa) = sample_boxes();
-        let cfg = CascadeConfig::proposed();
-        let mut scratch = CascadeBatchScratch::default();
-        let mut out = Vec::new();
-        cascade_batch_soa(&obb, &cfg, &soa, 5..13, &mut scratch, &mut out);
-        assert_eq!(out.len(), 8);
-        for (l, got) in out.iter().enumerate() {
-            let want = cascaded_obb_aabb(&obb, &soa.get(5 + l), &cfg);
-            assert_eq!(*got, want);
-        }
-    }
-
-    #[test]
-    fn empty_range_yields_no_outcomes() {
-        let (obb, soa) = sample_boxes();
-        let mut scratch = CascadeBatchScratch::default();
-        let mut out = vec![cascaded_obb_aabb(
-            &obb,
-            &soa.get(0),
-            &CascadeConfig::proposed(),
-        )];
-        cascade_batch_soa(
-            &obb,
-            &CascadeConfig::proposed(),
-            &soa,
-            3..3,
-            &mut scratch,
-            &mut out,
-        );
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_range_panics() {
-        let (obb, soa) = sample_boxes();
-        let mut out = Vec::new();
-        sphere_aabb_batch_soa(obb.center, obb.bounding_radius, &soa, 0..99, &mut out);
     }
 }

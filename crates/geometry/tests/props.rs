@@ -2,15 +2,10 @@
 
 use mp_geometry::cascade::{cascaded_obb_aabb, CascadeConfig, StageSplit};
 use mp_geometry::sat::{
-    overlaps, quantization_margin, sat_all, sat_batch_range, sat_first_separating,
-    signed_separation,
+    overlaps, quantization_margin, sat_all, sat_first_separating, signed_separation,
 };
-use mp_geometry::soa::{
-    cascade_batch_soa, sat_batch_soa, sat_overlaps_hoisted, sphere_aabb_batch_soa, AabbSoa,
-    CascadeBatchScratch, SatConsts,
-};
-use mp_geometry::sphere::sphere_aabb_overlap;
-use mp_geometry::{Aabb, AabbF, Mat3, Obb, Sphere, Vec3};
+use mp_geometry::soa::{sat_overlaps_hoisted, AabbSoa, HoistedCascade, SatConsts};
+use mp_geometry::{Aabb, AabbF, Mat3, Obb, Scalar, Sphere, Vec3};
 use proptest::prelude::*;
 
 fn any_vec(range: f32) -> impl Strategy<Value = Vec3> {
@@ -51,6 +46,35 @@ fn sampled_overlap_witness(obb: &Obb, aabb: &AabbF) -> bool {
         }
     }
     false
+}
+
+/// Drives one `HoistedCascade` per configuration across `boxes` (held as
+/// SoA lanes, like the flat octree arena) and compares every outcome with
+/// the scalar oracle `cascaded_obb_aabb`.
+fn hoisted_matches_scalar<S: Scalar>(obb: &Obb<S>, boxes: &[Aabb<S>]) -> Result<(), TestCaseError> {
+    let mut soa = AabbSoa::with_capacity(boxes.len());
+    for b in boxes {
+        soa.push(b);
+    }
+    let [cx, cy, cz, hx, hy, hz] = soa.coord_lanes();
+    for cfg in [
+        CascadeConfig::proposed(),
+        CascadeConfig::without_filters(),
+        CascadeConfig::bounding_only(),
+    ] {
+        let mut hoisted = HoistedCascade::new(obb, &cfg);
+        for (l, b) in boxes.iter().enumerate() {
+            let got = hoisted.outcome(cx[l], cy[l], cz[l], hx[l], hy[l], hz[l]);
+            prop_assert_eq!(
+                got,
+                cascaded_obb_aabb(obb, b, &cfg),
+                "box {} cfg {:?}",
+                l,
+                cfg
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -200,107 +224,29 @@ proptest! {
         prop_assert!(out.stages_executed >= 1 && out.stages_executed <= 4);
     }
 
-    /// The batched SoA cascade is the scalar cascade, lane for lane: the
-    /// whole outcome record (verdict, exit stage, first separating axis,
-    /// mult and stage counters) must match bit-identically for every lane
-    /// and every cascade configuration.
+    /// The production cascade kernel is the scalar cascade, box for box:
+    /// one `HoistedCascade` per OBB is driven across every generated box
+    /// through the SoA lanes, as both octree walks do, and the whole
+    /// outcome record (verdict, exit stage, first separating axis, mult and
+    /// stage counters) must match for every cascade configuration.
     #[test]
-    fn cascade_batch_is_bit_identical_to_scalar(
+    fn hoisted_cascade_is_bit_identical_to_scalar(
         obb in any_obb(),
         boxes in prop::collection::vec(any_aabb(), 1..12),
     ) {
-        let mut soa = AabbSoa::with_capacity(boxes.len());
-        for b in &boxes {
-            soa.push(b);
-        }
-        let mut scratch = CascadeBatchScratch::default();
-        let mut out = Vec::new();
-        for cfg in [
-            CascadeConfig::proposed(),
-            CascadeConfig::without_filters(),
-            CascadeConfig::bounding_only(),
-        ] {
-            cascade_batch_soa(&obb, &cfg, &soa, 0..soa.len(), &mut scratch, &mut out);
-            prop_assert_eq!(out.len(), boxes.len());
-            for (l, b) in boxes.iter().enumerate() {
-                let want = cascaded_obb_aabb(&obb, b, &cfg);
-                prop_assert_eq!(&out[l], &want, "lane {} cfg {:?}", l, cfg);
-            }
-        }
+        hoisted_matches_scalar(&obb, &boxes)?;
     }
 
     /// Same bit-identity contract in Q3.12: quantize both sides and the
-    /// batched cascade must still replicate the scalar fixed-point cascade
-    /// exactly.
+    /// hoisted cascade must still replicate the scalar fixed-point cascade
+    /// exactly, for every cascade configuration.
     #[test]
-    fn cascade_batch_is_bit_identical_in_fixed_point(
+    fn hoisted_cascade_is_bit_identical_in_fixed_point(
         obb in any_obb(),
         boxes in prop::collection::vec(any_aabb(), 1..12),
     ) {
-        let q = obb.quantize();
-        let mut soa = AabbSoa::with_capacity(boxes.len());
         let qboxes: Vec<_> = boxes.iter().map(|b| b.quantize()).collect();
-        for b in &qboxes {
-            soa.push(b);
-        }
-        let cfg = CascadeConfig::proposed();
-        let mut scratch = CascadeBatchScratch::default();
-        let mut out = Vec::new();
-        cascade_batch_soa(&q, &cfg, &soa, 0..soa.len(), &mut scratch, &mut out);
-        for (l, b) in qboxes.iter().enumerate() {
-            let want = cascaded_obb_aabb(&q, b, &cfg);
-            prop_assert_eq!(&out[l], &want, "lane {}", l);
-        }
-    }
-
-    /// The batched SAT kernel matches the scalar ranged SAT on every lane
-    /// for every stage of the 6-5-4 split, in both arithmetics: same
-    /// verdict, same first separating axis, same mult count.
-    #[test]
-    fn sat_batch_is_bit_identical_to_scalar(
-        obb in any_obb(),
-        boxes in prop::collection::vec(any_aabb(), 1..10),
-    ) {
-        let q = obb.quantize();
-        let mut soa = AabbSoa::with_capacity(boxes.len());
-        let mut qsoa = AabbSoa::with_capacity(boxes.len());
-        for b in &boxes {
-            soa.push(b);
-            qsoa.push(&b.quantize());
-        }
-        let mut scratch = CascadeBatchScratch::default();
-        let mut qscratch = CascadeBatchScratch::default();
-        let mut out = Vec::new();
-        let mut qout = Vec::new();
-        for (start, len) in [(1u8, 6u8), (7, 5), (12, 4), (1, 15)] {
-            sat_batch_soa(&obb, &soa, 0..soa.len(), start, len, &mut scratch, &mut out);
-            sat_batch_soa(&q, &qsoa, 0..qsoa.len(), start, len, &mut qscratch, &mut qout);
-            for (l, b) in boxes.iter().enumerate() {
-                let want = sat_batch_range(&obb, b, start, len);
-                prop_assert_eq!(&out[l], &want, "f32 lane {} axes {}+{}", l, start, len);
-                let qwant = sat_batch_range(&q, &b.quantize(), start, len);
-                prop_assert_eq!(&qout[l], &qwant, "fx lane {} axes {}+{}", l, start, len);
-            }
-        }
-    }
-
-    /// The batched sphere filter matches the scalar sphere-AABB test on
-    /// every lane.
-    #[test]
-    fn sphere_batch_is_bit_identical_to_scalar(
-        obb in any_obb(),
-        boxes in prop::collection::vec(any_aabb(), 1..10),
-    ) {
-        let mut soa = AabbSoa::with_capacity(boxes.len());
-        for b in &boxes {
-            soa.push(b);
-        }
-        let mut out = Vec::new();
-        sphere_aabb_batch_soa(obb.center, obb.bounding_radius, &soa, 0..soa.len(), &mut out);
-        for (l, b) in boxes.iter().enumerate() {
-            let want = sphere_aabb_overlap(obb.center, obb.bounding_radius, b);
-            prop_assert_eq!(out[l], want, "lane {}", l);
-        }
+        hoisted_matches_scalar(&obb.quantize(), &qboxes)?;
     }
 
     /// The hoisted-constants overlap sweep (voxel rasterization path) is

@@ -16,10 +16,11 @@
 //! * **Lockstep growth.** Every round, each active lane computes its next
 //!   pending extension (sample → nearest → steer — pure arithmetic on its
 //!   own RNG stream), and the pending edges are then validated
-//!   back-to-back as one stream through the shared rake validator.
-//! * **Rake validation.** Edges are discretized a fixed-width block of
-//!   poses at a time ([`mp_collision::RAKE_WIDTH`]) with early exit on the
-//!   first colliding lane, via [`mp_collision::RakeValidator`].
+//!   back-to-back as one stream through the shared checker.
+//! * **Sequential motion validation.** Each edge is discretized and checked
+//!   pose by pose with early exit on the first colliding pose, via
+//!   [`mp_collision::check_motion`] — the same semantics as the sequential
+//!   planners.
 //!
 //! **Bit-identity contract:** every lane owns its RNG stream, its stats
 //! and its trees, and validation is deterministic, so interleaving lanes
@@ -30,7 +31,7 @@
 //! The differential tests in `tests/batch_props.rs` pin this for both the
 //! f32 software chain and the Q3.12 CECDU chain.
 
-use mp_collision::{CdStats, CollisionChecker, RakeValidator};
+use mp_collision::{check_motion, CdStats, CollisionChecker};
 use mp_robot::{JointConfig, Motion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -167,7 +168,6 @@ impl ConnectLane {
     fn advance(
         &mut self,
         checker: &mut impl CollisionChecker,
-        rake: &mut RakeValidator,
         cfg: &RrtConfig,
         pending: PendingEdge,
     ) {
@@ -177,7 +177,7 @@ impl ConnectLane {
             near_a,
         } = pending;
         let colliding = attributed(checker, &mut self.stats, |c| {
-            rake.check_motion(c, &edge, cfg.cspace_step).colliding
+            check_motion(c, &edge, cfg.cspace_step).colliding
         });
         if !colliding {
             self.ta.push(new_a.clone(), near_a);
@@ -190,7 +190,7 @@ impl ConnectLane {
                 let step_b = steer(self.tb.node(near_b), &new_a, cfg.steer_step);
                 let edge_b = Motion::new(self.tb.node(near_b).clone(), step_b.clone());
                 let colliding = attributed(checker, &mut self.stats, |c| {
-                    rake.check_motion(c, &edge_b, cfg.cspace_step).colliding
+                    check_motion(c, &edge_b, cfg.cspace_step).colliding
                 });
                 if colliding {
                     break;
@@ -226,7 +226,7 @@ struct PendingEdge {
 }
 
 /// Grows an RRT-Connect tree pair per query in lockstep, validating every
-/// lane's pending edges through one shared checker + rake stream.
+/// lane's pending edges through one shared checker.
 ///
 /// Lane `i`'s outcome and stats are bit-identical to
 /// [`rrt_connect`](crate::rrt::rrt_connect) on `(queries[i].start,
@@ -246,7 +246,6 @@ pub fn rrt_connect_batch(
         mp_telemetry::arg1("lanes", mp_telemetry::ArgValue::U64(queries.len() as u64)),
     );
     let robot = checker.robot().clone();
-    let mut rake = RakeValidator::new();
     let mut lanes: Vec<ConnectLane> = queries.iter().map(ConnectLane::new).collect();
     // Round 0: endpoint validation, streamed across lanes.
     for lane in &mut lanes {
@@ -264,7 +263,7 @@ pub fn rrt_connect_batch(
             break;
         }
         for (i, edge) in pending {
-            lanes[i].advance(checker, &mut rake, cfg, edge);
+            lanes[i].advance(checker, cfg, edge);
         }
     }
     let solved = lanes
@@ -310,7 +309,6 @@ pub fn rrt_batch(
     cfg: &RrtConfig,
 ) -> Vec<BatchLaneOutcome> {
     let robot = checker.robot().clone();
-    let mut rake = RakeValidator::new();
     let mut lanes: Vec<RrtLane> = queries
         .iter()
         .map(|q| {
@@ -356,7 +354,7 @@ pub fn rrt_batch(
             let new = steer(lane.tree.node(near), &target, cfg.steer_step);
             let edge = Motion::new(lane.tree.node(near).clone(), new.clone());
             let colliding = attributed(checker, &mut lane.stats, |c| {
-                rake.check_motion(c, &edge, cfg.cspace_step).colliding
+                check_motion(c, &edge, cfg.cspace_step).colliding
             });
             if colliding {
                 continue;
@@ -368,7 +366,7 @@ pub fn rrt_batch(
             let to_goal = Motion::new(new.clone(), goal.clone());
             let connected = new.distance(&goal) <= cfg.steer_step
                 && !attributed(checker, &mut lane.stats, |c| {
-                    rake.check_motion(c, &to_goal, cfg.cspace_step).colliding
+                    check_motion(c, &to_goal, cfg.cspace_step).colliding
                 });
             if connected {
                 let mut path = lane.tree.path_to_root(lane.tree.len() - 1);

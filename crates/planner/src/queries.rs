@@ -49,7 +49,7 @@ const RESEED_ATTEMPTS: u32 = 3;
 ///
 /// Each attempt gets a generous sampling budget; if a scene is so
 /// cluttered that the budget runs out, the generator retries with a
-/// reseeded RNG up to [`RESEED_ATTEMPTS`] times before reporting
+/// reseeded RNG up to `RESEED_ATTEMPTS` times before reporting
 /// [`QueryGenError`].
 pub fn generate_queries(
     robot: &RobotModel,

@@ -45,6 +45,11 @@ impl JointConfig {
         &self.0
     }
 
+    /// Whether every joint value is finite (no NaN or ±inf).
+    pub fn is_finite(&self) -> bool {
+        self.0.iter().all(|q| q.is_finite())
+    }
+
     /// Mutable access to the joint values.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.0

@@ -1,8 +1,7 @@
 //! Circuit breaker: quarantine a persistently faulty instance.
 //!
-//! The per-instance strike streak lives in
-//! [`AcceleratorPool`](mpaccel_core::pool::AcceleratorPool); this module
-//! owns the *policy*: how many consecutive faulted dispatches trip the
+//! The per-instance strike streak lives in [`AcceleratorPool`]; this
+//! module owns the *policy*: how many consecutive faulted dispatches trip the
 //! breaker and how long the instance sits out. While quarantined, the
 //! dispatcher simply never acquires the instance, so its load
 //! redistributes to the healthy ones; on expiry it re-enters on probation

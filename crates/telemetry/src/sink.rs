@@ -6,7 +6,7 @@
 //! * Each unit of traced work installs a [`TelemetrySession`] *stream*
 //!   (a `(name, index)` label) on its thread with
 //!   [`TelemetrySession::install`]. Recording goes to a plain thread-local
-//!   [`LocalSink`] — no locks, no atomics on the hot path.
+//!   `LocalSink` — no locks, no atomics on the hot path.
 //! * Timestamps come from a **monotone cursor**: [`set_time`] advances it
 //!   to the caller's virtual time, and every recorded event consumes one
 //!   cursor tick, so ordering within a stream is strict and total.

@@ -5,7 +5,7 @@
 //! — the streaming-update path of Fig 11, step 1.
 //!
 //! Each tick first *revalidates* the remaining plan against the updated
-//! world as one rake-style motion stream ([`RakeValidator`]); the planner
+//! world as one motion stream ([`check_motion`]); the planner
 //! runs only when the sweep actually invalidates the plan, which is how a
 //! deployed controller keeps most ticks at pure validation cost.
 //!
@@ -14,7 +14,7 @@
 //! ```
 
 use mpaccel::accel::mpaccel::{MpAccelSystem, SystemConfig};
-use mpaccel::collision::{RakeValidator, SoftwareChecker};
+use mpaccel::collision::{check_motion, SoftwareChecker};
 use mpaccel::geometry::{Aabb, Vec3};
 use mpaccel::octree::{Octree, Scene, SceneConfig};
 use mpaccel::planner::mpnet::{plan, MpnetConfig};
@@ -22,15 +22,11 @@ use mpaccel::planner::queries::generate_queries;
 use mpaccel::planner::sampler::OracleSampler;
 use mpaccel::robot::{JointConfig, Motion, RobotModel};
 
-/// Rake-validates the remaining waypoints against the tick's octree.
-fn plan_still_valid(
-    checker: &mut SoftwareChecker,
-    rake: &mut RakeValidator,
-    path: &[JointConfig],
-) -> bool {
+/// Validates the remaining waypoints against the tick's octree.
+fn plan_still_valid(checker: &mut SoftwareChecker, path: &[JointConfig]) -> bool {
     path.windows(2).all(|w| {
         let edge = Motion::new(w[0].clone(), w[1].clone());
-        !rake.check_motion(checker, &edge, 0.04).colliding
+        !check_motion(checker, &edge, 0.04).colliding
     })
 }
 
@@ -45,7 +41,6 @@ fn main() {
     let ticks = 8;
     let mut current = query.start.clone();
     let mut remaining: Vec<JointConfig> = Vec::new();
-    let mut rake = RakeValidator::new();
     for tick in 0..ticks {
         // The intruding obstacle slides across the workspace in y.
         let y = -0.8 + 1.6 * tick as f32 / (ticks - 1) as f32;
@@ -55,8 +50,8 @@ fn main() {
         let mut checker = SoftwareChecker::new(robot.clone(), octree.clone());
 
         // Revalidate what's left of the previous plan under the moved
-        // obstacle; skip the planner when the rake stream stays clear.
-        if remaining.len() > 1 && plan_still_valid(&mut checker, &mut rake, &remaining) {
+        // obstacle; skip the planner when the motion stream stays clear.
+        if remaining.len() > 1 && plan_still_valid(&mut checker, &remaining) {
             println!(
                 "{tick:>4}  {y:>10.2}  keep      yes     {:>9}  {:>12}  -",
                 remaining.len(),

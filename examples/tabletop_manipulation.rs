@@ -7,7 +7,7 @@
 //! ```
 
 use mpaccel::accel::mpaccel::{MpAccelSystem, SystemConfig};
-use mpaccel::collision::{RakeValidator, SoftwareChecker};
+use mpaccel::collision::{check_motion, SoftwareChecker};
 use mpaccel::geometry::{Aabb, Vec3};
 use mpaccel::octree::Scene;
 use mpaccel::planner::batch::mpnet_stream;
@@ -113,13 +113,12 @@ fn main() {
         total_ms
     );
 
-    // Certify the stitched trajectory end-to-end as one rake stream
+    // Certify the stitched trajectory end-to-end as one motion stream
     // through the still-hot checker before handing it to the controller.
     if trajectory.len() > 1 {
-        let mut rake = RakeValidator::new();
         let clear = trajectory.windows(2).all(|w| {
             let edge = Motion::new(w[0].clone(), w[1].clone());
-            !rake.check_motion(&mut checker, &edge, 0.04).colliding
+            !check_motion(&mut checker, &edge, 0.04).colliding
         });
         println!(
             "final certification over {} waypoints: {}",
