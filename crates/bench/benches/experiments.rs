@@ -151,11 +151,10 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// Microbenchmarks of the batch planning engine's two hot kernels: motion
-/// validation through the shared checker (`check_motion`) and the
-/// per-round cross-query gather (eight lanes' nearest-neighbour lookups
-/// against a grown SoA tree).
-fn bench_batch_engine(c: &mut Criterion) {
+/// Microbenchmarks of the two kernels every sampling planner repeats per
+/// expansion: motion validation (`check_motion`) and eight
+/// nearest-neighbour lookups against a grown SoA tree (`Tree::nearest`).
+fn bench_planner_kernels(c: &mut Criterion) {
     use mp_collision::{check_motion, SoftwareChecker};
     use mp_octree::{Scene, SceneConfig};
     use mp_planner::rrt::Tree;
@@ -169,22 +168,21 @@ fn bench_batch_engine(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(42);
 
     // A mid-length motion between two sampled configurations — the shape
-    // of one pending batch edge.
+    // of one tree-extension edge.
     let motion = Motion::new(robot.sample_config(&mut rng), robot.sample_config(&mut rng));
 
-    // A grown tree (4096 nodes) plus one round of lane targets.
+    // A grown tree (4096 nodes) plus eight sampled targets.
     let mut grown = Tree::new(robot.home());
     for i in 0..4095 {
         grown.push(robot.sample_config(&mut rng), i / 2);
     }
     let targets: Vec<_> = (0..8).map(|_| robot.sample_config(&mut rng)).collect();
 
-    let mut g = c.benchmark_group("batch_engine");
+    let mut g = c.benchmark_group("planner_kernels");
     g.bench_function("check_motion", |b| {
         b.iter(|| black_box(check_motion(&mut checker, black_box(&motion), 0.04).colliding))
     });
-    g.bench_function("cross_query_gather", |b| {
-        // One lockstep round's gather: all eight lanes' NN scans.
+    g.bench_function("tree_nearest_x8", |b| {
         b.iter(|| {
             let mut acc = 0usize;
             for t in &targets {
@@ -241,7 +239,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernels,
-    bench_batch_engine,
+    bench_planner_kernels,
     bench_telemetry_overhead,
     bench_table2,
     bench_fig01b,

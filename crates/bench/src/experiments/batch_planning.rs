@@ -1,21 +1,19 @@
-//! Cross-query batched planning — the batch engine's contract and payoff,
-//! measured head-to-head. The sequential baseline plans each query with
-//! its own freshly built checker (octree clone + cold FK scratch); the
-//! batched run streams every lane of a scene through one shared checker
-//! (`mp_planner::batch`), each edge validated pose by pose with
-//! `check_motion`. The table pins the contract: identical per-lane plans
-//! and CD counts, with the per-scene checker builds collapsed from
-//! one-per-query to one.
+//! Shared-checker planning, measured head-to-head. The baseline plans
+//! each query with its own freshly built checker (octree clone + cold FK
+//! scratch); the shared run plans a scene's queries one after another on
+//! one checker, attributing each query's work with
+//! `mp_collision::attributed`. The table pins that the two agree — the
+//! same plans, node counts and full `CdStats` per query — with the
+//! per-scene checker builds collapsed from one-per-query to one.
 //!
-//! All reported numbers are deterministic (counters, not walls); the
-//! wall-clock payoff shows up in `BENCH.json` and in the criterion
-//! microbenches (`check_motion`, `cross_query_gather`). The "rake-replay"
-//! wording in the printed notes names the replay stream below; it is kept
-//! so the committed report stays byte-identical.
+//! All reported numbers are deterministic (counters, not walls). The
+//! printed title and notes keep the wording of the lockstep batch engine
+//! this experiment once measured ("Batched planning engine", "lanes",
+//! "rake-replay"), so the committed report stays byte-identical; a
+//! "lane" is one query.
 
-use mp_collision::{check_motion, CollisionChecker, SoftwareChecker};
+use mp_collision::{attributed, check_motion, CollisionChecker, SoftwareChecker};
 use mp_octree::benchmark_scenes;
-use mp_planner::batch::{rrt_connect_batch, BatchQuery};
 use mp_planner::queries::generate_queries;
 use mp_planner::rrt::{rrt_connect, RrtConfig};
 use mp_robot::{Motion, RobotModel};
@@ -23,21 +21,21 @@ use mp_robot::{Motion, RobotModel};
 use crate::report::Report;
 use crate::workloads::Scale;
 
-/// One scene's sequential-vs-batched comparison.
+/// One scene's fresh-vs-shared checker comparison.
 #[derive(Clone, Debug)]
 pub struct ScenePoint {
     /// Scene index within [`benchmark_scenes`].
     pub scene: usize,
-    /// Lanes (queries) planned in the scene.
+    /// Queries ("lanes") planned in the scene.
     pub lanes: usize,
-    /// Lanes solved (identical between the two runs by contract).
+    /// Queries solved (identical between the two runs).
     pub solved: usize,
-    /// Total CD pose checks of the batched run (also identical).
+    /// Total CD pose checks of the shared-checker run (also identical).
     pub cd_checks: u64,
-    /// Checkers built by the sequential baseline (one per query).
+    /// Checkers built by the fresh-checker baseline (one per query).
     pub seq_checkers: usize,
-    /// Whether every lane's path, node count and CD-query count matched
-    /// the sequential run exactly.
+    /// Whether every query's path, node count, CD-query count and full
+    /// `CdStats` matched between the two runs.
     pub identical: bool,
     /// CD pose checks spent re-validating the solved plans as one motion
     /// stream through the still-hot shared checker.
@@ -47,9 +45,8 @@ pub struct ScenePoint {
     pub replay_all_valid: bool,
 }
 
-/// Plans every scene's query block twice — sequentially with fresh
-/// checkers, then batched over one shared checker — and compares
-/// lane-for-lane.
+/// Plans every scene's queries twice — each with a fresh checker, then
+/// one after another on one shared checker — and compares query by query.
 pub fn data(scale: Scale) -> Vec<ScenePoint> {
     let robot = RobotModel::jaco2();
     let (n_scenes, per_scene, replay_rounds) = match scale {
@@ -61,32 +58,32 @@ pub fn data(scale: Scale) -> Vec<ScenePoint> {
     let mut out = Vec::with_capacity(scenes.len());
     for (si, scene) in scenes.iter().enumerate() {
         let tree = scene.octree();
-        let queries: Vec<BatchQuery> = generate_queries(&robot, scene, per_scene, 900 + si as u64)
-            .expect("benchmark scenes yield valid queries")
-            .into_iter()
-            .enumerate()
-            .map(|(qi, q)| BatchQuery {
-                start: q.start,
-                goal: q.goal,
-                seed: (si * 1000 + qi) as u64,
-            })
-            .collect();
-        // Sequential baseline: every query pays its own checker build.
-        let seq: Vec<_> = queries
+        let queries = generate_queries(&robot, scene, per_scene, 900 + si as u64)
+            .expect("benchmark scenes yield valid queries");
+        let seed = |qi: usize| (si * 1000 + qi) as u64;
+        // Baseline: every query pays its own checker build.
+        let fresh: Vec<_> = queries
             .iter()
-            .map(|q| {
+            .enumerate()
+            .map(|(qi, q)| {
                 let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
-                rrt_connect(&mut checker, &q.start, &q.goal, &cfg, q.seed)
+                let o = rrt_connect(&mut checker, &q.start, &q.goal, &cfg, seed(qi));
+                (o, checker.stats())
             })
             .collect();
-        // Batched: one checker, all lanes in lockstep.
+        // Shared: one checker, queries one after another.
         let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
-        let batched = rrt_connect_batch(&mut checker, &queries, &cfg);
-        let identical = seq.iter().zip(&batched).all(|(s, b)| {
-            s.path == b.outcome.path
-                && s.nodes == b.outcome.nodes
-                && s.cd_queries == b.outcome.cd_queries
-                && s.cd_queries == b.stats.pose_queries
+        let shared: Vec<_> = queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| {
+                attributed(&mut checker, |c| {
+                    rrt_connect(c, &q.start, &q.goal, &cfg, seed(qi))
+                })
+            })
+            .collect();
+        let identical = fresh.iter().zip(&shared).all(|((f, fs), (s, ss))| {
+            f.path == s.path && f.nodes == s.nodes && f.cd_queries == s.cd_queries && fs == ss
         });
         let plan_checks = checker.stats().pose_queries;
         // Replay: every solved plan's edges re-validated as one motion
@@ -94,8 +91,8 @@ pub fn data(scale: Scale) -> Vec<ScenePoint> {
         // of a motion server streaming certified plans back out.
         let mut replay_all_valid = true;
         for _ in 0..replay_rounds {
-            for b in &batched {
-                let Some(path) = &b.outcome.path else {
+            for (o, _) in &shared {
+                let Some(path) = &o.path else {
                     continue;
                 };
                 for w in path.windows(2) {
@@ -109,7 +106,7 @@ pub fn data(scale: Scale) -> Vec<ScenePoint> {
         out.push(ScenePoint {
             scene: si,
             lanes: queries.len(),
-            solved: batched.iter().filter(|b| b.outcome.solved()).count(),
+            solved: shared.iter().filter(|(o, _)| o.solved()).count(),
             cd_checks: plan_checks,
             seq_checkers: queries.len(),
             identical,

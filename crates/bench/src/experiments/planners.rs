@@ -8,10 +8,9 @@
 
 use mp_collision::SoftwareChecker;
 use mp_octree::benchmark_scenes;
-use mp_planner::batch::{mpnet_stream, rrt_batch, rrt_connect_batch, BatchQuery};
-use mp_planner::mpnet::MpnetConfig;
+use mp_planner::mpnet::{plan, MpnetConfig};
 use mp_planner::queries::generate_queries;
-use mp_planner::rrt::RrtConfig;
+use mp_planner::rrt::{rrt, rrt_connect, RrtConfig};
 use mp_planner::sampler::OracleSampler;
 use mp_robot::{JointConfig, RobotModel};
 
@@ -29,6 +28,19 @@ pub struct PlannerStats {
     pub avg_cd_queries: f64,
     /// Mean C-space path length of solved queries.
     pub avg_path_length: f64,
+}
+
+impl PlannerStats {
+    /// Counts one attempted query; solved ones feed the sums that
+    /// [`data`] turns into means.
+    fn record(&mut self, path: Option<&[JointConfig]>, cd_queries: u64) {
+        self.attempted += 1;
+        if let Some(p) = path {
+            self.solved += 1;
+            self.avg_cd_queries += cd_queries as f64;
+            self.avg_path_length += path_length(p) as f64;
+        }
+    }
 }
 
 fn path_length(path: &[JointConfig]) -> f32 {
@@ -55,75 +67,33 @@ pub fn data(scale: Scale) -> Vec<(&'static str, PlannerStats)> {
         ("RRT", PlannerStats::default()),
         ("RRT-Connect", PlannerStats::default()),
     ];
-    // Each planner runs its whole per-scene query block through the
-    // cross-query batch engine: one shared checker per (scene, planner),
-    // all edge validations streamed together. Per-query outcomes are
-    // bit-identical to the old one-checker-per-query loop (see
-    // `mp_planner::batch`), so the aggregates below are unchanged.
+    // Each planner plans a scene's queries one after another on its own
+    // shared checker, so the octree is cloned once per (scene, planner).
     for (si, scene) in scenes.iter().enumerate() {
         let tree = scene.octree();
-        let queries: Vec<BatchQuery> =
-            generate_queries(&robot, scene, queries_per_scene, 300 + si as u64)
-                .expect("benchmark scenes yield valid queries")
-                .into_iter()
-                .enumerate()
-                .map(|(qi, q)| BatchQuery {
-                    start: q.start,
-                    goal: q.goal,
-                    seed: (si * 100 + qi) as u64,
-                })
-                .collect();
-        // MPNet-style.
-        {
-            let s = &mut out[0].1;
-            let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
-            let mpnet_queries: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let cfg = MpnetConfig {
-                        seed: q.seed,
-                        ..MpnetConfig::default()
-                    };
-                    (q.start.clone(), q.goal.clone(), cfg)
-                })
-                .collect();
-            let results = mpnet_stream(&mut checker, &mpnet_queries, |i| {
-                OracleSampler::new(robot.clone(), queries[i].seed)
-            });
-            for r in results {
-                s.attempted += 1;
-                if let Some(p) = &r.outcome.path {
-                    s.solved += 1;
-                    s.avg_cd_queries += r.outcome.stats.cd_queries as f64;
-                    s.avg_path_length += path_length(p) as f64;
-                }
-            }
+        let queries = generate_queries(&robot, scene, queries_per_scene, 300 + si as u64)
+            .expect("benchmark scenes yield valid queries");
+        let seed = |qi: usize| (si * 100 + qi) as u64;
+        let rrt_cfg = RrtConfig::default();
+        let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
+        for (qi, q) in queries.iter().enumerate() {
+            let cfg = MpnetConfig {
+                seed: seed(qi),
+                ..MpnetConfig::default()
+            };
+            let mut sampler = OracleSampler::new(robot.clone(), seed(qi));
+            let o = plan(&mut checker, &mut sampler, &q.start, &q.goal, &cfg);
+            out[0].1.record(o.path.as_deref(), o.stats.cd_queries);
         }
-        // RRT.
-        {
-            let s = &mut out[1].1;
-            let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
-            for r in rrt_batch(&mut checker, &queries, &RrtConfig::default()) {
-                s.attempted += 1;
-                if let Some(p) = &r.outcome.path {
-                    s.solved += 1;
-                    s.avg_cd_queries += r.outcome.cd_queries as f64;
-                    s.avg_path_length += path_length(p) as f64;
-                }
-            }
+        let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
+        for (qi, q) in queries.iter().enumerate() {
+            let o = rrt(&mut checker, &q.start, &q.goal, &rrt_cfg, seed(qi));
+            out[1].1.record(o.path.as_deref(), o.cd_queries);
         }
-        // RRT-Connect.
-        {
-            let s = &mut out[2].1;
-            let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
-            for r in rrt_connect_batch(&mut checker, &queries, &RrtConfig::default()) {
-                s.attempted += 1;
-                if let Some(p) = &r.outcome.path {
-                    s.solved += 1;
-                    s.avg_cd_queries += r.outcome.cd_queries as f64;
-                    s.avg_path_length += path_length(p) as f64;
-                }
-            }
+        let mut checker = SoftwareChecker::new(robot.clone(), tree);
+        for (qi, q) in queries.iter().enumerate() {
+            let o = rrt_connect(&mut checker, &q.start, &q.goal, &rrt_cfg, seed(qi));
+            out[2].1.record(o.path.as_deref(), o.cd_queries);
         }
     }
     for (_, s) in &mut out {

@@ -5,8 +5,7 @@ use std::sync::Arc;
 use mp_collision::SoftwareChecker;
 use mp_geometry::{AabbF, Obb};
 use mp_octree::{benchmark_scenes, Octree, Scene};
-use mp_planner::batch::mpnet_stream;
-use mp_planner::mpnet::MpnetConfig;
+use mp_planner::mpnet::{plan, MpnetConfig};
 use mp_planner::queries::generate_queries;
 use mp_planner::sampler::OracleSampler;
 use mp_robot::{MotionDescriptor, RobotModel};
@@ -171,29 +170,24 @@ impl BenchWorkload {
                 90 + seed.wrapping_mul(0x9E37_79B9) + si as u64,
             )
             .expect("benchmark scenes yield valid queries");
-            // All of a scene's queries stream through one shared checker
-            // (cross-query batch engine): the octree clone and traversal
-            // buffers are paid once per scene, and the per-query traces
-            // are bit-identical to the old one-checker-per-query loop.
-            let qseed = |qi: usize| seed.wrapping_mul(0x85EB_CA6B) + (si * 1000 + qi) as u64;
-            let stream: Vec<_> = queries
+            // All of a scene's queries are planned one after another on
+            // one shared checker: the octree clone and traversal buffers
+            // are paid once per scene, and each query's trace is the one
+            // a fresh checker would record.
+            let mut checker = SoftwareChecker::new(robot.clone(), octrees[si].clone());
+            queries
                 .iter()
                 .enumerate()
                 .map(|(qi, q)| {
+                    let qseed = seed.wrapping_mul(0x85EB_CA6B) + (si * 1000 + qi) as u64;
                     let cfg = MpnetConfig {
-                        seed: qseed(qi),
+                        seed: qseed,
                         ..MpnetConfig::default()
                     };
-                    (q.start.clone(), q.goal.clone(), cfg)
+                    let mut sampler = OracleSampler::new(robot.clone(), qseed);
+                    plan(&mut checker, &mut sampler, &q.start, &q.goal, &cfg).trace
                 })
-                .collect();
-            let mut checker = SoftwareChecker::new(robot.clone(), octrees[si].clone());
-            mpnet_stream(&mut checker, &stream, |qi| {
-                OracleSampler::new(robot.clone(), qseed(qi))
-            })
-            .into_iter()
-            .map(|r| r.outcome.trace)
-            .collect()
+                .collect()
         });
         let mut traces = Vec::new();
         let mut batches = Vec::new();

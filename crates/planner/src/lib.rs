@@ -18,14 +18,19 @@
 //! * [`tiers`] — the graceful-degradation ladder (full MPNet → reduced
 //!   MPNet → budgeted RRT-Connect → coarse-octree RRT) the planning
 //!   service steps overloaded requests down,
-//! * [`batch`] — the cross-query batched planning engine: lockstep tree
-//!   growth over one shared validation stream per scene, bit-identical to
-//!   the sequential planners lane-for-lane.
+//! * [`certify`] — the independent plan certifier that re-checks a
+//!   returned path through its own software checker.
+//!
+//! Every planner takes `&mut impl CollisionChecker` and counts its work
+//! as the checker's counter delta, so a caller planning many queries on
+//! one scene builds one checker and reuses it query after query; wrapping
+//! each call in [`mp_collision::attributed`] yields that query's
+//! [`mp_collision::CdStats`], identical to what a fresh checker would
+//! have accumulated (`tests/shared_checker.rs` in the facade crate).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod certify;
 pub mod mpnet;
 pub mod nn;
@@ -34,10 +39,6 @@ pub mod rrt;
 pub mod sampler;
 pub mod tiers;
 
-pub use batch::{
-    mpnet_stream, plan_at_tier_batch, rrt_batch, rrt_connect_batch, BatchLaneOutcome,
-    BatchPlanOutcome, BatchQuery,
-};
 pub use certify::{CertifyOutcome, PlanCertifier, CERTIFY_QUERY_MODELED_US};
 pub use mpnet::{
     plan, plan_with_fallback, BudgetResource, FallbackPlanOutcome, MpnetConfig, PlanBudget,

@@ -18,7 +18,7 @@ use mp_sim::{EnergyLedger, OpCounter};
 use mpaccel_core::sas::FunctionMode;
 use mpaccel_core::trace::{PlannerTrace, TraceEvent};
 
-use crate::rrt::{rrt_connect, RrtConfig, RrtOutcome};
+use crate::rrt::{dedup, rrt_connect, RrtConfig, RrtOutcome};
 use crate::sampler::NeuralSampler;
 
 /// Modeled microseconds per collision-detection pose query: ~100 CECDU
@@ -391,7 +391,7 @@ pub fn plan(
     if path.first() != Some(start) {
         path.reverse();
     }
-    dedup_consecutive(&mut path);
+    dedup(&mut path);
     stats.coarse_waypoints = path.len();
 
     // --- Phase 2: feasibility checking + neural replanning. ---
@@ -481,7 +481,7 @@ pub fn plan(
                 } else {
                     path.insert(bad + 1, detour);
                 }
-                dedup_consecutive(&mut path);
+                dedup(&mut path);
             }
         }
     }
@@ -667,11 +667,6 @@ fn greedy_shortcut(
         }
         i += 1;
     }
-}
-
-/// Removes consecutive duplicate waypoints.
-fn dedup_consecutive(path: &mut Vec<JointConfig>) {
-    path.dedup_by(|a, b| a.distance(b) < 1e-6);
 }
 
 #[cfg(test)]

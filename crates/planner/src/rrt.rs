@@ -58,8 +58,9 @@ impl RrtOutcome {
     }
 }
 
-/// Nearest-neighbour block width: 8 × f32, matching the geometry crate's
-/// lane-blocked kernels (one AVX register).
+/// Nearest-neighbour block width: eight nodes' squared distances
+/// accumulate side by side in a fixed-size array, which the compiler can
+/// keep in registers and vectorize (8 × f32 is one 256-bit vector).
 const NN_LANES: usize = 8;
 
 /// A growing RRT tree in joint-major SoA layout, with an 8-lane blocked
@@ -182,7 +183,7 @@ impl Tree {
     }
 }
 
-pub(crate) fn steer(from: &JointConfig, to: &JointConfig, step: f32) -> JointConfig {
+fn steer(from: &JointConfig, to: &JointConfig, step: f32) -> JointConfig {
     let d = from.distance(to);
     if d <= step {
         to.clone()
@@ -239,6 +240,9 @@ pub fn rrt(
         {
             let mut path = tree.path_to_root(tree.len() - 1);
             path.push(goal.clone());
+            // A goal-biased sample within one step of the tree steers
+            // exactly onto the goal, which is then already the last node.
+            dedup(&mut path);
             return RrtOutcome {
                 path: Some(path),
                 nodes: tree.len(),
@@ -328,6 +332,7 @@ pub fn rrt_connect(
     }
 }
 
+/// Removes consecutive duplicate waypoints.
 pub(crate) fn dedup(path: &mut Vec<JointConfig>) {
     path.dedup_by(|a, b| a.distance(b) < 1e-6);
 }
@@ -365,6 +370,24 @@ mod tests {
                 .distance(&JointConfig::new(vec![1.5, -0.5]))
                 < 1e-5
         );
+    }
+
+    #[test]
+    fn rrt_never_repeats_the_goal() {
+        // Start within one steering step of the goal: on seed 0 a
+        // goal-biased sample steers exactly onto the goal before the
+        // goal-connection step appends it.
+        let robot = RobotModel::planar_2dof();
+        let mut checker = SoftwareChecker::new(robot, Octree::build(&[], 3));
+        let goal = JointConfig::new(vec![0.3, 0.0]);
+        let out = rrt(
+            &mut checker,
+            &JointConfig::zeros(2),
+            &goal,
+            &RrtConfig::default(),
+            0,
+        );
+        assert_eq!(out.path, Some(vec![JointConfig::zeros(2), goal]));
     }
 
     #[test]

@@ -212,8 +212,8 @@ pub fn plan_at_tier_with_path(
         mp_telemetry::arg1("tier", mp_telemetry::ArgValue::Str(tier.label())),
     );
     // The attempt's energy is the checker's counter delta priced by the
-    // energy model — the same attribution the batched entry point derives
-    // per lane, so sequential and batched outcomes stay bit-identical.
+    // energy model, so the outcome is the same on a fresh checker and on
+    // one shared with earlier queries.
     let ((mut outcome, path), cd_work) =
         mp_collision::attributed(checker, |c| match tier.mpnet_config(seed) {
             Some(cfg) => {

@@ -11,10 +11,9 @@
 
 use mp_collision::SoftwareChecker;
 use mp_octree::{Octree, Scene};
-use mp_planner::batch::{plan_at_tier_batch, BatchQuery};
 use mp_planner::queries::generate_queries;
 use mp_planner::sampler::OracleSampler;
-use mp_planner::{PlanCertifier, QualityTier};
+use mp_planner::{plan_at_tier_with_path, PlanCertifier, QualityTier};
 use mp_robot::RobotModel;
 use mp_telemetry::{self as telemetry, arg1, ArgValue, TelemetrySession};
 use threadpool::ThreadPool;
@@ -116,15 +115,14 @@ impl PlanCatalog {
                 // the catalog are the real software-cascade costs of the
                 // produced paths.
                 let mut certifier = PlanCertifier::new(robot.clone(), scene.obstacles(), 4);
-                // Tier-major batched build: all of the scene's queries are
-                // planned at one tier through one shared checker (the
-                // cross-query batch engine), so the octree clone and the
-                // checker's traversal state are paid once per (scene,
-                // tier) instead of once per (query, tier). Per-entry
-                // outcomes are bit-identical to the old query-major loop —
-                // seeds depend only on the (scene, query, tier)
-                // coordinates, and the batch engine matches the sequential
-                // planners lane-for-lane.
+                // Tier-major build: all of the scene's queries are planned
+                // at one tier, one after another, on one shared checker,
+                // so the octree clone and the checker's traversal state
+                // are paid once per (scene, tier) instead of once per
+                // (query, tier). Seeds depend only on the (scene, query,
+                // tier) coordinates, and every planner counts its work as
+                // the checker's counter delta, so each entry is the one a
+                // fresh checker would produce.
                 let mut rows = vec![
                     [CatalogEntry {
                         solved: false,
@@ -143,23 +141,21 @@ impl PlanCatalog {
                         "tier_batch",
                         arg1("tier", ArgValue::Str(tier.label())),
                     );
-                    let lanes: Vec<BatchQuery> = queries
-                        .iter()
-                        .enumerate()
-                        .map(|(qi, q)| BatchQuery {
-                            start: q.start.clone(),
-                            goal: q.goal.clone(),
-                            seed: seed
-                                .wrapping_mul(0x85EB_CA6B)
-                                .wrapping_add((si * 10_000 + qi * 10 + tier.index()) as u64),
-                        })
-                        .collect();
                     let mut checker =
                         SoftwareChecker::new(robot.clone(), depths[tier.index()].clone());
-                    let planned = plan_at_tier_batch(&mut checker, &lanes, tier, |i| {
-                        OracleSampler::new(robot.clone(), lanes[i].seed)
-                    });
-                    for (qi, (out, path)) in planned.into_iter().enumerate() {
+                    for (qi, q) in queries.iter().enumerate() {
+                        let qseed = seed
+                            .wrapping_mul(0x85EB_CA6B)
+                            .wrapping_add((si * 10_000 + qi * 10 + tier.index()) as u64);
+                        let mut sampler = OracleSampler::new(robot.clone(), qseed);
+                        let (out, path) = plan_at_tier_with_path(
+                            &mut checker,
+                            &mut sampler,
+                            &q.start,
+                            &q.goal,
+                            tier,
+                            qseed,
+                        );
                         let cert = path.filter(|_| out.solved).map(|p| certifier.certify(&p));
                         rows[qi][tier.index()] = CatalogEntry {
                             solved: out.solved,

@@ -12,8 +12,7 @@ use mpaccel::accel::mpaccel::{MpAccelSystem, SystemConfig};
 use mpaccel::accel::sas::SasConfig;
 use mpaccel::collision::SoftwareChecker;
 use mpaccel::octree::{Scene, SceneConfig};
-use mpaccel::planner::batch::mpnet_stream;
-use mpaccel::planner::mpnet::MpnetConfig;
+use mpaccel::planner::mpnet::{plan, MpnetConfig};
 use mpaccel::planner::queries::generate_queries;
 use mpaccel::planner::sampler::OracleSampler;
 use mpaccel::robot::RobotModel;
@@ -24,22 +23,25 @@ fn main() {
     let scene = Scene::random(SceneConfig::paper(), 5);
     let octree = scene.octree();
 
-    // A representative multi-query workload, planned through the batch
-    // engine (one shared checker for the scene) — the traces of every
+    // A representative multi-query workload, planned one query after
+    // another on one shared checker for the scene — the traces of every
     // solved query are replayed on each candidate configuration.
     let queries = generate_queries(&robot, &scene, 3, 3).expect("query generation");
     let mut checker = SoftwareChecker::new(robot.clone(), octree.clone());
-    let lanes: Vec<_> = queries
+    let outs: Vec<_> = queries
         .iter()
-        .map(|q| (q.start.clone(), q.goal.clone(), MpnetConfig::default()))
+        .map(|q| {
+            let mut sampler = OracleSampler::new(robot.clone(), 9);
+            plan(
+                &mut checker,
+                &mut sampler,
+                &q.start,
+                &q.goal,
+                &MpnetConfig::default(),
+            )
+        })
+        .filter(|o| o.solved())
         .collect();
-    let outs: Vec<_> = mpnet_stream(&mut checker, &lanes, |_| {
-        OracleSampler::new(robot.clone(), 9)
-    })
-    .into_iter()
-    .filter(|r| r.outcome.solved())
-    .map(|r| r.outcome)
-    .collect();
     if outs.is_empty() {
         println!("no workload query solved; rerun with another seed");
         return;

@@ -1,5 +1,5 @@
-//! Quickstart: plan a block of motions for a 7-DOF Baxter arm through the
-//! cross-query batch engine, then replay one plan on the MPAccel
+//! Quickstart: plan a block of motions for a 7-DOF Baxter arm on one
+//! shared collision checker, then replay one plan on the MPAccel
 //! accelerator model.
 //!
 //! ```text
@@ -7,10 +7,9 @@
 //! ```
 
 use mpaccel::accel::mpaccel::{MpAccelSystem, SystemConfig};
-use mpaccel::collision::SoftwareChecker;
+use mpaccel::collision::{attributed, SoftwareChecker};
 use mpaccel::octree::{Scene, SceneConfig};
-use mpaccel::planner::batch::mpnet_stream;
-use mpaccel::planner::mpnet::MpnetConfig;
+use mpaccel::planner::mpnet::{plan, MpnetConfig};
 use mpaccel::planner::queries::generate_queries;
 use mpaccel::planner::sampler::OracleSampler;
 use mpaccel::robot::RobotModel;
@@ -37,12 +36,12 @@ fn main() {
         queries.len()
     );
 
-    // 3. Plan the whole block with the MPNet-style neural planner through
-    // one shared checker — the batch engine amortizes the octree and FK
-    // state across queries, and each lane's outcome is bit-identical to
-    // planning it alone with a fresh checker.
+    // 3. Plan the whole block with the MPNet-style neural planner, one
+    // query after another on one shared checker: the octree and FK state
+    // are built once, and each query's outcome and CD work are exactly
+    // those of planning it alone with a fresh checker.
     let mut checker = SoftwareChecker::new(robot.clone(), octree.clone());
-    let lanes: Vec<_> = queries
+    let results: Vec<_> = queries
         .iter()
         .enumerate()
         .map(|(i, q)| {
@@ -50,27 +49,27 @@ fn main() {
                 seed: i as u64,
                 ..MpnetConfig::default()
             };
-            (q.start.clone(), q.goal.clone(), cfg)
+            let mut sampler = OracleSampler::new(robot.clone(), i as u64);
+            attributed(&mut checker, |c| {
+                plan(c, &mut sampler, &q.start, &q.goal, &cfg)
+            })
         })
         .collect();
-    let results = mpnet_stream(&mut checker, &lanes, |i| {
-        OracleSampler::new(robot.clone(), i as u64)
-    });
-    for (i, r) in results.iter().enumerate() {
-        match &r.outcome.path {
+    for (i, (out, stats)) in results.iter().enumerate() {
+        match &out.path {
             Some(path) => println!(
                 "  query {i}: {} waypoints, {:.2} rad, {} CD pose queries, {} NN inferences",
                 path.len(),
-                r.outcome.path_length().unwrap(),
-                r.stats.pose_queries,
-                r.outcome.stats.nn_calls
+                out.path_length().unwrap(),
+                stats.pose_queries,
+                out.stats.nn_calls
             ),
             None => println!("  query {i}: unsolved (may be infeasible at this seed)"),
         }
     }
 
     // 4. Replay one recorded trace on the MPAccel hardware model.
-    let Some(out) = results.iter().map(|r| &r.outcome).find(|o| o.solved()) else {
+    let Some(out) = results.iter().map(|(o, _)| o).find(|o| o.solved()) else {
         println!("no query solved — rerun with another scene seed");
         return;
     };

@@ -10,8 +10,7 @@
 use mpaccel::collision::self_collision::SelfCollisionMatrix;
 use mpaccel::collision::{check_path, SoftwareChecker};
 use mpaccel::octree::{Scene, SceneConfig};
-use mpaccel::planner::batch::mpnet_stream;
-use mpaccel::planner::mpnet::MpnetConfig;
+use mpaccel::planner::mpnet::{plan, MpnetConfig};
 use mpaccel::planner::queries::generate_queries;
 use mpaccel::planner::sampler::OracleSampler;
 use mpaccel::robot::{Motion, RobotModel};
@@ -22,26 +21,19 @@ fn main() {
     let octree = scene.octree();
     let query = generate_queries(&robot, &scene, 1, 5).expect("query generation")[0].clone();
 
-    // Plan: the planner is stochastic, so stream several seed attempts as
-    // lanes through one shared checker and keep the first that solves.
-    // Each lane is bit-identical to a fresh-checker run on its seed, so
-    // this picks exactly the plan a sequential retry loop would.
+    // Plan: the planner is stochastic, so try several seeds one after
+    // another on one shared checker and keep the first that solves.
     let mut checker = SoftwareChecker::new(robot.clone(), octree.clone());
-    let attempts: Vec<_> = (0..6)
+    let out = (0..6)
         .map(|seed| {
             let cfg = MpnetConfig {
                 seed,
                 ..MpnetConfig::default()
             };
-            (query.start.clone(), query.goal.clone(), cfg)
+            let mut sampler = OracleSampler::new(robot.clone(), seed);
+            plan(&mut checker, &mut sampler, &query.start, &query.goal, &cfg)
         })
-        .collect();
-    let out = mpnet_stream(&mut checker, &attempts, |i| {
-        OracleSampler::new(robot.clone(), i as u64)
-    })
-    .into_iter()
-    .map(|r| r.outcome)
-    .find(|o| o.solved());
+        .find(|o| o.solved());
     let Some(out) = out else {
         println!("no plan found for this query; rerun with another scene seed");
         return;

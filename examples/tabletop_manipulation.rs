@@ -10,8 +10,7 @@ use mpaccel::accel::mpaccel::{MpAccelSystem, SystemConfig};
 use mpaccel::collision::{check_motion, SoftwareChecker};
 use mpaccel::geometry::{Aabb, Vec3};
 use mpaccel::octree::Scene;
-use mpaccel::planner::batch::mpnet_stream;
-use mpaccel::planner::mpnet::MpnetConfig;
+use mpaccel::planner::mpnet::{plan, MpnetConfig};
 use mpaccel::planner::sampler::OracleSampler;
 use mpaccel::robot::{JointConfig, Motion, RobotModel};
 
@@ -56,10 +55,10 @@ fn main() {
         vec![-0.8, 1.6, -1.2, 0.2, -0.3, 0.5],
     ];
 
-    // One shared checker serves the whole task: each segment streams
-    // through it via the batch engine (outcomes are bit-identical to a
-    // fresh checker per segment, but the octree and FK state stay hot),
-    // and the final certification sweep reuses it too.
+    // One shared checker serves the whole task: each segment is planned
+    // on it (outcomes are identical to a fresh checker per segment, but
+    // the octree and FK state stay hot), and the final certification
+    // sweep reuses it too.
     let sys = MpAccelSystem::new(robot.clone(), octree.clone(), SystemConfig::paper_default());
     let mut checker = SoftwareChecker::new(robot.clone(), octree.clone());
     let mut current = robot.home();
@@ -72,15 +71,8 @@ fn main() {
             seed: i as u64,
             ..MpnetConfig::default()
         };
-        // Segment i+1 starts where segment i ended, so segments stream
-        // one lane at a time through the shared checker.
-        let lane = [(current.clone(), goal.clone(), cfg)];
-        let out = mpnet_stream(&mut checker, &lane, |_| {
-            OracleSampler::new(robot.clone(), 100 + i as u64)
-        })
-        .pop()
-        .expect("one lane in, one lane out")
-        .outcome;
+        let mut sampler = OracleSampler::new(robot.clone(), 100 + i as u64);
+        let out = plan(&mut checker, &mut sampler, &current, &goal, &cfg);
         match &out.path {
             Some(path) => {
                 let report = sys.run_trace(&out.trace);
