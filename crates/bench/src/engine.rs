@@ -8,12 +8,11 @@
 //! determinism regression test in `tests/determinism.rs` enforces this —
 //! while wall-clock drops with available cores.
 //!
-//! The engine also meters the run: per-experiment wall-clock plus
-//! process-wide CD-check throughput, serialized as `BENCH.json` (see
-//! [`RunSummary::to_json`]) so the repository's performance trajectory is
-//! machine-readable from commit to commit.
-
-use std::time::{Duration, Instant};
+//! The engine also counts the run's modeled work — process-wide CD checks
+//! and their modeled energy — serialized as `BENCH.json` (see
+//! [`RunSummary::to_json`]). Those counters are deterministic, so CI gates
+//! the committed file byte for byte; host wall time is measured only by
+//! the `mp-benchmark` package.
 
 use mp_robot::RobotModel;
 use mp_telemetry::{Registry, TelemetrySession};
@@ -40,7 +39,7 @@ pub struct Experiment {
 }
 
 /// The full suite in canonical (paper) order — the order `mp-bench all`
-/// prints and `BENCH.json` lists.
+/// prints.
 pub fn experiments() -> Vec<Experiment> {
     macro_rules! exp {
         ($name:ident) => {
@@ -105,165 +104,84 @@ pub fn select(names: &[&str]) -> Result<Vec<Experiment>, String> {
         .collect()
 }
 
-/// One experiment's report plus its wall-clock.
+/// One experiment's rendered report.
 #[derive(Clone, Debug)]
 pub struct ExperimentResult {
     /// Artifact name.
     pub name: &'static str,
     /// The rendered result.
     pub report: Report,
-    /// Wall-clock of this experiment's runner (includes any lazily built
-    /// workloads it triggered).
-    pub wall: Duration,
 }
 
-/// The outcome of one engine run: ordered results plus run-level metrics.
+/// The outcome of one engine run: ordered results plus the run's
+/// deterministic work counters.
 #[derive(Clone, Debug)]
 pub struct RunSummary {
     /// Workload scale of the run.
     pub scale: Scale,
-    /// Thread-pool width used.
-    pub threads: usize,
-    /// Wall-clock of the shared-workload warmup (scene corpus + planner
-    /// traces for the primary robot).
-    pub workload_wall: Duration,
     /// Scenes in the shared workload.
     pub scenes: usize,
     /// Planner traces in the shared workload.
     pub traces: usize,
-    /// Total wall-clock (warmup + all experiments).
-    pub total_wall: Duration,
     /// Pose-level CD checks executed across the whole run.
     pub cd_checks: u64,
     /// Modeled dynamic energy (pJ) of those checks, priced by
     /// `mp_sim::energy` from the process-wide collision op counters.
     pub cd_energy_pj: f64,
     /// Mean CD-datapath microjoules per full-tier planning attempt (the
-    /// soak catalog's J/plan baseline — the figure `perf_compare` gates
-    /// energy regressions against).
+    /// soak catalog's J/plan baseline).
     pub uj_per_plan_full: f64,
     /// Per-experiment results in canonical order.
     pub results: Vec<ExperimentResult>,
 }
 
 impl RunSummary {
-    /// Scenes planned per second during workload warmup.
-    pub fn scenes_per_sec(&self) -> f64 {
-        self.scenes as f64 / self.workload_wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Pose-level CD checks per second across the whole run.
-    pub fn cd_checks_per_sec(&self) -> f64 {
-        self.cd_checks as f64 / self.total_wall.as_secs_f64().max(1e-9)
-    }
-
     /// Mean modeled dynamic energy per pose-level CD check, picojoules.
     pub fn pj_per_cd_check(&self) -> f64 {
         self.cd_energy_pj / self.cd_checks.max(1) as f64
     }
 
-    /// Serializes the run metrics as `BENCH.json` (hand-rolled: the
-    /// workspace is hermetic, no serde). Schema:
+    /// Serializes the run's counters as `BENCH.json` (hand-rolled: the
+    /// workspace is hermetic, no serde). Every value is a pure function
+    /// of the seeds, the scale and the experiments run, so `mp-bench all`
+    /// writes identical bytes at any thread count. (The workload caches are
+    /// per-process: a second run in the same process counts less work.)
+    /// Schema:
     ///
     /// ```json
     /// {
-    ///   "schema": "mpaccel-bench/1",
+    ///   "schema": "mpaccel-bench/2",
     ///   "scale": "quick",
-    ///   "threads": 4,
-    ///   "total_wall_s": 1.23,
-    ///   "workload": {"build_wall_s": 0.4, "scenes": 4, "traces": 12,
-    ///                "scenes_per_sec": 10.0},
+    ///   "workload": {"scenes": 4, "traces": 12},
     ///   "cd_checks": 123456,
-    ///   "cd_checks_per_sec": 100371.0,
     ///   "cd_energy_pj": 987654.3,
     ///   "pj_per_cd_check": 8.001,
-    ///   "uj_per_plan_full": 1.234,
-    ///   "experiments": [{"name": "fig01b", "wall_s": 0.01}, ...]
+    ///   "uj_per_plan_full": 1.234
     /// }
     /// ```
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"mpaccel-bench/1\",\n");
-        s.push_str(&format!(
-            "  \"scale\": \"{}\",\n",
-            match self.scale {
-                Scale::Quick => "quick",
-                Scale::Full => "full",
-            }
-        ));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!(
-            "  \"total_wall_s\": {:.6},\n",
-            self.total_wall.as_secs_f64()
-        ));
-        s.push_str(&format!(
-            "  \"workload\": {{\"build_wall_s\": {:.6}, \"scenes\": {}, \"traces\": {}, \"scenes_per_sec\": {:.3}}},\n",
-            self.workload_wall.as_secs_f64(),
+        let scale = match self.scale {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        };
+        format!(
+            r#"{{
+  "schema": "mpaccel-bench/2",
+  "scale": "{scale}",
+  "workload": {{"scenes": {}, "traces": {}}},
+  "cd_checks": {},
+  "cd_energy_pj": {:.1},
+  "pj_per_cd_check": {:.3},
+  "uj_per_plan_full": {:.3}
+}}
+"#,
             self.scenes,
             self.traces,
-            self.scenes_per_sec(),
-        ));
-        s.push_str(&format!("  \"cd_checks\": {},\n", self.cd_checks));
-        s.push_str(&format!(
-            "  \"cd_checks_per_sec\": {:.1},\n",
-            self.cd_checks_per_sec()
-        ));
-        s.push_str(&format!("  \"cd_energy_pj\": {:.1},\n", self.cd_energy_pj));
-        s.push_str(&format!(
-            "  \"pj_per_cd_check\": {:.3},\n",
-            self.pj_per_cd_check()
-        ));
-        s.push_str(&format!(
-            "  \"uj_per_plan_full\": {:.3},\n",
-            self.uj_per_plan_full
-        ));
-        s.push_str("  \"experiments\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_s\": {:.6}}}{}\n",
-                r.name,
-                r.wall.as_secs_f64(),
-                if i + 1 < self.results.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Renders a human-readable timing table.
-    pub fn timing_report(&self) -> Report {
-        let mut r = Report::new(format!(
-            "Perf summary — {:?} scale, {} thread(s)",
-            self.scale, self.threads
-        ));
-        r.note(format!(
-            "workload warmup {:.3}s ({} scenes, {} traces, {:.1} scenes/sec)",
-            self.workload_wall.as_secs_f64(),
-            self.scenes,
-            self.traces,
-            self.scenes_per_sec(),
-        ));
-        r.note(format!(
-            "total {:.3}s, {} CD checks ({:.0} checks/sec)",
-            self.total_wall.as_secs_f64(),
             self.cd_checks,
-            self.cd_checks_per_sec(),
-        ));
-        r.note(format!(
-            "modeled CD energy {:.3} uJ ({:.2} pJ/check, {:.3} uJ/plan at full tier)",
-            self.cd_energy_pj / 1e6,
+            self.cd_energy_pj,
             self.pj_per_cd_check(),
             self.uj_per_plan_full,
-        ));
-        r.columns(&["experiment", "wall [ms]"]);
-        for res in &self.results {
-            r.row(&[
-                res.name.to_string(),
-                format!("{:.1}", res.wall.as_secs_f64() * 1e3),
-            ]);
-        }
-        r
+        )
     }
 }
 
@@ -274,58 +192,27 @@ impl RunSummary {
 /// workloads — e.g. Baxter's — are built lazily by the first experiment
 /// that needs them, without blocking different-keyed cache hits).
 pub fn run_selected(list: &[Experiment], scale: Scale, pool: &ThreadPool) -> RunSummary {
-    let t0 = Instant::now();
     let checks0 = mp_collision::metrics::pose_checks_total();
     let energy0 = mp_collision::metrics::energy_pj_total();
-    let warm = Instant::now();
     let workload = BenchWorkload::cached(RobotModel::jaco2(), scale);
-    let workload_wall = warm.elapsed();
     let (scenes, traces) = (workload.scenes.len(), workload.traces.len());
     drop(workload);
 
-    let results: Vec<ExperimentResult> = pool.map(list, |_, exp| {
-        let t = Instant::now();
-        let report = (exp.runner)(scale);
-        ExperimentResult {
-            name: exp.name,
-            report,
-            wall: t.elapsed(),
-        }
+    let results: Vec<ExperimentResult> = pool.map(list, |_, exp| ExperimentResult {
+        name: exp.name,
+        report: (exp.runner)(scale),
     });
 
     RunSummary {
         scale,
-        threads: pool.threads(),
-        workload_wall,
         scenes,
         traces,
-        total_wall: t0.elapsed(),
         cd_checks: mp_collision::metrics::pose_checks_total() - checks0,
         cd_energy_pj: mp_collision::metrics::energy_pj_total() - energy0,
         uj_per_plan_full: e::soak::catalog(scale).mean_energy_pj(mp_planner::QualityTier::Full)
             / 1e6,
         results,
     }
-}
-
-/// Writes `BENCH.json` for a run. The path comes from the
-/// `MPACCEL_BENCH_JSON` environment variable, defaulting to
-/// `BENCH.json` in the current directory.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_bench_json(summary: &RunSummary) -> std::io::Result<std::path::PathBuf> {
-    let path = std::env::var("MPACCEL_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("BENCH.json"));
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(&path, summary.to_json())?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -364,7 +251,6 @@ mod tests {
         assert_eq!(summary.results.len(), 2);
         assert_eq!(summary.results[0].name, "fig17");
         assert_eq!(summary.results[1].name, "table2");
-        assert!(summary.total_wall >= summary.results.iter().map(|r| r.wall).max().unwrap());
         assert!(summary.cd_checks > 0, "fig17 replays CD batches");
         assert!(summary.cd_energy_pj > 0.0, "CD work carries energy");
         assert!(summary.pj_per_cd_check() > 0.0);
@@ -373,14 +259,31 @@ mod tests {
             "soak catalog J/plan baseline"
         );
         let json = summary.to_json();
-        assert!(json.contains("\"schema\": \"mpaccel-bench/1\""));
-        assert!(json.contains("\"name\": \"fig17\""));
+        assert!(json.contains("\"schema\": \"mpaccel-bench/2\""));
         assert!(json.contains("\"scale\": \"quick\""));
-        assert!(json.contains("\"cd_energy_pj\""));
-        assert!(json.contains("\"pj_per_cd_check\""));
-        assert!(json.contains("\"uj_per_plan_full\""));
-        // The timing table lists both experiments.
-        let table = summary.timing_report().to_string();
-        assert!(table.contains("fig17") && table.contains("table2"));
+        // Keys are the quoted strings followed by a colon.
+        let parts: Vec<&str> = json.split('"').collect();
+        let keys: Vec<&str> = parts
+            .windows(2)
+            .skip(1)
+            .step_by(2)
+            .filter(|w| w[1].starts_with(':'))
+            .map(|w| w[0])
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "schema",
+                "scale",
+                "workload",
+                "scenes",
+                "traces",
+                "cd_checks",
+                "cd_energy_pj",
+                "pj_per_cd_check",
+                "uj_per_plan_full",
+            ]
+        );
+        assert!(!json.contains("wall"), "no host timing in BENCH.json");
     }
 }

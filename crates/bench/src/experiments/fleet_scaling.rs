@@ -7,7 +7,7 @@
 //!
 //! Thin experiment wrapper around
 //! [`fleet::scaling_report`](crate::experiments::fleet), so the curve
-//! rides the engine: `BENCH.json` timing entry, `results/csv/
+//! rides the engine: `mp-bench all`'s stdout, `results/csv/
 //! fleet_scaling.csv` via `MPACCEL_CSV_DIR`, and the determinism
 //! regression alongside every other experiment.
 

@@ -4,8 +4,6 @@
 //! cargo run --release -p mp-bench -- <experiment> [--out FILE] [--csv FILE]
 //!     [--trace FILE] [--flight FILE] [--metrics FILE] [--timings]
 //! cargo run --release -p mp-bench -- all
-//! cargo run --release -p mp-bench -- perf [experiment...]
-//! cargo run --release -p mp-bench -- perf_compare [BASELINE [FRESH]]
 //! cargo run --release -p mp-bench -- traces [DIR]
 //! ```
 //!
@@ -20,21 +18,16 @@
 //!   `.csv`). `table3 --timings` also prints the host per-query wall-clock
 //!   distribution, which varies run to run and so stays out of the report.
 //! * `all` prints every report in canonical order, writes `BENCH.json`
-//!   (path: `MPACCEL_BENCH_JSON`) and, when `MPACCEL_CSV_DIR` is set, one
-//!   CSV per report. Experiments fan out over `MPACCEL_THREADS` threads;
-//!   stdout is byte-identical at any width.
-//! * `perf` runs the suite (or the named subset), prints only the timing
-//!   summary and writes `BENCH.json`.
-//! * `perf_compare` diffs two `BENCH.json` files (default
-//!   `BENCH.baseline.json` vs `BENCH.json`).
+//!   (the run's modeled CD work and energy; path: `MPACCEL_BENCH_JSON`)
+//!   and, when `MPACCEL_CSV_DIR` is set, one CSV per report. Experiments
+//!   fan out over `MPACCEL_THREADS` threads; stdout, `BENCH.json` and the
+//!   CSVs are byte-identical at any width.
 //! * `traces` generates MPNet traces, stores them as text in `DIR`
 //!   (default `target/mpnet_traces`), and checks that every stored trace
 //!   replays exactly like the in-memory one.
 //!
 //! `MPACCEL_BENCH_SCALE` selects `quick` (default) or `full` (paper-scale)
 //! workloads. Usage errors exit with code 2, write failures with code 1.
-
-mod perf_compare;
 
 use std::fmt::Display;
 use std::fs;
@@ -53,8 +46,6 @@ use threadpool::ThreadPool;
 const USAGE: &str = "usage: mp-bench <experiment> [--out FILE] [--csv FILE] \
 [--trace FILE] [--flight FILE] [--metrics FILE] [--timings]
        mp-bench all
-       mp-bench perf [experiment...]
-       mp-bench perf_compare [BASELINE [FRESH]]
        mp-bench traces [DIR]";
 
 /// The path flags; the last three need an experiment with a capture.
@@ -112,15 +103,8 @@ fn run(args: &[String]) -> Result<(), ExitCode> {
     };
     let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
     match (cmd.as_str(), rest.as_slice()) {
-        ("all", []) => suite(&engine::experiments(), true),
+        ("all", []) => all(),
         ("all", _) => Err(usage_error("`all` takes no arguments")),
-        ("perf", []) => suite(&engine::experiments(), false),
-        ("perf", names) => suite(&select(names)?, false),
-        ("perf_compare", paths) if paths.len() <= 2 => perf_compare::run(
-            paths.first().copied().unwrap_or("BENCH.baseline.json"),
-            paths.get(1).copied().unwrap_or("BENCH.json"),
-        ),
-        ("perf_compare", _) => Err(usage_error("`perf_compare` takes at most two files")),
         ("traces", []) => traces(Path::new("target/mpnet_traces")),
         ("traces", [dir]) => traces(Path::new(dir)),
         ("traces", _) => Err(usage_error("`traces` takes at most one directory")),
@@ -128,43 +112,34 @@ fn run(args: &[String]) -> Result<(), ExitCode> {
     }
 }
 
-/// `all` and `perf`: one engine run over `list`, then `BENCH.json`.
-/// `all` prints every report (and CSVs under `MPACCEL_CSV_DIR`) with the
-/// timings on stderr, so stdout holds only deterministic content; `perf`
-/// prints just the timings.
-fn suite(list: &[Experiment], all: bool) -> Result<(), ExitCode> {
+/// `all`: one engine run over the whole suite. Prints every report,
+/// writes one CSV per report under `MPACCEL_CSV_DIR` and `BENCH.json`.
+/// Both destinations are gated outputs, so their directories are created
+/// before the suite runs and any write failure exits 1.
+fn all() -> Result<(), ExitCode> {
     let scale = scale()?;
-    let pool = ThreadPool::from_env();
-    if all {
-        println!("MPAccel reproduction — full evaluation at {scale:?} scale\n");
-        eprintln!("running with {} thread(s)", pool.threads());
-    }
-    let summary = engine::run_selected(list, scale, &pool);
-    if all {
-        let csv_dir = std::env::var("MPACCEL_CSV_DIR").ok();
-        for r in &summary.results {
-            println!("{}", r.report);
-            if let Some(dir) = &csv_dir {
-                let path = Path::new(dir).join(format!("{}.csv", r.name));
-                if let Err(e) =
-                    fs::create_dir_all(dir).and_then(|()| fs::write(&path, r.report.to_csv()))
-                {
-                    eprintln!("mp-bench: warning: could not write {}: {e}", path.display());
-                }
-            }
+    let bench_json = PathBuf::from(
+        std::env::var_os("MPACCEL_BENCH_JSON").unwrap_or_else(|| "BENCH.json".into()),
+    );
+    let csv_dir = std::env::var_os("MPACCEL_CSV_DIR").map(PathBuf::from);
+    for dir in bench_json.parent().into_iter().chain(csv_dir.as_deref()) {
+        if !dir.as_os_str().is_empty() {
+            fs::create_dir_all(dir).map_err(|e| io_error("create directory", dir, e))?;
         }
-        eprintln!("{}", summary.timing_report());
-    } else {
-        println!("{}", summary.timing_report());
     }
-    // `all` treats BENCH.json as a by-product and only warns; for `perf`
-    // it is the output.
-    match engine::write_bench_json(&summary) {
-        Ok(path) if all => eprintln!("wrote {}", path.display()),
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) if all => eprintln!("mp-bench: warning: could not write BENCH.json: {e}"),
-        Err(e) => return Err(io_error("write", "BENCH.json", e)),
+    let pool = ThreadPool::from_env();
+    println!("MPAccel reproduction — full evaluation at {scale:?} scale\n");
+    eprintln!("running with {} thread(s)", pool.threads());
+    let summary = engine::run_selected(&engine::experiments(), scale, &pool);
+    for r in &summary.results {
+        println!("{}", r.report);
+        if let Some(dir) = &csv_dir {
+            let path = dir.join(format!("{}.csv", r.name));
+            fs::write(&path, r.report.to_csv()).map_err(|e| io_error("write", &path, e))?;
+        }
     }
+    fs::write(&bench_json, summary.to_json()).map_err(|e| io_error("write", &bench_json, e))?;
+    eprintln!("wrote {}", bench_json.display());
     Ok(())
 }
 

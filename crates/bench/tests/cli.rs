@@ -50,7 +50,9 @@ fn usage_errors_exit_two() {
         );
     }
     assert_eq!(code(&["all", "extra"]), Some(2));
-    assert_eq!(code(&["perf", "fig99"]), Some(2));
+    for retired in [&["perf"][..], &["perf", "fig99"], &["perf_compare"]] {
+        assert_eq!(code(retired), Some(2), "{retired:?} is not a command");
+    }
     assert_eq!(code(&["traces", "a", "b"]), Some(2));
 }
 
@@ -74,6 +76,32 @@ fn unwritable_out_path_exits_one() {
         code(&["table2", "--out", path.to_str().expect("utf-8 path")]),
         Some(1)
     );
+}
+
+#[test]
+fn unwritable_suite_outputs_exit_one_before_the_suite_runs() {
+    let dir = scratch_dir("unwritable-suite");
+    let file = dir.join("not-a-directory");
+    std::fs::write(&file, "").expect("create a regular file");
+    for (var, path) in [
+        ("MPACCEL_BENCH_JSON", file.join("BENCH.json")),
+        ("MPACCEL_CSV_DIR", file.join("csv")),
+    ] {
+        // `var` is the one unwritable output; the other stays writable.
+        let out = Command::new(env!("CARGO_BIN_EXE_mp-bench"))
+            .arg("all")
+            .env("MPACCEL_BENCH_SCALE", "quick")
+            .env("MPACCEL_BENCH_JSON", dir.join("BENCH.json"))
+            .env_remove("MPACCEL_CSV_DIR")
+            .env(var, &path)
+            .output()
+            .expect("mp-bench runs");
+        assert_eq!(out.status.code(), Some(1), "{var} under a regular file");
+        assert!(
+            out.stdout.is_empty(),
+            "nothing runs when {var} is unwritable"
+        );
+    }
 }
 
 #[test]

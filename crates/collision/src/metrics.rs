@@ -1,16 +1,16 @@
-//! Process-wide collision-detection throughput counters.
+//! Process-wide collision-detection work counters.
 //!
-//! The benchmark engine reports CD-checks/sec in `BENCH.json`; every
-//! pose-level query — oracle or cycle-level hardware model — records
-//! itself here. The counter is monotone and relaxed (a single uncontended
-//! atomic increment per pose query, invisible next to the FK + traversal
-//! cost of the query itself), and the total is deterministic for a given
-//! workload: only the interleaving of increments varies across thread
-//! counts, never the sum.
+//! Every pose-level query — oracle or cycle-level hardware model —
+//! records itself here, and the benchmark engine reports the run's CD
+//! checks and their modeled energy in `BENCH.json`. The counters are
+//! monotone and relaxed (a single uncontended atomic increment per pose
+//! query, invisible next to the FK + traversal cost of the query itself),
+//! and the totals are deterministic for a given workload: only the
+//! interleaving of increments varies across thread counts, never the sum.
 //!
-//! The storage is an `mp_telemetry::Counter` (the unified metrics layer);
-//! [`record_pose_checks`] / [`pose_checks_total`] remain as thin shims so
-//! existing call sites keep working unchanged.
+//! The storage is `mp_telemetry::Counter`s (the unified metrics layer),
+//! written through [`record_pose_checks`] / [`record_pose_work`] and read
+//! through [`pose_checks_total`] / [`ops_total`].
 
 use mp_telemetry::Counter;
 
