@@ -18,20 +18,38 @@ fn capture_emits_valid_trace_spanning_the_stack_plus_flight_incidents() {
     mp_telemetry::validate_json(&json).expect("exporter must emit valid JSON");
 
     // Spans from each instrumented crate, by category: the planner tiers
-    // and phases, the service event loop, the catalog build fan-out, and
-    // the accelerator core (trace replay / SAS). With the `telemetry`
-    // feature the collision hot kernel shows up too.
-    for cat in ["planner", "service", "catalog", "core"] {
+    // and phases, the service event loop, the catalog build fan-out, the
+    // accelerator core (trace replay / SAS) and the collision hot kernel.
+    for cat in ["planner", "service", "catalog", "core", "collision"] {
         assert!(
             json.contains(&format!("\"cat\":\"{cat}\"")),
             "trace is missing category `{cat}`"
         );
     }
-    #[cfg(feature = "telemetry")]
     assert!(
-        json.contains("\"cat\":\"collision\"") && json.contains("\"name\":\"cd_query\""),
-        "telemetry feature build must include collision hot-kernel spans"
+        json.contains("\"name\":\"cd_query\""),
+        "trace must include the per-pose collision spans"
     );
+
+    // The accelerator replays carry the SAS batch span, the per-pose
+    // CECDU spans and the per-dispatch `cdu/N` lane spans.
+    let accel: Vec<_> = streams.iter().filter(|s| s.label.name == "accel").collect();
+    assert!(!accel.is_empty(), "capture must record `accel/*` streams");
+    for s in &accel {
+        for (lane, name) in [
+            ("main", "sas_batch"),
+            ("main", "cecdu_pose"),
+            ("cdu", "cd_query"),
+        ] {
+            assert!(
+                s.events
+                    .iter()
+                    .any(|e| e.lane.name == lane && e.cat == "core" && e.name == name),
+                "accel/{} lacks a `core/{name}` span on a `{lane}` lane",
+                s.label.index
+            );
+        }
+    }
 
     // The 2x-overloaded faulted run must strand requests past their
     // deadlines, and each miss must leave a flight-recorder snapshot.

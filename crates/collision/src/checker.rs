@@ -211,13 +211,7 @@ impl CollisionChecker for SoftwareChecker {
         if !cfg.is_finite() {
             return true;
         }
-        // Hot path: the sampled query span only exists under the
-        // `telemetry` feature so the default build keeps this kernel free
-        // of instrumentation instructions.
-        #[cfg(feature = "telemetry")]
-        let tele_span = mp_telemetry::sampled_span("collision", "cd_query");
-        #[cfg(feature = "telemetry")]
-        let tele_stats_before = self.stats;
+        let span = mp_telemetry::span("collision", "cd_query");
         let mut frames = std::mem::take(&mut self.frame_buf);
         let mut obbs = std::mem::take(&mut self.obb_buf);
         let mut stack = std::mem::take(&mut self.stack_buf);
@@ -273,18 +267,14 @@ impl CollisionChecker for SoftwareChecker {
         self.frame_buf = frames;
         self.obb_buf = obbs;
         self.stack_buf = stack;
-        #[cfg(feature = "telemetry")]
-        {
-            let box_tests = self.stats.delta_since(&tele_stats_before).box_tests;
-            tele_span.end_with(|| {
-                mp_telemetry::arg2(
-                    "colliding",
-                    mp_telemetry::ArgValue::U64(colliding as u64),
-                    "box_tests",
-                    mp_telemetry::ArgValue::U64(box_tests),
-                )
-            });
-        }
+        span.end_with(|| {
+            mp_telemetry::arg2(
+                "colliding",
+                mp_telemetry::ArgValue::U64(colliding as u64),
+                "box_tests",
+                mp_telemetry::ArgValue::U64(box_tests),
+            )
+        });
         colliding
     }
 

@@ -158,8 +158,7 @@ impl CecduSim {
         if !pose.is_finite() {
             return non_finite_pose();
         }
-        #[cfg(feature = "telemetry")]
-        let tele_span = mp_telemetry::sampled_span("core", "cecdu_pose");
+        let span = mp_telemetry::span("core", "cecdu_pose");
         let (mut frames, mut obbs) = FK_SCRATCH.with(Cell::take);
         link_obbs_into(&self.robot, pose, self.trig, &mut frames, &mut obbs);
         let oocd_cfg = OocdConfig {
@@ -213,8 +212,7 @@ impl CecduSim {
         // the software oracle's (node reads land in the same small-SRAM
         // class the software walk bills).
         mp_collision::metrics::record_pose_work(ops.sram_reads, ops.box_tests, ops.mults);
-        #[cfg(feature = "telemetry")]
-        tele_span.end_with(|| {
+        span.end_with(|| {
             mp_telemetry::arg2(
                 "links",
                 mp_telemetry::ArgValue::U64(links_checked as u64),

@@ -78,8 +78,6 @@ pub struct OocdResult {
 /// assert!(out.cycles >= 2);
 /// ```
 pub fn run_oocd(octree: &Octree, obb: &FxObb, cfg: &OocdConfig) -> OocdResult {
-    #[cfg(feature = "telemetry")]
-    let _tele_span = mp_telemetry::sampled_span("core", "oocd_query");
     let mut cycles: u64 = 1; // root address into the Address Register
     let mut ops = OpCounter::default();
     let flat = octree.flat();

@@ -357,9 +357,6 @@ pub fn run_sas(
     assert!(cfg.num_cdus >= 1, "SAS needs at least one CDU");
     assert!(cfg.group_size >= 1, "group size must be at least 1");
 
-    // Cycle-level scheduler loop: instrumentation only exists under the
-    // `telemetry` feature so the default build's hot loop is untouched.
-    #[cfg(feature = "telemetry")]
     let batch_span = mp_telemetry::span_args(
         "core",
         "sas_batch",
@@ -448,8 +445,7 @@ pub fn run_sas(
         // slot index only feeds the telemetry CDU-lane events.
         let mut dispatched = 0usize;
         if !window.is_empty() {
-            #[cfg_attr(not(feature = "telemetry"), allow(clippy::unused_enumerate_index))]
-            for (_slot_idx, slot) in cdus.iter_mut().enumerate() {
+            for (slot_idx, slot) in cdus.iter_mut().enumerate() {
                 if dispatched >= cfg.dispatch_per_cycle {
                     break;
                 }
@@ -479,9 +475,8 @@ pub fn run_sas(
                 dispatched += 1;
                 // One Perfetto row per CDU dispatch slot, timestamped in
                 // cycles (the SAS clock), showing lane occupancy.
-                #[cfg(feature = "telemetry")]
                 mp_telemetry::complete_at(
-                    mp_telemetry::Lane::new("cdu", _slot_idx as u32),
+                    mp_telemetry::Lane::new("cdu", slot_idx as u32),
                     "core",
                     "cd_query",
                     t,
@@ -535,7 +530,6 @@ pub fn run_sas(
     };
 
     // Account for the result aggregation cycle (§5.1, step 6).
-    #[cfg(feature = "telemetry")]
     batch_span.end_with(|| {
         mp_telemetry::arg2(
             "cycles",

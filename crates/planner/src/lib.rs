@@ -3,11 +3,10 @@
 //! The paper evaluates MPAccel by executing MPNet \[43\], a state-of-the-art
 //! learning-based planner, on the accelerator. This crate provides:
 //!
-//! * [`nn`] — a from-scratch MLP (inference + SGD training) substituting
-//!   for the PyTorch networks of the original artifact,
-//! * [`sampler`] — the neural samplers proposing intermediate poses: a
-//!   goal-directed stochastic *oracle* and a trainable [`sampler::MlpSampler`]
-//!   distillable from it,
+//! * [`nn`] — a from-scratch MLP (forward inference and MAC count)
+//!   substituting for the PyTorch networks of the original artifact,
+//! * [`sampler`] — the sampler interface proposing intermediate poses and
+//!   its goal-directed stochastic *oracle* implementation,
 //! * [`mpnet`] — the MPNet-style planner (neural planning → feasibility
 //!   checking → replanning → greedy shortcutting) that records a
 //!   [`mpaccel_core::trace::PlannerTrace`] replayable on the hardware
@@ -45,5 +44,5 @@ pub use mpnet::{
     PlanFailure, PlanOutcome, PlanStats,
 };
 pub use rrt::{rrt, rrt_connect, RrtConfig, RrtOutcome};
-pub use sampler::{encode_scene, MlpSampler, NeuralSampler, OracleSampler};
+pub use sampler::{NeuralSampler, OracleSampler};
 pub use tiers::{plan_at_tier, plan_at_tier_with_path, QualityTier, TierOutcome};

@@ -1,12 +1,11 @@
-//! A small from-scratch neural-network library: dense layers, forward
-//! inference and SGD training.
+//! A small from-scratch MLP: dense layers and forward inference.
 //!
 //! This substitutes for the PyTorch MPNet networks of the original artifact
 //! (see DESIGN.md, substitution 1). The accelerator never executes the
 //! network — it only needs the inference *cost* (MAC count) for the DNN
-//! accelerator latency model — but a real trainable MLP is provided so the
-//! sampler interface can be served by a genuinely learned model (e.g.
-//! distilled from the oracle sampler).
+//! accelerator latency model, and MPNet trains its networks offline. The
+//! forward pass is kept so host inference cost can be measured next to
+//! that modeled cost (the criterion `mlp_forward_scratch` bench).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,22 +28,6 @@ impl Activation {
             Activation::Relu => x.max(0.0),
             Activation::Tanh => x.tanh(),
             Activation::Linear => x,
-        }
-    }
-
-    /// Derivative with respect to the pre-activation, given the
-    /// post-activation value.
-    fn derivative_from_output(self, y: f32) -> f32 {
-        match self {
-            Activation::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Tanh => 1.0 - y * y,
-            Activation::Linear => 1.0,
         }
     }
 }
@@ -111,10 +94,10 @@ impl Dense {
 
 /// Reusable ping-pong activation buffers for [`Mlp::forward_scratch`].
 ///
-/// Planner samplers run one inference per proposed pose — millions per
-/// benchmark — so the per-layer activation vectors are the dominant
-/// allocation of the planning hot path. A scratch held across calls
-/// reduces that to zero after warmup.
+/// A sampler backed by the network would run one inference per proposed
+/// pose, so the per-layer activation vectors would be the dominant
+/// allocation of its loop. A scratch held across calls reduces that to
+/// zero after warmup.
 #[derive(Clone, Debug, Default)]
 pub struct MlpScratch {
     ping: Vec<f32>,
@@ -212,91 +195,6 @@ impl Mlp {
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(Dense::param_count).sum()
     }
-
-    /// Mean-squared error over a dataset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is empty or shapes mismatch.
-    pub fn mse(&self, data: &[(Vec<f32>, Vec<f32>)]) -> f32 {
-        assert!(!data.is_empty(), "empty dataset");
-        let mut scratch = MlpScratch::default();
-        let mut total = 0.0;
-        for (x, t) in data {
-            let y = self.forward_scratch(x, &mut scratch);
-            assert_eq!(y.len(), t.len(), "target size mismatch");
-            total += y.iter().zip(t).map(|(a, b)| (a - b) * (a - b)).sum::<f32>() / t.len() as f32;
-        }
-        total / data.len() as f32
-    }
-
-    /// One epoch of SGD with backpropagation on MSE loss. Returns the mean
-    /// loss before the update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is empty, shapes mismatch, or `lr` is not
-    /// positive.
-    #[allow(clippy::needless_range_loop)] // index form mirrors the math
-    pub fn train_epoch(&mut self, data: &[(Vec<f32>, Vec<f32>)], lr: f32) -> f32 {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!(!data.is_empty(), "empty dataset");
-        let mut total_loss = 0.0;
-        for (x, target) in data {
-            // Forward, keeping activations. `acts[i]` is layer i's input;
-            // `cur` tracks the latest activation so no panicking `last()`
-            // lookups are needed.
-            let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len() + 1);
-            let mut cur = x.clone();
-            for layer in &self.layers {
-                let mut next = Vec::with_capacity(layer.outputs);
-                layer.forward_into(&cur, &mut next);
-                acts.push(std::mem::replace(&mut cur, next));
-            }
-            acts.push(cur);
-            let y = &acts[self.layers.len()];
-            assert_eq!(y.len(), target.len(), "target size mismatch");
-            total_loss += y
-                .iter()
-                .zip(target)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f32>()
-                / target.len() as f32;
-
-            // Backward.
-            let mut delta: Vec<f32> = y
-                .iter()
-                .zip(target)
-                .map(|(a, b)| 2.0 * (a - b) / target.len() as f32)
-                .collect();
-            for (li, layer) in self.layers.iter_mut().enumerate().rev() {
-                let input = &acts[li];
-                let output = &acts[li + 1];
-                // d pre-activation.
-                let dz: Vec<f32> = delta
-                    .iter()
-                    .zip(output)
-                    .map(|(d, &o)| d * layer.activation.derivative_from_output(o))
-                    .collect();
-                // Gradient wrt input for the next (earlier) layer.
-                let mut dinput = vec![0.0f32; layer.inputs];
-                for o in 0..layer.outputs {
-                    for i in 0..layer.inputs {
-                        dinput[i] += layer.weights[o * layer.inputs + i] * dz[o];
-                    }
-                }
-                // Update.
-                for o in 0..layer.outputs {
-                    for i in 0..layer.inputs {
-                        layer.weights[o * layer.inputs + i] -= lr * dz[o] * input[i];
-                    }
-                    layer.bias[o] -= lr * dz[o];
-                }
-                delta = dinput;
-            }
-        }
-        total_loss / data.len() as f32
-    }
 }
 
 #[cfg(test)]
@@ -347,48 +245,6 @@ mod tests {
         assert_eq!(Activation::Relu.apply(2.0), 2.0);
         assert_eq!(Activation::Linear.apply(-3.5), -3.5);
         assert!((Activation::Tanh.apply(0.0)).abs() < 1e-7);
-    }
-
-    #[test]
-    fn training_reduces_loss_on_linear_task() {
-        // Learn y = [x0 + x1, x0 - x1].
-        let mut rng = StdRng::seed_from_u64(3);
-        let data: Vec<(Vec<f32>, Vec<f32>)> = (0..200)
-            .map(|_| {
-                let x0 = rng.gen_range(-1.0f32..1.0);
-                let x1 = rng.gen_range(-1.0f32..1.0);
-                (vec![x0, x1], vec![x0 + x1, x0 - x1])
-            })
-            .collect();
-        let mut mlp = Mlp::new(&[2, 16, 2], Activation::Tanh, 11);
-        let before = mlp.mse(&data);
-        for _ in 0..60 {
-            mlp.train_epoch(&data, 0.05);
-        }
-        let after = mlp.mse(&data);
-        assert!(
-            after < before * 0.15,
-            "loss did not drop enough: {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn training_nonlinear_task_learns_something() {
-        // y = x0 * x1 — needs the hidden layer.
-        let mut rng = StdRng::seed_from_u64(5);
-        let data: Vec<(Vec<f32>, Vec<f32>)> = (0..300)
-            .map(|_| {
-                let x0 = rng.gen_range(-1.0f32..1.0);
-                let x1 = rng.gen_range(-1.0f32..1.0);
-                (vec![x0, x1], vec![x0 * x1])
-            })
-            .collect();
-        let mut mlp = Mlp::new(&[2, 24, 1], Activation::Tanh, 13);
-        let before = mlp.mse(&data);
-        for _ in 0..120 {
-            mlp.train_epoch(&data, 0.05);
-        }
-        assert!(mlp.mse(&data) < before * 0.5);
     }
 
     #[test]

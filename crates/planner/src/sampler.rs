@@ -2,56 +2,19 @@
 //! intermediate pose (MPNet's Pnet role).
 //!
 //! See DESIGN.md substitution 1: the trained MPNet checkpoints are replaced
-//! by (a) an *oracle* goal-directed stochastic sampler and (b) a real MLP
-//! ([`MlpSampler`]) that can be distilled from the oracle with the
-//! from-scratch trainer in [`crate::nn`]. Both implement [`NeuralSampler`],
-//! and both report an inference MAC count so the DNN-accelerator latency
-//! model sees an MPNet-sized network.
+//! by an *oracle* goal-directed stochastic sampler ([`OracleSampler`]). It
+//! implements [`NeuralSampler`] and reports an MPNet-sized inference MAC
+//! count, so the DNN-accelerator latency model prices the network like
+//! the paper's.
 
-use mp_octree::Scene;
 use mp_robot::{JointConfig, RobotModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::nn::{Activation, Mlp, MlpScratch};
-
-/// Maximum obstacles the scene encoder supports (the §6 benchmarks use
-/// 5–9).
-pub const MAX_OBSTACLES: usize = 9;
-
-/// Length of the flat scene encoding: center + half-extents per obstacle.
-pub const SCENE_ENCODING_LEN: usize = MAX_OBSTACLES * 6;
 
 /// MAC count of MPNet's planning network (Pnet ≈ 3 M parameters); used as
 /// the reported inference cost of the oracle sampler so the system model
 /// prices NN inference like the paper's.
 pub const MPNET_PNET_MACS: u64 = 3_000_000;
-
-/// Encodes a scene into the fixed-length obstacle vector (MPNet's Enet
-/// role, here a direct parametric encoding instead of a point-cloud
-/// autoencoder).
-///
-/// # Panics
-///
-/// Panics if the scene has more than [`MAX_OBSTACLES`] obstacles.
-pub fn encode_scene(scene: &Scene) -> Vec<f32> {
-    assert!(
-        scene.obstacles().len() <= MAX_OBSTACLES,
-        "scene has {} obstacles; encoder supports {MAX_OBSTACLES}",
-        scene.obstacles().len()
-    );
-    let mut out = vec![0.0; SCENE_ENCODING_LEN];
-    for (i, o) in scene.obstacles().iter().enumerate() {
-        let base = i * 6;
-        out[base] = o.center.x;
-        out[base + 1] = o.center.y;
-        out[base + 2] = o.center.z;
-        out[base + 3] = o.half.x;
-        out[base + 4] = o.half.y;
-        out[base + 5] = o.half.z;
-    }
-    out
-}
 
 /// A sampler proposing the next intermediate pose toward a goal.
 pub trait NeuralSampler {
@@ -123,126 +86,9 @@ impl NeuralSampler for OracleSampler {
     }
 }
 
-/// A real MLP sampler: `[scene encoding, current, goal] → Δpose`.
-#[derive(Clone, Debug)]
-pub struct MlpSampler {
-    robot: RobotModel,
-    mlp: Mlp,
-    scene_encoding: Vec<f32>,
-    // Reused across `next_pose` calls so inference is allocation-free.
-    scratch: MlpScratch,
-    input_buf: Vec<f32>,
-}
-
-impl MlpSampler {
-    /// Creates an untrained MLP sampler for a robot and scene.
-    pub fn new(robot: RobotModel, scene: &Scene, hidden: &[usize], seed: u64) -> MlpSampler {
-        let dof = robot.dof();
-        let mut sizes = vec![SCENE_ENCODING_LEN + 2 * dof];
-        sizes.extend_from_slice(hidden);
-        sizes.push(dof);
-        MlpSampler {
-            robot,
-            mlp: Mlp::new(&sizes, Activation::Tanh, seed),
-            scene_encoding: encode_scene(scene),
-            scratch: MlpScratch::default(),
-            input_buf: Vec::new(),
-        }
-    }
-
-    /// Access to the underlying network (e.g. for training).
-    pub fn mlp_mut(&mut self) -> &mut Mlp {
-        &mut self.mlp
-    }
-
-    /// Builds the network input for a query.
-    fn input(&self, current: &JointConfig, goal: &JointConfig) -> Vec<f32> {
-        let mut x = self.scene_encoding.clone();
-        x.extend_from_slice(current.as_slice());
-        x.extend_from_slice(goal.as_slice());
-        x
-    }
-
-    /// Distills the oracle's behaviour into the MLP: samples random
-    /// (current, goal) pairs, queries a noise-free oracle for the step
-    /// direction, and trains with SGD. Returns the final training loss.
-    pub fn distill_from_oracle(
-        &mut self,
-        samples: usize,
-        epochs: usize,
-        lr: f32,
-        seed: u64,
-    ) -> f32 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut teacher = OracleSampler::new(self.robot.clone(), seed ^ 0xABCD).with_noise(0.0);
-        let data: Vec<(Vec<f32>, Vec<f32>)> = (0..samples)
-            .map(|_| {
-                let current = self.robot.sample_config(&mut rng);
-                let goal = self.robot.sample_config(&mut rng);
-                let next = teacher.next_pose(&current, &goal);
-                let delta: Vec<f32> = next
-                    .as_slice()
-                    .iter()
-                    .zip(current.as_slice())
-                    .map(|(n, c)| n - c)
-                    .collect();
-                (self.input(&current, &goal), delta)
-            })
-            .collect();
-        let mut loss = f32::INFINITY;
-        for _ in 0..epochs {
-            loss = self.mlp.train_epoch(&data, lr);
-        }
-        loss
-    }
-}
-
-impl NeuralSampler for MlpSampler {
-    fn next_pose(&mut self, current: &JointConfig, goal: &JointConfig) -> JointConfig {
-        if current.distance(goal) < 1e-4 {
-            return goal.clone();
-        }
-        // Build the input in the reusable buffer and run inference through
-        // the ping-pong scratch: the only allocation left per proposal is
-        // the returned `JointConfig` itself.
-        self.input_buf.clear();
-        self.input_buf.extend_from_slice(&self.scene_encoding);
-        self.input_buf.extend_from_slice(current.as_slice());
-        self.input_buf.extend_from_slice(goal.as_slice());
-        let delta = self.mlp.forward_scratch(&self.input_buf, &mut self.scratch);
-        let values: Vec<f32> = current
-            .as_slice()
-            .iter()
-            .zip(delta)
-            .map(|(&c, &d)| c + d)
-            .collect();
-        self.robot.clamp_config(&JointConfig::new(values))
-    }
-
-    fn macs(&self) -> u64 {
-        self.mlp.macs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_octree::SceneConfig;
-
-    #[test]
-    fn scene_encoding_layout() {
-        let scene = Scene::random(SceneConfig::paper(), 2);
-        let enc = encode_scene(&scene);
-        assert_eq!(enc.len(), SCENE_ENCODING_LEN);
-        let o0 = &scene.obstacles()[0];
-        assert_eq!(enc[0], o0.center.x);
-        assert_eq!(enc[3], o0.half.x);
-        // Unused slots stay zero.
-        let n = scene.obstacles().len();
-        if n < MAX_OBSTACLES {
-            assert!(enc[n * 6..].iter().all(|&v| v == 0.0));
-        }
-    }
 
     #[test]
     fn oracle_moves_toward_goal() {
@@ -281,33 +127,5 @@ mod tests {
     fn oracle_reports_mpnet_macs() {
         let s = OracleSampler::new(RobotModel::jaco2(), 0);
         assert_eq!(s.macs(), MPNET_PNET_MACS);
-    }
-
-    #[test]
-    fn mlp_sampler_shapes() {
-        let robot = RobotModel::jaco2();
-        let scene = Scene::random(SceneConfig::paper(), 0);
-        let mut s = MlpSampler::new(robot.clone(), &scene, &[64, 64], 9);
-        assert!(s.macs() > 0);
-        let next = s.next_pose(&robot.home(), &robot.home());
-        assert_eq!(next.dof(), 6);
-    }
-
-    #[test]
-    fn distillation_learns_goal_direction() {
-        let robot = RobotModel::jaco2();
-        let scene = Scene::random(SceneConfig::paper(), 1);
-        let mut s = MlpSampler::new(robot.clone(), &scene, &[48], 4);
-        let loss = s.distill_from_oracle(150, 40, 0.01, 7);
-        assert!(loss < 0.2, "distillation loss {loss}");
-        // The trained sampler should step broadly toward the goal.
-        let start = robot.home();
-        let mut goal = robot.home();
-        goal.as_mut_slice()[0] += 2.0;
-        let next = s.next_pose(&start, &goal);
-        assert!(
-            next.distance(&goal) < start.distance(&goal),
-            "trained sampler moved away from goal"
-        );
     }
 }

@@ -12,10 +12,7 @@
 //!   Hierarchical spans (`plan → phase → cd_query`), instants, counter
 //!   tracks, and explicit-duration lane spans for parallel hardware
 //!   resources. Recording is a thread-local write, no locks; when no
-//!   stream is installed every call is an early-out `Option` check, and
-//!   the hot collision/SAS kernels additionally hide their call sites
-//!   behind a `telemetry` cargo feature in their own crates so the
-//!   default build carries zero extra instructions there.
+//!   stream is installed every call is an early-out `Option` check.
 //! * **Metrics** ([`metrics`]): `Counter`/`Gauge`/`Histogram` plus a
 //!   name-ordered [`Registry`]. Histograms keep raw samples for *exact*
 //!   nearest-rank percentiles (the `ServiceSummary` contract) alongside
@@ -63,6 +60,6 @@ pub use metrics::{
     bucket_index, bucket_range, Counter, Gauge, HistSnapshot, Histogram, Metric, Registry,
 };
 pub use sink::{
-    active, complete_at, counter, counter_on, incident, instant, instant_args, sampled_span,
-    set_time, span, span_args, SinkConfig, SinkGuard, SpanGuard, Stream, TelemetrySession,
+    active, complete_at, counter, counter_on, incident, instant, instant_args, set_time, span,
+    span_args, SinkConfig, SinkGuard, SpanGuard, Stream, TelemetrySession,
 };

@@ -15,11 +15,9 @@
 //!   matter which threads ran which streams in which order.
 //!
 //! When no stream is installed every recording call is a thread-local
-//! `Option` check and an immediate return, so always-compiled call sites
-//! (planner, service) cost ~nothing in untraced runs. Hot kernels
-//! (per-pose collision, SAS dispatch) additionally hide their call sites
-//! behind the downstream crates' `telemetry` cargo feature, so the
-//! allocation-free paths carry zero extra instructions by default.
+//! `Option` check and an immediate return, so call sites on the hot
+//! paths (per-pose collision, SAS dispatch) as well as the cold ones
+//! (planner, service) cost ~nothing in untraced runs.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -29,7 +27,7 @@ use std::sync::Mutex;
 use crate::event::{Arg, Args, Event, EventKind, Lane, TimeNs, NO_ARGS};
 use crate::flight::Incident;
 
-/// Sizing and sampling knobs for a session's sinks.
+/// Sizing knobs for a session's sinks.
 #[derive(Clone, Debug)]
 pub struct SinkConfig {
     /// Events retained per stream; the oldest are dropped (and counted)
@@ -44,9 +42,6 @@ pub struct SinkConfig {
     /// incidents (a deadline miss) from being crowded out by floods of
     /// common ones (queue-full sheds under sustained overload).
     pub max_incidents: usize,
-    /// Record every Nth [`sampled_span`]; `0` disables sampled spans
-    /// entirely (the "on but unsampled" overhead-guard configuration).
-    pub sample_every: u32,
 }
 
 impl Default for SinkConfig {
@@ -55,7 +50,6 @@ impl Default for SinkConfig {
             ring_capacity: 65_536,
             flight_capacity: 64,
             max_incidents: 8,
-            sample_every: 1,
         }
     }
 }
@@ -68,21 +62,18 @@ struct LocalSink {
     cursor: TimeNs,
     ring: VecDeque<Event>,
     dropped: u64,
-    sample_countdown: u32,
     incidents: Vec<Incident>,
     incidents_seen: u64,
 }
 
 impl LocalSink {
     fn new(label: Lane, cfg: SinkConfig) -> LocalSink {
-        let sample_countdown = cfg.sample_every.saturating_sub(1);
         LocalSink {
             label,
             cfg,
             cursor: 0,
             ring: VecDeque::new(),
             dropped: 0,
-            sample_countdown,
             incidents: Vec::new(),
             incidents_seen: 0,
         }
@@ -166,7 +157,7 @@ impl TelemetrySession {
         TelemetrySession::default()
     }
 
-    /// A session with explicit sizing/sampling knobs.
+    /// A session with explicit sizing knobs.
     pub fn with_config(cfg: SinkConfig) -> TelemetrySession {
         TelemetrySession {
             cfg,
@@ -343,30 +334,6 @@ pub fn span_args(cat: &'static str, name: &'static str, args: Args) -> SpanGuard
     SpanGuard { armed, cat, name }
 }
 
-/// Opens a span subject to the sink's `sample_every` knob.
-///
-/// Intended for per-query hot paths: with `sample_every = n` only every
-/// nth call records; with `0` none do (but the countdown check still
-/// runs, which is what the overhead-guard bench measures).
-#[inline]
-pub fn sampled_span(cat: &'static str, name: &'static str) -> SpanGuard {
-    let armed = with_sink(|s| {
-        if s.cfg.sample_every == 0 {
-            return false;
-        }
-        if s.sample_countdown == 0 {
-            s.sample_countdown = s.cfg.sample_every - 1;
-            s.record(Lane::MAIN, cat, name, EventKind::Begin, NO_ARGS);
-            true
-        } else {
-            s.sample_countdown -= 1;
-            false
-        }
-    })
-    .unwrap_or(false);
-    SpanGuard { armed, cat, name }
-}
-
 /// Snapshots the tail of the ring as a flight-recorder incident.
 ///
 /// Call on deadline misses, quarantines, sheds — anything worth a
@@ -405,8 +372,8 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Whether this guard actually opened a span (a stream was installed
-    /// and, for sampled spans, the sample fired).
+    /// Whether this guard actually opened a span (a stream was
+    /// installed).
     #[inline]
     pub fn is_armed(&self) -> bool {
         self.armed
@@ -536,40 +503,6 @@ mod tests {
         assert_eq!(s.events.len(), 4);
         assert_eq!(s.dropped, 6);
         assert_eq!(s.events[0].t, 6); // oldest six evicted
-    }
-
-    #[test]
-    fn sampling_every_third() {
-        let session = TelemetrySession::with_config(SinkConfig {
-            sample_every: 3,
-            ..SinkConfig::default()
-        });
-        {
-            let _g = session.install("test", 0);
-            for _ in 0..9 {
-                let _s = sampled_span("t", "hot");
-            }
-        }
-        let s = &session.streams()[0];
-        // 3 sampled spans x (Begin + End).
-        assert_eq!(s.events.len(), 6);
-    }
-
-    #[test]
-    fn sampling_zero_disables() {
-        let session = TelemetrySession::with_config(SinkConfig {
-            sample_every: 0,
-            ..SinkConfig::default()
-        });
-        {
-            let _g = session.install("test", 0);
-            for _ in 0..100 {
-                let _s = sampled_span("t", "hot");
-            }
-            // Plain spans still record.
-            let _s = span("t", "cold");
-        }
-        assert_eq!(session.streams()[0].events.len(), 2);
     }
 
     #[test]
