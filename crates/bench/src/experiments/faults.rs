@@ -13,10 +13,8 @@ use mp_robot::RobotModel;
 use mp_sim::fault::{FaultPlan, ResilienceCounters};
 use mp_sim::{CecduConfig, IuKind};
 use mpaccel_core::cecdu::CecduSim;
-use mpaccel_core::fault::{
-    run_sas_with_faults, FaultTolerantCduArray, RecoveryMode, RecoveryPolicy,
-};
-use mpaccel_core::sas::{FunctionMode, SasConfig};
+use mpaccel_core::fault::{FaultTolerantCduArray, RecoveryMode, RecoveryPolicy};
+use mpaccel_core::sas::{run_sas, FunctionMode, SasConfig};
 
 use crate::experiments::common::SasAggregate;
 use crate::report::{f3, Report};
@@ -92,8 +90,7 @@ pub fn data(scale: Scale) -> Vec<FaultPoint> {
                 // Complete mode isolates resilience effects from
                 // function-mode early stops: every motion's verdict is
                 // resolved, so accuracy is measured over the full batch.
-                let r =
-                    run_sas_with_faults(&batch.motions, FunctionMode::Complete, &sas, &mut array);
+                let r = run_sas(&batch.motions, FunctionMode::Complete, &sas, &mut array);
                 agg.cycles += r.cycles;
                 agg.queries += r.queries;
                 agg.mults += r.ops.mults;

@@ -29,10 +29,7 @@
 use mp_collision::{CollisionChecker, SoftwareChecker};
 use mp_robot::JointConfig;
 use mp_sim::fault::FaultKind;
-use mp_sim::{
-    FaultInjector, FaultPlan, IntegrityCounters, OpCounter, ResilienceCounters, SdcInjector,
-    SdcPlan,
-};
+use mp_sim::{FaultInjector, FaultPlan, OpCounter, ResilienceCounters};
 
 use crate::cecdu::CecduSim;
 use crate::sas::{CduModel, CduResponse};
@@ -112,42 +109,6 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// Parameters of the silent-fault defense ladder layered on top of
-/// [`RecoveryPolicy`]: suspicion-scored duplicate-dispatch voting plus
-/// known-answer scrub probes. Kept separate from `RecoveryPolicy` so
-/// existing construction sites are untouched; attach it with
-/// [`FaultTolerantCduArray::with_integrity`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IntegrityPolicy {
-    /// Suspicion score at/above which a unit's queries are
-    /// duplicate-dispatched to a majority vote.
-    pub vote_threshold: u32,
-    /// Suspicion charged per certification-failure accusation (and per
-    /// vote override).
-    pub accuse_weight: u32,
-    /// Geometric decay per exoneration: `s -= max(1, s >> decay_shift)`,
-    /// so scores decay fast from high values and still reach zero.
-    pub decay_shift: u32,
-    /// Vote overrides charged to one unit before it is quarantined as a
-    /// persistent liar.
-    pub liar_strikes: u32,
-    /// Consecutive clean known-answer probes before a quarantined unit is
-    /// readmitted.
-    pub scrub_clean_target: u32,
-}
-
-impl Default for IntegrityPolicy {
-    fn default() -> IntegrityPolicy {
-        IntegrityPolicy {
-            vote_threshold: 8,
-            accuse_weight: 4,
-            decay_shift: 2,
-            liar_strikes: 3,
-            scrub_clean_target: 4,
-        }
-    }
-}
-
 /// Per-unit health state.
 #[derive(Clone, Copy, Debug, Default)]
 struct UnitState {
@@ -155,14 +116,6 @@ struct UnitState {
     quarantined: bool,
     stuck: bool,
     last_verdict: Option<bool>,
-    queries: u64,
-    /// Decayed suspicion score from certify-failure accusations and vote
-    /// overrides (see [`IntegrityPolicy`]).
-    suspicion: u32,
-    /// Vote overrides charged against this unit (the liar evidence).
-    lies: u32,
-    /// Consecutive clean scrub probes while quarantined.
-    scrub_streak: u32,
 }
 
 /// A fault-injected CECDU array with detection, re-dispatch, quarantine,
@@ -209,16 +162,6 @@ pub struct FaultTolerantCduArray {
     units: Vec<UnitState>,
     next_unit: usize,
     free_verdicts_seen: u64,
-    /// Silent-corruption source, when the campaign injects SDC.
-    sdc: Option<SdcInjector>,
-    /// When set, silent flips only land on this unit (a "lemon lane").
-    /// The RNG is still drawn for every attempt so the stream stays
-    /// aligned with the uniform-SDC configuration.
-    sdc_unit: Option<usize>,
-    integrity: IntegrityPolicy,
-    /// Defense-side integrity bookkeeping (votes, scrubs); injection-side
-    /// counts live in the [`SdcInjector`] and are merged on read.
-    icounters: IntegrityCounters,
 }
 
 impl FaultTolerantCduArray {
@@ -246,36 +189,7 @@ impl FaultTolerantCduArray {
             units: vec![UnitState::default(); num_units],
             next_unit: 0,
             free_verdicts_seen: 0,
-            sdc: None,
-            sdc_unit: None,
-            integrity: IntegrityPolicy::default(),
-            icounters: IntegrityCounters::default(),
         }
-    }
-
-    /// Attaches a silent-data-corruption plan: delivered verdicts can be
-    /// inverted *past* every detection mechanism (the bus parity is
-    /// recomputed over the corrupt payload). Only the integrity ladder —
-    /// certification, voting, scrub — can catch these.
-    pub fn with_sdc(mut self, plan: SdcPlan) -> FaultTolerantCduArray {
-        self.sdc = Some(SdcInjector::new(plan));
-        self
-    }
-
-    /// Like [`with_sdc`](Self::with_sdc), but restricts the silent flips
-    /// to a single "lemon lane": a marginal unit that lies while its
-    /// peers stay honest — the scenario duplicate-dispatch voting is
-    /// built to contain.
-    pub fn with_sdc_on_unit(mut self, plan: SdcPlan, unit: usize) -> FaultTolerantCduArray {
-        self.sdc = Some(SdcInjector::new(plan));
-        self.sdc_unit = Some(unit);
-        self
-    }
-
-    /// Overrides the silent-fault defense parameters.
-    pub fn with_integrity(mut self, integrity: IntegrityPolicy) -> FaultTolerantCduArray {
-        self.integrity = integrity;
-        self
     }
 
     /// The underlying CECDU model.
@@ -296,11 +210,6 @@ impl FaultTolerantCduArray {
     /// Zeroes the resilience counters (unit health is kept).
     pub fn reset_counters(&mut self) {
         self.injector.reset_counters();
-    }
-
-    /// Number of units in the array.
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
     }
 
     /// Units currently not quarantined.
@@ -336,94 +245,9 @@ impl FaultTolerantCduArray {
             && !self.units[u].quarantined
             && self.healthy_units() > 1
         {
-            self.bench(u);
+            self.units[u].quarantined = true;
+            self.injector.counters_mut().quarantined += 1;
         }
-    }
-
-    /// Quarantines a unit: power-cycled out of the serving set (which
-    /// clears a latch-up) until the scrub loop readmits it.
-    fn bench(&mut self, u: usize) {
-        self.units[u].quarantined = true;
-        self.units[u].stuck = false;
-        self.units[u].scrub_streak = 0;
-        self.injector.counters_mut().quarantined += 1;
-    }
-
-    /// The integrity counters: injection-side (from the SDC plan) merged
-    /// with defense-side (votes, scrubs, accusations recorded here).
-    pub fn integrity_counters(&self) -> IntegrityCounters {
-        let mut c = self.icounters;
-        if let Some(sdc) = &self.sdc {
-            c.merge(sdc.counters());
-        }
-        c
-    }
-
-    /// A unit's current suspicion score.
-    pub fn suspicion(&self, u: usize) -> u32 {
-        self.units[u].suspicion
-    }
-
-    /// Whether a unit's queries are escalated to duplicate-dispatch
-    /// voting.
-    pub fn is_suspect(&self, u: usize) -> bool {
-        self.units[u].suspicion >= self.integrity.vote_threshold
-    }
-
-    /// Attributes a certification failure to a unit: its suspicion rises
-    /// by [`IntegrityPolicy::accuse_weight`], escalating it toward the
-    /// voting threshold.
-    pub fn accuse(&mut self, u: usize) {
-        self.units[u].suspicion = self.units[u]
-            .suspicion
-            .saturating_add(self.integrity.accuse_weight);
-    }
-
-    /// Decays a unit's suspicion after a clean certification:
-    /// `s -= max(1, s >> decay_shift)` — monotone non-increasing, reaches
-    /// zero in finitely many steps (the proptests in `mp-service` pin
-    /// both properties on the shared decay rule).
-    pub fn exonerate(&mut self, u: usize) {
-        let s = self.units[u].suspicion;
-        if s > 0 {
-            self.units[u].suspicion = s - (s >> self.integrity.decay_shift).max(1);
-        }
-    }
-
-    /// Runs one known-answer scrub round: every quarantined unit
-    /// evaluates `pose` and is compared against the clean reference; a
-    /// correct, undetected answer extends its clean streak, anything else
-    /// resets it, and a unit reaching
-    /// [`IntegrityPolicy::scrub_clean_target`] consecutive clean probes
-    /// is readmitted (suspicion held at the voting threshold, so a
-    /// readmitted liar stays under majority voting until it re-earns
-    /// trust). Returns the number of units readmitted by this round.
-    pub fn scrub_probe(&mut self, pose: &JointConfig) -> usize {
-        let expected = self.sim.check_pose(pose).colliding;
-        let mut readmitted = 0;
-        for u in 0..self.units.len() {
-            if !self.units[u].quarantined {
-                continue;
-            }
-            self.icounters.scrub_probes += 1;
-            let a = self.attempt(u, pose);
-            if a.colliding == expected && !a.detected {
-                self.units[u].scrub_streak += 1;
-            } else {
-                self.units[u].scrub_streak = 0;
-            }
-            if self.units[u].scrub_streak >= self.integrity.scrub_clean_target {
-                self.units[u].quarantined = false;
-                self.units[u].strikes = 0;
-                self.units[u].lies = 0;
-                self.units[u].scrub_streak = 0;
-                self.units[u].suspicion =
-                    self.units[u].suspicion.max(self.integrity.vote_threshold);
-                self.icounters.scrub_readmits += 1;
-                readmitted += 1;
-            }
-        }
-        readmitted
     }
 }
 
@@ -446,7 +270,6 @@ impl FaultTolerantCduArray {
     /// faults around the CECDU-level injection.
     fn attempt(&mut self, u: usize, pose: &JointConfig) -> Attempt {
         let detection = self.policy.mode.detection();
-        self.units[u].queries += 1;
 
         if self.injector.fires(FaultKind::StuckUnit) {
             self.units[u].stuck = true;
@@ -518,26 +341,6 @@ impl FaultTolerantCduArray {
                 a.conservative = false;
             }
         }
-        // Silent data corruption: the verdict inverts in the completion
-        // datapath *after* the checker, and the result-bus parity is
-        // recomputed over the corrupt payload — so `detected` stays
-        // false no matter the recovery mode. Only the integrity ladder
-        // (certification / voting / scrub) can see this.
-        if let Some(sdc) = self.sdc.as_mut() {
-            // Draw unconditionally so the RNG stream does not depend on
-            // which unit was dispatched.
-            if sdc.flips_verdict() {
-                if self.sdc_unit.is_none_or(|lemon| lemon == u) {
-                    a.colliding = !a.colliding;
-                    a.faulty = true;
-                    a.conservative = false;
-                } else {
-                    // The draw landed on an honest unit: no corruption
-                    // was delivered, so it must not count as injected.
-                    sdc.counters_mut().verdict_flips -= 1;
-                }
-            }
-        }
         a
     }
 }
@@ -553,7 +356,7 @@ impl CduModel for FaultTolerantCduArray {
         let mut ops = OpCounter::default();
         let mut redispatches = 0u32;
         let mut last_unit: Option<usize> = None;
-        let (verdict, deliberate, final_attempt) = loop {
+        let (mut verdict, mut deliberate, final_attempt) = loop {
             let u = self.pick_unit(last_unit);
             last_unit = Some(u);
             let a = self.attempt(u, pose);
@@ -574,48 +377,6 @@ impl CduModel for FaultTolerantCduArray {
             }
             break (a.colliding, a.conservative, a);
         };
-
-        let mut verdict = verdict;
-        let mut deliberate = deliberate;
-
-        // Suspicion-scored duplicate-dispatch voting: a unit accused past
-        // the voting threshold (by certify failures or prior overrides)
-        // has its verdict cross-checked on up to two other healthy units;
-        // the majority wins, a tie resolves conservatively (collision
-        // wins). A unit overruled liar_strikes times is benched until the
-        // scrub loop readmits it.
-        if let Some(u) = last_unit.filter(|&u| self.is_suspect(u)) {
-            self.icounters.votes += 1;
-            let extras: Vec<usize> = (0..self.units.len())
-                .filter(|&v| v != u && !self.units[v].quarantined)
-                .take(2)
-                .collect();
-            let mut colliding_votes = u32::from(verdict);
-            let mut total = 1u32;
-            for v in extras {
-                let b = self.attempt(v, pose);
-                latency += b.cycles;
-                ops += b.ops;
-                colliding_votes += u32::from(b.colliding);
-                total += 1;
-            }
-            let majority = colliding_votes * 2 >= total;
-            if majority != verdict {
-                self.icounters.vote_overrides += 1;
-                self.units[u].lies += 1;
-                self.units[u].suspicion = self.units[u]
-                    .suspicion
-                    .saturating_add(self.integrity.accuse_weight);
-                if self.units[u].lies >= self.integrity.liar_strikes
-                    && !self.units[u].quarantined
-                    && self.healthy_units() > 1
-                {
-                    self.bench(u);
-                }
-                verdict = majority;
-                deliberate = true;
-            }
-        }
 
         // Voter: spot-check free verdicts against the software oracle,
         // promoting only free -> collision (conservative by construction).
@@ -659,27 +420,6 @@ impl CduModel for FaultTolerantCduArray {
             ops,
         }
     }
-}
-
-/// Convenience wrapper: runs one SAS batch on a fault-tolerant array.
-/// Plain [`run_sas`](crate::sas::run_sas) works too — the array is a
-/// [`CduModel`] — but this keeps the unit counts consistent.
-///
-/// # Panics
-///
-/// Panics if `cfg.num_cdus` does not match the array's unit count.
-pub fn run_sas_with_faults(
-    motions: &[mp_robot::MotionDescriptor],
-    mode: crate::sas::FunctionMode,
-    cfg: &crate::sas::SasConfig,
-    array: &mut FaultTolerantCduArray,
-) -> crate::sas::SasRunResult {
-    assert_eq!(
-        cfg.num_cdus,
-        array.unit_count(),
-        "SAS CDU count must match the fault-tolerant array"
-    );
-    crate::sas::run_sas(motions, mode, cfg, array)
 }
 
 #[cfg(test)]
@@ -823,7 +563,7 @@ mod tests {
             FaultPlan::uniform(0.01, 13),
             RecoveryPolicy::new(RecoveryMode::DetectRetry),
         );
-        let r = run_sas_with_faults(
+        let r = run_sas(
             &motions,
             FunctionMode::Complete,
             &SasConfig::mcsp(8),
@@ -831,20 +571,6 @@ mod tests {
         );
         assert!(r.motion_results.iter().all(Option::is_some));
         assert_eq!(array.counters().false_negatives, 0);
-        // The generic entry point accepts the array as a CduModel too.
-        let mut array2 = FaultTolerantCduArray::new(
-            sim(5),
-            8,
-            FaultPlan::uniform(0.01, 13),
-            RecoveryPolicy::new(RecoveryMode::DetectRetry),
-        );
-        let r2 = run_sas(
-            &motions,
-            FunctionMode::Complete,
-            &SasConfig::mcsp(8),
-            &mut array2,
-        );
-        assert_eq!(r.motion_results, r2.motion_results);
     }
 
     #[test]
@@ -866,144 +592,6 @@ mod tests {
         let (vb, cb) = run();
         assert_eq!(va, vb);
         assert_eq!(ca, cb);
-    }
-
-    #[test]
-    fn sdc_flips_escape_every_detection_mechanism() {
-        // Detection at full strength, but the corruption is silent: the
-        // escape/false-verdict counters must go nonzero — the gap the
-        // plan certifier exists to close.
-        let mut array = FaultTolerantCduArray::new(
-            sim(8),
-            4,
-            FaultPlan::none(3),
-            RecoveryPolicy::new(RecoveryMode::DetectRetry),
-        )
-        .with_sdc(SdcPlan::uniform(0.3, 41));
-        for pose in poses(200, 11) {
-            let _ = array.query(&pose);
-        }
-        let c = *array.counters();
-        let ic = array.integrity_counters();
-        assert!(ic.verdict_flips > 0, "no silent flips injected");
-        assert_eq!(c.detected, 0, "silent flips must not trip detection");
-        assert!(c.escaped > 0, "silent flips must escape");
-        assert!(c.false_negatives + c.false_positives > 0);
-    }
-
-    #[test]
-    fn suspect_units_get_outvoted() {
-        // A single lemon lane lies on ~30% of its verdicts while its
-        // peers stay honest. Once accused past the voting threshold,
-        // every one of its queries is duplicate-dispatched to two honest
-        // peers — the 2-of-3 majority corrects every lie it tells.
-        let run = |accused: bool| {
-            let mut array = FaultTolerantCduArray::new(
-                sim(9),
-                4,
-                FaultPlan::none(4),
-                RecoveryPolicy::new(RecoveryMode::DetectRetry),
-            )
-            .with_sdc_on_unit(SdcPlan::uniform(0.3, 17), 0)
-            .with_integrity(IntegrityPolicy {
-                // Keep the liar in service so the vote keeps firing.
-                liar_strikes: u32::MAX,
-                ..IntegrityPolicy::default()
-            });
-            if accused {
-                array.accuse(0);
-                array.accuse(0);
-            }
-            for pose in poses(150, 12) {
-                let _ = array.query(&pose);
-            }
-            (*array.counters(), array.integrity_counters())
-        };
-        let (undefended, ic0) = run(false);
-        let (voted, ic1) = run(true);
-        assert_eq!(ic0.votes, 0);
-        assert!(undefended.escaped > 0, "lemon lane must leak undefended");
-        assert!(ic1.votes > 0, "suspects must be duplicate-dispatched");
-        assert!(
-            ic1.vote_overrides > 0,
-            "votes must overrule corrupt verdicts"
-        );
-        assert_eq!(
-            voted.escaped, 0,
-            "honest 2-of-3 majority must correct every lie"
-        );
-    }
-
-    #[test]
-    fn suspicion_decays_monotonically_to_zero() {
-        let mut array = FaultTolerantCduArray::new(
-            sim(10),
-            2,
-            FaultPlan::none(5),
-            RecoveryPolicy::new(RecoveryMode::DetectRetry),
-        );
-        for _ in 0..5 {
-            array.accuse(0);
-        }
-        assert!(array.is_suspect(0));
-        assert_eq!(array.suspicion(1), 0);
-        let mut prev = array.suspicion(0);
-        for _ in 0..64 {
-            array.exonerate(0);
-            let s = array.suspicion(0);
-            assert!(s < prev || (s == 0 && prev == 0), "decay must shrink");
-            prev = s;
-        }
-        assert_eq!(array.suspicion(0), 0, "decay must reach zero");
-        assert!(!array.is_suspect(0));
-    }
-
-    #[test]
-    fn persistent_liar_is_benched_and_scrub_readmits_it() {
-        // One shared SDC stream lying on a quarter of verdicts, every
-        // unit pre-accused: overrides accumulate until some unit crosses
-        // liar_strikes and is benched.
-        let mut array = FaultTolerantCduArray::new(
-            sim(11),
-            4,
-            FaultPlan::none(6),
-            RecoveryPolicy::new(RecoveryMode::DetectRetry),
-        )
-        .with_sdc(SdcPlan::uniform(0.35, 23))
-        .with_integrity(IntegrityPolicy {
-            liar_strikes: 2,
-            ..IntegrityPolicy::default()
-        });
-        for u in 0..4 {
-            array.accuse(u);
-            array.accuse(u);
-        }
-        for pose in poses(200, 13) {
-            let _ = array.query(&pose);
-        }
-        let benched = 4 - array.healthy_units();
-        assert!(benched > 0, "persistent liars must be quarantined");
-
-        // Scrub: known-answer probes readmit after the clean streak. The
-        // SDC stream keeps lying occasionally, so a probe can reset the
-        // streak — probe until readmission to show liveness, bounded to
-        // prove it terminates.
-        let probes = poses(400, 14);
-        let mut readmitted = 0;
-        for pose in &probes {
-            readmitted += array.scrub_probe(pose);
-            if readmitted >= benched {
-                break;
-            }
-        }
-        assert_eq!(readmitted, benched, "scrub must eventually readmit");
-        assert_eq!(array.healthy_units(), 4);
-        let ic = array.integrity_counters();
-        assert!(ic.scrub_probes >= ic.scrub_readmits * 4);
-        assert!(ic.scrub_readmits as usize >= benched);
-        // Readmission is cautious: the unit comes back still under
-        // voting, not fully trusted.
-        assert!((0..4).any(|u| array.is_suspect(u)));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::cell::Cell;
 
 use mp_geometry::cascade::CascadeConfig;
 use mp_geometry::soa::HoistedCascade;
-use mp_geometry::{AabbF, FxObb, Obb};
+use mp_geometry::{AabbF, FxObb};
 use mp_octree::{Node, Occupancy, Octree};
 use mp_sim::fault::{parity24, FaultKind, SRAM_WORD_BITS};
 use mp_sim::{FaultInjector, IuKind, OpCounter};
@@ -153,11 +153,6 @@ pub fn reference_outcome(octree: &Octree, obb: &FxObb, cascade: &CascadeConfig) 
     octree.collides_with(|aabb| {
         mp_geometry::cascade::cascaded_obb_aabb(&obb_q, &aabb.quantize(), cascade).colliding
     })
-}
-
-/// Convenience: quantizes an `f32` OBB and runs the query.
-pub fn run_oocd_f32(octree: &Octree, obb: &Obb<f32>, cfg: &OocdConfig) -> OocdResult {
-    run_oocd(octree, &obb.quantize(), cfg)
 }
 
 /// Outcome of one fault-injected OBB–octree query.
@@ -373,7 +368,7 @@ pub fn run_oocd_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_geometry::{Aabb, Vec3};
+    use mp_geometry::{Aabb, Obb, Vec3};
     use mp_octree::{Scene, SceneConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -353,8 +353,6 @@ impl Shard {
         let sdc = SdcPlan {
             seed: mix(cfg.seed ^ 0x5DC0_0000 ^ (salt << 8)),
             verdict_flip_rate: faults.sdc_rate,
-            memo_corrupt_rate: 0.0,
-            node_corrupt_rate: 0.0,
         };
         // The naive baseline queues without bound (capped only to keep
         // the share arithmetic in range).

@@ -112,11 +112,6 @@ impl FaultPlan {
         self.rates[kind.index()] = rate.clamp(0.0, 1.0);
         self
     }
-
-    /// Whether every rate is zero.
-    pub fn is_fault_free(&self) -> bool {
-        self.rates.iter().all(|&r| r == 0.0)
-    }
 }
 
 /// Resilience bookkeeping shared by the injector and the recovery layers.
@@ -323,14 +318,6 @@ impl ShardFaultPlan {
         }
     }
 
-    /// Whether the plan can produce any failure at all.
-    pub fn is_failure_free(&self) -> bool {
-        self.scripted.is_empty()
-            && self.crash_rate_per_s <= 0.0
-            && self.stall_rate_per_s <= 0.0
-            && self.flap_rate_per_s <= 0.0
-    }
-
     /// Expands the plan into the failure schedule for a fleet of
     /// `shards` shards over `duration_ns` of virtual time: scripted
     /// events plus seeded Poisson draws per shard per kind, flaps
@@ -394,24 +381,12 @@ impl ShardFaultPlan {
     }
 }
 
-/// A seeded silent-data-corruption campaign: faults that evade every
-/// detection mechanism PR 1 installed (parity, structural decode checks,
-/// result-bus tags) and can only be caught end-to-end, by revalidating
-/// the *plan* the accelerator's verdicts produced.
-///
-/// Three corruption surfaces, rates per opportunity:
-///
-/// * **Verdict flips** — a delivered CD verdict arrives inverted with its
-///   result-bus parity recomputed over the corrupt payload, so the bus
-///   check passes (an upset in the completion datapath *after* the
-///   checker, the classic SDC case).
-/// * **Memo corruption** — a memoized CDU response is corrupted at rest
-///   and replayed with a self-consistent checksum.
-/// * **Node-word corruption** — a packed octree node word suffers an
-///   even-weight two-bit upset confined to the occupancy payload, chosen
-///   so every 2-bit field still decodes: even parity is preserved *and*
-///   the structural decode check passes (see
-///   [`SdcInjector::corrupt_node_word`]).
+/// A seeded silent-data-corruption campaign: a delivered CD verdict
+/// arrives inverted with its result-bus parity recomputed over the corrupt
+/// payload, so the bus check passes (an upset in the completion datapath
+/// *after* the checker, the classic SDC case). No detection mechanism
+/// (parity, structural decode checks, result-bus tags) sees it; only
+/// revalidating the *plan* the accelerator's verdicts produced can.
 ///
 /// Like [`FaultPlan`], a plan is a pure function of its fields, so a
 /// campaign replays bit-for-bit.
@@ -422,11 +397,6 @@ pub struct SdcPlan {
     /// Probability a delivered CD verdict is silently inverted, per
     /// dispatched query.
     pub verdict_flip_rate: f64,
-    /// Probability a memoized response read is corrupt, per memo hit.
-    pub memo_corrupt_rate: f64,
-    /// Probability of a parity-preserving two-bit upset, per node-word
-    /// read.
-    pub node_corrupt_rate: f64,
 }
 
 impl SdcPlan {
@@ -435,36 +405,22 @@ impl SdcPlan {
         SdcPlan {
             seed,
             verdict_flip_rate: 0.0,
-            memo_corrupt_rate: 0.0,
-            node_corrupt_rate: 0.0,
         }
     }
 
-    /// The same rate on every corruption surface.
+    /// A plan flipping verdicts at `rate` (clamped to `0.0..=1.0`).
     pub fn uniform(rate: f64, seed: u64) -> SdcPlan {
-        let r = rate.clamp(0.0, 1.0);
         SdcPlan {
             seed,
-            verdict_flip_rate: r,
-            memo_corrupt_rate: r,
-            node_corrupt_rate: r,
+            verdict_flip_rate: rate.clamp(0.0, 1.0),
         }
     }
 
-    /// Whether every rate is zero.
-    pub fn is_silent_free(&self) -> bool {
-        self.verdict_flip_rate == 0.0
-            && self.memo_corrupt_rate == 0.0
-            && self.node_corrupt_rate == 0.0
-    }
-
-    /// All rates multiplied by `factor` (clamped to `0.0..=1.0`): the
+    /// The rate multiplied by `factor` (clamped to `0.0..=1.0`): the
     /// per-instance corruption knob — a fleet gives its "liar" instance a
     /// scaled copy of the shared plan.
     pub fn scaled(mut self, factor: f64) -> SdcPlan {
         self.verdict_flip_rate = (self.verdict_flip_rate * factor).clamp(0.0, 1.0);
-        self.memo_corrupt_rate = (self.memo_corrupt_rate * factor).clamp(0.0, 1.0);
-        self.node_corrupt_rate = (self.node_corrupt_rate * factor).clamp(0.0, 1.0);
         self
     }
 
@@ -473,77 +429,6 @@ impl SdcPlan {
         let mut z = self.seed ^ 0x5DC0_5DC0_5DC0_5DC0 ^ instance.wrapping_mul(0x9E37_79B9);
         self.seed = splitmix64(&mut z);
         self
-    }
-}
-
-/// Bookkeeping for the integrity pipeline: silent corruptions injected
-/// (by the [`SdcInjector`]) and the defense-side outcomes (recorded by
-/// the certifier, the voter, and the scrub loop).
-///
-/// `sdc_escaped` is the safety metric — corrupt plans shipped to a
-/// tenant; it must be zero whenever certification is on, because the
-/// certifier revalidates every edge through an independent exact cascade.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IntegrityCounters {
-    /// Completions that rolled for silent corruption.
-    pub opportunities: u64,
-    /// CD verdicts silently inverted past the bus parity check.
-    pub verdict_flips: u64,
-    /// Memoized responses corrupted at rest.
-    pub memo_corruptions: u64,
-    /// Parity-preserving two-bit node-word upsets.
-    pub node_corruptions: u64,
-    /// Plans revalidated end-to-end by the certifier.
-    pub certified: u64,
-    /// Corrupt plans the certifier caught before shipping.
-    pub certify_failed: u64,
-    /// Corrupt plans shipped to a tenant (the safety metric).
-    pub sdc_escaped: u64,
-    /// Duplicate-dispatch majority votes run on suspect instances.
-    pub votes: u64,
-    /// Votes that outvoted a corrupt verdict.
-    pub vote_overrides: u64,
-    /// Known-answer probes run against quarantined instances.
-    pub scrub_probes: u64,
-    /// Instances readmitted after a clean probe streak.
-    pub scrub_readmits: u64,
-}
-
-impl IntegrityCounters {
-    /// Total silent corruptions injected across the three surfaces.
-    pub fn injected_total(&self) -> u64 {
-        self.verdict_flips + self.memo_corruptions + self.node_corruptions
-    }
-
-    /// Accumulates another counter set into this one.
-    pub fn merge(&mut self, other: &IntegrityCounters) {
-        self.opportunities += other.opportunities;
-        self.verdict_flips += other.verdict_flips;
-        self.memo_corruptions += other.memo_corruptions;
-        self.node_corruptions += other.node_corruptions;
-        self.certified += other.certified;
-        self.certify_failed += other.certify_failed;
-        self.sdc_escaped += other.sdc_escaped;
-        self.votes += other.votes;
-        self.vote_overrides += other.vote_overrides;
-        self.scrub_probes += other.scrub_probes;
-        self.scrub_readmits += other.scrub_readmits;
-    }
-
-    /// Exports the counters into a telemetry registry under
-    /// `<prefix>.<field>` names.
-    pub fn export_into(&self, prefix: &str, registry: &mp_telemetry::Registry) {
-        registry.set_counter(&format!("{prefix}.opportunities"), self.opportunities);
-        registry.set_counter(&format!("{prefix}.verdict_flips"), self.verdict_flips);
-        registry.set_counter(&format!("{prefix}.memo_corruptions"), self.memo_corruptions);
-        registry.set_counter(&format!("{prefix}.node_corruptions"), self.node_corruptions);
-        registry.set_counter(&format!("{prefix}.certified"), self.certified);
-        registry.set_counter(&format!("{prefix}.certify_failed"), self.certify_failed);
-        registry.set_counter(&format!("{prefix}.sdc_escaped"), self.sdc_escaped);
-        registry.set_counter(&format!("{prefix}.votes"), self.votes);
-        registry.set_counter(&format!("{prefix}.vote_overrides"), self.vote_overrides);
-        registry.set_counter(&format!("{prefix}.scrub_probes"), self.scrub_probes);
-        registry.set_counter(&format!("{prefix}.scrub_readmits"), self.scrub_readmits);
     }
 }
 
@@ -568,23 +453,6 @@ pub struct SramUpset {
     /// Whether the stored parity still matches the data. A single-bit
     /// upset always breaks even parity, so this is `false`; kept explicit
     /// so multi-bit extensions stay honest.
-    pub parity_ok: bool,
-}
-
-/// One parity-preserving two-bit upset applied to a packed node word:
-/// the silent counterpart of [`SramUpset`]. Both flipped bits live in the
-/// 16-bit occupancy payload and each afflicted 2-bit field still decodes,
-/// so neither the even-parity check nor the structural decode check can
-/// see it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SilentUpset {
-    /// The corrupted 24-bit data word after the upset.
-    pub word: u32,
-    /// The two flipped payload bits (distinct, both `< 16`).
-    pub bits: [u32; 2],
-    /// Whether the stored parity still matches the data. An even-weight
-    /// flip preserves even parity, so this is always `true` — the dual of
-    /// [`SramUpset::parity_ok`].
     pub parity_ok: bool,
 }
 
@@ -753,19 +621,16 @@ impl FaultInjector {
 /// # Examples
 ///
 /// ```
-/// use mp_sim::fault::{parity24, SdcInjector, SdcPlan};
+/// use mp_sim::fault::{SdcInjector, SdcPlan};
 ///
 /// let mut inj = SdcInjector::new(SdcPlan::uniform(1.0, 7));
 /// assert!(inj.flips_verdict());
-/// let upset = inj.corrupt_node_word(0x00AB_4589);
-/// assert!(upset.parity_ok);
-/// assert_eq!(parity24(upset.word), parity24(0x00AB_4589));
+/// assert!(!SdcInjector::new(SdcPlan::none(7)).flips_verdict());
 /// ```
 #[derive(Clone, Debug)]
 pub struct SdcInjector {
-    plan: SdcPlan,
+    rate: f64,
     state: [u64; 4],
-    counters: IntegrityCounters,
 }
 
 impl SdcInjector {
@@ -773,111 +638,20 @@ impl SdcInjector {
     /// corruption sequences.
     pub fn new(plan: SdcPlan) -> SdcInjector {
         SdcInjector {
+            rate: plan.verdict_flip_rate,
             state: seed_state(plan.seed),
-            plan,
-            counters: IntegrityCounters::default(),
         }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &SdcPlan {
-        &self.plan
-    }
-
-    /// The accumulated integrity counters.
-    pub fn counters(&self) -> &IntegrityCounters {
-        &self.counters
-    }
-
-    /// Mutable counters, for the defense layers to record certifications,
-    /// votes, and scrub outcomes.
-    pub fn counters_mut(&mut self) -> &mut IntegrityCounters {
-        &mut self.counters
-    }
-
-    /// Zeroes the counters (the RNG stream is unaffected).
-    pub fn reset_counters(&mut self) {
-        self.counters = IntegrityCounters::default();
-    }
-
-    fn unit_f64(&mut self) -> f64 {
-        (xoshiro_next(&mut self.state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    fn pick(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0, "cannot pick from an empty range");
-        (xoshiro_next(&mut self.state) % n as u64) as usize
-    }
-
-    fn roll(&mut self, rate: f64) -> bool {
-        if rate <= 0.0 {
-            return false;
-        }
-        self.unit_f64() < rate
     }
 
     /// Whether this dispatch's delivered verdict is silently inverted.
-    /// One RNG draw per call, fired or not, so streams stay aligned
-    /// across policies.
+    /// One RNG draw per call, fired or not, whenever the rate is positive
+    /// (none at a zero rate), so streams stay aligned across policies.
     pub fn flips_verdict(&mut self) -> bool {
-        self.counters.opportunities += 1;
-        let fire = self.roll(self.plan.verdict_flip_rate);
-        if fire {
-            self.counters.verdict_flips += 1;
+        if self.rate <= 0.0 {
+            return false;
         }
-        fire
-    }
-
-    /// Whether this memo read returns a corrupted entry.
-    pub fn corrupts_memo(&mut self) -> bool {
-        let fire = self.roll(self.plan.memo_corrupt_rate);
-        if fire {
-            self.counters.memo_corruptions += 1;
-        }
-        fire
-    }
-
-    /// Whether this node-word read suffers a silent upset (pair with
-    /// [`SdcInjector::corrupt_node_word`]).
-    pub fn corrupts_node(&mut self) -> bool {
-        self.roll(self.plan.node_corrupt_rate)
-    }
-
-    /// Applies a parity-preserving two-bit upset to a packed node word.
-    ///
-    /// Exactly two distinct occupancy-payload bits flip (even weight, so
-    /// even parity over the 24 data bits is unchanged), and each flip is
-    /// chosen per-field so the afflicted 2-bit occupancy still decodes:
-    /// the low bit toggles `Empty ↔ Partial`, the high bit toggles
-    /// `Empty ↔ Full`, and neither ever produces the reserved `0b11`
-    /// pattern. The result sails through both detection mechanisms PR 1
-    /// installed — this is the honest silent-data-corruption case the
-    /// [`SramUpset`] doc comment promised to keep explicit.
-    pub fn corrupt_node_word(&mut self, word: u32) -> SilentUpset {
-        self.counters.node_corruptions += 1;
-        // Two distinct octant fields of the 8 in the payload.
-        let o1 = self.pick(8) as u32;
-        let o2 = (o1 + 1 + self.pick(7) as u32) % 8;
-        let mut corrupted = word & 0x00FF_FFFF;
-        let mut bits = [0u32; 2];
-        for (slot, octant) in bits.iter_mut().zip([o1, o2]) {
-            let field = (corrupted >> (2 * octant)) & 0b11;
-            // Full (0b10) only tolerates a high-bit flip; Partial (0b01)
-            // only a low-bit flip; Empty (0b00) tolerates either.
-            let bit = match field {
-                0b10 => 2 * octant + 1,
-                0b01 => 2 * octant,
-                _ => 2 * octant + self.pick(2) as u32,
-            };
-            corrupted ^= 1 << bit;
-            *slot = bit;
-        }
-        debug_assert_eq!(parity24(corrupted), parity24(word), "upset must be silent");
-        SilentUpset {
-            word: corrupted,
-            bits,
-            parity_ok: true,
-        }
+        let u = (xoshiro_next(&mut self.state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        u < self.rate
     }
 }
 
@@ -918,7 +692,6 @@ mod tests {
     #[test]
     fn zero_rate_never_fires() {
         let mut inj = FaultInjector::new(FaultPlan::none(1));
-        assert!(inj.plan().is_fault_free());
         for _ in 0..1000 {
             for kind in FaultKind::ALL {
                 assert!(!inj.fires(kind));
@@ -997,7 +770,6 @@ mod tests {
             slow_factor: 1,
         };
         let plan = ShardFaultPlan::scripted(3, vec![kill(2, 10_000), kill(9, 10_000), flap]);
-        assert!(!plan.is_failure_free());
         let sched = plan.schedule(4, 100_000_000);
         // Shard 9 is out of range for a 4-shard fleet and is dropped.
         assert!(sched.iter().all(|e| e.shard < 4));
@@ -1020,14 +792,7 @@ mod tests {
         let mut b = SdcInjector::new(plan);
         for _ in 0..500 {
             assert_eq!(a.flips_verdict(), b.flips_verdict());
-            assert_eq!(a.corrupts_memo(), b.corrupts_memo());
-            assert_eq!(a.corrupts_node(), b.corrupts_node());
         }
-        assert_eq!(a.counters(), b.counters());
-        assert_eq!(
-            a.corrupt_node_word(0x003C_9A55),
-            b.corrupt_node_word(0x003C_9A55)
-        );
         let mut c = SdcInjector::new(plan.stream(1));
         let flips: Vec<bool> = (0..64).map(|_| c.flips_verdict()).collect();
         let mut d = SdcInjector::new(plan);
@@ -1038,76 +803,14 @@ mod tests {
     }
 
     #[test]
-    fn silent_upsets_evade_parity_and_decode() {
-        let mut inj = SdcInjector::new(SdcPlan::uniform(1.0, 3));
-        // Exercise valid packed words covering all occupancy values,
-        // including an all-Full payload where only high-bit flips are
-        // silent and an all-Partial one where only low-bit flips are.
-        for word in [0x0000_0000u32, 0x00AB_9249, 0x00FF_AAAA, 0x0012_5555] {
-            for _ in 0..100 {
-                let upset = inj.corrupt_node_word(word);
-                assert!(upset.parity_ok);
-                assert_eq!((upset.word ^ word).count_ones(), 2, "exactly two bits flip");
-                assert_ne!(upset.bits[0], upset.bits[1]);
-                assert!(upset.bits.iter().all(|&b| b < 16), "payload-only");
-                // Even parity over the data bits is preserved: the PR 1
-                // parity check cannot see this upset.
-                assert_eq!(parity24(upset.word), parity24(word));
-                // Every 2-bit occupancy field still decodes (no reserved
-                // 0b11 pattern): the structural check cannot see it either.
-                for octant in 0..8 {
-                    assert_ne!(
-                        (upset.word >> (2 * octant)) & 0b11,
-                        0b11,
-                        "upset must not create a reserved occupancy"
-                    );
-                }
-            }
-        }
-        assert_eq!(inj.counters().node_corruptions, 400);
-    }
-
-    #[test]
     fn sdc_zero_rate_never_fires_and_scaling_clamps() {
         let mut inj = SdcInjector::new(SdcPlan::none(4));
-        assert!(inj.plan().is_silent_free());
         for _ in 0..500 {
             assert!(!inj.flips_verdict());
-            assert!(!inj.corrupts_memo());
-            assert!(!inj.corrupts_node());
         }
-        assert_eq!(inj.counters().injected_total(), 0);
-        assert_eq!(inj.counters().opportunities, 500);
         let hot = SdcPlan::uniform(0.4, 4).scaled(10.0);
         assert_eq!(hot.verdict_flip_rate, 1.0);
-        assert!(SdcPlan::uniform(0.4, 4).scaled(0.0).is_silent_free());
-    }
-
-    #[test]
-    fn integrity_counters_merge_and_export() {
-        let mut a = IntegrityCounters {
-            opportunities: 10,
-            verdict_flips: 2,
-            memo_corruptions: 1,
-            node_corruptions: 3,
-            certified: 8,
-            certify_failed: 2,
-            sdc_escaped: 0,
-            votes: 4,
-            vote_overrides: 1,
-            scrub_probes: 6,
-            scrub_readmits: 1,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.opportunities, 20);
-        assert_eq!(a.injected_total(), 12);
-        assert_eq!(a.scrub_readmits, 2);
-        let r = mp_telemetry::Registry::new();
-        a.export_into("integrity", &r);
-        assert_eq!(r.counter_value("integrity.verdict_flips"), Some(4));
-        assert_eq!(r.counter_value("integrity.sdc_escaped"), Some(0));
-        assert_eq!(r.counter_value("integrity.scrub_probes"), Some(12));
+        assert_eq!(SdcPlan::uniform(0.4, 4).scaled(0.0).verdict_flip_rate, 0.0);
     }
 
     #[test]

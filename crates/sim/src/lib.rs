@@ -34,10 +34,7 @@ pub mod vtime;
 
 pub use arrival::{ArrivalKind, ArrivalProcess};
 pub use counters::OpCounter;
-pub use fault::{
-    FaultInjector, FaultKind, FaultPlan, IntegrityCounters, ResilienceCounters, SdcInjector,
-    SdcPlan,
-};
+pub use fault::{FaultInjector, FaultKind, FaultPlan, ResilienceCounters, SdcInjector, SdcPlan};
 pub use ledger::EnergyLedger;
 pub use power::{AreaPower, CecduConfig, IuKind, MpaccelConfig};
 pub use time::ClockDomain;

@@ -4,6 +4,10 @@
 //! its fault back from the instance's inflight slot, after the instance
 //! was re-acquired at that very timestamp, would take the next dispatch's
 //! fault instead, retrying clean work and serving faulted work.
+//!
+//! Silent data corruption is the one fault no detection layer sees: an
+//! undefended run ships corrupted plans, and the plan certifier (alone or
+//! under the full integrity ladder) must ship none.
 
 use std::sync::OnceLock;
 
@@ -11,7 +15,8 @@ use mpaccel::octree::{benchmark_scenes, Scene};
 use mpaccel::planner::QualityTier;
 use mpaccel::robot::RobotModel;
 use mpaccel::service::{
-    run_fleet, run_service, FaultProfile, FleetConfig, PlanCatalog, ServiceConfig, TenantSpec,
+    run_fleet, run_service, FaultProfile, FleetConfig, IntegrityConfig, IntegrityStats,
+    PlanCatalog, ServiceConfig, TenantSpec,
 };
 use mpaccel::sim::arrival::{ArrivalKind, ArrivalProcess};
 use mpaccel::sim::fault::{ResilienceCounters, ShardFaultPlan};
@@ -122,4 +127,56 @@ fn fleet_masks_or_detects_every_injected_fault() {
         .resilience
     });
     assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+/// Runs one seeded SDC profile under `integrity` through the service
+/// and through a two-shard fleet.
+fn sdc_runs(integrity: IntegrityConfig) -> [(&'static str, IntegrityStats); 2] {
+    const SEED: u64 = 7;
+    let tenants = tenants();
+    let shard = ServiceConfig {
+        faults: FaultProfile::none().with_sdc(0.01, Some(0), 30.0),
+        integrity,
+        seed: SEED,
+        ..ServiceConfig::default()
+    };
+    let service = run_service(catalog(), &tenants, DURATION_NS, &shard).integrity;
+    let cfg = FleetConfig {
+        shards: 2,
+        shard: ServiceConfig {
+            instances: 2,
+            ..shard
+        },
+        seed: SEED,
+        ..FleetConfig::default()
+    };
+    let fleet = run_fleet(
+        catalog(),
+        &tenants,
+        &[],
+        DURATION_NS,
+        &cfg,
+        &ShardFaultPlan::none(SEED),
+    )
+    .fleet
+    .integrity;
+    [("service", service), ("fleet", fleet)]
+}
+
+#[test]
+fn certification_ships_no_silently_corrupted_plan() {
+    for (run, s) in sdc_runs(IntegrityConfig::off()) {
+        assert!(s.sdc_injected > 0, "{run}: SDC must fire");
+        assert!(s.sdc_escaped > 0, "{run}: undefended, unsafe plans ship");
+    }
+    for (label, integrity) in [
+        ("certify-only", IntegrityConfig::certify_only()),
+        ("full", IntegrityConfig::full()),
+    ] {
+        for (run, s) in sdc_runs(integrity) {
+            assert!(s.sdc_injected > 0, "{run} {label}: SDC must fire");
+            assert!(s.certify_failed > 0, "{run} {label}: nothing was caught");
+            assert_eq!(s.sdc_escaped, 0, "{run} {label}: an unsafe plan shipped");
+        }
+    }
 }
