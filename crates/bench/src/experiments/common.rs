@@ -272,17 +272,6 @@ fn replay_inner(
     agg
 }
 
-/// Runs one batch through a CDU model (helper for Criterion micro benches).
-pub fn run_one_batch(
-    workload: &BenchWorkload,
-    batch_index: usize,
-    sas: &SasConfig,
-    model: &mut impl CduModel,
-) -> u64 {
-    let b = &workload.batches[batch_index % workload.batches.len()];
-    run_sas(&b.motions, b.mode, sas, model).cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

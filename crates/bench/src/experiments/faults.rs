@@ -13,7 +13,7 @@ use mp_robot::RobotModel;
 use mp_sim::fault::{FaultPlan, ResilienceCounters};
 use mp_sim::{CecduConfig, IuKind};
 use mpaccel_core::cecdu::CecduSim;
-use mpaccel_core::fault::{FaultTolerantCduArray, RecoveryMode, RecoveryPolicy};
+use mpaccel_core::fault::{FaultTolerantCduArray, RecoveryMode};
 use mpaccel_core::sas::{run_sas, FunctionMode, SasConfig};
 
 use crate::experiments::common::SasAggregate;
@@ -85,7 +85,7 @@ pub fn data(scale: Scale) -> Vec<FaultPoint> {
                     sim,
                     NUM_UNITS,
                     FaultPlan::uniform(rate, seed),
-                    RecoveryPolicy::new(mode),
+                    mode,
                 );
                 // Complete mode isolates resilience effects from
                 // function-mode early stops: every motion's verdict is

@@ -63,12 +63,6 @@ impl Report {
         self
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) -> &mut Report {
-        let owned: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// The data rows (for assertions in tests).
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows

@@ -244,15 +244,6 @@ impl BenchWorkload {
     }
 }
 
-/// Whether any motion of the batch collides (ground truth via the software
-/// oracle, with per-motion early exit).
-pub fn batch_has_collision(workload: &BenchWorkload, batch: &CdBatchSpec) -> bool {
-    let mut checker = SoftwareChecker::new(workload.robot.clone(), workload.octree(batch.scene));
-    batch.motions.iter().any(|m| {
-        (0..m.count).any(|i| mp_collision::CollisionChecker::check_pose(&mut checker, &m.pose(i)))
-    })
-}
-
 /// Collects the actual OBB–AABB test pairs an OBB–octree traversal
 /// generates for random link-sized OBBs — the §4/Fig 8 test population
 /// ("collision detection tests between OBBs for random poses of the

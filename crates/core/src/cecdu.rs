@@ -9,6 +9,11 @@
 //! dispatched in synchronous waves (§7.2.2: "the collision detection time
 //! for parallel intersection tests is dominated by the highest intersection
 //! test time across all units as we use synchronous scheduling").
+//!
+//! One wave loop models this. [`CecduSim::check_pose`] runs it clean;
+//! [`CecduSim::check_pose_with_faults`] runs the same loop with a
+//! [`FaultInjector`] attached, so each dispatched link walks the OOCD
+//! through [`run_oocd_with_faults`] and may draw a saturation event.
 
 use std::cell::Cell;
 
@@ -98,7 +103,6 @@ pub struct CecduSim {
     octree: Octree,
     config: CecduConfig,
     cascade: CascadeConfig,
-    trig: TrigMode,
 }
 
 impl CecduSim {
@@ -109,19 +113,12 @@ impl CecduSim {
             octree,
             config,
             cascade: CascadeConfig::proposed(),
-            trig: TrigMode::Hardware,
         }
     }
 
     /// Overrides the intersection cascade (for the §7.2.1 ablations).
     pub fn with_cascade(mut self, cascade: CascadeConfig) -> CecduSim {
         self.cascade = cascade;
-        self
-    }
-
-    /// Uses exact trigonometry instead of the hardware approximation.
-    pub fn with_exact_trig(mut self) -> CecduSim {
-        self.trig = TrigMode::Exact;
         self
     }
 
@@ -159,73 +156,25 @@ impl CecduSim {
             return non_finite_pose();
         }
         let span = mp_telemetry::span("core", "cecdu_pose");
-        let (mut frames, mut obbs) = FK_SCRATCH.with(Cell::take);
-        link_obbs_into(&self.robot, pose, self.trig, &mut frames, &mut obbs);
-        let oocd_cfg = OocdConfig {
-            iu: self.config.iu,
-            cascade: self.cascade,
-        };
-
-        let mut ops = OpCounter::default();
-        let mut links_checked = 0usize;
-        let mut colliding = false;
-        let n = self.config.oocds.max(1);
-
-        // Timing: links are dispatched to the OOCD array in synchronous
-        // waves of `n`; a wave starts once its last OBB has been generated
-        // and the previous wave has drained. Waves are evaluated lazily —
-        // only links the hardware actually dispatches run their OOCD
-        // traversal (early exit cancels the rest), which is what the
-        // cycle/op totals counted all along.
-        let ready = |i: usize| OBB_GEN_FIRST_READY + OBB_GEN_INTERVAL * i as u64;
-        let mut t: u64 = 0;
-        let mut i = 0usize;
-        while i < obbs.len() {
-            let wave_end_idx = (i + n).min(obbs.len());
-            let start = t.max(ready(wave_end_idx - 1));
-            let mut dur = 0u64;
-            for obb in &obbs[i..wave_end_idx] {
-                let r = run_oocd(&self.octree, &obb.quantize(), &oocd_cfg);
-                dur = dur.max(r.cycles);
-                ops += r.ops;
-                ops.mults += OBB_GEN_MULTS;
-                // The OBB Generation Unit fetches the link's kinematic row
-                // (DH parameters + box extents) from the unit's large
-                // configuration SRAM once per generated link OBB.
-                ops.big_sram_reads += 1;
-                links_checked += 1;
-                if r.colliding {
-                    colliding = true;
-                }
-            }
-            t = start + dur;
-            if colliding {
-                break; // Result Collector stops subsequent waves.
-            }
-            i = wave_end_idx;
-        }
-        FK_SCRATCH.set((frames, obbs));
-        // +1 cycle for the Result Collector to report back.
-        ops.cd_queries += 1;
+        let out = self.waves(pose, None).result;
         // Feed the process-wide CD energy counters so hardware-model pose
         // queries show up in `collision::metrics::energy_pj_total` next to
         // the software oracle's (node reads land in the same small-SRAM
         // class the software walk bills).
-        mp_collision::metrics::record_pose_work(ops.sram_reads, ops.box_tests, ops.mults);
+        mp_collision::metrics::record_pose_work(
+            out.ops.sram_reads,
+            out.ops.box_tests,
+            out.ops.mults,
+        );
         span.end_with(|| {
             mp_telemetry::arg2(
                 "links",
-                mp_telemetry::ArgValue::U64(links_checked as u64),
+                mp_telemetry::ArgValue::U64(out.links_checked as u64),
                 "colliding",
-                mp_telemetry::ArgValue::U64(colliding as u64),
+                mp_telemetry::ArgValue::U64(out.colliding as u64),
             )
         });
-        CecduResult {
-            colliding,
-            cycles: t + 1,
-            links_checked,
-            ops,
-        }
+        out
     }
 
     /// [`CecduSim::check_pose`] with fault injection.
@@ -239,7 +188,9 @@ impl CecduSim {
     /// the OOCD are always active. Early exit on a colliding link is
     /// preserved, so faults on later links may go unobserved — exactly as
     /// in hardware. A non-finite pose is rejected as colliding before any
-    /// link is dispatched, so it injects no fault.
+    /// link is dispatched, so it injects no fault. Unlike
+    /// [`CecduSim::check_pose`], it records no process-wide metrics and
+    /// opens no span.
     pub fn check_pose_with_faults(
         &self,
         pose: &JointConfig,
@@ -254,8 +205,32 @@ impl CecduSim {
                 faults_injected: 0,
             };
         }
+        self.waves(pose, Some((inj, detection)))
+    }
+
+    /// The one wave loop behind [`CecduSim::check_pose`] and
+    /// [`CecduSim::check_pose_with_faults`]. `faults` attaches an injector
+    /// and says whether detection is on; only then do links run through
+    /// [`run_oocd_with_faults`] and draw a saturation event.
+    ///
+    /// Timing: links are dispatched to the OOCD array in synchronous waves
+    /// of `n`; a wave starts once its last OBB has been generated and the
+    /// previous wave has drained. Waves are evaluated lazily: only links
+    /// the hardware actually dispatches run their OOCD traversal and draw
+    /// faults, and early exit cancels the rest.
+    fn waves(
+        &self,
+        pose: &JointConfig,
+        mut faults: Option<(&mut FaultInjector, bool)>,
+    ) -> FaultyCecduOutcome {
         let (mut frames, mut obbs) = FK_SCRATCH.with(Cell::take);
-        link_obbs_into(&self.robot, pose, self.trig, &mut frames, &mut obbs);
+        link_obbs_into(
+            &self.robot,
+            pose,
+            TrigMode::Hardware,
+            &mut frames,
+            &mut obbs,
+        );
         let oocd_cfg = OocdConfig {
             iu: self.config.iu,
             cascade: self.cascade,
@@ -268,8 +243,6 @@ impl CecduSim {
         let mut faults_injected = 0u32;
         let n = self.config.oocds.max(1);
 
-        // Waves are evaluated lazily so faults are only injected on links
-        // the hardware actually dispatches (early exit cancels the rest).
         let ready = |i: usize| OBB_GEN_FIRST_READY + OBB_GEN_INTERVAL * i as u64;
         let mut t: u64 = 0;
         let mut i = 0usize;
@@ -278,30 +251,38 @@ impl CecduSim {
             let start = t.max(ready(wave_end_idx - 1));
             let mut dur = 0u64;
             for obb in &obbs[i..wave_end_idx] {
-                let f =
-                    run_oocd_with_faults(&self.octree, &obb.quantize(), &oocd_cfg, inj, detection);
-                let mut link_colliding = f.result.colliding;
-                if f.detected() {
-                    detected = true;
-                }
-                faults_injected += f.sram_upsets;
-                if inj.fires(FaultKind::Saturation) {
-                    faults_injected += 1;
-                    link_colliding = !link_colliding;
-                    if detection {
-                        // The saturating adder sets a sticky overflow flag
-                        // the Result Collector reads with the verdict.
-                        detected = true;
+                let obb = obb.quantize();
+                let (r, link_colliding) = match faults.as_mut() {
+                    None => {
+                        let r = run_oocd(&self.octree, &obb, &oocd_cfg);
+                        (r, r.colliding)
                     }
-                }
-                dur = dur.max(f.result.cycles);
-                ops += f.result.ops;
+                    Some((inj, detection)) => {
+                        let f =
+                            run_oocd_with_faults(&self.octree, &obb, &oocd_cfg, inj, *detection);
+                        detected |= f.detected();
+                        faults_injected += f.sram_upsets;
+                        let mut link_colliding = f.result.colliding;
+                        if inj.fires(FaultKind::Saturation) {
+                            faults_injected += 1;
+                            link_colliding = !link_colliding;
+                            // The saturating adder sets a sticky overflow
+                            // flag the Result Collector reads with the
+                            // verdict.
+                            detected |= *detection;
+                        }
+                        (f.result, link_colliding)
+                    }
+                };
+                dur = dur.max(r.cycles);
+                ops += r.ops;
                 ops.mults += OBB_GEN_MULTS;
+                // The OBB Generation Unit fetches the link's kinematic row
+                // (DH parameters + box extents) from the unit's large
+                // configuration SRAM once per generated link OBB.
                 ops.big_sram_reads += 1;
                 links_checked += 1;
-                if link_colliding {
-                    colliding = true;
-                }
+                colliding |= link_colliding;
             }
             t = start + dur;
             if colliding {
@@ -310,6 +291,7 @@ impl CecduSim {
             i = wave_end_idx;
         }
         FK_SCRATCH.set((frames, obbs));
+        // +1 cycle for the Result Collector to report back.
         ops.cd_queries += 1;
         FaultyCecduOutcome {
             result: CecduResult {

@@ -10,8 +10,8 @@
 //!   (catching stuck units replaying stale results), a dispatch watchdog
 //!   (catching dropped results), and the sticky saturation flag.
 //! * **Recovery** — a detected fault re-dispatches the query to a
-//!   different unit, up to a bounded budget; a unit accumulating
-//!   [`RecoveryPolicy::quarantine_strikes`] detections is quarantined
+//!   different unit, up to [`MAX_REDISPATCHES`] times; a unit accumulating
+//!   [`QUARANTINE_STRIKES`] detections is quarantined
 //!   (never the last healthy unit). When the budget runs out the query is
 //!   resolved conservatively: *collision wins*.
 //! * **Voter** — [`RecoveryMode::DetectRetryVoter`] additionally
@@ -39,6 +39,21 @@ pub const REDISPATCH_CYCLES: u64 = 4;
 
 /// Cycles a stuck unit takes to replay its stale latched result.
 pub const STUCK_REPLAY_CYCLES: u64 = 4;
+
+/// Re-dispatches allowed per query before the conservative fallback.
+pub const MAX_REDISPATCHES: u32 = 3;
+
+/// Detections charged to one unit before it is quarantined.
+pub const QUARANTINE_STRIKES: u32 = 3;
+
+/// Latency multiplier for [`FaultKind::SlowUnit`] events.
+pub const SLOW_FACTOR: u64 = 4;
+
+/// Cycles the watchdog waits before declaring a result dropped.
+pub const WATCHDOG_CYCLES: u64 = 512;
+
+/// In voter mode, every `VOTER_PERIOD`-th free verdict is oracle-checked.
+pub const VOTER_PERIOD: u64 = 4;
 
 /// How the system responds to hardware faults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -71,44 +86,6 @@ impl RecoveryMode {
     }
 }
 
-/// Recovery parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// The recovery mode.
-    pub mode: RecoveryMode,
-    /// Re-dispatches allowed per query before the conservative fallback.
-    pub max_redispatches: u32,
-    /// Detections charged to one unit before it is quarantined.
-    pub quarantine_strikes: u32,
-    /// Latency multiplier for [`FaultKind::SlowUnit`] events.
-    pub slow_factor: u64,
-    /// Cycles the watchdog waits before declaring a result dropped.
-    pub watchdog_cycles: u64,
-    /// In voter mode, every `voter_period`-th free verdict is
-    /// oracle-checked (1 checks every free verdict).
-    pub voter_period: u64,
-}
-
-impl RecoveryPolicy {
-    /// Default parameters for a mode.
-    pub fn new(mode: RecoveryMode) -> RecoveryPolicy {
-        RecoveryPolicy {
-            mode,
-            max_redispatches: 3,
-            quarantine_strikes: 3,
-            slow_factor: 4,
-            watchdog_cycles: 512,
-            voter_period: 4,
-        }
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy::new(RecoveryMode::default())
-    }
-}
-
 /// Per-unit health state.
 #[derive(Clone, Copy, Debug, Default)]
 struct UnitState {
@@ -133,7 +110,7 @@ struct UnitState {
 /// use mp_robot::RobotModel;
 /// use mp_sim::{CecduConfig, FaultPlan, IuKind};
 /// use mpaccel_core::cecdu::CecduSim;
-/// use mpaccel_core::fault::{FaultTolerantCduArray, RecoveryMode, RecoveryPolicy};
+/// use mpaccel_core::fault::{FaultTolerantCduArray, RecoveryMode};
 /// use mpaccel_core::sas::CduModel;
 ///
 /// let scene = Scene::random(SceneConfig::paper(), 0);
@@ -146,7 +123,7 @@ struct UnitState {
 ///     sim,
 ///     4,
 ///     FaultPlan::uniform(0.05, 11),
-///     RecoveryPolicy::new(RecoveryMode::DetectRetry),
+///     RecoveryMode::DetectRetry,
 /// );
 /// let home = array.sim().robot().home();
 /// let _resp = array.query(&home);
@@ -158,7 +135,7 @@ pub struct FaultTolerantCduArray {
     sim: CecduSim,
     oracle: Option<SoftwareChecker>,
     injector: FaultInjector,
-    policy: RecoveryPolicy,
+    mode: RecoveryMode,
     units: Vec<UnitState>,
     next_unit: usize,
     free_verdicts_seen: u64,
@@ -176,16 +153,16 @@ impl FaultTolerantCduArray {
         sim: CecduSim,
         num_units: usize,
         plan: FaultPlan,
-        policy: RecoveryPolicy,
+        mode: RecoveryMode,
     ) -> FaultTolerantCduArray {
         assert!(num_units > 0, "the array needs at least one unit");
-        let oracle = (policy.mode == RecoveryMode::DetectRetryVoter)
+        let oracle = (mode == RecoveryMode::DetectRetryVoter)
             .then(|| SoftwareChecker::new(sim.robot().clone(), sim.octree().clone()));
         FaultTolerantCduArray {
             sim,
             oracle,
             injector: FaultInjector::new(plan),
-            policy,
+            mode,
             units: vec![UnitState::default(); num_units],
             next_unit: 0,
             free_verdicts_seen: 0,
@@ -197,9 +174,9 @@ impl FaultTolerantCduArray {
         &self.sim
     }
 
-    /// The recovery policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
+    /// The recovery mode.
+    pub fn mode(&self) -> RecoveryMode {
+        self.mode
     }
 
     /// The resilience counters accumulated so far.
@@ -241,7 +218,7 @@ impl FaultTolerantCduArray {
     /// budget — unless it is the last healthy unit.
     fn strike(&mut self, u: usize) {
         self.units[u].strikes += 1;
-        if self.units[u].strikes >= self.policy.quarantine_strikes
+        if self.units[u].strikes >= QUARANTINE_STRIKES
             && !self.units[u].quarantined
             && self.healthy_units() > 1
         {
@@ -269,7 +246,7 @@ impl FaultTolerantCduArray {
     /// Evaluates one attempt on unit `u`, applying unit- and bus-level
     /// faults around the CECDU-level injection.
     fn attempt(&mut self, u: usize, pose: &JointConfig) -> Attempt {
-        let detection = self.policy.mode.detection();
+        let detection = self.mode.detection();
 
         if self.injector.fires(FaultKind::StuckUnit) {
             self.units[u].stuck = true;
@@ -293,7 +270,7 @@ impl FaultTolerantCduArray {
                 // dropped result (handled by the watchdog below).
                 None => Attempt {
                     colliding: false,
-                    cycles: self.policy.watchdog_cycles,
+                    cycles: WATCHDOG_CYCLES,
                     ops: OpCounter::default(),
                     faulty: true,
                     detected: detection,
@@ -318,7 +295,7 @@ impl FaultTolerantCduArray {
 
         if self.injector.fires(FaultKind::SlowUnit) {
             a.faulty = true;
-            a.cycles *= self.policy.slow_factor.max(1);
+            a.cycles *= SLOW_FACTOR;
         }
         if self.injector.fires(FaultKind::CorruptedVerdict) {
             a.faulty = true;
@@ -331,7 +308,7 @@ impl FaultTolerantCduArray {
             a.faulty = true;
             if detection {
                 // The watchdog times out and flags the dispatch slot.
-                a.cycles += self.policy.watchdog_cycles;
+                a.cycles += WATCHDOG_CYCLES;
                 a.detected = true;
             } else {
                 // The result silently never arrives; the scheduler's
@@ -350,7 +327,7 @@ impl CduModel for FaultTolerantCduArray {
         self.injector.counters_mut().queries += 1;
         // Clean reference for classification only (no ops/latency).
         let clean = self.sim.check_pose(pose).colliding;
-        let detection = self.policy.mode.detection();
+        let detection = self.mode.detection();
 
         let mut latency = 0u64;
         let mut ops = OpCounter::default();
@@ -365,7 +342,7 @@ impl CduModel for FaultTolerantCduArray {
             if a.detected {
                 self.injector.counters_mut().detected += 1;
                 self.strike(u);
-                if detection && redispatches < self.policy.max_redispatches {
+                if detection && redispatches < MAX_REDISPATCHES {
                     redispatches += 1;
                     self.injector.counters_mut().redispatches += 1;
                     latency += REDISPATCH_CYCLES;
@@ -380,12 +357,9 @@ impl CduModel for FaultTolerantCduArray {
 
         // Voter: spot-check free verdicts against the software oracle,
         // promoting only free -> collision (conservative by construction).
-        if !verdict && self.policy.mode == RecoveryMode::DetectRetryVoter {
+        if !verdict && self.mode == RecoveryMode::DetectRetryVoter {
             self.free_verdicts_seen += 1;
-            if self
-                .free_verdicts_seen
-                .is_multiple_of(self.policy.voter_period.max(1))
-            {
+            if self.free_verdicts_seen.is_multiple_of(VOTER_PERIOD) {
                 if let Some(oracle) = self.oracle.as_mut() {
                     self.injector.counters_mut().oracle_checks += 1;
                     if oracle.check_pose(pose) {
@@ -449,12 +423,8 @@ mod tests {
     #[test]
     fn fault_free_array_matches_clean_sim() {
         let s = sim(0);
-        let mut array = FaultTolerantCduArray::new(
-            s.clone(),
-            4,
-            FaultPlan::none(1),
-            RecoveryPolicy::new(RecoveryMode::DetectRetry),
-        );
+        let mut array =
+            FaultTolerantCduArray::new(s.clone(), 4, FaultPlan::none(1), RecoveryMode::DetectRetry);
         for pose in poses(40, 2) {
             let resp = array.query(&pose);
             assert_eq!(resp.colliding, s.check_pose(&pose).colliding);
@@ -471,12 +441,8 @@ mod tests {
     #[test]
     fn detection_keeps_false_negatives_at_zero() {
         for mode in [RecoveryMode::DetectRetry, RecoveryMode::DetectRetryVoter] {
-            let mut array = FaultTolerantCduArray::new(
-                sim(1),
-                4,
-                FaultPlan::uniform(0.05, 7),
-                RecoveryPolicy::new(mode),
-            );
+            let mut array =
+                FaultTolerantCduArray::new(sim(1), 4, FaultPlan::uniform(0.05, 7), mode);
             for pose in poses(120, 3) {
                 let _ = array.query(&pose);
             }
@@ -498,7 +464,7 @@ mod tests {
             FaultPlan::none(9)
                 .with_rate(FaultKind::DroppedResult, 0.15)
                 .with_rate(FaultKind::CorruptedVerdict, 0.15),
-            RecoveryPolicy::new(RecoveryMode::None),
+            RecoveryMode::None,
         );
         for pose in poses(200, 4) {
             let _ = array.query(&pose);
@@ -519,7 +485,7 @@ mod tests {
             sim(3),
             2,
             FaultPlan::none(5).with_rate(FaultKind::StuckUnit, 0.35),
-            RecoveryPolicy::new(RecoveryMode::DetectRetry),
+            RecoveryMode::DetectRetry,
         );
         for pose in poses(150, 6) {
             let _ = array.query(&pose);
@@ -537,7 +503,7 @@ mod tests {
             sim(4),
             4,
             FaultPlan::uniform(0.02, 3),
-            RecoveryPolicy::new(RecoveryMode::DetectRetryVoter),
+            RecoveryMode::DetectRetryVoter,
         );
         for pose in poses(100, 8) {
             let _ = array.query(&pose);
@@ -561,7 +527,7 @@ mod tests {
             sim(5),
             8,
             FaultPlan::uniform(0.01, 13),
-            RecoveryPolicy::new(RecoveryMode::DetectRetry),
+            RecoveryMode::DetectRetry,
         );
         let r = run_sas(
             &motions,
@@ -580,7 +546,7 @@ mod tests {
                 sim(6),
                 4,
                 FaultPlan::uniform(0.04, 21),
-                RecoveryPolicy::new(RecoveryMode::DetectRetry),
+                RecoveryMode::DetectRetry,
             );
             let mut verdicts = Vec::new();
             for pose in poses(60, 9) {
@@ -601,7 +567,7 @@ mod tests {
                 sim(7),
                 4,
                 FaultPlan::none(2),
-                RecoveryPolicy::new(RecoveryMode::DetectRetry),
+                RecoveryMode::DetectRetry,
             );
             let mut cycles = 0u64;
             let mut mults = 0u64;
@@ -617,7 +583,7 @@ mod tests {
                 sim(7),
                 4,
                 FaultPlan::uniform(0.08, 2),
-                RecoveryPolicy::new(RecoveryMode::DetectRetry),
+                RecoveryMode::DetectRetry,
             );
             let mut cycles = 0u64;
             let mut mults = 0u64;

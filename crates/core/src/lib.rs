@@ -39,7 +39,7 @@ pub mod sram;
 pub mod trace;
 
 pub use cecdu::{CecduChecker, CecduResult, CecduSim};
-pub use fault::{FaultTolerantCduArray, RecoveryMode, RecoveryPolicy};
+pub use fault::{FaultTolerantCduArray, RecoveryMode};
 pub use mpaccel::{MpAccelSystem, RunReport, SystemConfig};
 pub use oocd::{run_oocd, OocdConfig, OocdResult};
 pub use pool::{AcceleratorPool, InstanceStats};

@@ -77,17 +77,6 @@ pub struct RunReport {
     pub datapath_energy_uj: f64,
 }
 
-impl RunReport {
-    /// Fraction of time spent in collision detection.
-    pub fn cd_fraction(&self) -> f64 {
-        if self.total_ms <= 0.0 {
-            0.0
-        } else {
-            self.cd_ms / self.total_ms
-        }
-    }
-}
-
 /// The MPAccel system bound to a robot and environment.
 ///
 /// # Examples

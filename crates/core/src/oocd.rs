@@ -11,6 +11,14 @@
 //! 4. colliding *partially occupied* octants push their child address for
 //!    further traversal; a colliding *fully occupied* octant terminates the
 //!    query with `colliding = true`.
+//!
+//! One walk models this datapath. [`run_oocd`] runs it clean;
+//! [`run_oocd_with_faults`] runs the same walk with a [`FaultInjector`]
+//! attached, which corrupts node words as they are read and turns on the
+//! structural and parity checks. Octant boxes come from the octree's
+//! precomputed arena while the walk follows the builder's own chain; below
+//! a word that drew an upset they are derived on the fly from the decoded
+//! (possibly corrupted) words, exactly as the hardware would.
 
 use std::cell::Cell;
 
@@ -21,13 +29,15 @@ use mp_octree::{Node, Occupancy, Octree};
 use mp_sim::fault::{parity24, FaultKind, SRAM_WORD_BITS};
 use mp_sim::{FaultInjector, IuKind, OpCounter};
 
-use crate::intersection_unit::{self, IU_PIPELINE_DEPTH};
+use crate::intersection_unit::{self, IuOutcome, IU_PIPELINE_DEPTH};
 
 thread_local! {
     // Reusable traversal stacks, taken out of the cell per query and put
     // back afterwards, like the octree's own traversal stack:
-    // allocation-free in steady state, reentrancy-safe.
-    static OOCD_STACK: Cell<Vec<u32>> = Cell::default();
+    // allocation-free in steady state, reentrancy-safe. Each entry is a
+    // node address plus its parent box when the node was reached through
+    // a word that drew an upset (`None`: on the builder's chain).
+    static OOCD_STACK: Cell<Vec<(u32, Option<AabbF>)>> = Cell::default();
 }
 
 /// Configuration of one OOCD.
@@ -78,69 +88,7 @@ pub struct OocdResult {
 /// assert!(out.cycles >= 2);
 /// ```
 pub fn run_oocd(octree: &Octree, obb: &FxObb, cfg: &OocdConfig) -> OocdResult {
-    let mut cycles: u64 = 1; // root address into the Address Register
-    let mut ops = OpCounter::default();
-    let flat = octree.flat();
-
-    let mut stack = OOCD_STACK.with(Cell::take);
-    // The traversal stack models the Address Register + Node Queue.
-    stack.clear();
-    stack.push(0u32);
-    let mut hit = false;
-
-    // The node entries' Q3.12 boxes are precomputed in the arena (same
-    // quantize-roundtrip chain the per-octant walk derived); each lane
-    // runs the hoisted cascade kernel — squared radii and SAT constants
-    // derived once per link query, reused across every visited node — and
-    // is committed in octant order with the unit's timing model, so
-    // cycle/op totals replicate the scalar walk exactly.
-    let [cx, cy, cz, hx, hy, hz] = flat.aabbs_oocd().coord_lanes();
-    let mut cascade = HoistedCascade::new(obb, &cfg.cascade);
-
-    'walk: while let Some(addr) = stack.pop() {
-        // SRAM read of the 24-bit node word.
-        cycles += 1;
-        ops.sram_reads += 1;
-
-        for e in flat.entries(addr) {
-            let lane = cascade.outcome(cx[e], cy[e], cz[e], hx[e], hy[e], hz[e]);
-            let out = intersection_unit::outcome_from_cascade(&lane, &cfg.cascade, cfg.iu);
-            ops += out.ops;
-            match cfg.iu {
-                // The unit is busy for the whole cascade.
-                IuKind::MultiCycle => cycles += out.initiation_interval as u64,
-                // One issue slot per query; drain latency added below.
-                IuKind::Pipelined => cycles += 1,
-            }
-            if out.colliding {
-                if flat.is_full(e) {
-                    // Terminal: report collision once this result drains.
-                    hit = true;
-                    break 'walk;
-                }
-                stack.push(flat.child(e));
-            }
-        }
-        // The Node Queue lets the traverser prefetch the next stacked node
-        // while pipelined results drain, hiding the pipeline latency
-        // between nodes entirely; only the final drain (below) is exposed.
-    }
-
-    stack.clear();
-    OOCD_STACK.with(|cell| cell.set(stack));
-
-    if cfg.iu == IuKind::Pipelined {
-        // Drain: for a hit, the terminal result must leave the pipeline;
-        // for a miss, the last in-flight result must before the traverser
-        // can report "no collision".
-        cycles += (IU_PIPELINE_DEPTH - 1) as u64;
-    }
-
-    OocdResult {
-        colliding: hit,
-        cycles,
-        ops,
-    }
+    walk(octree, obb, cfg, None).result
 }
 
 /// Software cross-check: the same traversal evaluated functionally (no
@@ -204,161 +152,156 @@ pub fn run_oocd_with_faults(
     inj: &mut FaultInjector,
     parity_checking: bool,
 ) -> FaultyOocdOutcome {
+    walk(octree, obb, cfg, Some((inj, parity_checking)))
+}
+
+/// Cycles one test holds the Intersection Unit's input slot.
+fn iu_slot_cycles(iu: IuKind, out: &IuOutcome) -> u64 {
+    match iu {
+        // The unit is busy for the whole cascade.
+        IuKind::MultiCycle => out.initiation_interval as u64,
+        // A new query enters every cycle; drain latency added at the end.
+        IuKind::Pipelined => 1,
+    }
+}
+
+/// The one OOCD traversal behind [`run_oocd`] and
+/// [`run_oocd_with_faults`]. `faults` attaches an injector and says
+/// whether SRAM parity checking is on; only then are node words packed,
+/// upset and checked.
+///
+/// A node reached along the builder's chain through intact words serves
+/// its precomputed arena boxes (Q3.12, the same quantize-roundtrip chain
+/// the per-octant walk derives), each lane run through the hoisted cascade
+/// kernel — squared radii and SAT constants derived once per link query —
+/// and committed in octant order with the unit's timing model. A node
+/// whose word drew an upset (even one that only flipped the parity bit),
+/// and every node below it, is walked octant by octant from its decoded
+/// word with boxes derived on the fly.
+fn walk(
+    octree: &Octree,
+    obb: &FxObb,
+    cfg: &OocdConfig,
+    mut faults: Option<(&mut FaultInjector, bool)>,
+) -> FaultyOocdOutcome {
     let mut cycles: u64 = 1; // root address into the Address Register
     let mut ops = OpCounter::default();
     let mut out = FaultyOocdOutcome::default();
+    let flat = octree.flat();
     let node_count = octree.node_count() as u32;
     let read_cap = 2 * node_count as u64 + 8;
-    let flat = octree.flat();
-
-    // Each stack entry carries the node's OOCD-chain parent box plus a
-    // `clean` flag: a node reached through uncorrupted words along the
-    // builder's own chain can serve its precomputed arena boxes (the fast,
-    // batched path of `run_oocd`); once an upset corrupts a word, every box
-    // downstream is derived from the corrupted path on the fly, exactly as
-    // the hardware would.
-    let mut stack: Vec<(u32, AabbF, bool)> = vec![(0, octree.root_aabb(), true)];
+    let [cx, cy, cz, hx, hy, hz] = flat.aabbs_oocd().coord_lanes();
     let mut cascade = HoistedCascade::new(obb, &cfg.cascade);
 
-    let detect = |mut o: FaultyOocdOutcome, cycles: u64, ops: OpCounter| {
-        // Conservative in-unit fallback: report the octant occupied.
-        o.result = OocdResult {
-            colliding: true,
-            cycles,
-            ops,
-        };
-        o
-    };
+    // The traversal stack models the Address Register + Node Queue.
+    let mut stack = OOCD_STACK.with(Cell::take);
+    stack.clear();
+    stack.push((0, None));
+    let mut hit = false;
 
-    while let Some((addr, node_aabb, clean)) = stack.pop() {
+    'walk: while let Some((addr, parent)) = stack.pop() {
+        // SRAM read of the 24-bit node word.
         cycles += 1;
         ops.sram_reads += 1;
 
-        // Structural check: the Memory Request Generator rejects
-        // addresses beyond the octree's SRAM extent (corrupted pointer).
-        if addr >= node_count {
-            out.structural_detected = true;
-            return detect(out, cycles, ops);
-        }
-        // Structural check: a traversal visiting far more words than the
-        // SRAM holds is cycling through corrupted pointers.
-        if ops.sram_reads > read_cap {
-            out.structural_detected = true;
-            return detect(out, cycles, ops);
-        }
-
-        let stored = octree.node(addr);
-        let mut corrupted = false;
-        let node = match stored.pack() {
-            Err(_) => *stored, // no 24-bit word to corrupt
-            Ok(word) => {
-                let (word, stored_parity) = if inj.fires(FaultKind::SramBitFlip) {
+        // The decoded word, when this read drew an upset.
+        let mut upset = None;
+        if let Some((inj, parity_checking)) = faults.as_mut() {
+            // Structural checks: the Memory Request Generator rejects
+            // addresses beyond the octree's SRAM extent (corrupted
+            // pointer), and a traversal visiting far more words than the
+            // SRAM holds is cycling through corrupted pointers.
+            if addr >= node_count || ops.sram_reads > read_cap {
+                out.structural_detected = true;
+                break 'walk;
+            }
+            // A word that cannot be packed has no hardware word to corrupt.
+            if let Ok(word) = octree.node(addr).pack() {
+                if inj.fires(FaultKind::SramBitFlip) {
                     out.sram_upsets += 1;
-                    corrupted = true;
                     // The stored parity bit covered the original word; the
                     // upset flipped either a data bit or the parity bit.
-                    let upset = inj.corrupt_sram_word(word);
-                    let parity = parity24(word) ^ u32::from(upset.flipped_bit == SRAM_WORD_BITS);
-                    (upset.word, parity)
-                } else {
-                    (word, parity24(word))
-                };
-                if parity_checking && parity24(word) != stored_parity {
-                    out.parity_detected = true;
-                    return detect(out, cycles, ops);
-                }
-                match Node::unpack(word) {
-                    Ok(n) => n,
-                    Err(_) => {
-                        // Reserved occupancy pattern: the decoder cannot
-                        // proceed (structural detection, even without
-                        // parity checking).
-                        out.structural_detected = true;
-                        return detect(out, cycles, ops);
+                    let flip = inj.corrupt_sram_word(word);
+                    let parity = parity24(word) ^ u32::from(flip.flipped_bit == SRAM_WORD_BITS);
+                    if *parity_checking && parity24(flip.word) != parity {
+                        out.parity_detected = true;
+                        break 'walk;
+                    }
+                    match Node::unpack(flip.word) {
+                        Ok(node) => upset = Some(node),
+                        Err(_) => {
+                            // Reserved occupancy pattern: the decoder
+                            // cannot proceed (structural detection, even
+                            // without parity checking).
+                            out.structural_detected = true;
+                            break 'walk;
+                        }
                     }
                 }
             }
-        };
+        }
 
-        if clean && !corrupted {
-            // Decoded word equals the stored node and the parent box is on
-            // the builder's chain: the arena's precomputed Q3.12 boxes are
-            // exactly what the per-octant walk would derive. Batch them.
-            let [cx, cy, cz, hx, hy, hz] = flat.aabbs_oocd().coord_lanes();
+        if parent.is_none() && upset.is_none() {
             for e in flat.entries(addr) {
                 let lane = cascade.outcome(cx[e], cy[e], cz[e], hx[e], hy[e], hz[e]);
                 let iu_out = intersection_unit::outcome_from_cascade(&lane, &cfg.cascade, cfg.iu);
                 ops += iu_out.ops;
-                match cfg.iu {
-                    IuKind::MultiCycle => cycles += iu_out.initiation_interval as u64,
-                    IuKind::Pipelined => cycles += 1,
-                }
+                cycles += iu_slot_cycles(cfg.iu, &iu_out);
                 if iu_out.colliding {
                     if flat.is_full(e) {
-                        if cfg.iu == IuKind::Pipelined {
-                            cycles += (IU_PIPELINE_DEPTH - 1) as u64;
-                        }
-                        out.result = OocdResult {
-                            colliding: true,
-                            cycles,
-                            ops,
-                        };
-                        return out;
+                        // Terminal: report collision once this result drains.
+                        hit = true;
+                        break 'walk;
                     }
-                    let child = flat.child(e);
-                    stack.push((child, flat.node_aabb_oocd(child), true));
+                    stack.push((flat.child(e), None));
                 }
             }
-            continue;
-        }
-
-        for octant in 0..8 {
-            let occ = node.occupancy(octant);
-            if !occ.is_occupied() {
-                continue;
-            }
-            let oct_aabb = Octree::octant_aabb(&node_aabb, octant).quantize();
-            let iu_out = intersection_unit::execute(obb, &oct_aabb, &cfg.cascade, cfg.iu);
-            ops += iu_out.ops;
-            match cfg.iu {
-                IuKind::MultiCycle => cycles += iu_out.initiation_interval as u64,
-                IuKind::Pipelined => cycles += 1,
-            }
-            if iu_out.colliding {
-                match occ {
-                    Occupancy::Full => {
-                        if cfg.iu == IuKind::Pipelined {
-                            cycles += (IU_PIPELINE_DEPTH - 1) as u64;
-                        }
-                        out.result = OocdResult {
-                            colliding: true,
-                            cycles,
-                            ops,
-                        };
-                        return out;
+        } else {
+            let node = upset.unwrap_or(*octree.node(addr));
+            let node_aabb = parent.unwrap_or_else(|| flat.node_aabb_oocd(addr));
+            for octant in 0..8 {
+                let occ = node.occupancy(octant);
+                if !occ.is_occupied() {
+                    continue;
+                }
+                let oct_aabb = Octree::octant_aabb(&node_aabb, octant).quantize();
+                let iu_out = intersection_unit::execute(obb, &oct_aabb, &cfg.cascade, cfg.iu);
+                ops += iu_out.ops;
+                cycles += iu_slot_cycles(cfg.iu, &iu_out);
+                if iu_out.colliding {
+                    if occ == Occupancy::Full {
+                        hit = true;
+                        break 'walk;
                     }
-                    Occupancy::Partial => {
-                        // A corrupted word can report Partial where the
-                        // real node had no child; the decoded child
-                        // address is pushed regardless (hardware follows
-                        // the bits) and the address checks above catch
-                        // out-of-range pointers.
-                        if let Some(child) = node.child_address(octant) {
-                            stack.push((child, oct_aabb.to_f32(), false));
-                        }
+                    // A corrupted word can report Partial where the real
+                    // node had no child; the decoded child address is
+                    // pushed regardless (hardware follows the bits) and the
+                    // address checks above catch out-of-range pointers.
+                    if let Some(child) = node.child_address(octant) {
+                        stack.push((child, Some(oct_aabb.to_f32())));
                     }
-                    Occupancy::Empty => unreachable!(),
                 }
             }
         }
+        // The Node Queue lets the traverser prefetch the next stacked node
+        // while pipelined results drain, hiding the pipeline latency
+        // between nodes entirely; only the final drain (below) is exposed.
     }
 
-    if cfg.iu == IuKind::Pipelined {
+    stack.clear();
+    OOCD_STACK.with(|cell| cell.set(stack));
+
+    // A detection resolves in place, conservatively: the octant is
+    // reported occupied without waiting for the pipeline.
+    let detected = out.detected();
+    if cfg.iu == IuKind::Pipelined && !detected {
+        // Drain: for a hit, the terminal result must leave the pipeline;
+        // for a miss, the last in-flight result must before the traverser
+        // can report "no collision".
         cycles += (IU_PIPELINE_DEPTH - 1) as u64;
     }
-
     out.result = OocdResult {
-        colliding: false,
+        colliding: hit || detected,
         cycles,
         ops,
     };

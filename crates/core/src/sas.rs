@@ -315,13 +315,6 @@ pub struct SasRunResult {
     pub outcome: SasOutcome,
 }
 
-impl SasRunResult {
-    /// Whether motion `i` was proven colliding.
-    pub fn is_colliding(&self, i: usize) -> Option<bool> {
-        self.motion_results[i]
-    }
-}
-
 /// Per-motion scheduling state.
 struct MotionState {
     descriptor: MotionDescriptor,

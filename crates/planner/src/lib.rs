@@ -40,8 +40,7 @@ pub mod tiers;
 
 pub use certify::{CertifyOutcome, PlanCertifier, CERTIFY_QUERY_MODELED_US};
 pub use mpnet::{
-    plan, plan_with_fallback, BudgetResource, FallbackPlanOutcome, MpnetConfig, PlanBudget,
-    PlanFailure, PlanOutcome, PlanStats,
+    plan, BudgetResource, MpnetConfig, PlanBudget, PlanFailure, PlanOutcome, PlanStats,
 };
 pub use rrt::{rrt, rrt_connect, RrtConfig, RrtOutcome};
 pub use sampler::{NeuralSampler, OracleSampler};

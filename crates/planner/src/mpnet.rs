@@ -18,7 +18,7 @@ use mp_sim::{EnergyLedger, OpCounter};
 use mpaccel_core::sas::FunctionMode;
 use mpaccel_core::trace::{PlannerTrace, TraceEvent};
 
-use crate::rrt::{dedup, rrt_connect, RrtConfig, RrtOutcome};
+use crate::rrt::dedup;
 use crate::sampler::NeuralSampler;
 
 /// Modeled microseconds per collision-detection pose query: ~100 CECDU
@@ -515,101 +515,6 @@ pub fn plan(
     }
 }
 
-/// Outcome of [`plan_with_fallback`]: the neural attempt plus, when it
-/// failed recoverably, the classical fallback.
-#[derive(Clone, Debug)]
-pub struct FallbackPlanOutcome {
-    /// The MPNet attempt (trace, stats, structured failure).
-    pub mpnet: PlanOutcome,
-    /// The RRT-Connect fallback run, when one was made.
-    pub rrt: Option<RrtOutcome>,
-    /// The path that will be executed, from whichever planner produced it.
-    pub path: Option<Vec<JointConfig>>,
-    /// Whether the executed path came from the degraded (fallback) mode.
-    pub degraded: bool,
-}
-
-impl FallbackPlanOutcome {
-    /// Whether any planner found a path.
-    pub fn solved(&self) -> bool {
-        self.path.is_some()
-    }
-
-    /// Total collision-detection queries across both attempts.
-    pub fn total_cd_queries(&self) -> u64 {
-        self.mpnet.stats.cd_queries + self.rrt.as_ref().map_or(0, |r| r.cd_queries)
-    }
-}
-
-/// Graceful degradation: plan with MPNet and, on a recoverable failure
-/// (stall, disconnection, replanning/budget exhaustion), fall back to
-/// RRT-Connect with whatever collision-detection budget remains.
-///
-/// Invalid endpoints ([`PlanFailure::InvalidStart`]/[`InvalidGoal`]) are
-/// not recoverable — no sampler can fix a colliding endpoint — so no
-/// fallback runs for those.
-///
-/// [`InvalidGoal`]: PlanFailure::InvalidGoal
-///
-/// # Panics
-///
-/// Panics if start/goal DOF mismatch the checker's robot.
-pub fn plan_with_fallback(
-    checker: &mut impl CollisionChecker,
-    sampler: &mut impl NeuralSampler,
-    start: &JointConfig,
-    goal: &JointConfig,
-    cfg: &MpnetConfig,
-    fallback: &RrtConfig,
-) -> FallbackPlanOutcome {
-    let mpnet = plan(checker, sampler, start, goal, cfg);
-    if let Some(path) = mpnet.path.clone() {
-        return FallbackPlanOutcome {
-            mpnet,
-            rrt: None,
-            path: Some(path),
-            degraded: false,
-        };
-    }
-    match mpnet.failure {
-        Some(PlanFailure::InvalidStart) | Some(PlanFailure::InvalidGoal) => {
-            return FallbackPlanOutcome {
-                mpnet,
-                rrt: None,
-                path: None,
-                degraded: false,
-            };
-        }
-        _ => {}
-    }
-    // Hand the fallback whatever CD budget the neural attempt left over.
-    let mut rrt_cfg = *fallback;
-    if let Some(cap) = cfg.budget.max_cd_queries {
-        let remaining = cap.saturating_sub(mpnet.stats.cd_queries);
-        if remaining == 0 {
-            return FallbackPlanOutcome {
-                mpnet,
-                rrt: None,
-                path: None,
-                degraded: false,
-            };
-        }
-        let fallback_cap = rrt_cfg
-            .max_cd_queries
-            .map_or(remaining, |c| c.min(remaining));
-        rrt_cfg.max_cd_queries = Some(fallback_cap);
-    }
-    let out = rrt_connect(checker, start, goal, &rrt_cfg, cfg.seed ^ 0xFA11_BACC);
-    let path = out.path.clone();
-    let degraded = path.is_some();
-    FallbackPlanOutcome {
-        mpnet,
-        rrt: Some(out),
-        path,
-        degraded,
-    }
-}
-
 /// Runs a feasibility batch: records the batch into the trace and evaluates
 /// it with sequential early-exit semantics, returning the index of the
 /// first infeasible motion (or `None` if all are free).
@@ -886,29 +791,37 @@ mod tests {
         let block = Aabb::new(Vec3::new(0.55, 0.35, 0.0), Vec3::new(0.08, 0.08, 0.3));
         let tree = Octree::build(&[Aabb::new(ee, Vec3::splat(0.12)), block], 5);
         let mut checker = SoftwareChecker::new(robot.clone(), tree);
-        let mut sampler = CollapsedSampler { pose: bad };
-        let cfg = MpnetConfig {
-            max_expansion_steps: 1000,
-            // Noise escalation cannot save a sampler stuck inside a wide
-            // obstacle every single time if noise is tiny.
-            replan_noise: 0.01,
-            ..MpnetConfig::default()
+        // A CD budget with room to spare does not mask the stall.
+        let roomy = PlanBudget {
+            max_cd_queries: Some(50_000),
+            ..PlanBudget::default()
         };
-        let out = plan(
-            &mut checker,
-            &mut sampler,
-            &JointConfig::zeros(2),
-            &JointConfig::new(vec![1.5, 0.0]),
-            &cfg,
-        );
-        assert!(!out.solved());
-        assert_eq!(out.failure, Some(PlanFailure::Stalled));
-        // Bailed after max_stall_streak steps (x5 proposals), not 1000.
-        assert!(
-            out.stats.nn_calls <= 5 * u64::from(cfg.max_stall_streak),
-            "burned {} NN calls before stalling out",
-            out.stats.nn_calls
-        );
+        for budget in [PlanBudget::default(), roomy] {
+            let mut sampler = CollapsedSampler { pose: bad.clone() };
+            let cfg = MpnetConfig {
+                max_expansion_steps: 1000,
+                // Noise escalation cannot save a sampler stuck inside a
+                // wide obstacle every single time if noise is tiny.
+                replan_noise: 0.01,
+                budget,
+                ..MpnetConfig::default()
+            };
+            let out = plan(
+                &mut checker,
+                &mut sampler,
+                &JointConfig::zeros(2),
+                &JointConfig::new(vec![1.5, 0.0]),
+                &cfg,
+            );
+            assert!(!out.solved());
+            assert_eq!(out.failure, Some(PlanFailure::Stalled));
+            // Bailed after max_stall_streak steps (x5 proposals), not 1000.
+            assert!(
+                out.stats.nn_calls <= 5 * u64::from(cfg.max_stall_streak),
+                "burned {} NN calls before stalling out",
+                out.stats.nn_calls
+            );
+        }
     }
 
     #[test]
@@ -1011,66 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn fallback_rescues_a_stalled_neural_planner() {
-        let robot = RobotModel::planar_2dof();
-        let bad = JointConfig::new(vec![0.9, 0.1]);
-        let ee = mp_robot::fk::end_effector(&robot, &bad);
-        let block = Aabb::new(Vec3::new(0.55, 0.35, 0.0), Vec3::new(0.08, 0.08, 0.3));
-        let tree = Octree::build(&[Aabb::new(ee, Vec3::splat(0.12)), block], 5);
-        let mut checker = SoftwareChecker::new(robot.clone(), tree);
-        let mut sampler = CollapsedSampler { pose: bad };
-        let cfg = MpnetConfig {
-            replan_noise: 0.01,
-            budget: PlanBudget {
-                max_cd_queries: Some(50_000),
-                ..PlanBudget::default()
-            },
-            ..MpnetConfig::default()
-        };
-        let out = plan_with_fallback(
-            &mut checker,
-            &mut sampler,
-            &JointConfig::zeros(2),
-            &JointConfig::new(vec![1.5, 0.0]),
-            &cfg,
-            &RrtConfig::default(),
-        );
-        assert_eq!(out.mpnet.failure, Some(PlanFailure::Stalled));
-        assert!(out.solved(), "RRT-Connect should rescue this scene");
-        assert!(out.degraded);
-        let rrt_run = out.rrt.as_ref().expect("fallback ran");
-        assert!(rrt_run.solved());
-        // The fallback respected the remaining budget.
-        assert!(out.total_cd_queries() <= 50_000 + 100);
-        // And the path it returned is genuinely feasible.
-        let mut verifier = SoftwareChecker::new(robot.clone(), checker.octree().clone());
-        assert_eq!(
-            check_path(&mut verifier, out.path.as_ref().unwrap(), 0.04),
-            None
-        );
-    }
-
-    #[test]
-    fn fallback_skips_unrecoverable_endpoint_failures() {
-        let robot = RobotModel::jaco2();
-        let ee = mp_robot::fk::end_effector(&robot, &robot.home());
-        let tree = Octree::build(&[Aabb::new(ee, Vec3::splat(0.1))], 5);
-        let mut checker = SoftwareChecker::new(robot.clone(), tree);
-        let mut sampler = OracleSampler::new(robot.clone(), 0);
-        let out = plan_with_fallback(
-            &mut checker,
-            &mut sampler,
-            &robot.home(),
-            &far_goal(&robot),
-            &MpnetConfig::default(),
-            &RrtConfig::default(),
-        );
-        assert_eq!(out.mpnet.failure, Some(PlanFailure::InvalidStart));
-        assert!(out.rrt.is_none(), "no fallback for a colliding endpoint");
-        assert!(!out.solved());
-    }
-
-    #[test]
     fn colliding_endpoints_fail_fast() {
         let robot = RobotModel::jaco2();
         // Obstacle right on the home pose end effector.
@@ -1086,6 +939,7 @@ mod tests {
             &MpnetConfig::default(),
         );
         assert!(!out.solved());
+        assert_eq!(out.failure, Some(PlanFailure::InvalidStart));
         assert_eq!(out.trace.cd_batches(), 0); // failed before any batch
     }
 

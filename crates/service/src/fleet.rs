@@ -62,12 +62,13 @@ use mp_sim::vtime::{EventQueue, VirtualNs, NS_PER_US};
 use mp_telemetry::{self as telemetry, arg2, ArgValue, Args, IncidentKind, Lane};
 use mpaccel_core::pool::AcceleratorPool;
 
+use crate::breaker;
 use crate::catalog::PlanCatalog;
 use crate::integrity::IntegrityState;
 use crate::metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 use crate::request::{Request, ShedReason, TenantSpec, Verdict};
 use crate::ring::{mix, HashRing};
-use crate::service::ServiceConfig;
+use crate::service::{ServiceConfig, BACKOFF_US, MAX_RETRIES};
 use crate::tenant::{FairQueue, TenantPolicy, TokenBucket};
 
 /// Hedged-request policy.
@@ -826,13 +827,7 @@ impl Fleet<'_> {
             self.summary.fleet.wasted_energy_pj += attempt_pj;
             let sh = &mut self.shards[s];
             sh.injectors[inst].counters_mut().detected += 1;
-            if self
-                .cfg
-                .shard
-                .breaker
-                .on_fault(&mut sh.pool, inst, now)
-                .is_some()
-            {
+            if breaker::on_fault(&mut sh.pool, inst, now).is_some() {
                 sh.injectors[inst].counters_mut().quarantined += 1;
                 report(IncidentKind::Quarantine, shard_inst(s, inst), || {
                     format!("shard={s} inst={inst} t_ns={now}")
@@ -847,14 +842,14 @@ impl Fleet<'_> {
                 return; // a twin already won; drop the faulted copy
             }
             let attempts = self.reqs[id].attempts;
-            if attempts > self.cfg.shard.retry.max_retries {
+            if attempts > MAX_RETRIES {
                 report(IncidentKind::FailedFaults, req_shard(id, s), || {
                     format!("req={id} shard={s} attempts={attempts} t_ns={now}")
                 });
                 self.copy_dies(id, Verdict::FailedFaults);
             } else {
                 let shift = (attempts - 1).min(16);
-                let backoff = (self.cfg.shard.retry.backoff_us * NS_PER_US) << shift;
+                let backoff = (BACKOFF_US * NS_PER_US) << shift;
                 self.shards[s].injectors[inst].counters_mut().redispatches += 1;
                 self.summary.fleet.retries += 1;
                 self.events.push(
@@ -918,7 +913,7 @@ impl Fleet<'_> {
                         quality.label()
                     )
                 });
-                if self.reqs[id].attempts > self.cfg.shard.retry.max_retries {
+                if self.reqs[id].attempts > MAX_RETRIES {
                     // Replan budget exhausted: fail closed — an
                     // unresolved request, never an unsafe plan.
                     self.copy_dies(id, Verdict::FailedFaults);

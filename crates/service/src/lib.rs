@@ -60,7 +60,6 @@ pub mod ring;
 pub mod service;
 pub mod tenant;
 
-pub use breaker::BreakerConfig;
 pub use catalog::{CatalogEntry, PlanCatalog};
 pub use degrade::DegradeConfig;
 pub use fleet::{run_fleet, run_fleet_traced, FailoverConfig, FleetConfig, HedgeConfig};
@@ -68,5 +67,5 @@ pub use integrity::{IntegrityConfig, IntegrityState, IntegrityStats};
 pub use metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 pub use request::{Request, ShedReason, TenantSpec, Verdict};
 pub use ring::HashRing;
-pub use service::{run_service, run_service_traced, FaultProfile, RetryConfig, ServiceConfig};
+pub use service::{run_service, run_service_traced, FaultProfile, ServiceConfig};
 pub use tenant::{FairQueue, QueuePolicy, TenantPolicy, TokenBucket};

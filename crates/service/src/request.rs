@@ -63,12 +63,6 @@ impl Verdict {
     pub fn is_goodput(&self) -> bool {
         matches!(self, Verdict::OnTime { .. })
     }
-
-    /// Whether the request counts as a deadline miss (everything that is
-    /// not an on-time completion: late, shed, failed, unsolved).
-    pub fn is_miss(&self) -> bool {
-        !self.is_goodput()
-    }
 }
 
 /// One planning request flowing through the service.

@@ -15,7 +15,6 @@ use mp_sim::fault::ShardFaultPlan;
 use mp_sim::vtime::VirtualNs;
 use mp_telemetry as telemetry;
 
-use crate::breaker::BreakerConfig;
 use crate::catalog::PlanCatalog;
 use crate::degrade::DegradeConfig;
 use crate::fleet::{simulate, FailoverConfig, FleetConfig, HedgeConfig};
@@ -24,23 +23,11 @@ use crate::metrics::ServiceSummary;
 use crate::request::TenantSpec;
 use crate::tenant::QueuePolicy;
 
-/// Retry-with-backoff policy for faulted dispatches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Re-dispatches allowed after the first attempt.
-    pub max_retries: u32,
-    /// Base backoff in microseconds; doubles per attempt.
-    pub backoff_us: u64,
-}
+/// Re-dispatches a faulted request is allowed after its first attempt.
+pub const MAX_RETRIES: u32 = 3;
 
-impl Default for RetryConfig {
-    fn default() -> RetryConfig {
-        RetryConfig {
-            max_retries: 3,
-            backoff_us: 50,
-        }
-    }
-}
+/// Base retry backoff in microseconds; doubles per attempt.
+pub const BACKOFF_US: u64 = 50;
 
 /// Fault environment for a run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -116,10 +103,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Graceful-degradation controller.
     pub degrade: DegradeConfig,
-    /// Fault-retry policy.
-    pub retry: RetryConfig,
-    /// Circuit-breaker policy.
-    pub breaker: BreakerConfig,
     /// Fault environment.
     pub faults: FaultProfile,
     /// Integrity pipeline (certification / voting / scrub); off by
@@ -143,8 +126,6 @@ impl Default for ServiceConfig {
             admission: true,
             queue_capacity: 64,
             degrade: DegradeConfig::default(),
-            retry: RetryConfig::default(),
-            breaker: BreakerConfig::default(),
             faults: FaultProfile::none(),
             integrity: IntegrityConfig::off(),
             energy_budget_pj_per_plan: None,
