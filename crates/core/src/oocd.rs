@@ -171,8 +171,9 @@ fn iu_slot_cycles(iu: IuKind, out: &IuOutcome) -> u64 {
 /// upset and checked.
 ///
 /// A node reached along the builder's chain through intact words serves
-/// its precomputed arena boxes (Q3.12, the same quantize-roundtrip chain
-/// the per-octant walk derives), each lane run through the hoisted cascade
+/// its arena boxes (Q3.12, the same quantize-roundtrip chain the
+/// per-octant walk derives; the arena derives it on the tree's first OOCD
+/// walk), each lane run through the hoisted cascade
 /// kernel — squared radii and SAT constants derived once per link query —
 /// and committed in octant order with the unit's timing model. A node
 /// whose word drew an upset (even one that only flipped the parity bit),

@@ -4,12 +4,12 @@
 //! *recomputed* on every traversal (and, on the OOCD hardware-model path,
 //! re-*quantized* on every visit — the dominant cost in profiles). The
 //! [`FlatOctree`] mirror precomputes everything a traversal touches into
-//! linear arrays once at build time:
+//! linear arrays:
 //!
 //! * per node, the contiguous **entry range** of its occupied octants —
 //!   a traversal step yields a candidate *range*, not a candidate node;
-//! * per entry, the octant id, a full/partial flag, the child address
-//!   (partials only), and the octant AABB mirrored into structure-of-arrays
+//! * per entry, the octant id, the child address (partials only; a full
+//!   entry has none), and the octant AABB mirrored into structure-of-arrays
 //!   form ([`AabbSoa`]) ready for the batch kernels in `mp_geometry::soa`;
 //! * two AABB chains, because the two consumers derive boxes differently:
 //!   the **pure `f32` chain** (each child box is an exact eighth of its
@@ -18,13 +18,21 @@
 //!   to Q3.12 and children subdivide the *dequantized* box. Both are
 //!   bit-identical to what the corresponding on-the-fly traversal produces.
 //!
-//! The arena is emitted during the build, not derived from the finished
-//! tree: the octree builder's one breadth-first loop classifies a node's
-//! octants and, in the same step, appends each occupied octant as an entry
-//! with both boxes, giving a partial one the next node address and its node
-//! boxes (`Octree::pruned` replays a tree through the same loop). Nodes are
-//! numbered in creation order, so every array only grows at its end, and
-//! the arena stays a pure function of the node array and root box.
+//! The entries and the `f32` chain are emitted during the build, not
+//! derived from the finished tree: the octree builder's one breadth-first
+//! loop classifies a node's octants and, in the same step, appends each
+//! occupied octant as an entry with its box, giving a partial one the next
+//! node address and its node box (`Octree::pruned` replays a tree through
+//! the same loop). Nodes are numbered in creation order, so every array
+//! only grows at its end, and the arena stays a pure function of the node
+//! array and root box.
+//!
+//! Only the OOCD hardware model reads the Q3.12 chain, so the build leaves
+//! it out: the first [`FlatOctree::aabbs_oocd`] or
+//! [`FlatOctree::node_aabb_oocd`] call derives it in one pass over the
+//! entries in address order (a node's box is always derived before its
+//! children's) and caches it in the arena, which every clone of the tree
+//! shares. A map-then-plan loop on the `f32` checker never pays for it.
 //!
 //! The builder classifies each node against only the obstacles its
 //! ancestors kept. An octant drops an obstacle when it misses the
@@ -34,44 +42,65 @@
 //! 2^-19 of that magnitude, so a dropped obstacle touches no descendant:
 //! culling changes no occupancy, and so no entry or box of the arena.
 
+use std::sync::OnceLock;
+
 use mp_fixed::Fx;
 use mp_geometry::soa::AabbSoa;
-use mp_geometry::{Aabb, AabbF};
+use mp_geometry::AabbF;
+
+use crate::octree::Octree;
 
 /// Child-address sentinel for fully occupied entries (no child node).
 pub const NO_CHILD: u32 = u32::MAX;
 
 /// The flattened arena (see the module docs).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct FlatOctree {
     /// `entry_start[n]..entry_start[n + 1]` indexes node `n`'s entries.
     entry_start: Vec<u32>,
     /// Octant id (0–7) of each entry, ascending within a node.
     octants: Vec<u8>,
-    /// Whether the entry's octant is fully occupied (else partial).
-    full: Vec<bool>,
     /// Child node address of partial entries; [`NO_CHILD`] for full ones.
     children: Vec<u32>,
     /// Octant AABBs, pure `f32` chain, SoA layout.
     aabbs: AabbSoa<f32>,
-    /// Octant AABBs, OOCD quantize-roundtrip chain, SoA layout (the Q3.12
-    /// boxes the Intersection Unit is fed).
-    aabbs_oocd: AabbSoa<Fx>,
     /// Per-node box, pure chain (what the entry boxes subdivide).
     node_aabbs: Vec<AabbF>,
-    /// Per-node box, OOCD chain: the *dequantized* parent the hardware
-    /// model subdivides at this node.
-    node_aabbs_oocd: Vec<AabbF>,
+    /// The OOCD chain, derived on first use (see the module docs).
+    oocd: OnceLock<OocdChain>,
+}
+
+/// The OOCD quantize-roundtrip chain of a [`FlatOctree`].
+#[derive(Clone, Debug)]
+struct OocdChain {
+    /// Octant AABBs in Q3.12, SoA layout (the boxes the Intersection Unit
+    /// is fed).
+    aabbs: AabbSoa<Fx>,
+    /// Per-node box: the *dequantized* parent the hardware model
+    /// subdivides at this node.
+    node_aabbs: Vec<AabbF>,
+}
+
+/// Equal when the node structure and the `f32` chain are; the OOCD chain is
+/// a function of both, so whether either side has derived it yet does not
+/// matter.
+impl PartialEq for FlatOctree {
+    fn eq(&self, other: &FlatOctree) -> bool {
+        self.entry_start == other.entry_start
+            && self.octants == other.octants
+            && self.children == other.children
+            && self.aabbs == other.aabbs
+            && self.node_aabbs == other.node_aabbs
+    }
 }
 
 impl FlatOctree {
-    /// An arena holding only the root node's boxes. The octree builder
+    /// An arena holding only the root node's box. The octree builder
     /// appends nodes with [`FlatOctree::open_node`] and
     /// [`FlatOctree::push_entry`] and seals it with [`FlatOctree::close`].
     pub(crate) fn new(root: AabbF) -> FlatOctree {
         FlatOctree {
             node_aabbs: vec![root],
-            node_aabbs_oocd: vec![root],
             ..FlatOctree::default()
         }
     }
@@ -81,26 +110,17 @@ impl FlatOctree {
         self.entry_start.push(self.octants.len() as u32);
     }
 
-    /// Appends an occupied octant of the open node with its boxes in both
-    /// chains. `child` is the address of the node refining a partial octant
-    /// (`None` for a full one); it must be the next unused address, whose
-    /// node boxes this records.
-    pub(crate) fn push_entry(
-        &mut self,
-        octant: usize,
-        aabb: &AabbF,
-        aabb_oocd: &Aabb<Fx>,
-        child: Option<u32>,
-    ) {
+    /// Appends an occupied octant of the open node with its `f32` box.
+    /// `child` is the address of the node refining a partial octant (`None`
+    /// for a full one); it must be the next unused address, whose node box
+    /// this records. The OOCD chain is not built here (see the module docs).
+    pub(crate) fn push_entry(&mut self, octant: usize, aabb: &AabbF, child: Option<u32>) {
         self.octants.push(octant as u8);
-        self.full.push(child.is_none());
         self.children.push(child.unwrap_or(NO_CHILD));
         self.aabbs.push(aabb);
-        self.aabbs_oocd.push(aabb_oocd);
         if let Some(child) = child {
             debug_assert_eq!(child as usize, self.node_aabbs.len());
             self.node_aabbs.push(*aabb);
-            self.node_aabbs_oocd.push(aabb_oocd.to_f32());
         }
     }
 
@@ -112,6 +132,33 @@ impl FlatOctree {
     /// raised the process's peak resident set.
     pub(crate) fn close(&mut self) {
         self.entry_start.push(self.octants.len() as u32);
+    }
+
+    /// The OOCD chain, derived on the first call in one pass over the
+    /// nodes in address order: each octant of a node's dequantized box is
+    /// quantized, and a partial entry's dequantized box becomes its child's
+    /// node box. A child's address is above its parent's, so every node's
+    /// box is known before its entries are visited.
+    fn oocd(&self) -> &OocdChain {
+        self.oocd.get_or_init(|| {
+            let mut chain = OocdChain {
+                aabbs: AabbSoa::with_capacity(self.entry_count()),
+                node_aabbs: Vec::with_capacity(self.node_aabbs.len()),
+            };
+            chain.node_aabbs.extend(self.node_aabbs.first());
+            for addr in 0..self.entry_start.len().saturating_sub(1) {
+                let parent = chain.node_aabbs[addr];
+                for e in self.entries(addr as u32) {
+                    let oct = Octree::octant_aabb(&parent, self.octant(e) as usize).quantize();
+                    chain.aabbs.push(&oct);
+                    if !self.is_full(e) {
+                        debug_assert_eq!(self.child(e) as usize, chain.node_aabbs.len());
+                        chain.node_aabbs.push(oct.to_f32());
+                    }
+                }
+            }
+            chain
+        })
     }
 
     /// Total entries (occupied octants) in the arena.
@@ -137,10 +184,11 @@ impl FlatOctree {
         self.octants[e]
     }
 
-    /// Whether entry `e` is fully occupied (else partially).
+    /// Whether entry `e` is fully occupied (else partially): a full entry
+    /// has no child node.
     #[inline]
     pub fn is_full(&self, e: usize) -> bool {
-        self.full[e]
+        self.children[e] == NO_CHILD
     }
 
     /// The child node address of a partial entry ([`NO_CHILD`] for full).
@@ -155,10 +203,11 @@ impl FlatOctree {
         &self.aabbs
     }
 
-    /// All entry AABBs of the OOCD quantize-roundtrip chain, in SoA layout.
+    /// All entry AABBs of the OOCD quantize-roundtrip chain, in SoA layout
+    /// (derived on the first OOCD call, see the module docs).
     #[inline]
     pub fn aabbs_oocd(&self) -> &AabbSoa<Fx> {
-        &self.aabbs_oocd
+        &self.oocd().aabbs
     }
 
     /// Entry `e`'s box of the pure chain, reconstructed (bit-identical to
@@ -175,10 +224,11 @@ impl FlatOctree {
     }
 
     /// Node `addr`'s *dequantized* parent box of the OOCD chain — what the
-    /// hardware model subdivides when visiting the node.
+    /// hardware model subdivides when visiting the node (derived on the
+    /// first OOCD call, see the module docs).
     #[inline]
     pub fn node_aabb_oocd(&self, addr: u32) -> AabbF {
-        self.node_aabbs_oocd[addr as usize]
+        self.oocd().node_aabbs[addr as usize]
     }
 }
 
@@ -186,8 +236,7 @@ impl FlatOctree {
 mod tests {
     use super::*;
     use crate::node::Occupancy;
-    use crate::octree::Octree;
-    use mp_geometry::Vec3;
+    use mp_geometry::{Aabb, Vec3};
 
     fn sample_tree() -> Octree {
         let obs = [
@@ -246,17 +295,41 @@ mod tests {
         // Walk like run_oocd does: quantize each level, subdivide the
         // dequantized box.
         let mut stack = vec![(0u32, t.root_aabb())];
+        let mut visited = 0;
         while let Some((addr, parent)) = stack.pop() {
-            assert_eq!(flat.node_aabb_oocd(addr), parent);
+            visited += 1;
+            assert_eq!(bits(&flat.node_aabb_oocd(addr)), bits(&parent));
             for e in flat.entries(addr) {
                 let want = Octree::octant_aabb(&parent, flat.octant(e) as usize).quantize();
-                let got = flat.aabbs_oocd().get(e);
-                assert_eq!((got.center, got.half), (want.center, want.half));
+                let lanes = flat.aabbs_oocd().coord_lanes().map(|lane| lane[e]);
+                let [c, h] = [want.center, want.half];
+                assert_eq!(lanes, [c.x, c.y, c.z, h.x, h.y, h.z], "entry {e}");
                 if !flat.is_full(e) {
                     stack.push((flat.child(e), want.to_f32()));
                 }
             }
         }
+        assert_eq!(visited, t.node_count());
+        assert_eq!(flat.aabbs_oocd().len(), flat.entry_count());
+    }
+
+    /// A box's six coordinates as bit patterns, so that `-0.0 != 0.0`.
+    fn bits(b: &AabbF) -> [u32; 6] {
+        [
+            b.center.x, b.center.y, b.center.z, b.half.x, b.half.y, b.half.z,
+        ]
+        .map(f32::to_bits)
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_oocd_chain_is_derived() {
+        let (a, b) = (sample_tree(), sample_tree());
+        assert!(a.flat().oocd.get().is_none(), "the build leaves it out");
+        assert_eq!(a.flat(), b.flat());
+        let _ = a.flat().aabbs_oocd();
+        assert!(a.flat().oocd.get().is_some());
+        assert!(b.flat().oocd.get().is_none());
+        assert_eq!(a.flat(), b.flat());
     }
 
     #[test]
@@ -265,5 +338,7 @@ mod tests {
         let flat = t.flat();
         assert_eq!(flat.entry_count(), 0);
         assert_eq!(flat.entries(0), 0..0);
+        assert!(flat.aabbs_oocd().is_empty());
+        assert_eq!(bits(&flat.node_aabb_oocd(0)), bits(&t.root_aabb()));
     }
 }

@@ -55,10 +55,12 @@ pub struct Octree {
     nodes: Vec<Node>,
     root: AabbF,
     max_depth: u32,
-    // Deterministic function of (nodes, root), emitted in the same pass as
-    // the nodes — derived Clone/PartialEq stay consistent. Behind an Arc
-    // because trees are cloned per checker throughout the benchmarks and
-    // the arena is by far the largest part of the struct.
+    // Deterministic function of (nodes, root), so the derived Clone and
+    // PartialEq stay consistent: its entries and f32 chain are emitted in
+    // the same pass as the nodes, its Q3.12 OOCD chain is derived on first
+    // OOCD use. Behind an Arc because trees are cloned per checker
+    // throughout the benchmarks, the arena is by far the largest part of
+    // the struct, and every clone then shares the one derived OOCD chain.
     flat: Arc<FlatOctree>,
 }
 
@@ -339,7 +341,9 @@ impl Octree {
 }
 
 /// The breadth-first emitter behind [`Octree::build_in`] and
-/// [`Octree::pruned`]: grows the node array and its flat arena in one pass.
+/// [`Octree::pruned`]: grows the node array and its flat arena's entries
+/// and `f32` chain in one pass. The arena derives its Q3.12 OOCD chain on
+/// first use, not here.
 ///
 /// `classify(state, octant, octant_box, refine)` gives an octant's
 /// occupancy and the state its child node is classified from; that state
@@ -360,7 +364,7 @@ fn emit<S>(
     let mut addr = 0u32;
     while let Some((state, depth)) = queue.pop_front() {
         let refine = depth + 1 < max_depth;
-        let (parent, parent_oocd) = (flat.node_aabb(addr), flat.node_aabb_oocd(addr));
+        let parent = flat.node_aabb(addr);
         let mut node = Node::empty();
         node.set_child_base(nodes.len() as u32);
         flat.open_node();
@@ -380,8 +384,7 @@ fn emit<S>(
                 queue.push_back((child_state, depth + 1));
                 nodes.len() as u32 - 1
             });
-            let oct_oocd = Octree::octant_aabb(&parent_oocd, octant).quantize();
-            flat.push_entry(octant, &oct, &oct_oocd, child);
+            flat.push_entry(octant, &oct, child);
         }
         nodes[addr as usize] = node;
         addr += 1;

@@ -1,13 +1,18 @@
 //! The octree builder against its definition. `Octree::build_in` culls
-//! obstacles node by node and emits the flat arena while it classifies;
-//! this oracle re-derives every node from scratch, classifying each octant
-//! by a scan over *all* obstacles and subdividing every arena box on the
-//! fly in both chains. It runs on seeded clutter and on hand-placed
-//! boundary cases, in a unit, an off-origin and a non-unit root, at depths
-//! 1–7, and pins `Octree::pruned`, which shares the builder's emitter, to a
-//! direct build.
+//! obstacles node by node and emits the flat arena's entries and `f32`
+//! chain while it classifies; the arena derives its Q3.12 OOCD chain on
+//! first use. This oracle re-derives every node from scratch, classifying
+//! each octant by a scan over *all* obstacles and subdividing every arena
+//! box on the fly in both chains. It runs on seeded clutter and on
+//! hand-placed boundary cases, in a unit, an off-origin and a non-unit
+//! root, at depths 1–7, and pins `Octree::pruned`, which shares the
+//! builder's emitter, to a direct build. `Octree`'s `==` leaves the derived
+//! OOCD chain out, so the chain is compared on its own, including across
+//! clones and threads that force it.
 
-use mpaccel::fixed::RESOLUTION;
+use std::sync::Barrier;
+
+use mpaccel::fixed::{Fx, RESOLUTION};
 use mpaccel::geometry::{Aabb, AabbF, Vec3};
 use mpaccel::octree::{Occupancy, Octree, Scene, SceneConfig};
 
@@ -29,6 +34,17 @@ fn bits(b: &AabbF) -> [u32; 6] {
         b.center.x, b.center.y, b.center.z, b.half.x, b.half.y, b.half.z,
     ]
     .map(f32::to_bits)
+}
+
+/// The tree's OOCD chain: every entry's six Q3.12 lanes, and every node's
+/// dequantized box as bit patterns. Reading it derives it.
+fn oocd_chain(tree: &Octree) -> ([Vec<Fx>; 6], Vec<[u32; 6]>) {
+    let flat = tree.flat();
+    let lanes = flat.aabbs_oocd().coord_lanes().map(<[Fx]>::to_vec);
+    let nodes = (0..tree.node_count() as u32)
+        .map(|addr| bits(&flat.node_aabb_oocd(addr)))
+        .collect();
+    (lanes, nodes)
 }
 
 /// Walks `tree` from its root and re-derives every node: occupancies by a
@@ -199,14 +215,66 @@ fn pruning_matches_a_direct_build() {
                 .collect();
             for deep in &trees {
                 for shallow in trees.iter().filter(|t| t.max_depth() < deep.max_depth()) {
-                    assert!(
-                        deep.pruned(shallow.max_depth()) == *shallow,
+                    let pruned = deep.pruned(shallow.max_depth());
+                    let at = format!(
                         "depth-{} tree pruned to {} in {root:?}",
                         deep.max_depth(),
                         shallow.max_depth()
                     );
+                    assert!(pruned == *shallow, "{at}");
+                    assert_eq!(oocd_chain(&pruned), oocd_chain(shallow), "{at}: OOCD chain");
                 }
             }
         }
+    }
+}
+
+#[test]
+fn the_oocd_chain_is_derived_once_and_shared() {
+    let root = roots()[2];
+    let obstacles = &obstacle_sets(&root)[0];
+    let serial = oocd_chain(&Octree::build_in(root, obstacles, 6));
+
+    // A clone taken before first use shares the chain the original derives,
+    // and forcing it changes neither tree's equality.
+    let tree = Octree::build_in(root, obstacles, 6);
+    let twin = tree.clone();
+    assert!(tree == twin, "equal before the chain is derived");
+    assert_eq!(oocd_chain(&tree), serial);
+    assert!(tree == twin, "equal after one side derived the chain");
+    assert!(
+        std::ptr::eq(tree.flat().aabbs_oocd(), twin.flat().aabbs_oocd()),
+        "the clone reads the chain the original derived"
+    );
+    assert_eq!(oocd_chain(&twin), serial);
+
+    // Eight threads forcing one tree's chain at once all read the serial
+    // chain.
+    let tree = Octree::build_in(root, obstacles, 6);
+    let start = Barrier::new(8);
+    let chains: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    oocd_chain(&tree)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for chain in &chains {
+        assert_eq!(*chain, serial);
+    }
+
+    // A pruned tree derives its own chain, the one a direct build gives.
+    let deep = Octree::build_in(root, obstacles, 7);
+    for depth in 1..=6 {
+        let direct = Octree::build_in(root, obstacles, depth);
+        assert_eq!(
+            oocd_chain(&deep.pruned(depth)),
+            oocd_chain(&direct),
+            "pruned to {depth}"
+        );
     }
 }
