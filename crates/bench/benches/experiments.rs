@@ -69,7 +69,8 @@ fn bench_kernels(c: &mut Criterion) {
     use mp_octree::{Scene, SceneConfig};
     use mp_planner::nn::{Activation, Mlp, MlpScratch};
     use mp_robot::{fk, RobotModel, TrigMode};
-    use mp_sim::IuKind;
+    use mp_sim::{CecduConfig, IuKind};
+    use mpaccel_core::cecdu::CecduSim;
     use mpaccel_core::oocd::{run_oocd, OocdConfig};
 
     let obb_f32 = Obb::new(
@@ -86,6 +87,12 @@ fn bench_kernels(c: &mut Criterion) {
     let robot = RobotModel::jaco2();
     let home = robot.home();
     let oocd_cfg = OocdConfig::new(IuKind::MultiCycle);
+    // The paper's CECDU (4 multi-cycle OOCDs) and the pose the
+    // `telemetry_overhead` group checks.
+    let cecdu = CecduSim::new(robot.clone(), tree.clone(), CecduConfig::default());
+    let mut pose = robot.home();
+    pose.as_mut_slice()[0] += 0.4;
+    pose.as_mut_slice()[2] -= 0.3;
     // An MPNet-shaped MLP (scene encoding + 2 poses in, pose delta out).
     let mlp = Mlp::new(&[66, 128, 128, 6], Activation::Tanh, 7);
     let mlp_input = vec![0.1f32; 66];
@@ -105,6 +112,11 @@ fn bench_kernels(c: &mut Criterion) {
     });
     g.bench_function("oocd_query", |b| {
         b.iter(|| black_box(run_oocd(black_box(&tree), black_box(&obb), &oocd_cfg)))
+    });
+    g.bench_function("cecdu_check_pose", |b| {
+        // The CECDU model's host cost per pose: FK, then every link's OOCD
+        // walk in waves (the base link's walk is replayed, not rerun).
+        b.iter(|| black_box(cecdu.check_pose(black_box(&pose))))
     });
     g.bench_function("octree_query", |b| {
         // The software checker's traversal: SAT test at every candidate leaf.

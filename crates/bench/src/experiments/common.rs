@@ -247,7 +247,7 @@ fn replay_inner(
                     workload.octree_ref(batch.scene).clone(),
                     cfg,
                 );
-                let model = CecduCdu::new(sim);
+                let model = CecduCdu::new(&sim);
                 match memo.as_deref_mut() {
                     Some(m) => {
                         let mut model = MemoCdu {

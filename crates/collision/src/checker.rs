@@ -3,12 +3,18 @@
 use mp_geometry::cascade::CascadeConfig;
 use mp_geometry::soa::HoistedCascade;
 use mp_geometry::{Obb, Transform};
-use mp_octree::Octree;
-use mp_robot::fk::link_obbs_into;
+use mp_octree::{FlatOctree, Octree};
+use mp_robot::fk::{link_obbs_into, static_link_obbs};
 use mp_robot::{JointConfig, RobotModel, TrigMode};
 
 /// Counters accumulated across queries (the work metrics the paper's
 /// energy model is built on).
+///
+/// They count the modeled datapath's work, which walks every link at every
+/// pose. [`SoftwareChecker`] walks a base-frame link once per environment
+/// and adds that walk's counts to each later query without executing it,
+/// so the counters are the same as with every link walked, while the host
+/// executes fewer tests than they count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CdStats {
     /// Robot-pose collision queries answered.
@@ -141,7 +147,72 @@ pub fn attributed<C: CollisionChecker + ?Sized, T>(
     (out, checker.stats().delta_since(&before))
 }
 
+/// One link's octree walk: its verdict and the work it counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct LinkWalk {
+    hit: bool,
+    nodes_visited: u64,
+    box_tests: u64,
+    mults: u64,
+}
+
+/// Walks `flat` for one link OBB. Flat traversal with the hoisted
+/// cascade: squared radii and SAT constants are computed once per link and
+/// reused across every node the walk visits, with entries resolved in
+/// octant order so counters match the scalar early-exit walk exactly.
+/// `stack` is a reusable traversal buffer.
+#[inline]
+fn walk_link(
+    flat: &FlatOctree,
+    obb: &Obb<f32>,
+    cascade: &CascadeConfig,
+    stack: &mut Vec<u32>,
+) -> LinkWalk {
+    let [cx, cy, cz, hx, hy, hz] = flat.aabbs().coord_lanes();
+    let mut cascade = HoistedCascade::new(obb, cascade);
+    // Walk-local counters stay in registers in the inner loop.
+    let mut w = LinkWalk::default();
+    stack.clear();
+    stack.push(0u32);
+    'walk: while let Some(addr) = stack.pop() {
+        w.nodes_visited += 1;
+        let r = flat.entries(addr);
+        let (s, n) = (r.start, r.len());
+        // One bounds check per lane per node instead of one per entry
+        // access.
+        let (bcx, bcy, bcz) = (&cx[s..s + n], &cy[s..s + n], &cz[s..s + n]);
+        let (bhx, bhy, bhz) = (&hx[s..s + n], &hy[s..s + n], &hz[s..s + n]);
+        for k in 0..n {
+            let out = cascade.outcome(bcx[k], bcy[k], bcz[k], bhx[k], bhy[k], bhz[k]);
+            w.box_tests += 1;
+            w.mults += out.mults as u64;
+            if out.colliding {
+                let e = s + k;
+                if flat.is_full(e) {
+                    w.hit = true;
+                    break 'walk;
+                }
+                stack.push(flat.child(e));
+            }
+        }
+    }
+    w
+}
+
 /// The software oracle: exact `f32` kinematics + SAT-based octree queries.
+///
+/// The links attached to frame 0, the immobile base, have the same OBB at
+/// every pose, so their walk is the same too. The checker walks each of
+/// them once, on its first query after construction, [`with_cascade`],
+/// [`with_hardware_trig`] or [`set_octree`], and replays that walk's
+/// verdict and counters on every later query. [`CdStats`] and the
+/// process-wide metrics therefore count exactly what walking every link
+/// would. The derived walks belong to this instance and read only its own
+/// octree.
+///
+/// [`with_cascade`]: SoftwareChecker::with_cascade
+/// [`with_hardware_trig`]: SoftwareChecker::with_hardware_trig
+/// [`set_octree`]: SoftwareChecker::set_octree
 #[derive(Clone, Debug)]
 pub struct SoftwareChecker {
     robot: RobotModel,
@@ -149,6 +220,9 @@ pub struct SoftwareChecker {
     trig: TrigMode,
     cascade: CascadeConfig,
     stats: CdStats,
+    // Per link, the replayed walk of a base-frame link (`None` for a link
+    // that moves); `None` until the first query derives it.
+    static_walks: Option<Vec<Option<LinkWalk>>>,
     // FK buffers reused across `check_pose` calls (taken out for the
     // duration of a query so the borrow checker sees disjoint state).
     frame_buf: Vec<Transform>,
@@ -166,6 +240,7 @@ impl SoftwareChecker {
             trig: TrigMode::Exact,
             cascade: CascadeConfig::proposed(),
             stats: CdStats::default(),
+            static_walks: None,
             frame_buf: Vec::new(),
             obb_buf: Vec::new(),
             stack_buf: Vec::new(),
@@ -176,12 +251,14 @@ impl SoftwareChecker {
     /// what the OBB Generation Unit computes.
     pub fn with_hardware_trig(mut self) -> SoftwareChecker {
         self.trig = TrigMode::Hardware;
+        self.static_walks = None;
         self
     }
 
     /// Overrides the intersection-test cascade configuration.
     pub fn with_cascade(mut self, cascade: CascadeConfig) -> SoftwareChecker {
         self.cascade = cascade;
+        self.static_walks = None;
         self
     }
 
@@ -193,6 +270,7 @@ impl SoftwareChecker {
     /// Replaces the environment (e.g. after a scene update).
     pub fn set_octree(&mut self, octree: Octree) {
         self.octree = octree;
+        self.static_walks = None;
     }
 }
 
@@ -215,55 +293,40 @@ impl CollisionChecker for SoftwareChecker {
         let mut frames = std::mem::take(&mut self.frame_buf);
         let mut obbs = std::mem::take(&mut self.obb_buf);
         let mut stack = std::mem::take(&mut self.stack_buf);
-        link_obbs_into(&self.robot, cfg, self.trig, &mut frames, &mut obbs);
         let flat = self.octree.flat();
-        let [cx, cy, cz, hx, hy, hz] = flat.aabbs().coord_lanes();
+        let (robot, trig, cascade) = (&self.robot, self.trig, &self.cascade);
+        // Walk each base-frame link once, through the OBB FK yields for it.
+        let static_walks = self.static_walks.get_or_insert_with(|| {
+            static_link_obbs(robot, trig)
+                .iter()
+                .map(|obb| {
+                    obb.as_ref()
+                        .map(|o| walk_link(flat, o, cascade, &mut stack))
+                })
+                .collect()
+        });
+        link_obbs_into(robot, cfg, trig, &mut frames, &mut obbs);
         let mut colliding = false;
-        // Walk-local counters fold into `self.stats` once per query so the
-        // inner loop keeps them in registers.
-        let (mut nodes_visited, mut box_tests, mut mults) = (0u64, 0u64, 0u64);
-        for obb in &obbs {
+        let mut work = LinkWalk::default();
+        for (obb, static_walk) in obbs.iter().zip(static_walks) {
             self.stats.link_tests += 1;
-            // Flat traversal with the hoisted cascade: squared radii and
-            // SAT constants are computed once per link and reused across
-            // every node the walk visits, with entries resolved in octant
-            // order so counters match the scalar early-exit walk exactly.
-            let mut cascade = HoistedCascade::new(obb, &self.cascade);
-            stack.clear();
-            stack.push(0u32);
-            let mut hit = false;
-            'walk: while let Some(addr) = stack.pop() {
-                nodes_visited += 1;
-                let r = flat.entries(addr);
-                let (s, n) = (r.start, r.len());
-                // One bounds check per lane per node instead of one per
-                // entry access.
-                let (bcx, bcy, bcz) = (&cx[s..s + n], &cy[s..s + n], &cz[s..s + n]);
-                let (bhx, bhy, bhz) = (&hx[s..s + n], &hy[s..s + n], &hz[s..s + n]);
-                for k in 0..n {
-                    let out = cascade.outcome(bcx[k], bcy[k], bcz[k], bhx[k], bhy[k], bhz[k]);
-                    box_tests += 1;
-                    mults += out.mults as u64;
-                    if out.colliding {
-                        let e = s + k;
-                        if flat.is_full(e) {
-                            hit = true;
-                            break 'walk;
-                        }
-                        stack.push(flat.child(e));
-                    }
-                }
-            }
-            if hit {
+            let w = match static_walk {
+                Some(w) => *w,
+                None => walk_link(flat, obb, cascade, &mut stack),
+            };
+            work.nodes_visited += w.nodes_visited;
+            work.box_tests += w.box_tests;
+            work.mults += w.mults;
+            if w.hit {
                 // Early exit: subsequent links are not checked (§7.2.2).
                 colliding = true;
                 break;
             }
         }
-        self.stats.nodes_visited += nodes_visited;
-        self.stats.box_tests += box_tests;
-        self.stats.mults += mults;
-        crate::metrics::record_pose_work(nodes_visited, box_tests, mults);
+        self.stats.nodes_visited += work.nodes_visited;
+        self.stats.box_tests += work.box_tests;
+        self.stats.mults += work.mults;
+        crate::metrics::record_pose_work(work.nodes_visited, work.box_tests, work.mults);
         self.frame_buf = frames;
         self.obb_buf = obbs;
         self.stack_buf = stack;
@@ -272,7 +335,7 @@ impl CollisionChecker for SoftwareChecker {
                 "colliding",
                 mp_telemetry::ArgValue::U64(colliding as u64),
                 "box_tests",
-                mp_telemetry::ArgValue::U64(box_tests),
+                mp_telemetry::ArgValue::U64(work.box_tests),
             )
         });
         colliding

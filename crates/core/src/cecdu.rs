@@ -21,18 +21,18 @@ use mp_collision::{CdStats, CollisionChecker};
 use mp_geometry::cascade::CascadeConfig;
 use mp_geometry::{Obb, Transform};
 use mp_octree::Octree;
-use mp_robot::fk::link_obbs_into;
+use mp_robot::fk::{link_obbs_into, static_link_obbs};
 use mp_robot::trig::TRIG_LATENCY_CYCLES;
 use mp_robot::{JointConfig, RobotModel, TrigMode};
 use mp_sim::fault::FaultKind;
 use mp_sim::{CecduConfig, FaultInjector, OpCounter};
 
-use crate::oocd::{run_oocd, run_oocd_with_faults, OocdConfig};
+use crate::oocd::{run_oocd, run_oocd_with_faults, OocdConfig, OocdResult};
 
 thread_local! {
-    // FK scratch reused across pose queries (`CecduSim` is stateless by
-    // design — many callers share one sim immutably — so the per-pose
-    // buffers live here, like the OOCD traversal scratch).
+    // FK buffers reused across pose queries (a `CecduSim` does not change
+    // while it answers queries — many callers share one sim immutably — so
+    // the per-pose buffers live here, like the OOCD traversal stack).
     static FK_SCRATCH: Cell<(Vec<Transform>, Vec<Obb<f32>>)> = Cell::default();
 }
 
@@ -44,9 +44,12 @@ pub const OBB_GEN_FIRST_READY: u64 = TRIG_LATENCY_CYCLES as u64 + 3;
 /// pipelined across links).
 pub const OBB_GEN_INTERVAL: u64 = 2;
 
+/// The OBB Generation Unit's trig: the fifth-order approximation.
+const OBB_GEN_TRIG: TrigMode = TrigMode::Hardware;
+
 /// Multiplications per generated link OBB (4×4 transform compose + box
 /// rotation): counted into the energy proxy.
-const OBB_GEN_MULTS: u64 = 24;
+pub const OBB_GEN_MULTS: u64 = 24;
 
 /// The verdict for a pose with a non-finite joint: NaN or ±inf turns every
 /// link OBB into NaN, which the sphere filters read as "free", so the pose
@@ -65,6 +68,11 @@ fn non_finite_pose() -> CecduResult {
 }
 
 /// Result of one robot-pose collision query on a CECDU.
+///
+/// `cycles` and `ops` are the modeled hardware's: its OBB Generation Unit
+/// streams every link to the OOCDs at every pose. [`CecduSim`] replays a
+/// base-frame link's walk instead of rerunning it on the host, with the
+/// same cycles and ops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CecduResult {
     /// Whether the robot collides with the environment at this pose.
@@ -78,6 +86,14 @@ pub struct CecduResult {
 }
 
 /// A CECDU bound to a robot and an environment octree.
+///
+/// The links attached to frame 0, the immobile base, stream the same OBB
+/// for every pose, so their OOCD walk is the same too. The sim walks each
+/// of them once, in [`CecduSim::new`], [`CecduSim::with_cascade`] and
+/// [`CecduSim::set_octree`], and [`CecduSim::check_pose`] replays that
+/// walk's verdict, cycles and ops in the link's wave slot. The result is
+/// exactly what walking every link gives. The fault-injected path walks
+/// every link, so its fault draws keep their order.
 ///
 /// # Examples
 ///
@@ -103,22 +119,29 @@ pub struct CecduSim {
     octree: Octree,
     config: CecduConfig,
     cascade: CascadeConfig,
+    // Per link, the replayed OOCD walk of a base-frame link (`None` for a
+    // link that moves).
+    static_links: Vec<Option<OocdResult>>,
 }
 
 impl CecduSim {
     /// Creates a CECDU for a robot in an environment.
     pub fn new(robot: RobotModel, octree: Octree, config: CecduConfig) -> CecduSim {
-        CecduSim {
+        let mut sim = CecduSim {
             robot,
             octree,
             config,
             cascade: CascadeConfig::proposed(),
-        }
+            static_links: Vec::new(),
+        };
+        sim.derive_static_links();
+        sim
     }
 
     /// Overrides the intersection cascade (for the §7.2.1 ablations).
     pub fn with_cascade(mut self, cascade: CascadeConfig) -> CecduSim {
         self.cascade = cascade;
+        self.derive_static_links();
         self
     }
 
@@ -140,6 +163,27 @@ impl CecduSim {
     /// Replaces the environment (sensor update).
     pub fn set_octree(&mut self, octree: Octree) {
         self.octree = octree;
+        self.derive_static_links();
+    }
+
+    fn oocd_config(&self) -> OocdConfig {
+        OocdConfig {
+            iu: self.config.iu,
+            cascade: self.cascade,
+        }
+    }
+
+    /// Walks each base-frame link's OOCD once, through the OBB the OBB
+    /// Generation Unit yields for it.
+    fn derive_static_links(&mut self) {
+        let cfg = self.oocd_config();
+        self.static_links = static_link_obbs(&self.robot, OBB_GEN_TRIG)
+            .iter()
+            .map(|obb| {
+                obb.as_ref()
+                    .map(|o| run_oocd(&self.octree, &o.quantize(), &cfg))
+            })
+            .collect();
     }
 
     /// Runs one robot-pose collision query, cycle by cycle. A pose with a
@@ -224,17 +268,8 @@ impl CecduSim {
         mut faults: Option<(&mut FaultInjector, bool)>,
     ) -> FaultyCecduOutcome {
         let (mut frames, mut obbs) = FK_SCRATCH.with(Cell::take);
-        link_obbs_into(
-            &self.robot,
-            pose,
-            TrigMode::Hardware,
-            &mut frames,
-            &mut obbs,
-        );
-        let oocd_cfg = OocdConfig {
-            iu: self.config.iu,
-            cascade: self.cascade,
-        };
+        link_obbs_into(&self.robot, pose, OBB_GEN_TRIG, &mut frames, &mut obbs);
+        let oocd_cfg = self.oocd_config();
 
         let mut ops = OpCounter::default();
         let mut links_checked = 0usize;
@@ -250,14 +285,20 @@ impl CecduSim {
             let wave_end_idx = (i + n).min(obbs.len());
             let start = t.max(ready(wave_end_idx - 1));
             let mut dur = 0u64;
-            for obb in &obbs[i..wave_end_idx] {
-                let obb = obb.quantize();
+            let wave = obbs[i..wave_end_idx]
+                .iter()
+                .zip(&self.static_links[i..wave_end_idx]);
+            for (obb, static_link) in wave {
                 let (r, link_colliding) = match faults.as_mut() {
                     None => {
-                        let r = run_oocd(&self.octree, &obb, &oocd_cfg);
+                        let r = match static_link {
+                            Some(r) => *r,
+                            None => run_oocd(&self.octree, &obb.quantize(), &oocd_cfg),
+                        };
                         (r, r.colliding)
                     }
                     Some((inj, detection)) => {
+                        let obb = obb.quantize();
                         let f =
                             run_oocd_with_faults(&self.octree, &obb, &oocd_cfg, inj, *detection);
                         detected |= f.detected();

@@ -105,8 +105,8 @@ pub struct RunReport {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MpAccelSystem {
-    robot: RobotModel,
-    octree: Octree,
+    // The CECDU every `CdBatch` dispatches to, built once per environment.
+    cecdu: CecduSim,
     config: SystemConfig,
     sas: SasConfig,
 }
@@ -117,8 +117,7 @@ impl MpAccelSystem {
     pub fn new(robot: RobotModel, octree: Octree, config: SystemConfig) -> MpAccelSystem {
         let sas = SasConfig::mcsp(config.accel.cecdus);
         MpAccelSystem {
-            robot,
-            octree,
+            cecdu: CecduSim::new(robot, octree, config.accel.cecdu),
             config,
             sas,
         }
@@ -137,7 +136,7 @@ impl MpAccelSystem {
 
     /// Replaces the environment octree (sensor update path, Fig 11 step 1).
     pub fn set_octree(&mut self, octree: Octree) {
-        self.octree = octree;
+        self.cecdu.set_octree(octree);
     }
 
     /// Replays a planner trace against the hardware models and returns the
@@ -200,12 +199,7 @@ impl MpAccelSystem {
                     if motions.is_empty() {
                         continue;
                     }
-                    let sim = CecduSim::new(
-                        self.robot.clone(),
-                        self.octree.clone(),
-                        self.config.accel.cecdu,
-                    );
-                    let mut cdu = CecduCdu::new(sim);
+                    let mut cdu = CecduCdu::new(&self.cecdu);
                     let r = run_sas(motions, *mode, &self.sas, &mut cdu);
                     report.cd_cycles += r.cycles;
                     report.cd_queries += r.queries;

@@ -262,19 +262,20 @@ impl<C: mp_collision::CollisionChecker> CduModel for IdealCdu<C> {
     }
 }
 
-/// A CECDU array element as the CDU (the real hardware).
-pub struct CecduCdu {
-    sim: crate::cecdu::CecduSim,
+/// A CECDU array element as the CDU (the real hardware), borrowing the
+/// simulation it dispatches to.
+pub struct CecduCdu<'a> {
+    sim: &'a crate::cecdu::CecduSim,
 }
 
-impl CecduCdu {
+impl CecduCdu<'_> {
     /// Wraps a CECDU simulation.
-    pub fn new(sim: crate::cecdu::CecduSim) -> CecduCdu {
+    pub fn new(sim: &crate::cecdu::CecduSim) -> CecduCdu<'_> {
         CecduCdu { sim }
     }
 }
 
-impl CduModel for CecduCdu {
+impl CduModel for CecduCdu<'_> {
     fn query(&mut self, pose: &JointConfig) -> CduResponse {
         let out = self.sim.check_pose(pose);
         CduResponse {

@@ -88,6 +88,23 @@ pub fn link_obbs_into(
     );
 }
 
+/// The OBBs of the links attached to frame 0, the immobile base, indexed
+/// like [`RobotModel::links`] (`None` for a link that moves with a joint).
+///
+/// Frame 0 is the identity at every pose, so these OBBs are the same for
+/// every configuration: a checker may walk them once per environment and
+/// replay the result. They come out of [`link_obbs_into`] itself (at the
+/// home pose), so they are bit-identical to what FK yields for those links
+/// at any finite pose.
+pub fn static_link_obbs(model: &RobotModel, mode: TrigMode) -> Vec<Option<Obb<f32>>> {
+    model
+        .links()
+        .iter()
+        .zip(link_obbs(model, &model.home(), mode))
+        .map(|(link, obb)| (link.frame == 0).then_some(obb))
+        .collect()
+}
+
 /// The fixed-point link OBBs the hardware streams to the OOCDs (17 × 16-bit
 /// values each, §5.2).
 pub fn link_obbs_fx(model: &RobotModel, cfg: &JointConfig, mode: TrigMode) -> Vec<FxObb> {
@@ -162,11 +179,25 @@ mod tests {
 
     #[test]
     fn base_link_is_static() {
-        let r = RobotModel::jaco2();
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = link_obbs(&r, &r.sample_config(&mut rng), TrigMode::Exact);
-        let b = link_obbs(&r, &r.sample_config(&mut rng), TrigMode::Exact);
-        assert_eq!(a[0].center, b[0].center); // base column never moves
+        // The base-frame OBBs `static_link_obbs` yields are the ones FK
+        // yields at every pose, exactly.
+        for r in [RobotModel::jaco2(), RobotModel::baxter()] {
+            for mode in [TrigMode::Exact, TrigMode::Hardware] {
+                let statics = static_link_obbs(&r, mode);
+                assert_eq!(statics.len(), r.link_count());
+                assert!(statics[0].is_some(), "link 0 hangs on the base frame");
+                let mut rng = StdRng::seed_from_u64(8);
+                for _ in 0..50 {
+                    let obbs = link_obbs(&r, &r.sample_config(&mut rng), mode);
+                    for ((link, s), o) in r.links().iter().zip(&statics).zip(&obbs) {
+                        assert_eq!(s.is_some(), link.frame == 0);
+                        if let Some(s) = s {
+                            assert_eq!(s, o);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn sas_with_hardware_cdus_matches_ideal_verdicts() {
     let cfg = SasConfig::mcsp(8);
     // Hardware CDUs.
     let sim = CecduSim::new(robot.clone(), scene.octree(), CecduConfig::default());
-    let mut hw_cdu = CecduCdu::new(sim.clone());
+    let mut hw_cdu = CecduCdu::new(&sim);
     let hw = run_sas(&motions, FunctionMode::Complete, &cfg, &mut hw_cdu);
     // Hardware checker behind the *ideal* CDU (same functional outcomes,
     // unit latency): verdicts must match exactly.
