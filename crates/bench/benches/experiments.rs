@@ -42,7 +42,6 @@ experiment_bench!(bench_table1, table1, 10);
 experiment_bench!(bench_table3, table3, 10);
 experiment_bench!(bench_codacc, codacc, 10);
 experiment_bench!(bench_planners, planners, 10);
-experiment_bench!(bench_batch_planning, batch_planning, 10);
 
 fn bench_ablation(c: &mut Criterion) {
     println!("{}", ablation::run(scale()));
@@ -255,7 +254,6 @@ criterion_group!(
     bench_table3,
     bench_codacc,
     bench_planners,
-    bench_batch_planning,
     bench_ablation,
 );
 criterion_main!(benches);

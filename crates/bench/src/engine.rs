@@ -75,7 +75,6 @@ pub fn experiments() -> Vec<Experiment> {
         exp!(table3),
         exp!(codacc),
         exp!(ablation),
-        exp!(batch_planning),
         exp!(planners),
         exp!(faults),
         exp!(soak, capture),
@@ -222,11 +221,11 @@ mod tests {
     #[test]
     fn suite_is_complete_and_uniquely_named() {
         let all = experiments();
-        assert_eq!(all.len(), 22);
+        assert_eq!(all.len(), 21);
         let mut names: Vec<&str> = all.iter().map(|x| x.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 22, "duplicate experiment names");
+        assert_eq!(names.len(), 21, "duplicate experiment names");
         let captured: Vec<&str> = all
             .iter()
             .filter(|x| x.capture.is_some())

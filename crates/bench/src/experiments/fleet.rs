@@ -24,7 +24,7 @@
 //! on. Per-tenant and per-shard breakdowns ride along in the report (and
 //! in the CSV via `--csv`) in deterministic order.
 
-use mp_service::{FleetConfig, FleetSummary, HedgeConfig, PlanCatalog, TenantPolicy, TenantSpec};
+use mp_service::{FleetConfig, FleetSummary, PlanCatalog, TenantPolicy, TenantSpec};
 use mp_sim::arrival::{ArrivalKind, ArrivalProcess};
 use mp_sim::fault::{ShardFaultEvent, ShardFaultKind, ShardFaultPlan};
 use mp_sim::vtime::VirtualNs;
@@ -164,14 +164,8 @@ fn run_scenario(catalog: &PlanCatalog, scale: Scale, scenario: &'static str) -> 
         "chaos-defended" => (defended, false, double_kill(scale)),
         "chaos-undefended" => (
             FleetConfig {
-                failover: mp_service::FailoverConfig {
-                    enabled: false,
-                    ..mp_service::FailoverConfig::default()
-                },
-                hedge: HedgeConfig {
-                    enabled: false,
-                    ..HedgeConfig::default()
-                },
+                failover: false,
+                hedge: false,
                 ..defended
             },
             false,

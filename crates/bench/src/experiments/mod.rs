@@ -6,7 +6,6 @@
 //! order), the Criterion benches, and the shape-assertion tests.
 
 pub mod ablation;
-pub mod batch_planning;
 pub mod codacc;
 pub mod common;
 pub mod energy_observatory;

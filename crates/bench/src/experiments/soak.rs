@@ -21,8 +21,8 @@ use mp_octree::{benchmark_scenes, Scene};
 use mp_planner::QualityTier;
 use mp_robot::RobotModel;
 use mp_service::{
-    run_service, run_service_traced, DegradeConfig, FaultProfile, PlanCatalog, QueuePolicy,
-    ServiceConfig, ServiceSummary, TenantSpec,
+    run_service, run_service_traced, FaultProfile, PlanCatalog, QueuePolicy, ServiceConfig,
+    ServiceSummary, TenantSpec,
 };
 use mp_sim::arrival::{ArrivalKind, ArrivalProcess};
 use mp_sim::vtime::VirtualNs;
@@ -54,7 +54,7 @@ pub fn policies() -> [(&'static str, ServiceConfig); 4] {
             ServiceConfig {
                 policy: QueuePolicy::Fifo,
                 admission: false,
-                degrade: DegradeConfig::off(),
+                degrade: false,
                 ..base
             },
         ),
@@ -62,14 +62,14 @@ pub fn policies() -> [(&'static str, ServiceConfig); 4] {
             "fifo-shed",
             ServiceConfig {
                 policy: QueuePolicy::Fifo,
-                degrade: DegradeConfig::off(),
+                degrade: false,
                 ..base
             },
         ),
         (
             "edf-shed",
             ServiceConfig {
-                degrade: DegradeConfig::off(),
+                degrade: false,
                 ..base
             },
         ),

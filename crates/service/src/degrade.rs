@@ -4,54 +4,27 @@
 //! healthy instance — and maps it through fixed occupancy thresholds to a
 //! base [`QualityTier`]. The dispatcher may still step *further* down the
 //! ladder for an individual request whose deadline slack cannot fit the
-//! chosen tier's service time (slack-fit, see `service.rs`), but never
+//! chosen tier's service time (slack-fit, see `fleet.rs`), but never
 //! back up above the controller's tier while the queue is congested.
+//! [`ServiceConfig::degrade`](crate::service::ServiceConfig::degrade)
+//! switches the controller off (every request at full quality).
 
 use mp_planner::QualityTier;
 
-/// Degradation policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegradeConfig {
-    /// Master switch; when false every request is served at full quality.
-    pub enabled: bool,
-    /// Queued-requests-per-healthy-instance thresholds at which the
-    /// controller steps down to Reduced / Fallback / Coarse (must be
-    /// non-decreasing).
-    pub occupancy_thresholds: [f64; QualityTier::COUNT - 1],
-}
+/// Queued-requests-per-healthy-instance thresholds at which the
+/// controller steps down to Reduced / Fallback / Coarse (non-decreasing).
+pub const OCCUPANCY_THRESHOLDS: [f64; QualityTier::COUNT - 1] = [1.0, 2.5, 5.0];
 
-impl Default for DegradeConfig {
-    fn default() -> DegradeConfig {
-        DegradeConfig {
-            enabled: true,
-            occupancy_thresholds: [1.0, 2.5, 5.0],
+/// The base tier for the current congestion level.
+pub fn load_tier(queued: usize, healthy_instances: usize) -> QualityTier {
+    let occupancy = queued as f64 / healthy_instances.max(1) as f64;
+    let mut tier = QualityTier::Full;
+    for (i, &threshold) in OCCUPANCY_THRESHOLDS.iter().enumerate() {
+        if occupancy >= threshold {
+            tier = QualityTier::from_index(i + 1);
         }
     }
-}
-
-impl DegradeConfig {
-    /// A disabled controller (always full quality).
-    pub fn off() -> DegradeConfig {
-        DegradeConfig {
-            enabled: false,
-            ..DegradeConfig::default()
-        }
-    }
-
-    /// The base tier for the current congestion level.
-    pub fn load_tier(&self, queued: usize, healthy_instances: usize) -> QualityTier {
-        if !self.enabled {
-            return QualityTier::Full;
-        }
-        let occupancy = queued as f64 / healthy_instances.max(1) as f64;
-        let mut tier = QualityTier::Full;
-        for (i, &threshold) in self.occupancy_thresholds.iter().enumerate() {
-            if occupancy >= threshold {
-                tier = QualityTier::from_index(i + 1);
-            }
-        }
-        tier
-    }
+    tier
 }
 
 #[cfg(test)]
@@ -60,25 +33,17 @@ mod tests {
 
     #[test]
     fn steps_down_with_occupancy() {
-        let d = DegradeConfig::default();
-        assert_eq!(d.load_tier(0, 4), QualityTier::Full);
-        assert_eq!(d.load_tier(3, 4), QualityTier::Full); // 0.75 < 1.0
-        assert_eq!(d.load_tier(4, 4), QualityTier::Reduced);
-        assert_eq!(d.load_tier(10, 4), QualityTier::Fallback);
-        assert_eq!(d.load_tier(20, 4), QualityTier::Coarse);
+        assert_eq!(load_tier(0, 4), QualityTier::Full);
+        assert_eq!(load_tier(3, 4), QualityTier::Full); // 0.75 < 1.0
+        assert_eq!(load_tier(4, 4), QualityTier::Reduced);
+        assert_eq!(load_tier(10, 4), QualityTier::Fallback);
+        assert_eq!(load_tier(20, 4), QualityTier::Coarse);
     }
 
     #[test]
     fn quarantines_raise_effective_occupancy() {
-        let d = DegradeConfig::default();
         // Same queue, fewer healthy instances: deeper degradation.
-        assert_eq!(d.load_tier(4, 4), QualityTier::Reduced);
-        assert_eq!(d.load_tier(4, 1), QualityTier::Fallback);
-    }
-
-    #[test]
-    fn disabled_controller_always_serves_full() {
-        let d = DegradeConfig::off();
-        assert_eq!(d.load_tier(1_000, 1), QualityTier::Full);
+        assert_eq!(load_tier(4, 4), QualityTier::Reduced);
+        assert_eq!(load_tier(4, 1), QualityTier::Fallback);
     }
 }

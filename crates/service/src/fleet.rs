@@ -64,75 +64,51 @@ use mpaccel_core::pool::AcceleratorPool;
 
 use crate::breaker;
 use crate::catalog::PlanCatalog;
-use crate::integrity::IntegrityState;
+use crate::degrade::load_tier;
+use crate::integrity::{IntegrityState, SCRUB_PERIOD_US};
 use crate::metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 use crate::request::{Request, ShedReason, TenantSpec, Verdict};
 use crate::ring::{mix, HashRing};
-use crate::service::{ServiceConfig, BACKOFF_US, MAX_RETRIES};
+use crate::service::{ServiceConfig, BACKOFF_US, MAX_RETRIES, QUEUE_CAPACITY, SLOW_FACTOR};
 use crate::tenant::{FairQueue, TenantPolicy, TokenBucket};
 
-/// Hedged-request policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HedgeConfig {
-    /// Whether hedging is on.
-    pub enabled: bool,
-    /// Base hedge delay in µs; the effective delay is deadline-aware:
-    /// `min(delay_us, slack/2)` so tight-deadline requests hedge sooner.
-    pub delay_us: u64,
-}
+/// Virtual nodes per shard on the consistent-hash ring.
+pub const VNODES_PER_SHARD: usize = 16;
 
-impl Default for HedgeConfig {
-    fn default() -> HedgeConfig {
-        HedgeConfig {
-            enabled: true,
-            delay_us: 400,
-        }
-    }
-}
+/// Bounded-load spill threshold as a percentage of the fleet-average
+/// load (125 = spill when the primary exceeds 1.25× average).
+pub const SPILL_BOUND_PCT: u64 = 125;
 
-/// Shard-failure handling policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FailoverConfig {
-    /// Whether failover is on. Off models the undefended baseline: the
-    /// ring keeps routing to dead shards and their requests are lost.
-    pub enabled: bool,
-    /// Times one request may be re-routed off dying shards before it is
-    /// abandoned as lost.
-    pub max_failovers: u32,
-    /// Catch-up window after a rejoin (µs): the shard re-enters the ring
-    /// but reports itself overloaded, so bounded-load routing keeps
-    /// spilling new arrivals elsewhere while it drains.
-    pub catchup_us: u64,
-}
+/// Base hedge delay in µs; the effective delay is deadline-aware:
+/// `min(HEDGE_DELAY_US, slack/2)` so tight-deadline requests hedge sooner.
+pub const HEDGE_DELAY_US: u64 = 400;
 
-impl Default for FailoverConfig {
-    fn default() -> FailoverConfig {
-        FailoverConfig {
-            enabled: true,
-            max_failovers: 2,
-            catchup_us: 5_000,
-        }
-    }
-}
+/// Times one request may be re-routed off dying shards before it is
+/// abandoned as lost.
+pub const MAX_FAILOVERS: u32 = 2;
+
+/// Catch-up window after a rejoin (µs): the shard re-enters the ring but
+/// reports itself overloaded, so bounded-load routing keeps spilling new
+/// arrivals elsewhere while it drains.
+pub const CATCHUP_US: u64 = 5_000;
 
 /// Full configuration of one fleet run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FleetConfig {
     /// Number of shards.
     pub shards: usize,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes_per_shard: usize,
-    /// Bounded-load spill threshold as a percentage of the fleet-average
-    /// load (125 = spill when the primary exceeds 1.25× average).
-    pub spill_bound_pct: u64,
     /// Per-shard service configuration (instances, queue, degradation,
-    /// retries, breaker, accelerator faults). The shard seed is ignored;
-    /// `seed` below governs the whole fleet.
+    /// accelerator faults, integrity). The shard seed is ignored; `seed`
+    /// below governs the whole fleet.
     pub shard: ServiceConfig,
-    /// Hedged-request policy.
-    pub hedge: HedgeConfig,
-    /// Shard-failure handling policy.
-    pub failover: FailoverConfig,
+    /// Hedged requests: a request still unresolved after the
+    /// deadline-aware [`HEDGE_DELAY_US`] is duplicated to a second shard.
+    pub hedge: bool,
+    /// Shard-failure handling (re-routing under [`MAX_FAILOVERS`], rejoin
+    /// behind a [`CATCHUP_US`] window). Off models the undefended
+    /// baseline: the ring keeps routing to dead shards and their requests
+    /// are lost.
+    pub failover: bool,
     /// Per-tenant isolation (token buckets + weighted fair queueing).
     /// Off collapses every shard queue to one shared bounded FIFO/EDF
     /// queue and admits all traffic.
@@ -145,11 +121,9 @@ impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
             shards: 4,
-            vnodes_per_shard: 16,
-            spill_bound_pct: 125,
             shard: ServiceConfig::default(),
-            hedge: HedgeConfig::default(),
-            failover: FailoverConfig::default(),
+            hedge: true,
+            failover: true,
             fairness: true,
             seed: 0,
         }
@@ -188,11 +162,15 @@ fn choose_tier(
     healthy: usize,
     now: VirtualNs,
 ) -> Option<usize> {
-    let base = cfg.degrade.load_tier(queued, healthy);
+    let base = if cfg.degrade {
+        load_tier(queued, healthy)
+    } else {
+        QualityTier::Full
+    };
     let mut tier_idx = base.index().max(req.tier_floor);
     if cfg.admission {
         let slack = req.slack_ns(now);
-        while cfg.degrade.enabled
+        while cfg.degrade
             && tier_idx + 1 < QualityTier::COUNT
             && service_time_ns(catalog, req.key, tier_idx) > slack
         {
@@ -209,15 +187,11 @@ fn choose_tier(
 /// stretches the service time but still completes (masked); every other
 /// kind wastes the dispatch (detected at completion) and is returned for
 /// the retry path.
-fn roll_dispatch_fault(
-    inj: &mut FaultInjector,
-    slow_factor: u64,
-    service_ns: &mut VirtualNs,
-) -> Option<FaultKind> {
+fn roll_dispatch_fault(inj: &mut FaultInjector, service_ns: &mut VirtualNs) -> Option<FaultKind> {
     inj.counters_mut().queries += 1;
     let mut fault = FaultKind::ALL.into_iter().find(|&k| inj.fires(k));
     if fault == Some(FaultKind::SlowUnit) {
-        *service_ns *= slow_factor.max(1);
+        *service_ns *= SLOW_FACTOR;
         inj.counters_mut().masked += 1;
         fault = None;
     }
@@ -358,7 +332,7 @@ impl Shard {
         // The naive baseline queues without bound (capped only to keep
         // the share arithmetic in range).
         let capacity = if sc.admission {
-            sc.queue_capacity
+            QUEUE_CAPACITY
         } else {
             1 << 32
         };
@@ -509,7 +483,7 @@ impl Fleet<'_> {
                 let running = sh.inflight.iter().filter(|e| e.0 != usize::MAX).count();
                 let mut l = sh.queue.len() + running;
                 if now < sh.catchup_until {
-                    l += self.cfg.shard.queue_capacity.max(8);
+                    l += QUEUE_CAPACITY;
                 }
                 l
             })
@@ -569,9 +543,9 @@ impl Fleet<'_> {
             }
         }
         let key = self.route_key(id);
-        let target = if self.cfg.failover.enabled {
+        let target = if self.cfg.failover {
             let loads = self.loads(now);
-            let Some(s) = self.ring.route(key, &loads, self.cfg.spill_bound_pct) else {
+            let Some(s) = self.ring.route(key, &loads, SPILL_BOUND_PCT) else {
                 // Every shard is dead: nothing can take the request.
                 self.summary.lost_to_shards += 1;
                 self.resolve(id, Verdict::Shed(ShedReason::ShardLost));
@@ -598,9 +572,9 @@ impl Fleet<'_> {
         if !self.enqueue(target, id, now) {
             return;
         }
-        if self.cfg.hedge.enabled && self.ring.alive_count() > 1 {
+        if self.cfg.hedge && self.ring.alive_count() > 1 {
             let slack = self.reqs[id].slack_ns(now);
-            let delay = (self.cfg.hedge.delay_us * NS_PER_US).min(slack / 2).max(1);
+            let delay = (HEDGE_DELAY_US * NS_PER_US).min(slack / 2).max(1);
             self.events.push(now + delay, Event::Hedge(id as u32));
         }
         self.dispatch(target, now);
@@ -677,11 +651,7 @@ impl Fleet<'_> {
 
             let sh = &mut self.shards[s];
             let mut service_ns = service_time_ns(self.catalog, self.reqs[id].key, tier_idx);
-            let fault = roll_dispatch_fault(
-                &mut sh.injectors[inst],
-                self.cfg.shard.faults.slow_factor,
-                &mut service_ns,
-            );
+            let fault = roll_dispatch_fault(&mut sh.injectors[inst], &mut service_ns);
             // A stalled shard serves, just several times slower — the
             // latency-tail failure hedging is for.
             if now < sh.stall_until {
@@ -755,7 +725,7 @@ impl Fleet<'_> {
 
     fn schedule_scrub(&mut self, s: usize, inst: usize, now: VirtualNs) {
         self.events.push(
-            now + self.cfg.shard.integrity.scrub_period_us * NS_PER_US,
+            now + SCRUB_PERIOD_US * NS_PER_US,
             Event::Scrub {
                 shard: s as u16,
                 inst: inst as u16,
@@ -980,24 +950,6 @@ impl Fleet<'_> {
                 .energy_pj;
             fleet.degraded_saved_pj += full_pj - entry.energy_pj;
         }
-        if let Some(budget) = self.cfg.shard.energy_budget_pj_per_plan {
-            if attempt_pj > budget {
-                fleet.energy_breaches += 1;
-                let args = arg2(
-                    "req",
-                    ArgValue::U64(id as u64),
-                    "pj",
-                    ArgValue::F64(attempt_pj),
-                );
-                report(IncidentKind::EnergyBudgetBreach, args, || {
-                    format!(
-                        "req={id} shard={s} tier={} pj={attempt_pj:.0} budget_pj={budget:.0} \
-                         t_ns={now}",
-                        quality.label()
-                    )
-                });
-            }
-        }
         let sh = &mut self.shards[s];
         sh.stats.served += 1;
         if matches!(verdict, Verdict::OnTime { .. }) {
@@ -1033,11 +985,10 @@ impl Fleet<'_> {
     /// budget; without budget (or an alive target, or failover at all)
     /// the copy is lost.
     fn failover_copy(&mut self, id: usize, from: usize, now: VirtualNs) {
-        if self.cfg.failover.enabled && self.states[id].failovers < self.cfg.failover.max_failovers
-        {
+        if self.cfg.failover && self.states[id].failovers < MAX_FAILOVERS {
             let loads = self.loads(now);
             let key = self.route_key(id);
-            if let Some(target) = self.ring.route(key, &loads, self.cfg.spill_bound_pct) {
+            if let Some(target) = self.ring.route(key, &loads, SPILL_BOUND_PCT) {
                 self.states[id].failovers += 1;
                 self.summary.rerouted += 1;
                 self.events.push(
@@ -1063,7 +1014,7 @@ impl Fleet<'_> {
         self.shards[s].epoch += 1;
         self.shards[s].stats.kills += 1;
         self.summary.shard_kills += 1;
-        if self.cfg.failover.enabled {
+        if self.cfg.failover {
             self.ring.remove(s);
         }
         // The pool state dies with the shard: bank its counters and
@@ -1115,9 +1066,9 @@ impl Fleet<'_> {
         }
         self.shards[s].alive = true;
         self.shards[s].stall_until = 0;
-        if self.cfg.failover.enabled {
+        if self.cfg.failover {
             self.ring.restore(s);
-            self.shards[s].catchup_until = now + self.cfg.failover.catchup_us * NS_PER_US;
+            self.shards[s].catchup_until = now + CATCHUP_US * NS_PER_US;
         }
         telemetry::instant_args(
             "service",
@@ -1268,7 +1219,7 @@ pub(crate) fn simulate(
     let mut fleet = Fleet {
         catalog,
         cfg,
-        ring: HashRing::new(cfg.shards, cfg.vnodes_per_shard, cfg.seed),
+        ring: HashRing::new(cfg.shards, VNODES_PER_SHARD, cfg.seed),
         states: vec![ReqState::default(); reqs.len()],
         reqs,
         shards,
@@ -1511,14 +1462,8 @@ mod tests {
         let chaos = kill_two(DURATION / 4, DURATION / 2);
         let defended = fleet_cfg(4);
         let undefended = FleetConfig {
-            failover: FailoverConfig {
-                enabled: false,
-                ..FailoverConfig::default()
-            },
-            hedge: HedgeConfig {
-                enabled: false,
-                delay_us: 400,
-            },
+            failover: false,
+            hedge: false,
             fairness: false,
             ..fleet_cfg(4)
         };
@@ -1621,10 +1566,7 @@ mod tests {
         );
         let hedged = fleet_cfg(4);
         let unhedged = FleetConfig {
-            hedge: HedgeConfig {
-                enabled: false,
-                delay_us: 400,
-            },
+            hedge: false,
             ..fleet_cfg(4)
         };
         let h = run_fleet(catalog(), &tenants(rate), &[], DURATION, &hedged, &chaos);
@@ -1731,13 +1673,8 @@ mod tests {
 
     #[test]
     fn single_shard_fleet_degenerates_gracefully() {
-        let cfg = FleetConfig {
-            hedge: HedgeConfig {
-                enabled: true,
-                delay_us: 400,
-            },
-            ..fleet_cfg(1)
-        };
+        let cfg = fleet_cfg(1);
+        assert!(cfg.hedge);
         let rate = 0.5 * catalog().saturating_rate_per_s(cfg.shard.instances);
         let s = run_fleet(
             catalog(),

@@ -27,7 +27,26 @@
 use mp_sim::fault::{SdcInjector, SdcPlan};
 use mp_telemetry::{HistSnapshot, Registry};
 
-/// Which integrity defenses a run enables, and their thresholds.
+/// Suspicion score at which an instance's dispatches get voted.
+pub const VOTE_THRESHOLD: u32 = 8;
+
+/// Suspicion added per certification failure attributed to an instance.
+pub const ACCUSE_WEIGHT: u32 = 4;
+
+/// Suspicion decay shift per clean certification:
+/// `s -= max(1, s >> DECAY_SHIFT)`.
+pub const DECAY_SHIFT: u32 = 2;
+
+/// Vote overrides before a suspect is benched for scrubbing.
+pub const LIAR_STRIKES: u32 = 3;
+
+/// Consecutive clean scrub probes required for readmission.
+pub const SCRUB_CLEAN_TARGET: u32 = 4;
+
+/// Virtual time between scrub probes of a benched instance (µs).
+pub const SCRUB_PERIOD_US: u64 = 500;
+
+/// Which integrity defenses a run enables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IntegrityConfig {
     /// Re-validate every returned plan through the independent software
@@ -37,20 +56,6 @@ pub struct IntegrityConfig {
     pub vote: bool,
     /// Bench persistent liars and readmit them via known-answer probes.
     pub scrub: bool,
-    /// Suspicion score at which an instance's dispatches get voted.
-    pub vote_threshold: u32,
-    /// Suspicion added per certification failure attributed to an
-    /// instance.
-    pub accuse_weight: u32,
-    /// Suspicion decay shift per clean certification:
-    /// `s -= max(1, s >> decay_shift)`.
-    pub decay_shift: u32,
-    /// Vote overrides before a suspect is benched for scrubbing.
-    pub liar_strikes: u32,
-    /// Consecutive clean scrub probes required for readmission.
-    pub scrub_clean_target: u32,
-    /// Virtual time between scrub probes of a benched instance (µs).
-    pub scrub_period_us: u64,
 }
 
 impl IntegrityConfig {
@@ -61,12 +66,6 @@ impl IntegrityConfig {
             certify: false,
             vote: false,
             scrub: false,
-            vote_threshold: 8,
-            accuse_weight: 4,
-            decay_shift: 2,
-            liar_strikes: 3,
-            scrub_clean_target: 4,
-            scrub_period_us: 500,
         }
     }
 
@@ -85,7 +84,6 @@ impl IntegrityConfig {
             certify: true,
             vote: true,
             scrub: true,
-            ..IntegrityConfig::off()
         }
     }
 }
@@ -238,11 +236,6 @@ impl IntegrityState {
         }
     }
 
-    /// The configuration this state enforces.
-    pub fn config(&self) -> &IntegrityConfig {
-        &self.cfg
-    }
-
     /// Current suspicion score of an instance.
     pub fn suspicion(&self, inst: usize) -> u32 {
         self.suspicion[inst]
@@ -250,7 +243,7 @@ impl IntegrityState {
 
     /// Whether an instance's dispatches are currently voted.
     pub fn is_suspect(&self, inst: usize) -> bool {
-        self.suspicion[inst] >= self.cfg.vote_threshold
+        self.suspicion[inst] >= VOTE_THRESHOLD
     }
 
     /// Called at dispatch: returns whether this dispatch is re-executed
@@ -281,10 +274,9 @@ impl IntegrityState {
                 // clean result and charge the instance with the lie.
                 self.stats.vote_overrides += 1;
                 self.lies[inst] += 1;
-                self.suspicion[inst] = self.suspicion[inst].saturating_add(self.cfg.accuse_weight);
+                self.suspicion[inst] = self.suspicion[inst].saturating_add(ACCUSE_WEIGHT);
                 ships_corrupt = false;
-                if self.cfg.scrub && self.lies[inst] >= self.cfg.liar_strikes && !self.benched[inst]
-                {
+                if self.cfg.scrub && self.lies[inst] >= LIAR_STRIKES && !self.benched[inst] {
                     self.benched[inst] = true;
                     self.lies[inst] = 0;
                     self.streak[inst] = 0;
@@ -307,15 +299,15 @@ impl IntegrityState {
     /// Attributes a certification failure to the instance that produced
     /// the rejected plan.
     pub fn accuse(&mut self, inst: usize) {
-        self.suspicion[inst] = self.suspicion[inst].saturating_add(self.cfg.accuse_weight);
+        self.suspicion[inst] = self.suspicion[inst].saturating_add(ACCUSE_WEIGHT);
     }
 
     /// Decays an instance's suspicion after a clean certification:
-    /// `s -= max(1, s >> decay_shift)`, monotone and terminating.
+    /// `s -= max(1, s >> DECAY_SHIFT)`, monotone and terminating.
     pub fn exonerate(&mut self, inst: usize) {
         let s = self.suspicion[inst];
         if s > 0 {
-            self.suspicion[inst] = s - (s >> self.cfg.decay_shift).max(1);
+            self.suspicion[inst] = s - (s >> DECAY_SHIFT).max(1);
         }
     }
 
@@ -337,12 +329,12 @@ impl IntegrityState {
             return false;
         }
         self.streak[inst] += 1;
-        if self.streak[inst] < self.cfg.scrub_clean_target {
+        if self.streak[inst] < SCRUB_CLEAN_TARGET {
             return false;
         }
         self.benched[inst] = false;
         self.streak[inst] = 0;
-        self.suspicion[inst] = self.suspicion[inst].max(self.cfg.vote_threshold);
+        self.suspicion[inst] = self.suspicion[inst].max(VOTE_THRESHOLD);
         self.stats.scrub_readmits += 1;
         true
     }
@@ -379,7 +371,7 @@ mod tests {
         assert!(!s.is_suspect(2));
         s.accuse(2);
         s.accuse(2);
-        assert!(s.is_suspect(2), "2 × accuse_weight reaches the threshold");
+        assert!(s.is_suspect(2), "2 × ACCUSE_WEIGHT reaches VOTE_THRESHOLD");
         assert!(s.dispatch_vote(2));
         for _ in 0..64 {
             s.exonerate(2);
@@ -411,7 +403,7 @@ mod tests {
         }
         assert!(benched, "a 40%-liar under voting must strike out");
         assert_eq!(s2.stats.liars_benched, 1);
-        assert!(s2.stats.vote_overrides >= s2.config().liar_strikes as u64);
+        assert!(s2.stats.vote_overrides >= u64::from(LIAR_STRIKES));
         // Voting masks disagreements; only both-corrupt agreements ship.
         assert!(shipped_corrupt < s2.stats.sdc_injected);
     }
@@ -435,7 +427,7 @@ mod tests {
         }
         assert!(!s.is_benched(3));
         assert_eq!(s.stats.scrub_readmits, 1);
-        assert_eq!(s.stats.scrub_probes, cfg.scrub_clean_target as u64);
+        assert_eq!(s.stats.scrub_probes, u64::from(SCRUB_CLEAN_TARGET));
         assert!(
             s.is_suspect(3),
             "a readmitted liar must re-enter under voting"
@@ -451,8 +443,6 @@ mod tests {
         assert!(!off.certify && !off.vote && !off.scrub);
         assert!(certify.certify && !certify.vote && !certify.scrub);
         assert!(full.certify && full.vote && full.scrub);
-        assert_eq!(off.vote_threshold, full.vote_threshold);
-        assert_eq!(certify.scrub_period_us, full.scrub_period_us);
     }
 
     #[test]
@@ -489,12 +479,8 @@ mod tests {
         /// The decay rule is monotone non-increasing and reaches zero in
         /// finitely many steps from any starting score.
         #[test]
-        fn suspicion_decay_is_monotone_and_terminates(
-            start in 0u32..1_000_000,
-            shift in 0u32..8,
-        ) {
-            let cfg = IntegrityConfig { decay_shift: shift, ..IntegrityConfig::full() };
-            let mut s = IntegrityState::new(cfg, SdcPlan::none(1), 1, None, 1.0, 0);
+        fn suspicion_decay_is_monotone_and_terminates(start in any::<u32>()) {
+            let mut s = IntegrityState::new(IntegrityConfig::full(), SdcPlan::none(1), 1, None, 1.0, 0);
             s.suspicion[0] = start;
             let mut prev = start;
             let mut steps = 0u32;
@@ -504,50 +490,50 @@ mod tests {
                 prop_assert!(cur < prev, "decay must strictly shrink ({prev} -> {cur})");
                 prev = cur;
                 steps += 1;
-                // Geometric phase (~2^shift · ln(start) steps) plus the
-                // final linear -1 phase (~2^shift steps).
+                // Geometric phase (~2^DECAY_SHIFT · ln(start) steps) plus
+                // the final linear -1 phase (~2^DECAY_SHIFT steps).
                 prop_assert!(steps <= 10_000, "decay must terminate");
             }
             s.exonerate(0);
             prop_assert_eq!(s.suspicion(0), 0, "zero is a fixed point");
         }
 
-        /// Scrub readmission is live: under any probe-corruption pattern
-        /// with a bounded run of lies, a benched instance is eventually
-        /// readmitted, and readmission never happens before
-        /// `scrub_clean_target` probes.
+        /// Scrub readmission is live: under any seeded probe-corruption
+        /// stream with a lie rate below one, a benched instance is
+        /// readmitted on the first probe that completes a clean streak of
+        /// `SCRUB_CLEAN_TARGET`, and never before.
         #[test]
-        fn scrub_readmission_is_live(
-            lies in proptest::collection::vec(any::<bool>(), 0..48),
-            target in 1u32..6,
-        ) {
-            let cfg = IntegrityConfig {
-                scrub_clean_target: target,
-                ..IntegrityConfig::full()
-            };
-            let mut s = IntegrityState::new(cfg, SdcPlan::none(5), 1, None, 1.0, 0);
+        fn scrub_readmission_is_live(seed in any::<u64>(), rate in 0.0f64..0.6) {
+            let mut s = IntegrityState::new(
+                IntegrityConfig::full(),
+                SdcPlan::uniform(rate, seed),
+                1,
+                None,
+                1.0,
+                0,
+            );
             s.benched[0] = true;
-            let mut probes = 0u32;
-            let mut readmitted = false;
-            // Replay the adversarial lie pattern, then honest probes.
-            for lie in lies.iter().copied().chain(std::iter::repeat(false)) {
-                // Model the probe verdict directly through streak logic:
-                // a lying probe resets the streak, a clean one extends it.
+            // A copy of the probe stream predicts each probe's verdict.
+            let mut oracle = s.scrub[0].clone();
+            let mut streak = 0u32;
+            let mut probes = 0u64;
+            loop {
+                let clean = !oracle.flips_verdict();
+                streak = if clean { streak + 1 } else { 0 };
                 probes += 1;
-                s.stats.scrub_probes += 1;
-                if lie {
-                    s.streak[0] = 0;
-                } else {
-                    s.streak[0] += 1;
-                    if s.streak[0] >= target {
-                        readmitted = true;
-                        break;
-                    }
+                let readmitted = s.scrub_probe(0);
+                prop_assert_eq!(readmitted, streak == SCRUB_CLEAN_TARGET);
+                if readmitted {
+                    break;
                 }
-                prop_assert!(probes < 48 + 8, "liveness bound exceeded");
+                prop_assert!(s.is_benched(0));
+                prop_assert!(probes < 10_000, "liveness bound exceeded");
             }
-            prop_assert!(readmitted);
-            prop_assert!(probes >= target, "readmission needs the full streak");
+            prop_assert!(probes >= u64::from(SCRUB_CLEAN_TARGET), "readmission needs the full streak");
+            prop_assert!(!s.is_benched(0));
+            prop_assert!(s.is_suspect(0), "a readmitted liar re-enters under voting");
+            prop_assert_eq!(s.stats.scrub_probes, probes);
+            prop_assert_eq!(s.stats.scrub_readmits, 1);
         }
     }
 }

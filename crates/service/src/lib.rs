@@ -61,8 +61,7 @@ pub mod service;
 pub mod tenant;
 
 pub use catalog::{CatalogEntry, PlanCatalog};
-pub use degrade::DegradeConfig;
-pub use fleet::{run_fleet, run_fleet_traced, FailoverConfig, FleetConfig, HedgeConfig};
+pub use fleet::{run_fleet, run_fleet_traced, FleetConfig};
 pub use integrity::{IntegrityConfig, IntegrityState, IntegrityStats};
 pub use metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 pub use request::{Request, ShedReason, TenantSpec, Verdict};

@@ -67,9 +67,6 @@ pub struct ServiceSummary {
     /// full tier − what the serving tier spent). The degradation story
     /// in joules.
     pub degraded_saved_pj: f64,
-    /// Completions that breached the per-plan energy budget (0 when no
-    /// budget is configured).
-    pub energy_breaches: u64,
     /// Total busy time across the pool (ns).
     pub busy_ns: u64,
     /// Merged fault-injection / recovery counters.
@@ -242,7 +239,6 @@ impl ServiceSummary {
             &format!("{prefix}.degraded_saved_pj"),
             self.degraded_saved_pj,
         );
-        registry.set_counter(&format!("{prefix}.energy_breaches"), self.energy_breaches);
         registry.set_gauge(&format!("{prefix}.mean_power_uw"), self.mean_power_uw());
         registry.set_gauge(&format!("{prefix}.goodput_rps"), self.goodput_rps());
         registry.set_gauge(&format!("{prefix}.miss_rate"), self.miss_rate());
@@ -494,7 +490,6 @@ mod tests {
         assert_eq!(r.gauge_value("service.energy_pj"), Some(1_800.0));
         assert_eq!(r.gauge_value("service.energy_pj.full"), Some(1_800.0));
         assert_eq!(r.gauge_value("service.energy_per_plan_pj"), Some(200.0));
-        assert_eq!(r.counter_value("service.energy_breaches"), Some(0));
         assert_eq!(r.counter_value("service.served.full"), Some(9));
         assert_eq!(r.gauge_value("service.goodput_rps"), Some(8.0));
         let h = r.histogram("service.latency_ns").unwrap();

@@ -16,8 +16,7 @@ use mp_sim::vtime::VirtualNs;
 use mp_telemetry as telemetry;
 
 use crate::catalog::PlanCatalog;
-use crate::degrade::DegradeConfig;
-use crate::fleet::{simulate, FailoverConfig, FleetConfig, HedgeConfig};
+use crate::fleet::{simulate, FleetConfig};
 use crate::integrity::IntegrityConfig;
 use crate::metrics::ServiceSummary;
 use crate::request::TenantSpec;
@@ -28,6 +27,14 @@ pub const MAX_RETRIES: u32 = 3;
 
 /// Base retry backoff in microseconds; doubles per attempt.
 pub const BACKOFF_US: u64 = 50;
+
+/// Queue capacity when admission control is on.
+pub const QUEUE_CAPACITY: usize = 64;
+
+/// Service-time multiplier for
+/// [`FaultKind::SlowUnit`](mp_sim::fault::FaultKind::SlowUnit) faults
+/// (the dispatch completes correctly, just slower).
+pub const SLOW_FACTOR: u64 = 4;
 
 /// Fault environment for a run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -41,10 +48,6 @@ pub struct FaultProfile {
     pub lemon: Option<usize>,
     /// Rate multiplier for the lemon instance.
     pub lemon_factor: f64,
-    /// Service-time multiplier for
-    /// [`FaultKind::SlowUnit`](mp_sim::fault::FaultKind::SlowUnit) faults
-    /// (the dispatch completes correctly, just slower).
-    pub slow_factor: u64,
     /// Probability a clean, solved completion silently returns a
     /// corrupted (unsafe) plan — the SDC hazard no detection layer sees.
     pub sdc_rate: f64,
@@ -61,7 +64,6 @@ impl FaultProfile {
             rate_per_kind: 0.0,
             lemon: None,
             lemon_factor: 1.0,
-            slow_factor: 4,
             sdc_rate: 0.0,
             sdc_hot: None,
             sdc_hot_factor: 1.0,
@@ -99,21 +101,14 @@ pub struct ServiceConfig {
     /// Admission control: bounded queue with shedding, plus hopeless-miss
     /// shedding at dispatch. Off reproduces the naive unbounded baseline.
     pub admission: bool,
-    /// Queue capacity when admission control is on.
-    pub queue_capacity: usize,
-    /// Graceful-degradation controller.
-    pub degrade: DegradeConfig,
+    /// Graceful-degradation controller ([`crate::degrade`]); off serves
+    /// every request at full quality.
+    pub degrade: bool,
     /// Fault environment.
     pub faults: FaultProfile,
     /// Integrity pipeline (certification / voting / scrub); off by
     /// default.
     pub integrity: IntegrityConfig,
-    /// Per-plan dynamic-energy budget (pJ): a completion whose winning
-    /// attempt spent more raises an `energy_budget_breach` incident and
-    /// counts in [`ServiceSummary::energy_breaches`]. `None` (the
-    /// default) disables the check entirely, so existing runs are
-    /// byte-identical.
-    pub energy_budget_pj_per_plan: Option<f64>,
     /// Run seed (fault streams, request→query assignment).
     pub seed: u64,
 }
@@ -124,11 +119,9 @@ impl Default for ServiceConfig {
             instances: 4,
             policy: QueuePolicy::Edf,
             admission: true,
-            queue_capacity: 64,
-            degrade: DegradeConfig::default(),
+            degrade: true,
             faults: FaultProfile::none(),
             integrity: IntegrityConfig::off(),
-            energy_budget_pj_per_plan: None,
             seed: 0,
         }
     }
@@ -151,17 +144,10 @@ pub fn run_service(
     let one_shard = FleetConfig {
         shards: 1,
         shard: *cfg,
-        hedge: HedgeConfig {
-            enabled: false,
-            ..HedgeConfig::default()
-        },
-        failover: FailoverConfig {
-            enabled: false,
-            ..FailoverConfig::default()
-        },
+        hedge: false,
+        failover: false,
         fairness: false,
         seed: cfg.seed,
-        ..FleetConfig::default()
     };
     let none = ShardFaultPlan::none(0);
     simulate(catalog, tenants, &[], duration_ns, &one_shard, &none, 0).fleet
@@ -262,26 +248,6 @@ mod tests {
         assert!((tier_sum - a.energy_pj).abs() < 1e-6 * a.energy_pj.max(1.0));
         assert!(a.energy_per_plan_pj() > 0.0);
         assert!(a.wasted_energy_pj > 0.0, "retries must waste energy");
-        assert_eq!(a.energy_breaches, 0, "no budget configured");
-    }
-
-    #[test]
-    fn energy_budget_breaches_are_counted() {
-        // A zero budget makes every completion a breach; no budget makes
-        // none — and the budget check never perturbs the simulation.
-        let strict = ServiceConfig {
-            energy_budget_pj_per_plan: Some(0.0),
-            ..ServiceConfig::default()
-        };
-        let unbounded = ServiceConfig::default();
-        let rate = 0.5 * catalog().saturating_rate_per_s(strict.instances);
-        let a = run_service(catalog(), &tenants(rate), DURATION, &strict);
-        let b = run_service(catalog(), &tenants(rate), DURATION, &unbounded);
-        assert_eq!(a.energy_breaches, a.completed());
-        assert_eq!(b.energy_breaches, 0);
-        assert_eq!(a.completed(), b.completed());
-        assert_eq!(a.energy_pj, b.energy_pj);
-        assert_eq!(a.p999_us(), b.p999_us());
     }
 
     #[test]
@@ -323,7 +289,7 @@ mod tests {
         let naive = ServiceConfig {
             policy: QueuePolicy::Fifo,
             admission: false,
-            degrade: DegradeConfig::off(),
+            degrade: false,
             ..ServiceConfig::default()
         };
         let degrading = ServiceConfig::default();
@@ -451,15 +417,14 @@ mod tests {
 
     #[test]
     fn bounded_queue_sheds_under_adversarial_bursts() {
-        let cfg = ServiceConfig {
-            queue_capacity: 8,
-            ..ServiceConfig::default()
-        };
+        let cfg = ServiceConfig::default();
         let rate = 3.0 * catalog().saturating_rate_per_s(cfg.instances);
+        // One synchronized batch alone outgrows the bounded queue.
+        let batch = 2 * QUEUE_CAPACITY as u32;
         let t = vec![TenantSpec {
             label: "adversarial",
             process: ArrivalProcess {
-                kind: ArrivalKind::Adversarial { batch: 64 },
+                kind: ArrivalKind::Adversarial { batch },
                 rate_per_s: rate,
                 seed: 9,
             },

@@ -47,14 +47,11 @@ pub enum IncidentKind {
     /// A scrub probe sequence readmitted a quarantined instance after
     /// the required clean streak.
     ScrubReadmit,
-    /// A completed plan spent more dynamic energy than the configured
-    /// per-plan budget allows.
-    EnergyBudgetBreach,
 }
 
 impl IncidentKind {
     /// All well-known kinds, in a fixed order.
-    pub const ALL: [IncidentKind; 11] = [
+    pub const ALL: [IncidentKind; 10] = [
         IncidentKind::DeadlineMiss,
         IncidentKind::ShedQueueFull,
         IncidentKind::ShedHopeless,
@@ -65,7 +62,6 @@ impl IncidentKind {
         IncidentKind::SdcEscaped,
         IncidentKind::CertifyFailed,
         IncidentKind::ScrubReadmit,
-        IncidentKind::EnergyBudgetBreach,
     ];
 
     /// The reason-prefix token for this kind.
@@ -81,7 +77,6 @@ impl IncidentKind {
             IncidentKind::SdcEscaped => "sdc_escaped",
             IncidentKind::CertifyFailed => "certify_failed",
             IncidentKind::ScrubReadmit => "scrub_readmit",
-            IncidentKind::EnergyBudgetBreach => "energy_budget_breach",
         }
     }
 }
@@ -302,10 +297,6 @@ mod tests {
         }
         assert_eq!(IncidentKind::ShardFailover.label(), "shard_failover");
         assert_eq!(IncidentKind::HedgeFired.label(), "hedge_fired");
-        assert_eq!(
-            IncidentKind::EnergyBudgetBreach.label(),
-            "energy_budget_breach"
-        );
     }
 
     #[test]

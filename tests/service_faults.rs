@@ -8,12 +8,17 @@
 //! Silent data corruption is the one fault no detection layer sees: an
 //! undefended run ships corrupted plans, and the plan certifier (alone or
 //! under the full integrity ladder) must ship none.
+//!
+//! Under overload the bounded queue sheds what it cannot hold, every
+//! offered request resolves exactly once, and with the degradation
+//! controller off every completion is served at full quality.
 
 use std::sync::OnceLock;
 
 use mpaccel::octree::{benchmark_scenes, Scene};
 use mpaccel::planner::QualityTier;
 use mpaccel::robot::RobotModel;
+use mpaccel::service::service::QUEUE_CAPACITY;
 use mpaccel::service::{
     run_fleet, run_service, FaultProfile, FleetConfig, IntegrityConfig, IntegrityStats,
     PlanCatalog, ServiceConfig, TenantSpec,
@@ -177,6 +182,57 @@ fn certification_ships_no_silently_corrupted_plan() {
             assert!(s.sdc_injected > 0, "{run} {label}: SDC must fire");
             assert!(s.certify_failed > 0, "{run} {label}: nothing was caught");
             assert_eq!(s.sdc_escaped, 0, "{run} {label}: an unsafe plan shipped");
+        }
+    }
+}
+
+#[test]
+fn overload_sheds_at_the_queue_bound_and_resolves_every_request() {
+    // Synchronized batches twice the queue capacity, at three times the
+    // saturating rate of the default four instances.
+    let deadline_us = (4.0 * catalog().mean_service_us(QualityTier::Full)) as u64;
+    let tenants = [TenantSpec {
+        label: "adversarial",
+        process: ArrivalProcess {
+            kind: ArrivalKind::Adversarial {
+                batch: 2 * QUEUE_CAPACITY as u32,
+            },
+            rate_per_s: 3.0 * catalog().saturating_rate_per_s(4),
+            seed: 9,
+        },
+        deadline_us,
+    }];
+    for degrade in [true, false] {
+        let cfg = ServiceConfig {
+            degrade,
+            ..ServiceConfig::default()
+        };
+        let s = run_service(catalog(), &tenants, DURATION_NS, &cfg);
+        assert!(
+            s.shed_queue_full > 0,
+            "degrade={degrade}: no batch overflowed"
+        );
+        assert_eq!(
+            s.offered,
+            s.on_time
+                + s.late
+                + s.shed_queue_full
+                + s.shed_hopeless
+                + s.shed_throttled
+                + s.shed_shard_lost
+                + s.failed_faults
+                + s.unsolved,
+            "degrade={degrade}: a request resolved other than exactly once"
+        );
+        assert!(s.completed() > 0, "degrade={degrade}: nothing completed");
+        let degraded: u64 = s.tier_served[1..].iter().sum();
+        if degrade {
+            assert!(degraded > 0, "overload never engaged the controller");
+        } else {
+            // Only a ladder step-down after an unsolved tier could serve
+            // below full quality, and this catalog solves every query.
+            assert_eq!(s.tier_stepdowns, 0, "an unsolved tier stepped down");
+            assert_eq!(degraded, 0, "the controller is off, yet tiers degraded");
         }
     }
 }
