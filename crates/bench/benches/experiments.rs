@@ -86,8 +86,7 @@ fn bench_kernels(c: &mut Criterion) {
     let robot = RobotModel::jaco2();
     let home = robot.home();
     let oocd_cfg = OocdConfig::new(IuKind::MultiCycle);
-    // The paper's CECDU (4 multi-cycle OOCDs) and the pose the
-    // `telemetry_overhead` group checks.
+    // The paper's CECDU (4 multi-cycle OOCDs) and a pose off home.
     let cecdu = CecduSim::new(robot.clone(), tree.clone(), CecduConfig::default());
     let mut pose = robot.home();
     pose.as_mut_slice()[0] += 0.4;
@@ -145,6 +144,35 @@ fn bench_kernels(c: &mut Criterion) {
             )
         })
     });
+    g.bench_function("check_path_revalidate", |b| {
+        // Replanning re-validates the path it returns: validate one MPNet
+        // path twice on one checker, so the second pass is answered from
+        // the checker's pose cache.
+        use mp_collision::{check_path, SoftwareChecker, DEFAULT_CSPACE_STEP};
+        use mp_octree::benchmark_scenes;
+        use mp_planner::queries::generate_queries;
+        use mp_planner::{plan, MpnetConfig, OracleSampler};
+
+        let scene = &benchmark_scenes()[0];
+        let path = generate_queries(&robot, scene, 8, 1)
+            .expect("paper scene has free queries")
+            .iter()
+            .enumerate()
+            .find_map(|(i, q)| {
+                let mut checker = SoftwareChecker::new(robot.clone(), scene.octree());
+                let mut sampler = OracleSampler::new(robot.clone(), i as u64);
+                let cfg = MpnetConfig::default();
+                plan(&mut checker, &mut sampler, &q.start, &q.goal, &cfg).path
+            })
+            .expect("MPNet solves a paper-scene query");
+        let tree = scene.octree();
+        b.iter(|| {
+            let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
+            let first = check_path(&mut checker, black_box(&path), DEFAULT_CSPACE_STEP);
+            let again = check_path(&mut checker, black_box(&path), DEFAULT_CSPACE_STEP);
+            black_box((first, again))
+        })
+    });
     g.bench_function("octree_build", |b| {
         let scene = Scene::random(SceneConfig::paper(), 3);
         b.iter(|| black_box(scene.octree()))
@@ -165,6 +193,8 @@ fn bench_kernels(c: &mut Criterion) {
 /// Microbenchmarks of the two kernels every sampling planner repeats per
 /// expansion: motion validation (`check_motion`) and eight
 /// nearest-neighbour lookups against a grown SoA tree (`Tree::nearest`).
+/// Motion validation cycles through 64 motions, thousands of poses, so
+/// the checker's pose cache does not answer them and every pose is walked.
 fn bench_planner_kernels(c: &mut Criterion) {
     use mp_collision::{check_motion, SoftwareChecker};
     use mp_octree::{Scene, SceneConfig};
@@ -178,9 +208,11 @@ fn bench_planner_kernels(c: &mut Criterion) {
     let mut checker = SoftwareChecker::new(robot.clone(), tree);
     let mut rng = StdRng::seed_from_u64(42);
 
-    // A mid-length motion between two sampled configurations — the shape
+    // Mid-length motions between two sampled configurations — the shape
     // of one tree-extension edge.
-    let motion = Motion::new(robot.sample_config(&mut rng), robot.sample_config(&mut rng));
+    let motions: Vec<Motion> = (0..64)
+        .map(|_| Motion::new(robot.sample_config(&mut rng), robot.sample_config(&mut rng)))
+        .collect();
 
     // A grown tree (4096 nodes) plus eight sampled targets.
     let mut grown = Tree::new(robot.home());
@@ -191,7 +223,11 @@ fn bench_planner_kernels(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("planner_kernels");
     g.bench_function("check_motion", |b| {
-        b.iter(|| black_box(check_motion(&mut checker, black_box(&motion), 0.04).colliding))
+        let mut next = motions.iter().cycle();
+        b.iter(|| {
+            let motion = next.next().unwrap();
+            black_box(check_motion(&mut checker, black_box(motion), 0.04).colliding)
+        })
     });
     g.bench_function("tree_nearest_x8", |b| {
         b.iter(|| {
@@ -208,29 +244,34 @@ fn bench_planner_kernels(c: &mut Criterion) {
 /// Overhead guard for the telemetry layer: the collision hot loop timed
 /// with no sink installed (the untraced case every run but a capture
 /// takes) versus a sink installed, which records the per-pose `cd_query`
-/// span. `cargo bench -p mp-bench` prints it as the `telemetry_overhead`
-/// group; EXPERIMENTS.md records the numbers.
+/// span. The loop cycles through 4096 poses, more than the checker's
+/// pose cache holds, so it times walks. `cargo bench -p mp-bench` prints
+/// it as the `telemetry_overhead` group; EXPERIMENTS.md records the
+/// numbers.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     use mp_collision::{CollisionChecker, SoftwareChecker};
     use mp_octree::{Scene, SceneConfig};
     use mp_robot::RobotModel;
     use mp_telemetry::TelemetrySession;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     let robot = RobotModel::jaco2();
     let tree = Scene::random(SceneConfig::paper(), 0).octree();
     let mut checker = SoftwareChecker::new(robot.clone(), tree);
-    let mut pose = robot.home();
-    pose.as_mut_slice()[0] += 0.4;
-    pose.as_mut_slice()[2] -= 0.3;
+    let mut rng = StdRng::seed_from_u64(9);
+    let poses: Vec<_> = (0..4096).map(|_| robot.sample_config(&mut rng)).collect();
 
     let mut g = c.benchmark_group("telemetry_overhead");
     g.bench_function("check_pose_no_sink", |b| {
-        b.iter(|| black_box(checker.check_pose(black_box(&pose))))
+        let mut next = poses.iter().cycle();
+        b.iter(|| black_box(checker.check_pose(black_box(next.next().unwrap()))))
     });
     g.bench_function("check_pose_sink_installed", |b| {
         let session = TelemetrySession::new();
         let _guard = session.install("bench", 0);
-        b.iter(|| black_box(checker.check_pose(black_box(&pose))))
+        let mut next = poses.iter().cycle();
+        b.iter(|| black_box(checker.check_pose(black_box(next.next().unwrap()))))
     });
     g.finish();
 }

@@ -2,9 +2,10 @@
 //! scheduler configurations and CDU models.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
-use mp_collision::SoftwareChecker;
+use mp_collision::pose_cache::FnvHasher;
+use mp_collision::{PoseKey, SoftwareChecker};
 use mp_robot::JointConfig;
 use mp_sim::{CecduConfig, OpCounter};
 use mpaccel_core::cecdu::CecduSim;
@@ -57,48 +58,8 @@ impl SasAggregate {
     }
 }
 
-/// Memo key: scene index, DOF, and the pose's joint values as bits padded
-/// to a fixed width, so lookups allocate nothing.
-type PoseKey = (usize, u8, [u32; MAX_KEY_DOF]);
-
-/// Widest robot the memo supports (Baxter has 7 joints).
-const MAX_KEY_DOF: usize = 8;
-
-fn pose_key(scene: usize, pose: &JointConfig) -> PoseKey {
-    let joints = pose.as_slice();
-    assert!(joints.len() <= MAX_KEY_DOF, "pose exceeds memo key width");
-    let mut bits = [0u32; MAX_KEY_DOF];
-    for (b, v) in bits.iter_mut().zip(joints) {
-        *b = v.to_bits();
-    }
-    (scene, joints.len() as u8, bits)
-}
-
-/// FNV-1a over the key bytes. The keys are short fixed-size integer tuples
-/// queried millions of times; FNV beats the default SipHash severalfold
-/// there, and hash-flooding resistance is irrelevant for a benchmark memo.
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
+/// Memo key: the scene index and the pose's exact key.
+type MemoKey = (usize, PoseKey);
 
 /// Memoized per-pose CDU responses shared across replays of one workload.
 ///
@@ -112,7 +73,7 @@ impl Hasher for FnvHasher {
 /// recomputing answers it has already produced.
 pub struct ReplayMemo {
     cdu: CduKind,
-    map: HashMap<PoseKey, CduResponse, BuildHasherDefault<FnvHasher>>,
+    map: HashMap<MemoKey, CduResponse, BuildHasherDefault<FnvHasher>>,
 }
 
 impl ReplayMemo {
@@ -141,12 +102,16 @@ impl ReplayMemo {
 struct MemoCdu<'a, M> {
     inner: M,
     scene: usize,
-    map: &'a mut HashMap<PoseKey, CduResponse, BuildHasherDefault<FnvHasher>>,
+    map: &'a mut HashMap<MemoKey, CduResponse, BuildHasherDefault<FnvHasher>>,
 }
 
 impl<M: CduModel> CduModel for MemoCdu<'_, M> {
     fn query(&mut self, pose: &JointConfig) -> CduResponse {
-        let key = pose_key(self.scene, pose);
+        // A pose the key cannot hold bypasses the memo.
+        let Some(key) = PoseKey::new(pose) else {
+            return self.inner.query(pose);
+        };
+        let key = (self.scene, key);
         if let Some(r) = self.map.get(&key) {
             return *r;
         }

@@ -7,14 +7,17 @@ use mp_octree::{FlatOctree, Octree};
 use mp_robot::fk::{link_obbs_into, static_link_obbs};
 use mp_robot::{JointConfig, RobotModel, TrigMode};
 
+use crate::pose_cache::{PoseCache, PoseKey};
+
 /// Counters accumulated across queries (the work metrics the paper's
 /// energy model is built on).
 ///
 /// They count the modeled datapath's work, which walks every link at every
 /// pose. [`SoftwareChecker`] walks a base-frame link once per environment
 /// and adds that walk's counts to each later query without executing it,
-/// so the counters are the same as with every link walked, while the host
-/// executes fewer tests than they count.
+/// and answers a repeated pose from its cache with the counts its walk
+/// billed, so the counters are the same as with every link of every pose
+/// walked, while the host executes fewer tests than they count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CdStats {
     /// Robot-pose collision queries answered.
@@ -41,16 +44,20 @@ impl CdStats {
 
     /// Field-wise difference against an earlier snapshot of the same
     /// monotone counters — the delta-attribution primitive behind
-    /// [`attributed`], the per-lane stats of `mp_planner::batch`, and the
-    /// energy ledger scopes.
+    /// [`attributed`] and the energy ledger scopes.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `before` is not an earlier snapshot
+    /// Panics in debug builds if any of the five counters in `before`
+    /// exceeds this one's, so `before` is not an earlier snapshot
     /// (counters only grow).
     pub fn delta_since(&self, before: &CdStats) -> CdStats {
         debug_assert!(
-            self.pose_queries >= before.pose_queries && self.box_tests >= before.box_tests,
+            self.pose_queries >= before.pose_queries
+                && self.link_tests >= before.link_tests
+                && self.box_tests >= before.box_tests
+                && self.nodes_visited >= before.nodes_visited
+                && self.mults >= before.mults,
             "delta_since needs an earlier snapshot of the same counters"
         );
         CdStats {
@@ -156,6 +163,49 @@ struct LinkWalk {
     mults: u64,
 }
 
+/// One pose query's work: the links tested before the early exit, and
+/// the verdict and counters of their walks summed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct PoseWork {
+    link_tests: u64,
+    walk: LinkWalk,
+}
+
+/// [`PoseWork`] as a [`PoseCache`] slot holds it, in 16 bytes. A pose
+/// whose counts do not fit is not cached.
+#[derive(Clone, Copy, Debug, Default)]
+struct CachedWork {
+    hit: bool,
+    link_tests: u8,
+    nodes_visited: u32,
+    box_tests: u32,
+    mults: u32,
+}
+
+impl CachedWork {
+    fn pack(work: &PoseWork) -> Option<CachedWork> {
+        Some(CachedWork {
+            hit: work.walk.hit,
+            link_tests: work.link_tests.try_into().ok()?,
+            nodes_visited: work.walk.nodes_visited.try_into().ok()?,
+            box_tests: work.walk.box_tests.try_into().ok()?,
+            mults: work.walk.mults.try_into().ok()?,
+        })
+    }
+
+    fn unpack(self) -> PoseWork {
+        PoseWork {
+            link_tests: self.link_tests.into(),
+            walk: LinkWalk {
+                hit: self.hit,
+                nodes_visited: self.nodes_visited.into(),
+                box_tests: self.box_tests.into(),
+                mults: self.mults.into(),
+            },
+        }
+    }
+}
+
 /// Walks `flat` for one link OBB. Flat traversal with the hoisted
 /// cascade: squared radii and SAT constants are computed once per link and
 /// reused across every node the walk visits, with entries resolved in
@@ -210,6 +260,12 @@ fn walk_link(
 /// would. The derived walks belong to this instance and read only its own
 /// octree.
 ///
+/// A pose asked again is answered from a [`PoseCache`] of this instance's
+/// recent poses, keyed on the exact joint bits: the verdict and every
+/// counter the walk billed are replayed, and so are the process-wide
+/// metrics and the `cd_query` span, without rerunning FK or the walk. The
+/// cache is dropped whenever the static walks are.
+///
 /// [`with_cascade`]: SoftwareChecker::with_cascade
 /// [`with_hardware_trig`]: SoftwareChecker::with_hardware_trig
 /// [`set_octree`]: SoftwareChecker::set_octree
@@ -223,6 +279,8 @@ pub struct SoftwareChecker {
     // Per link, the replayed walk of a base-frame link (`None` for a link
     // that moves); `None` until the first query derives it.
     static_walks: Option<Vec<Option<LinkWalk>>>,
+    // Recent poses' work, valid for the current octree, cascade and trig.
+    cache: PoseCache<CachedWork>,
     // FK buffers reused across `check_pose` calls (taken out for the
     // duration of a query so the borrow checker sees disjoint state).
     frame_buf: Vec<Transform>,
@@ -241,6 +299,7 @@ impl SoftwareChecker {
             cascade: CascadeConfig::proposed(),
             stats: CdStats::default(),
             static_walks: None,
+            cache: PoseCache::new(),
             frame_buf: Vec::new(),
             obb_buf: Vec::new(),
             stack_buf: Vec::new(),
@@ -251,14 +310,14 @@ impl SoftwareChecker {
     /// what the OBB Generation Unit computes.
     pub fn with_hardware_trig(mut self) -> SoftwareChecker {
         self.trig = TrigMode::Hardware;
-        self.static_walks = None;
+        self.forget_walks();
         self
     }
 
     /// Overrides the intersection-test cascade configuration.
     pub fn with_cascade(mut self, cascade: CascadeConfig) -> SoftwareChecker {
         self.cascade = cascade;
-        self.static_walks = None;
+        self.forget_walks();
         self
     }
 
@@ -270,7 +329,55 @@ impl SoftwareChecker {
     /// Replaces the environment (e.g. after a scene update).
     pub fn set_octree(&mut self, octree: Octree) {
         self.octree = octree;
+        self.forget_walks();
+    }
+
+    /// Drops everything derived from the octree, cascade and trig: the
+    /// base-link walks and the cached poses.
+    fn forget_walks(&mut self) {
         self.static_walks = None;
+        self.cache.clear();
+    }
+
+    /// Runs FK for `cfg` and walks its links in order until the first
+    /// colliding one.
+    fn walk_pose(&mut self, cfg: &JointConfig) -> PoseWork {
+        let mut frames = std::mem::take(&mut self.frame_buf);
+        let mut obbs = std::mem::take(&mut self.obb_buf);
+        let mut stack = std::mem::take(&mut self.stack_buf);
+        let flat = self.octree.flat();
+        let (robot, trig, cascade) = (&self.robot, self.trig, &self.cascade);
+        // Walk each base-frame link once, through the OBB FK yields for it.
+        let static_walks = self.static_walks.get_or_insert_with(|| {
+            static_link_obbs(robot, trig)
+                .iter()
+                .map(|obb| {
+                    obb.as_ref()
+                        .map(|o| walk_link(flat, o, cascade, &mut stack))
+                })
+                .collect()
+        });
+        link_obbs_into(robot, cfg, trig, &mut frames, &mut obbs);
+        let mut work = PoseWork::default();
+        for (obb, static_walk) in obbs.iter().zip(static_walks) {
+            work.link_tests += 1;
+            let w = match static_walk {
+                Some(w) => *w,
+                None => walk_link(flat, obb, cascade, &mut stack),
+            };
+            work.walk.nodes_visited += w.nodes_visited;
+            work.walk.box_tests += w.box_tests;
+            work.walk.mults += w.mults;
+            if w.hit {
+                // Early exit: subsequent links are not checked (§7.2.2).
+                work.walk.hit = true;
+                break;
+            }
+        }
+        self.frame_buf = frames;
+        self.obb_buf = obbs;
+        self.stack_buf = stack;
+        work
     }
 }
 
@@ -290,52 +397,34 @@ impl CollisionChecker for SoftwareChecker {
             return true;
         }
         let span = mp_telemetry::span("collision", "cd_query");
-        let mut frames = std::mem::take(&mut self.frame_buf);
-        let mut obbs = std::mem::take(&mut self.obb_buf);
-        let mut stack = std::mem::take(&mut self.stack_buf);
-        let flat = self.octree.flat();
-        let (robot, trig, cascade) = (&self.robot, self.trig, &self.cascade);
-        // Walk each base-frame link once, through the OBB FK yields for it.
-        let static_walks = self.static_walks.get_or_insert_with(|| {
-            static_link_obbs(robot, trig)
-                .iter()
-                .map(|obb| {
-                    obb.as_ref()
-                        .map(|o| walk_link(flat, o, cascade, &mut stack))
-                })
-                .collect()
-        });
-        link_obbs_into(robot, cfg, trig, &mut frames, &mut obbs);
-        let mut colliding = false;
-        let mut work = LinkWalk::default();
-        for (obb, static_walk) in obbs.iter().zip(static_walks) {
-            self.stats.link_tests += 1;
-            let w = match static_walk {
-                Some(w) => *w,
-                None => walk_link(flat, obb, cascade, &mut stack),
-            };
-            work.nodes_visited += w.nodes_visited;
-            work.box_tests += w.box_tests;
-            work.mults += w.mults;
-            if w.hit {
-                // Early exit: subsequent links are not checked (§7.2.2).
-                colliding = true;
-                break;
+        let key = PoseKey::new(cfg);
+        let work = match key.and_then(|k| self.cache.get(&k)) {
+            Some(cached) => cached.unpack(),
+            None => {
+                let work = self.walk_pose(cfg);
+                if let (Some(k), Some(cached)) = (key, CachedWork::pack(&work)) {
+                    self.cache.insert(k, cached);
+                }
+                work
             }
-        }
-        self.stats.nodes_visited += work.nodes_visited;
-        self.stats.box_tests += work.box_tests;
-        self.stats.mults += work.mults;
-        crate::metrics::record_pose_work(work.nodes_visited, work.box_tests, work.mults);
-        self.frame_buf = frames;
-        self.obb_buf = obbs;
-        self.stack_buf = stack;
+        };
+        let LinkWalk {
+            hit: colliding,
+            nodes_visited,
+            box_tests,
+            mults,
+        } = work.walk;
+        self.stats.link_tests += work.link_tests;
+        self.stats.nodes_visited += nodes_visited;
+        self.stats.box_tests += box_tests;
+        self.stats.mults += mults;
+        crate::metrics::record_pose_work(nodes_visited, box_tests, mults);
         span.end_with(|| {
             mp_telemetry::arg2(
                 "colliding",
                 mp_telemetry::ArgValue::U64(colliding as u64),
                 "box_tests",
-                mp_telemetry::ArgValue::U64(work.box_tests),
+                mp_telemetry::ArgValue::U64(box_tests),
             )
         });
         colliding
@@ -457,6 +546,38 @@ mod tests {
         let mut whole = before;
         whole.absorb(delta);
         assert_eq!(whole, c.stats());
+    }
+
+    #[test]
+    fn pose_cache_takes_24_kib_per_checker() {
+        let slot = std::mem::size_of::<(PoseKey, CachedWork)>();
+        assert_eq!(slot, 48);
+        assert_eq!(slot * crate::pose_cache::POSE_CACHE_SLOTS, 24 * 1024);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn delta_since_rejects_a_later_snapshot_of_any_counter() {
+        let later = CdStats {
+            pose_queries: 5,
+            link_tests: 5,
+            box_tests: 5,
+            nodes_visited: 5,
+            mults: 5,
+        };
+        let bumps: [fn(&mut CdStats); 5] = [
+            |s| s.pose_queries += 1,
+            |s| s.link_tests += 1,
+            |s| s.box_tests += 1,
+            |s| s.nodes_visited += 1,
+            |s| s.mults += 1,
+        ];
+        for bump in bumps {
+            let mut before = later;
+            bump(&mut before);
+            let delta = std::panic::catch_unwind(|| later.delta_since(&before));
+            assert!(delta.is_err(), "{before:?} passed as an earlier snapshot");
+        }
     }
 
     #[test]

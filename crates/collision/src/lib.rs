@@ -29,8 +29,10 @@
 pub mod checker;
 pub mod metrics;
 pub mod motion;
+pub mod pose_cache;
 pub mod self_collision;
 
 pub use checker::{attributed, CdStats, CollisionChecker, SoftwareChecker};
 pub use motion::{check_motion, check_path, MotionResult, DEFAULT_CSPACE_STEP};
+pub use pose_cache::{PoseCache, PoseKey};
 pub use self_collision::SelfCollisionMatrix;

@@ -17,7 +17,7 @@
 
 use std::cell::Cell;
 
-use mp_collision::{CdStats, CollisionChecker};
+use mp_collision::{CdStats, CollisionChecker, PoseCache, PoseKey};
 use mp_geometry::cascade::CascadeConfig;
 use mp_geometry::{Obb, Transform};
 use mp_octree::Octree;
@@ -71,8 +71,9 @@ fn non_finite_pose() -> CecduResult {
 ///
 /// `cycles` and `ops` are the modeled hardware's: its OBB Generation Unit
 /// streams every link to the OOCDs at every pose. [`CecduSim`] replays a
-/// base-frame link's walk instead of rerunning it on the host, with the
-/// same cycles and ops.
+/// base-frame link's walk instead of rerunning it on the host, and the
+/// scheduler's [`CecduCdu`](crate::sas::CecduCdu) replays a repeated
+/// pose's whole result, with the same cycles and ops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CecduResult {
     /// Whether the robot collides with the environment at this pose.
@@ -83,6 +84,63 @@ pub struct CecduResult {
     pub links_checked: usize,
     /// Work performed.
     pub ops: OpCounter,
+}
+
+/// A [`CecduResult`] as a [`PoseCache`] slot holds it, in 40 bytes. A
+/// pose whose counts do not fit is not cached.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CachedCecdu {
+    colliding: bool,
+    links_checked: u8,
+    cycles: u32,
+    // `OpCounter`'s fields in declaration order.
+    ops: [u32; 8],
+}
+
+impl CachedCecdu {
+    fn pack(r: &CecduResult) -> Option<CachedCecdu> {
+        let o = &r.ops;
+        let ops = [
+            o.mults,
+            o.adds,
+            o.sram_reads,
+            o.box_tests,
+            o.cd_queries,
+            o.big_sram_reads,
+            o.dram_bytes,
+            o.mlp_macs,
+        ];
+        let mut packed = [0u32; 8];
+        for (p, v) in packed.iter_mut().zip(ops) {
+            *p = v.try_into().ok()?;
+        }
+        Some(CachedCecdu {
+            colliding: r.colliding,
+            links_checked: r.links_checked.try_into().ok()?,
+            cycles: r.cycles.try_into().ok()?,
+            ops: packed,
+        })
+    }
+
+    fn unpack(self) -> CecduResult {
+        let [mults, adds, sram_reads, box_tests, cd_queries, big_sram_reads, dram_bytes, mlp_macs] =
+            self.ops.map(u64::from);
+        CecduResult {
+            colliding: self.colliding,
+            cycles: self.cycles.into(),
+            links_checked: self.links_checked.into(),
+            ops: OpCounter {
+                mults,
+                adds,
+                sram_reads,
+                box_tests,
+                cd_queries,
+                big_sram_reads,
+                dram_bytes,
+                mlp_macs,
+            },
+        }
+    }
 }
 
 /// A CECDU bound to a robot and an environment octree.
@@ -194,13 +252,40 @@ impl CecduSim {
     ///
     /// Panics if `pose.dof()` does not match the robot.
     pub fn check_pose(&self, pose: &JointConfig) -> CecduResult {
+        self.query(pose, None)
+    }
+
+    /// [`CecduSim::check_pose`] answering a pose `cache` holds from it:
+    /// the same result, process-wide metrics and span, without rerunning
+    /// FK or the OOCD walks. `cache` must be used with this sim only.
+    pub(crate) fn check_pose_cached(
+        &self,
+        pose: &JointConfig,
+        cache: &mut PoseCache<CachedCecdu>,
+    ) -> CecduResult {
+        self.query(pose, Some(cache))
+    }
+
+    fn query(&self, pose: &JointConfig, cache: Option<&mut PoseCache<CachedCecdu>>) -> CecduResult {
         assert_eq!(pose.dof(), self.robot.dof(), "configuration DOF mismatch");
         mp_collision::metrics::record_pose_checks(1);
         if !pose.is_finite() {
             return non_finite_pose();
         }
         let span = mp_telemetry::span("core", "cecdu_pose");
-        let out = self.waves(pose, None).result;
+        let out = match cache.and_then(|c| Some((c, PoseKey::new(pose)?))) {
+            Some((cache, key)) => match cache.get(&key) {
+                Some(cached) => cached.unpack(),
+                None => {
+                    let out = self.waves(pose, None).result;
+                    if let Some(cached) = CachedCecdu::pack(&out) {
+                        cache.insert(key, cached);
+                    }
+                    out
+                }
+            },
+            None => self.waves(pose, None).result,
+        };
         // Feed the process-wide CD energy counters so hardware-model pose
         // queries show up in `collision::metrics::energy_pj_total` next to
         // the software oracle's (node reads land in the same small-SRAM
@@ -427,6 +512,23 @@ mod tests {
     use mp_sim::IuKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn trace_pose_cache_takes_36_kib() {
+        let slot = std::mem::size_of::<(PoseKey, CachedCecdu)>();
+        assert_eq!(slot, 72);
+        assert_eq!(slot * mp_collision::pose_cache::POSE_CACHE_SLOTS, 36 * 1024);
+    }
+
+    #[test]
+    fn cached_results_round_trip_and_oversized_ones_are_not_cached() {
+        let sim = cecdu(4, 4, IuKind::MultiCycle);
+        let out = sim.check_pose(&sim.robot().home());
+        assert_eq!(CachedCecdu::pack(&out).unwrap().unpack(), out);
+        let mut wide = out;
+        wide.ops.mults = u64::from(u32::MAX) + 1;
+        assert!(CachedCecdu::pack(&wide).is_none());
+    }
 
     fn cecdu(seed: u64, oocds: usize, iu: IuKind) -> CecduSim {
         CecduSim::new(

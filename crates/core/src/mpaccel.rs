@@ -167,6 +167,9 @@ impl MpAccelSystem {
         let clock = self.config.accel.cecdu.iu.clock();
         let mut report = RunReport::default();
         let mut ledger = EnergyLedger::new();
+        // One CDU serves every batch, so a pose re-validated in a later
+        // batch is answered from its cache.
+        let mut cdu = CecduCdu::new(&self.cecdu);
 
         for event in &trace.events {
             match event {
@@ -199,7 +202,6 @@ impl MpAccelSystem {
                     if motions.is_empty() {
                         continue;
                     }
-                    let mut cdu = CecduCdu::new(&self.cecdu);
                     let r = run_sas(motions, *mode, &self.sas, &mut cdu);
                     report.cd_cycles += r.cycles;
                     report.cd_queries += r.queries;

@@ -264,20 +264,32 @@ impl<C: mp_collision::CollisionChecker> CduModel for IdealCdu<C> {
 
 /// A CECDU array element as the CDU (the real hardware), borrowing the
 /// simulation it dispatches to.
+///
+/// A pose it already answered is served from a [`PoseCache`] of its
+/// recent poses with the result [`CecduSim::check_pose`] gave, and with
+/// the same process-wide metrics and `cecdu_pose` span, so one CDU that
+/// serves a whole trace skips the FK and OOCD walks of repeated poses.
+///
+/// [`PoseCache`]: mp_collision::PoseCache
+/// [`CecduSim::check_pose`]: crate::cecdu::CecduSim::check_pose
 pub struct CecduCdu<'a> {
     sim: &'a crate::cecdu::CecduSim,
+    cache: mp_collision::PoseCache<crate::cecdu::CachedCecdu>,
 }
 
 impl CecduCdu<'_> {
     /// Wraps a CECDU simulation.
     pub fn new(sim: &crate::cecdu::CecduSim) -> CecduCdu<'_> {
-        CecduCdu { sim }
+        CecduCdu {
+            sim,
+            cache: mp_collision::PoseCache::new(),
+        }
     }
 }
 
 impl CduModel for CecduCdu<'_> {
     fn query(&mut self, pose: &JointConfig) -> CduResponse {
-        let out = self.sim.check_pose(pose);
+        let out = self.sim.check_pose_cached(pose, &mut self.cache);
         CduResponse {
             colliding: out.colliding,
             latency: out.cycles,

@@ -18,8 +18,11 @@ use crate::trig::{approx_cos, approx_sin};
 pub struct DhParam {
     /// Link length `a` (translation along the rotated x axis).
     pub a: f32,
-    /// Link twist `α` (rotation about the x axis), radians.
-    pub alpha: f32,
+    // Link twist `α`, read through `alpha()`: its sine and cosine below
+    // are derived from it once, in `new`.
+    alpha: f32,
+    sin_alpha: f32,
+    cos_alpha: f32,
     /// Link offset `d` (translation along the joint z axis).
     pub d: f32,
     /// Constant joint-angle offset `θ₀` added to the joint variable.
@@ -29,12 +32,22 @@ pub struct DhParam {
 impl DhParam {
     /// Creates a DH row.
     pub fn new(a: f32, alpha: f32, d: f32, theta_offset: f32) -> DhParam {
+        // The twist α is a robot constant, so its sine/cosine are
+        // precomputed at full precision even in hardware.
+        let (sin_alpha, cos_alpha) = alpha.sin_cos();
         DhParam {
             a,
             alpha,
+            sin_alpha,
+            cos_alpha,
             d,
             theta_offset,
         }
+    }
+
+    /// Link twist `α` (rotation about the x axis), radians.
+    pub fn alpha(&self) -> f32 {
+        self.alpha
     }
 
     /// The joint transform for joint variable `theta`, using exact `f32`
@@ -57,9 +70,7 @@ impl DhParam {
     ) -> Transform {
         let th = theta + self.theta_offset;
         let (st, ct) = (sin(th), cos(th));
-        // The twist α is a robot constant, so its sine/cosine are
-        // precomputed at full precision even in hardware.
-        let (sa, ca) = self.alpha.sin_cos();
+        let (sa, ca) = (self.sin_alpha, self.cos_alpha);
         // Classic DH homogeneous matrix.
         let rotation = Mat3::from_rows(
             Vec3::new(ct, -st * ca, st * sa),
@@ -208,6 +219,51 @@ mod tests {
         for (e, h) in exact.iter().zip(&hw) {
             assert!(close(e.translation, h.translation, 1e-3));
             assert!((e.rotation.at(0, 0) - h.rotation.at(0, 0)).abs() < 1e-3);
+        }
+    }
+
+    /// The joint transform as it was computed before the twist's sine and
+    /// cosine moved into `DhParam::new`: `alpha.sin_cos()` on every call.
+    fn transform_twist_per_call(p: &DhParam, theta: f32, mode: TrigMode) -> Transform {
+        let th = theta + p.theta_offset;
+        let (st, ct) = match mode {
+            TrigMode::Exact => (th.sin(), th.cos()),
+            TrigMode::Hardware => (approx_sin(th), approx_cos(th)),
+        };
+        let (sa, ca) = p.alpha().sin_cos();
+        let rotation = Mat3::from_rows(
+            Vec3::new(ct, -st * ca, st * sa),
+            Vec3::new(st, ct * ca, -ct * sa),
+            Vec3::new(0.0, sa, ca),
+        );
+        Transform::new(rotation, Vec3::new(p.a * ct, p.a * st, p.d))
+    }
+
+    fn transform_bits(t: &Transform) -> Vec<u32> {
+        let rotation = (0..9).map(|k| t.rotation.at(k / 3, k % 3));
+        let translation = [t.translation.x, t.translation.y, t.translation.z];
+        rotation.chain(translation).map(f32::to_bits).collect()
+    }
+
+    #[test]
+    fn precomputed_twist_keeps_fk_bit_identical() {
+        use crate::RobotModel;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        for robot in [RobotModel::jaco2(), RobotModel::baxter()] {
+            let mut rng = StdRng::seed_from_u64(5);
+            for mode in [TrigMode::Exact, TrigMode::Hardware] {
+                for _ in 0..100 {
+                    let pose = robot.sample_config(&mut rng);
+                    let chain = chain_transforms(robot.dh_params(), pose.as_slice(), mode);
+                    let mut acc = Transform::identity();
+                    for ((p, &th), t) in robot.dh_params().iter().zip(pose.as_slice()).zip(&chain) {
+                        acc = acc.compose(&transform_twist_per_call(p, th, mode));
+                        assert_eq!(transform_bits(t), transform_bits(&acc), "{mode:?}");
+                    }
+                }
+            }
         }
     }
 

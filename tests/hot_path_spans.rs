@@ -122,3 +122,33 @@ fn cecdu_records_one_cecdu_pose_span_per_pose() {
         assert_eq!(arg(end, "colliding"), u64::from(r.colliding));
     }
 }
+
+#[test]
+fn a_cached_pose_records_the_cd_query_args_of_its_walk() {
+    let (robot, tree, poses) = fixture();
+    let walked = software_checks(&robot, &tree, &poses);
+    // Every pose twice on one checker: the first query walks, the second
+    // is answered from the checker's pose cache.
+    let twice: Vec<JointConfig> = poses.iter().flat_map(|p| [p.clone(), p.clone()]).collect();
+
+    let session = TelemetrySession::new();
+    let traced = {
+        let _stream = session.install("hot", 0);
+        software_checks(&robot, &tree, &twice)
+    };
+    let expected: Vec<(bool, CdStats)> = walked.iter().flat_map(|w| [*w, *w]).collect();
+    assert_eq!(
+        traced, expected,
+        "a cached pose changed a verdict or a counter"
+    );
+
+    let streams = session.streams();
+    let ends = span_ends(&streams[0].events, "collision", "cd_query");
+    assert_eq!(ends.len(), twice.len(), "one cd_query span per query");
+    for (pair, (colliding, delta)) in ends.chunks(2).zip(&walked) {
+        for end in pair {
+            assert_eq!(arg(end, "colliding"), u64::from(*colliding));
+            assert_eq!(arg(end, "box_tests"), delta.box_tests);
+        }
+    }
+}
