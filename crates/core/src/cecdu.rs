@@ -10,18 +10,26 @@
 //! for parallel intersection tests is dominated by the highest intersection
 //! test time across all units as we use synchronous scheduling").
 //!
+//! As §5.2 describes, each link's box half extents and its bounding and
+//! inscribed sphere radii are precomputed and stored per link; the model
+//! derives them, with their Q3.12 roundings, once per robot
+//! ([`mp_robot::LinkBox`]). Per pose, the OBB Generation Unit computes the
+//! joint frames and, for each link it dispatches, places and quantizes
+//! only the box's centre and rotation.
+//!
 //! One wave loop models this. [`CecduSim::check_pose`] runs it clean;
 //! [`CecduSim::check_pose_with_faults`] runs the same loop with a
 //! [`FaultInjector`] attached, so each dispatched link walks the OOCD
-//! through [`run_oocd_with_faults`] and may draw a saturation event.
+//! through [`run_oocd_with_faults`] and may draw a saturation event. Both
+//! build a link's Q3.12 OBB the same way.
 
 use std::cell::Cell;
 
 use mp_collision::{CdStats, CollisionChecker, PoseCache, PoseKey};
 use mp_geometry::cascade::CascadeConfig;
-use mp_geometry::{Obb, Transform};
+use mp_geometry::Transform;
 use mp_octree::Octree;
-use mp_robot::fk::{link_obbs_into, static_link_obbs};
+use mp_robot::fk::joint_frames_into;
 use mp_robot::trig::TRIG_LATENCY_CYCLES;
 use mp_robot::{JointConfig, RobotModel, TrigMode};
 use mp_sim::fault::FaultKind;
@@ -30,10 +38,11 @@ use mp_sim::{CecduConfig, FaultInjector, OpCounter};
 use crate::oocd::{run_oocd, run_oocd_with_faults, OocdConfig, OocdResult};
 
 thread_local! {
-    // FK buffers reused across pose queries (a `CecduSim` does not change
-    // while it answers queries — many callers share one sim immutably — so
-    // the per-pose buffers live here, like the OOCD traversal stack).
-    static FK_SCRATCH: Cell<(Vec<Transform>, Vec<Obb<f32>>)> = Cell::default();
+    // The FK frame buffer reused across pose queries (a `CecduSim` does not
+    // change while it answers queries — many callers share one sim
+    // immutably — so the per-pose buffer lives here, like the OOCD
+    // traversal stack).
+    static FK_SCRATCH: Cell<Vec<Transform>> = Cell::default();
 }
 
 /// Cycles from pose arrival until the first link OBB is ready: the trig
@@ -232,15 +241,16 @@ impl CecduSim {
     }
 
     /// Walks each base-frame link's OOCD once, through the OBB the OBB
-    /// Generation Unit yields for it.
+    /// Generation Unit yields for it at every pose (frame 0 is the
+    /// identity).
     fn derive_static_links(&mut self) {
         let cfg = self.oocd_config();
-        self.static_links = static_link_obbs(&self.robot, OBB_GEN_TRIG)
+        let base = Transform::identity();
+        self.static_links = self
+            .robot
+            .link_boxes()
             .iter()
-            .map(|obb| {
-                obb.as_ref()
-                    .map(|o| run_oocd(&self.octree, &o.quantize(), &cfg))
-            })
+            .map(|b| (b.frame() == 0).then(|| run_oocd(&self.octree, &b.place_fx(&base), &cfg)))
             .collect();
     }
 
@@ -345,15 +355,20 @@ impl CecduSim {
     /// Timing: links are dispatched to the OOCD array in synchronous waves
     /// of `n`; a wave starts once its last OBB has been generated and the
     /// previous wave has drained. Waves are evaluated lazily: only links
-    /// the hardware actually dispatches run their OOCD traversal and draw
-    /// faults, and early exit cancels the rest.
+    /// the hardware actually dispatches get their Q3.12 OBB built from the
+    /// per-link constants ([`LinkBox::place_fx`]: the centre and rotation
+    /// quantized), run their OOCD traversal and draw faults, and early
+    /// exit cancels the rest.
+    ///
+    /// [`LinkBox::place_fx`]: mp_robot::LinkBox::place_fx
     fn waves(
         &self,
         pose: &JointConfig,
         mut faults: Option<(&mut FaultInjector, bool)>,
     ) -> FaultyCecduOutcome {
-        let (mut frames, mut obbs) = FK_SCRATCH.with(Cell::take);
-        link_obbs_into(&self.robot, pose, OBB_GEN_TRIG, &mut frames, &mut obbs);
+        let mut frames = FK_SCRATCH.with(Cell::take);
+        joint_frames_into(&self.robot, pose, OBB_GEN_TRIG, &mut frames);
+        let boxes = self.robot.link_boxes();
         let oocd_cfg = self.oocd_config();
 
         let mut ops = OpCounter::default();
@@ -366,26 +381,26 @@ impl CecduSim {
         let ready = |i: usize| OBB_GEN_FIRST_READY + OBB_GEN_INTERVAL * i as u64;
         let mut t: u64 = 0;
         let mut i = 0usize;
-        while i < obbs.len() {
-            let wave_end_idx = (i + n).min(obbs.len());
+        while i < boxes.len() {
+            let wave_end_idx = (i + n).min(boxes.len());
             let start = t.max(ready(wave_end_idx - 1));
             let mut dur = 0u64;
-            let wave = obbs[i..wave_end_idx]
+            let wave = boxes[i..wave_end_idx]
                 .iter()
                 .zip(&self.static_links[i..wave_end_idx]);
-            for (obb, static_link) in wave {
+            for (link, static_link) in wave {
+                let obb = || link.place_fx(&frames[link.frame()]);
                 let (r, link_colliding) = match faults.as_mut() {
                     None => {
                         let r = match static_link {
                             Some(r) => *r,
-                            None => run_oocd(&self.octree, &obb.quantize(), &oocd_cfg),
+                            None => run_oocd(&self.octree, &obb(), &oocd_cfg),
                         };
                         (r, r.colliding)
                     }
                     Some((inj, detection)) => {
-                        let obb = obb.quantize();
                         let f =
-                            run_oocd_with_faults(&self.octree, &obb, &oocd_cfg, inj, *detection);
+                            run_oocd_with_faults(&self.octree, &obb(), &oocd_cfg, inj, *detection);
                         detected |= f.detected();
                         faults_injected += f.sram_upsets;
                         let mut link_colliding = f.result.colliding;
@@ -416,7 +431,7 @@ impl CecduSim {
             }
             i = wave_end_idx;
         }
-        FK_SCRATCH.set((frames, obbs));
+        FK_SCRATCH.set(frames);
         // +1 cycle for the Result Collector to report back.
         ops.cd_queries += 1;
         FaultyCecduOutcome {

@@ -21,6 +21,12 @@
 //! motion from the schedule as soon as any of its poses collides, and
 //! honours the three function modes of §5.1 (feasibility / connectivity /
 //! complete).
+//!
+//! [`run_sas`] is cycle-exact: every dispatch, completion and verdict lands
+//! on the cycle the hardware would produce it. It does not visit idle
+//! cycles one by one, though: when no motion in the dispatch window can
+//! take a query, nothing changes until the next CDU completes, so the
+//! model jumps straight to that completion.
 
 use mp_robot::{JointConfig, MotionDescriptor};
 use mp_sim::OpCounter;
@@ -68,47 +74,51 @@ impl IntraPolicy {
     ///
     /// Panics if `n == 0` or a coarse step of 0 is configured.
     pub fn order(&self, n: usize, motion_index: usize) -> Vec<usize> {
+        let mut order = Vec::with_capacity(n);
+        self.push_order(n, motion_index, &mut order);
+        order
+    }
+
+    /// Appends [`IntraPolicy::order`] to `out`, so a batch keeps every
+    /// motion's order in one buffer.
+    fn push_order(&self, n: usize, motion_index: usize, out: &mut Vec<usize>) {
         assert!(n > 0, "a motion has at least one pose");
+        let base = out.len();
         match *self {
-            IntraPolicy::InOrder => (0..n).collect(),
+            IntraPolicy::InOrder => out.extend(0..n),
             IntraPolicy::Random { seed } => {
-                let mut order: Vec<usize> = (0..n).collect();
+                out.extend(0..n);
                 let mut rng =
                     StdRng::seed_from_u64(seed ^ (motion_index as u64).wrapping_mul(0x9E37_79B9));
-                order.shuffle(&mut rng);
-                order
+                out[base..].shuffle(&mut rng);
             }
             IntraPolicy::CoarseStep { step } => {
                 assert!(step > 0, "coarse step must be positive");
-                let mut order = Vec::with_capacity(n);
                 for offset in 0..step.min(n) {
                     let mut i = offset;
                     while i < n {
-                        order.push(i);
+                        out.push(i);
                         i += step;
                     }
                 }
-                order
             }
             IntraPolicy::BinaryRecursive => {
-                let mut order = Vec::with_capacity(n);
+                out.push(0);
                 if n == 1 {
-                    return vec![0];
+                    return;
                 }
-                order.push(0);
-                order.push(n - 1);
+                out.push(n - 1);
                 let mut queue = std::collections::VecDeque::new();
                 queue.push_back((0usize, n - 1));
                 while let Some((lo, hi)) = queue.pop_front() {
                     if hi - lo > 1 {
                         let mid = lo + (hi - lo) / 2;
-                        order.push(mid);
+                        out.push(mid);
                         queue.push_back((lo, mid));
                         queue.push_back((mid, hi));
                     }
                 }
-                debug_assert_eq!(order.len(), n);
-                order
+                debug_assert_eq!(out.len() - base, n);
             }
         }
     }
@@ -328,10 +338,11 @@ pub struct SasRunResult {
     pub outcome: SasOutcome,
 }
 
-/// Per-motion scheduling state.
+/// Per-motion scheduling state. The descriptor stays borrowed from the
+/// batch; the visit order is `count` entries of the batch's order buffer.
 struct MotionState {
-    descriptor: MotionDescriptor,
-    order: Vec<usize>,
+    order_start: usize,
+    count: usize,
     next: usize,
     outstanding: usize,
     checked: usize,
@@ -339,20 +350,32 @@ struct MotionState {
 }
 
 impl MotionState {
-    fn resolved(&self) -> bool {
-        self.result.is_some()
-    }
     fn has_pending(&self) -> bool {
-        self.result.is_none() && self.next < self.order.len()
+        self.result.is_none() && self.next < self.count
     }
 }
 
-/// Runs one batch of motions through SAS, cycle by cycle.
+/// A CDU slot's finish time while it is free.
+const FREE: u64 = u64::MAX;
+
+/// Runs one batch of motions through SAS, cycle-exact.
+///
+/// Each modeled cycle retires the completions due, rebuilds the dispatch
+/// window when a retirement changed it, and dispatches round-robin over
+/// the window to free CDUs. Cycles in which no window member can take a
+/// query change nothing until the next completion, so the loop jumps
+/// straight to it: the cycle counts, dispatch order and verdicts are those
+/// of stepping every cycle. The loop borrows `motions`, reuses one pose
+/// buffer across queries and keeps counts of unresolved, pending and
+/// in-flight work, so neither termination nor the time step scans the
+/// batch.
 ///
 /// # Panics
 ///
 /// Panics if `motions` is empty or the configuration is degenerate
-/// (`num_cdus == 0`, `group_size == 0`).
+/// (`num_cdus == 0`, `group_size == 0`, `dispatch_per_cycle == 0` or
+/// `max_outstanding_per_motion == 0`: with either of the last two nothing
+/// could ever dispatch).
 pub fn run_sas(
     motions: &[MotionDescriptor],
     mode: FunctionMode,
@@ -362,34 +385,62 @@ pub fn run_sas(
     assert!(!motions.is_empty(), "SAS needs at least one motion");
     assert!(cfg.num_cdus >= 1, "SAS needs at least one CDU");
     assert!(cfg.group_size >= 1, "group size must be at least 1");
+    assert!(
+        cfg.dispatch_per_cycle >= 1,
+        "SAS must dispatch at least one query per cycle"
+    );
+    assert!(
+        cfg.max_outstanding_per_motion >= 1,
+        "a motion must be allowed at least one in-flight query"
+    );
 
     let batch_span = mp_telemetry::span_args(
         "core",
         "sas_batch",
         mp_telemetry::arg1("motions", mp_telemetry::ArgValue::U64(motions.len() as u64)),
     );
+    // The CDU-lane events are the only per-query telemetry; build their
+    // arguments only while a telemetry sink is installed.
+    let traced = mp_telemetry::active();
 
+    let mut orders = Vec::with_capacity(motions.iter().map(|d| d.count).sum());
     let mut states: Vec<MotionState> = motions
         .iter()
         .enumerate()
-        .map(|(i, d)| MotionState {
-            descriptor: d.clone(),
-            order: cfg.intra.order(d.count, i),
-            next: 0,
-            outstanding: 0,
-            checked: 0,
-            result: None,
+        .map(|(i, d)| {
+            let order_start = orders.len();
+            cfg.intra.push_order(d.count, i, &mut orders);
+            MotionState {
+                order_start,
+                count: d.count,
+                next: 0,
+                outstanding: 0,
+                checked: 0,
+                result: None,
+            }
         })
         .collect();
+    let dispatchable =
+        |m: &MotionState| m.has_pending() && m.outstanding < cfg.max_outstanding_per_motion;
 
-    // CDU array: busy-until time and the in-flight completion.
-    struct InFlight {
-        finish: u64,
-        motion: usize,
-        colliding: bool,
-        ops: OpCounter,
-    }
-    let mut cdus: Vec<Option<InFlight>> = (0..cfg.num_cdus).map(|_| None).collect();
+    // CDU array: per slot, its finish time (`FREE` when idle) and the
+    // in-flight query's motion, verdict and work.
+    let mut finish = vec![FREE; cfg.num_cdus];
+    let mut slot_motion = vec![0usize; cfg.num_cdus];
+    let mut slot_colliding = vec![false; cfg.num_cdus];
+    let mut slot_ops = vec![OpCounter::default(); cfg.num_cdus];
+
+    let mut unresolved = motions.len();
+    // Every motion starts with a pose to dispatch (`push_order` rejects
+    // empty motions).
+    let mut pending = motions.len();
+    let mut in_flight = 0usize;
+    // The dispatch window and its first candidate, which only moves
+    // forward: a motion that leaves the window never re-enters it.
+    let mut window: Vec<usize> = Vec::with_capacity(cfg.group_size.min(motions.len()));
+    let mut window_stale = true;
+    let mut front = 0usize;
+    let mut pose = JointConfig::default();
 
     let mut t: u64 = 0;
     let mut queries: u64 = 0;
@@ -397,116 +448,133 @@ pub fn run_sas(
     let mut rr_cursor = 0usize; // round-robin over the motion window
 
     let outcome = 'run: loop {
-        // 1. Retire completions due at or before t.
-        for slot in cdus.iter_mut() {
-            let Some(f) = slot else { continue };
-            if f.finish > t {
+        // 1. Retire completions due at or before t, in slot order.
+        for s in 0..cfg.num_cdus {
+            if finish[s] > t {
                 continue;
             }
-            let m = &mut states[f.motion];
+            finish[s] = FREE;
+            in_flight -= 1;
+            let mi = slot_motion[s];
+            let m = &mut states[mi];
             m.outstanding -= 1;
             m.checked += 1;
-            ops += f.ops;
-            if f.colliding && m.result.is_none() {
+            ops += slot_ops[s];
+            // The sequential window holds its motion until its last query
+            // returns.
+            window_stale |= !cfg.inter_motion;
+            if slot_colliding[s] && m.result.is_none() {
                 // Remove the motion from the schedule (§5.1: "It removes a
                 // motion from the scheduling list if an intermediate pose
                 // for this motion is found to be colliding").
-                m.result = Some(true);
-                m.next = m.order.len();
-                if mode == FunctionMode::Feasibility {
-                    let idx = f.motion;
-                    *slot = None;
-                    break 'run SasOutcome::CollisionFound(idx);
+                if m.next < m.count {
+                    pending -= 1;
                 }
-            } else if m.result.is_none() && m.checked == m.descriptor.count && m.outstanding == 0 {
+                m.result = Some(true);
+                m.next = m.count;
+                unresolved -= 1;
+                window_stale = true;
+                if mode == FunctionMode::Feasibility {
+                    break 'run SasOutcome::CollisionFound(mi);
+                }
+            } else if m.result.is_none() && m.checked == m.count && m.outstanding == 0 {
                 m.result = Some(false);
+                unresolved -= 1;
+                window_stale = true;
                 if mode == FunctionMode::Connectivity {
-                    let idx = f.motion;
-                    *slot = None;
-                    break 'run SasOutcome::FreeMotionFound(idx);
+                    break 'run SasOutcome::FreeMotionFound(mi);
                 }
             }
-            *slot = None;
         }
 
-        // 2. Build the dispatch window.
-        let window: Vec<usize> = if cfg.inter_motion {
-            states
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| !m.resolved())
-                .map(|(i, _)| i)
-                .take(cfg.group_size)
-                .collect()
-        } else {
-            states
-                .iter()
-                .enumerate()
-                .find(|(_, m)| m.has_pending() || m.outstanding > 0)
-                .map(|(i, _)| vec![i])
-                .unwrap_or_default()
-        };
+        // 2. Rebuild the dispatch window if a retirement changed it: the
+        // first `group_size` unresolved motions, or without inter-motion
+        // parallelism the first motion with poses pending or in flight.
+        if window_stale {
+            window.clear();
+            if cfg.inter_motion {
+                while front < states.len() && states[front].result.is_some() {
+                    front += 1;
+                }
+                window.extend(
+                    (front..states.len())
+                        .filter(|&i| states[i].result.is_none())
+                        .take(cfg.group_size),
+                );
+            } else {
+                while front < states.len()
+                    && !(states[front].has_pending() || states[front].outstanding > 0)
+                {
+                    front += 1;
+                }
+                if front < states.len() {
+                    window.push(front);
+                }
+            }
+            window_stale = false;
+        }
 
         // 3. Dispatch up to dispatch_per_cycle queries to free CDUs. The
-        // slot index only feeds the telemetry CDU-lane events.
+        // slot index feeds retirement order and the telemetry CDU lanes.
         let mut dispatched = 0usize;
-        if !window.is_empty() {
-            for (slot_idx, slot) in cdus.iter_mut().enumerate() {
+        // Whether no window member can take a query this cycle.
+        let mut stalled = window.is_empty();
+        if !stalled {
+            for (slot_idx, slot_finish) in finish.iter_mut().enumerate() {
                 if dispatched >= cfg.dispatch_per_cycle {
                     break;
                 }
-                if slot.is_some() {
+                if *slot_finish != FREE {
                     continue;
                 }
                 // Round-robin over window members that still have poses.
-                let mut chosen = None;
-                for k in 0..window.len() {
-                    let mi = window[(rr_cursor + k) % window.len()];
-                    if states[mi].has_pending()
-                        && states[mi].outstanding < cfg.max_outstanding_per_motion
-                    {
-                        chosen = Some(mi);
-                        rr_cursor = (rr_cursor + k + 1) % window.len();
-                        break;
-                    }
-                }
-                let Some(mi) = chosen else { break };
+                let Some(k) = (0..window.len())
+                    .find(|&k| dispatchable(&states[window[(rr_cursor + k) % window.len()]]))
+                else {
+                    stalled = true;
+                    break;
+                };
+                let mi = window[(rr_cursor + k) % window.len()];
+                rr_cursor = (rr_cursor + k + 1) % window.len();
                 let m = &mut states[mi];
-                let pose_idx = m.order[m.next];
+                let pose_idx = orders[m.order_start + m.next];
                 m.next += 1;
                 m.outstanding += 1;
-                let pose = m.descriptor.pose(pose_idx);
+                if m.next == m.count {
+                    pending -= 1;
+                }
+                motions[mi].pose_into(pose_idx, &mut pose);
                 let resp = cdu.query(&pose);
                 queries += 1;
                 dispatched += 1;
-                // One Perfetto row per CDU dispatch slot, timestamped in
-                // cycles (the SAS clock), showing lane occupancy.
-                mp_telemetry::complete_at(
-                    mp_telemetry::Lane::new("cdu", slot_idx as u32),
-                    "core",
-                    "cd_query",
-                    t,
-                    resp.latency.max(1),
-                    mp_telemetry::arg2(
-                        "motion",
-                        mp_telemetry::ArgValue::U64(mi as u64),
-                        "colliding",
-                        mp_telemetry::ArgValue::U64(resp.colliding as u64),
-                    ),
-                );
-                *slot = Some(InFlight {
-                    finish: t + resp.latency.max(1),
-                    motion: mi,
-                    colliding: resp.colliding,
-                    ops: resp.ops,
-                });
+                let latency = resp.latency.max(1);
+                if traced {
+                    // One Perfetto row per CDU dispatch slot, timestamped
+                    // in cycles (the SAS clock), showing lane occupancy.
+                    mp_telemetry::complete_at(
+                        mp_telemetry::Lane::new("cdu", slot_idx as u32),
+                        "core",
+                        "cd_query",
+                        t,
+                        latency,
+                        mp_telemetry::arg2(
+                            "motion",
+                            mp_telemetry::ArgValue::U64(mi as u64),
+                            "colliding",
+                            mp_telemetry::ArgValue::U64(resp.colliding as u64),
+                        ),
+                    );
+                }
+                *slot_finish = t + latency;
+                slot_motion[slot_idx] = mi;
+                slot_colliding[slot_idx] = resp.colliding;
+                slot_ops[slot_idx] = resp.ops;
+                in_flight += 1;
             }
         }
 
         // 4. Check global termination.
-        let all_resolved = states.iter().all(MotionState::resolved);
-        let any_inflight = cdus.iter().any(Option::is_some);
-        if all_resolved && !any_inflight {
+        if unresolved == 0 && in_flight == 0 {
             break match mode {
                 FunctionMode::Feasibility => SasOutcome::AllFree,
                 FunctionMode::Connectivity => SasOutcome::NoFreeMotion,
@@ -514,21 +582,25 @@ pub fn run_sas(
             };
         }
 
-        // 5. Advance time: next cycle if we can still dispatch, else jump
-        // to the earliest completion.
-        let can_dispatch_next =
-            states.iter().any(MotionState::has_pending) && cdus.iter().any(Option::is_none);
+        // 5. Advance time: to the next cycle if a window member can
+        // dispatch to a free CDU then, else straight to the earliest
+        // completion (until it, no state changes).
+        let can_dispatch_next = pending > 0
+            && in_flight < cfg.num_cdus
+            && !stalled
+            && window.iter().any(|&mi| dispatchable(&states[mi]));
         if can_dispatch_next {
             t += 1;
         } else {
             // Loop invariant: the batch is not finished (checked above),
-            // so either a motion has pending work and a CDU is free
-            // (handled in the branch above) or some CDU is busy — an
-            // empty in-flight set here would mean lost work.
-            let next_finish = cdus
+            // and with nothing in flight every unresolved window member
+            // could dispatch (the asserts rule out the degenerate
+            // configurations), so some CDU is busy here: an empty
+            // in-flight set would mean lost work.
+            let next_finish = finish
                 .iter()
-                .flatten()
-                .map(|f| f.finish)
+                .copied()
+                .filter(|&f| f != FREE)
                 .min()
                 .expect("in-flight work must exist if nothing can dispatch");
             t = next_finish.max(t + 1);
@@ -779,6 +851,38 @@ mod tests {
         assert_eq!(r.motion_results[0], Some(false));
         // 1 query/cycle + latency-1 completion + aggregation.
         assert!(r.cycles >= total && r.cycles <= total + 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one query per cycle")]
+    fn zero_dispatch_per_cycle_rejected() {
+        let (motions, checker) = fixture(0, 2);
+        let cfg = SasConfig {
+            dispatch_per_cycle: 0,
+            ..SasConfig::mcsp(4)
+        };
+        let _ = run_sas(
+            &motions,
+            FunctionMode::Complete,
+            &cfg,
+            &mut IdealCdu::new(checker),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one in-flight query")]
+    fn zero_outstanding_per_motion_rejected() {
+        let (motions, checker) = fixture(0, 2);
+        let cfg = SasConfig {
+            max_outstanding_per_motion: 0,
+            ..SasConfig::ms(4)
+        };
+        let _ = run_sas(
+            &motions,
+            FunctionMode::Complete,
+            &cfg,
+            &mut IdealCdu::new(checker),
+        );
     }
 
     #[test]

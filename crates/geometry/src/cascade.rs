@@ -256,10 +256,12 @@ pub fn cascaded_obb_aabb<S: Scalar>(
 /// Sphere–AABB overlap with the sphere centered at the OBB center and the
 /// given radius, in the scalar's native arithmetic.
 ///
-/// For Fx the comparison stays narrow in the *test* path; the hardware
-/// model in `mpaccel-core` uses the wide-accumulator fixed-point version —
-/// the two agree because both are exact on Q3.12 inputs within the Q6.24
-/// range.
+/// For `Fx` this is the saturating Q3.12 chain (each square rounded to
+/// Q3.12, sums clamped at the rail) that the OOCD model runs through
+/// [`HoistedCascade`](crate::soa::HoistedCascade), whose
+/// [`Scalar::box_dist2`] computes the same value in `i32`. The
+/// wide-accumulator `Sphere<Fx>::overlaps_aabb` is a different test that
+/// keeps the squares at Q6.24 and can disagree with it near the boundary.
 fn sphere_overlaps<S: Scalar>(obb: &Obb<S>, aabb: &Aabb<S>, radius: S) -> bool {
     crate::sphere::sphere_aabb_overlap(obb.center, radius, aabb)
 }

@@ -4,7 +4,7 @@
 use core::fmt::Debug;
 use core::ops::{Add, Mul, Neg, Sub};
 
-use mp_fixed::Fx;
+use mp_fixed::{Fx, FRAC_BITS};
 
 /// A numeric type the geometry kernels can run on.
 ///
@@ -57,6 +57,31 @@ pub trait Scalar:
         } else {
             other
         }
+    }
+    /// The raw Q3.12 value widened to `i32`, for [`Fx`] only (`None` for
+    /// `f32`): lets the hoisted cascade run Q3.12 stages in exact integer
+    /// arithmetic where the saturating chain cannot clamp.
+    #[doc(hidden)]
+    #[inline]
+    fn q312_bits(self) -> Option<i32> {
+        None
+    }
+    /// Squared distance from point `p` to the box with centre `c` and half
+    /// extents `h` (per axis: clamp `p` into `[c - h, c + h]`, subtract,
+    /// square, then sum), in this scalar's arithmetic: the value both
+    /// sphere filters of the cascade compare against their squared radii.
+    ///
+    /// This default is the scalar expression of
+    /// [`sphere_aabb_overlap`](crate::sphere::sphere_aabb_overlap). [`Fx`]
+    /// computes the same saturating Q3.12 chain exactly in `i32`.
+    #[inline]
+    fn box_dist2(p: [Self; 3], c: [Self; 3], h: [Self; 3]) -> Self {
+        let axis = |k: usize| {
+            let q = p[k].max_val(c[k] - h[k]).min_val(c[k] + h[k]);
+            q - p[k]
+        };
+        let (dx, dy, dz) = (axis(0), axis(1), axis(2));
+        dx * dx + dy * dy + dz * dz
     }
 }
 
@@ -111,6 +136,24 @@ impl Scalar for Fx {
     #[inline]
     fn to_f32(self) -> f32 {
         Fx::to_f32(self)
+    }
+    #[inline]
+    fn q312_bits(self) -> Option<i32> {
+        Some(i32::from(self.to_bits()))
+    }
+    /// The saturating chain `dx*dx + dy*dy + dz*dz` without its per-step
+    /// clamps: each rounded square is non-negative, so the saturating
+    /// square and the two saturating adds equal the exact `i32` sum of the
+    /// unclamped rounded squares, clamped once at `Fx::MAX`.
+    #[inline]
+    fn box_dist2(p: [Fx; 3], c: [Fx; 3], h: [Fx; 3]) -> Fx {
+        let square = |k: usize| {
+            let q = p[k].max(c[k] - h[k]).min(c[k] + h[k]);
+            let d = i32::from((q - p[k]).to_bits());
+            (d * d + (1 << (FRAC_BITS - 1))) >> FRAC_BITS
+        };
+        let sum = square(0) + square(1) + square(2);
+        Fx::from_bits(sum.min(i32::from(i16::MAX)) as i16)
     }
 }
 

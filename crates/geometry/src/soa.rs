@@ -13,10 +13,14 @@
 //! [`crate::cascade::cascaded_obb_aabb`]**, which stays as its oracle:
 //! same verdict, exit stage, first separating axis and multiplication
 //! count. The cycle-level hardware models and the benchmark engine's replay
-//! memoization depend on those outputs exactly, so the kernel only hoists
-//! OBB-side expressions (identical operands and operation order give
-//! identical IEEE-754 and fixed-point results) and never reorders per-box
-//! arithmetic.
+//! memoization depend on those outputs exactly, so for `f32` the kernel
+//! only hoists OBB-side expressions (identical operands and operation
+//! order give identical IEEE-754 results) and never reorders per-box
+//! arithmetic. For Q3.12 it computes the same saturating chain in exact
+//! `i32` arithmetic where that gives the same numbers: the sphere
+//! distance always ([`Scalar::box_dist2`]), and the SAT stages for a box
+//! whose translation and extents are small enough that no step of the
+//! chain can saturate.
 
 use crate::aabb::Aabb;
 use crate::cascade::{CascadeConfig, CascadeOutcome, ExitStage};
@@ -25,6 +29,7 @@ use crate::sat::{range_mult_count, AxisId};
 use crate::scalar::Scalar;
 use crate::sphere::SPHERE_AABB_MULS;
 use crate::vec3::Vector3;
+use mp_fixed::FRAC_BITS;
 
 /// A batch of AABBs in structure-of-arrays layout (center + half-extents,
 /// matching the hardware's center+size octant representation of §5.2 and the
@@ -137,7 +142,8 @@ impl<S: Scalar> AabbSoa<S> {
     }
 }
 
-/// OBB-side constants of the 15 axis tests, hoisted once per OBB. Every value is produced by exactly the scalar kernel's expression
+/// OBB-side constants of the 15 axis tests, hoisted once per OBB. Every
+/// value is produced by exactly the scalar kernel's expression
 /// on exactly the scalar kernel's operands, so per-box results stay
 /// bit-identical to [`crate::sat::test_axis`].
 #[doc(hidden)]
@@ -155,6 +161,8 @@ pub struct SatConsts<S> {
     pub a: [S; 3],
     /// Axis 7–15 OBB radius: `a[j1]*(|r(i,j2)|+eps) + a[j2]*(|r(i,j1)|+eps)`.
     pub rb_cross: [S; 9],
+    // The same constants as exact Q3.12 integers (`Fx` only).
+    int: Option<IntSat>,
 }
 
 impl<S: Scalar> SatConsts<S> {
@@ -185,13 +193,146 @@ impl<S: Scalar> SatConsts<S> {
             let j2 = (j + 2) % 3;
             *rb = a[j1] * (rm.at(i, j2).abs() + eps) + a[j2] * (rm.at(i, j1).abs() + eps);
         }
-        SatConsts {
+        let mut consts = SatConsts {
             r,
             abs_r,
             eps_r,
             rb_face,
             a: [a.x, a.y, a.z],
             rb_cross,
+            int: None,
+        };
+        consts.int = IntSat::new(&consts);
+        consts
+    }
+}
+
+/// The largest raw Q3.12 magnitude, `Fx::MAX`.
+const RAIL: i32 = i16::MAX as i32;
+
+/// The Q3.12 multiply without its clamp: `Fx::saturating_mul` whenever the
+/// rounded product lies within the rails.
+#[inline]
+fn mul_q312(x: i32, y: i32) -> i32 {
+    (x * y + (1 << (FRAC_BITS - 1))) >> FRAC_BITS
+}
+
+/// The largest operand bound `X` such that every rounded product of
+/// `|x| <= X` and `|y| <= y_max` stays within `±k` (`-1` if none does):
+/// `|mul_q312(x, y)| <= ((X * y_max + 2048) >> 12) + 1 <= k`.
+fn max_operand(y_max: i32, k: i32) -> i32 {
+    if k < 1 {
+        -1
+    } else if y_max == 0 {
+        RAIL
+    } else {
+        (((k << FRAC_BITS) - (1 << (FRAC_BITS - 1)) - 1) / y_max).min(RAIL)
+    }
+}
+
+/// One OBB's SAT constants as exact Q3.12 integers, and the bounds on a
+/// box's translation `t` and half extents `b` under which no saturating
+/// step of any axis test can clamp. Within them the 15 axis tests run in
+/// plain `i32` arithmetic and give the saturating chain's verdicts
+/// exactly: every rounded product, partial sum, difference, absolute
+/// value and radius sum is the same number.
+#[derive(Clone, Copy, Debug)]
+struct IntSat {
+    r: [[i32; 3]; 3],
+    abs_r: [[i32; 3]; 3],
+    eps_r: [[i32; 3]; 3],
+    rb_face: [i32; 3],
+    a: [i32; 3],
+    rb_cross: [i32; 9],
+    // Largest `|t[i]|` and `|b[i]|` the integer path accepts.
+    t_lim: i32,
+    b_lim: i32,
+}
+
+impl IntSat {
+    /// `None` unless the scalar is Q3.12.
+    fn new<S: Scalar>(c: &SatConsts<S>) -> Option<IntSat> {
+        let m3 = |m: &[[S; 3]; 3]| -> Option<[[i32; 3]; 3]> {
+            let mut out = [[0; 3]; 3];
+            for (o, row) in out.iter_mut().zip(m) {
+                for (v, x) in o.iter_mut().zip(row) {
+                    *v = x.q312_bits()?;
+                }
+            }
+            Some(out)
+        };
+        let v3 = |v: &[S; 3]| -> Option<[i32; 3]> {
+            Some([v[0].q312_bits()?, v[1].q312_bits()?, v[2].q312_bits()?])
+        };
+        let mut rb_cross = [0; 9];
+        for (o, x) in rb_cross.iter_mut().zip(&c.rb_cross) {
+            *o = x.q312_bits()?;
+        }
+        let (r, abs_r, eps_r) = (m3(&c.r)?, m3(&c.abs_r)?, m3(&c.eps_r)?);
+        let (rb_face, a) = (v3(&c.rb_face)?, v3(&c.a)?);
+        let max_abs = |vals: &[i32]| vals.iter().map(|v| v.abs()).max().unwrap_or(0);
+        let r_max = max_abs(r.as_flattened());
+        let abs_max = max_abs(abs_r.as_flattened());
+        let eps_max = max_abs(eps_r.as_flattened());
+        // `t`: exact `|t|` (Fx saturates `|MIN|`), and face-axis distances
+        // of three products, which bounds the cross axes' two as well.
+        let t_lim = max_operand(r_max, RAIL / 3);
+        // `b`: `b + rb_face`, face-axis radii of three products plus `a`,
+        // and cross-axis radii of two products plus `rb_cross`.
+        let b_lim = (RAIL - max_abs(&rb_face))
+            .min(max_operand(abs_max, (RAIL - max_abs(&a)) / 3))
+            .min(max_operand(eps_max, (RAIL - max_abs(&rb_cross)) / 2));
+        Some(IntSat {
+            r,
+            abs_r,
+            eps_r,
+            rb_face,
+            a,
+            rb_cross,
+            t_lim,
+            b_lim,
+        })
+    }
+
+    /// `t` and `b` as integers, if the box lies within the bounds.
+    #[inline]
+    fn fits<S: Scalar>(&self, t: [S; 3], b: [S; 3]) -> Option<([i32; 3], [i32; 3])> {
+        let ti = [t[0].q312_bits()?, t[1].q312_bits()?, t[2].q312_bits()?];
+        let bi = [b[0].q312_bits()?, b[1].q312_bits()?, b[2].q312_bits()?];
+        let within = |v: [i32; 3], lim: i32| v.iter().all(|x| x.abs() <= lim);
+        (within(ti, self.t_lim) && within(bi, self.b_lim)).then_some((ti, bi))
+    }
+
+    /// [`sat_axis_lane`] in exact integer arithmetic, for a box that
+    /// [`IntSat::fits`].
+    #[inline]
+    fn separates(&self, raw: u8, t: [i32; 3], b: [i32; 3]) -> bool {
+        match raw {
+            i @ 1..=3 => {
+                let i = (i - 1) as usize;
+                t[i].abs() > b[i] + self.rb_face[i]
+            }
+            j @ 4..=6 => {
+                let j = (j - 4) as usize;
+                let r = &self.r;
+                let dist =
+                    (mul_q312(t[0], r[0][j]) + mul_q312(t[1], r[1][j]) + mul_q312(t[2], r[2][j]))
+                        .abs();
+                let ar = &self.abs_r;
+                let ra =
+                    mul_q312(b[0], ar[0][j]) + mul_q312(b[1], ar[1][j]) + mul_q312(b[2], ar[2][j]);
+                dist > ra + self.a[j]
+            }
+            k => {
+                let k = (k - 7) as usize;
+                let i = k / 3;
+                let j = k % 3;
+                let i1 = (i + 1) % 3;
+                let i2 = (i + 2) % 3;
+                let ra = mul_q312(b[i1], self.eps_r[i2][j]) + mul_q312(b[i2], self.eps_r[i1][j]);
+                let dist = (mul_q312(t[i2], self.r[i1][j]) - mul_q312(t[i1], self.r[i2][j])).abs();
+                dist > ra + self.rb_cross[k]
+            }
         }
     }
 }
@@ -309,15 +450,11 @@ impl<S: Scalar> HoistedCascade<S> {
     #[inline]
     pub fn outcome(&mut self, cx: S, cy: S, cz: S, hx: S, hy: S, hz: S) -> CascadeOutcome {
         // Squared distance from the OBB centre to the box, shared by both
-        // sphere filters: per-component arithmetic identical to the scalar
-        // `sphere::sphere_aabb_overlap`.
+        // sphere filters: equal to the scalar `sphere::sphere_aabb_overlap`
+        // expression (`Fx` evaluates it in exact integer arithmetic).
         let p = self.obb.center;
         let d2 = if self.sphere_stage != 0 {
-            let qx = p.x.max_val(cx - hx).min_val(cx + hx);
-            let qy = p.y.max_val(cy - hy).min_val(cy + hy);
-            let qz = p.z.max_val(cz - hz).min_val(cz + hz);
-            let (dx, dy, dz) = (qx - p.x, qy - p.y, qz - p.z);
-            dx * dx + dy * dy + dz * dz
+            S::box_dist2([p.x, p.y, p.z], [cx, cy, cz], [hx, hy, hz])
         } else {
             self.br2
         };
@@ -358,13 +495,23 @@ impl<S: Scalar> HoistedCascade<S> {
     fn sat_stages(&mut self, t: [S; 3], b: [S; 3]) -> CascadeOutcome {
         let obb = &self.obb;
         let c = self.consts.get_or_insert_with(|| SatConsts::new(obb));
+        // Q3.12 boxes the saturating chain cannot clamp on take the exact
+        // integer lanes.
+        let int = c
+            .int
+            .as_ref()
+            .and_then(|ic| ic.fits(t, b).map(|(ti, bi)| (ic, ti, bi)));
         let mut mults = self.sphere_mults;
         let mut stages = self.sphere_stage;
         for k in 0..3 {
             let (start, len) = self.cfg.split.stage_range(k);
             mults += range_mult_count(start, len);
             stages += 1;
-            if let Some(raw) = (start..start + len).find(|&raw| sat_axis_lane(raw, c, t, b)) {
+            let separating = match int {
+                Some((ic, ti, bi)) => (start..start + len).find(|&raw| ic.separates(raw, ti, bi)),
+                None => (start..start + len).find(|&raw| sat_axis_lane(raw, c, t, b)),
+            };
+            if let Some(raw) = separating {
                 return CascadeOutcome {
                     colliding: false,
                     exit: ExitStage::Sat(k as u8 + 1),
@@ -389,6 +536,9 @@ mod tests {
     use super::*;
     use crate::cascade::cascaded_obb_aabb;
     use crate::{Mat3, Vec3};
+    use mp_fixed::Fx;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_boxes() -> (Obb<f32>, AabbSoa<f32>) {
         let obb = Obb::new(
@@ -454,5 +604,131 @@ mod tests {
             );
             assert_eq!(got, cascaded_obb_aabb(&q, &b, &cfg), "lane {l}");
         }
+    }
+
+    /// A Q3.12 OBB from seeded values: a rotation (entries within ±1) or,
+    /// one time in four, an arbitrary matrix reaching the rails.
+    fn random_fx_obb(rng: &mut StdRng) -> Obb<Fx> {
+        let mut f = |lo: f32, hi: f32| rng.gen_range(lo..hi);
+        let rotation = Mat3::rotation_z(f(-3.2, 3.2)) * Mat3::rotation_x(f(-3.2, 3.2));
+        let obb = Obb::new(
+            Vec3::new(f(-3.0, 3.0), f(-3.0, 3.0), f(-3.0, 3.0)),
+            Vec3::new(f(0.0, 2.5), f(0.0, 2.5), f(0.0, 2.5)),
+            rotation,
+        )
+        .quantize();
+        if f(0.0, 1.0) < 0.25 {
+            let mut raw = || Fx::from_bits(rng.gen_range(i16::MIN..=i16::MAX));
+            let mut m = obb;
+            m.rotation = crate::Matrix3::from_rows(
+                Vector3::new(raw(), raw(), raw()),
+                Vector3::new(raw(), raw(), raw()),
+                Vector3::new(raw(), raw(), raw()),
+            );
+            m.half = Vector3::new(raw(), raw(), raw()).abs();
+            return m;
+        }
+        obb
+    }
+
+    /// Every intermediate of the 15 integer axis tests, in `i64`.
+    fn intermediates(c: &IntSat, t: [i32; 3], b: [i32; 3]) -> Vec<i64> {
+        let m = |x: i32, y: i32| i64::from(mul_q312(x, y));
+        let mut out = Vec::new();
+        for i in 0..3 {
+            out.extend([i64::from(t[i]), i64::from(b[i] + c.rb_face[i])]);
+        }
+        for j in 0..3 {
+            let (p0, p1, p2) = (m(t[0], c.r[0][j]), m(t[1], c.r[1][j]), m(t[2], c.r[2][j]));
+            let (q0, q1, q2) = (
+                m(b[0], c.abs_r[0][j]),
+                m(b[1], c.abs_r[1][j]),
+                m(b[2], c.abs_r[2][j]),
+            );
+            out.extend([p0, p1, p2, p0 + p1, p0 + p1 + p2, q0, q1, q2, q0 + q1]);
+            out.extend([q0 + q1 + q2, q0 + q1 + q2 + i64::from(c.a[j])]);
+        }
+        for k in 0..9 {
+            let (i, j) = (k / 3, k % 3);
+            let (i1, i2) = ((i + 1) % 3, (i + 2) % 3);
+            let (e1, e2) = (m(b[i1], c.eps_r[i2][j]), m(b[i2], c.eps_r[i1][j]));
+            let (d1, d2) = (m(t[i2], c.r[i1][j]), m(t[i1], c.r[i2][j]));
+            out.extend([e1, e2, e1 + e2, e1 + e2 + i64::from(c.rb_cross[k])]);
+            out.extend([d1, d2, d1 - d2]);
+        }
+        out
+    }
+
+    #[test]
+    fn integer_sat_bounds_keep_every_step_off_the_rails() {
+        // Each rounded product is monotone in its box operand, so every
+        // sum and difference peaks at a corner of the accepted box.
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut accepted = 0;
+        for _ in 0..4_000 {
+            let consts = SatConsts::new(&random_fx_obb(&mut rng));
+            let ic = consts.int.expect("Q3.12 constants have an integer form");
+            if ic.t_lim < 0 || ic.b_lim < 0 {
+                continue;
+            }
+            accepted += 1;
+            for corner in 0..64u32 {
+                let sign = |bit: u32, lim: i32| if corner >> bit & 1 == 0 { lim } else { -lim };
+                let t = [sign(0, ic.t_lim), sign(1, ic.t_lim), sign(2, ic.t_lim)];
+                let b = [sign(3, ic.b_lim), sign(4, ic.b_lim), sign(5, ic.b_lim)];
+                for v in intermediates(&ic, t, b) {
+                    assert!(v.abs() <= i64::from(i16::MAX), "{v} at t {t:?} b {b:?}");
+                }
+            }
+        }
+        assert!(accepted > 2_000, "only {accepted} OBBs admit integer boxes");
+    }
+
+    /// Compares the integer and saturating lanes on seeded boxes whose
+    /// translations and extents straddle the integer bounds.
+    fn integer_lanes_match(seed: u64, obbs: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut fast, mut slow) = (0u64, 0u64);
+        for _ in 0..obbs {
+            let consts = SatConsts::new(&random_fx_obb(&mut rng));
+            let ic = consts.int.expect("Q3.12 constants have an integer form");
+            for _ in 0..64 {
+                let mut near = |lim: i32| {
+                    let v = if lim > 0 && rng.gen_range(0..2u32) == 0 {
+                        rng.gen_range(lim - lim / 8..=(lim + lim / 8).min(32767))
+                    } else {
+                        rng.gen_range(0..=32768)
+                    };
+                    let v = if rng.gen_range(0..2u32) == 0 { v } else { -v };
+                    Fx::from_bits(v.clamp(-32768, 32767) as i16)
+                };
+                let t = [near(ic.t_lim), near(ic.t_lim), near(ic.t_lim)];
+                let b = [near(ic.b_lim), near(ic.b_lim), near(ic.b_lim)];
+                let Some((ti, bi)) = ic.fits(t, b) else {
+                    slow += 1;
+                    continue;
+                };
+                fast += 1;
+                for raw in 1..=15 {
+                    assert_eq!(
+                        ic.separates(raw, ti, bi),
+                        sat_axis_lane(raw, &consts, t, b),
+                        "axis {raw} t {t:?} b {b:?} consts {consts:?}"
+                    );
+                }
+            }
+        }
+        assert!(fast > 0 && slow > 0, "fast {fast} slow {slow}");
+    }
+
+    #[test]
+    fn integer_sat_lanes_match_the_saturating_lanes() {
+        integer_lanes_match(32, 2_000);
+    }
+
+    #[test]
+    #[ignore = "long seeded sweep; run in release with --ignored"]
+    fn integer_sat_lanes_match_the_saturating_lanes_on_a_long_sweep() {
+        integer_lanes_match(33, 2_000_000);
     }
 }

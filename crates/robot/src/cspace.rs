@@ -280,15 +280,28 @@ impl MotionDescriptor {
     ///
     /// Panics if `i >= count`.
     pub fn pose(&self, i: usize) -> JointConfig {
+        let mut out = JointConfig(Vec::with_capacity(self.start.dof()));
+        self.pose_into(i, &mut out);
+        out
+    }
+
+    /// [`MotionDescriptor::pose`] written into `out`, whose values it
+    /// replaces: the same `start + delta * i` per joint, and no allocation
+    /// once `out` holds as many joints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= count`.
+    pub fn pose_into(&self, i: usize, out: &mut JointConfig) {
         assert!(i < self.count, "pose index {i} out of range");
-        JointConfig::new(
+        out.0.clear();
+        out.0.extend(
             self.start
                 .as_slice()
                 .iter()
                 .zip(self.delta.as_slice())
-                .map(|(s, d)| s + d * i as f32)
-                .collect(),
-        )
+                .map(|(s, d)| s + d * i as f32),
+        );
     }
 }
 

@@ -4,7 +4,12 @@
 //! This is the software model of the OBB Generation Unit (§5.2, Fig 14a):
 //! the link transforms come from the DH chain (trigonometric unit + matrix
 //! multipliers), and each link's precomputed box is carried to its world
-//! pose, yielding one OBB per link plus the two sphere radii.
+//! pose, yielding one OBB per link plus the two sphere radii. As in the
+//! hardware, a link's `|half|`, both radii and their Q3.12 roundings are
+//! per-link constants ([`LinkBox`](crate::LinkBox), derived once per
+//! robot): per pose only
+//! each box's centre and rotation are computed, and for the fixed-point
+//! OBBs only those two are quantized.
 
 use mp_geometry::{FxObb, Obb, Transform};
 
@@ -82,9 +87,9 @@ pub fn link_obbs_into(
     out.clear();
     out.extend(
         model
-            .links()
+            .link_boxes()
             .iter()
-            .map(|link| Obb::from_transform(&frames[link.frame], link.local_center, link.half)),
+            .map(|b| b.place(&frames[b.frame()])),
     );
 }
 
@@ -106,11 +111,19 @@ pub fn static_link_obbs(model: &RobotModel, mode: TrigMode) -> Vec<Option<Obb<f3
 }
 
 /// The fixed-point link OBBs the hardware streams to the OOCDs (17 × 16-bit
-/// values each, §5.2).
+/// values each, §5.2): [`Obb::quantize`] of each [`link_obbs`] OBB, from
+/// the per-link constants of
+/// [`LinkBox::place_fx`](crate::LinkBox::place_fx).
+///
+/// # Panics
+///
+/// Panics if `cfg.dof() != model.dof()`.
 pub fn link_obbs_fx(model: &RobotModel, cfg: &JointConfig, mode: TrigMode) -> Vec<FxObb> {
-    link_obbs(model, cfg, mode)
+    let frames = joint_frames(model, cfg, mode);
+    model
+        .link_boxes()
         .iter()
-        .map(Obb::quantize)
+        .map(|b| b.place_fx(&frames[b.frame()]))
         .collect()
 }
 
@@ -194,6 +207,69 @@ mod tests {
                         if let Some(s) = s {
                             assert_eq!(s, o);
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every value of an `f32` OBB as bits, so `-0.0` and `0.0` differ.
+    fn obb_bits(o: &Obb<f32>) -> Vec<u32> {
+        let mut bits = vec![
+            o.center.x, o.center.y, o.center.z, o.half.x, o.half.y, o.half.z,
+        ];
+        for i in 0..3 {
+            for j in 0..3 {
+                bits.push(o.rotation.at(i, j));
+            }
+        }
+        bits.extend([o.bounding_radius, o.inscribed_radius]);
+        bits.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// Home, every corner of the joint-limit box for up to 7 joints (each
+    /// joint at its lower or upper limit) and seeded random poses.
+    fn probe_poses(r: &RobotModel) -> Vec<JointConfig> {
+        let limits = r.joint_limits();
+        let mut poses = vec![r.home()];
+        for corner in 0..1u32 << limits.len() {
+            poses.push(JointConfig::new(
+                limits
+                    .iter()
+                    .enumerate()
+                    .map(|(j, l)| if corner >> j & 1 == 0 { l.lo } else { l.hi })
+                    .collect(),
+            ));
+        }
+        let mut rng = StdRng::seed_from_u64(12);
+        poses.extend((0..60).map(|_| r.sample_config(&mut rng)));
+        poses
+    }
+
+    #[test]
+    fn per_link_constants_place_the_boxes_obb_new_and_quantize_give() {
+        // The OBB Generation Unit's per-link constants (|half|, both radii
+        // and their Q3.12 roundings) must reproduce `Obb::new` and
+        // `Obb::quantize` on the transformed box exactly, field for field.
+        for r in [
+            RobotModel::baxter(),
+            RobotModel::jaco2(),
+            RobotModel::planar_2dof(),
+        ] {
+            for mode in [TrigMode::Exact, TrigMode::Hardware] {
+                for pose in probe_poses(&r) {
+                    let frames = joint_frames(&r, &pose, mode);
+                    let obbs = link_obbs(&r, &pose, mode);
+                    let fx = link_obbs_fx(&r, &pose, mode);
+                    for (k, (link, b)) in r.links().iter().zip(r.link_boxes()).enumerate() {
+                        let t = &frames[link.frame];
+                        let want = Obb::new(t.apply(link.local_center), link.half, t.rotation);
+                        let ctx = format!("{} {mode:?} link {k} pose {pose:?}", r.name());
+                        assert_eq!(b.frame(), link.frame, "{ctx}");
+                        assert_eq!(obb_bits(&b.place(t)), obb_bits(&want), "{ctx}");
+                        assert_eq!(obb_bits(&obbs[k]), obb_bits(&want), "{ctx}");
+                        assert_eq!(b.place_fx(t), want.quantize(), "{ctx}");
+                        assert_eq!(fx[k], want.quantize(), "{ctx}");
                     }
                 }
             }

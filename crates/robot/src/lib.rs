@@ -34,4 +34,4 @@ pub mod trig;
 
 pub use cspace::{JointConfig, JointLimit, Motion, MotionDescriptor};
 pub use dh::{DhParam, TrigMode};
-pub use model::{LinkGeometry, RobotModel, UNITS_PER_METER};
+pub use model::{LinkBox, LinkGeometry, RobotModel, UNITS_PER_METER};

@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use mp_geometry::Vec3;
+use mp_geometry::{FxObb, Mat3, Obb, ObbF, Transform, Vec3};
 
 use crate::cspace::{JointConfig, JointLimit};
 use crate::dh::DhParam;
@@ -44,6 +44,63 @@ impl LinkGeometry {
     }
 }
 
+/// A link's box as the OBB Generation Unit keeps it (§5.2): `|half|`,
+/// both sphere radii and their Q3.12 roundings are derived once per link,
+/// so each pose only computes the box's centre and rotation and, for the
+/// hardware, quantizes those two.
+///
+/// [`LinkBox::place`] equals [`Obb::from_transform`] on the link's box and
+/// [`LinkBox::place_fx`] equals [`Obb::quantize`] of that, field for field.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LinkBox {
+    frame: usize,
+    local_center: Vec3,
+    // The box at the origin, unrotated: `Obb::new`'s `|half|` and radii,
+    // and `Obb::quantize`'s conservative roundings of them.
+    obb: ObbF,
+    fx: FxObb,
+}
+
+impl LinkBox {
+    /// Derives a link's per-link constants.
+    pub(crate) fn new(link: &LinkGeometry) -> LinkBox {
+        let obb = Obb::new(Vec3::zero(), link.half, Mat3::identity());
+        LinkBox {
+            frame: link.frame,
+            local_center: link.local_center,
+            obb,
+            fx: obb.quantize(),
+        }
+    }
+
+    /// Index of the joint frame the box is attached to.
+    #[inline]
+    pub fn frame(&self) -> usize {
+        self.frame
+    }
+
+    /// The link's world OBB under its attachment frame's transform `t`.
+    #[inline]
+    pub fn place(&self, t: &Transform) -> ObbF {
+        Obb {
+            center: t.apply(self.local_center),
+            rotation: t.rotation,
+            ..self.obb
+        }
+    }
+
+    /// The link's Q3.12 OBB under `t` (`place(t).quantize()`): only the
+    /// centre and the rotation are quantized per pose.
+    #[inline]
+    pub fn place_fx(&self, t: &Transform) -> FxObb {
+        Obb {
+            center: t.apply(self.local_center).quantize(),
+            rotation: t.rotation.quantize(),
+            ..self.fx
+        }
+    }
+}
+
 /// A robot: DH chain, joint limits and link collision boxes.
 ///
 /// # Examples
@@ -63,6 +120,7 @@ pub struct RobotModel {
     dh: Vec<DhParam>,
     limits: Vec<JointLimit>,
     links: Vec<LinkGeometry>,
+    boxes: Vec<LinkBox>,
 }
 
 impl RobotModel {
@@ -91,6 +149,7 @@ impl RobotModel {
             name,
             dh,
             limits,
+            boxes: links.iter().map(LinkBox::new).collect(),
             links,
         }
     }
@@ -123,6 +182,12 @@ impl RobotModel {
     /// The link boxes.
     pub fn links(&self) -> &[LinkGeometry] {
         &self.links
+    }
+
+    /// The link boxes with their per-link constants derived, indexed like
+    /// [`RobotModel::links`].
+    pub fn link_boxes(&self) -> &[LinkBox] {
+        &self.boxes
     }
 
     /// Samples a uniformly random configuration within the joint limits.
