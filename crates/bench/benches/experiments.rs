@@ -276,9 +276,122 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     g.finish();
 }
 
+/// The service and fleet event loops on the `service_overload` traffic:
+/// one `run_service` (4 instances, 1e-2 faults with a 10x lemon, full
+/// integrity, 30 ms simulated) and one `run_fleet` (16 shards x 2
+/// instances, hedging and failover, shards 3 and 11 down for the second
+/// quarter of 3 ms simulated), both at twice saturating load over the
+/// same 10-scene x 10-query plan catalog.
+fn bench_service(c: &mut Criterion) {
+    use mp_octree::{benchmark_scenes, Scene};
+    use mp_planner::QualityTier;
+    use mp_robot::RobotModel;
+    use mp_service::{
+        run_fleet, run_service, FaultProfile, FleetConfig, IntegrityConfig, PlanCatalog,
+        ServiceConfig, TenantPolicy, TenantSpec,
+    };
+    use mp_sim::arrival::{ArrivalKind, ArrivalProcess};
+    use mp_sim::fault::{ShardFaultEvent, ShardFaultKind, ShardFaultPlan};
+    use threadpool::ThreadPool;
+
+    let scenes: Vec<Scene> = benchmark_scenes().into_iter().take(10).collect();
+    let catalog = PlanCatalog::build(&RobotModel::jaco2(), &scenes, 10, 11, &ThreadPool::new(1))
+        .expect("the benchmark scenes yield a catalog");
+    let deadline_us = (4.0 * catalog.mean_service_us(QualityTier::Full)) as u64;
+    let tenants = |instances: usize, seed: u64| {
+        let rate = 2.0 * catalog.saturating_rate_per_s(instances);
+        vec![
+            TenantSpec {
+                label: "interactive",
+                process: ArrivalProcess {
+                    kind: ArrivalKind::Poisson,
+                    rate_per_s: rate * 0.7,
+                    seed,
+                },
+                deadline_us,
+            },
+            TenantSpec {
+                label: "bursty",
+                process: ArrivalProcess {
+                    kind: ArrivalKind::Bursty {
+                        burst_factor: 5.0,
+                        period_us: 5_000,
+                        duty: 0.2,
+                    },
+                    rate_per_s: rate * 0.3,
+                    seed: seed + 1,
+                },
+                deadline_us: deadline_us * 2,
+            },
+        ]
+    };
+    let service_tenants = tenants(4, 51);
+    let service_cfg = ServiceConfig {
+        instances: 4,
+        faults: FaultProfile::with_lemon(1e-2, 0, 10.0),
+        integrity: IntegrityConfig::full(),
+        seed: 53,
+        ..ServiceConfig::default()
+    };
+    let fleet_tenants = tenants(16 * 2, 54);
+    let fleet_cfg = FleetConfig {
+        shards: 16,
+        shard: ServiceConfig {
+            instances: 2,
+            ..ServiceConfig::default()
+        },
+        seed: 56,
+        ..FleetConfig::default()
+    };
+    let policies = [4, 2].map(|weight| TenantPolicy {
+        weight,
+        ..TenantPolicy::default()
+    });
+    let fleet_ns = 3_000_000;
+    let chaos = ShardFaultPlan::scripted(
+        0,
+        [3, 11]
+            .map(|shard| ShardFaultEvent {
+                at_ns: fleet_ns / 4,
+                shard,
+                kind: ShardFaultKind::Crash,
+                duration_ns: fleet_ns / 4,
+                slow_factor: 1,
+            })
+            .to_vec(),
+    );
+
+    let mut g = c.benchmark_group("service");
+    g.sample_size(50);
+    g.bench_function("run_service_overload", |b| {
+        b.iter(|| {
+            black_box(run_service(
+                &catalog,
+                &service_tenants,
+                30_000_000,
+                &service_cfg,
+            ))
+        })
+    });
+    g.bench_function("run_fleet_overload", |b| {
+        b.iter(|| {
+            black_box(run_fleet(
+                &catalog,
+                &fleet_tenants,
+                &policies,
+                fleet_ns,
+                &fleet_cfg,
+                &chaos,
+            ))
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_kernels,
+    bench_service,
     bench_planner_kernels,
     bench_telemetry_overhead,
     bench_table2,

@@ -94,6 +94,16 @@ impl AcceleratorPool {
             .min()
     }
 
+    /// [`AcceleratorPool::next_dispatchable_at`], unless a running
+    /// dispatch ends at exactly that instant: the instant is then already
+    /// marked by that dispatch's completion, and a caller that re-runs
+    /// its dispatcher on every completion needs no separate wake-up for
+    /// it. In practice an unmarked instant is a quarantine expiry.
+    pub fn next_unmarked_at(&self, now: u64) -> Option<u64> {
+        self.next_dispatchable_at(now)
+            .filter(|t| !self.busy_until.contains(t))
+    }
+
     /// Marks instance `i` busy for `service_ns` starting at `now` and
     /// counts the dispatch.
     ///
@@ -189,6 +199,57 @@ mod tests {
         assert_eq!(p.next_dispatchable_at(0), Some(500));
         assert_eq!(p.acquire(500), Some(0));
         assert_eq!(p.total_quarantines(), 1);
+    }
+
+    #[test]
+    fn a_busy_only_pool_has_no_unmarked_instant() {
+        let mut p = AcceleratorPool::new(2);
+        assert_eq!(p.next_unmarked_at(0), None, "idle pool");
+        p.begin(0, 0, 100);
+        p.begin(1, 0, 40);
+        assert_eq!(p.next_dispatchable_at(0), Some(40));
+        assert_eq!(p.next_unmarked_at(0), None, "a completion marks 40");
+    }
+
+    #[test]
+    fn a_quarantine_past_busy_is_unmarked() {
+        let mut p = AcceleratorPool::new(1);
+        p.begin(0, 0, 100);
+        p.quarantine(0, 500);
+        // Busy ends at 100 but the instance is dispatchable only at 500,
+        // when no completion fires.
+        assert_eq!(p.next_dispatchable_at(0), Some(500));
+        assert_eq!(p.next_unmarked_at(0), Some(500));
+        // A quarantine that ends before the busy period does not move
+        // the instant off the completion.
+        let mut q = AcceleratorPool::new(1);
+        q.begin(0, 0, 100);
+        q.quarantine(0, 60);
+        assert_eq!(q.next_dispatchable_at(0), Some(100));
+        assert_eq!(q.next_unmarked_at(0), None);
+    }
+
+    #[test]
+    fn mixed_instances_mark_by_any_completion() {
+        let mut p = AcceleratorPool::new(3);
+        p.begin(0, 0, 300);
+        p.quarantine(1, 300); // idle, quarantined until 300
+        p.begin(2, 0, 700);
+        // Instance 1 frees at 300, the instant instance 0 completes.
+        assert_eq!(p.next_dispatchable_at(0), Some(300));
+        assert_eq!(p.next_unmarked_at(0), None);
+        p.quarantine(1, 500);
+        assert_eq!(p.next_dispatchable_at(0), Some(300));
+        assert_eq!(p.next_unmarked_at(0), None, "instance 0 still frees at 300");
+        // Past instance 0's completion the next instant is instance 1's
+        // quarantine expiry, which nothing marks.
+        p.begin(0, 300, 900);
+        assert_eq!(p.next_dispatchable_at(300), Some(500));
+        assert_eq!(p.next_unmarked_at(300), Some(500));
+        // Once instance 1 serves again, its own completion marks 600.
+        p.begin(1, 500, 100);
+        assert_eq!(p.next_dispatchable_at(500), Some(600));
+        assert_eq!(p.next_unmarked_at(500), None);
     }
 
     #[test]

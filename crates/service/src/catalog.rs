@@ -15,6 +15,7 @@ use mp_planner::queries::generate_queries;
 use mp_planner::sampler::OracleSampler;
 use mp_planner::{plan_at_tier_with_path, PlanCertifier, QualityTier};
 use mp_robot::RobotModel;
+use mp_sim::vtime::{VirtualNs, NS_PER_US};
 use mp_telemetry::{self as telemetry, arg1, ArgValue, TelemetrySession};
 use threadpool::ThreadPool;
 
@@ -39,11 +40,20 @@ pub struct CatalogEntry {
     pub certify_us: f64,
 }
 
+/// A modeled time in µs as the event loop's virtual ns: rounded to the
+/// nearest ns, at least 1.
+pub(crate) fn us_to_ns(us: f64) -> VirtualNs {
+    (us * NS_PER_US as f64).round().max(1.0) as VirtualNs
+}
+
 /// A precomputed catalog of planning outcomes, indexed by
 /// `(key, tier)` where `key` enumerates (scene, query) pairs.
 #[derive(Clone, Debug)]
 pub struct PlanCatalog {
     entries: Vec<[CatalogEntry; QualityTier::COUNT]>,
+    /// Per entry, `[us_to_ns(modeled_us), us_to_ns(certify_us)]`,
+    /// converted once at build so the event loop reads integers.
+    times_ns: Vec<[[VirtualNs; 2]; QualityTier::COUNT]>,
     mean_us: [f64; QualityTier::COUNT],
 }
 
@@ -187,7 +197,15 @@ impl PlanCatalog {
         for m in &mut mean_us {
             *m /= entries.len() as f64;
         }
-        Ok(PlanCatalog { entries, mean_us })
+        let times_ns = entries
+            .iter()
+            .map(|row| row.map(|e| [us_to_ns(e.modeled_us), us_to_ns(e.certify_us)]))
+            .collect();
+        Ok(PlanCatalog {
+            entries,
+            times_ns,
+            mean_us,
+        })
     }
 
     /// Number of distinct (scene, query) keys.
@@ -202,6 +220,18 @@ impl PlanCatalog {
     /// Panics if `key` is out of range.
     pub fn entry(&self, key: usize, tier: QualityTier) -> &CatalogEntry {
         &self.entries[key][tier.index()]
+    }
+
+    /// Service time (ns) of `key` at ladder index `tier_idx`, before any
+    /// fault slowdown: the entry's `modeled_us` in virtual ns.
+    pub(crate) fn service_ns(&self, key: usize, tier_idx: usize) -> VirtualNs {
+        self.times_ns[key][tier_idx][0]
+    }
+
+    /// Certification time (ns) of `key`'s plan at ladder index
+    /// `tier_idx`: the entry's `certify_us` in virtual ns.
+    pub(crate) fn certify_ns(&self, key: usize, tier_idx: usize) -> VirtualNs {
+        self.times_ns[key][tier_idx][1]
     }
 
     /// Mean modeled service time at a tier (µs) — the capacity planning
@@ -315,5 +345,19 @@ mod tests {
             }
         }
         assert!(c.mean_certify_us(QualityTier::Full) > 0.0);
+    }
+
+    #[test]
+    fn integer_times_equal_the_rounded_entries() {
+        let c = small_catalog(1);
+        for key in 0..c.num_keys() {
+            for tier in QualityTier::LADDER {
+                let e = c.entry(key, tier);
+                assert_eq!(c.service_ns(key, tier.index()), us_to_ns(e.modeled_us));
+                assert_eq!(c.certify_ns(key, tier.index()), us_to_ns(e.certify_us));
+            }
+        }
+        assert_eq!(us_to_ns(0.0), 1, "a zero time still advances the clock");
+        assert_eq!(us_to_ns(1.2345), 1_235);
     }
 }

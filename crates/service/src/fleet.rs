@@ -30,7 +30,8 @@
 //! * **Routing** ([`crate::ring`]): requests hash by `(tenant, key)` to a
 //!   primary shard; the bounded-load power-of-two-choices rule spills to
 //!   the deterministic second choice when the primary's queue runs ahead
-//!   of the fleet average.
+//!   of the fleet average. A request's ring slot is hashed once, at
+//!   arrival, and kept for its hedge and failover lookups.
 //! * **Chaos & failover** (`mp_sim::fault::ShardFaultPlan`): seeded
 //!   crashes, stalls, and flaps. A defended fleet removes a dead shard
 //!   from the ring and re-enqueues its queued *and* in-flight requests on
@@ -41,7 +42,9 @@
 //! * **Hedging**: a request still unresolved after a deadline-aware delay
 //!   (`min(hedge delay, slack/2)`) is duplicated to the next distinct
 //!   ring shard; the first completion wins and stragglers are counted,
-//!   not served twice to the tenant.
+//!   not served twice to the tenant. The delay is constant per tenant,
+//!   so hedge timers ride the event queue's FIFO lane
+//!   ([`EventQueue::push_fifo`]).
 //! * **Tenant isolation** ([`crate::tenant`]): per-tenant token buckets
 //!   at the fleet door and weighted fair queueing inside every shard, so
 //!   an adversarial tenant throttles and starves itself, not its
@@ -68,7 +71,7 @@ use crate::degrade::load_tier;
 use crate::integrity::{IntegrityState, SCRUB_PERIOD_US};
 use crate::metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 use crate::request::{Request, ShedReason, TenantSpec, Verdict};
-use crate::ring::{mix, HashRing};
+use crate::ring::{mix, HashRing, Slot};
 use crate::service::{ServiceConfig, BACKOFF_US, MAX_RETRIES, QUEUE_CAPACITY, SLOW_FACTOR};
 use crate::tenant::{FairQueue, TenantPolicy, TokenBucket};
 
@@ -135,20 +138,6 @@ impl Default for FleetConfig {
 /// overflows.
 const BENCH_HORIZON_NS: VirtualNs = VirtualNs::MAX / 4;
 
-fn us_to_ns(us: f64) -> VirtualNs {
-    (us * NS_PER_US as f64).round().max(1.0) as VirtualNs
-}
-
-/// Exact service time (ns) of catalog `key` at ladder index `tier_idx`,
-/// before any fault slowdown.
-fn service_time_ns(catalog: &PlanCatalog, key: usize, tier_idx: usize) -> VirtualNs {
-    us_to_ns(
-        catalog
-            .entry(key, QualityTier::from_index(tier_idx))
-            .modeled_us,
-    )
-}
-
 /// The dispatcher's tier decision for one request: the congestion
 /// controller's base tier, raised to the request's floor from failed
 /// attempts, then stepped down the ladder until the tier fits the
@@ -172,11 +161,11 @@ fn choose_tier(
         let slack = req.slack_ns(now);
         while cfg.degrade
             && tier_idx + 1 < QualityTier::COUNT
-            && service_time_ns(catalog, req.key, tier_idx) > slack
+            && catalog.service_ns(req.key, tier_idx) > slack
         {
             tier_idx += 1;
         }
-        if service_time_ns(catalog, req.key, tier_idx) > slack {
+        if catalog.service_ns(req.key, tier_idx) > slack {
             return None;
         }
     }
@@ -227,8 +216,8 @@ enum Event {
     Enqueue { shard: u16, req: u32 },
     /// A dispatch finishes.
     Complete(Dispatch),
-    /// Re-run the given shard's dispatcher (quarantine expiry / busy
-    /// instance freed).
+    /// Re-run the given shard's dispatcher at an instant no completion
+    /// covers (a quarantine expiry).
     Wake(u16),
     /// Hedge check: duplicate the request if it is still unresolved.
     Hedge(u32),
@@ -247,6 +236,8 @@ const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 /// per-dispatch fields), packed like the events.
 #[derive(Clone, Copy, Debug, Default)]
 struct ReqState {
+    /// The route key's ring slot, hashed once at arrival.
+    slot: Slot,
     /// Shard the request was first enqueued on.
     primary: u16,
     /// Shard the hedge duplicate landed on, once one was fired.
@@ -284,9 +275,14 @@ struct Shard {
     inflight: Vec<(usize, u32)>,
     /// Wrapping per-shard dispatch counter feeding the tokens.
     dispatch_seq: u32,
-    /// Earliest outstanding wake, if any. Without this guard every
-    /// stalled dispatch would push a fresh wake and overload runs would
-    /// drown in duplicate wake events.
+    /// Earliest outstanding wake, if any; a later instant waits for it
+    /// to pop and re-arm. Wakes go only to instants no completion marks
+    /// ([`AcceleratorPool::next_unmarked_at`]): every running dispatch's
+    /// `busy_until` has a `Complete` event at that instant, pushed when
+    /// the dispatch began and so ahead of any wake for the same instant,
+    /// and the loop re-runs the shard's dispatcher after every
+    /// completion. A wake there would find the shard already served, so
+    /// in practice the only wakes left are quarantine expiries.
     wake_at: Option<VirtualNs>,
     alive: bool,
     /// Crash epoch; completions from older epochs are ignored.
@@ -406,6 +402,9 @@ struct Fleet<'a> {
     summary: FleetSummary,
     tenants: Vec<TenantStats>,
     served: Vec<Served>,
+    /// Per-shard router loads, refilled by [`Fleet::fill_loads`] before
+    /// each routing decision.
+    loads: Vec<usize>,
     /// Requests resolved so far; once every request has a verdict the
     /// scrub schedules stop re-arming and the event queue drains.
     resolved: usize,
@@ -474,20 +473,17 @@ impl Fleet<'_> {
         }
     }
 
-    /// Per-shard router load: queued plus running copies, inflated for
-    /// shards still in their post-rejoin catch-up window.
-    fn loads(&self, now: VirtualNs) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|sh| {
-                let running = sh.inflight.iter().filter(|e| e.0 != usize::MAX).count();
-                let mut l = sh.queue.len() + running;
-                if now < sh.catchup_until {
-                    l += QUEUE_CAPACITY;
-                }
-                l
-            })
-            .collect()
+    /// Refills `loads` with the per-shard router load: queued plus
+    /// running copies, inflated for shards still in their post-rejoin
+    /// catch-up window.
+    fn fill_loads(&mut self, now: VirtualNs) {
+        for (l, sh) in self.loads.iter_mut().zip(&self.shards) {
+            let running = sh.inflight.iter().filter(|e| e.0 != usize::MAX).count();
+            *l = sh.queue.len() + running;
+            if now < sh.catchup_until {
+                *l += QUEUE_CAPACITY;
+            }
+        }
     }
 
     /// Queues a copy of `id` on shard `s`. Returns `false` when the
@@ -542,23 +538,24 @@ impl Fleet<'_> {
                 }
             }
         }
-        let key = self.route_key(id);
+        let slot = self.ring.slot(self.route_key(id));
+        self.states[id].slot = slot;
         let target = if self.cfg.failover {
-            let loads = self.loads(now);
-            let Some(s) = self.ring.route(key, &loads, SPILL_BOUND_PCT) else {
+            self.fill_loads(now);
+            let Some(s) = self.ring.route(slot, &self.loads, SPILL_BOUND_PCT) else {
                 // Every shard is dead: nothing can take the request.
                 self.summary.lost_to_shards += 1;
                 self.resolve(id, Verdict::Shed(ShedReason::ShardLost));
                 return;
             };
-            if Some(s) != self.ring.primary(key) {
+            if Some(s) != self.ring.primary(slot) {
                 self.summary.spills += 1;
             }
             s
         } else {
             // Undefended: clients keep addressing the hash owner even
             // while it is down, and those requests are simply lost.
-            let s = self.ring.owner(key);
+            let s = self.ring.owner(slot);
             if !self.shards[s].alive {
                 self.shards[s].stats.sheds += 1;
                 self.summary.lost_to_shards += 1;
@@ -575,7 +572,10 @@ impl Fleet<'_> {
         if self.cfg.hedge && self.ring.alive_count() > 1 {
             let slack = self.reqs[id].slack_ns(now);
             let delay = (HEDGE_DELAY_US * NS_PER_US).min(slack / 2).max(1);
-            self.events.push(now + delay, Event::Hedge(id as u32));
+            // At arrival the slack is the tenant's whole deadline, so the
+            // delay is constant per tenant and arrivals come in time
+            // order: hedge timers join the queue's FIFO lane in order.
+            self.events.push_fifo(now + delay, Event::Hedge(id as u32));
         }
         self.dispatch(target, now);
     }
@@ -584,13 +584,13 @@ impl Fleet<'_> {
         if self.reqs[id].verdict.is_some() || self.states[id].twin.is_some() {
             return;
         }
-        let key = self.route_key(id);
+        let slot = self.states[id].slot;
         let primary = usize::from(self.states[id].primary);
         // Duplicate onto the next distinct alive shard; fall back to the
         // ring's secondary when the original target is already gone.
-        let twin = match self.ring.secondary(key) {
+        let twin = match self.ring.secondary(slot) {
             Some(s) if s != primary => Some(s),
-            _ => self.ring.primary(key).filter(|&s| s != primary),
+            _ => self.ring.primary(slot).filter(|&s| s != primary),
         };
         let Some(twin) = twin else { return };
         if !self.try_enqueue(twin, id) {
@@ -612,7 +612,7 @@ impl Fleet<'_> {
         loop {
             let Some(inst) = self.shards[s].pool.acquire(now) else {
                 if !self.shards[s].queue.is_empty() {
-                    if let Some(at) = self.shards[s].pool.next_dispatchable_at(now) {
+                    if let Some(at) = self.shards[s].pool.next_unmarked_at(now) {
                         self.schedule_wake(s, at);
                     }
                 }
@@ -650,7 +650,7 @@ impl Fleet<'_> {
             };
 
             let sh = &mut self.shards[s];
-            let mut service_ns = service_time_ns(self.catalog, self.reqs[id].key, tier_idx);
+            let mut service_ns = self.catalog.service_ns(self.reqs[id].key, tier_idx);
             let fault = roll_dispatch_fault(&mut sh.injectors[inst], &mut service_ns);
             // A stalled shard serves, just several times slower — the
             // latency-tail failure hedging is for.
@@ -804,7 +804,7 @@ impl Fleet<'_> {
                 });
                 // The expiry needs a wake in case the whole pool is idle
                 // but quarantined when it lands.
-                if let Some(at) = self.shards[s].pool.next_dispatchable_at(now) {
+                if let Some(at) = self.shards[s].pool.next_unmarked_at(now) {
                     self.schedule_wake(s, at);
                 }
             }
@@ -865,7 +865,7 @@ impl Fleet<'_> {
         }
         let mut done = now;
         if self.cfg.shard.integrity.certify {
-            let certify_ns = us_to_ns(entry.certify_us);
+            let certify_ns = self.catalog.certify_ns(self.reqs[id].key, tier);
             let stats = &mut self.shards[s].integrity.stats;
             stats.certify_ns += certify_ns;
             stats.certify_hist.observe(entry.certify_us.round() as u64);
@@ -986,9 +986,9 @@ impl Fleet<'_> {
     /// the copy is lost.
     fn failover_copy(&mut self, id: usize, from: usize, now: VirtualNs) {
         if self.cfg.failover && self.states[id].failovers < MAX_FAILOVERS {
-            let loads = self.loads(now);
-            let key = self.route_key(id);
-            if let Some(target) = self.ring.route(key, &loads, SPILL_BOUND_PCT) {
+            self.fill_loads(now);
+            let slot = self.states[id].slot;
+            if let Some(target) = self.ring.route(slot, &self.loads, SPILL_BOUND_PCT) {
                 self.states[id].failovers += 1;
                 self.summary.rerouted += 1;
                 self.events.push(
@@ -1232,6 +1232,7 @@ pub(crate) fn simulate(
         },
         tenants: tenant_stats,
         served: Vec::new(),
+        loads: vec![0; cfg.shards],
         resolved: 0,
     };
 

@@ -65,6 +65,6 @@ pub use fleet::{run_fleet, run_fleet_traced, FleetConfig};
 pub use integrity::{IntegrityConfig, IntegrityState, IntegrityStats};
 pub use metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 pub use request::{Request, ShedReason, TenantSpec, Verdict};
-pub use ring::HashRing;
+pub use ring::{HashRing, Slot};
 pub use service::{run_service, run_service_traced, FaultProfile, ServiceConfig};
 pub use tenant::{FairQueue, QueuePolicy, TenantPolicy, TokenBucket};

@@ -12,6 +12,10 @@
 //! Under overload the bounded queue sheds what it cannot hold, every
 //! offered request resolves exactly once, and with the degradation
 //! controller off every completion is served at full quality.
+//!
+//! Two runs are pinned to digests of their whole summaries: a faulty
+//! service run and a chaos fleet run with every defense on. Any change to
+//! the order in which the event loop handles its events shows up there.
 
 use std::sync::OnceLock;
 
@@ -21,10 +25,10 @@ use mpaccel::robot::RobotModel;
 use mpaccel::service::service::QUEUE_CAPACITY;
 use mpaccel::service::{
     run_fleet, run_service, FaultProfile, FleetConfig, IntegrityConfig, IntegrityStats,
-    PlanCatalog, ServiceConfig, TenantSpec,
+    PlanCatalog, ServiceConfig, TenantPolicy, TenantSpec,
 };
 use mpaccel::sim::arrival::{ArrivalKind, ArrivalProcess};
-use mpaccel::sim::fault::{ResilienceCounters, ShardFaultPlan};
+use mpaccel::sim::fault::{ResilienceCounters, ShardFaultEvent, ShardFaultKind, ShardFaultPlan};
 use threadpool::ThreadPool;
 
 const DURATION_NS: u64 = 50_000_000; // 50 ms simulated
@@ -235,4 +239,100 @@ fn overload_sheds_at_the_queue_bound_and_resolves_every_request() {
             assert_eq!(degraded, 0, "the controller is off, yet tiers degraded");
         }
     }
+}
+
+/// FNV-1a (64-bit) of a summary's `Debug` text.
+fn digest(summary: &impl std::fmt::Debug) -> u64 {
+    format!("{summary:?}")
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+}
+
+#[test]
+fn a_faulty_service_run_matches_its_pinned_summary() {
+    let cfg = ServiceConfig {
+        faults: FaultProfile::with_lemon(0.03, 0, 10.0).with_sdc(0.01, Some(1), 20.0),
+        integrity: IntegrityConfig::full(),
+        seed: 5,
+        ..ServiceConfig::default()
+    };
+    let s = run_service(catalog(), &tenants(), DURATION_NS, &cfg);
+    assert!(s.quarantines > 0 && s.retries > 0, "the lemon must trip");
+    assert!(
+        s.integrity.certify_failed > 0,
+        "certification must catch SDC"
+    );
+    assert_eq!(
+        digest(&s),
+        0xCB05_795A_60FC_47AF,
+        "service summary moved:\n{s:?}"
+    );
+}
+
+#[test]
+fn a_chaos_fleet_run_matches_its_pinned_summary() {
+    let tenants = tenants();
+    let policies = [
+        TenantPolicy {
+            weight: 3,
+            ..TenantPolicy::default()
+        },
+        TenantPolicy {
+            weight: 1,
+            bucket: Some((0.25 * catalog().saturating_rate_per_s(4), 16)),
+            ..TenantPolicy::default()
+        },
+    ];
+    let cfg = FleetConfig {
+        shards: 4,
+        shard: ServiceConfig {
+            instances: 2,
+            faults: FaultProfile::with_lemon(0.03, 1, 10.0).with_sdc(0.01, Some(0), 20.0),
+            integrity: IntegrityConfig::full(),
+            ..ServiceConfig::default()
+        },
+        seed: 9,
+        ..FleetConfig::default()
+    };
+    assert!(cfg.hedge && cfg.failover && cfg.fairness);
+    let stall = ShardFaultEvent {
+        at_ns: DURATION_NS / 8,
+        shard: 1,
+        kind: ShardFaultKind::Stall,
+        duration_ns: DURATION_NS / 4,
+        slow_factor: 8,
+    };
+    let crash = ShardFaultEvent {
+        at_ns: DURATION_NS / 2,
+        shard: 2,
+        kind: ShardFaultKind::Crash,
+        duration_ns: DURATION_NS / 8,
+        slow_factor: 1,
+    };
+    let chaos = ShardFaultPlan {
+        flap_rate_per_s: 20.0,
+        ..ShardFaultPlan::scripted(4, vec![stall, crash])
+    };
+    let f = run_fleet(catalog(), &tenants, &policies, DURATION_NS, &cfg, &chaos);
+    assert!(
+        f.hedges_fired > 0 && f.hedge_wins > 0,
+        "the stall must hedge"
+    );
+    assert!(
+        f.shard_kills > 1 && f.rerouted > 0,
+        "crash and flaps must fail over"
+    );
+    assert!(f.tenants[1].throttled > 0, "the token bucket must throttle");
+    assert!(f.fleet.quarantines > 0, "the lemon must trip");
+    assert!(
+        f.fleet.integrity.certify_failed > 0,
+        "certification must catch SDC"
+    );
+    assert_eq!(
+        digest(&f),
+        0x9339_44B5_4681_7AD2,
+        "fleet summary moved:\n{f:?}"
+    );
 }
