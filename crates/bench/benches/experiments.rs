@@ -66,7 +66,6 @@ fn bench_kernels(c: &mut Criterion) {
     use mp_geometry::sat::sat_first_separating;
     use mp_geometry::{Aabb, Mat3, Obb, Vec3};
     use mp_octree::{Scene, SceneConfig};
-    use mp_planner::nn::{Activation, Mlp, MlpScratch};
     use mp_robot::{fk, RobotModel, TrigMode};
     use mp_sim::{CecduConfig, IuKind};
     use mpaccel_core::cecdu::CecduSim;
@@ -91,10 +90,6 @@ fn bench_kernels(c: &mut Criterion) {
     let mut pose = robot.home();
     pose.as_mut_slice()[0] += 0.4;
     pose.as_mut_slice()[2] -= 0.3;
-    // An MPNet-shaped MLP (scene encoding + 2 poses in, pose delta out).
-    let mlp = Mlp::new(&[66, 128, 128, 6], Activation::Tanh, 7);
-    let mlp_input = vec![0.1f32; 66];
-    let mut mlp_scratch = MlpScratch::default();
     let mut frames = Vec::new();
     let mut obbs = Vec::new();
 
@@ -136,19 +131,11 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(obbs.len())
         })
     });
-    g.bench_function("mlp_forward_scratch", |b| {
-        b.iter(|| {
-            black_box(
-                mlp.forward_scratch(black_box(&mlp_input), &mut mlp_scratch)
-                    .len(),
-            )
-        })
-    });
     g.bench_function("check_path_revalidate", |b| {
         // Replanning re-validates the path it returns: validate one MPNet
         // path twice on one checker, so the second pass is answered from
         // the checker's pose cache.
-        use mp_collision::{check_path, SoftwareChecker, DEFAULT_CSPACE_STEP};
+        use mp_collision::{check_path, SoftwareChecker, CSPACE_STEP};
         use mp_octree::benchmark_scenes;
         use mp_planner::queries::generate_queries;
         use mp_planner::{plan, MpnetConfig, OracleSampler};
@@ -168,8 +155,8 @@ fn bench_kernels(c: &mut Criterion) {
         let tree = scene.octree();
         b.iter(|| {
             let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
-            let first = check_path(&mut checker, black_box(&path), DEFAULT_CSPACE_STEP);
-            let again = check_path(&mut checker, black_box(&path), DEFAULT_CSPACE_STEP);
+            let first = check_path(&mut checker, black_box(&path), CSPACE_STEP);
+            let again = check_path(&mut checker, black_box(&path), CSPACE_STEP);
             black_box((first, again))
         })
     });
@@ -196,7 +183,7 @@ fn bench_kernels(c: &mut Criterion) {
 /// Motion validation cycles through 64 motions, thousands of poses, so
 /// the checker's pose cache does not answer them and every pose is walked.
 fn bench_planner_kernels(c: &mut Criterion) {
-    use mp_collision::{check_motion, SoftwareChecker};
+    use mp_collision::{check_motion, SoftwareChecker, CSPACE_STEP};
     use mp_octree::{Scene, SceneConfig};
     use mp_planner::rrt::Tree;
     use mp_robot::{Motion, RobotModel};
@@ -226,7 +213,7 @@ fn bench_planner_kernels(c: &mut Criterion) {
         let mut next = motions.iter().cycle();
         b.iter(|| {
             let motion = next.next().unwrap();
-            black_box(check_motion(&mut checker, black_box(motion), 0.04).colliding)
+            black_box(check_motion(&mut checker, black_box(motion), CSPACE_STEP).colliding)
         })
     });
     g.bench_function("tree_nearest_x8", |b| {

@@ -83,10 +83,7 @@ pub fn step_size_data(scale: Scale) -> Vec<(usize, SasAggregate)> {
                 intra: IntraPolicy::CoarseStep { step },
                 ..SasConfig::mcsp(8)
             };
-            (
-                step,
-                replay_memo(&w, &cfg, cdu, max_batches, None, &mut memo),
-            )
+            (step, replay_memo(&w, &cfg, max_batches, None, &mut memo))
         })
         .collect()
 }

@@ -77,9 +77,9 @@ pub struct ReplayMemo {
 }
 
 impl ReplayMemo {
-    /// Creates an empty memo for one CDU kind. Replays through this memo
-    /// must use the same kind (different CDU configurations answer with
-    /// different latencies/ops).
+    /// Creates an empty memo for one CDU kind; every replay through it
+    /// runs that kind (different CDU configurations answer with different
+    /// latencies/ops).
     pub fn new(cdu: CduKind) -> ReplayMemo {
         ReplayMemo {
             cdu,
@@ -136,35 +136,20 @@ pub fn replay(
     replay_inner(workload, sas, cdu, max_batches, None, None)
 }
 
-/// Like [`replay`], optionally overriding every batch's function mode
-/// (the §3 limit study uses Complete semantics to isolate scheduling
-/// redundancy from function-mode early stops).
-pub fn replay_with_mode(
-    workload: &BenchWorkload,
-    sas: &SasConfig,
-    cdu: CduKind,
-    max_batches: usize,
-    mode_override: Option<mpaccel_core::sas::FunctionMode>,
-) -> SasAggregate {
-    replay_inner(workload, sas, cdu, max_batches, mode_override, None)
-}
-
-/// Like [`replay_with_mode`], answering pose queries through a shared
-/// [`ReplayMemo`] so configuration sweeps over the same batches pay for
-/// each distinct pose only once.
-///
-/// # Panics
-///
-/// Panics if the memo was created for a different [`CduKind`].
+/// Like [`replay`] with the memo's [`CduKind`], answering pose queries
+/// through a shared [`ReplayMemo`] so configuration sweeps over the same
+/// batches pay for each distinct pose only once. `mode_override` replaces
+/// every batch's function mode (the §3 limit study uses Complete
+/// semantics to isolate scheduling redundancy from function-mode early
+/// stops).
 pub fn replay_memo(
     workload: &BenchWorkload,
     sas: &SasConfig,
-    cdu: CduKind,
     max_batches: usize,
     mode_override: Option<mpaccel_core::sas::FunctionMode>,
     memo: &mut ReplayMemo,
 ) -> SasAggregate {
-    assert_eq!(memo.cdu, cdu, "memo was built for a different CDU kind");
+    let cdu = memo.cdu;
     replay_inner(workload, sas, cdu, max_batches, mode_override, Some(memo))
 }
 
@@ -270,20 +255,11 @@ mod tests {
             SasConfig::naive_parallel(4),
         ] {
             let plain = replay(&w, &cfg, cdu, 6);
-            let memoized = replay_memo(&w, &cfg, cdu, 6, None, &mut memo);
+            let memoized = replay_memo(&w, &cfg, 6, None, &mut memo);
             assert_eq!(plain, memoized, "memo must not change aggregates");
         }
         assert!(!memo.is_empty());
         assert!(memo.len() >= 6, "memo should hold many distinct poses");
-    }
-
-    #[test]
-    #[should_panic(expected = "different CDU kind")]
-    fn memo_rejects_mismatched_cdu_kind() {
-        let w = BenchWorkload::cached(RobotModel::jaco2(), Scale::Quick);
-        let mut memo = ReplayMemo::new(CduKind::Ideal);
-        let cdu = CduKind::Cecdu(CecduConfig::new(4, IuKind::MultiCycle));
-        let _ = replay_memo(&w, &SasConfig::sequential(), cdu, 1, None, &mut memo);
     }
 
     #[test]

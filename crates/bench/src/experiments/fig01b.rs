@@ -35,12 +35,7 @@ pub fn data(scale: Scale) -> Vec<(&'static str, SasAggregate)> {
     let mut memo = ReplayMemo::new(cdu);
     modes()
         .into_iter()
-        .map(|(name, cfg)| {
-            (
-                name,
-                replay_memo(&w, &cfg, cdu, max_batches, None, &mut memo),
-            )
-        })
+        .map(|(name, cfg)| (name, replay_memo(&w, &cfg, max_batches, None, &mut memo)))
         .collect()
 }
 

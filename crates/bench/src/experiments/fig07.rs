@@ -80,7 +80,6 @@ pub fn data(scale: Scale) -> Fig07Data {
     let sequential = replay_memo(
         &w,
         &SasConfig::sequential().idealized(),
-        CduKind::Ideal,
         max_batches,
         Some(FunctionMode::Complete),
         &mut memo,
@@ -91,7 +90,6 @@ pub fn data(scale: Scale) -> Fig07Data {
             let agg = replay_memo(
                 &w,
                 &cfg.idealized(),
-                CduKind::Ideal,
                 max_batches,
                 Some(FunctionMode::Complete),
                 &mut memo,

@@ -47,22 +47,11 @@ pub fn data(scale: Scale) -> Fig15Data {
     // shares each pose's CECDU response across them (bit-identical
     // aggregates, each distinct pose simulated once).
     let mut memo = ReplayMemo::new(cdu);
-    let sequential = replay_memo(
-        &w,
-        &SasConfig::sequential(),
-        cdu,
-        max_batches,
-        None,
-        &mut memo,
-    );
+    let sequential = replay_memo(&w, &SasConfig::sequential(), max_batches, None, &mut memo);
     let mut points = Vec::new();
     for &n in &CDU_COUNTS {
         for (name, cfg) in schedulers(n) {
-            points.push((
-                name,
-                n,
-                replay_memo(&w, &cfg, cdu, max_batches, None, &mut memo),
-            ));
+            points.push((name, n, replay_memo(&w, &cfg, max_batches, None, &mut memo)));
         }
     }
     Fig15Data { sequential, points }

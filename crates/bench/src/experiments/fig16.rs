@@ -44,7 +44,7 @@ pub fn data_with(scale: Scale, connectivity_only: bool) -> Vec<(usize, SasAggreg
         .iter()
         .map(|&g| {
             let cfg = SasConfig::mcsp(8).with_group_size(g);
-            (g, replay_memo(&w, &cfg, cdu, max_batches, None, &mut memo))
+            (g, replay_memo(&w, &cfg, max_batches, None, &mut memo))
         })
         .collect()
 }

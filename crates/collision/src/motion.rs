@@ -4,11 +4,12 @@ use mp_robot::{JointConfig, Motion};
 
 use crate::checker::CollisionChecker;
 
-/// Default C-space discretization step (radians of the worst joint between
-/// consecutive poses). With Baxter-scale motions this yields tens to
-/// hundreds of poses per motion, matching the ">1000 poses per motion
-/// planning query" workload of §4.
-pub const DEFAULT_CSPACE_STEP: f32 = 0.04;
+/// C-space discretization step (radians of the worst joint between
+/// consecutive poses) every planner and the plan certifier check edges
+/// at. With Baxter-scale motions this yields tens to hundreds of poses
+/// per motion, matching the ">1000 poses per motion planning query"
+/// workload of §4.
+pub const CSPACE_STEP: f32 = 0.04;
 
 /// Result of checking one motion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,16 +62,17 @@ pub fn check_motion(
 
 /// Checks every consecutive segment of a path ("feasibility checking",
 /// §2.1/Fig 3). Returns the index of the first infeasible segment, if any.
+/// A path of fewer than 2 waypoints has no segment, so it has no
+/// infeasible one: `None`, and no pose is checked.
 ///
 /// # Panics
 ///
-/// Panics if the path has fewer than 2 waypoints.
+/// Panics as [`check_motion`] does on any of the path's segments.
 pub fn check_path(
     checker: &mut impl CollisionChecker,
     waypoints: &[JointConfig],
     step: f32,
 ) -> Option<usize> {
-    assert!(waypoints.len() >= 2, "a path needs at least 2 waypoints");
     for (i, w) in waypoints.windows(2).enumerate() {
         let m = Motion::new(w[0].clone(), w[1].clone());
         if check_motion(checker, &m, step).colliding {
@@ -193,12 +195,5 @@ mod tests {
         assert!(!want.colliding && want.pose_count > 8);
         assert_eq!(got, want);
         assert_eq!(got_chk.stats(), want_chk.stats());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 waypoints")]
-    fn degenerate_path_rejected() {
-        let (mut checker, _) = planar_fixture();
-        let _ = check_path(&mut checker, &[JointConfig::zeros(2)], 0.05);
     }
 }

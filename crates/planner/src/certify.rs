@@ -21,7 +21,7 @@
 //! (waypoints only, not the planner's full exploration), and the cost is
 //! surfaced as a modeled overhead the integrity experiments report.
 
-use mp_collision::{check_path, CollisionChecker, SoftwareChecker, DEFAULT_CSPACE_STEP};
+use mp_collision::{check_path, CollisionChecker, SoftwareChecker, CSPACE_STEP};
 use mp_geometry::AabbF;
 use mp_octree::Octree;
 use mp_robot::{JointConfig, RobotModel};
@@ -58,7 +58,6 @@ pub struct CertifyOutcome {
 #[derive(Clone, Debug)]
 pub struct PlanCertifier {
     checker: SoftwareChecker,
-    step: f32,
 }
 
 impl PlanCertifier {
@@ -67,27 +66,17 @@ impl PlanCertifier {
     pub fn new(robot: RobotModel, obstacles: &[AabbF], depth: u32) -> PlanCertifier {
         PlanCertifier {
             checker: SoftwareChecker::new(robot, Octree::build(obstacles, depth)),
-            step: DEFAULT_CSPACE_STEP,
         }
     }
 
-    /// Overrides the C-space discretization step used for edge checks.
-    pub fn with_step(mut self, step: f32) -> PlanCertifier {
-        self.step = step;
-        self
-    }
-
     /// Certifies a returned plan: re-checks every consecutive edge with
-    /// the independent software cascade. A path with fewer than two
-    /// waypoints has no edges and certifies vacuously clean.
+    /// the independent software cascade, at the planners' [`CSPACE_STEP`].
+    /// A path with fewer than two waypoints has no edges and certifies
+    /// vacuously clean.
     pub fn certify(&mut self, waypoints: &[JointConfig]) -> CertifyOutcome {
         let span = mp_telemetry::span("planner", "certify");
         let before = self.checker.stats().pose_queries;
-        let first_bad_edge = if waypoints.len() < 2 {
-            None
-        } else {
-            check_path(&mut self.checker, waypoints, self.step)
-        };
+        let first_bad_edge = check_path(&mut self.checker, waypoints, CSPACE_STEP);
         let cd_queries = self.checker.stats().pose_queries - before;
         let outcome = CertifyOutcome {
             clean: first_bad_edge.is_none(),
@@ -168,7 +157,7 @@ mod tests {
         let mid = path.len() / 2;
         path[mid].as_mut_slice()[1] += 2.4;
         let mut honest = SoftwareChecker::new(robot(), Octree::build(scene.obstacles(), 4));
-        let broken = check_path(&mut honest, &path, DEFAULT_CSPACE_STEP).is_some();
+        let broken = check_path(&mut honest, &path, CSPACE_STEP).is_some();
         if !broken {
             // The perturbed corridor happens to be free in this scene;
             // the fixture can't exercise a rejection.

@@ -3,10 +3,11 @@
 //! The paper evaluates MPAccel by executing MPNet \[43\], a state-of-the-art
 //! learning-based planner, on the accelerator. This crate provides:
 //!
-//! * [`nn`] — a from-scratch MLP (forward inference and MAC count)
-//!   substituting for the PyTorch networks of the original artifact,
 //! * [`sampler`] — the sampler interface proposing intermediate poses and
-//!   its goal-directed stochastic *oracle* implementation,
+//!   its goal-directed stochastic *oracle* implementation, which stands in
+//!   for MPNet's networks. No network runs on the host: each inference is
+//!   modeled by its MAC count ([`sampler::MPNET_PNET_MACS`]) and priced on
+//!   the DNN accelerator (Fig 1b, Fig 19; `core.pj.nn` in the benchmark),
 //! * [`mpnet`] — the MPNet-style planner (neural planning → feasibility
 //!   checking → replanning → greedy shortcutting) that records a
 //!   [`mpaccel_core::trace::PlannerTrace`] replayable on the hardware
@@ -32,7 +33,6 @@
 
 pub mod certify;
 pub mod mpnet;
-pub mod nn;
 pub mod queries;
 pub mod rrt;
 pub mod sampler;

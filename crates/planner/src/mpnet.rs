@@ -12,7 +12,7 @@
 //! the hardware models — mirroring the trace-driven methodology of the
 //! original artifact.
 
-use mp_collision::CollisionChecker;
+use mp_collision::{CdStats, CollisionChecker, CSPACE_STEP};
 use mp_robot::{JointConfig, Motion, MotionDescriptor};
 use mp_sim::{EnergyLedger, OpCounter};
 use mpaccel_core::sas::FunctionMode;
@@ -29,14 +29,22 @@ pub const CD_QUERY_MODELED_US: f64 = 0.224;
 /// (Fig 11): a small MLP at a few GMAC/s.
 pub const NN_CALL_MODELED_US: f64 = 2.0;
 
+/// Extra detour noise during replanning (radians). MPNet gets this
+/// exploration from inference-time dropout; the noise escalates with
+/// consecutive failed repairs.
+pub const REPLAN_NOISE: f32 = 0.6;
+
+/// Consecutive fully-stalled expansion steps (every sampler proposal
+/// colliding, both ends, despite escalating noise) before the planner
+/// gives up with [`PlanFailure::Stalled`].
+pub const MAX_STALL_STREAK: u32 = 12;
+
 /// Resource budget for one planning attempt (realtime deadline
 /// enforcement). `None` fields are unlimited.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PlanBudget {
     /// Cap on collision-detection pose queries.
     pub max_cd_queries: Option<u64>,
-    /// Cap on neural-sampler inferences.
-    pub max_nn_calls: Option<u64>,
     /// Cap on modeled wall time (µs), combining CD and NN work through
     /// [`CD_QUERY_MODELED_US`] and [`NN_CALL_MODELED_US`].
     pub max_modeled_us: Option<f64>,
@@ -66,9 +74,6 @@ impl PlanBudget {
         if self.max_cd_queries.is_some_and(|cap| cd_queries >= cap) {
             return Some(BudgetResource::CdQueries);
         }
-        if self.max_nn_calls.is_some_and(|cap| nn_calls >= cap) {
-            return Some(BudgetResource::NnCalls);
-        }
         if self
             .max_modeled_us
             .is_some_and(|cap| PlanBudget::modeled_us(cd_queries, nn_calls) >= cap)
@@ -84,8 +89,6 @@ impl PlanBudget {
 pub enum BudgetResource {
     /// [`PlanBudget::max_cd_queries`].
     CdQueries,
-    /// [`PlanBudget::max_nn_calls`].
-    NnCalls,
     /// [`PlanBudget::max_modeled_us`].
     ModeledTime,
 }
@@ -122,31 +125,23 @@ impl core::fmt::Display for PlanFailure {
     }
 }
 
-/// Planner parameters.
+/// Planner parameters. Motions are checked at [`CSPACE_STEP`]; the
+/// replanning noise and the stall limit are [`REPLAN_NOISE`] and
+/// [`MAX_STALL_STREAK`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MpnetConfig {
     /// Maximum bidirectional expansion steps in neural planning.
     pub max_expansion_steps: usize,
     /// Maximum replanning insertions before giving up.
     pub replan_attempts: usize,
-    /// C-space discretization step for motion checking (radians).
-    pub cspace_step: f32,
     /// Whether to run the greedy shortcutting phase.
     pub shortcut: bool,
     /// Hard cap on path waypoints (guards replanning growth).
     pub max_waypoints: usize,
-    /// Extra detour noise during replanning (radians). MPNet gets this
-    /// exploration from inference-time dropout; the noise escalates with
-    /// consecutive failed repairs.
-    pub replan_noise: f32,
     /// Seed for the replanning noise.
     pub seed: u64,
     /// Resource budget (deadline enforcement); unlimited by default.
     pub budget: PlanBudget,
-    /// Consecutive fully-stalled expansion steps (every sampler proposal
-    /// colliding, both ends, despite escalating noise) before the planner
-    /// gives up with [`PlanFailure::Stalled`].
-    pub max_stall_streak: u32,
 }
 
 impl Default for MpnetConfig {
@@ -154,13 +149,10 @@ impl Default for MpnetConfig {
         MpnetConfig {
             max_expansion_steps: 40,
             replan_attempts: 20,
-            cspace_step: 0.04,
             shortcut: true,
             max_waypoints: 64,
-            replan_noise: 0.6,
             seed: 0,
             budget: PlanBudget::unlimited(),
-            max_stall_streak: 12,
         }
     }
 }
@@ -217,6 +209,44 @@ impl PlanOutcome {
     }
 }
 
+/// The open ledger phase of a planning attempt: its scope, the checker's
+/// counters when it opened and the NN MACs it has spent. Each phase opens
+/// where the last one closed, so the scopes partition the attempt's CD
+/// work exactly.
+struct Phase {
+    scope: &'static str,
+    mark: CdStats,
+    macs: u64,
+}
+
+impl Phase {
+    fn open(scope: &'static str, checker: &impl CollisionChecker) -> Phase {
+        Phase {
+            scope,
+            mark: checker.stats(),
+            macs: 0,
+        }
+    }
+
+    /// Bills the phase's CD work (the checker's counter delta) and MACs.
+    fn bill(&self, checker: &impl CollisionChecker, ledger: &mut EnergyLedger) {
+        let mut ops = checker.stats().delta_since(&self.mark).to_ops();
+        ops.mlp_macs = self.macs;
+        ledger.bill(self.scope, ops);
+    }
+
+    /// Bills the phase and opens the next one.
+    fn advance(
+        &mut self,
+        scope: &'static str,
+        checker: &impl CollisionChecker,
+        ledger: &mut EnergyLedger,
+    ) {
+        self.bill(checker, ledger);
+        *self = Phase::open(scope, checker);
+    }
+}
+
 /// Plans a path from `start` to `goal`.
 ///
 /// # Panics
@@ -247,15 +277,15 @@ pub fn plan(
     goal: &JointConfig,
     cfg: &MpnetConfig,
 ) -> PlanOutcome {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
     let mut trace = PlannerTrace::new();
     let mut stats = PlanStats::default();
-    let step = cfg.cspace_step;
     let cd_before = checker.stats().pose_queries;
 
     // Per-phase energy ledger: CD work is billed by differencing the
-    // checker's counters at phase boundaries (the marks are contiguous, so
-    // the scopes partition the attempt's CD work exactly); NN MACs and the
-    // upload bytes are billed to the phase that spent them.
+    // checker's counters at phase boundaries; NN MACs and the upload
+    // bytes are billed to the phase that spent them.
     let mut ledger = EnergyLedger::new();
 
     // Environment + query upload (Fig 11, step 1).
@@ -271,246 +301,195 @@ pub fn plan(
         },
     );
 
-    // Endpoint validity.
-    let mark = checker.stats();
-    if checker.check_pose(start) {
-        stats.cd_queries = checker.stats().pose_queries - cd_before;
-        ledger.bill("endpoints", checker.stats().delta_since(&mark).to_ops());
-        return PlanOutcome {
-            path: None,
-            trace,
-            stats,
-            failure: Some(PlanFailure::InvalidStart),
-            ledger,
-        };
-    }
-    if checker.check_pose(goal) {
-        stats.cd_queries = checker.stats().pose_queries - cd_before;
-        ledger.bill("endpoints", checker.stats().delta_since(&mark).to_ops());
-        return PlanOutcome {
-            path: None,
-            trace,
-            stats,
-            failure: Some(PlanFailure::InvalidGoal),
-            ledger,
-        };
-    }
-    ledger.bill("endpoints", checker.stats().delta_since(&mark).to_ops());
-
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED);
-    let robot = checker.robot().clone();
-
-    // --- Phase 1: bidirectional neural planning. ---
-    let phase1 = mp_telemetry::span("planner", "phase1_neural");
-    let mark = checker.stats();
-    let mut phase_macs = 0u64;
-    let mut path_a = vec![start.clone()];
-    let mut path_b = vec![goal.clone()];
-    let mut connected = false;
-    let mut stall_streak = 0u32;
-    let mut phase1_failure = None;
-    for _ in 0..cfg.max_expansion_steps {
-        if let Some(r) = cfg
-            .budget
-            .exceeded(checker.stats().pose_queries - cd_before, stats.nn_calls)
-        {
-            phase1_failure = Some(PlanFailure::BudgetExhausted(r));
-            break;
+    // Every failure breaks out of this block with the phase it failed in
+    // still open; the one exit below bills it and builds the outcome.
+    let mut phase = Phase::open("endpoints", checker);
+    let result: Result<Vec<JointConfig>, PlanFailure> = 'attempt: {
+        // Endpoint validity.
+        if checker.check_pose(start) {
+            break 'attempt Err(PlanFailure::InvalidStart);
         }
-        // Invariant: both paths are seeded with one endpoint above and
-        // only ever grow, so `last()` always exists.
-        let end_a = path_a.last().expect("path_a seeded with start").clone();
-        let end_b = path_b.last().expect("path_b seeded with goal").clone();
-        // Direct connection attempt (one-motion feasibility batch).
-        let m = Motion::new(end_a.clone(), end_b.clone());
-        if run_feasibility_batch(checker, &mut trace, &[m], step).is_none() {
-            connected = true;
-            break;
+        if checker.check_pose(goal) {
+            break 'attempt Err(PlanFailure::InvalidGoal);
         }
-        // Propose the next pose from the active end, rejecting proposals
-        // that land inside obstacles (a colliding waypoint can never be
-        // repaired by replanning around it). After a fully-stalled step,
-        // widen the proposals with escalating exploration noise.
-        let mut next = None;
-        for _ in 0..5 {
-            trace.push(TraceEvent::NnInference {
-                macs: sampler.macs(),
-            });
-            stats.nn_calls += 1;
-            phase_macs += sampler.macs();
-            let proposal = sampler.next_pose(&end_a, &end_b);
-            let candidate = if stall_streak > 0 {
-                let amp = cfg.replan_noise * stall_streak as f32;
-                robot.clamp_config(&JointConfig::new(
-                    proposal
-                        .as_slice()
-                        .iter()
-                        .map(|&v| v + rng.gen_range(-amp..=amp))
-                        .collect(),
-                ))
-            } else {
-                proposal
-            };
-            if !checker.check_pose(&candidate) {
-                next = Some(candidate);
+
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED);
+        let robot = checker.robot().clone();
+
+        // --- Phase 1: bidirectional neural planning. ---
+        let phase1 = mp_telemetry::span("planner", "phase1_neural");
+        phase.advance("phase1_neural", checker, &mut ledger);
+        let mut path_a = vec![start.clone()];
+        let mut path_b = vec![goal.clone()];
+        let mut connected = false;
+        let mut stall_streak = 0u32;
+        let mut phase1_failure = None;
+        for _ in 0..cfg.max_expansion_steps {
+            if let Some(r) = cfg
+                .budget
+                .exceeded(checker.stats().pose_queries - cd_before, stats.nn_calls)
+            {
+                phase1_failure = Some(PlanFailure::BudgetExhausted(r));
                 break;
             }
-        }
-        trace.push(TraceEvent::Controller { instructions: 300 });
-        if let Some(next) = next {
-            path_a.push(next);
-            stall_streak = 0;
-        } else {
-            stall_streak += 1;
-            if stall_streak >= cfg.max_stall_streak.max(1) {
-                phase1_failure = Some(PlanFailure::Stalled);
+            // Invariant: both paths are seeded with one endpoint above and
+            // only ever grow, so `last()` always exists.
+            let end_a = path_a.last().expect("path_a seeded with start").clone();
+            let end_b = path_b.last().expect("path_b seeded with goal").clone();
+            // Direct connection attempt (one-motion feasibility batch).
+            let m = Motion::new(end_a.clone(), end_b.clone());
+            if run_feasibility_batch(checker, &mut trace, &[m]).is_none() {
+                connected = true;
                 break;
             }
-        }
-        std::mem::swap(&mut path_a, &mut path_b);
-    }
-    drop(phase1);
-    let mut phase1_ops = checker.stats().delta_since(&mark).to_ops();
-    phase1_ops.mlp_macs = phase_macs;
-    ledger.bill("phase1_neural", phase1_ops);
-    if !connected {
-        stats.cd_queries = checker.stats().pose_queries - cd_before;
-        return PlanOutcome {
-            path: None,
-            trace,
-            stats,
-            failure: Some(phase1_failure.unwrap_or(PlanFailure::NotConnected)),
-            ledger,
-        };
-    }
-    path_b.reverse();
-    let mut path: Vec<JointConfig> = path_a;
-    path.extend(path_b);
-    // Re-orient: the swapping may have left `start` at the back.
-    if path.first() != Some(start) {
-        path.reverse();
-    }
-    dedup(&mut path);
-    stats.coarse_waypoints = path.len();
-
-    // --- Phase 2: feasibility checking + neural replanning. ---
-    // The guard also closes on the early returns inside the loop.
-    let phase2 = mp_telemetry::span("planner", "phase2_replan");
-    let mark = checker.stats();
-    let mut phase_macs = 0u64;
-    let mut attempts = cfg.replan_attempts;
-    let mut consecutive_failures = 0u32;
-    let mut last_bad = usize::MAX;
-    loop {
-        if let Some(r) = cfg
-            .budget
-            .exceeded(checker.stats().pose_queries - cd_before, stats.nn_calls)
-        {
-            stats.cd_queries = checker.stats().pose_queries - cd_before;
-            let mut phase2_ops = checker.stats().delta_since(&mark).to_ops();
-            phase2_ops.mlp_macs = phase_macs;
-            ledger.bill("phase2_replan", phase2_ops);
-            return PlanOutcome {
-                path: None,
-                trace,
-                stats,
-                failure: Some(PlanFailure::BudgetExhausted(r)),
-                ledger,
-            };
-        }
-        let motions: Vec<Motion> = path
-            .windows(2)
-            .map(|w| Motion::new(w[0].clone(), w[1].clone()))
-            .collect();
-        match run_feasibility_batch(checker, &mut trace, &motions, step) {
-            None => break, // whole path feasible
-            Some(bad) => {
-                if attempts == 0 || path.len() >= cfg.max_waypoints {
-                    stats.cd_queries = checker.stats().pose_queries - cd_before;
-                    let mut phase2_ops = checker.stats().delta_since(&mark).to_ops();
-                    phase2_ops.mlp_macs = phase_macs;
-                    ledger.bill("phase2_replan", phase2_ops);
-                    return PlanOutcome {
-                        path: None,
-                        trace,
-                        stats,
-                        failure: Some(PlanFailure::ReplanExhausted),
-                        ledger,
-                    };
-                }
-                attempts -= 1;
-                stats.replans += 1;
-                // Neural replanning: propose a detour waypoint between the
-                // endpoints of the infeasible segment. The exploration
-                // noise escalates while repairs keep failing on the same
-                // segment (MPNet's stochastic re-sampling role).
-                consecutive_failures = if bad == last_bad {
-                    consecutive_failures + 1
-                } else {
-                    0
-                };
-                last_bad = bad;
+            // Propose the next pose from the active end, rejecting proposals
+            // that land inside obstacles (a colliding waypoint can never be
+            // repaired by replanning around it). After a fully-stalled step,
+            // widen the proposals with escalating exploration noise.
+            let mut next = None;
+            for _ in 0..5 {
                 trace.push(TraceEvent::NnInference {
                     macs: sampler.macs(),
                 });
                 stats.nn_calls += 1;
-                phase_macs += sampler.macs();
-                let amp = cfg.replan_noise * (1.0 + consecutive_failures as f32 * 0.5);
-                let mut detour = None;
-                for _ in 0..5 {
-                    let proposal = sampler.next_pose(&path[bad], &path[bad + 1]);
-                    let candidate = robot.clamp_config(&JointConfig::new(
+                phase.macs += sampler.macs();
+                let proposal = sampler.next_pose(&end_a, &end_b);
+                let candidate = if stall_streak > 0 {
+                    let amp = REPLAN_NOISE * stall_streak as f32;
+                    robot.clamp_config(&JointConfig::new(
                         proposal
                             .as_slice()
                             .iter()
                             .map(|&v| v + rng.gen_range(-amp..=amp))
                             .collect(),
-                    ));
-                    if !checker.check_pose(&candidate) {
-                        detour = Some(candidate);
-                        break;
-                    }
-                }
-                let Some(detour) = detour else { continue };
-                trace.push(TraceEvent::Controller { instructions: 500 });
-                // A repair replaces a previously inserted detour for this
-                // segment rather than growing the path unboundedly.
-                if consecutive_failures > 0 && bad + 1 < path.len() - 1 {
-                    path[bad + 1] = detour;
+                    ))
                 } else {
-                    path.insert(bad + 1, detour);
+                    proposal
+                };
+                if !checker.check_pose(&candidate) {
+                    next = Some(candidate);
+                    break;
                 }
-                dedup(&mut path);
             }
+            trace.push(TraceEvent::Controller { instructions: 300 });
+            if let Some(next) = next {
+                path_a.push(next);
+                stall_streak = 0;
+            } else {
+                stall_streak += 1;
+                if stall_streak >= MAX_STALL_STREAK {
+                    phase1_failure = Some(PlanFailure::Stalled);
+                    break;
+                }
+            }
+            std::mem::swap(&mut path_a, &mut path_b);
         }
-    }
+        drop(phase1);
+        if !connected {
+            break 'attempt Err(phase1_failure.unwrap_or(PlanFailure::NotConnected));
+        }
+        path_b.reverse();
+        let mut path: Vec<JointConfig> = path_a;
+        path.extend(path_b);
+        // Re-orient: the swapping may have left `start` at the back.
+        if path.first() != Some(start) {
+            path.reverse();
+        }
+        dedup(&mut path);
+        stats.coarse_waypoints = path.len();
 
-    drop(phase2);
-    let mut phase2_ops = checker.stats().delta_since(&mark).to_ops();
-    phase2_ops.mlp_macs = phase_macs;
-    ledger.bill("phase2_replan", phase2_ops);
+        // --- Phase 2: feasibility checking + neural replanning. ---
+        let phase2 = mp_telemetry::span("planner", "phase2_replan");
+        phase.advance("phase2_replan", checker, &mut ledger);
+        let mut attempts = cfg.replan_attempts;
+        let mut consecutive_failures = 0u32;
+        let mut last_bad = usize::MAX;
+        loop {
+            if let Some(r) = cfg
+                .budget
+                .exceeded(checker.stats().pose_queries - cd_before, stats.nn_calls)
+            {
+                break 'attempt Err(PlanFailure::BudgetExhausted(r));
+            }
+            let motions: Vec<Motion> = path
+                .windows(2)
+                .map(|w| Motion::new(w[0].clone(), w[1].clone()))
+                .collect();
+            let Some(bad) = run_feasibility_batch(checker, &mut trace, &motions) else {
+                break; // whole path feasible
+            };
+            if attempts == 0 || path.len() >= cfg.max_waypoints {
+                break 'attempt Err(PlanFailure::ReplanExhausted);
+            }
+            attempts -= 1;
+            stats.replans += 1;
+            // Neural replanning: propose a detour waypoint between the
+            // endpoints of the infeasible segment. The exploration noise
+            // escalates while repairs keep failing on the same segment
+            // (MPNet's stochastic re-sampling role).
+            consecutive_failures = if bad == last_bad {
+                consecutive_failures + 1
+            } else {
+                0
+            };
+            last_bad = bad;
+            trace.push(TraceEvent::NnInference {
+                macs: sampler.macs(),
+            });
+            stats.nn_calls += 1;
+            phase.macs += sampler.macs();
+            let amp = REPLAN_NOISE * (1.0 + consecutive_failures as f32 * 0.5);
+            let mut detour = None;
+            for _ in 0..5 {
+                let proposal = sampler.next_pose(&path[bad], &path[bad + 1]);
+                let candidate = robot.clamp_config(&JointConfig::new(
+                    proposal
+                        .as_slice()
+                        .iter()
+                        .map(|&v| v + rng.gen_range(-amp..=amp))
+                        .collect(),
+                ));
+                if !checker.check_pose(&candidate) {
+                    detour = Some(candidate);
+                    break;
+                }
+            }
+            let Some(detour) = detour else { continue };
+            trace.push(TraceEvent::Controller { instructions: 500 });
+            // A repair replaces a previously inserted detour for this
+            // segment rather than growing the path unboundedly.
+            if consecutive_failures > 0 && bad + 1 < path.len() - 1 {
+                path[bad + 1] = detour;
+            } else {
+                path.insert(bad + 1, detour);
+            }
+            dedup(&mut path);
+        }
+        drop(phase2);
 
-    // --- Phase 3: path optimization (greedy shortcutting, §2.1). ---
-    if cfg.shortcut {
-        let _phase3 = mp_telemetry::span("planner", "phase3_shortcut");
-        let mark = checker.stats();
-        let before = path.len();
-        greedy_shortcut(checker, &mut trace, &mut path, step);
-        stats.shortcut_removed = before - path.len();
-        ledger.bill(
-            "phase3_shortcut",
-            checker.stats().delta_since(&mark).to_ops(),
-        );
-    }
+        // --- Phase 3: path optimization (greedy shortcutting, §2.1). ---
+        if cfg.shortcut {
+            let _phase3 = mp_telemetry::span("planner", "phase3_shortcut");
+            phase.advance("phase3_shortcut", checker, &mut ledger);
+            let before = path.len();
+            greedy_shortcut(checker, &mut trace, &mut path);
+            stats.shortcut_removed = before - path.len();
+        }
+        Ok(path)
+    };
 
-    trace.solved = true;
+    phase.bill(checker, &mut ledger);
     stats.cd_queries = checker.stats().pose_queries - cd_before;
+    trace.solved = result.is_ok();
+    let (path, failure) = match result {
+        Ok(path) => (Some(path), None),
+        Err(failure) => (None, Some(failure)),
+    };
     PlanOutcome {
-        path: Some(path),
+        path,
         trace,
         stats,
-        failure: None,
+        failure,
         ledger,
     }
 }
@@ -522,15 +501,15 @@ fn run_feasibility_batch(
     checker: &mut impl CollisionChecker,
     trace: &mut PlannerTrace,
     motions: &[Motion],
-    step: f32,
 ) -> Option<usize> {
-    let descriptors: Vec<MotionDescriptor> = motions.iter().map(|m| m.descriptor(step)).collect();
+    let descriptors: Vec<MotionDescriptor> =
+        motions.iter().map(|m| m.descriptor(CSPACE_STEP)).collect();
     trace.push(TraceEvent::CdBatch {
         motions: descriptors,
         mode: FunctionMode::Feasibility,
     });
     for (i, m) in motions.iter().enumerate() {
-        if mp_collision::check_motion(checker, m, step).colliding {
+        if mp_collision::check_motion(checker, m, CSPACE_STEP).colliding {
             return Some(i);
         }
     }
@@ -544,7 +523,6 @@ fn greedy_shortcut(
     checker: &mut impl CollisionChecker,
     trace: &mut PlannerTrace,
     path: &mut Vec<JointConfig>,
-    step: f32,
 ) {
     let mut i = 0;
     while i + 2 < path.len() {
@@ -552,7 +530,7 @@ fn greedy_shortcut(
         let candidates: Vec<usize> = ((i + 2)..path.len()).rev().collect();
         let motions: Vec<MotionDescriptor> = candidates
             .iter()
-            .map(|&j| Motion::new(path[i].clone(), path[j].clone()).descriptor(step))
+            .map(|&j| Motion::new(path[i].clone(), path[j].clone()).descriptor(CSPACE_STEP))
             .collect();
         trace.push(TraceEvent::CdBatch {
             motions,
@@ -561,7 +539,7 @@ fn greedy_shortcut(
         let mut found = None;
         for &j in &candidates {
             let m = Motion::new(path[i].clone(), path[j].clone());
-            if !mp_collision::check_motion(checker, &m, step).colliding {
+            if !mp_collision::check_motion(checker, &m, CSPACE_STEP).colliding {
                 found = Some(j);
                 break;
             }
@@ -667,7 +645,7 @@ mod tests {
                     // Independent verification with a fresh checker.
                     let mut verifier = SoftwareChecker::new(robot.clone(), scene.octree());
                     assert_eq!(
-                        check_path(&mut verifier, path, 0.04),
+                        check_path(&mut verifier, path, CSPACE_STEP),
                         None,
                         "planner returned an infeasible path on seed {seed} query {qi}"
                     );
@@ -696,7 +674,7 @@ mod tests {
             mp_collision::check_motion(
                 &mut checker,
                 &Motion::new(start.clone(), goal.clone()),
-                0.04
+                CSPACE_STEP
             )
             .colliding
         );
@@ -719,7 +697,7 @@ mod tests {
             if let Some(path) = &out.path {
                 assert!(path.len() >= 3, "a detour needs intermediate waypoints");
                 let mut verifier = SoftwareChecker::new(robot.clone(), checker.octree().clone());
-                assert_eq!(check_path(&mut verifier, path, 0.04), None);
+                assert_eq!(check_path(&mut verifier, path, CSPACE_STEP), None);
                 solved_any = true;
                 break;
             }
@@ -780,44 +758,60 @@ mod tests {
         }
     }
 
+    /// A world in which every pose but the two endpoints collides, so no
+    /// amount of exploration noise can escape a stall.
+    struct EndpointsOnly {
+        robot: RobotModel,
+        free: [JointConfig; 2],
+        stats: CdStats,
+    }
+
+    impl CollisionChecker for EndpointsOnly {
+        fn robot(&self) -> &RobotModel {
+            &self.robot
+        }
+        fn check_pose(&mut self, cfg: &JointConfig) -> bool {
+            self.stats.pose_queries += 1;
+            !self.free.contains(cfg)
+        }
+        fn stats(&self) -> CdStats {
+            self.stats
+        }
+        fn reset_stats(&mut self) {
+            self.stats = CdStats::default();
+        }
+    }
+
     #[test]
     fn collapsed_sampler_reports_stall_instead_of_burning_steps() {
         let robot = RobotModel::planar_2dof();
-        // Obstacle covering the collapsed proposal's end effector.
-        let bad = JointConfig::new(vec![0.9, 0.1]);
-        let ee = mp_robot::fk::end_effector(&robot, &bad);
-        // A wall also blocks the straight start->goal sweep, so phase 1
-        // cannot connect directly.
-        let block = Aabb::new(Vec3::new(0.55, 0.35, 0.0), Vec3::new(0.08, 0.08, 0.3));
-        let tree = Octree::build(&[Aabb::new(ee, Vec3::splat(0.12)), block], 5);
-        let mut checker = SoftwareChecker::new(robot.clone(), tree);
+        let start = JointConfig::zeros(2);
+        let goal = JointConfig::new(vec![1.5, 0.0]);
         // A CD budget with room to spare does not mask the stall.
         let roomy = PlanBudget {
             max_cd_queries: Some(50_000),
             ..PlanBudget::default()
         };
         for budget in [PlanBudget::default(), roomy] {
-            let mut sampler = CollapsedSampler { pose: bad.clone() };
+            let mut checker = EndpointsOnly {
+                robot: robot.clone(),
+                free: [start.clone(), goal.clone()],
+                stats: CdStats::default(),
+            };
+            let mut sampler = CollapsedSampler {
+                pose: JointConfig::new(vec![0.9, 0.1]),
+            };
             let cfg = MpnetConfig {
                 max_expansion_steps: 1000,
-                // Noise escalation cannot save a sampler stuck inside a
-                // wide obstacle every single time if noise is tiny.
-                replan_noise: 0.01,
                 budget,
                 ..MpnetConfig::default()
             };
-            let out = plan(
-                &mut checker,
-                &mut sampler,
-                &JointConfig::zeros(2),
-                &JointConfig::new(vec![1.5, 0.0]),
-                &cfg,
-            );
+            let out = plan(&mut checker, &mut sampler, &start, &goal, &cfg);
             assert!(!out.solved());
             assert_eq!(out.failure, Some(PlanFailure::Stalled));
-            // Bailed after max_stall_streak steps (x5 proposals), not 1000.
+            // Bailed after MAX_STALL_STREAK steps (x5 proposals), not 1000.
             assert!(
-                out.stats.nn_calls <= 5 * u64::from(cfg.max_stall_streak),
+                out.stats.nn_calls <= 5 * u64::from(MAX_STALL_STREAK),
                 "burned {} NN calls before stalling out",
                 out.stats.nn_calls
             );
@@ -826,19 +820,18 @@ mod tests {
 
     #[test]
     fn stall_escalation_noise_can_rescue_a_streak() {
-        // Same collapsed sampler, but with real escalation noise the
-        // perturbed proposals eventually escape the obstacle.
+        // Same collapsed sampler, but in a world where the obstacle is
+        // small: the escalating stall noise lets phase 1 escape it, and
+        // the replanning noise finds a detour around it in phase 2.
         let robot = RobotModel::planar_2dof();
         let bad = JointConfig::new(vec![0.9, 0.1]);
         let ee = mp_robot::fk::end_effector(&robot, &bad);
-        let tree = Octree::build(&[Aabb::new(ee, Vec3::splat(0.03))], 5);
+        let tree = Octree::build(&[Aabb::new(ee, Vec3::splat(0.02))], 5);
         let mut checker = SoftwareChecker::new(robot.clone(), tree);
         let mut solved = false;
         for seed in 0..8 {
             let mut sampler = CollapsedSampler { pose: bad.clone() };
             let cfg = MpnetConfig {
-                replan_noise: 0.8,
-                max_stall_streak: 8,
                 seed,
                 ..MpnetConfig::default()
             };
@@ -885,27 +878,7 @@ mod tests {
             // which these obstacle scenes make effectively impossible.
             panic!("expected budget exhaustion, got {:?}", out.failure);
         }
-        // The nn-call and deadline budgets trip too.
-        let nn_cfg = MpnetConfig {
-            budget: PlanBudget {
-                max_nn_calls: Some(0),
-                ..PlanBudget::default()
-            },
-            ..MpnetConfig::default()
-        };
-        let out = plan(
-            &mut checker,
-            &mut sampler,
-            &robot.home(),
-            &far_goal(&robot),
-            &nn_cfg,
-        );
-        assert!(matches!(
-            out.failure,
-            Some(PlanFailure::BudgetExhausted(BudgetResource::NnCalls))
-                | Some(PlanFailure::BudgetExhausted(BudgetResource::CdQueries))
-                | None
-        ));
+        // The deadline budget trips too.
         let deadline = MpnetConfig {
             budget: PlanBudget::deadline_us(1.0),
             ..MpnetConfig::default()

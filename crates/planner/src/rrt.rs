@@ -6,22 +6,21 @@
 //! sampling-based motion planning algorithms"). They serve as workload
 //! baselines: far more collision-detection queries per solved query.
 
-use mp_collision::{check_motion, CollisionChecker};
+use mp_collision::{check_motion, CollisionChecker, CSPACE_STEP};
 use mp_robot::{JointConfig, Motion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// RRT parameters.
+/// Probability of sampling the goal directly (goal bias) in plain [`rrt`].
+pub const GOAL_BIAS: f32 = 0.1;
+
+/// RRT parameters. Edges are checked at [`CSPACE_STEP`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RrtConfig {
     /// Maximum tree nodes before giving up.
     pub max_nodes: usize,
     /// Steering step (C-space L2 radians).
     pub steer_step: f32,
-    /// Probability of sampling the goal directly (goal bias).
-    pub goal_bias: f32,
-    /// C-space discretization for edge checking.
-    pub cspace_step: f32,
     /// Collision-detection query budget for this run (`None` = only the
     /// node cap applies). Lets a degraded planner hand RRT whatever
     /// budget remains after a failed MPNet attempt.
@@ -33,8 +32,6 @@ impl Default for RrtConfig {
         RrtConfig {
             max_nodes: 2000,
             steer_step: 0.5,
-            goal_bias: 0.1,
-            cspace_step: 0.04,
             max_cd_queries: None,
         }
     }
@@ -221,7 +218,7 @@ pub fn rrt(
     }
     let mut tree = Tree::new(start.clone());
     while tree.len() < cfg.max_nodes && !out_of_budget(checker, cd_before, cfg) {
-        let target = if rng.gen::<f32>() < cfg.goal_bias {
+        let target = if rng.gen::<f32>() < GOAL_BIAS {
             goal.clone()
         } else {
             robot.sample_config(&mut rng)
@@ -229,14 +226,14 @@ pub fn rrt(
         let near = tree.nearest(&target);
         let new = steer(tree.node(near), &target, cfg.steer_step);
         let edge = Motion::new(tree.node(near).clone(), new.clone());
-        if check_motion(checker, &edge, cfg.cspace_step).colliding {
+        if check_motion(checker, &edge, CSPACE_STEP).colliding {
             continue;
         }
         tree.push(new.clone(), near);
         // Goal connection attempt.
         let to_goal = Motion::new(new.clone(), goal.clone());
         if new.distance(goal) <= cfg.steer_step
-            && !check_motion(checker, &to_goal, cfg.cspace_step).colliding
+            && !check_motion(checker, &to_goal, CSPACE_STEP).colliding
         {
             let mut path = tree.path_to_root(tree.len() - 1);
             path.push(goal.clone());
@@ -291,7 +288,7 @@ pub fn rrt_connect(
         let near_a = ta.nearest(&target);
         let new_a = steer(ta.node(near_a), &target, cfg.steer_step);
         let edge = Motion::new(ta.node(near_a).clone(), new_a.clone());
-        if !check_motion(checker, &edge, cfg.cspace_step).colliding {
+        if !check_motion(checker, &edge, CSPACE_STEP).colliding {
             ta.push(new_a.clone(), near_a);
             // Greedily connect tree B toward the new node.
             loop {
@@ -301,7 +298,7 @@ pub fn rrt_connect(
                 let near_b = tb.nearest(&new_a);
                 let step_b = steer(tb.node(near_b), &new_a, cfg.steer_step);
                 let edge_b = Motion::new(tb.node(near_b).clone(), step_b.clone());
-                if check_motion(checker, &edge_b, cfg.cspace_step).colliding {
+                if check_motion(checker, &edge_b, CSPACE_STEP).colliding {
                     break;
                 }
                 tb.push(step_b.clone(), near_b);
@@ -412,7 +409,7 @@ mod tests {
                 if let Some(path) = &out.path {
                     solved += 1;
                     let mut verifier = SoftwareChecker::new(robot.clone(), scene.octree());
-                    assert_eq!(check_path(&mut verifier, path, 0.04), None);
+                    assert_eq!(check_path(&mut verifier, path, CSPACE_STEP), None);
                 }
             }
         }

@@ -105,12 +105,10 @@ impl QualityTier {
             QualityTier::Reduced => PlanBudget::deadline_us(700.0),
             QualityTier::Fallback => PlanBudget {
                 max_cd_queries: Some(1_500),
-                max_nn_calls: None,
                 max_modeled_us: Some(340.0),
             },
             QualityTier::Coarse => PlanBudget {
                 max_cd_queries: Some(700),
-                max_nn_calls: None,
                 max_modeled_us: Some(160.0),
             },
         }
@@ -132,7 +130,6 @@ impl QualityTier {
                 max_waypoints: 48,
                 seed,
                 budget: self.budget(),
-                ..MpnetConfig::default()
             }),
             _ => None,
         }
@@ -145,7 +142,6 @@ impl QualityTier {
                 max_nodes: 600,
                 steer_step: 0.8,
                 max_cd_queries: self.budget().max_cd_queries,
-                ..RrtConfig::default()
             },
             _ => RrtConfig {
                 max_nodes: 1_200,

@@ -14,7 +14,7 @@
 //! ```
 
 use mpaccel::accel::mpaccel::{MpAccelSystem, SystemConfig};
-use mpaccel::collision::{check_motion, SoftwareChecker};
+use mpaccel::collision::{check_motion, SoftwareChecker, CSPACE_STEP};
 use mpaccel::geometry::{Aabb, Vec3};
 use mpaccel::octree::{Octree, Scene, SceneConfig};
 use mpaccel::planner::mpnet::{plan, MpnetConfig};
@@ -26,7 +26,7 @@ use mpaccel::robot::{JointConfig, Motion, RobotModel};
 fn plan_still_valid(checker: &mut SoftwareChecker, path: &[JointConfig]) -> bool {
     path.windows(2).all(|w| {
         let edge = Motion::new(w[0].clone(), w[1].clone());
-        !check_motion(checker, &edge, 0.04).colliding
+        !check_motion(checker, &edge, CSPACE_STEP).colliding
     })
 }
 

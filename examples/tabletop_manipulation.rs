@@ -7,7 +7,7 @@
 //! ```
 
 use mpaccel::accel::mpaccel::{MpAccelSystem, SystemConfig};
-use mpaccel::collision::{check_motion, SoftwareChecker};
+use mpaccel::collision::{check_motion, SoftwareChecker, CSPACE_STEP};
 use mpaccel::geometry::{Aabb, Vec3};
 use mpaccel::octree::Scene;
 use mpaccel::planner::mpnet::{plan, MpnetConfig};
@@ -110,7 +110,7 @@ fn main() {
     if trajectory.len() > 1 {
         let clear = trajectory.windows(2).all(|w| {
             let edge = Motion::new(w[0].clone(), w[1].clone());
-            !check_motion(&mut checker, &edge, 0.04).colliding
+            !check_motion(&mut checker, &edge, CSPACE_STEP).colliding
         });
         println!(
             "final certification over {} waypoints: {}",

@@ -2,7 +2,7 @@
 //! MPAccel replay, across crate boundaries.
 
 use mpaccel::accel::mpaccel::{MpAccelSystem, SystemConfig};
-use mpaccel::collision::{check_path, SoftwareChecker};
+use mpaccel::collision::{check_path, SoftwareChecker, CSPACE_STEP};
 use mpaccel::octree::{Scene, SceneConfig};
 use mpaccel::planner::mpnet::{plan, MpnetConfig};
 use mpaccel::planner::queries::generate_queries;
@@ -44,7 +44,7 @@ fn full_pipeline_produces_feasible_realtime_plans() {
         // The path is feasible per an independent checker.
         let mut verifier = SoftwareChecker::new(robot.clone(), scene.octree());
         assert_eq!(
-            check_path(&mut verifier, out.path.as_ref().unwrap(), 0.04),
+            check_path(&mut verifier, out.path.as_ref().unwrap(), CSPACE_STEP),
             None
         );
         // Replaying the trace on the accelerator meets the 1 ms budget.

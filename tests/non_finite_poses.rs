@@ -1,4 +1,5 @@
-//! A pose with a non-finite joint must never look collision-free.
+//! A pose with a non-finite joint must never look collision-free, and a
+//! path too short to have an edge has no infeasible one.
 //!
 //! NaN or ±inf in any joint turns every downstream link OBB centre into
 //! NaN, and a NaN distance fails every `d2 <= r2` sphere comparison, so an
@@ -8,7 +9,7 @@
 //! colliding.
 
 use mpaccel::accel::cecdu::{CecduChecker, CecduSim};
-use mpaccel::collision::{CollisionChecker, SoftwareChecker};
+use mpaccel::collision::{check_path, CollisionChecker, SoftwareChecker, CSPACE_STEP};
 use mpaccel::geometry::{Aabb, Vec3};
 use mpaccel::octree::Octree;
 use mpaccel::robot::fk::end_effector;
@@ -54,4 +55,18 @@ fn non_finite_joints_are_reported_as_colliding() {
         assert!(faulty.result.colliding, "faulty CECDU, joint {value}");
         assert_eq!(faulty.faults_injected, 0);
     }
+}
+
+#[test]
+fn paths_without_an_edge_have_no_infeasible_edge() {
+    let (robot, octree, home) = fixture();
+    let mut software = SoftwareChecker::new(robot.clone(), octree.clone());
+    let mut cecdu = CecduChecker::new(CecduSim::new(robot, octree, CecduConfig::default()));
+    // The lone waypoint collides, yet there is no edge to be infeasible.
+    for path in [&[][..], std::slice::from_ref(&home)] {
+        assert_eq!(check_path(&mut software, path, CSPACE_STEP), None);
+        assert_eq!(check_path(&mut cecdu, path, CSPACE_STEP), None);
+    }
+    assert_eq!(software.stats().pose_queries, 0);
+    assert_eq!(cecdu.stats().pose_queries, 0);
 }
