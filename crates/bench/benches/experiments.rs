@@ -62,14 +62,14 @@ fn bench_table2(c: &mut Criterion) {
 
 /// Microbenchmarks of the hot simulation kernels.
 fn bench_kernels(c: &mut Criterion) {
-    use mp_geometry::cascade::{cascaded_obb_aabb, CascadeConfig};
     use mp_geometry::sat::sat_first_separating;
+    use mp_geometry::soa::HoistedCascade;
     use mp_geometry::{Aabb, Mat3, Obb, Vec3};
     use mp_octree::{Scene, SceneConfig};
     use mp_robot::{fk, RobotModel, TrigMode};
     use mp_sim::{CecduConfig, IuKind};
     use mpaccel_core::cecdu::CecduSim;
-    use mpaccel_core::oocd::{run_oocd, OocdConfig};
+    use mpaccel_core::oocd::run_oocd;
 
     let obb_f32 = Obb::new(
         Vec3::new(0.3, 0.1, -0.2),
@@ -80,11 +80,9 @@ fn bench_kernels(c: &mut Criterion) {
     let aabb_f32 = Aabb::new(Vec3::new(0.25, 0.0, 0.0), Vec3::splat(0.25));
     let aabb = aabb_f32.quantize();
     let sphere = obb_f32.bounding_sphere();
-    let cfg = CascadeConfig::proposed();
     let tree = Scene::random(SceneConfig::paper(), 0).octree();
     let robot = RobotModel::jaco2();
     let home = robot.home();
-    let oocd_cfg = OocdConfig::new(IuKind::MultiCycle);
     // The paper's CECDU (4 multi-cycle OOCDs) and a pose off home.
     let cecdu = CecduSim::new(robot.clone(), tree.clone(), CecduConfig::default());
     let mut pose = robot.home();
@@ -101,10 +99,21 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| black_box(sat_first_separating(black_box(&obb), black_box(&aabb))))
     });
     g.bench_function("cascaded_intersection", |b| {
-        b.iter(|| black_box(cascaded_obb_aabb(black_box(&obb), black_box(&aabb), &cfg)))
+        // One Q3.12 pair on the production kernel, hoisting included.
+        b.iter(|| {
+            let (c, h) = (aabb.center, aabb.half);
+            let mut cascade = HoistedCascade::new(black_box(&obb));
+            black_box(cascade.outcome(c.x, c.y, c.z, h.x, h.y, h.z))
+        })
     });
     g.bench_function("oocd_query", |b| {
-        b.iter(|| black_box(run_oocd(black_box(&tree), black_box(&obb), &oocd_cfg)))
+        b.iter(|| {
+            black_box(run_oocd(
+                black_box(&tree),
+                black_box(&obb),
+                IuKind::MultiCycle,
+            ))
+        })
     });
     g.bench_function("cecdu_check_pose", |b| {
         // The CECDU model's host cost per pose: FK, then every link's OOCD
@@ -114,8 +123,10 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("octree_query", |b| {
         // The software checker's traversal: SAT test at every candidate leaf.
         b.iter(|| {
+            let mut cascade = HoistedCascade::new(black_box(&obb_f32));
             black_box(tree.collides_with_stats(&mut |leaf| {
-                cascaded_obb_aabb(black_box(&obb_f32), leaf, &cfg).colliding
+                let (c, h) = (leaf.center, leaf.half);
+                cascade.outcome(c.x, c.y, c.z, h.x, h.y, h.z).colliding
             }))
         })
     });

@@ -93,7 +93,7 @@ pub const DEPTHS: [u32; 4] = [3, 4, 5, 6];
 
 /// Octree depth vs storage and query cost.
 pub fn depth_data(scale: Scale) -> Vec<(u32, usize, bool, f64)> {
-    use mpaccel_core::oocd::{run_oocd, OocdConfig};
+    use mpaccel_core::oocd::run_oocd;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let scene = Scene::random(SceneConfig::paper(), 0);
@@ -107,11 +107,10 @@ pub fn depth_data(scale: Scale) -> Vec<(u32, usize, bool, f64)> {
                 scene.obstacles(),
                 depth,
             );
-            let cfg = OocdConfig::new(IuKind::MultiCycle);
             let mut cycles = 0u64;
             for _ in 0..poses {
                 let obb = mp_baselines::workload::random_link_obb(&mut rng).quantize();
-                cycles += run_oocd(&tree, &obb, &cfg).cycles;
+                cycles += run_oocd(&tree, &obb, IuKind::MultiCycle).cycles;
             }
             (
                 depth,

@@ -10,7 +10,7 @@
 
 use mp_octree::{benchmark_scenes, VoxelGrid};
 use mp_sim::IuKind;
-use mpaccel_core::oocd::{run_oocd, OocdConfig};
+use mpaccel_core::oocd::run_oocd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,7 +49,6 @@ pub fn data(scale: Scale) -> CodaccData {
     };
     let mut total_queries = 0u64;
     let mut agreements = 0u64;
-    let cfg = OocdConfig::new(IuKind::MultiCycle);
     for scene in &scenes {
         let grid: VoxelGrid = scene.voxel_grid(resolution);
         let tree = scene.octree();
@@ -64,7 +63,7 @@ pub fn data(scale: Scale) -> CodaccData {
             d.voxel_accesses_avg += voxels.len() as f64;
             d.voxel_accesses_max = d.voxel_accesses_max.max(voxels.len() as f64);
             // OOCD.
-            let oocd = run_oocd(&tree, &obb.quantize(), &cfg);
+            let oocd = run_oocd(&tree, &obb.quantize(), IuKind::MultiCycle);
             d.oocd_cycles_avg += oocd.cycles as f64;
             total_queries += 1;
             if voxel_hit == oocd.colliding {

@@ -30,7 +30,7 @@ use mp_planner::QualityTier;
 use mp_robot::{JointConfig, RobotModel};
 use mp_service::PlanCatalog;
 use mp_sim::{CecduConfig, IuKind};
-use mpaccel_core::oocd::{run_oocd, OocdConfig};
+use mpaccel_core::oocd::run_oocd;
 use mpaccel_core::sas::{run_sas, CduModel, CduResponse, SasConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -191,7 +191,6 @@ pub fn data_with_catalog(scale: Scale, catalog: &PlanCatalog) -> ObservatoryData
     // MPAccel package energy: 16 CECDUs × 4 OOCDs on independent queries
     // (the Table 3 configuration), multi-cycle IUs.
     let iu = IuKind::MultiCycle;
-    let cfg = OocdConfig::new(iu);
     let mut rng = StdRng::seed_from_u64(21);
     let mut cycles = 0u64;
     let mut n = 0u64;
@@ -199,7 +198,7 @@ pub fn data_with_catalog(scale: Scale, catalog: &PlanCatalog) -> ObservatoryData
         let tree = s.octree();
         for _ in 0..(samples / scenes.len()).max(64) {
             let obb = random_link_obb(&mut rng).quantize();
-            cycles += run_oocd(&tree, &obb, &cfg).cycles;
+            cycles += run_oocd(&tree, &obb, iu).cycles;
             n += 1;
         }
     }

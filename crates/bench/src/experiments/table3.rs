@@ -8,7 +8,7 @@ use mp_baselines::workload::{measure_workload, random_link_obb, WorkloadStats};
 use mp_octree::benchmark_scenes;
 use mp_robot::RobotModel;
 use mp_sim::{CecduConfig, IuKind};
-use mpaccel_core::oocd::{run_oocd, OocdConfig};
+use mpaccel_core::oocd::run_oocd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -114,12 +114,11 @@ pub fn data(scale: Scale) -> Table3Data {
         let mut rng = StdRng::seed_from_u64(9);
         let mut cycles = 0u64;
         let mut n = 0u64;
-        let cfg = OocdConfig::new(iu);
         for s in &scenes {
             let tree = s.octree();
             for _ in 0..(samples / scenes.len()).max(64) {
                 let obb = random_link_obb(&mut rng).quantize();
-                cycles += run_oocd(&tree, &obb, &cfg).cycles;
+                cycles += run_oocd(&tree, &obb, iu).cycles;
                 n += 1;
             }
         }

@@ -1,6 +1,10 @@
 //! Pose-level collision checking.
+//!
+//! [`SoftwareChecker`] has one configuration, the paper's: exact-trig FK
+//! and the proposed cascade (both sphere filters, then 6-5-4 SAT stages)
+//! against the octree it is built with. The §7.2.1 cascade ablations run
+//! on the scalar `mp_geometry::cascade::cascaded_obb_aabb`, not here.
 
-use mp_geometry::cascade::CascadeConfig;
 use mp_geometry::soa::HoistedCascade;
 use mp_geometry::{Obb, Transform};
 use mp_octree::{FlatOctree, Octree};
@@ -207,19 +211,15 @@ impl CachedWork {
 }
 
 /// Walks `flat` for one link OBB. Flat traversal with the hoisted
-/// cascade: squared radii and SAT constants are computed once per link and
-/// reused across every node the walk visits, with entries resolved in
-/// octant order so counters match the scalar early-exit walk exactly.
+/// proposed cascade: squared radii and SAT constants are computed once per
+/// link and reused across every node the walk visits, with entries
+/// resolved in octant order so counters match the scalar early-exit walk
+/// exactly.
 /// `stack` is a reusable traversal buffer.
 #[inline]
-fn walk_link(
-    flat: &FlatOctree,
-    obb: &Obb<f32>,
-    cascade: &CascadeConfig,
-    stack: &mut Vec<u32>,
-) -> LinkWalk {
+fn walk_link(flat: &FlatOctree, obb: &Obb<f32>, stack: &mut Vec<u32>) -> LinkWalk {
     let [cx, cy, cz, hx, hy, hz] = flat.aabbs().coord_lanes();
-    let mut cascade = HoistedCascade::new(obb, cascade);
+    let mut cascade = HoistedCascade::new(obb);
     // Walk-local counters stay in registers in the inner loop.
     let mut w = LinkWalk::default();
     stack.clear();
@@ -251,35 +251,31 @@ fn walk_link(
 
 /// The software oracle: exact `f32` kinematics + SAT-based octree queries.
 ///
+/// One configuration: FK uses exact trig, and every link OBB runs the
+/// paper's proposed cascade ([`HoistedCascade`]) against the octree the
+/// checker was built with. Neither changes for the checker's lifetime;
+/// a new environment takes a new checker.
+///
 /// The links attached to frame 0, the immobile base, have the same OBB at
 /// every pose, so their walk is the same too. The checker walks each of
-/// them once, on its first query after construction, [`with_cascade`],
-/// [`with_hardware_trig`] or [`set_octree`], and replays that walk's
-/// verdict and counters on every later query. [`CdStats`] and the
-/// process-wide metrics therefore count exactly what walking every link
-/// would. The derived walks belong to this instance and read only its own
-/// octree.
+/// them once, on its first query, and replays that walk's verdict and
+/// counters on every later query. [`CdStats`] and the process-wide
+/// metrics therefore count exactly what walking every link would. The
+/// derived walks belong to this instance and read only its own octree.
 ///
 /// A pose asked again is answered from a [`PoseCache`] of this instance's
 /// recent poses, keyed on the exact joint bits: the verdict and every
 /// counter the walk billed are replayed, and so are the process-wide
-/// metrics and the `cd_query` span, without rerunning FK or the walk. The
-/// cache is dropped whenever the static walks are.
-///
-/// [`with_cascade`]: SoftwareChecker::with_cascade
-/// [`with_hardware_trig`]: SoftwareChecker::with_hardware_trig
-/// [`set_octree`]: SoftwareChecker::set_octree
+/// metrics and the `cd_query` span, without rerunning FK or the walk.
 #[derive(Clone, Debug)]
 pub struct SoftwareChecker {
     robot: RobotModel,
     octree: Octree,
-    trig: TrigMode,
-    cascade: CascadeConfig,
     stats: CdStats,
     // Per link, the replayed walk of a base-frame link (`None` for a link
     // that moves); `None` until the first query derives it.
     static_walks: Option<Vec<Option<LinkWalk>>>,
-    // Recent poses' work, valid for the current octree, cascade and trig.
+    // Recent poses' work.
     cache: PoseCache<CachedWork>,
     // FK buffers reused across `check_pose` calls (taken out for the
     // duration of a query so the borrow checker sees disjoint state).
@@ -295,8 +291,6 @@ impl SoftwareChecker {
         SoftwareChecker {
             robot,
             octree,
-            trig: TrigMode::Exact,
-            cascade: CascadeConfig::proposed(),
             stats: CdStats::default(),
             static_walks: None,
             cache: PoseCache::new(),
@@ -306,37 +300,9 @@ impl SoftwareChecker {
         }
     }
 
-    /// Uses the hardware's fifth-order trig approximation in FK, matching
-    /// what the OBB Generation Unit computes.
-    pub fn with_hardware_trig(mut self) -> SoftwareChecker {
-        self.trig = TrigMode::Hardware;
-        self.forget_walks();
-        self
-    }
-
-    /// Overrides the intersection-test cascade configuration.
-    pub fn with_cascade(mut self, cascade: CascadeConfig) -> SoftwareChecker {
-        self.cascade = cascade;
-        self.forget_walks();
-        self
-    }
-
     /// The environment octree.
     pub fn octree(&self) -> &Octree {
         &self.octree
-    }
-
-    /// Replaces the environment (e.g. after a scene update).
-    pub fn set_octree(&mut self, octree: Octree) {
-        self.octree = octree;
-        self.forget_walks();
-    }
-
-    /// Drops everything derived from the octree, cascade and trig: the
-    /// base-link walks and the cached poses.
-    fn forget_walks(&mut self) {
-        self.static_walks = None;
-        self.cache.clear();
     }
 
     /// Runs FK for `cfg` and walks its links in order until the first
@@ -346,24 +312,21 @@ impl SoftwareChecker {
         let mut obbs = std::mem::take(&mut self.obb_buf);
         let mut stack = std::mem::take(&mut self.stack_buf);
         let flat = self.octree.flat();
-        let (robot, trig, cascade) = (&self.robot, self.trig, &self.cascade);
+        let robot = &self.robot;
         // Walk each base-frame link once, through the OBB FK yields for it.
         let static_walks = self.static_walks.get_or_insert_with(|| {
-            static_link_obbs(robot, trig)
+            static_link_obbs(robot, TrigMode::Exact)
                 .iter()
-                .map(|obb| {
-                    obb.as_ref()
-                        .map(|o| walk_link(flat, o, cascade, &mut stack))
-                })
+                .map(|obb| obb.as_ref().map(|o| walk_link(flat, o, &mut stack)))
                 .collect()
         });
-        link_obbs_into(robot, cfg, trig, &mut frames, &mut obbs);
+        link_obbs_into(robot, cfg, TrigMode::Exact, &mut frames, &mut obbs);
         let mut work = PoseWork::default();
         for (obb, static_walk) in obbs.iter().zip(static_walks) {
             work.link_tests += 1;
             let w = match static_walk {
                 Some(w) => *w,
-                None => walk_link(flat, obb, cascade, &mut stack),
+                None => walk_link(flat, obb, &mut stack),
             };
             work.walk.nodes_visited += w.nodes_visited;
             work.walk.box_tests += w.box_tests;
@@ -488,24 +451,6 @@ mod tests {
         assert_eq!(c.stats().pose_queries, 2);
         c.reset_stats();
         assert_eq!(c.stats(), CdStats::default());
-    }
-
-    #[test]
-    fn hardware_trig_checker_agrees_away_from_boundaries() {
-        let scene = Scene::random(SceneConfig::paper(), 3);
-        let mut exact = SoftwareChecker::new(RobotModel::baxter(), scene.octree());
-        let mut hw =
-            SoftwareChecker::new(RobotModel::baxter(), scene.octree()).with_hardware_trig();
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut disagreements = 0;
-        for _ in 0..100 {
-            let cfg = exact.robot().sample_config(&mut rng);
-            if exact.check_pose(&cfg) != hw.check_pose(&cfg) {
-                disagreements += 1;
-            }
-        }
-        // Tiny FK perturbations can flip razor-edge poses only.
-        assert!(disagreements <= 2, "{disagreements} disagreements");
     }
 
     #[test]

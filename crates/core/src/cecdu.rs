@@ -17,6 +17,11 @@
 //! joint frames and, for each link it dispatches, places and quantizes
 //! only the box's centre and rotation.
 //!
+//! A CECDU has one datapath configuration besides its [`CecduConfig`]:
+//! the OBB Generation Unit's fifth-order trig and the proposed cascade in
+//! every OOCD. It is bound to one environment; a new octree takes a new
+//! CECDU.
+//!
 //! One wave loop models this. [`CecduSim::check_pose`] runs it clean;
 //! [`CecduSim::check_pose_with_faults`] runs the same loop with a
 //! [`FaultInjector`] attached, so each dispatched link walks the OOCD
@@ -26,7 +31,6 @@
 use std::cell::Cell;
 
 use mp_collision::{CdStats, CollisionChecker, PoseCache, PoseKey};
-use mp_geometry::cascade::CascadeConfig;
 use mp_geometry::Transform;
 use mp_octree::Octree;
 use mp_robot::fk::joint_frames_into;
@@ -35,7 +39,7 @@ use mp_robot::{JointConfig, RobotModel, TrigMode};
 use mp_sim::fault::FaultKind;
 use mp_sim::{CecduConfig, FaultInjector, OpCounter};
 
-use crate::oocd::{run_oocd, run_oocd_with_faults, OocdConfig, OocdResult};
+use crate::oocd::{run_oocd, run_oocd_with_faults, OocdResult};
 
 thread_local! {
     // The FK frame buffer reused across pose queries (a `CecduSim` does not
@@ -156,11 +160,11 @@ impl CachedCecdu {
 ///
 /// The links attached to frame 0, the immobile base, stream the same OBB
 /// for every pose, so their OOCD walk is the same too. The sim walks each
-/// of them once, in [`CecduSim::new`], [`CecduSim::with_cascade`] and
-/// [`CecduSim::set_octree`], and [`CecduSim::check_pose`] replays that
-/// walk's verdict, cycles and ops in the link's wave slot. The result is
-/// exactly what walking every link gives. The fault-injected path walks
-/// every link, so its fault draws keep their order.
+/// of them once, in [`CecduSim::new`], and [`CecduSim::check_pose`]
+/// replays that walk's verdict, cycles and ops in the link's wave slot.
+/// The result is exactly what walking every link gives. The
+/// fault-injected path walks every link, so its fault draws keep their
+/// order.
 ///
 /// # Examples
 ///
@@ -185,31 +189,28 @@ pub struct CecduSim {
     robot: RobotModel,
     octree: Octree,
     config: CecduConfig,
-    cascade: CascadeConfig,
     // Per link, the replayed OOCD walk of a base-frame link (`None` for a
     // link that moves).
     static_links: Vec<Option<OocdResult>>,
 }
 
 impl CecduSim {
-    /// Creates a CECDU for a robot in an environment.
+    /// Creates a CECDU for a robot in an environment, walking each
+    /// base-frame link's OOCD once, through the OBB the OBB Generation
+    /// Unit yields for it at every pose (frame 0 is the identity).
     pub fn new(robot: RobotModel, octree: Octree, config: CecduConfig) -> CecduSim {
-        let mut sim = CecduSim {
+        let base = Transform::identity();
+        let static_links = robot
+            .link_boxes()
+            .iter()
+            .map(|b| (b.frame() == 0).then(|| run_oocd(&octree, &b.place_fx(&base), config.iu)))
+            .collect();
+        CecduSim {
             robot,
             octree,
             config,
-            cascade: CascadeConfig::proposed(),
-            static_links: Vec::new(),
-        };
-        sim.derive_static_links();
-        sim
-    }
-
-    /// Overrides the intersection cascade (for the §7.2.1 ablations).
-    pub fn with_cascade(mut self, cascade: CascadeConfig) -> CecduSim {
-        self.cascade = cascade;
-        self.derive_static_links();
-        self
+            static_links,
+        }
     }
 
     /// The robot model.
@@ -225,33 +226,6 @@ impl CecduSim {
     /// The hardware configuration.
     pub fn config(&self) -> CecduConfig {
         self.config
-    }
-
-    /// Replaces the environment (sensor update).
-    pub fn set_octree(&mut self, octree: Octree) {
-        self.octree = octree;
-        self.derive_static_links();
-    }
-
-    fn oocd_config(&self) -> OocdConfig {
-        OocdConfig {
-            iu: self.config.iu,
-            cascade: self.cascade,
-        }
-    }
-
-    /// Walks each base-frame link's OOCD once, through the OBB the OBB
-    /// Generation Unit yields for it at every pose (frame 0 is the
-    /// identity).
-    fn derive_static_links(&mut self) {
-        let cfg = self.oocd_config();
-        let base = Transform::identity();
-        self.static_links = self
-            .robot
-            .link_boxes()
-            .iter()
-            .map(|b| (b.frame() == 0).then(|| run_oocd(&self.octree, &b.place_fx(&base), &cfg)))
-            .collect();
     }
 
     /// Runs one robot-pose collision query, cycle by cycle. A pose with a
@@ -369,7 +343,7 @@ impl CecduSim {
         let mut frames = FK_SCRATCH.with(Cell::take);
         joint_frames_into(&self.robot, pose, OBB_GEN_TRIG, &mut frames);
         let boxes = self.robot.link_boxes();
-        let oocd_cfg = self.oocd_config();
+        let iu = self.config.iu;
 
         let mut ops = OpCounter::default();
         let mut links_checked = 0usize;
@@ -394,13 +368,12 @@ impl CecduSim {
                     None => {
                         let r = match static_link {
                             Some(r) => *r,
-                            None => run_oocd(&self.octree, &obb(), &oocd_cfg),
+                            None => run_oocd(&self.octree, &obb(), iu),
                         };
                         (r, r.colliding)
                     }
                     Some((inj, detection)) => {
-                        let f =
-                            run_oocd_with_faults(&self.octree, &obb(), &oocd_cfg, inj, *detection);
+                        let f = run_oocd_with_faults(&self.octree, &obb(), iu, inj, *detection);
                         detected |= f.detected();
                         faults_injected += f.sram_upsets;
                         let mut link_colliding = f.result.colliding;

@@ -8,9 +8,14 @@
 //!   the next query when the unit is free;
 //! * **pipelined** — the four stages form a pipeline with initiation
 //!   interval 1, so a query can be issued every cycle at a fixed latency.
+//!
+//! The unit runs the paper's proposed cascade only: both sphere filters in
+//! the first stage, then the 6-5-4 SAT stages. The §7.2.1 ablations run on
+//! the scalar `mp_geometry::cascade::cascaded_obb_aabb`, not on this
+//! model.
 
-use mp_geometry::cascade::{cascaded_obb_aabb, CascadeConfig, CascadeOutcome, ExitStage};
-use mp_geometry::sat::{sat_first_separating, SAT_ALL_MULS};
+use mp_geometry::cascade::{CascadeOutcome, ExitStage};
+use mp_geometry::soa::HoistedCascade;
 use mp_geometry::{FxAabb, FxObb};
 use mp_sim::{IuKind, OpCounter};
 
@@ -40,28 +45,29 @@ pub struct IuOutcome {
 /// # Examples
 ///
 /// ```
-/// use mp_geometry::cascade::CascadeConfig;
 /// use mp_geometry::{Aabb, Obb, Vec3};
 /// use mp_sim::IuKind;
 /// use mpaccel_core::intersection_unit::execute;
 ///
 /// let obb = Obb::axis_aligned(Vec3::new(0.9, 0.9, 0.9), Vec3::splat(0.05)).quantize();
 /// let aabb = Aabb::new(Vec3::zero(), Vec3::splat(0.25)).quantize();
-/// let out = execute(&obb, &aabb, &CascadeConfig::proposed(), IuKind::MultiCycle);
+/// let out = execute(&obb, &aabb, IuKind::MultiCycle);
 /// assert!(!out.colliding);
 /// assert_eq!(out.latency, 1); // far apart: bounding-sphere filter, 1 cycle
 /// ```
-pub fn execute(obb: &FxObb, aabb: &FxAabb, cfg: &CascadeConfig, kind: IuKind) -> IuOutcome {
-    outcome_from_cascade(&cascaded_obb_aabb(obb, aabb, cfg), cfg, kind)
+pub fn execute(obb: &FxObb, aabb: &FxAabb, kind: IuKind) -> IuOutcome {
+    let (c, h) = (aabb.center, aabb.half);
+    let out = HoistedCascade::new(obb).outcome(c.x, c.y, c.z, h.x, h.y, h.z);
+    outcome_from_cascade(&out, kind)
 }
 
 /// Applies the unit's timing model to an already-evaluated cascade outcome.
 ///
-/// [`execute`] is the single-pair form; the batched OOCD traversal
-/// evaluates whole candidate ranges with `mp_geometry::soa` kernels and
-/// feeds each lane's [`CascadeOutcome`] through here, so the cycle/op
-/// accounting is shared (and stays bit-identical) between the two paths.
-pub fn outcome_from_cascade(out: &CascadeOutcome, cfg: &CascadeConfig, kind: IuKind) -> IuOutcome {
+/// [`execute`] is the single-pair form; the OOCD traversal runs one
+/// [`HoistedCascade`] per link OBB across every box it tests and feeds
+/// each [`CascadeOutcome`] through here, so the cycle/op accounting is
+/// shared between the two.
+pub(crate) fn outcome_from_cascade(out: &CascadeOutcome, kind: IuKind) -> IuOutcome {
     let ops = OpCounter {
         mults: out.mults as u64,
         box_tests: 1,
@@ -72,9 +78,8 @@ pub fn outcome_from_cascade(out: &CascadeOutcome, cfg: &CascadeConfig, kind: IuK
             // The multi-cycle unit iterates its SAT stages over a narrow
             // multiplier array (hence its smaller area in Table 2): the
             // sphere filters take one cycle, each executed SAT batch two.
-            let sphere_ran = (cfg.bounding_sphere_filter || cfg.inscribed_sphere_filter) as u32;
-            let sat_stages = out.stages_executed - sphere_ran;
-            let latency = sphere_ran + 2 * sat_stages;
+            let sat_stages = out.stages_executed - 1;
+            let latency = 1 + 2 * sat_stages;
             IuOutcome {
                 colliding: out.colliding,
                 exit: out.exit,
@@ -93,53 +98,11 @@ pub fn outcome_from_cascade(out: &CascadeOutcome, cfg: &CascadeConfig, kind: IuK
     }
 }
 
-/// Executes a *sequential* separating-axis test without sphere filters: one
-/// axis per cycle, early exit (the "sequential execution" baseline of
-/// Fig 8a / §7.2.1).
-pub fn execute_sat_sequential(obb: &FxObb, aabb: &FxAabb) -> IuOutcome {
-    let r = sat_first_separating(obb, aabb);
-    let ops = OpCounter {
-        mults: r.mults as u64,
-        box_tests: 1,
-        ..OpCounter::default()
-    };
-    IuOutcome {
-        colliding: r.colliding(),
-        exit: if r.colliding() {
-            ExitStage::Exhausted
-        } else {
-            ExitStage::Sat(1)
-        },
-        latency: r.axes_tested,
-        initiation_interval: r.axes_tested,
-        ops,
-    }
-}
-
-/// Executes a *fully parallel* separating-axis test: all 15 axes in one
-/// cycle, always 81 multiplications (the "parallel execution" of Fig 8a).
-pub fn execute_sat_parallel(obb: &FxObb, aabb: &FxAabb) -> IuOutcome {
-    let r = sat_first_separating(obb, aabb);
-    IuOutcome {
-        colliding: r.colliding(),
-        exit: if r.colliding() {
-            ExitStage::Exhausted
-        } else {
-            ExitStage::Sat(1)
-        },
-        latency: 1,
-        initiation_interval: 1,
-        ops: OpCounter {
-            mults: SAT_ALL_MULS as u64,
-            box_tests: 1,
-            ..OpCounter::default()
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_geometry::cascade::{cascaded_obb_aabb, CascadeConfig};
+    use mp_geometry::sat::sat_first_separating;
     use mp_geometry::{Aabb, Mat3, Obb, Vec3};
 
     fn fx(obb: Obb, aabb: Aabb<f32>) -> (FxObb, FxAabb) {
@@ -152,7 +115,7 @@ mod tests {
             Obb::axis_aligned(Vec3::new(0.9, 0.9, 0.9), Vec3::splat(0.05)),
             Aabb::new(Vec3::zero(), Vec3::splat(0.2)),
         );
-        let out = execute(&far, &aabb, &CascadeConfig::proposed(), IuKind::MultiCycle);
+        let out = execute(&far, &aabb, IuKind::MultiCycle);
         assert_eq!(out.latency, 1);
         assert_eq!(out.initiation_interval, 1);
         assert_eq!(out.ops.mults, 3);
@@ -165,7 +128,7 @@ mod tests {
             Obb::axis_aligned(Vec3::new(0.9, 0.9, 0.9), Vec3::splat(0.05)),
             Aabb::new(Vec3::zero(), Vec3::splat(0.2)),
         );
-        let out = execute(&far, &aabb, &CascadeConfig::proposed(), IuKind::Pipelined);
+        let out = execute(&far, &aabb, IuKind::Pipelined);
         assert_eq!(out.latency, IU_PIPELINE_DEPTH);
         assert_eq!(out.initiation_interval, 1);
     }
@@ -176,7 +139,7 @@ mod tests {
             Obb::axis_aligned(Vec3::zero(), Vec3::splat(0.05)),
             Aabb::new(Vec3::zero(), Vec3::splat(0.5)),
         );
-        let out = execute(&deep, &aabb, &CascadeConfig::proposed(), IuKind::MultiCycle);
+        let out = execute(&deep, &aabb, IuKind::MultiCycle);
         assert!(out.colliding);
         assert_eq!(out.exit, ExitStage::InscribedSphere);
         assert_eq!(out.latency, 1);
@@ -184,54 +147,43 @@ mod tests {
     }
 
     #[test]
-    fn sequential_vs_parallel_sat_cost_shapes() {
-        // Far apart: sequential finds axis 1 fast (1 cycle, 3 mults);
-        // parallel takes 1 cycle but all 81 mults.
-        let (far, aabb) = fx(
-            Obb::axis_aligned(Vec3::new(1.5, 0.0, 0.0), Vec3::splat(0.1)),
-            Aabb::new(Vec3::zero(), Vec3::splat(0.3)),
-        );
-        let seq = execute_sat_sequential(&far, &aabb);
-        let par = execute_sat_parallel(&far, &aabb);
-        assert!(!seq.colliding && !par.colliding);
-        assert_eq!(seq.latency, 1);
-        assert_eq!(seq.ops.mults, 3);
-        assert_eq!(par.latency, 1);
-        assert_eq!(par.ops.mults, 81);
-    }
-
-    #[test]
-    fn colliding_case_costs_all_axes_either_way() {
-        let (hit, aabb) = fx(
-            Obb::new(
-                Vec3::new(0.1, 0.05, 0.0),
-                Vec3::splat(0.2),
-                Mat3::rotation_z(0.5),
-            ),
-            Aabb::new(Vec3::zero(), Vec3::splat(0.25)),
-        );
-        let seq = execute_sat_sequential(&hit, &aabb);
-        let par = execute_sat_parallel(&hit, &aabb);
-        assert!(seq.colliding && par.colliding);
-        assert_eq!(seq.ops.mults, 81);
-        assert_eq!(seq.latency, 15);
-        assert_eq!(par.latency, 1);
-    }
-
-    #[test]
     fn cascade_and_sat_agree_on_outcome() {
-        let boxes = [
-            (Vec3::new(0.3, 0.2, -0.1), 0.2f32),
-            (Vec3::new(0.9, -0.8, 0.4), 0.1),
-            (Vec3::new(0.0, 0.0, 0.0), 0.15),
-            (Vec3::new(0.45, 0.45, 0.45), 0.12),
+        // The unit's outcome is the scalar proposed cascade's, and its
+        // verdict plain SAT's, on fixed boxes and on rotated ones around
+        // the AABB, of which 8 reach a SAT stage.
+        let mut boxes = vec![
+            (Vec3::new(0.3, 0.2, -0.1), Vec3::splat(0.2), 0.3),
+            (Vec3::new(0.9, -0.8, 0.4), Vec3::splat(0.1), 0.3),
+            (Vec3::new(0.0, 0.0, 0.0), Vec3::splat(0.15), 0.3),
+            (Vec3::new(0.45, 0.45, 0.45), Vec3::splat(0.12), 0.3),
         ];
-        let aabb = Aabb::new(Vec3::new(0.2, 0.1, 0.0), Vec3::splat(0.25)).quantize();
-        for (c, h) in boxes {
-            let obb = Obb::new(c, Vec3::splat(h), Mat3::rotation_y(0.3)).quantize();
-            let a = execute(&obb, &aabb, &CascadeConfig::proposed(), IuKind::MultiCycle);
-            let b = execute_sat_sequential(&obb, &aabb);
-            assert_eq!(a.colliding, b.colliding, "at {c:?}");
+        for i in 0..40 {
+            let f = i as f32;
+            let c = Vec3::new((f * 0.37).sin() * 0.7, (f * 0.21).cos() * 0.7, 0.1);
+            boxes.push((c, Vec3::new(0.2, 0.1, 0.05), f * 0.4));
         }
+        let aabb = Aabb::new(Vec3::new(0.2, 0.1, 0.0), Vec3::splat(0.25)).quantize();
+        let mut sat = 0;
+        for (c, h, angle) in boxes {
+            let obb = Obb::new(c, h, Mat3::rotation_y(angle)).quantize();
+            let want = cascaded_obb_aabb(&obb, &aabb, &CascadeConfig::proposed());
+            assert_eq!(
+                want.colliding,
+                sat_first_separating(&obb, &aabb).colliding()
+            );
+            for kind in [IuKind::MultiCycle, IuKind::Pipelined] {
+                let out = execute(&obb, &aabb, kind);
+                assert_eq!(
+                    (out.colliding, out.exit),
+                    (want.colliding, want.exit),
+                    "at {c:?}"
+                );
+                assert_eq!(out.ops.mults, u64::from(want.mults));
+            }
+            let mc = execute(&obb, &aabb, IuKind::MultiCycle);
+            assert_eq!(mc.latency, 2 * want.stages_executed - 1, "at {c:?}");
+            sat += u32::from(want.stages_executed > 1);
+        }
+        assert!(sat >= 8, "only {sat} pairs reached a SAT stage");
     }
 }

@@ -41,7 +41,7 @@ pub mod trace;
 pub use cecdu::{CecduChecker, CecduResult, CecduSim};
 pub use fault::{FaultTolerantCduArray, RecoveryMode};
 pub use mpaccel::{MpAccelSystem, RunReport, SystemConfig};
-pub use oocd::{run_oocd, OocdConfig, OocdResult};
+pub use oocd::{run_oocd, OocdResult};
 pub use pool::{AcceleratorPool, InstanceStats};
 pub use sas::{run_sas, FunctionMode, IntraPolicy, SasConfig, SasRunResult};
 pub use sram::{sram_budget, SramBudget};

@@ -9,38 +9,34 @@ use crate::cecdu::CecduSim;
 use crate::sas::{run_sas, CecduCdu, SasConfig};
 use crate::trace::{PlannerTrace, TraceEvent};
 
-/// System-level parameters (§5, §7.4).
+/// DNN accelerator throughput in TOPS (§7.4: 12 TOPS, an edge-TPU class
+/// device).
+pub const DNN_TOPS: f64 = 12.0;
+
+/// Bus bandwidth in GB/s (§5: 5 GB/s, achievable over PCIe).
+pub const BUS_GBPS: f64 = 5.0;
+
+/// Controller clock in GHz (a simple CPU core, §5).
+pub const CONTROLLER_GHZ: f64 = 1.0;
+
+/// System-level parameters (§5, §7.4): the accelerator configuration. The
+/// DNN accelerator, bus and controller are the paper's ([`DNN_TOPS`],
+/// [`BUS_GBPS`], [`CONTROLLER_GHZ`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemConfig {
     /// The accelerator configuration (CECDU count and type).
     pub accel: MpaccelConfig,
-    /// DNN accelerator throughput in TOPS (§7.4: 12 TOPS, an edge-TPU
-    /// class device).
-    pub dnn_tops: f64,
-    /// Bus bandwidth in GB/s (§5: 5 GB/s, achievable over PCIe).
-    pub bus_gbps: f64,
-    /// Controller clock in GHz (a simple CPU core, §5).
-    pub controller_ghz: f64,
 }
 
 impl SystemConfig {
-    /// The paper's headline system: 16 CECDUs × 4 multi-cycle OOCDs,
-    /// 12 TOPS DNN accelerator, 5 GB/s bus, 1 GHz controller.
+    /// The paper's headline system: 16 CECDUs × 4 multi-cycle OOCDs.
     pub fn paper_default() -> SystemConfig {
-        SystemConfig {
-            accel: MpaccelConfig::config1(),
-            dnn_tops: 12.0,
-            bus_gbps: 5.0,
-            controller_ghz: 1.0,
-        }
+        SystemConfig::with_accel(MpaccelConfig::config1())
     }
 
     /// Same system with a different accelerator configuration (Fig 20).
     pub fn with_accel(accel: MpaccelConfig) -> SystemConfig {
-        SystemConfig {
-            accel,
-            ..SystemConfig::paper_default()
-        }
+        SystemConfig { accel }
     }
 }
 
@@ -134,9 +130,11 @@ impl MpAccelSystem {
         &self.config
     }
 
-    /// Replaces the environment octree (sensor update path, Fig 11 step 1).
+    /// Replaces the environment octree (sensor update path, Fig 11 step
+    /// 1): the CECDU is rebuilt for the new environment.
     pub fn set_octree(&mut self, octree: Octree) {
-        self.cecdu.set_octree(octree);
+        let (robot, config) = (self.cecdu.robot().clone(), self.cecdu.config());
+        self.cecdu = CecduSim::new(robot, octree, config);
     }
 
     /// Replays a planner trace against the hardware models and returns the
@@ -175,7 +173,7 @@ impl MpAccelSystem {
             match event {
                 TraceEvent::NnInference { macs } => {
                     // 1 MAC = 2 ops; TOPS = 1e12 ops/s.
-                    let s = (*macs as f64 * 2.0) / (self.config.dnn_tops * 1e12);
+                    let s = (*macs as f64 * 2.0) / (DNN_TOPS * 1e12);
                     report.nn_ms += s * 1e3;
                     let ops = OpCounter {
                         mlp_macs: *macs,
@@ -185,11 +183,11 @@ impl MpAccelSystem {
                     ledger.bill("nn", ops);
                 }
                 TraceEvent::Controller { instructions } => {
-                    let s = *instructions as f64 / (self.config.controller_ghz * 1e9);
+                    let s = *instructions as f64 / (CONTROLLER_GHZ * 1e9);
                     report.controller_ms += s * 1e3;
                 }
                 TraceEvent::BusTransfer { bytes } => {
-                    let s = *bytes as f64 / (self.config.bus_gbps * 1e9);
+                    let s = *bytes as f64 / (BUS_GBPS * 1e9);
                     report.bus_ms += s * 1e3;
                     let ops = OpCounter {
                         dram_bytes: *bytes,

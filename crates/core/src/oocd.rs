@@ -12,7 +12,9 @@
 //!    further traversal; a colliding *fully occupied* octant terminates the
 //!    query with `colliding = true`.
 //!
-//! One walk models this datapath. [`run_oocd`] runs it clean;
+//! Every Intersection Unit query runs the paper's proposed cascade; the
+//! only design choice a walk takes is the unit's [`IuKind`]. One walk
+//! models this datapath. [`run_oocd`] runs it clean;
 //! [`run_oocd_with_faults`] runs the same walk with a [`FaultInjector`]
 //! attached, which corrupts node words as they are read and turns on the
 //! structural and parity checks. Octant boxes come from the octree's
@@ -22,14 +24,14 @@
 
 use std::cell::Cell;
 
-use mp_geometry::cascade::CascadeConfig;
+use mp_geometry::cascade::CascadeOutcome;
 use mp_geometry::soa::HoistedCascade;
 use mp_geometry::{AabbF, FxObb};
 use mp_octree::{Node, Occupancy, Octree};
 use mp_sim::fault::{parity24, FaultKind, SRAM_WORD_BITS};
 use mp_sim::{FaultInjector, IuKind, OpCounter};
 
-use crate::intersection_unit::{self, IuOutcome, IU_PIPELINE_DEPTH};
+use crate::intersection_unit::{self, IU_PIPELINE_DEPTH};
 
 thread_local! {
     // Reusable traversal stacks, taken out of the cell per query and put
@@ -38,26 +40,6 @@ thread_local! {
     // node address plus its parent box when the node was reached through
     // a word that drew an upset (`None`: on the builder's chain).
     static OOCD_STACK: Cell<Vec<(u32, Option<AabbF>)>> = Cell::default();
-}
-
-/// Configuration of one OOCD.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct OocdConfig {
-    /// Intersection Unit design.
-    pub iu: IuKind,
-    /// Cascade configuration (the proposed flow by default; ablations for
-    /// §7.2.1 disable the sphere filters).
-    pub cascade: CascadeConfig,
-}
-
-impl OocdConfig {
-    /// The proposed design with the given IU kind.
-    pub fn new(iu: IuKind) -> OocdConfig {
-        OocdConfig {
-            iu,
-            cascade: CascadeConfig::proposed(),
-        }
-    }
 }
 
 /// Result of one OBB–octree collision query.
@@ -71,7 +53,8 @@ pub struct OocdResult {
     pub ops: OpCounter,
 }
 
-/// Simulates one OBB–octree collision query, cycle by cycle.
+/// Simulates one OBB–octree collision query, cycle by cycle, on an OOCD
+/// whose Intersection Unit is of kind `iu`.
 ///
 /// # Examples
 ///
@@ -79,27 +62,29 @@ pub struct OocdResult {
 /// use mp_geometry::{Obb, Vec3};
 /// use mp_octree::{Scene, SceneConfig};
 /// use mp_sim::IuKind;
-/// use mpaccel_core::oocd::{run_oocd, OocdConfig};
+/// use mpaccel_core::oocd::run_oocd;
 ///
 /// let tree = Scene::random(SceneConfig::paper(), 0).octree();
 /// let obb = Obb::axis_aligned(Vec3::zero(), Vec3::splat(0.05)).quantize();
-/// let out = run_oocd(&tree, &obb, &OocdConfig::new(IuKind::MultiCycle));
+/// let out = run_oocd(&tree, &obb, IuKind::MultiCycle);
 /// assert!(!out.colliding); // scenes keep the base region clear
 /// assert!(out.cycles >= 2);
 /// ```
-pub fn run_oocd(octree: &Octree, obb: &FxObb, cfg: &OocdConfig) -> OocdResult {
-    walk(octree, obb, cfg, None).result
+pub fn run_oocd(octree: &Octree, obb: &FxObb, iu: IuKind) -> OocdResult {
+    walk(octree, obb, iu, None).result
 }
 
 /// Software cross-check: the same traversal evaluated functionally (no
-/// timing), used to validate [`run_oocd`] in tests and debug assertions.
-pub fn reference_outcome(octree: &Octree, obb: &FxObb, cascade: &CascadeConfig) -> bool {
+/// timing) with the scalar proposed cascade, used to validate [`run_oocd`]
+/// in tests.
+pub fn reference_outcome(octree: &Octree, obb: &FxObb) -> bool {
     // Note this quantizes the *pure* f32 octant chain per query box — a
     // deliberately independent derivation from the OOCD's level-by-level
     // quantize-roundtrip chain, which is what makes it a cross-check.
     let obb_q = obb.to_f32().quantize();
+    let cascade = mp_geometry::cascade::CascadeConfig::proposed();
     octree.collides_with(|aabb| {
-        mp_geometry::cascade::cascaded_obb_aabb(&obb_q, &aabb.quantize(), cascade).colliding
+        mp_geometry::cascade::cascaded_obb_aabb(&obb_q, &aabb.quantize(), &cascade).colliding
     })
 }
 
@@ -148,21 +133,27 @@ impl FaultyOocdOutcome {
 pub fn run_oocd_with_faults(
     octree: &Octree,
     obb: &FxObb,
-    cfg: &OocdConfig,
+    iu: IuKind,
     inj: &mut FaultInjector,
     parity_checking: bool,
 ) -> FaultyOocdOutcome {
-    walk(octree, obb, cfg, Some((inj, parity_checking)))
+    walk(octree, obb, iu, Some((inj, parity_checking)))
 }
 
-/// Cycles one test holds the Intersection Unit's input slot.
-fn iu_slot_cycles(iu: IuKind, out: &IuOutcome) -> u64 {
-    match iu {
+/// Issues one tested box's cascade outcome to the Intersection Unit: bills
+/// its work and the cycles it holds the unit's input slot, and returns its
+/// verdict.
+#[inline]
+fn issue(iu: IuKind, lane: &CascadeOutcome, ops: &mut OpCounter, cycles: &mut u64) -> bool {
+    let out = intersection_unit::outcome_from_cascade(lane, iu);
+    *ops += out.ops;
+    *cycles += match iu {
         // The unit is busy for the whole cascade.
         IuKind::MultiCycle => out.initiation_interval as u64,
         // A new query enters every cycle; drain latency added at the end.
         IuKind::Pipelined => 1,
-    }
+    };
+    out.colliding
 }
 
 /// The one OOCD traversal behind [`run_oocd`] and
@@ -173,16 +164,16 @@ fn iu_slot_cycles(iu: IuKind, out: &IuOutcome) -> u64 {
 /// A node reached along the builder's chain through intact words serves
 /// its arena boxes (Q3.12, the same quantize-roundtrip chain the
 /// per-octant walk derives; the arena derives it on the tree's first OOCD
-/// walk), each lane run through the hoisted cascade
-/// kernel — squared radii and SAT constants derived once per link query —
-/// and committed in octant order with the unit's timing model. A node
-/// whose word drew an upset (even one that only flipped the parity bit),
-/// and every node below it, is walked octant by octant from its decoded
-/// word with boxes derived on the fly.
+/// walk). A node whose word drew an upset (even one that only flipped the
+/// parity bit), and every node below it, is walked octant by octant from
+/// its decoded word with boxes derived on the fly. Either way each box
+/// runs through the one hoisted cascade of this link query — squared
+/// radii and SAT constants derived once — and is committed in octant
+/// order with the unit's timing model.
 fn walk(
     octree: &Octree,
     obb: &FxObb,
-    cfg: &OocdConfig,
+    iu: IuKind,
     mut faults: Option<(&mut FaultInjector, bool)>,
 ) -> FaultyOocdOutcome {
     let mut cycles: u64 = 1; // root address into the Address Register
@@ -192,7 +183,7 @@ fn walk(
     let node_count = octree.node_count() as u32;
     let read_cap = 2 * node_count as u64 + 8;
     let [cx, cy, cz, hx, hy, hz] = flat.aabbs_oocd().coord_lanes();
-    let mut cascade = HoistedCascade::new(obb, &cfg.cascade);
+    let mut cascade = HoistedCascade::new(obb);
 
     // The traversal stack models the Address Register + Node Queue.
     let mut stack = OOCD_STACK.with(Cell::take);
@@ -245,10 +236,7 @@ fn walk(
         if parent.is_none() && upset.is_none() {
             for e in flat.entries(addr) {
                 let lane = cascade.outcome(cx[e], cy[e], cz[e], hx[e], hy[e], hz[e]);
-                let iu_out = intersection_unit::outcome_from_cascade(&lane, &cfg.cascade, cfg.iu);
-                ops += iu_out.ops;
-                cycles += iu_slot_cycles(cfg.iu, &iu_out);
-                if iu_out.colliding {
+                if issue(iu, &lane, &mut ops, &mut cycles) {
                     if flat.is_full(e) {
                         // Terminal: report collision once this result drains.
                         hit = true;
@@ -266,10 +254,9 @@ fn walk(
                     continue;
                 }
                 let oct_aabb = Octree::octant_aabb(&node_aabb, octant).quantize();
-                let iu_out = intersection_unit::execute(obb, &oct_aabb, &cfg.cascade, cfg.iu);
-                ops += iu_out.ops;
-                cycles += iu_slot_cycles(cfg.iu, &iu_out);
-                if iu_out.colliding {
+                let (c, h) = (oct_aabb.center, oct_aabb.half);
+                let lane = cascade.outcome(c.x, c.y, c.z, h.x, h.y, h.z);
+                if issue(iu, &lane, &mut ops, &mut cycles) {
                     if occ == Occupancy::Full {
                         hit = true;
                         break 'walk;
@@ -295,7 +282,7 @@ fn walk(
     // A detection resolves in place, conservatively: the octant is
     // reported occupied without waiting for the pipeline.
     let detected = out.detected();
-    if cfg.iu == IuKind::Pipelined && !detected {
+    if iu == IuKind::Pipelined && !detected {
         // Drain: for a hit, the terminal result must leave the pipeline;
         // for a miss, the last in-flight result must before the traverser
         // can report "no collision".
@@ -341,9 +328,8 @@ mod tests {
             for _ in 0..60 {
                 let obb = random_obb(&mut rng).quantize();
                 for iu in [IuKind::MultiCycle, IuKind::Pipelined] {
-                    let cfg = OocdConfig::new(iu);
-                    let got = run_oocd(&tree, &obb, &cfg);
-                    let want = reference_outcome(&tree, &obb, &cfg.cascade);
+                    let got = run_oocd(&tree, &obb, iu);
+                    let want = reference_outcome(&tree, &obb);
                     assert_eq!(got.colliding, want, "seed {seed} iu {iu:?}");
                 }
             }
@@ -354,7 +340,7 @@ mod tests {
     fn empty_tree_costs_root_visit_only() {
         let tree = Octree::build(&[], 4);
         let obb = Obb::axis_aligned(Vec3::zero(), Vec3::splat(0.1)).quantize();
-        let out = run_oocd(&tree, &obb, &OocdConfig::new(IuKind::MultiCycle));
+        let out = run_oocd(&tree, &obb, IuKind::MultiCycle);
         assert!(!out.colliding);
         assert_eq!(out.ops.sram_reads, 1);
         assert_eq!(out.ops.box_tests, 0); // nothing occupied
@@ -373,7 +359,7 @@ mod tests {
             assert!(tree.storage_bytes() <= 768);
             for _ in 0..100 {
                 let obb = random_obb(&mut rng).quantize();
-                let out = run_oocd(&tree, &obb, &OocdConfig::new(IuKind::MultiCycle));
+                let out = run_oocd(&tree, &obb, IuKind::MultiCycle);
                 total += out.cycles;
                 n += 1;
             }
@@ -392,8 +378,8 @@ mod tests {
         let mut p = 0u64;
         for _ in 0..200 {
             let obb = random_obb(&mut rng).quantize();
-            mc += run_oocd(&tree, &obb, &OocdConfig::new(IuKind::MultiCycle)).cycles;
-            p += run_oocd(&tree, &obb, &OocdConfig::new(IuKind::Pipelined)).cycles;
+            mc += run_oocd(&tree, &obb, IuKind::MultiCycle).cycles;
+            p += run_oocd(&tree, &obb, IuKind::Pipelined).cycles;
         }
         assert!(p <= mc, "pipelined {p} vs multi-cycle {mc}");
     }
@@ -404,7 +390,7 @@ mod tests {
         let obs = Aabb::new(Vec3::new(0.5, 0.5, 0.5), Vec3::splat(0.1));
         let tree = Octree::build(&[obs], 4);
         let obb = Obb::axis_aligned(obs.center, Vec3::splat(0.02)).quantize();
-        let out = run_oocd(&tree, &obb, &OocdConfig::new(IuKind::MultiCycle));
+        let out = run_oocd(&tree, &obb, IuKind::MultiCycle);
         assert!(out.colliding);
         assert!(out.cycles < 30, "early exit took {} cycles", out.cycles);
     }
@@ -417,9 +403,8 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::none(0));
         for _ in 0..50 {
             let obb = random_obb(&mut rng).quantize();
-            let cfg = OocdConfig::new(IuKind::MultiCycle);
-            let plain = run_oocd(&tree, &obb, &cfg);
-            let faulty = run_oocd_with_faults(&tree, &obb, &cfg, &mut inj, true);
+            let plain = run_oocd(&tree, &obb, IuKind::MultiCycle);
+            let faulty = run_oocd_with_faults(&tree, &obb, IuKind::MultiCycle, &mut inj, true);
             assert_eq!(faulty.result, plain);
             assert!(!faulty.detected());
             assert_eq!(faulty.sram_upsets, 0);
@@ -437,8 +422,7 @@ mod tests {
         let mut inj = FaultInjector::new(plan);
         for _ in 0..50 {
             let obb = random_obb(&mut rng).quantize();
-            let cfg = OocdConfig::new(IuKind::MultiCycle);
-            let f = run_oocd_with_faults(&tree, &obb, &cfg, &mut inj, true);
+            let f = run_oocd_with_faults(&tree, &obb, IuKind::MultiCycle, &mut inj, true);
             // Every word read is upset, so the very first read trips
             // parity and the unit answers conservatively.
             assert!(f.parity_detected);
@@ -460,9 +444,8 @@ mod tests {
         let mut structural = 0;
         for _ in 0..300 {
             let obb = random_obb(&mut rng).quantize();
-            let cfg = OocdConfig::new(IuKind::MultiCycle);
             // Detection off: corrupted words are decoded and followed.
-            let f = run_oocd_with_faults(&tree, &obb, &cfg, &mut inj, false);
+            let f = run_oocd_with_faults(&tree, &obb, IuKind::MultiCycle, &mut inj, false);
             assert!(!f.parity_detected);
             assert!(f.result.ops.sram_reads <= cap + 1, "read cap breached");
             if f.structural_detected {
@@ -486,8 +469,13 @@ mod tests {
             let mut outs = Vec::new();
             for _ in 0..40 {
                 let obb = random_obb(&mut rng).quantize();
-                let cfg = OocdConfig::new(IuKind::Pipelined);
-                outs.push(run_oocd_with_faults(&tree, &obb, &cfg, &mut inj, false));
+                outs.push(run_oocd_with_faults(
+                    &tree,
+                    &obb,
+                    IuKind::Pipelined,
+                    &mut inj,
+                    false,
+                ));
             }
             (outs, *inj.counters())
         };
@@ -504,7 +492,7 @@ mod tests {
         let obs = Aabb::new(Vec3::new(0.7, 0.7, 0.7), Vec3::splat(0.05));
         let tree = Octree::build(&[obs], 4);
         let obb = Obb::axis_aligned(Vec3::new(-0.7, -0.7, -0.7), Vec3::splat(0.03)).quantize();
-        let out = run_oocd(&tree, &obb, &OocdConfig::new(IuKind::MultiCycle));
+        let out = run_oocd(&tree, &obb, IuKind::MultiCycle);
         assert!(!out.colliding);
         assert_eq!(out.ops.mults, 3 * out.ops.box_tests);
     }

@@ -14,6 +14,31 @@
 //! 3. **Staged SAT**: the 15 separating-axis candidates run in batches of
 //!    6‑5‑4 (chosen from the Fig 8b distribution); a later stage executes
 //!    only if the previous one found no separating axis.
+//!
+//! [`cascaded_obb_aabb`] is the scalar reference of this flow. It takes a
+//! [`CascadeConfig`], so the §7.2.1 ablations (no filters, the bounding
+//! filter alone, other stage splits) run on it. The production kernel,
+//! [`HoistedCascade`](crate::soa::HoistedCascade), runs only the proposed
+//! flow, and equals `cascaded_obb_aabb` under [`CascadeConfig::proposed`]
+//! bit for bit.
+//!
+//! # Examples
+//!
+//! ```
+//! use mp_geometry::{Aabb, Obb, Vec3};
+//! use mp_geometry::cascade::{CascadeConfig, ExitStage, cascaded_obb_aabb};
+//!
+//! let obb = Obb::axis_aligned(Vec3::new(0.0, 0.0, 0.0), Vec3::new(0.1, 0.1, 0.1));
+//! let near = Aabb::new(Vec3::new(0.05, 0.0, 0.0), Vec3::new(0.1, 0.1, 0.1));
+//! let far = Aabb::new(Vec3::new(0.9, 0.9, 0.9), Vec3::new(0.05, 0.05, 0.05));
+//!
+//! let cfg = CascadeConfig::proposed();
+//! assert!(cascaded_obb_aabb(&obb, &near, &cfg).colliding);
+//! let miss = cascaded_obb_aabb(&obb, &far, &cfg);
+//! assert!(!miss.colliding);
+//! // Far-apart objects are filtered by the bounding-sphere test in one stage.
+//! assert_eq!(miss.exit, ExitStage::BoundingSphere);
+//! ```
 
 use crate::aabb::Aabb;
 use crate::obb::Obb;
@@ -56,19 +81,8 @@ impl StageSplit {
         self.sizes
     }
 
-    /// The axis ids belonging to stage `k` (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > 2`.
-    pub fn stage_axes(&self, k: usize) -> Vec<AxisId> {
-        let (start, len) = self.stage_range(k);
-        (start..start + len).map(AxisId::new).collect()
-    }
-
-    /// The 1-based `(start, len)` axis range of stage `k` — the
-    /// allocation-free form of [`StageSplit::stage_axes`] the cascade's
-    /// inner loop uses.
+    /// The 1-based `(start, len)` axis range of stage `k` (0-based), in
+    /// [`AxisId`] order.
     ///
     /// # Panics
     ///
@@ -81,16 +95,20 @@ impl StageSplit {
     }
 }
 
+/// The paper's 6‑5‑4 split (§4), the one the production kernel runs.
+pub(crate) const PAPER_SPLIT: StageSplit = StageSplit { sizes: [6, 5, 4] };
+
 impl Default for StageSplit {
     /// The paper's 6‑5‑4 split (§4).
     fn default() -> StageSplit {
-        StageSplit::new([6, 5, 4])
+        PAPER_SPLIT
     }
 }
 
-/// Configuration of the cascaded test (which filters are enabled and how the
-/// SAT stages are split). The default matches the paper's proposed design;
-/// the other combinations reproduce the ablations of §7.2.1.
+/// Configuration of the scalar [`cascaded_obb_aabb`] (which filters are
+/// enabled and how the SAT stages are split). The default matches the
+/// paper's proposed design, the only one the production kernel runs; the
+/// other combinations reproduce the ablations of §7.2.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CascadeConfig {
     /// Enable the bounding-sphere early-out for far-apart objects.
@@ -277,12 +295,13 @@ mod tests {
     }
 
     #[test]
-    fn stage_split_default_and_axes() {
+    fn stage_split_default_and_ranges() {
         let s = StageSplit::default();
         assert_eq!(s.sizes(), [6, 5, 4]);
-        assert_eq!(s.stage_axes(0).len(), 6);
-        assert_eq!(s.stage_axes(1)[0], AxisId::new(7));
-        assert_eq!(s.stage_axes(2)[3], AxisId::new(15));
+        assert_eq!(s.stage_range(0), (1, 6));
+        assert_eq!(s.stage_range(1), (7, 5));
+        assert_eq!(s.stage_range(2), (12, 4));
+        assert_eq!(StageSplit::new([5, 5, 5]).stage_range(2), (11, 5));
     }
 
     #[test]
@@ -293,8 +312,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn stage_axes_bounds() {
-        let _ = StageSplit::default().stage_axes(3);
+    fn stage_range_bounds() {
+        let _ = StageSplit::default().stage_range(3);
     }
 
     #[test]

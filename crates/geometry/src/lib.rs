@@ -18,25 +18,11 @@
 //!   feed the energy model.
 //! * [`cascade`] — the cascaded early-exit intersection test of Fig 10:
 //!   bounding-sphere filter → inscribed-sphere filter → separating-axis
-//!   stages of 6/5/4 axes.
-//!
-//! # Examples
-//!
-//! ```
-//! use mp_geometry::{Aabb, Obb, Vec3};
-//! use mp_geometry::cascade::{CascadeConfig, ExitStage, cascaded_obb_aabb};
-//!
-//! let obb = Obb::axis_aligned(Vec3::new(0.0, 0.0, 0.0), Vec3::new(0.1, 0.1, 0.1));
-//! let near = Aabb::new(Vec3::new(0.05, 0.0, 0.0), Vec3::new(0.1, 0.1, 0.1));
-//! let far = Aabb::new(Vec3::new(0.9, 0.9, 0.9), Vec3::new(0.05, 0.05, 0.05));
-//!
-//! let cfg = CascadeConfig::default();
-//! assert!(cascaded_obb_aabb(&obb, &near, &cfg).colliding);
-//! let miss = cascaded_obb_aabb(&obb, &far, &cfg);
-//! assert!(!miss.colliding);
-//! // Far-apart objects are filtered by the bounding-sphere test in one stage.
-//! assert_eq!(miss.exit, ExitStage::BoundingSphere);
-//! ```
+//!   stages of 6/5/4 axes, as the scalar reference with the §7.2.1
+//!   ablation settings.
+//! * [`soa`] — structure-of-arrays box lanes and [`soa::HoistedCascade`],
+//!   the production kernel that runs the proposed cascade over every box
+//!   an octree walk touches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

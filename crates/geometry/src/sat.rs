@@ -215,30 +215,11 @@ pub fn sat_all<S: Scalar>(obb: &Obb<S>, aabb: &Aabb<S>) -> SatResult {
     }
 }
 
-/// Tests a contiguous batch of axes (used by the 6-5-4 staged execution of
-/// the cascaded unit). Returns the first separating axis in the batch and
-/// the multiplications spent (all axes in the batch are evaluated, as the
+/// Tests the contiguous batch of axes `start..start + len` (1-based ids,
+/// like [`AxisId`]), as one stage of the cascade's 6-5-4 staged execution
+/// does. Returns the first separating axis in the batch and the
+/// multiplications spent (all axes in the batch are evaluated, as the
 /// stage's datapath runs them concurrently).
-pub fn sat_batch<S: Scalar>(obb: &Obb<S>, aabb: &Aabb<S>, ids: &[AxisId]) -> SatResult {
-    let mut first = None;
-    let mut mults = 0;
-    for &id in ids {
-        mults += axis_mult_count(id);
-        if first.is_none() && test_axis(obb, aabb, id) {
-            first = Some(id);
-        }
-    }
-    SatResult {
-        separating: first,
-        axes_tested: ids.len() as u32,
-        mults,
-    }
-}
-
-/// [`sat_batch`] over the contiguous axis range `start..start + len`
-/// (1-based ids, like [`AxisId`]). Staged execution always uses contiguous
-/// ranges, so the hot path takes this allocation-free form instead of
-/// materializing an id slice per stage.
 ///
 /// # Panics
 ///
@@ -495,12 +476,9 @@ mod tests {
         let rot = Mat3::rotation_y(0.33) * Mat3::rotation_x(-0.71);
         let obb = Obb::new(Vec3::new(0.8, -0.3, 0.2), Vec3::new(0.3, 0.2, 0.1), rot);
         let aabb = unit_aabb();
-        let stage1: Vec<AxisId> = (1..=6).map(AxisId::new).collect();
-        let stage2: Vec<AxisId> = (7..=11).map(AxisId::new).collect();
-        let stage3: Vec<AxisId> = (12..=15).map(AxisId::new).collect();
-        let b1 = sat_batch(&obb, &aabb, &stage1);
-        let b2 = sat_batch(&obb, &aabb, &stage2);
-        let b3 = sat_batch(&obb, &aabb, &stage3);
+        let b1 = sat_batch_range(&obb, &aabb, 1, 6);
+        let b2 = sat_batch_range(&obb, &aabb, 7, 5);
+        let b3 = sat_batch_range(&obb, &aabb, 12, 4);
         let staged_sep = b1.separating.or(b2.separating).or(b3.separating);
         assert_eq!(
             staged_sep.is_none(),

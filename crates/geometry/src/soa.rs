@@ -9,11 +9,15 @@
 //! [`HoistedCascade`] holds one OBB's cascade state — squared sphere radii
 //! and lazily derived SAT constants — across every box a walk touches.
 //!
-//! [`HoistedCascade::outcome`] is **bit-identical to the scalar
-//! [`crate::cascade::cascaded_obb_aabb`]**, which stays as its oracle:
-//! same verdict, exit stage, first separating axis and multiplication
-//! count. The cycle-level hardware models and the benchmark engine's replay
-//! memoization depend on those outputs exactly, so for `f32` the kernel
+//! [`HoistedCascade`] runs the paper's proposed cascade (both sphere
+//! filters, then the 6-5-4 SAT stages) and nothing else: the §7.2.1
+//! ablation settings live only on the scalar
+//! [`crate::cascade::cascaded_obb_aabb`]. [`HoistedCascade::outcome`] is
+//! **bit-identical to that scalar cascade under its proposed
+//! configuration**, which stays as its oracle: same verdict, exit stage,
+//! first separating axis and multiplication count. The cycle-level
+//! hardware models and the benchmark engine's replay memoization depend
+//! on those outputs exactly, so for `f32` the kernel
 //! only hoists OBB-side expressions (identical operands and operation
 //! order give identical IEEE-754 results) and never reorders per-box
 //! arithmetic. For Q3.12 it computes the same saturating chain in exact
@@ -23,7 +27,7 @@
 //! chain can saturate.
 
 use crate::aabb::Aabb;
-use crate::cascade::{CascadeConfig, CascadeOutcome, ExitStage};
+use crate::cascade::{CascadeOutcome, ExitStage, PAPER_SPLIT};
 use crate::obb::Obb;
 use crate::sat::{range_mult_count, AxisId};
 use crate::scalar::Scalar;
@@ -386,15 +390,19 @@ pub fn sat_overlaps_hoisted<S: Scalar>(
     !(1..=15u8).any(|raw| sat_axis_lane(raw, consts, t, b))
 }
 
-/// One OBB's cascade state hoisted for a whole traversal: the sphere radii
-/// are squared once, and the SAT constants are derived lazily on the first
-/// box that reaches the SAT stages — then reused for every later box
-/// instead of being rebuilt per pair.
+/// Multiplications of both sphere filters, which every box that passes
+/// the bounding-sphere filter spends.
+const SPHERE_FILTERS_MULS: u32 = 2 * SPHERE_AABB_MULS;
+
+/// One OBB's state of the proposed cascade, hoisted for a whole
+/// traversal: the sphere radii are squared once, and the SAT constants
+/// are derived lazily on the first box that reaches the SAT stages — then
+/// reused for every later box instead of being rebuilt per pair.
 ///
 /// [`HoistedCascade::outcome`] is **bit-identical** to the scalar
-/// [`crate::cascade::cascaded_obb_aabb`] on the same pair: same verdict,
-/// exit stage, first separating axis, multiplication count and stages
-/// executed. It is the production cascade kernel: the software checker and
+/// [`crate::cascade::cascaded_obb_aabb`] under its proposed configuration
+/// on the same pair: same verdict, exit stage, first separating axis,
+/// multiplication count and stages executed. It is the production cascade kernel: the software checker and
 /// the OOCD model both drive one instance per (pose, link) OBB across every
 /// entry its octree walk touches.
 ///
@@ -407,22 +415,18 @@ pub fn sat_overlaps_hoisted<S: Scalar>(
 ///
 /// let obb = Obb::new(Vec3::zero(), Vec3::splat(0.1), Mat3::rotation_z(0.3));
 /// let aabb = Aabb::new(Vec3::new(0.2, 0.0, 0.0), Vec3::splat(0.1));
-/// let cfg = CascadeConfig::proposed();
-/// let mut hoisted = HoistedCascade::new(&obb, &cfg);
+/// let mut hoisted = HoistedCascade::new(&obb);
 /// assert_eq!(
 ///     hoisted.outcome(aabb.center.x, aabb.center.y, aabb.center.z,
 ///                     aabb.half.x, aabb.half.y, aabb.half.z),
-///     cascaded_obb_aabb(&obb, &aabb, &cfg),
+///     cascaded_obb_aabb(&obb, &aabb, &CascadeConfig::proposed()),
 /// );
 /// ```
 #[derive(Clone, Debug)]
 pub struct HoistedCascade<S: Scalar> {
     obb: Obb<S>,
-    cfg: CascadeConfig,
     br2: S,
     ir2: S,
-    sphere_stage: u32,
-    sphere_mults: u32,
     consts: Option<SatConsts<S>>,
 }
 
@@ -430,16 +434,11 @@ impl<S: Scalar> HoistedCascade<S> {
     /// Hoists the per-OBB state (squared radii; SAT constants stay lazy,
     /// exactly as in the scalar cascade, so sphere-resolved traversals
     /// never pay for them).
-    pub fn new(obb: &Obb<S>, cfg: &CascadeConfig) -> HoistedCascade<S> {
+    pub fn new(obb: &Obb<S>) -> HoistedCascade<S> {
         HoistedCascade {
             obb: *obb,
-            cfg: *cfg,
             br2: obb.bounding_radius * obb.bounding_radius,
             ir2: obb.inscribed_radius * obb.inscribed_radius,
-            sphere_stage: u32::from(cfg.bounding_sphere_filter || cfg.inscribed_sphere_filter),
-            sphere_mults: (u32::from(cfg.bounding_sphere_filter)
-                + u32::from(cfg.inscribed_sphere_filter))
-                * SPHERE_AABB_MULS,
             consts: None,
         }
     }
@@ -453,15 +452,11 @@ impl<S: Scalar> HoistedCascade<S> {
         // sphere filters: equal to the scalar `sphere::sphere_aabb_overlap`
         // expression (`Fx` evaluates it in exact integer arithmetic).
         let p = self.obb.center;
-        let d2 = if self.sphere_stage != 0 {
-            S::box_dist2([p.x, p.y, p.z], [cx, cy, cz], [hx, hy, hz])
-        } else {
-            self.br2
-        };
+        let d2 = S::box_dist2([p.x, p.y, p.z], [cx, cy, cz], [hx, hy, hz]);
         // Same polarity as the scalar filter (`overlap = d2 <= r2`, exit
         // on `!overlap`), so incomparable values take the identical arm.
         let bounding_overlap = d2 <= self.br2;
-        if self.cfg.bounding_sphere_filter && !bounding_overlap {
+        if !bounding_overlap {
             return CascadeOutcome {
                 colliding: false,
                 exit: ExitStage::BoundingSphere,
@@ -470,29 +465,30 @@ impl<S: Scalar> HoistedCascade<S> {
                 stages_executed: 1,
             };
         }
-        if self.cfg.inscribed_sphere_filter && d2 <= self.ir2 {
-            let mut mults = SPHERE_AABB_MULS;
-            if self.cfg.bounding_sphere_filter {
-                mults += SPHERE_AABB_MULS;
-            }
+        if d2 <= self.ir2 {
             return CascadeOutcome {
                 colliding: true,
                 exit: ExitStage::InscribedSphere,
                 separating_axis: None,
-                mults,
+                mults: SPHERE_FILTERS_MULS,
                 stages_executed: 1,
             };
         }
-        self.sat_stages([p.x - cx, p.y - cy, p.z - cz], [hx, hy, hz])
+        self.sat_stages(cx, cy, cz, hx, hy, hz)
     }
 
     /// The SAT stages of the cascade for a box the sphere filters left
-    /// undecided: translation `t` and AABB half extents `b`.
+    /// undecided, given as in [`HoistedCascade::outcome`].
     // Out of line so the sphere filters, which decide most boxes (Fig 8),
     // inline into the octree walks without the SAT stages' register
     // pressure; measured 1–4% faster on the benchmark's planning workloads.
+    // The box comes as scalars, not arrays, so the walk loop does not
+    // store it to memory for boxes the filters decide.
     #[inline(never)]
-    fn sat_stages(&mut self, t: [S; 3], b: [S; 3]) -> CascadeOutcome {
+    fn sat_stages(&mut self, cx: S, cy: S, cz: S, hx: S, hy: S, hz: S) -> CascadeOutcome {
+        let p = self.obb.center;
+        let t = [p.x - cx, p.y - cy, p.z - cz];
+        let b = [hx, hy, hz];
         let obb = &self.obb;
         let c = self.consts.get_or_insert_with(|| SatConsts::new(obb));
         // Q3.12 boxes the saturating chain cannot clamp on take the exact
@@ -501,10 +497,11 @@ impl<S: Scalar> HoistedCascade<S> {
             .int
             .as_ref()
             .and_then(|ic| ic.fits(t, b).map(|(ti, bi)| (ic, ti, bi)));
-        let mut mults = self.sphere_mults;
-        let mut stages = self.sphere_stage;
+        // Both sphere filters ran, in the cascade's first stage.
+        let mut mults = SPHERE_FILTERS_MULS;
+        let mut stages = 1;
         for k in 0..3 {
-            let (start, len) = self.cfg.split.stage_range(k);
+            let (start, len) = PAPER_SPLIT.stage_range(k);
             mults += range_mult_count(start, len);
             stages += 1;
             let separating = match int {
@@ -534,7 +531,7 @@ impl<S: Scalar> HoistedCascade<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cascade::cascaded_obb_aabb;
+    use crate::cascade::{cascaded_obb_aabb, CascadeConfig};
     use crate::{Mat3, Vec3};
     use mp_fixed::Fx;
     use rand::rngs::StdRng;
@@ -573,22 +570,54 @@ mod tests {
         assert!(soa.is_empty());
     }
 
+    /// Compares one `HoistedCascade` over `obb` with the scalar oracle on
+    /// `n` seeded boxes near it, each redrawn (up to 64 times) until the
+    /// oracle's sphere filters leave it to the SAT stages, so both SAT
+    /// paths are exercised and not only the filters. Every drawn box is
+    /// compared; returns how many of the `n` reached a SAT stage.
+    fn matches_scalar_past_filters<S: Scalar>(
+        obb: &Obb<S>,
+        convert: fn(Aabb<f32>) -> Aabb<S>,
+        n: usize,
+        seed: u64,
+    ) -> usize {
+        let cfg = CascadeConfig::proposed();
+        let mut hoisted = HoistedCascade::new(obb);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reached = 0;
+        for _ in 0..n {
+            for _ in 0..64 {
+                let mut f = |lo: f32, hi: f32| rng.gen_range(lo..hi);
+                let b = convert(Aabb::new(
+                    Vec3::new(f(-0.8, 0.8), f(-0.8, 0.8), f(-0.8, 0.8)),
+                    Vec3::new(f(0.02, 0.3), f(0.02, 0.3), f(0.02, 0.3)),
+                ));
+                let want = cascaded_obb_aabb(obb, &b, &cfg);
+                let got = hoisted.outcome(
+                    b.center.x, b.center.y, b.center.z, b.half.x, b.half.y, b.half.z,
+                );
+                assert_eq!(got, want, "box {b:?}");
+                if want.stages_executed > 1 {
+                    reached += 1;
+                    break;
+                }
+            }
+        }
+        reached
+    }
+
     #[test]
     fn hoisted_cascade_matches_scalar_per_lane() {
         let (obb, soa) = sample_boxes();
-        for cfg in [
-            CascadeConfig::proposed(),
-            CascadeConfig::without_filters(),
-            CascadeConfig::bounding_only(),
-        ] {
-            let mut hoisted = HoistedCascade::new(&obb, &cfg);
-            let [cx, cy, cz, hx, hy, hz] = soa.coord_lanes();
-            for l in 0..soa.len() {
-                let got = hoisted.outcome(cx[l], cy[l], cz[l], hx[l], hy[l], hz[l]);
-                let want = cascaded_obb_aabb(&obb, &soa.get(l), &cfg);
-                assert_eq!(got, want, "lane {l} cfg {cfg:?}");
-            }
+        let cfg = CascadeConfig::proposed();
+        let mut hoisted = HoistedCascade::new(&obb);
+        let [cx, cy, cz, hx, hy, hz] = soa.coord_lanes();
+        for l in 0..soa.len() {
+            let got = hoisted.outcome(cx[l], cy[l], cz[l], hx[l], hy[l], hz[l]);
+            let want = cascaded_obb_aabb(&obb, &soa.get(l), &cfg);
+            assert_eq!(got, want, "lane {l}");
         }
+        assert_eq!(matches_scalar_past_filters(&obb, |b| b, 64, 1), 64);
     }
 
     #[test]
@@ -596,7 +625,7 @@ mod tests {
         let (obb, soa) = sample_boxes();
         let q = obb.quantize();
         let cfg = CascadeConfig::proposed();
-        let mut hoisted = HoistedCascade::new(&q, &cfg);
+        let mut hoisted = HoistedCascade::new(&q);
         for l in 0..soa.len() {
             let b = soa.get(l).quantize();
             let got = hoisted.outcome(
@@ -604,6 +633,7 @@ mod tests {
             );
             assert_eq!(got, cascaded_obb_aabb(&q, &b, &cfg), "lane {l}");
         }
+        assert_eq!(matches_scalar_past_filters(&q, |b| b.quantize(), 64, 2), 64);
     }
 
     /// A Q3.12 OBB from seeded values: a rotation (entries within ±1) or,

@@ -8,6 +8,9 @@ use mp_geometry::soa::{sat_overlaps_hoisted, AabbSoa, HoistedCascade, SatConsts}
 use mp_geometry::{Aabb, AabbF, Mat3, Obb, Scalar, Sphere, Vec3};
 use proptest::prelude::*;
 
+/// Boxes drawn per case to replace those the sphere filters decide.
+const REDRAWS: usize = 24;
+
 fn any_vec(range: f32) -> impl Strategy<Value = Vec3> {
     (-range..range, -range..range, -range..range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
 }
@@ -29,6 +32,32 @@ fn any_aabb() -> impl Strategy<Value = AabbF> {
     (any_vec(1.0), any_half()).prop_map(|(c, h)| Aabb::new(c, h))
 }
 
+/// Placement of a box that passes both sphere filters of an OBB: its
+/// distance from the OBB centre as a fraction of the way from the
+/// inscribed to the bounding radius, the direction it lies in, and its
+/// half extents.
+fn any_placement() -> impl Strategy<Value = (f32, Vec3, Vec3)> {
+    (0.05f32..0.95, any_vec(1.0), any_half())
+}
+
+/// The box `placement` puts at a distance from `obb`'s centre strictly
+/// between its inscribed and bounding radii, so the sphere filters leave
+/// it to the SAT stages.
+fn past_the_filters(obb: &Obb, (t, dir, half): (f32, Vec3, Vec3)) -> AabbF {
+    let d = obb.inscribed_radius + t * (obb.bounding_radius - obb.inscribed_radius);
+    let w = dir.abs() * (1.0 / dir.abs().length().max(1e-6));
+    // Per axis the box starts `d * w` past the centre, so the closest
+    // point lies at distance `d`.
+    let off = |x: f32, w: f32, h: f32| (d * w + h).copysign(x);
+    let center = obb.center
+        + Vec3::new(
+            off(dir.x, w.x, half.x),
+            off(dir.y, w.y, half.y),
+            off(dir.z, w.z, half.z),
+        );
+    Aabb::new(center, half)
+}
+
 /// Samples a dense grid of points inside the OBB; if any lies inside the
 /// AABB the boxes definitely overlap (a one-sided geometric oracle).
 fn sampled_overlap_witness(obb: &Obb, aabb: &AabbF) -> bool {
@@ -48,33 +77,45 @@ fn sampled_overlap_witness(obb: &Obb, aabb: &AabbF) -> bool {
     false
 }
 
-/// Drives one `HoistedCascade` per configuration across `boxes` (held as
-/// SoA lanes, like the flat octree arena) and compares every outcome with
-/// the scalar oracle `cascaded_obb_aabb`.
-fn hoisted_matches_scalar<S: Scalar>(obb: &Obb<S>, boxes: &[Aabb<S>]) -> Result<(), TestCaseError> {
-    let mut soa = AabbSoa::with_capacity(boxes.len());
+/// Drives one `HoistedCascade` across `boxes` (held as SoA lanes, like
+/// the flat octree arena) and compares every outcome with the scalar
+/// oracle `cascaded_obb_aabb` under the proposed configuration. The sphere
+/// filters decide most random pairs, so a box they decide is followed by
+/// boxes from `redraws` until one reaches a SAT stage. Returns how many of
+/// `boxes` reached one, directly or through a redraw.
+fn hoisted_matches_scalar<S: Scalar>(
+    obb: &Obb<S>,
+    boxes: &[Aabb<S>],
+    redraws: &[Aabb<S>],
+) -> Result<usize, TestCaseError> {
+    let cfg = CascadeConfig::proposed();
+    let mut redraws = redraws.iter();
+    let mut soa = AabbSoa::new();
+    let mut want = Vec::new();
+    let mut reached = 0;
     for b in boxes {
-        soa.push(b);
-    }
-    let [cx, cy, cz, hx, hy, hz] = soa.coord_lanes();
-    for cfg in [
-        CascadeConfig::proposed(),
-        CascadeConfig::without_filters(),
-        CascadeConfig::bounding_only(),
-    ] {
-        let mut hoisted = HoistedCascade::new(obb, &cfg);
-        for (l, b) in boxes.iter().enumerate() {
-            let got = hoisted.outcome(cx[l], cy[l], cz[l], hx[l], hy[l], hz[l]);
-            prop_assert_eq!(
-                got,
-                cascaded_obb_aabb(obb, b, &cfg),
-                "box {} cfg {:?}",
-                l,
-                cfg
-            );
+        let mut b = b;
+        loop {
+            let out = cascaded_obb_aabb(obb, b, &cfg);
+            soa.push(b);
+            want.push(out);
+            if out.stages_executed > 1 {
+                reached += 1;
+                break;
+            }
+            match redraws.next() {
+                Some(next) => b = next,
+                None => break,
+            }
         }
     }
-    Ok(())
+    let mut hoisted = HoistedCascade::new(obb);
+    let [cx, cy, cz, hx, hy, hz] = soa.coord_lanes();
+    for (l, want) in want.iter().enumerate() {
+        let got = hoisted.outcome(cx[l], cy[l], cz[l], hx[l], hy[l], hz[l]);
+        prop_assert_eq!(&got, want, "box {}", l);
+    }
+    Ok(reached)
 }
 
 proptest! {
@@ -228,25 +269,33 @@ proptest! {
     /// one `HoistedCascade` per OBB is driven across every generated box
     /// through the SoA lanes, as both octree walks do, and the whole
     /// outcome record (verdict, exit stage, first separating axis, mult and
-    /// stage counters) must match for every cascade configuration.
+    /// stage counters) must match the proposed configuration's. Every
+    /// generated box reaches the SAT stages, through redraws.
     #[test]
     fn hoisted_cascade_is_bit_identical_to_scalar(
         obb in any_obb(),
         boxes in prop::collection::vec(any_aabb(), 1..12),
+        placements in prop::collection::vec(any_placement(), REDRAWS),
     ) {
-        hoisted_matches_scalar(&obb, &boxes)?;
+        let redraws: Vec<_> = placements.iter().map(|&p| past_the_filters(&obb, p)).collect();
+        let reached = hoisted_matches_scalar(&obb, &boxes, &redraws)?;
+        prop_assert_eq!(reached, boxes.len());
     }
 
     /// Same bit-identity contract in Q3.12: quantize both sides and the
     /// hoisted cascade must still replicate the scalar fixed-point cascade
-    /// exactly, for every cascade configuration.
+    /// exactly.
     #[test]
     fn hoisted_cascade_is_bit_identical_in_fixed_point(
         obb in any_obb(),
         boxes in prop::collection::vec(any_aabb(), 1..12),
+        placements in prop::collection::vec(any_placement(), REDRAWS),
     ) {
         let qboxes: Vec<_> = boxes.iter().map(|b| b.quantize()).collect();
-        hoisted_matches_scalar(&obb.quantize(), &qboxes)?;
+        let qredraws: Vec<_> =
+            placements.iter().map(|&p| past_the_filters(&obb, p).quantize()).collect();
+        let reached = hoisted_matches_scalar(&obb.quantize(), &qboxes, &qredraws)?;
+        prop_assert_eq!(reached, boxes.len());
     }
 
     /// The hoisted-constants overlap sweep (voxel rasterization path) is

@@ -17,8 +17,9 @@
 //!   simulated accelerators,
 //! * [`baselines`] — CPU/GPU comparison models,
 //! * [`telemetry`] — deterministic spans/counters/histograms, the flight
-//!   recorder, and the Chrome/Perfetto trace exporter (hot-kernel spans
-//!   gate behind the `telemetry` cargo feature).
+//!   recorder, and the Chrome/Perfetto trace exporter (the hot-kernel
+//!   spans are always compiled in, and record nothing unless a session
+//!   is installed).
 
 #![forbid(unsafe_code)]
 

@@ -2,14 +2,16 @@
 //! the software oracle functionally, and their relative timings must obey
 //! the paper's ordering claims.
 
-use mpaccel::accel::cecdu::{CecduChecker, CecduSim};
+use mpaccel::accel::cecdu::{CecduChecker, CecduSim, OBB_GEN_MULTS};
 use mpaccel::accel::fault::{FaultTolerantCduArray, RecoveryMode};
-use mpaccel::accel::oocd::{reference_outcome, run_oocd, OocdConfig};
+use mpaccel::accel::oocd::{reference_outcome, run_oocd};
 use mpaccel::accel::sas::{run_sas, CecduCdu, FunctionMode, IdealCdu, SasConfig};
 use mpaccel::collision::{CollisionChecker, SoftwareChecker};
-use mpaccel::geometry::cascade::CascadeConfig;
-use mpaccel::octree::{benchmark_scenes, Scene, SceneConfig};
-use mpaccel::robot::{Motion, RobotModel};
+use mpaccel::geometry::cascade::{cascaded_obb_aabb, CascadeConfig};
+use mpaccel::geometry::FxObb;
+use mpaccel::octree::{benchmark_scenes, Octree, Scene, SceneConfig};
+use mpaccel::robot::fk::link_obbs;
+use mpaccel::robot::{Motion, RobotModel, TrigMode};
 use mpaccel::sim::fault::FaultKind;
 use mpaccel::sim::{CecduConfig, FaultInjector, FaultPlan, IuKind};
 use rand::rngs::StdRng;
@@ -48,11 +50,10 @@ fn oocd_simulation_matches_functional_traversal_everywhere() {
         for _ in 0..100 {
             let obb = mpaccel::baselines::workload::random_link_obb(&mut rng).quantize();
             for iu in [IuKind::MultiCycle, IuKind::Pipelined] {
-                let cfg = OocdConfig::new(iu);
-                let sim = run_oocd(&tree, &obb, &cfg);
+                let sim = run_oocd(&tree, &obb, iu);
                 assert_eq!(
                     sim.colliding,
-                    reference_outcome(&tree, &obb, &cfg.cascade),
+                    reference_outcome(&tree, &obb),
                     "scene {seed}, iu {iu:?}"
                 );
             }
@@ -84,25 +85,59 @@ fn sas_with_hardware_cdus_matches_ideal_verdicts() {
     assert!(hw.cycles > ideal.cycles, "hardware latency must show up");
 }
 
+/// The OOCD's walk of `tree` for one link OBB — its Q3.12 octree boxes,
+/// in its order, with its early exit — with the scalar cascade under
+/// `cascade`. Returns the verdict and the multiplications spent.
+fn oocd_walk(tree: &Octree, obb: &FxObb, cascade: &CascadeConfig) -> (bool, u64) {
+    let flat = tree.flat();
+    let boxes = flat.aabbs_oocd();
+    let mut mults = 0u64;
+    let mut stack = vec![0u32];
+    while let Some(addr) = stack.pop() {
+        for e in flat.entries(addr) {
+            let out = cascaded_obb_aabb(obb, &boxes.get(e), cascade);
+            mults += u64::from(out.mults);
+            if out.colliding {
+                if flat.is_full(e) {
+                    return (true, mults);
+                }
+                stack.push(flat.child(e));
+            }
+        }
+    }
+    (false, mults)
+}
+
 #[test]
 fn ablation_orderings_hold_on_hardware() {
     // §7.2.1/§7.2.2 orderings at the robot-pose level: the proposed
-    // cascade beats the no-filter variant on multiplications.
+    // cascade the CECDU runs beats the no-filter variant on
+    // multiplications. The no-filter side runs the scalar cascade over
+    // the same Q3.12 link OBBs and octree boxes, on the links the CECDU
+    // checked, and bills the same OBB generation.
     let robot = RobotModel::jaco2();
     let scene = Scene::random(SceneConfig::paper(), 3);
+    let tree = scene.octree();
     let mut rng = StdRng::seed_from_u64(21);
-    let proposed = CecduSim::new(robot.clone(), scene.octree(), CecduConfig::default());
-    let no_filters = CecduSim::new(robot.clone(), scene.octree(), CecduConfig::default())
-        .with_cascade(CascadeConfig::without_filters());
+    let proposed = CecduSim::new(robot.clone(), tree.clone(), CecduConfig::default());
     let mut mults_proposed = 0u64;
     let mut mults_nofilter = 0u64;
     for _ in 0..150 {
         let pose = robot.sample_config(&mut rng);
         let a = proposed.check_pose(&pose);
-        let b = no_filters.check_pose(&pose);
-        assert_eq!(a.colliding, b.colliding, "filters must not change answers");
+        let (mut colliding, mut walked) = (false, 0u64);
+        for obb in &link_obbs(&robot, &pose, TrigMode::Hardware)[..a.links_checked] {
+            let obb = obb.quantize();
+            let (hit, mults) = oocd_walk(&tree, &obb, &CascadeConfig::proposed());
+            let (hit_nf, mults_nf) = oocd_walk(&tree, &obb, &CascadeConfig::without_filters());
+            assert_eq!(hit, hit_nf, "filters must not change answers");
+            colliding |= hit;
+            walked += mults + OBB_GEN_MULTS;
+            mults_nofilter += mults_nf + OBB_GEN_MULTS;
+        }
+        // The walk above is the CECDU's, multiplication for multiplication.
+        assert_eq!((colliding, walked), (a.colliding, a.ops.mults));
         mults_proposed += a.ops.mults;
-        mults_nofilter += b.ops.mults;
     }
     assert!(
         (mults_proposed as f64) < 0.8 * mults_nofilter as f64,

@@ -11,8 +11,7 @@
 //!
 //! - the software checker's verdict, its `CdStats` after the call and the
 //!   process-wide `mp_collision::metrics` delta to equal those of a fresh
-//!   checker asked only that pose, also after the checker moves to
-//!   another environment, trig or cascade;
+//!   checker asked only that pose;
 //! - `run_trace_ledgered`'s report and ledger, and its metrics delta, to
 //!   equal a replay that calls `CecduSim::check_pose` on every dispatch.
 //!
@@ -29,8 +28,7 @@ use mpaccel::accel::{
 use mpaccel::collision::metrics::{ops_total, pose_checks_total};
 use mpaccel::collision::pose_cache::POSE_CACHE_SLOTS;
 use mpaccel::collision::{CdStats, CollisionChecker, SoftwareChecker};
-use mpaccel::geometry::cascade::CascadeConfig;
-use mpaccel::octree::{benchmark_scenes, Octree, Scene, SceneConfig};
+use mpaccel::octree::{benchmark_scenes, Scene, SceneConfig};
 use mpaccel::planner::queries::generate_queries;
 use mpaccel::planner::{plan, MpnetConfig, OracleSampler};
 use mpaccel::robot::{JointConfig, Motion, RobotModel};
@@ -185,29 +183,6 @@ fn software_checker_answers_repeats_as_a_fresh_checker() {
             );
         }
     }
-}
-
-#[test]
-fn a_new_environment_trig_or_cascade_forgets_cached_poses() {
-    let _metrics = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let robot = RobotModel::jaco2();
-    let scenes = benchmark_scenes();
-    let (first, second) = (scenes[0].octree(), scenes[4].octree());
-    let (poses, _) = mpnet_run(&robot, &scenes[0], 1);
-    let poses = &poses[..poses.len().min(200)];
-    let fresh = |tree: &Octree| SoftwareChecker::new(robot.clone(), tree.clone());
-
-    let mut checker = fresh(&first);
-    assert_as_fresh("first scene", &mut checker, || fresh(&first), poses);
-    checker.set_octree(second.clone());
-    assert_as_fresh("after set_octree", &mut checker, || fresh(&second), poses);
-    let mut checker = checker.with_hardware_trig();
-    let fresh_hw = || fresh(&second).with_hardware_trig();
-    assert_as_fresh("after with_hardware_trig", &mut checker, fresh_hw, poses);
-    let cascade = CascadeConfig::bounding_only();
-    let mut checker = checker.with_cascade(cascade);
-    let fresh_cascade = || fresh(&second).with_hardware_trig().with_cascade(cascade);
-    assert_as_fresh("after with_cascade", &mut checker, fresh_cascade, poses);
 }
 
 /// A CDU that runs `CecduSim::check_pose` on every dispatch.

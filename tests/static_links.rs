@@ -12,14 +12,13 @@
 //! Both robots run on paper scenes, on a 24-obstacle depth-6 clutter scene
 //! (the `plan_clutter` workload's shape) and on a scene whose obstacle
 //! swallows the base, so link 0 collides and every pose must exit early as
-//! colliding. A checker moved to another environment or cascade, and a
-//! clone taken before first use, must equal a fresh checker.
+//! colliding. A clone taken before first use must equal a fresh checker,
+//! and a system moved to another environment a fresh system.
 
 use mpaccel::accel::cecdu::{OBB_GEN_FIRST_READY, OBB_GEN_INTERVAL, OBB_GEN_MULTS};
 use mpaccel::accel::sas::FunctionMode;
 use mpaccel::accel::{
-    run_oocd, CecduResult, CecduSim, MpAccelSystem, OocdConfig, PlannerTrace, SystemConfig,
-    TraceEvent,
+    run_oocd, CecduResult, CecduSim, MpAccelSystem, PlannerTrace, SystemConfig, TraceEvent,
 };
 use mpaccel::collision::{attributed, CdStats, CollisionChecker, SoftwareChecker};
 use mpaccel::geometry::cascade::{cascaded_obb_aabb, CascadeConfig};
@@ -69,22 +68,17 @@ fn poses(robot: &RobotModel, seed: u64) -> Vec<JointConfig> {
 }
 
 /// One pose query on the software checker, walking every link.
-fn software_reference(
-    robot: &RobotModel,
-    tree: &Octree,
-    trig: TrigMode,
-    cascade: &CascadeConfig,
-    pose: &JointConfig,
-) -> (bool, CdStats) {
+fn software_reference(robot: &RobotModel, tree: &Octree, pose: &JointConfig) -> (bool, CdStats) {
+    let cascade = CascadeConfig::proposed();
     let mut stats = CdStats {
         pose_queries: 1,
         ..CdStats::default()
     };
-    for obb in link_obbs(robot, pose, trig) {
+    for obb in link_obbs(robot, pose, TrigMode::Exact) {
         stats.link_tests += 1;
         let mut mults = 0u64;
         let (hit, t) = tree.collides_with_stats(&mut |aabb| {
-            let out = cascaded_obb_aabb(&obb, aabb, cascade);
+            let out = cascaded_obb_aabb(&obb, aabb, &cascade);
             mults += u64::from(out.mults);
             out.colliding
         });
@@ -104,13 +98,8 @@ fn cecdu_reference(
     robot: &RobotModel,
     tree: &Octree,
     config: CecduConfig,
-    cascade: CascadeConfig,
     pose: &JointConfig,
 ) -> CecduResult {
-    let oocd = OocdConfig {
-        iu: config.iu,
-        cascade,
-    };
     let n = config.oocds.max(1);
     let mut out = CecduResult::default();
     let mut t = 0u64;
@@ -122,7 +111,7 @@ fn cecdu_reference(
         let start = t.max(OBB_GEN_FIRST_READY + OBB_GEN_INTERVAL * last);
         let mut dur = 0;
         for obb in wave {
-            let r = run_oocd(tree, &obb.quantize(), &oocd);
+            let r = run_oocd(tree, &obb.quantize(), config.iu);
             dur = dur.max(r.cycles);
             out.ops += r.ops;
             out.ops += OpCounter {
@@ -169,32 +158,26 @@ fn assert_sim_same_as_fresh(what: &str, sim: &CecduSim, fresh: &CecduSim, poses:
 
 #[test]
 fn software_checker_replays_the_base_link_exactly() {
-    let cascade = CascadeConfig::proposed();
     for robot in robots() {
         let poses = poses(&robot, 11);
         for (env, tree) in environments() {
-            for trig in [TrigMode::Exact, TrigMode::Hardware] {
-                let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
-                if trig == TrigMode::Hardware {
-                    checker = checker.with_hardware_trig();
-                }
-                let mut total = CdStats::default();
-                for (i, pose) in poses.iter().enumerate() {
-                    let got = attributed(&mut checker, |c| c.check_pose(pose));
-                    let want = software_reference(&robot, &tree, trig, &cascade, pose);
-                    assert_eq!(got, want, "{} on {env}, {trig:?}: pose {i}", robot.name());
-                    total.absorb(got.1);
-                }
-                assert_eq!(checker.stats(), total);
-                if env == "base swallowed" {
-                    // Link 0 collides, so every pose stops after it.
-                    assert_eq!(total.link_tests, total.pose_queries);
-                    assert!(
-                        poses.iter().all(|p| checker.check_pose(p)),
-                        "{} on {env}: a pose came out free",
-                        robot.name()
-                    );
-                }
+            let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
+            let mut total = CdStats::default();
+            for (i, pose) in poses.iter().enumerate() {
+                let got = attributed(&mut checker, |c| c.check_pose(pose));
+                let want = software_reference(&robot, &tree, pose);
+                assert_eq!(got, want, "{} on {env}: pose {i}", robot.name());
+                total.absorb(got.1);
+            }
+            assert_eq!(checker.stats(), total);
+            if env == "base swallowed" {
+                // Link 0 collides, so every pose stops after it.
+                assert_eq!(total.link_tests, total.pose_queries);
+                assert!(
+                    poses.iter().all(|p| checker.check_pose(p)),
+                    "{} on {env}: a pose came out free",
+                    robot.name()
+                );
             }
         }
     }
@@ -202,7 +185,6 @@ fn software_checker_replays_the_base_link_exactly() {
 
 #[test]
 fn cecdu_replays_the_base_link_exactly() {
-    let cascade = CascadeConfig::proposed();
     for robot in robots() {
         let poses = poses(&robot, 12);
         for (env, tree) in environments() {
@@ -212,7 +194,7 @@ fn cecdu_replays_the_base_link_exactly() {
                     let sim = CecduSim::new(robot.clone(), tree.clone(), config);
                     for (i, pose) in poses.iter().enumerate() {
                         let got = sim.check_pose(pose);
-                        let want = cecdu_reference(&robot, &tree, config, cascade, pose);
+                        let want = cecdu_reference(&robot, &tree, config, pose);
                         assert_eq!(
                             got,
                             want,
@@ -237,29 +219,7 @@ fn moved_and_cloned_checkers_equal_fresh_ones() {
     let paper = benchmark_scenes()[0].octree();
     let swallowed = base_swallowed();
     let poses = poses(&robot, 13);
-    let no_filters = CascadeConfig::without_filters();
-    let used = |tree: &Octree| {
-        let mut c = SoftwareChecker::new(robot.clone(), tree.clone());
-        for p in &poses[..3] {
-            c.check_pose(p);
-        }
-        c
-    };
 
-    // `set_octree` after the base link was walked, in both directions.
-    for (from, to) in [(&paper, &swallowed), (&swallowed, &paper)] {
-        let mut moved = used(from);
-        moved.set_octree(to.clone());
-        let mut fresh = SoftwareChecker::new(robot.clone(), to.clone());
-        assert_same_as_fresh("set_octree", &mut moved, &mut fresh, &poses);
-    }
-    // `with_cascade` and `with_hardware_trig` after use.
-    let mut moved = used(&paper).with_cascade(no_filters);
-    let mut fresh = SoftwareChecker::new(robot.clone(), paper.clone()).with_cascade(no_filters);
-    assert_same_as_fresh("with_cascade", &mut moved, &mut fresh, &poses);
-    let mut moved = used(&paper).with_hardware_trig();
-    let mut fresh = SoftwareChecker::new(robot.clone(), paper.clone()).with_hardware_trig();
-    assert_same_as_fresh("with_hardware_trig", &mut moved, &mut fresh, &poses);
     // A clone taken before first use, queried after the original.
     let mut original = SoftwareChecker::new(robot.clone(), swallowed.clone());
     let mut clone = original.clone();
@@ -270,19 +230,12 @@ fn moved_and_cloned_checkers_equal_fresh_ones() {
 
     // The same for the CECDU.
     let config = CecduConfig::new(4, IuKind::MultiCycle);
-    for (from, to) in [(&paper, &swallowed), (&swallowed, &paper)] {
-        let mut moved = CecduSim::new(robot.clone(), from.clone(), config);
-        let before = moved.clone();
-        moved.set_octree(to.clone());
-        let fresh = CecduSim::new(robot.clone(), to.clone(), config);
-        assert_sim_same_as_fresh("CECDU set_octree", &moved, &fresh, &poses);
-        let fresh = CecduSim::new(robot.clone(), from.clone(), config);
-        assert_sim_same_as_fresh("CECDU clone", &before, &fresh, &poses);
-    }
-    let moved = CecduSim::new(robot.clone(), paper.clone(), config).with_cascade(no_filters);
-    for pose in &poses {
-        let want = cecdu_reference(&robot, &paper, config, no_filters, pose);
-        assert_eq!(moved.check_pose(pose), want, "CECDU with_cascade");
+    for tree in [&paper, &swallowed] {
+        let sim = CecduSim::new(robot.clone(), tree.clone(), config);
+        let clone = sim.clone();
+        let fresh = CecduSim::new(robot.clone(), tree.clone(), config);
+        assert_sim_same_as_fresh("CECDU original", &sim, &fresh, &poses);
+        assert_sim_same_as_fresh("CECDU clone", &clone, &fresh, &poses);
     }
 
     // A system moved by `set_octree` replays traces like a fresh one.
