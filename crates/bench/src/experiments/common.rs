@@ -29,10 +29,9 @@ pub struct SasAggregate {
     pub cycles: u64,
     /// Total CD queries dispatched (the paper's energy proxy, §7.1).
     pub queries: u64,
-    /// Total multiplications (fine-grained energy proxy).
-    pub mults: u64,
-    /// Full per-class operation ledger across all batches (superset of
-    /// `mults`; priced by [`SasAggregate::energy_pj`]).
+    /// Full per-class operation ledger across all batches (`ops.mults` is
+    /// the fine-grained energy proxy; priced by
+    /// [`SasAggregate::energy_pj`]).
     pub ops: OpCounter,
 }
 
@@ -216,7 +215,6 @@ fn replay_inner(
         };
         agg.cycles += r.cycles;
         agg.queries += r.queries;
-        agg.mults += r.ops.mults;
         agg.ops += r.ops;
     }
     agg
@@ -274,6 +272,6 @@ mod tests {
         let ideal = replay(&w, &SasConfig::sequential(), CduKind::Ideal, 4);
         assert_eq!(hw.queries, ideal.queries); // same schedule, same work
         assert!(hw.cycles > ideal.cycles); // but real latency
-        assert!(hw.mults > 0);
+        assert!(hw.ops.mults > 0);
     }
 }

@@ -95,7 +95,6 @@ fn software_replay(workload: &BenchWorkload, max_batches: usize) -> SasAggregate
         );
         agg.cycles += r.cycles;
         agg.queries += r.queries;
-        agg.mults += r.ops.mults;
         agg.ops += r.ops;
     }
     agg

@@ -42,7 +42,7 @@ pub struct FaultPoint {
     pub rate: f64,
     /// Recovery mode in force.
     pub mode: RecoveryMode,
-    /// Scheduler-side aggregate (cycles, queries, mults).
+    /// Scheduler-side aggregate (cycles, queries, ops).
     pub agg: SasAggregate,
     /// Resilience counters summed over all replayed batches.
     pub counters: ResilienceCounters,
@@ -93,7 +93,7 @@ pub fn data(scale: Scale) -> Vec<FaultPoint> {
                 let r = run_sas(&batch.motions, FunctionMode::Complete, &sas, &mut array);
                 agg.cycles += r.cycles;
                 agg.queries += r.queries;
-                agg.mults += r.ops.mults;
+                agg.ops += r.ops;
                 counters.merge(array.counters());
             }
             points.push(FaultPoint {
@@ -131,7 +131,8 @@ pub fn run(scale: Scale) -> Report {
             p.mode.label().to_string(),
             f3(p.verdict_accuracy()),
             f3(per_query(&p.agg, p.agg.cycles) / per_query(&base.agg, base.agg.cycles).max(1e-12)),
-            f3(per_query(&p.agg, p.agg.mults) / per_query(&base.agg, base.agg.mults).max(1e-12)),
+            f3(per_query(&p.agg, p.agg.ops.mults)
+                / per_query(&base.agg, base.agg.ops.mults).max(1e-12)),
             p.counters.injected_total().to_string(),
             p.counters.detected.to_string(),
             p.counters.escaped.to_string(),
@@ -209,7 +210,7 @@ mod tests {
             "per-query latency should rise under retries"
         );
         assert!(
-            retry.agg.mults * base.agg.queries > base.agg.mults * retry.agg.queries,
+            retry.agg.ops.mults * base.agg.queries > base.agg.ops.mults * retry.agg.queries,
             "per-query energy should rise under retries"
         );
         // The voter spot-checks free verdicts when enabled.

@@ -109,16 +109,10 @@ impl BenchWorkload {
     /// dominates experiment setup; every experiment and Criterion bench
     /// shares the cached instance through the returned [`Arc`] without
     /// deep-copying scenes or traces.
+    ///
+    /// Two callers with the same `(robot, scale)` observe the identical
+    /// workload object.
     pub fn cached(robot: RobotModel, scale: Scale) -> Arc<BenchWorkload> {
-        BenchWorkload::cached_seeded(robot, scale, 0)
-    }
-
-    /// Like [`BenchWorkload::cached`], keyed by an additional base seed.
-    /// The cache key is the full workload content key `(robot, scale,
-    /// seed)`: two callers with the same key observe the identical
-    /// workload object; seed 0 reproduces the historical corpus
-    /// byte-for-byte.
-    pub fn cached_seeded(robot: RobotModel, scale: Scale, seed: u64) -> Arc<BenchWorkload> {
         use std::collections::HashMap;
         use std::sync::{Mutex, OnceLock};
         // Two-level locking: the map mutex is held only to look up or
@@ -127,10 +121,10 @@ impl BenchWorkload {
         // Baxter) do not serialize; same-key callers block inside the
         // slot's `OnceLock` until the one build finishes.
         type Slot = Arc<OnceLock<Arc<BenchWorkload>>>;
-        type Cache = Mutex<HashMap<(String, Scale, u64), Slot>>;
+        type Cache = Mutex<HashMap<(String, Scale), Slot>>;
         static CACHE: OnceLock<Cache> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let key = (robot.name().to_string(), scale, seed);
+        let key = (robot.name().to_string(), scale);
         let slot = Arc::clone(
             cache
                 .lock()
@@ -138,20 +132,14 @@ impl BenchWorkload {
                 .entry(key)
                 .or_default(),
         );
-        Arc::clone(slot.get_or_init(|| Arc::new(BenchWorkload::build_seeded(robot, scale, seed))))
+        Arc::clone(slot.get_or_init(|| Arc::new(BenchWorkload::build(robot, scale))))
     }
 
-    /// Builds the MPNet workload for a robot at the given scale
-    /// (deterministic, base seed 0).
-    pub fn build(robot: RobotModel, scale: Scale) -> BenchWorkload {
-        BenchWorkload::build_seeded(robot, scale, 0)
-    }
-
-    /// Builds the MPNet workload for a robot/scale/seed triple. Every
+    /// Builds the MPNet workload for a robot at the given scale. Every
     /// random stream (query generation, planner sampling) is derived from
-    /// `(seed, scene index, query index)` alone, so the corpus is
-    /// identical however many threads build it.
-    pub fn build_seeded(robot: RobotModel, scale: Scale, seed: u64) -> BenchWorkload {
+    /// `(scene index, query index)` alone, so the corpus is identical
+    /// however many threads build it.
+    pub fn build(robot: RobotModel, scale: Scale) -> BenchWorkload {
         let scenes: Vec<Scene> = benchmark_scenes()
             .into_iter()
             .take(scale.scenes())
@@ -163,13 +151,9 @@ impl BenchWorkload {
         // scene order, so the corpus is independent of the thread count.
         let pool = ThreadPool::from_env();
         let per_scene: Vec<Vec<PlannerTrace>> = pool.map(&scenes, |si, scene| {
-            let queries = generate_queries(
-                &robot,
-                scene,
-                scale.queries_per_scene(),
-                90 + seed.wrapping_mul(0x9E37_79B9) + si as u64,
-            )
-            .expect("benchmark scenes yield valid queries");
+            let queries =
+                generate_queries(&robot, scene, scale.queries_per_scene(), 90 + si as u64)
+                    .expect("benchmark scenes yield valid queries");
             // All of a scene's queries are planned one after another on
             // one shared checker: the octree clone and traversal buffers
             // are paid once per scene, and each query's trace is the one
@@ -179,7 +163,7 @@ impl BenchWorkload {
                 .iter()
                 .enumerate()
                 .map(|(qi, q)| {
-                    let qseed = seed.wrapping_mul(0x85EB_CA6B) + (si * 1000 + qi) as u64;
+                    let qseed = (si * 1000 + qi) as u64;
                     let cfg = MpnetConfig {
                         seed: qseed,
                         ..MpnetConfig::default()

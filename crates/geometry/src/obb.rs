@@ -79,12 +79,6 @@ impl Obb<f32> {
         Sphere::new(self.center, self.bounding_radius)
     }
 
-    /// The inscribed sphere (Fig 9b).
-    #[inline]
-    pub fn inscribed_sphere(&self) -> Sphere<f32> {
-        Sphere::new(self.center, self.inscribed_radius)
-    }
-
     /// The 8 corners in world coordinates.
     pub fn corners(&self) -> [Vector3<f32>; 8] {
         let mut out = [Vector3::zero(); 8];
@@ -151,18 +145,6 @@ impl Obb<f32> {
 }
 
 impl Obb<Fx> {
-    /// The bounding sphere in fixed point.
-    #[inline]
-    pub fn bounding_sphere(&self) -> Sphere<Fx> {
-        Sphere::new(self.center, self.bounding_radius)
-    }
-
-    /// The inscribed sphere in fixed point.
-    #[inline]
-    pub fn inscribed_sphere(&self) -> Sphere<Fx> {
-        Sphere::new(self.center, self.inscribed_radius)
-    }
-
     /// Widens back to `f32` (exact; radii keep their conservative rounding).
     pub fn to_f32(&self) -> Obb<f32> {
         Obb {

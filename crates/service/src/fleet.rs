@@ -61,6 +61,7 @@
 
 use mp_planner::QualityTier;
 use mp_sim::fault::{FaultInjector, FaultKind, FaultPlan, SdcPlan, ShardFaultKind, ShardFaultPlan};
+use mp_sim::mix;
 use mp_sim::vtime::{EventQueue, VirtualNs, NS_PER_US};
 use mp_telemetry::{self as telemetry, arg2, ArgValue, Args, IncidentKind, Lane};
 use mpaccel_core::pool::AcceleratorPool;
@@ -71,7 +72,7 @@ use crate::degrade::load_tier;
 use crate::integrity::{IntegrityState, SCRUB_PERIOD_US};
 use crate::metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 use crate::request::{Request, ShedReason, TenantSpec, Verdict};
-use crate::ring::{mix, HashRing, Slot};
+use crate::ring::{HashRing, Slot};
 use crate::service::{ServiceConfig, BACKOFF_US, MAX_RETRIES, QUEUE_CAPACITY, SLOW_FACTOR};
 use crate::tenant::{FairQueue, TenantPolicy, TokenBucket};
 

@@ -57,14 +57,6 @@ pub enum Verdict {
     Unsolved,
 }
 
-impl Verdict {
-    /// Whether the request counts toward goodput (served, with a plan,
-    /// before its deadline).
-    pub fn is_goodput(&self) -> bool {
-        matches!(self, Verdict::OnTime { .. })
-    }
-}
-
 /// One planning request flowing through the service.
 #[derive(Clone, Debug)]
 pub struct Request {

@@ -27,17 +27,11 @@
 //! shard's liveness changes ([`HashRing::remove`],
 //! [`HashRing::restore`]), in one O(vnodes) sweep.
 //!
-//! Everything is integer arithmetic on seeded hashes: the same ring and
-//! the same loads route the same request identically on any machine.
+//! Everything is integer arithmetic on seeded hashes (`mp_sim::mix`):
+//! the same ring and the same loads route the same request identically
+//! on any machine.
 
-/// splitmix64-style finalizer, shared with the fleet loop's request-key
-/// assignment and fault-stream seeding.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use mp_sim::mix;
 
 /// A route key's position on a [`HashRing`]: the index of the first
 /// virtual node clockwise of the key's point. Independent of which

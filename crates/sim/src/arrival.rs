@@ -11,66 +11,13 @@
 //! * **Adversarial** — synchronized batches: `batch` requests arrive at
 //!   the same instant, the worst case for a bounded queue.
 //!
-//! Every stream is a pure function of its seed (the RNG is the same
-//! splitmix64-seeded xoshiro256++ as [`crate::fault::FaultInjector`]), so
-//! a campaign replays identically on any machine and thread count.
-//! `mp-sim` is dependency-free, hence the self-contained generator.
+//! Every stream is a pure function of its seed (drawn from the crate's
+//! one seeded xoshiro256++ generator, on its own stream so arrival draws
+//! and fault draws never perturb each other), so a campaign replays
+//! identically on any machine and thread count.
 
+use crate::rng::{exp_ns, Rng};
 use crate::vtime::VirtualNs;
-
-/// Self-contained xoshiro256++ stream (seeded via splitmix64), identical
-/// in construction to the fault injector's RNG but kept separate so fault
-/// draws and arrival draws never perturb each other.
-#[derive(Clone, Debug)]
-struct ArrivalRng {
-    state: [u64; 4],
-}
-
-impl ArrivalRng {
-    fn new(seed: u64) -> ArrivalRng {
-        let mut sm = seed;
-        let mut state = [0u64; 4];
-        for s in &mut state {
-            *s = splitmix64(&mut sm);
-        }
-        if state.iter().all(|&s| s == 0) {
-            state[0] = 0x4D50_4163_6365_6C21;
-        }
-        ArrivalRng { state }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let s = &mut self.state;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
-    }
-
-    /// Uniform in `[0, 1)` with 53 bits of precision.
-    fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Exponential variate with the given rate (events per nanosecond).
-    fn exp_ns(&mut self, rate_per_ns: f64) -> f64 {
-        // 1 - u is in (0, 1], so ln() is finite and the variate positive.
-        -(1.0 - self.unit_f64()).ln() / rate_per_ns
-    }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The shape of an arrival stream.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -118,13 +65,13 @@ impl ArrivalProcess {
             return Vec::new();
         }
         let rate_per_ns = self.rate_per_s * 1e-9;
-        let mut rng = ArrivalRng::new(self.seed);
+        let mut rng = Rng::new(self.seed);
         let mut out = Vec::new();
         match self.kind {
             ArrivalKind::Poisson => {
                 let mut t = 0.0f64;
                 loop {
-                    t += rng.exp_ns(rate_per_ns);
+                    t += exp_ns(rng.unit_f64(), rate_per_ns);
                     if t >= duration_ns as f64 {
                         break;
                     }
@@ -155,7 +102,7 @@ impl ArrivalProcess {
                         t = phase_end;
                         continue;
                     }
-                    let dt = rng.exp_ns(rate);
+                    let dt = exp_ns(rng.unit_f64(), rate);
                     if t + dt >= phase_end {
                         t = phase_end;
                         continue;

@@ -11,6 +11,8 @@
 //! Detection mechanisms live with the hardware models (`mpaccel-core`);
 //! this module only decides *when* a fault strikes and keeps the books.
 
+use crate::rng::{exp_ns, mix, unit, Rng, GAMMA};
+
 /// The kinds of hardware fault the injector can introduce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -426,8 +428,7 @@ impl SdcPlan {
 
     /// The same plan on a decorrelated per-instance RNG stream.
     pub fn stream(mut self, instance: u64) -> SdcPlan {
-        let mut z = self.seed ^ 0x5DC0_5DC0_5DC0_5DC0 ^ instance.wrapping_mul(0x9E37_79B9);
-        self.seed = splitmix64(&mut z);
+        self.seed = mix(self.seed ^ 0x5DC0_5DC0_5DC0_5DC0 ^ instance.wrapping_mul(0x9E37_79B9));
         self
     }
 }
@@ -472,62 +473,29 @@ pub struct SramUpset {
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    state: [u64; 4],
+    rng: Rng,
     counters: ResilienceCounters,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Sorted Poisson event times in `[0, duration_ns)` at `rate_per_s`,
-/// seeded (splitmix64 stream; one draw per event).
+/// seeded: event k draws the k-th value of the SplitMix64 stream of
+/// `seed`, `mix(seed + k·GAMMA)`.
 fn poisson_times(seed: u64, rate_per_s: f64, duration_ns: u64) -> Vec<u64> {
     if rate_per_s <= 0.0 || duration_ns == 0 {
         return Vec::new();
     }
     let rate_per_ns = rate_per_s * 1e-9;
-    let mut state = seed;
     let mut t = 0.0f64;
     let mut out = Vec::new();
-    loop {
-        let u = (splitmix64(&mut state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        t += -(1.0 - u).ln() / rate_per_ns;
+    for k in 0u64.. {
+        let u = unit(mix(seed.wrapping_add(k.wrapping_mul(GAMMA))));
+        t += exp_ns(u, rate_per_ns);
         if t >= duration_ns as f64 {
-            return out;
+            break;
         }
         out.push(t as u64);
     }
-}
-
-/// Expands a seed into a non-degenerate xoshiro256++ state.
-fn seed_state(seed: u64) -> [u64; 4] {
-    let mut sm = seed;
-    let mut state = [0u64; 4];
-    for s in &mut state {
-        *s = splitmix64(&mut sm);
-    }
-    if state.iter().all(|&s| s == 0) {
-        state[0] = 0x4D50_4163_6365_6C21; // avoid the xoshiro fixed point
-    }
-    state
-}
-
-/// One xoshiro256++ step (public domain reference constants).
-fn xoshiro_next(s: &mut [u64; 4]) -> u64 {
-    let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-    let t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = s[3].rotate_left(45);
-    result
+    out
 }
 
 impl FaultInjector {
@@ -535,15 +503,10 @@ impl FaultInjector {
     /// fault sequences.
     pub fn new(plan: FaultPlan) -> FaultInjector {
         FaultInjector {
-            state: seed_state(plan.seed),
+            rng: Rng::new(plan.seed),
             plan,
             counters: ResilienceCounters::default(),
         }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// The accumulated resilience counters.
@@ -562,14 +525,6 @@ impl FaultInjector {
         self.counters = ResilienceCounters::default();
     }
 
-    fn next_u64(&mut self) -> u64 {
-        xoshiro_next(&mut self.state)
-    }
-
-    fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform pick in `0..n`.
     ///
     /// # Panics
@@ -577,7 +532,7 @@ impl FaultInjector {
     /// Panics if `n == 0`.
     pub fn pick(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot pick from an empty range");
-        (self.next_u64() % n as u64) as usize
+        (self.rng.next_u64() % n as u64) as usize
     }
 
     /// Decides whether a fault of `kind` strikes at this opportunity and
@@ -588,7 +543,7 @@ impl FaultInjector {
         if rate <= 0.0 {
             return false;
         }
-        let fire = self.unit_f64() < rate;
+        let fire = self.rng.unit_f64() < rate;
         if fire {
             self.counters.injected_by_kind[kind.index()] += 1;
         }
@@ -630,7 +585,7 @@ impl FaultInjector {
 #[derive(Clone, Debug)]
 pub struct SdcInjector {
     rate: f64,
-    state: [u64; 4],
+    rng: Rng,
 }
 
 impl SdcInjector {
@@ -639,7 +594,7 @@ impl SdcInjector {
     pub fn new(plan: SdcPlan) -> SdcInjector {
         SdcInjector {
             rate: plan.verdict_flip_rate,
-            state: seed_state(plan.seed),
+            rng: Rng::new(plan.seed),
         }
     }
 
@@ -650,8 +605,7 @@ impl SdcInjector {
         if self.rate <= 0.0 {
             return false;
         }
-        let u = (xoshiro_next(&mut self.state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        u < self.rate
+        self.rng.unit_f64() < self.rate
     }
 }
 

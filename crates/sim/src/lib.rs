@@ -29,6 +29,7 @@ pub mod energy;
 pub mod fault;
 pub mod ledger;
 pub mod power;
+mod rng;
 pub mod time;
 pub mod vtime;
 
@@ -37,5 +38,6 @@ pub use counters::OpCounter;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, ResilienceCounters, SdcInjector, SdcPlan};
 pub use ledger::EnergyLedger;
 pub use power::{AreaPower, CecduConfig, IuKind, MpaccelConfig};
+pub use rng::mix;
 pub use time::ClockDomain;
 pub use vtime::{EventQueue, VirtualNs};

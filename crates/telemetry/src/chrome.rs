@@ -328,10 +328,10 @@ fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::event::{arg2, ArgValue, Event, Lane, NO_ARGS};
-    use crate::sink::{SinkConfig, TelemetrySession};
+    use crate::sink::TelemetrySession;
 
     fn sample_streams() -> Vec<Stream> {
-        let session = TelemetrySession::with_config(SinkConfig::default());
+        let session = TelemetrySession::new();
         {
             let _g = session.install("service", 0);
             crate::set_time(1_000);
@@ -340,7 +340,7 @@ mod tests {
                 "serve",
                 arg2("req", ArgValue::U64(7), "tier", ArgValue::Str("full")),
             );
-            crate::counter("queue_depth", 3.0);
+            crate::counter_on(Lane::MAIN, "queue_depth", 3.0);
             crate::complete_at(
                 Lane::new("inst", 1),
                 "service",

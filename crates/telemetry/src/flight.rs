@@ -1,9 +1,10 @@
 //! Flight recorder: bounded snapshots of recent events captured at the
 //! moment something went wrong, plus a plain-text post-mortem renderer.
 //!
-//! The service loop and accelerator models call [`crate::incident`] when a
+//! The service loop and accelerator models call [`incident_kind`] when a
 //! deadline miss, shed, fault-retry exhaustion, or quarantine fires; the
-//! sink clones the tail of its ring into an [`Incident`]. After the run,
+//! sink clones the last [`FLIGHT_CAPACITY`](crate::FLIGHT_CAPACITY)
+//! events of its ring into an [`Incident`]. After the run,
 //! [`flight_report`] renders every captured incident as a readable
 //! post-mortem: the reason line followed by the last events leading up to
 //! it, newest last.
@@ -85,7 +86,7 @@ impl IncidentKind {
 /// `"<kind label> <detail>"`, so the per-kind snapshot cap groups it with
 /// its peers. Allocates; guard hot call sites with [`crate::active`].
 pub fn incident_kind(kind: IncidentKind, detail: &str) {
-    crate::incident(&format!("{} {detail}", kind.label()));
+    crate::sink::incident(&format!("{} {detail}", kind.label()));
 }
 
 /// One captured incident: the reason and the events leading up to it.
@@ -95,7 +96,8 @@ pub struct Incident {
     pub t: TimeNs,
     /// Why the snapshot was taken (e.g. `deadline_miss req=42 late_us=310`).
     pub reason: String,
-    /// The last `flight_capacity` events before the incident.
+    /// The last [`FLIGHT_CAPACITY`](crate::FLIGHT_CAPACITY) events before
+    /// the incident.
     pub events: Vec<Event>,
 }
 
@@ -187,22 +189,20 @@ fn render_event(out: &mut String, e: &Event) {
 mod tests {
     use super::*;
     use crate::event::{arg1, ArgValue};
-    use crate::sink::{SinkConfig, TelemetrySession};
+    use crate::sink::{TelemetrySession, MAX_INCIDENTS_PER_KIND};
+    use crate::NO_ARGS;
 
     #[test]
     fn report_shows_reason_and_trailing_events() {
-        let session = TelemetrySession::with_config(SinkConfig {
-            flight_capacity: 3,
-            ..SinkConfig::default()
-        });
+        let session = TelemetrySession::new();
         {
             let _g = session.install("service", 2);
             crate::set_time(10_000);
             crate::instant_args("service", "enqueue", arg1("req", ArgValue::U64(1)));
-            crate::instant("service", "dispatch");
-            crate::instant("service", "complete_late");
+            crate::instant_args("service", "dispatch", NO_ARGS);
+            crate::instant_args("service", "complete_late", NO_ARGS);
             if crate::active() {
-                crate::incident("deadline_miss req=1 late_us=310");
+                incident_kind(IncidentKind::DeadlineMiss, "req=1 late_us=310");
             }
         }
         let report = flight_report(&session.streams());
@@ -215,15 +215,13 @@ mod tests {
 
     #[test]
     fn fleet_incident_kinds_are_capped_independently() {
-        let session = TelemetrySession::with_config(SinkConfig {
-            max_incidents: 2,
-            ..SinkConfig::default()
-        });
+        let session = TelemetrySession::new();
+        let hedges = MAX_INCIDENTS_PER_KIND + 3;
         {
             let _g = session.install("fleet", 0);
             crate::set_time(5_000);
             // A flood of hedges must not evict the lone failover snapshot.
-            for req in 0..5u64 {
+            for req in 0..hedges {
                 incident_kind(IncidentKind::HedgeFired, &format!("req={req} shard=3"));
             }
             incident_kind(IncidentKind::ShardFailover, "shard=7 rerouted=12");
@@ -234,17 +232,20 @@ mod tests {
             .iter()
             .map(|i| i.reason.as_str())
             .collect();
-        assert_eq!(
-            kept,
-            [
-                "hedge_fired req=0 shard=3",
-                "hedge_fired req=1 shard=3",
-                "shard_failover shard=7 rerouted=12",
-            ]
-        );
+        let mut want: Vec<String> = (0..MAX_INCIDENTS_PER_KIND)
+            .map(|req| format!("hedge_fired req={req} shard=3"))
+            .collect();
+        want.push("shard_failover shard=7 rerouted=12".to_string());
+        assert_eq!(kept, want);
         let report = flight_report(&streams);
-        assert!(report.contains("6 incident(s) observed, 3 snapshot(s) kept"));
-        assert!(report.contains("kinds kept: hedge_fired=2 shard_failover=1"));
+        assert!(report.contains(&format!(
+            "{} incident(s) observed, {} snapshot(s) kept",
+            hedges + 1,
+            MAX_INCIDENTS_PER_KIND + 1
+        )));
+        assert!(report.contains(&format!(
+            "kinds kept: hedge_fired={MAX_INCIDENTS_PER_KIND} shard_failover=1"
+        )));
     }
 
     #[test]
@@ -254,14 +255,13 @@ mod tests {
         // defense success) around a single escaped unsafe plan (the event
         // a post-mortem exists to explain). The per-kind cap must keep
         // the escape snapshot no matter how many rejections surround it.
-        let session = TelemetrySession::with_config(SinkConfig {
-            max_incidents: 2,
-            ..SinkConfig::default()
-        });
+        let session = TelemetrySession::new();
+        let rejections = 20;
+        assert!(rejections > MAX_INCIDENTS_PER_KIND);
         {
             let _g = session.install("service", 0);
             crate::set_time(8_000);
-            for req in 0..20u64 {
+            for req in 0..rejections {
                 incident_kind(
                     IncidentKind::CertifyFailed,
                     &format!("req={req} inst=1 edge=3"),
@@ -276,18 +276,21 @@ mod tests {
             .iter()
             .map(|i| i.reason.as_str())
             .collect();
-        assert_eq!(
-            kept,
-            [
-                "certify_failed req=0 inst=1 edge=3",
-                "certify_failed req=1 inst=1 edge=3",
-                "sdc_escaped req=99 inst=1 tier=full",
-                "scrub_readmit inst=1 probes=4",
-            ]
-        );
+        let mut want: Vec<String> = (0..MAX_INCIDENTS_PER_KIND)
+            .map(|req| format!("certify_failed req={req} inst=1 edge=3"))
+            .collect();
+        want.push("sdc_escaped req=99 inst=1 tier=full".to_string());
+        want.push("scrub_readmit inst=1 probes=4".to_string());
+        assert_eq!(kept, want);
         let report = flight_report(&streams);
-        assert!(report.contains("22 incident(s) observed, 4 snapshot(s) kept"));
-        assert!(report.contains("kinds kept: certify_failed=2 scrub_readmit=1 sdc_escaped=1"));
+        assert!(report.contains(&format!(
+            "{} incident(s) observed, {} snapshot(s) kept",
+            rejections + 2,
+            MAX_INCIDENTS_PER_KIND + 2
+        )));
+        assert!(report.contains(&format!(
+            "kinds kept: certify_failed={MAX_INCIDENTS_PER_KIND} scrub_readmit=1 sdc_escaped=1"
+        )));
     }
 
     #[test]

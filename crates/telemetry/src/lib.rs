@@ -13,13 +13,18 @@
 //!   tracks, and explicit-duration lane spans for parallel hardware
 //!   resources. Recording is a thread-local write, no locks; when no
 //!   stream is installed every call is an early-out `Option` check.
-//! * **Metrics** ([`metrics`]): `Counter`/`Gauge`/`Histogram` plus a
-//!   name-ordered [`Registry`]. Histograms keep raw samples for *exact*
-//!   nearest-rank percentiles (the `ServiceSummary` contract) alongside
-//!   log2 buckets for shape sketches.
+//!   A sink's sizes are constants: [`RING_CAPACITY`] events per stream,
+//!   [`FLIGHT_CAPACITY`] events per flight snapshot and
+//!   [`MAX_INCIDENTS_PER_KIND`] snapshots kept per incident kind.
+//! * **Metrics** ([`metrics`]): the atomic [`Counter`] behind the
+//!   collision counters, and a name-ordered [`Registry`] of counters,
+//!   gauges and [`HistSnapshot`]s. Histograms keep raw samples for
+//!   *exact* nearest-rank percentiles (the `ServiceSummary` contract)
+//!   alongside log2 buckets for shape sketches.
 //! * **Exporters** ([`chrome`], [`flight`]): Chrome trace-event JSON
 //!   loadable in Perfetto / `chrome://tracing`, a plain-text/CSV metrics
-//!   dump, and a flight-recorder post-mortem report.
+//!   dump, and a flight-recorder post-mortem report. Incidents are filed
+//!   with [`incident_kind`].
 //!
 //! Determinism contract: all recorded quantities derive from virtual time
 //! and seeded state; streams are labelled and export sorts by label, so
@@ -29,14 +34,14 @@
 //! # Examples
 //!
 //! ```
-//! use mp_telemetry::{self as telemetry, ArgValue, TelemetrySession};
+//! use mp_telemetry::{self as telemetry, ArgValue, Lane, TelemetrySession};
 //!
 //! let session = TelemetrySession::new();
 //! {
 //!     let _stream = session.install("demo", 0);
 //!     telemetry::set_time(1_000); // virtual ns
 //!     let span = telemetry::span("planner", "plan");
-//!     telemetry::counter("queue_depth", 2.0);
+//!     telemetry::counter_on(Lane::MAIN, "queue_depth", 2.0);
 //!     span.end_args(mp_telemetry::arg1("solved", ArgValue::Str("yes")));
 //! }
 //! let json = mp_telemetry::chrome_trace_json(&session.streams());
@@ -56,10 +61,8 @@ pub mod sink;
 pub use chrome::{chrome_trace_json, validate_json};
 pub use event::{arg1, arg2, Arg, ArgValue, Args, Event, EventKind, Lane, TimeNs, NO_ARGS};
 pub use flight::{flight_report, incident_kind, Incident, IncidentKind};
-pub use metrics::{
-    bucket_index, bucket_range, Counter, Gauge, HistSnapshot, Histogram, Metric, Registry,
-};
+pub use metrics::{bucket_index, bucket_range, Counter, HistSnapshot, Metric, Registry};
 pub use sink::{
-    active, complete_at, counter, counter_on, incident, instant, instant_args, set_time, span,
-    span_args, SinkConfig, SinkGuard, SpanGuard, Stream, TelemetrySession,
+    active, complete_at, counter_on, instant_args, set_time, span, span_args, SinkGuard, SpanGuard,
+    Stream, TelemetrySession, FLIGHT_CAPACITY, MAX_INCIDENTS_PER_KIND, RING_CAPACITY,
 };

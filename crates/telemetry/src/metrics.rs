@@ -1,10 +1,10 @@
-//! Counters, gauges, exact-percentile histograms, and the registry that
-//! unifies the stack's previously ad-hoc metric structs.
+//! The atomic counter, the exact-percentile histogram, and the registry
+//! that unifies the stack's metric structs.
 //!
 //! Design constraints inherited from the existing code:
 //!
-//! * `ServiceSummary` promises **exact nearest-rank** percentiles, so the
-//!   [`Histogram`] keeps raw samples (sorted lazily) and computes
+//! * `ServiceSummary` promises **exact nearest-rank** percentiles, so a
+//!   [`HistSnapshot`] keeps raw samples (sorted lazily) and computes
 //!   percentiles with the identical formula — the log2 buckets are
 //!   maintained alongside purely for rendering a shape sketch without a
 //!   sort.
@@ -38,39 +38,10 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins float gauge (stored as bits in an atomic).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A zeroed gauge; `const` so it can back a `static`.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -90,10 +61,10 @@ pub fn bucket_range(index: usize) -> (u64, u64) {
     }
 }
 
-/// An owned histogram snapshot: raw samples plus log2 buckets.
+/// A histogram: raw samples plus log2 buckets.
 ///
-/// This is the lock-free "data" half of [`Histogram`]; the registry stores
-/// these directly (it holds its own lock).
+/// Owned and lock-free: each run fills its own, and the [`Registry`]
+/// stores them under its one lock.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistSnapshot {
     samples: Vec<u64>,
@@ -261,62 +232,6 @@ impl HistSnapshot {
     }
 }
 
-/// A shared histogram: a [`HistSnapshot`] behind a mutex.
-#[derive(Debug, Default)]
-pub struct Histogram {
-    inner: Mutex<HistSnapshot>,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        self.lock().observe(v);
-    }
-
-    /// Records a batch of samples.
-    pub fn observe_all(&self, vs: &[u64]) {
-        self.lock().observe_all(vs);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.lock().count()
-    }
-
-    /// Mean sample; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        self.lock().mean()
-    }
-
-    /// Exact nearest-rank percentile (see [`HistSnapshot::percentile`]).
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        self.lock().percentile(q)
-    }
-
-    /// An owned copy of the current state.
-    pub fn snapshot(&self) -> HistSnapshot {
-        self.lock().clone()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HistSnapshot> {
-        self.inner.lock().expect("histogram poisoned")
-    }
-}
-
-impl Clone for Histogram {
-    fn clone(&self) -> Histogram {
-        Histogram {
-            inner: Mutex::new(self.snapshot()),
-        }
-    }
-}
-
 /// One named metric in a [`Registry`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Metric {
@@ -345,15 +260,6 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `delta` to a counter, creating it at zero first.
-    pub fn add_counter(&self, name: &str, delta: u64) {
-        let mut m = self.lock();
-        match m.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-            Metric::Counter(v) => *v += delta,
-            other => *other = Metric::Counter(delta),
-        }
-    }
-
     /// Sets a counter to an absolute value.
     pub fn set_counter(&self, name: &str, value: u64) {
         self.lock().insert(name.to_string(), Metric::Counter(value));
@@ -362,22 +268,6 @@ impl Registry {
     /// Sets a gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
         self.lock().insert(name.to_string(), Metric::Gauge(value));
-    }
-
-    /// Records one histogram sample, creating the histogram if needed.
-    pub fn observe(&self, name: &str, v: u64) {
-        let mut m = self.lock();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Box::default()))
-        {
-            Metric::Histogram(h) => h.observe(v),
-            other => {
-                let mut h = HistSnapshot::new();
-                h.observe(v);
-                *other = Metric::Histogram(Box::new(h));
-            }
-        }
     }
 
     /// Merges a whole histogram under `name`.
@@ -475,14 +365,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         static C: Counter = Counter::new();
         C.add(2);
-        C.inc();
+        C.add(1);
         assert!(C.get() >= 3);
-        let g = Gauge::new();
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
     }
 
     #[test]
@@ -500,10 +387,9 @@ mod tests {
     fn registry_renders_in_name_order() {
         let r = Registry::new();
         r.set_gauge("z.util", 0.5);
-        r.add_counter("a.count", 3);
-        r.add_counter("a.count", 2);
-        r.observe("m.lat", 10);
-        r.observe("m.lat", 20);
+        r.set_counter("a.count", 5);
+        r.observe_hist("m.lat", &HistSnapshot::from_samples(vec![10]));
+        r.observe_hist("m.lat", &HistSnapshot::from_samples(vec![20]));
         let text = r.render_text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "a.count counter 5");
@@ -517,8 +403,8 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         let r = Registry::new();
-        r.add_counter("c", 1);
-        r.observe("h", 5);
+        r.set_counter("c", 1);
+        r.observe_hist("h", &HistSnapshot::from_samples(vec![5]));
         let csv = r.to_csv();
         assert!(csv.starts_with("name,kind,count,value,p50,p99,p999\n"));
         assert!(csv.contains("c,counter,,1,,,\n"));

@@ -27,38 +27,25 @@ use std::sync::Mutex;
 use crate::event::{Arg, Args, Event, EventKind, Lane, TimeNs, NO_ARGS};
 use crate::flight::Incident;
 
-/// Sizing knobs for a session's sinks.
-#[derive(Clone, Debug)]
-pub struct SinkConfig {
-    /// Events retained per stream; the oldest are dropped (and counted)
-    /// beyond this.
-    pub ring_capacity: usize,
-    /// Events snapshotted from the tail of the ring into each
-    /// flight-recorder incident.
-    pub flight_capacity: usize,
-    /// Incident snapshots retained per stream *per incident kind* (the
-    /// first whitespace-delimited token of the reason); later incidents
-    /// of a kind are only counted. The per-kind cap keeps rare severe
-    /// incidents (a deadline miss) from being crowded out by floods of
-    /// common ones (queue-full sheds under sustained overload).
-    pub max_incidents: usize,
-}
+/// Events retained per stream; the oldest are dropped (and counted)
+/// beyond this.
+pub const RING_CAPACITY: usize = 65_536;
 
-impl Default for SinkConfig {
-    fn default() -> SinkConfig {
-        SinkConfig {
-            ring_capacity: 65_536,
-            flight_capacity: 64,
-            max_incidents: 8,
-        }
-    }
-}
+/// Events snapshotted from the tail of the ring into each flight-recorder
+/// incident.
+pub const FLIGHT_CAPACITY: usize = 64;
+
+/// Incident snapshots retained per stream *per incident kind* (the first
+/// whitespace-delimited token of the reason); later incidents of a kind
+/// are only counted. The per-kind cap keeps rare severe incidents (a
+/// deadline miss) from being crowded out by floods of common ones
+/// (queue-full sheds under sustained overload).
+pub const MAX_INCIDENTS_PER_KIND: usize = 8;
 
 /// The per-thread recording state for one installed stream.
 #[derive(Debug)]
 struct LocalSink {
     label: Lane,
-    cfg: SinkConfig,
     cursor: TimeNs,
     ring: VecDeque<Event>,
     dropped: u64,
@@ -67,10 +54,9 @@ struct LocalSink {
 }
 
 impl LocalSink {
-    fn new(label: Lane, cfg: SinkConfig) -> LocalSink {
+    fn new(label: Lane) -> LocalSink {
         LocalSink {
             label,
-            cfg,
             cursor: 0,
             ring: VecDeque::new(),
             dropped: 0,
@@ -101,7 +87,7 @@ impl LocalSink {
     }
 
     fn push(&mut self, event: Event) {
-        if self.ring.len() == self.cfg.ring_capacity {
+        if self.ring.len() == RING_CAPACITY {
             self.ring.pop_front();
             self.dropped += 1;
         }
@@ -132,9 +118,10 @@ pub struct Stream {
     pub events: Vec<Event>,
     /// Events evicted because the ring was full.
     pub dropped: u64,
-    /// Flight-recorder snapshots (first `max_incidents` only).
+    /// Flight-recorder snapshots (the first [`MAX_INCIDENTS_PER_KIND`] of
+    /// each kind).
     pub incidents: Vec<Incident>,
-    /// Total incidents observed, including ones past `max_incidents`.
+    /// Total incidents observed, including ones past the per-kind cap.
     pub incidents_seen: u64,
 }
 
@@ -147,39 +134,25 @@ pub struct Stream {
 /// label to make export order independent of thread scheduling.
 #[derive(Debug, Default)]
 pub struct TelemetrySession {
-    cfg: SinkConfig,
     collected: Mutex<Vec<Stream>>,
 }
 
 impl TelemetrySession {
-    /// A session with default sizing.
+    /// An empty session.
     pub fn new() -> TelemetrySession {
         TelemetrySession::default()
     }
 
-    /// A session with explicit sizing knobs.
-    pub fn with_config(cfg: SinkConfig) -> TelemetrySession {
-        TelemetrySession {
-            cfg,
-            collected: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The session's sink configuration.
-    pub fn config(&self) -> &SinkConfig {
-        &self.cfg
-    }
-
     /// Installs a stream labelled `(name, index)` on the current thread.
     ///
-    /// Recording free functions ([`span`], [`instant`], …) write into it
+    /// Recording free functions ([`span`], [`instant_args`], …) write into it
     /// until the returned guard drops, at which point the stream moves
     /// into the session and any previously installed stream is restored
     /// (installs nest).
     pub fn install(&self, name: &'static str, index: u32) -> SinkGuard<'_> {
         let prev = ACTIVE.with(|a| {
             a.borrow_mut()
-                .replace(LocalSink::new(Lane::new(name, index), self.cfg.clone()))
+                .replace(LocalSink::new(Lane::new(name, index)))
         });
         SinkGuard {
             session: self,
@@ -250,7 +223,7 @@ impl Drop for SinkGuard<'_> {
 ///
 /// Use this to skip argument preparation (string formatting, counter
 /// lookups) that only matters when tracing, e.g.
-/// `if mp_telemetry::active() { telemetry::incident(&format!(...)) }`.
+/// `if telemetry::active() { telemetry::incident_kind(kind, &format!(...)) }`.
 #[inline]
 pub fn active() -> bool {
     ACTIVE.with(|a| a.borrow().is_some())
@@ -268,25 +241,13 @@ fn with_sink<R>(f: impl FnOnce(&mut LocalSink) -> R) -> Option<R> {
     ACTIVE.with(|a| a.borrow_mut().as_mut().map(f))
 }
 
-/// Records a point event.
-#[inline]
-pub fn instant(cat: &'static str, name: &'static str) {
-    instant_args(cat, name, NO_ARGS);
-}
-
 /// Records a point event with arguments.
 #[inline]
 pub fn instant_args(cat: &'static str, name: &'static str, args: Args) {
     with_sink(|s| s.record(Lane::MAIN, cat, name, EventKind::Instant, args));
 }
 
-/// Samples a counter track (queue depth, occupancy, …).
-#[inline]
-pub fn counter(name: &'static str, value: f64) {
-    counter_on(Lane::MAIN, name, value);
-}
-
-/// Samples a counter track on an explicit lane.
+/// Samples a counter track (queue depth, occupancy, …) on a lane.
 #[inline]
 pub fn counter_on(lane: Lane, name: &'static str, value: f64) {
     with_sink(|s| s.record(lane, "counter", name, EventKind::Counter { value }, NO_ARGS));
@@ -336,12 +297,11 @@ pub fn span_args(cat: &'static str, name: &'static str, args: Args) -> SpanGuard
 
 /// Snapshots the tail of the ring as a flight-recorder incident.
 ///
-/// Call on deadline misses, quarantines, sheds — anything worth a
-/// post-mortem. Allocates (it clones recent events and the reason), so
-/// guard call sites with [`active`] when the reason string is formatted.
-/// The first `max_incidents` snapshots of each incident *kind* (the
+/// [`crate::incident_kind`] files every incident through here. Allocates
+/// (it clones recent events and the reason). The first
+/// [`MAX_INCIDENTS_PER_KIND`] snapshots of each incident *kind* (the
 /// reason's first token) are kept; everything is counted.
-pub fn incident(reason: &str) {
+pub(crate) fn incident(reason: &str) {
     with_sink(|s| {
         s.incidents_seen += 1;
         let kind = reason.split_whitespace().next().unwrap_or("");
@@ -350,8 +310,8 @@ pub fn incident(reason: &str) {
             .iter()
             .filter(|i| i.reason.split_whitespace().next().unwrap_or("") == kind)
             .count();
-        if kept_of_kind < s.cfg.max_incidents {
-            let start = s.ring.len().saturating_sub(s.cfg.flight_capacity);
+        if kept_of_kind < MAX_INCIDENTS_PER_KIND {
+            let start = s.ring.len().saturating_sub(FLIGHT_CAPACITY);
             let events: Vec<Event> = s.ring.iter().skip(start).copied().collect();
             s.incidents.push(Incident {
                 t: s.cursor,
@@ -372,13 +332,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Whether this guard actually opened a span (a stream was
-    /// installed).
-    #[inline]
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
     /// Closes the span with result arguments on the end event.
     #[inline]
     pub fn end_args(mut self, args: Args) {
@@ -388,8 +341,8 @@ impl SpanGuard {
         }
     }
 
-    /// Attaches an argument pair lazily: returns the args unchanged so
-    /// call sites can build them only when armed.
+    /// Closes the span with the arguments `f` builds, calling `f` only
+    /// when a stream is installed, so untraced call sites build nothing.
     #[inline]
     pub fn end_with(self, f: impl FnOnce() -> [Option<Arg>; 2]) {
         if self.armed {
@@ -418,10 +371,10 @@ mod tests {
     fn no_stream_means_no_ops() {
         assert!(!active());
         set_time(5);
-        instant("t", "x");
-        counter("depth", 1.0);
+        instant_args("t", "x", NO_ARGS);
+        counter_on(Lane::MAIN, "depth", 1.0);
         let g = span("t", "s");
-        assert!(!g.is_armed());
+        assert!(!g.armed);
         drop(g);
         incident("nothing");
         assert!(!active());
@@ -433,10 +386,10 @@ mod tests {
         {
             let _g = session.install("test", 0);
             set_time(100);
-            instant("t", "a");
-            instant("t", "b");
+            instant_args("t", "a", NO_ARGS);
+            instant_args("t", "b", NO_ARGS);
             set_time(50); // monotone: must not rewind
-            instant("t", "c");
+            instant_args("t", "c", NO_ARGS);
         }
         let streams = session.streams();
         assert_eq!(streams.len(), 1);
@@ -471,12 +424,12 @@ mod tests {
         let outer_session = TelemetrySession::new();
         {
             let _a = outer_session.install("outer", 0);
-            instant("t", "before");
+            instant_args("t", "before", NO_ARGS);
             {
                 let _b = session.install("inner", 7);
-                instant("t", "nested");
+                instant_args("t", "nested", NO_ARGS);
             }
-            instant("t", "after");
+            instant_args("t", "after", NO_ARGS);
         }
         let inner = session.streams();
         assert_eq!(inner.len(), 1);
@@ -489,46 +442,47 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let session = TelemetrySession::with_config(SinkConfig {
-            ring_capacity: 4,
-            ..SinkConfig::default()
-        });
+        let session = TelemetrySession::new();
         {
             let _g = session.install("test", 0);
-            for _ in 0..10 {
-                instant("t", "e");
+            for _ in 0..RING_CAPACITY + 6 {
+                instant_args("t", "e", NO_ARGS);
             }
         }
         let s = &session.streams()[0];
-        assert_eq!(s.events.len(), 4);
+        assert_eq!(s.events.len(), RING_CAPACITY);
         assert_eq!(s.dropped, 6);
         assert_eq!(s.events[0].t, 6); // oldest six evicted
     }
 
     #[test]
     fn incident_snapshots_ring_tail() {
-        let session = TelemetrySession::with_config(SinkConfig {
-            flight_capacity: 2,
-            max_incidents: 1,
-            ..SinkConfig::default()
-        });
+        let session = TelemetrySession::new();
+        let recorded = FLIGHT_CAPACITY + 3;
         {
             let _g = session.install("test", 0);
-            for _ in 0..5 {
-                instant("t", "e");
+            for _ in 0..recorded {
+                instant_args("t", "e", NO_ARGS);
             }
-            incident("deadline miss");
-            incident("deadline second-of-kind (counted, not kept)");
+            for _ in 0..MAX_INCIDENTS_PER_KIND {
+                incident("deadline miss");
+            }
+            incident("deadline past-the-cap (counted, not kept)");
             // A different kind gets its own per-kind budget.
             incident("quarantine inst=3");
         }
         let s = &session.streams()[0];
-        assert_eq!(s.incidents.len(), 2);
-        assert_eq!(s.incidents_seen, 3);
+        assert_eq!(s.incidents.len(), MAX_INCIDENTS_PER_KIND + 1);
+        assert_eq!(s.incidents_seen, MAX_INCIDENTS_PER_KIND as u64 + 2);
         assert_eq!(s.incidents[0].reason, "deadline miss");
-        assert_eq!(s.incidents[1].reason, "quarantine inst=3");
-        assert_eq!(s.incidents[0].events.len(), 2);
-        assert_eq!(s.incidents[0].events[1].t, 4);
+        assert_eq!(
+            s.incidents[MAX_INCIDENTS_PER_KIND].reason,
+            "quarantine inst=3"
+        );
+        let tail = &s.incidents[0].events;
+        assert_eq!(tail.len(), FLIGHT_CAPACITY);
+        assert_eq!(tail[0].t, 3); // the oldest three are not in the tail
+        assert_eq!(tail[FLIGHT_CAPACITY - 1].t, recorded as u64 - 1);
     }
 
     #[test]
@@ -550,7 +504,7 @@ mod tests {
         {
             let _g = session.install("test", 0);
             complete_at(Lane::new("inst", 2), "service", "serve", 500, 120, NO_ARGS);
-            instant("t", "after");
+            instant_args("t", "after", NO_ARGS);
         }
         let s = &session.streams()[0];
         assert_eq!(s.events[0].t, 500);

@@ -5,8 +5,8 @@
 //! Chrome exporter must emit valid JSON for it.
 
 use mp_telemetry::{
-    chrome_trace_json, span, validate_json, Event, EventKind, SinkConfig, SpanGuard,
-    TelemetrySession,
+    chrome_trace_json, span, validate_json, Event, EventKind, Lane, SpanGuard, TelemetrySession,
+    NO_ARGS,
 };
 use proptest::prelude::*;
 
@@ -16,10 +16,7 @@ const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
 /// 1 closes the innermost open span, 2 records an instant, 3 records a
 /// counter. Remaining guards drop (close) in LIFO order at scope exit.
 fn record(ops: &[u8]) -> Vec<Event> {
-    let session = TelemetrySession::with_config(SinkConfig {
-        ring_capacity: 4096,
-        ..SinkConfig::default()
-    });
+    let session = TelemetrySession::new();
     {
         let _g = session.install("prop", 0);
         let mut open: Vec<SpanGuard> = Vec::new();
@@ -29,8 +26,8 @@ fn record(ops: &[u8]) -> Vec<Event> {
                 1 => {
                     open.pop();
                 }
-                2 => mp_telemetry::instant("prop", "tick"),
-                _ => mp_telemetry::counter("depth", open.len() as f64),
+                2 => mp_telemetry::instant_args("prop", "tick", NO_ARGS),
+                _ => mp_telemetry::counter_on(Lane::MAIN, "depth", open.len() as f64),
             }
         }
         // Drain LIFO so the tail is well-nested too.
