@@ -67,13 +67,18 @@ pub const STEPS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Sweeps the MCSP coarse-step size at 8 CDUs with real CECDUs.
 pub fn step_size_data(scale: Scale) -> Vec<(usize, SasAggregate)> {
-    let mut w = (*BenchWorkload::cached(RobotModel::jaco2(), scale)).clone();
-    w.batches.retain(|b| b.motions.len() >= 2);
+    let w = BenchWorkload::cached(RobotModel::jaco2(), scale);
     let cdu = CduKind::Cecdu(CecduConfig::new(4, IuKind::MultiCycle));
     let max_batches = match scale {
         Scale::Quick => 16,
-        Scale::Full => 0,
+        Scale::Full => usize::MAX,
     };
+    let batches: Vec<_> = w
+        .batches
+        .iter()
+        .filter(|b| b.motions.len() >= 2)
+        .take(max_batches)
+        .collect();
     // Every step size replays the same batches: share pose responses.
     let mut memo = ReplayMemo::new(cdu);
     STEPS
@@ -83,7 +88,7 @@ pub fn step_size_data(scale: Scale) -> Vec<(usize, SasAggregate)> {
                 intra: IntraPolicy::CoarseStep { step },
                 ..SasConfig::mcsp(8)
             };
-            (step, replay_memo(&w, &cfg, max_batches, None, &mut memo))
+            (step, replay_memo(&w, &batches, &cfg, None, &mut memo))
         })
         .collect()
 }

@@ -9,9 +9,11 @@ use mp_collision::{PoseKey, SoftwareChecker};
 use mp_robot::JointConfig;
 use mp_sim::{CecduConfig, OpCounter};
 use mpaccel_core::cecdu::CecduSim;
-use mpaccel_core::sas::{run_sas, CduModel, CduResponse, CecduCdu, IdealCdu, SasConfig};
+use mpaccel_core::sas::{
+    run_sas, CduModel, CduResponse, CecduCdu, FunctionMode, IdealCdu, SasConfig,
+};
 
-use crate::workloads::BenchWorkload;
+use crate::workloads::{BenchWorkload, CdBatchSpec};
 
 /// Which collision-detection unit backs the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -97,42 +99,35 @@ impl ReplayMemo {
     }
 }
 
-/// A CDU wrapper that consults the memo before the wrapped model.
+/// A CDU wrapper that answers the poses the memo holds and records the
+/// rest in it; without a memo it is the wrapped model.
 struct MemoCdu<'a, M> {
     inner: M,
     scene: usize,
-    map: &'a mut HashMap<MemoKey, CduResponse, BuildHasherDefault<FnvHasher>>,
+    map: Option<&'a mut HashMap<MemoKey, CduResponse, BuildHasherDefault<FnvHasher>>>,
 }
 
 impl<M: CduModel> CduModel for MemoCdu<'_, M> {
     fn query(&mut self, pose: &JointConfig) -> CduResponse {
         // A pose the key cannot hold bypasses the memo.
-        let Some(key) = PoseKey::new(pose) else {
+        let (Some(map), Some(key)) = (self.map.as_deref_mut(), PoseKey::new(pose)) else {
             return self.inner.query(pose);
         };
-        let key = (self.scene, key);
-        if let Some(r) = self.map.get(&key) {
-            return *r;
-        }
-        let r = self.inner.query(pose);
-        self.map.insert(key, r);
-        r
+        *map.entry((self.scene, key))
+            .or_insert_with(|| self.inner.query(pose))
     }
 }
 
-/// Replays every batch of the workload through SAS with the given
-/// scheduler configuration and CDU kind, summing cycles and queries.
-///
-/// `max_batches` bounds the replay (0 = no bound) so quick-scale runs stay
-/// fast; the same bound must be used for every configuration being
-/// compared.
+/// Replays `batches` through SAS with the given scheduler configuration
+/// and CDU kind, summing cycles and queries. Every configuration being
+/// compared must replay the same batches.
 pub fn replay(
     workload: &BenchWorkload,
+    batches: &[&CdBatchSpec],
     sas: &SasConfig,
     cdu: CduKind,
-    max_batches: usize,
 ) -> SasAggregate {
-    replay_inner(workload, sas, cdu, max_batches, None, None)
+    replay_on(workload, batches, sas, cdu, None, None)
 }
 
 /// Like [`replay`] with the memo's [`CduKind`], answering pose queries
@@ -143,76 +138,62 @@ pub fn replay(
 /// stops).
 pub fn replay_memo(
     workload: &BenchWorkload,
+    batches: &[&CdBatchSpec],
     sas: &SasConfig,
-    max_batches: usize,
-    mode_override: Option<mpaccel_core::sas::FunctionMode>,
+    mode_override: Option<FunctionMode>,
     memo: &mut ReplayMemo,
 ) -> SasAggregate {
     let cdu = memo.cdu;
-    replay_inner(workload, sas, cdu, max_batches, mode_override, Some(memo))
+    replay_on(workload, batches, sas, cdu, mode_override, Some(memo))
 }
 
-fn replay_inner(
+fn replay_on(
     workload: &BenchWorkload,
+    batches: &[&CdBatchSpec],
     sas: &SasConfig,
     cdu: CduKind,
-    max_batches: usize,
-    mode_override: Option<mpaccel_core::sas::FunctionMode>,
+    mode_override: Option<FunctionMode>,
+    memo: Option<&mut ReplayMemo>,
+) -> SasAggregate {
+    match cdu {
+        CduKind::Ideal => replay_with(batches, sas, mode_override, memo, |batch| {
+            IdealCdu::new(SoftwareChecker::new(
+                workload.robot.clone(),
+                workload.octree(batch.scene),
+            ))
+        }),
+        CduKind::Cecdu(cfg) => {
+            // One CECDU per scene serves every batch: `check_pose` is a
+            // pure function of the pose.
+            let sims: Vec<CecduSim> = (0..workload.scenes.len())
+                .map(|scene| CecduSim::new(workload.robot.clone(), workload.octree(scene), cfg))
+                .collect();
+            replay_with(batches, sas, mode_override, memo, |batch| {
+                CecduCdu::new(&sims[batch.scene])
+            })
+        }
+    }
+}
+
+/// The one replay loop: runs each of `batches` through SAS on the CDU
+/// `cdu` builds for it (through `memo` when given), summing cycles,
+/// queries and ops. `mode_override` replaces every batch's function mode.
+pub(crate) fn replay_with<M: CduModel>(
+    batches: &[&CdBatchSpec],
+    sas: &SasConfig,
+    mode_override: Option<FunctionMode>,
     mut memo: Option<&mut ReplayMemo>,
+    mut cdu: impl FnMut(&CdBatchSpec) -> M,
 ) -> SasAggregate {
     let mut agg = SasAggregate::default();
-    let limit = if max_batches == 0 {
-        workload.batches.len()
-    } else {
-        max_batches.min(workload.batches.len())
-    };
-    for batch in &workload.batches[..limit] {
-        let mode = mode_override.unwrap_or(batch.mode);
-        let r = match cdu {
-            CduKind::Ideal => {
-                let checker = SoftwareChecker::new(
-                    workload.robot.clone(),
-                    workload.octree_ref(batch.scene).clone(),
-                );
-                let model = IdealCdu::new(checker);
-                match memo.as_deref_mut() {
-                    Some(m) => {
-                        let mut model = MemoCdu {
-                            inner: model,
-                            scene: batch.scene,
-                            map: &mut m.map,
-                        };
-                        run_sas(&batch.motions, mode, sas, &mut model)
-                    }
-                    None => {
-                        let mut model = model;
-                        run_sas(&batch.motions, mode, sas, &mut model)
-                    }
-                }
-            }
-            CduKind::Cecdu(cfg) => {
-                let sim = CecduSim::new(
-                    workload.robot.clone(),
-                    workload.octree_ref(batch.scene).clone(),
-                    cfg,
-                );
-                let model = CecduCdu::new(&sim);
-                match memo.as_deref_mut() {
-                    Some(m) => {
-                        let mut model = MemoCdu {
-                            inner: model,
-                            scene: batch.scene,
-                            map: &mut m.map,
-                        };
-                        run_sas(&batch.motions, mode, sas, &mut model)
-                    }
-                    None => {
-                        let mut model = model;
-                        run_sas(&batch.motions, mode, sas, &mut model)
-                    }
-                }
-            }
+    for batch in batches {
+        let mut model = MemoCdu {
+            inner: cdu(batch),
+            scene: batch.scene,
+            map: memo.as_deref_mut().map(|m| &mut m.map),
         };
+        let mode = mode_override.unwrap_or(batch.mode);
+        let r = run_sas(&batch.motions, mode, sas, &mut model);
         agg.cycles += r.cycles;
         agg.queries += r.queries;
         agg.ops += r.ops;
@@ -227,16 +208,21 @@ mod tests {
     use mp_robot::RobotModel;
     use mp_sim::IuKind;
 
+    fn first(w: &BenchWorkload, n: usize) -> Vec<&CdBatchSpec> {
+        w.batches.iter().take(n).collect()
+    }
+
     #[test]
     fn replay_aggregates_consistently() {
         let w = BenchWorkload::cached(RobotModel::jaco2(), Scale::Quick);
-        let seq = replay(&w, &SasConfig::sequential(), CduKind::Ideal, 10);
+        let batches = first(&w, 10);
+        let seq = replay(&w, &batches, &SasConfig::sequential(), CduKind::Ideal);
         assert!(seq.cycles > 0 && seq.queries > 0);
         let np = replay(
             &w,
+            &batches,
             &SasConfig::naive_parallel(8).idealized(),
             CduKind::Ideal,
-            10,
         );
         assert!(np.speedup_vs(&seq) > 1.0);
         assert!(np.energy_vs(&seq) >= 1.0);
@@ -246,14 +232,15 @@ mod tests {
     fn memoized_replay_is_bit_identical() {
         let w = BenchWorkload::cached(RobotModel::jaco2(), Scale::Quick);
         let cdu = CduKind::Cecdu(CecduConfig::new(4, IuKind::MultiCycle));
+        let batches = first(&w, 6);
         let mut memo = ReplayMemo::new(cdu);
         for cfg in [
             SasConfig::sequential(),
             SasConfig::mcsp(8),
             SasConfig::naive_parallel(4),
         ] {
-            let plain = replay(&w, &cfg, cdu, 6);
-            let memoized = replay_memo(&w, &cfg, 6, None, &mut memo);
+            let plain = replay(&w, &batches, &cfg, cdu);
+            let memoized = replay_memo(&w, &batches, &cfg, None, &mut memo);
             assert_eq!(plain, memoized, "memo must not change aggregates");
         }
         assert!(!memo.is_empty());
@@ -263,13 +250,14 @@ mod tests {
     #[test]
     fn cecdu_replay_has_latency() {
         let w = BenchWorkload::cached(RobotModel::jaco2(), Scale::Quick);
+        let batches = first(&w, 4);
         let hw = replay(
             &w,
+            &batches,
             &SasConfig::sequential(),
             CduKind::Cecdu(CecduConfig::new(4, IuKind::MultiCycle)),
-            4,
         );
-        let ideal = replay(&w, &SasConfig::sequential(), CduKind::Ideal, 4);
+        let ideal = replay(&w, &batches, &SasConfig::sequential(), CduKind::Ideal);
         assert_eq!(hw.queries, ideal.queries); // same schedule, same work
         assert!(hw.cycles > ideal.cycles); // but real latency
         assert!(hw.ops.mults > 0);

@@ -31,12 +31,12 @@ use mp_robot::{JointConfig, RobotModel};
 use mp_service::PlanCatalog;
 use mp_sim::{CecduConfig, IuKind};
 use mpaccel_core::oocd::run_oocd;
-use mpaccel_core::sas::{run_sas, CduModel, CduResponse, SasConfig};
+use mpaccel_core::sas::{CduModel, CduResponse, SasConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use threadpool::ThreadPool;
 
-use super::common::{replay, CduKind, SasAggregate};
+use super::common::{replay, replay_with, CduKind, SasAggregate};
 use super::soak;
 use crate::report::{f2, f3, times, Report};
 use crate::workloads::{BenchWorkload, Scale};
@@ -44,12 +44,12 @@ use crate::workloads::{BenchWorkload, Scale};
 /// Queries in the baseline energy comparison (same as Table 3).
 pub const QUERIES: u64 = 1 << 20;
 
-/// CD batches replayed per chain (0 = all; kept small at quick scale —
-/// the cycle-level CECDU chain dominates the experiment's wall-clock).
+/// CD batches replayed per chain (kept small at quick scale — the
+/// cycle-level CECDU chain dominates the experiment's wall-clock).
 fn replay_batches(scale: Scale) -> usize {
     match scale {
         Scale::Quick => 8,
-        Scale::Full => 0,
+        Scale::Full => usize::MAX,
     }
 }
 
@@ -69,35 +69,6 @@ impl CduModel for MeasuredSoftwareCdu {
             ops: work.to_ops(),
         }
     }
-}
-
-/// Replays the workload's CD batches through the software oracle with
-/// full op attribution (the f32 side of the pJ/CD-check comparison).
-fn software_replay(workload: &BenchWorkload, max_batches: usize) -> SasAggregate {
-    let mut agg = SasAggregate::default();
-    let limit = if max_batches == 0 {
-        workload.batches.len()
-    } else {
-        max_batches.min(workload.batches.len())
-    };
-    for batch in &workload.batches[..limit] {
-        let mut model = MeasuredSoftwareCdu {
-            checker: SoftwareChecker::new(
-                workload.robot.clone(),
-                workload.octree_ref(batch.scene).clone(),
-            ),
-        };
-        let r = run_sas(
-            &batch.motions,
-            batch.mode,
-            &SasConfig::sequential(),
-            &mut model,
-        );
-        agg.cycles += r.cycles;
-        agg.queries += r.queries;
-        agg.ops += r.ops;
-    }
-    agg
 }
 
 /// All observatory measurements.
@@ -130,13 +101,19 @@ pub fn data(scale: Scale) -> ObservatoryData {
 /// test builds one per pool width through this path).
 pub fn data_with_catalog(scale: Scale, catalog: &PlanCatalog) -> ObservatoryData {
     let w = BenchWorkload::cached(RobotModel::jaco2(), scale);
-    let limit = replay_batches(scale);
-    let software = software_replay(&w, limit);
+    let batches: Vec<_> = w.batches.iter().take(replay_batches(scale)).collect();
+    // The f32 side of the pJ/CD-check comparison: the software oracle
+    // with full op attribution.
+    let software = replay_with(&batches, &SasConfig::sequential(), None, None, |batch| {
+        MeasuredSoftwareCdu {
+            checker: SoftwareChecker::new(w.robot.clone(), w.octree(batch.scene)),
+        }
+    });
     let cecdu = replay(
         &w,
+        &batches,
         &SasConfig::sequential(),
         CduKind::Cecdu(CecduConfig::new(4, IuKind::MultiCycle)),
-        limit,
     );
 
     let tier_uj = QualityTier::LADDER

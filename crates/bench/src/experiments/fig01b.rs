@@ -31,11 +31,12 @@ pub fn data(scale: Scale) -> Vec<(&'static str, SasAggregate)> {
         Scale::Quick => 24,
         Scale::Full => 300,
     };
+    let batches: Vec<_> = w.batches.iter().take(max_batches).collect();
     // The four modes replay the same batches: share pose responses.
     let mut memo = ReplayMemo::new(cdu);
     modes()
         .into_iter()
-        .map(|(name, cfg)| (name, replay_memo(&w, &cfg, max_batches, None, &mut memo)))
+        .map(|(name, cfg)| (name, replay_memo(&w, &batches, &cfg, None, &mut memo)))
         .collect()
 }
 

@@ -58,12 +58,7 @@ pub struct Fig07Data {
 
 /// Runs the limit study.
 pub fn data(scale: Scale) -> Fig07Data {
-    let mut w = (*BenchWorkload::cached(RobotModel::jaco2(), scale)).clone();
-    // Redundant work only materializes when motions collide part-way:
-    // prefer multi-motion batches that contain at least one colliding
-    // motion (the MPNet workload's coarse proposals before replanning),
-    // as in the paper's limit-study traces.
-    w.batches.retain(|b| b.motions.len() >= 2);
+    let w = BenchWorkload::cached(RobotModel::jaco2(), scale);
     // Full scale caps the replay at a statistically ample batch count:
     // unbounded replay of ~30k batches x every configuration would take
     // hours without changing the aggregates.
@@ -71,6 +66,16 @@ pub fn data(scale: Scale) -> Fig07Data {
         Scale::Quick => 24,
         Scale::Full => 400,
     };
+    // Redundant work only materializes when motions collide part-way:
+    // prefer multi-motion batches that contain at least one colliding
+    // motion (the MPNet workload's coarse proposals before replanning),
+    // as in the paper's limit-study traces.
+    let batches: Vec<_> = w
+        .batches
+        .iter()
+        .filter(|b| b.motions.len() >= 2)
+        .take(max_batches)
+        .collect();
     // Complete-mode semantics: the limit study measures scheduling
     // redundancy per motion, independent of function-mode early stops.
     // All 57 configurations replay the same batches, so pose verdicts are
@@ -79,8 +84,8 @@ pub fn data(scale: Scale) -> Fig07Data {
     let mut memo = ReplayMemo::new(CduKind::Ideal);
     let sequential = replay_memo(
         &w,
+        &batches,
         &SasConfig::sequential().idealized(),
-        max_batches,
         Some(FunctionMode::Complete),
         &mut memo,
     );
@@ -89,8 +94,8 @@ pub fn data(scale: Scale) -> Fig07Data {
         for (name, cfg) in policies(n) {
             let agg = replay_memo(
                 &w,
+                &batches,
                 &cfg.idealized(),
-                max_batches,
                 Some(FunctionMode::Complete),
                 &mut memo,
             );

@@ -3,7 +3,7 @@
 
 use mp_robot::RobotModel;
 use mp_sim::{CecduConfig, IuKind};
-use mpaccel_core::sas::SasConfig;
+use mpaccel_core::sas::{FunctionMode, SasConfig};
 
 use crate::experiments::common::{replay_memo, CduKind, ReplayMemo, SasAggregate};
 use crate::report::{f3, Report};
@@ -21,15 +21,7 @@ pub fn data(scale: Scale) -> Vec<(usize, SasAggregate)> {
 /// shortcut pools where §7.1.1's "discardable motions get scheduled
 /// anyway" energy effect lives).
 pub fn data_with(scale: Scale, connectivity_only: bool) -> Vec<(usize, SasAggregate)> {
-    let mut w = (*BenchWorkload::cached(RobotModel::jaco2(), scale)).clone();
-    // Group size only matters for multi-motion batches (full-path
-    // feasibility checks and shortcut pools); single-motion direct-connect
-    // probes would dilute the sweep.
-    w.batches.retain(|b| b.motions.len() >= 4);
-    if connectivity_only {
-        w.batches
-            .retain(|b| b.mode == mpaccel_core::sas::FunctionMode::Connectivity);
-    }
+    let w = BenchWorkload::cached(RobotModel::jaco2(), scale);
     let cdu = CduKind::Cecdu(CecduConfig::new(4, IuKind::MultiCycle));
     // Full scale caps the replay at a statistically ample batch count:
     // unbounded replay of ~30k batches x every configuration would take
@@ -38,13 +30,23 @@ pub fn data_with(scale: Scale, connectivity_only: bool) -> Vec<(usize, SasAggreg
         Scale::Quick => 16,
         Scale::Full => 300,
     };
+    // Group size only matters for multi-motion batches (full-path
+    // feasibility checks and shortcut pools); single-motion direct-connect
+    // probes would dilute the sweep.
+    let batches: Vec<_> = w
+        .batches
+        .iter()
+        .filter(|b| b.motions.len() >= 4)
+        .filter(|b| !connectivity_only || b.mode == FunctionMode::Connectivity)
+        .take(max_batches)
+        .collect();
     // Every group size replays the same batches: share pose responses.
     let mut memo = ReplayMemo::new(cdu);
     GROUP_SIZES
         .iter()
         .map(|&g| {
             let cfg = SasConfig::mcsp(8).with_group_size(g);
-            (g, replay_memo(&w, &cfg, max_batches, None, &mut memo))
+            (g, replay_memo(&w, &batches, &cfg, None, &mut memo))
         })
         .collect()
 }

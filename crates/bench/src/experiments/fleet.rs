@@ -408,16 +408,17 @@ pub fn capture_trace(
         &session,
     )
     .expect("benchmark scenes yield valid soak catalogs");
-    let summary = mp_service::run_fleet_traced(
-        &catalog,
-        &tenants(&catalog, false),
-        &policies(&catalog, false),
-        duration_ns(scale),
-        &fleet_config(),
-        &double_kill(scale),
-        &session,
-        0,
-    );
+    let summary = {
+        let _stream = session.install("fleet", 0);
+        mp_service::run_fleet(
+            &catalog,
+            &tenants(&catalog, false),
+            &policies(&catalog, false),
+            duration_ns(scale),
+            &fleet_config(),
+            &double_kill(scale),
+        )
+    };
     (session, summary)
 }
 

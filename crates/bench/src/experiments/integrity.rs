@@ -213,14 +213,11 @@ pub fn capture_trace(
         seed: 0x1D7E_6000 ^ (2 << 8) ^ 2,
         ..ServiceConfig::default()
     };
-    let summary = mp_service::run_service_traced(
-        &catalog,
-        &soak::tenants(&catalog, LOAD * catalog.saturating_rate_per_s(INSTANCES)),
-        duration_ns(scale),
-        &cfg,
-        &session,
-        0,
-    );
+    let summary = {
+        let _stream = session.install("service", 0);
+        let load = soak::tenants(&catalog, LOAD * catalog.saturating_rate_per_s(INSTANCES));
+        mp_service::run_service(&catalog, &load, duration_ns(scale), &cfg)
+    };
     (session, summary)
 }
 

@@ -3,7 +3,7 @@
 //! [`Report`](crate::report::Report) (or a small set of reports), so the
 //! same code backs the `mp-bench` command line (one subcommand per
 //! experiment, in [`engine::experiments`](crate::engine::experiments)
-//! order), the Criterion benches, and the shape-assertion tests.
+//! order) and the shape-assertion tests.
 
 pub mod ablation;
 pub mod codacc;

@@ -21,8 +21,7 @@ use mp_octree::{benchmark_scenes, Scene};
 use mp_planner::QualityTier;
 use mp_robot::RobotModel;
 use mp_service::{
-    run_service, run_service_traced, FaultProfile, PlanCatalog, QueuePolicy, ServiceConfig,
-    ServiceSummary, TenantSpec,
+    run_service, FaultProfile, PlanCatalog, QueuePolicy, ServiceConfig, ServiceSummary, TenantSpec,
 };
 use mp_sim::arrival::{ArrivalKind, ArrivalProcess};
 use mp_sim::vtime::VirtualNs;
@@ -283,14 +282,15 @@ pub fn capture_trace(scale: Scale, pool: &ThreadPool) -> (TelemetrySession, Serv
         seed: 7,
         ..ServiceConfig::default()
     };
-    let summary = run_service_traced(
-        &catalog,
-        &tenants(&catalog, 2.0 * sat),
-        duration_ns(scale),
-        &cfg,
-        &session,
-        0,
-    );
+    let summary = {
+        let _stream = session.install("service", 0);
+        run_service(
+            &catalog,
+            &tenants(&catalog, 2.0 * sat),
+            duration_ns(scale),
+            &cfg,
+        )
+    };
 
     let w = BenchWorkload::cached(robot.clone(), scale);
     for (i, (si, trace)) in w.traces.iter().take(2).enumerate() {

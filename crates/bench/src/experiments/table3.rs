@@ -31,14 +31,6 @@ pub struct Table3Data {
     pub mp_rows: Vec<(&'static str, f64)>,
     /// MPAccel average motion-planning ms.
     pub mpaccel_mp_ms: f64,
-    /// Real single-thread wall-clock time measured on *this* host for 2^20
-    /// OBB–octree queries (extrapolated from a smaller timed run) — the one
-    /// genuinely empirical row of the table.
-    pub host_measured_ms: f64,
-    /// Per-query wall-clock nanoseconds behind [`Table3Data::host_measured_ms`],
-    /// as a log-bucketed histogram with exact percentiles (`mp-bench
-    /// table3 --timings` prints mean/p50/p99 from it).
-    pub host_hist: mp_telemetry::HistSnapshot,
 }
 
 /// Paper values for side-by-side display: `(platform, basic, opt, leaf,
@@ -198,63 +190,18 @@ pub fn data(scale: Scale) -> Table3Data {
         total / n.max(1) as f64
     };
 
-    // Real measurement on this host: time a batch of software OBB–octree
-    // queries per query into a telemetry histogram and extrapolate the
-    // mean to 2^20 (single thread).
-    let (host_measured_ms, host_hist) = {
-        let tree = scenes[0].octree();
-        let mut rng = StdRng::seed_from_u64(3);
-        let obbs: Vec<_> = (0..2048).map(|_| random_link_obb(&mut rng)).collect();
-        // Warm up caches once.
-        for o in obbs.iter().take(256) {
-            std::hint::black_box(tree.collides_with(|a| mp_geometry::sat::overlaps(o, a)));
-        }
-        let mut hist = mp_telemetry::HistSnapshot::new();
-        for o in &obbs {
-            let t0 = std::time::Instant::now();
-            std::hint::black_box(tree.collides_with(|a| mp_geometry::sat::overlaps(o, a)));
-            hist.observe(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-        let per_query_ns = hist.mean().unwrap_or(0.0);
-        (per_query_ns * QUERIES as f64 / 1e6, hist)
-    };
-
     Table3Data {
         workload: agg,
         cd_rows,
         mpaccel_rows,
         mp_rows,
         mpaccel_mp_ms,
-        host_measured_ms,
-        host_hist,
     }
-}
-
-/// Renders the host per-query timing distribution (real wall clock, so
-/// never part of the deterministic report; `mp-bench table3 --timings`
-/// prints it).
-pub fn timings(d: &Table3Data) -> String {
-    let h = &d.host_hist;
-    let ns = |q| h.percentile(q).unwrap_or(0);
-    format!(
-        "host OBB-octree query wall clock ({} samples): mean={:.0}ns p50={}ns p99={}ns p999={}ns -> {:.0} ms extrapolated to 2^20 queries",
-        h.count(),
-        h.mean().unwrap_or(0.0),
-        ns(0.50),
-        ns(0.99),
-        ns(0.999),
-        d.host_measured_ms
-    )
 }
 
 /// Renders Table 3 with paper values side by side.
 pub fn run(scale: Scale) -> Report {
-    render(&data(scale))
-}
-
-/// Renders already-computed [`Table3Data`] (`mp-bench` reuses one
-/// computation for the report and the `--timings` dump).
-pub fn render(d: &Table3Data) -> Report {
+    let d = data(scale);
     let mut r = Report::new(
         "Table 3: collision detection (2^20 OBB-octree queries) and motion planning runtime",
     );
@@ -282,7 +229,7 @@ pub fn render(d: &Table3Data) -> Report {
             format!("{} ({})", f2(mp), f2(paper.5)),
         ]);
     }
-    for (label, ms, area, power) in &d.mpaccel_rows {
+    for (label, ms, _, power) in &d.mpaccel_rows {
         r.row(&[
             label.clone(),
             f2(*ms),
@@ -291,22 +238,11 @@ pub fn render(d: &Table3Data) -> Report {
             f2(*power),
             "-".into(),
         ]);
-        let _ = area;
     }
     r.note(format!(
         "paper: MPAccel 16x4 mc = 0.91 ms (11.1 mm², 3.4 W), 16x4 p = 0.53 ms; MPAccel avg MP: measured {:.3} ms (paper 0.099 ms)",
         d.mpaccel_mp_ms
     ));
-    // The host measurement is real wall clock and varies run to run; it
-    // goes to stderr so the rendered report stays bit-identical across
-    // runs and thread counts (the determinism test relies on this).
-    eprintln!(
-        "table3: ground truth on THIS host (1 thread, real wall clock): {:.0} ms for 2^20 queries — sanity-anchors the CPU models",
-        d.host_measured_ms
-    );
-    r.note(
-        "ground truth wall clock for 2^20 queries is measured on this host each run and printed to stderr (kept out of the table so reports are reproducible)",
-    );
     r
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p mp-bench -- <experiment> [--out FILE] [--csv FILE]
-//!     [--trace FILE] [--flight FILE] [--metrics FILE] [--timings]
+//!     [--trace FILE] [--flight FILE] [--metrics FILE]
 //! cargo run --release -p mp-bench -- all
 //! cargo run --release -p mp-bench -- traces [DIR]
 //! ```
@@ -15,8 +15,7 @@
 //!   in Perfetto; validated before it is written), `--flight`
 //!   (flight-recorder snapshots around each incident) and `--metrics`
 //!   (the metrics registry: a text table, or CSV when the path ends in
-//!   `.csv`). `table3 --timings` also prints the host per-query wall-clock
-//!   distribution, which varies run to run and so stays out of the report.
+//!   `.csv`).
 //! * `all` prints every report in canonical order, writes `BENCH.json`
 //!   (the run's modeled CD work and energy; path: `MPACCEL_BENCH_JSON`)
 //!   and, when `MPACCEL_CSV_DIR` is set, one CSV per report. Experiments
@@ -28,6 +27,9 @@
 //!
 //! `MPACCEL_BENCH_SCALE` selects `quick` (default) or `full` (paper-scale)
 //! workloads. Usage errors exit with code 2, write failures with code 1.
+//!
+//! Every report is deterministic, so `mp-bench` never reads a clock: host
+//! wall time, per layer, is measured by a traced `mp-benchmark run`.
 
 use std::fmt::Display;
 use std::fs;
@@ -35,7 +37,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mp_bench::engine::{self, Experiment};
-use mp_bench::experiments::table3;
 use mp_bench::workloads::BenchWorkload;
 use mp_bench::Scale;
 use mp_robot::RobotModel;
@@ -44,7 +45,7 @@ use mpaccel_core::trace::PlannerTrace;
 use threadpool::ThreadPool;
 
 const USAGE: &str = "usage: mp-bench <experiment> [--out FILE] [--csv FILE] \
-[--trace FILE] [--flight FILE] [--metrics FILE] [--timings]
+[--trace FILE] [--flight FILE] [--metrics FILE]
        mp-bench all
        mp-bench traces [DIR]";
 
@@ -146,7 +147,6 @@ fn all() -> Result<(), ExitCode> {
 /// One experiment: print its report and write the requested artifacts.
 fn experiment(exp: Experiment, args: &[&str]) -> Result<(), ExitCode> {
     let mut paths: [Option<&str>; 5] = [None; 5];
-    let mut timings = false;
     let mut args = args.iter();
     while let Some(&arg) = args.next() {
         if let Some(i) = FLAGS.iter().position(|&f| f == arg) {
@@ -165,8 +165,6 @@ fn experiment(exp: Experiment, args: &[&str]) -> Result<(), ExitCode> {
                 .next()
                 .ok_or_else(|| usage_error(format!("{arg} requires a file path")))?;
             paths[i] = Some(path);
-        } else if arg == "--timings" && exp.name == "table3" {
-            timings = true;
         } else {
             return Err(usage_error(format!(
                 "unknown argument `{arg}` for `{}`",
@@ -176,16 +174,8 @@ fn experiment(exp: Experiment, args: &[&str]) -> Result<(), ExitCode> {
     }
     let [out, csv, trace, flight, metrics] = paths;
     let scale = scale()?;
-    let report = if timings {
-        let d = table3::data(scale);
-        let report = table3::render(&d);
-        println!("{report}\n{}", table3::timings(&d));
-        report
-    } else {
-        let report = (exp.runner)(scale);
-        println!("{report}");
-        report
-    };
+    let report = (exp.runner)(scale);
+    println!("{report}");
     if let Some(p) = out {
         write("report", p, &report.to_string())?;
     }

@@ -86,7 +86,7 @@ pub struct CdBatchSpec {
 
 /// A full benchmark workload: scenes, their prebuilt octrees, planner
 /// traces, and the CD batches they contain.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct BenchWorkload {
     /// The robot under evaluation.
     pub robot: RobotModel,
@@ -106,9 +106,9 @@ pub struct BenchWorkload {
 impl BenchWorkload {
     /// Returns the shared workload for a robot/scale, building it at most
     /// once per process. Trace generation (planning hundreds of queries)
-    /// dominates experiment setup; every experiment and Criterion bench
-    /// shares the cached instance through the returned [`Arc`] without
-    /// deep-copying scenes or traces.
+    /// dominates experiment setup; every experiment shares the cached
+    /// instance through the returned [`Arc`] without deep-copying scenes
+    /// or traces.
     ///
     /// Two callers with the same `(robot, scale)` observe the identical
     /// workload object.
@@ -207,15 +207,6 @@ impl BenchWorkload {
     /// Panics if `i` is out of range.
     pub fn octree(&self, i: usize) -> Octree {
         self.octrees[i].clone()
-    }
-
-    /// Borrowed octree of scene `i` (for callers that only query).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn octree_ref(&self, i: usize) -> &Octree {
-        &self.octrees[i]
     }
 
     /// Total poses across all batches (upper bound on CD queries).

@@ -39,7 +39,11 @@ fn usage_errors_exit_two() {
     assert_eq!(code(&[]), Some(2), "missing command");
     assert_eq!(code(&["fig99"]), Some(2), "unknown subcommand");
     assert_eq!(code(&["table2", "--bogus"]), Some(2), "unknown flag");
-    assert_eq!(code(&["table2", "--timings"]), Some(2), "table3-only flag");
+    assert_eq!(
+        code(&["table3", "--timings"]),
+        Some(2),
+        "retired host-timing flag"
+    );
     assert_eq!(code(&["table2", "--out"]), Some(2), "flag without a path");
     assert_eq!(code(&["soak", "--metrics"]), Some(2), "flag without a path");
     for flag in ["--trace", "--flight", "--metrics"] {
@@ -54,6 +58,16 @@ fn usage_errors_exit_two() {
         assert_eq!(code(retired), Some(2), "{retired:?} is not a command");
     }
     assert_eq!(code(&["traces", "a", "b"]), Some(2));
+}
+
+#[test]
+fn table3_never_times_the_host() {
+    // Host wall time belongs to `mp-benchmark`; table3 prints its
+    // deterministic report and nothing on stderr.
+    let out = mp_bench(&["table3"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("== Table 3"));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
 }
 
 #[test]

@@ -5,7 +5,6 @@ use mp_fixed::Fx;
 use crate::aabb::Aabb;
 use crate::mat3::Matrix3;
 use crate::scalar::Scalar;
-use crate::sphere::Sphere;
 use crate::transform::Transform;
 use crate::vec3::Vector3;
 
@@ -71,12 +70,6 @@ impl Obb<f32> {
         half: Vector3<f32>,
     ) -> Obb<f32> {
         Obb::new(t.apply(local_center), half, t.rotation)
-    }
-
-    /// The bounding sphere (Fig 9a).
-    #[inline]
-    pub fn bounding_sphere(&self) -> Sphere<f32> {
-        Sphere::new(self.center, self.bounding_radius)
     }
 
     /// The 8 corners in world coordinates.

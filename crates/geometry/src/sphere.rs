@@ -82,19 +82,6 @@ impl Sphere<f32> {
         };
         Sphere::new(self.center.quantize(), radius)
     }
-
-    /// Quantizes to fixed point, rounding the radius *down* so the quantized
-    /// sphere is contained in the exact one (conservative when used as an
-    /// inscribed volume).
-    pub fn quantize_inner(&self) -> Sphere<Fx> {
-        let q = Fx::from_f32(self.radius);
-        let radius = if q.to_f32() > self.radius {
-            q - Fx::EPSILON
-        } else {
-            q
-        };
-        Sphere::new(self.center.quantize(), radius.max(Fx::ZERO))
-    }
 }
 
 impl Sphere<Fx> {
@@ -169,9 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn quantize_outer_inner_bracket_radius() {
+    fn quantize_outer_contains_radius() {
         let s = Sphere::new(Vec3::zero(), 0.1234567);
         assert!(s.quantize_outer().radius.to_f32() >= s.radius);
-        assert!(s.quantize_inner().radius.to_f32() <= s.radius);
     }
 }

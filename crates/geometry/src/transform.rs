@@ -76,13 +76,6 @@ impl Transform {
             self.rotation * rhs.translation + self.translation,
         )
     }
-
-    /// The inverse transform (assumes `rotation` is orthonormal).
-    #[inline]
-    pub fn inverse(&self) -> Transform {
-        let rt = self.rotation.transpose();
-        Transform::new(rt, -(rt * self.translation))
-    }
 }
 
 impl Default for Transform {
@@ -128,16 +121,5 @@ mod tests {
         let b = Transform::new(Mat3::rotation_z(-0.9), Vec3::new(-0.5, 0.0, 0.7));
         let p = Vec3::new(0.3, -0.6, 0.9);
         assert!(close(a.compose(&b).apply(p), a.apply(b.apply(p))));
-    }
-
-    #[test]
-    fn inverse_undoes_transform() {
-        let t = Transform::new(
-            Mat3::rotation_y(1.1) * Mat3::rotation_x(-0.6),
-            Vec3::new(0.4, -0.2, 0.9),
-        );
-        let p = Vec3::new(-0.7, 0.5, 0.1);
-        assert!(close(t.inverse().apply(t.apply(p)), p));
-        assert!(close(t.compose(&t.inverse()).apply(p), p));
     }
 }

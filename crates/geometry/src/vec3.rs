@@ -133,12 +133,6 @@ impl<S: Scalar> Vector3<S> {
         Vector3::new(self.x * s, self.y * s, self.z * s)
     }
 
-    /// Components as an array `[x, y, z]`.
-    #[inline]
-    pub fn to_array(self) -> [S; 3] {
-        [self.x, self.y, self.z]
-    }
-
     /// Converts every component to `f32`.
     #[inline]
     pub fn to_f32(self) -> Vector3<f32> {
@@ -280,7 +274,7 @@ mod tests {
     #[test]
     fn construction_and_zero() {
         let v = Vec3::new(1.0, 2.0, 3.0);
-        assert_eq!(v.to_array(), [1.0, 2.0, 3.0]);
+        assert_eq!((v.x, v.y, v.z), (1.0, 2.0, 3.0));
         assert_eq!(Vec3::zero().length(), 0.0);
         assert_eq!(Vec3::splat(2.0), Vec3::new(2.0, 2.0, 2.0));
     }

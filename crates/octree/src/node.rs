@@ -181,11 +181,6 @@ impl Node {
         Some(self.child_base + rank)
     }
 
-    /// Number of children (= partial octants).
-    pub fn child_count(&self) -> usize {
-        self.partial_octants().count()
-    }
-
     /// Packs into the 24-bit hardware word: bits 0..16 are the 8 × 2-bit
     /// occupancies (octant 0 in the low bits), bits 16..24 the child base.
     ///
@@ -247,7 +242,6 @@ mod tests {
         assert_eq!(n.child_address(6), Some(11));
         assert_eq!(n.child_address(4), None); // full, no child
         assert_eq!(n.child_address(0), None); // empty
-        assert_eq!(n.child_count(), 2);
     }
 
     #[test]

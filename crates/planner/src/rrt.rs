@@ -62,7 +62,7 @@ const NN_LANES: usize = 8;
 
 /// A growing RRT tree in joint-major SoA layout, with an 8-lane blocked
 /// nearest-neighbour scan (the planner-side hot loop).
-pub struct Tree {
+pub(crate) struct Tree {
     nodes: Vec<JointConfig>,
     parents: Vec<usize>,
     /// Joint-major copy of `nodes` (`lanes[j][i]` = joint `j` of node

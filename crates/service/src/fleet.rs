@@ -1310,25 +1310,6 @@ pub(crate) fn simulate(
     summary
 }
 
-/// [`run_fleet`] with telemetry: installs a `("fleet", stream_index)`
-/// stream on this thread for the duration of the run, so routing
-/// decisions, shard crashes, hedges, and flight-recorder incidents land
-/// in `session`. The summary is identical to the untraced run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_traced(
-    catalog: &PlanCatalog,
-    tenants: &[TenantSpec],
-    policies: &[TenantPolicy],
-    duration_ns: VirtualNs,
-    cfg: &FleetConfig,
-    chaos_plan: &ShardFaultPlan,
-    session: &telemetry::TelemetrySession,
-    stream_index: u32,
-) -> FleetSummary {
-    let _stream = session.install("fleet", stream_index);
-    run_fleet(catalog, tenants, policies, duration_ns, cfg, chaos_plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -61,10 +61,10 @@ pub mod service;
 pub mod tenant;
 
 pub use catalog::{CatalogEntry, PlanCatalog};
-pub use fleet::{run_fleet, run_fleet_traced, FleetConfig};
+pub use fleet::{run_fleet, FleetConfig};
 pub use integrity::{IntegrityConfig, IntegrityState, IntegrityStats};
 pub use metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 pub use request::{Request, ShedReason, TenantSpec, Verdict};
 pub use ring::{HashRing, Slot};
-pub use service::{run_service, run_service_traced, FaultProfile, ServiceConfig};
+pub use service::{run_service, FaultProfile, ServiceConfig};
 pub use tenant::{FairQueue, QueuePolicy, TenantPolicy, TokenBucket};

@@ -172,16 +172,6 @@ impl ServiceSummary {
         self.energy_pj / self.completed() as f64
     }
 
-    /// Mean energy per completion served at `tier` (pJ); 0 when the tier
-    /// served nothing.
-    pub fn tier_energy_per_plan_pj(&self, tier: QualityTier) -> f64 {
-        let served = self.tier_served[tier.index()];
-        if served == 0 {
-            return 0.0;
-        }
-        self.tier_energy_pj[tier.index()] / served as f64
-    }
-
     /// Fraction of all energy spent (useful + wasted) that produced no
     /// delivered plan; 0 when no energy was spent.
     pub fn wasted_energy_frac(&self) -> f64 {
@@ -540,7 +530,7 @@ mod tests {
 
     #[test]
     fn energy_rates_follow_the_counts() {
-        let mut s = ServiceSummary {
+        let s = ServiceSummary {
             duration_ns: 2_000_000_000, // 2 s = 2e6 µs
             offered: 20,
             on_time: 8,
@@ -549,11 +539,7 @@ mod tests {
             wasted_energy_pj: 1_000.0,
             ..ServiceSummary::default()
         };
-        s.tier_served[1] = 4;
-        s.tier_energy_pj[1] = 1_200.0;
         assert!((s.energy_per_plan_pj() - 400.0).abs() < 1e-12);
-        assert!((s.tier_energy_per_plan_pj(QualityTier::Reduced) - 300.0).abs() < 1e-12);
-        assert_eq!(s.tier_energy_per_plan_pj(QualityTier::Coarse), 0.0);
         assert!((s.wasted_energy_frac() - 0.2).abs() < 1e-12);
         // 5 000 pJ over 2e6 µs = 2.5e-3 µW.
         assert!((s.mean_power_uw() - 2.5e-3).abs() < 1e-15);

@@ -13,7 +13,6 @@
 
 use mp_sim::fault::ShardFaultPlan;
 use mp_sim::vtime::VirtualNs;
-use mp_telemetry as telemetry;
 
 use crate::catalog::PlanCatalog;
 use crate::fleet::{simulate, FleetConfig};
@@ -151,29 +150,6 @@ pub fn run_service(
     };
     let none = ShardFaultPlan::none(0);
     simulate(catalog, tenants, &[], duration_ns, &one_shard, &none, 0).fleet
-}
-
-/// [`run_service`] with telemetry: installs a `("service", stream_index)`
-/// stream on this thread for the duration of the run, so the event loop's
-/// spans, queue-depth samples, and flight-recorder incidents land in
-/// `session`.
-///
-/// The summary is identical to the untraced run — recording never
-/// perturbs the simulation.
-///
-/// # Panics
-///
-/// Panics if the catalog is empty or `cfg.instances == 0`.
-pub fn run_service_traced(
-    catalog: &PlanCatalog,
-    tenants: &[TenantSpec],
-    duration_ns: VirtualNs,
-    cfg: &ServiceConfig,
-    session: &telemetry::TelemetrySession,
-    stream_index: u32,
-) -> ServiceSummary {
-    let _stream = session.install("service", stream_index);
-    run_service(catalog, tenants, duration_ns, cfg)
 }
 
 #[cfg(test)]

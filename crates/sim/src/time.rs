@@ -15,7 +15,7 @@ pub const PIPELINED_PERIOD_NS: f64 = 1.48;
 ///
 /// let clk = ClockDomain::multi_cycle();
 /// assert!((clk.frequency_ghz() - 0.446).abs() < 0.01);
-/// assert!((clk.cycles_to_us(1000) - 2.24).abs() < 1e-9);
+/// assert!((clk.cycles_to_ns(1000) - 2240.0).abs() < 1e-9);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClockDomain {
@@ -61,19 +61,9 @@ impl ClockDomain {
         cycles as f64 * self.period_ns
     }
 
-    /// Converts cycles to microseconds.
-    pub fn cycles_to_us(&self, cycles: u64) -> f64 {
-        self.cycles_to_ns(cycles) / 1e3
-    }
-
     /// Converts cycles to milliseconds.
     pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
         self.cycles_to_ns(cycles) / 1e6
-    }
-
-    /// Converts a duration in nanoseconds to whole cycles (rounding up).
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        (ns / self.period_ns).ceil() as u64
     }
 }
 
@@ -92,10 +82,7 @@ mod tests {
     fn conversions_roundtrip() {
         let clk = ClockDomain::from_period_ns(2.0);
         assert_eq!(clk.cycles_to_ns(5), 10.0);
-        assert_eq!(clk.cycles_to_us(5000), 10.0);
         assert_eq!(clk.cycles_to_ms(5_000_000), 10.0);
-        assert_eq!(clk.ns_to_cycles(10.0), 5);
-        assert_eq!(clk.ns_to_cycles(10.1), 6); // rounds up
     }
 
     #[test]
