@@ -9,19 +9,32 @@ use mp_geometry::soa::HoistedCascade;
 use mp_geometry::{Obb, Transform};
 use mp_octree::{FlatOctree, Octree};
 use mp_robot::fk::{link_obbs_into, static_link_obbs};
-use mp_robot::{JointConfig, RobotModel, TrigMode};
+use mp_robot::{JointConfig, Motion, RobotModel, TrigMode};
 
+use crate::motion::{check_motion, MotionResult};
 use crate::pose_cache::{PoseCache, PoseKey};
 
 /// Counters accumulated across queries (the work metrics the paper's
 /// energy model is built on).
 ///
-/// They count the modeled datapath's work, which walks every link at every
-/// pose. [`SoftwareChecker`] walks a base-frame link once per environment
-/// and adds that walk's counts to each later query without executing it,
-/// and answers a repeated pose from its cache with the counts its walk
-/// billed, so the counters are the same as with every link of every pose
-/// walked, while the host executes fewer tests than they count.
+/// They count the modeled datapath's work, which walks every link of every
+/// pose of every motion it is sent. The host skips work whose answer it
+/// already holds exactly, in three places:
+///
+/// 1. the base-link replay: [`SoftwareChecker`] walks a base-frame link
+///    once per environment and replays that walk on every later pose;
+/// 2. the pose cache: [`SoftwareChecker`] answers a repeated pose from
+///    its [`PoseCache`];
+/// 3. the motion memo: `mp_planner::mpnet::plan` answers a motion it
+///    already checked in the same plan through
+///    [`CollisionChecker::replay_motion`].
+///
+/// All three follow one billing rule: skipped work is billed exactly as
+/// executing it would bill it, in these counters and in the process-wide
+/// [`metrics`](crate::metrics). So the counters are the same as with every
+/// link of every pose walked, while the host executes fewer tests than
+/// they count. Only the telemetry differs: a replayed motion records no
+/// per-pose `collision/cd_query` span.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CdStats {
     /// Robot-pose collision queries answered.
@@ -126,6 +139,29 @@ pub trait CollisionChecker {
 
     /// Clears the work counters.
     fn reset_stats(&mut self);
+
+    /// Answers `motion` again: a motion this checker already checked at
+    /// `step`, where [`check_motion`] returned `result` and billed `work`
+    /// (its [`attributed`] delta).
+    ///
+    /// The default checks the motion again and returns that check's
+    /// result, so every checker stays correct without overriding it.
+    /// Override it only where checking the same motion again always gives
+    /// the same verdict and the same counters: the override returns
+    /// `result` and bills `work`, with everything else a check of it
+    /// records, without checking a pose. A checker whose answers can
+    /// change between checks, such as one that injects faults, keeps the
+    /// default.
+    fn replay_motion(
+        &mut self,
+        motion: &Motion,
+        step: f32,
+        result: MotionResult,
+        work: CdStats,
+    ) -> MotionResult {
+        let _ = (result, work);
+        check_motion(self, motion, step)
+    }
 }
 
 /// Runs `f` against the checker and returns its result together with the
@@ -267,6 +303,13 @@ fn walk_link(flat: &FlatOctree, obb: &Obb<f32>, stack: &mut Vec<u32>) -> LinkWal
 /// recent poses, keyed on the exact joint bits: the verdict and every
 /// counter the walk billed are replayed, and so are the process-wide
 /// metrics and the `cd_query` span, without rerunning FK or the walk.
+///
+/// Every query is a pure function of the pose, so the checker overrides
+/// [`CollisionChecker::replay_motion`]: a motion replayed from a plan's
+/// memo bills the recorded [`CdStats`] and the process-wide metrics they
+/// count, and records no `cd_query` span. These are the three places the
+/// checker bills work it does not execute; [`CdStats`] gives the rule
+/// they share.
 #[derive(Clone, Debug)]
 pub struct SoftwareChecker {
     robot: RobotModel,
@@ -399,6 +442,18 @@ impl CollisionChecker for SoftwareChecker {
 
     fn reset_stats(&mut self) {
         self.stats = CdStats::default();
+    }
+
+    fn replay_motion(
+        &mut self,
+        _motion: &Motion,
+        _step: f32,
+        result: MotionResult,
+        work: CdStats,
+    ) -> MotionResult {
+        self.stats.absorb(work);
+        crate::metrics::record_work(&work);
+        result
     }
 }
 

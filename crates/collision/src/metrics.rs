@@ -9,8 +9,9 @@
 //! interleaving of increments varies across thread counts, never the sum.
 //!
 //! The storage is `mp_telemetry::Counter`s (the unified metrics layer),
-//! written through [`record_pose_checks`] / [`record_pose_work`] and read
-//! through [`pose_checks_total`] / [`ops_total`].
+//! written through [`record_pose_checks`] / [`record_pose_work`] (or
+//! [`record_work`], for work a checker replays) and read through
+//! [`pose_checks_total`] / [`ops_total`].
 
 use mp_telemetry::Counter;
 
@@ -34,6 +35,14 @@ pub fn record_pose_work(nodes_visited: u64, box_tests: u64, mults: u64) {
     CD_NODES_VISITED.add(nodes_visited);
     CD_BOX_TESTS.add(box_tests);
     CD_MULTS.add(mults);
+}
+
+/// Records `work` as its pose checks and their traversal work: what
+/// [`record_pose_checks`] and [`record_pose_work`] recorded, summed, when
+/// that work was executed. A checker replaying recorded work calls it.
+pub fn record_work(work: &crate::CdStats) {
+    record_pose_checks(work.pose_queries);
+    record_pose_work(work.nodes_visited, work.box_tests, work.mults);
 }
 
 /// Total pose-level collision checks recorded by this process so far.

@@ -34,8 +34,8 @@ pub struct MotionResult {
 ///
 /// Panics if `step` is not positive or the motion's DOF does not match the
 /// checker's robot.
-pub fn check_motion(
-    checker: &mut impl CollisionChecker,
+pub fn check_motion<C: CollisionChecker + ?Sized>(
+    checker: &mut C,
     motion: &Motion,
     step: f32,
 ) -> MotionResult {

@@ -30,12 +30,12 @@
 
 use std::cell::Cell;
 
-use mp_collision::{CdStats, CollisionChecker, PoseCache, PoseKey};
+use mp_collision::{CdStats, CollisionChecker, MotionResult, PoseCache, PoseKey};
 use mp_geometry::Transform;
 use mp_octree::Octree;
 use mp_robot::fk::joint_frames_into;
 use mp_robot::trig::TRIG_LATENCY_CYCLES;
-use mp_robot::{JointConfig, RobotModel, TrigMode};
+use mp_robot::{JointConfig, Motion, RobotModel, TrigMode};
 use mp_sim::fault::FaultKind;
 use mp_sim::{CecduConfig, FaultInjector, OpCounter};
 
@@ -436,13 +436,17 @@ pub struct FaultyCecduOutcome {
 }
 
 /// A [`CollisionChecker`] adapter over a CECDU, so planners and the
-/// software tooling can run directly on the hardware model. Accumulates
-/// both functional stats and total busy cycles.
+/// software tooling can run directly on the hardware model. It
+/// accumulates the functional stats of the clean (fault-free) model.
+///
+/// The clean model answers every pose the same way with the same ops, so
+/// the adapter overrides [`CollisionChecker::replay_motion`]: a replayed
+/// motion bills its recorded [`CdStats`] and the process-wide metrics
+/// they count, without walking a pose.
 #[derive(Clone, Debug)]
 pub struct CecduChecker {
     sim: CecduSim,
     stats: CdStats,
-    busy_cycles: u64,
 }
 
 impl CecduChecker {
@@ -451,13 +455,7 @@ impl CecduChecker {
         CecduChecker {
             sim,
             stats: CdStats::default(),
-            busy_cycles: 0,
         }
-    }
-
-    /// Total cycles the CECDU spent on queries so far.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
     }
 
     /// The wrapped simulation.
@@ -473,7 +471,6 @@ impl CollisionChecker for CecduChecker {
 
     fn check_pose(&mut self, cfg: &JointConfig) -> bool {
         let out = self.sim.check_pose(cfg);
-        self.busy_cycles += out.cycles;
         self.stats.pose_queries += 1;
         self.stats.link_tests += out.links_checked as u64;
         self.stats.box_tests += out.ops.box_tests;
@@ -488,7 +485,18 @@ impl CollisionChecker for CecduChecker {
 
     fn reset_stats(&mut self) {
         self.stats = CdStats::default();
-        self.busy_cycles = 0;
+    }
+
+    fn replay_motion(
+        &mut self,
+        _motion: &Motion,
+        _step: f32,
+        result: MotionResult,
+        work: CdStats,
+    ) -> MotionResult {
+        self.stats.absorb(work);
+        mp_collision::metrics::record_work(&work);
+        result
     }
 }
 
@@ -638,12 +646,13 @@ mod tests {
         let mut chk = CecduChecker::new(cecdu(0, 4, IuKind::MultiCycle));
         let home = chk.robot().home();
         let _ = chk.check_pose(&home);
+        let mut twice = chk.stats();
+        assert!(twice.link_tests > 0);
+        twice.absorb(twice);
         let _ = chk.check_pose(&home);
-        assert_eq!(chk.stats().pose_queries, 2);
-        assert!(chk.busy_cycles() > 0);
+        assert_eq!(chk.stats(), twice);
         chk.reset_stats();
-        assert_eq!(chk.stats().pose_queries, 0);
-        assert_eq!(chk.busy_cycles(), 0);
+        assert_eq!(chk.stats(), CdStats::default());
     }
 
     #[test]

@@ -12,7 +12,13 @@
 //! the hardware models — mirroring the trace-driven methodology of the
 //! original artifact.
 
-use mp_collision::{CdStats, CollisionChecker, CSPACE_STEP};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::BuildHasherDefault;
+
+use mp_collision::pose_cache::FnvHasher;
+use mp_collision::{
+    attributed, check_motion, CdStats, CollisionChecker, MotionResult, PoseKey, CSPACE_STEP,
+};
 use mp_robot::{JointConfig, Motion, MotionDescriptor};
 use mp_sim::{EnergyLedger, OpCounter};
 use mpaccel_core::sas::FunctionMode;
@@ -247,7 +253,48 @@ impl Phase {
     }
 }
 
+/// Every motion one plan has checked: the result its check returned and
+/// the [`CdStats`] it billed, keyed on the exact bits of both endpoints.
+///
+/// MPNet re-validates the whole path after every repair, so most motions
+/// a plan checks it has checked before. A repeat is answered through
+/// [`CollisionChecker::replay_motion`], which bills the recorded work
+/// exactly (or, by default, checks the motion again). Free and colliding
+/// results are both kept. A motion with an endpoint [`PoseKey`] cannot
+/// hold is checked every time.
+#[derive(Default)]
+struct MotionMemo {
+    checked: HashMap<(PoseKey, PoseKey), (MotionResult, CdStats), BuildHasherDefault<FnvHasher>>,
+}
+
+impl MotionMemo {
+    /// `motion`'s check at [`CSPACE_STEP`], replayed if this plan has
+    /// checked it before.
+    fn check(&mut self, checker: &mut impl CollisionChecker, motion: &Motion) -> MotionResult {
+        let Some(key) = PoseKey::new(&motion.from).zip(PoseKey::new(&motion.to)) else {
+            return check_motion(checker, motion, CSPACE_STEP);
+        };
+        match self.checked.entry(key) {
+            Entry::Occupied(e) => {
+                let (result, work) = *e.get();
+                checker.replay_motion(motion, CSPACE_STEP, result, work)
+            }
+            Entry::Vacant(e) => {
+                let (result, work) = attributed(checker, |c| check_motion(c, motion, CSPACE_STEP));
+                e.insert((result, work));
+                result
+            }
+        }
+    }
+}
+
 /// Plans a path from `start` to `goal`.
+///
+/// Each motion the plan checks again (Phase 1's connection attempts,
+/// Phase 2's feasibility batches and the shortcutting) is answered from
+/// the plan's memo of checked motions through
+/// [`CollisionChecker::replay_motion`]; every `CdBatch` in the trace
+/// still lists it.
 ///
 /// # Panics
 ///
@@ -281,6 +328,7 @@ pub fn plan(
 
     let mut trace = PlannerTrace::new();
     let mut stats = PlanStats::default();
+    let mut memo = MotionMemo::default();
     let cd_before = checker.stats().pose_queries;
 
     // Per-phase energy ledger: CD work is billed by differencing the
@@ -338,7 +386,7 @@ pub fn plan(
             let end_b = path_b.last().expect("path_b seeded with goal").clone();
             // Direct connection attempt (one-motion feasibility batch).
             let m = Motion::new(end_a.clone(), end_b.clone());
-            if run_feasibility_batch(checker, &mut trace, &[m]).is_none() {
+            if run_feasibility_batch(checker, &mut memo, &mut trace, &[m]).is_none() {
                 connected = true;
                 break;
             }
@@ -415,7 +463,7 @@ pub fn plan(
                 .windows(2)
                 .map(|w| Motion::new(w[0].clone(), w[1].clone()))
                 .collect();
-            let Some(bad) = run_feasibility_batch(checker, &mut trace, &motions) else {
+            let Some(bad) = run_feasibility_batch(checker, &mut memo, &mut trace, &motions) else {
                 break; // whole path feasible
             };
             if attempts == 0 || path.len() >= cfg.max_waypoints {
@@ -472,7 +520,7 @@ pub fn plan(
             let _phase3 = mp_telemetry::span("planner", "phase3_shortcut");
             phase.advance("phase3_shortcut", checker, &mut ledger);
             let before = path.len();
-            greedy_shortcut(checker, &mut trace, &mut path);
+            greedy_shortcut(checker, &mut memo, &mut trace, &mut path);
             stats.shortcut_removed = before - path.len();
         }
         Ok(path)
@@ -495,10 +543,12 @@ pub fn plan(
 }
 
 /// Runs a feasibility batch: records the batch into the trace and evaluates
-/// it with sequential early-exit semantics, returning the index of the
-/// first infeasible motion (or `None` if all are free).
+/// it with sequential early-exit semantics through the plan's `memo`,
+/// returning the index of the first infeasible motion (or `None` if all
+/// are free).
 fn run_feasibility_batch(
     checker: &mut impl CollisionChecker,
+    memo: &mut MotionMemo,
     trace: &mut PlannerTrace,
     motions: &[Motion],
 ) -> Option<usize> {
@@ -509,7 +559,7 @@ fn run_feasibility_batch(
         mode: FunctionMode::Feasibility,
     });
     for (i, m) in motions.iter().enumerate() {
-        if mp_collision::check_motion(checker, m, CSPACE_STEP).colliding {
+        if memo.check(checker, m).colliding {
             return Some(i);
         }
     }
@@ -521,6 +571,7 @@ fn run_feasibility_batch(
 /// collision-free one wins (§2.1, Fig 3 "path optimization").
 fn greedy_shortcut(
     checker: &mut impl CollisionChecker,
+    memo: &mut MotionMemo,
     trace: &mut PlannerTrace,
     path: &mut Vec<JointConfig>,
 ) {
@@ -539,7 +590,7 @@ fn greedy_shortcut(
         let mut found = None;
         for &j in &candidates {
             let m = Motion::new(path[i].clone(), path[j].clone());
-            if !mp_collision::check_motion(checker, &m, CSPACE_STEP).colliding {
+            if !memo.check(checker, &m).colliding {
                 found = Some(j);
                 break;
             }

@@ -194,10 +194,9 @@ fn checker_adapter_is_a_drop_in_for_planners() {
         &RrtConfig::default(),
         3,
     );
-    // Whether or not it solves, the hardware checker must have done work
-    // and counted cycles.
-    assert!(checker.busy_cycles() > 0);
+    // Whether or not it solves, the hardware checker must have done work.
     assert!(checker.stats().pose_queries > 0);
+    assert!(checker.stats().link_tests > 0);
     let _ = out;
 }
 
