@@ -9,10 +9,7 @@ use mp_geometry::soa::HoistedCascade;
 use mp_geometry::{Obb, Transform};
 use mp_octree::{FlatOctree, Octree};
 use mp_robot::fk::{link_obbs_into, static_link_obbs};
-use mp_robot::{JointConfig, Motion, RobotModel, TrigMode};
-
-use crate::motion::{check_motion, MotionResult};
-use crate::pose_cache::{PoseCache, PoseKey};
+use mp_robot::{JointConfig, RobotModel, TrigMode};
 
 /// Counters accumulated across queries (the work metrics the paper's
 /// energy model is built on).
@@ -23,18 +20,22 @@ use crate::pose_cache::{PoseCache, PoseKey};
 ///
 /// 1. the base-link replay: [`SoftwareChecker`] walks a base-frame link
 ///    once per environment and replays that walk on every later pose;
-/// 2. the pose cache: [`SoftwareChecker`] answers a repeated pose from
-///    its [`PoseCache`];
+/// 2. endpoint replay: a caller that already proved a motion's endpoint
+///    free hands its recorded work to
+///    [`check_motion_replaying`](crate::check_motion_replaying) (the
+///    `rrt`/`rrt_connect` trees for each node, `mp_planner::mpnet::plan`
+///    for each pose it checked, [`check_path`](crate::check_path) for each
+///    waypoint);
 /// 3. the motion memo: `mp_planner::mpnet::plan` answers a motion it
-///    already checked in the same plan through
-///    [`CollisionChecker::replay_motion`].
+///    already checked in the same plan.
 ///
-/// All three follow one billing rule: skipped work is billed exactly as
-/// executing it would bill it, in these counters and in the process-wide
+/// The last two bill through [`CollisionChecker::replay`]. All three
+/// follow one billing rule: skipped work is billed exactly as executing
+/// it would bill it, in these counters and in the process-wide
 /// [`metrics`](crate::metrics). So the counters are the same as with every
 /// link of every pose walked, while the host executes fewer tests than
-/// they count. Only the telemetry differs: a replayed motion records no
-/// per-pose `collision/cd_query` span.
+/// they count. Only the telemetry differs: a replayed endpoint or motion
+/// records no per-pose `collision/cd_query` span.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CdStats {
     /// Robot-pose collision queries answered.
@@ -140,27 +141,21 @@ pub trait CollisionChecker {
     /// Clears the work counters.
     fn reset_stats(&mut self);
 
-    /// Answers `motion` again: a motion this checker already checked at
-    /// `step`, where [`check_motion`] returned `result` and billed `work`
-    /// (its [`attributed`] delta).
+    /// Bills `work` without executing it, and returns whether it did.
     ///
-    /// The default checks the motion again and returns that check's
-    /// result, so every checker stays correct without overriding it.
-    /// Override it only where checking the same motion again always gives
-    /// the same verdict and the same counters: the override returns
-    /// `result` and bills `work`, with everything else a check of it
-    /// records, without checking a pose. A checker whose answers can
-    /// change between checks, such as one that injects faults, keeps the
-    /// default.
-    fn replay_motion(
-        &mut self,
-        motion: &Motion,
-        step: f32,
-        result: MotionResult,
-        work: CdStats,
-    ) -> MotionResult {
-        let _ = (result, work);
-        check_motion(self, motion, step)
+    /// `work` is the [`attributed`] delta of an earlier check on this
+    /// checker (of one pose or of a whole motion) whose answer the caller
+    /// holds and would otherwise ask again. Returning `false` means "check
+    /// it again": the caller then repeats the check, so every checker
+    /// stays correct with the default, which bills nothing and returns
+    /// `false`. Override it only where checking the same pose again always
+    /// gives the same verdict and the same counters: the override bills
+    /// `work` as the check would, process-wide metrics included, and
+    /// returns `true`. A checker whose answers can change between checks,
+    /// such as one that injects faults, keeps the default.
+    fn replay(&mut self, work: CdStats) -> bool {
+        let _ = work;
+        false
     }
 }
 
@@ -209,41 +204,6 @@ struct LinkWalk {
 struct PoseWork {
     link_tests: u64,
     walk: LinkWalk,
-}
-
-/// [`PoseWork`] as a [`PoseCache`] slot holds it, in 16 bytes. A pose
-/// whose counts do not fit is not cached.
-#[derive(Clone, Copy, Debug, Default)]
-struct CachedWork {
-    hit: bool,
-    link_tests: u8,
-    nodes_visited: u32,
-    box_tests: u32,
-    mults: u32,
-}
-
-impl CachedWork {
-    fn pack(work: &PoseWork) -> Option<CachedWork> {
-        Some(CachedWork {
-            hit: work.walk.hit,
-            link_tests: work.link_tests.try_into().ok()?,
-            nodes_visited: work.walk.nodes_visited.try_into().ok()?,
-            box_tests: work.walk.box_tests.try_into().ok()?,
-            mults: work.walk.mults.try_into().ok()?,
-        })
-    }
-
-    fn unpack(self) -> PoseWork {
-        PoseWork {
-            link_tests: self.link_tests.into(),
-            walk: LinkWalk {
-                hit: self.hit,
-                nodes_visited: self.nodes_visited.into(),
-                box_tests: self.box_tests.into(),
-                mults: self.mults.into(),
-            },
-        }
-    }
 }
 
 /// Walks `flat` for one link OBB. Flat traversal with the hoisted
@@ -299,17 +259,14 @@ fn walk_link(flat: &FlatOctree, obb: &Obb<f32>, stack: &mut Vec<u32>) -> LinkWal
 /// metrics therefore count exactly what walking every link would. The
 /// derived walks belong to this instance and read only its own octree.
 ///
-/// A pose asked again is answered from a [`PoseCache`] of this instance's
-/// recent poses, keyed on the exact joint bits: the verdict and every
-/// counter the walk billed are replayed, and so are the process-wide
-/// metrics and the `cd_query` span, without rerunning FK or the walk.
-///
-/// Every query is a pure function of the pose, so the checker overrides
-/// [`CollisionChecker::replay_motion`]: a motion replayed from a plan's
-/// memo bills the recorded [`CdStats`] and the process-wide metrics they
-/// count, and records no `cd_query` span. These are the three places the
-/// checker bills work it does not execute; [`CdStats`] gives the rule
-/// they share.
+/// Every `check_pose` runs FK and walks the octree. Every query is a pure
+/// function of the pose, so the checker overrides
+/// [`CollisionChecker::replay`]: a pose or motion its caller already
+/// checked on it (an endpoint the caller proved free, or a motion from a
+/// plan's memo) bills the recorded [`CdStats`] and the process-wide
+/// metrics they count, and records no `cd_query` span. Those and the
+/// base-link replay are the places the checker bills work it does not
+/// execute; [`CdStats`] gives the rule they share.
 #[derive(Clone, Debug)]
 pub struct SoftwareChecker {
     robot: RobotModel,
@@ -318,8 +275,6 @@ pub struct SoftwareChecker {
     // Per link, the replayed walk of a base-frame link (`None` for a link
     // that moves); `None` until the first query derives it.
     static_walks: Option<Vec<Option<LinkWalk>>>,
-    // Recent poses' work.
-    cache: PoseCache<CachedWork>,
     // FK buffers reused across `check_pose` calls (taken out for the
     // duration of a query so the borrow checker sees disjoint state).
     frame_buf: Vec<Transform>,
@@ -336,7 +291,6 @@ impl SoftwareChecker {
             octree,
             stats: CdStats::default(),
             static_walks: None,
-            cache: PoseCache::new(),
             frame_buf: Vec::new(),
             obb_buf: Vec::new(),
             stack_buf: Vec::new(),
@@ -403,17 +357,7 @@ impl CollisionChecker for SoftwareChecker {
             return true;
         }
         let span = mp_telemetry::span("collision", "cd_query");
-        let key = PoseKey::new(cfg);
-        let work = match key.and_then(|k| self.cache.get(&k)) {
-            Some(cached) => cached.unpack(),
-            None => {
-                let work = self.walk_pose(cfg);
-                if let (Some(k), Some(cached)) = (key, CachedWork::pack(&work)) {
-                    self.cache.insert(k, cached);
-                }
-                work
-            }
-        };
+        let work = self.walk_pose(cfg);
         let LinkWalk {
             hit: colliding,
             nodes_visited,
@@ -444,16 +388,10 @@ impl CollisionChecker for SoftwareChecker {
         self.stats = CdStats::default();
     }
 
-    fn replay_motion(
-        &mut self,
-        _motion: &Motion,
-        _step: f32,
-        result: MotionResult,
-        work: CdStats,
-    ) -> MotionResult {
+    fn replay(&mut self, work: CdStats) -> bool {
         self.stats.absorb(work);
         crate::metrics::record_work(&work);
-        result
+        true
     }
 }
 
@@ -546,13 +484,6 @@ mod tests {
         let mut whole = before;
         whole.absorb(delta);
         assert_eq!(whole, c.stats());
-    }
-
-    #[test]
-    fn pose_cache_takes_24_kib_per_checker() {
-        let slot = std::mem::size_of::<(PoseKey, CachedWork)>();
-        assert_eq!(slot, 48);
-        assert_eq!(slot * crate::pose_cache::POSE_CACHE_SLOTS, 24 * 1024);
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! An exact, bounded cache of per-pose results.
+//! An exact, bounded cache of per-pose results, and the exact pose key it
+//! and the planners' memos use.
 //!
-//! Planners ask the same pose again and again: replanning re-validates a
-//! whole path after every detour, shortcutting re-checks motions that
-//! share an anchor pose, and adjacent segments share an endpoint. A
-//! [`PoseCache`] remembers what a checker answered for recent poses so a
-//! repeat is served without rerunning FK and the octree walk. It is keyed
-//! on the pose's joint bits and compares the whole key, never a hash
-//! alone, so a hit returns exactly what the walk returned.
+//! A recorded MPNet trace asks the same pose again and again: replanning
+//! re-validates a whole path after every detour, shortcutting re-checks
+//! motions that share an anchor pose, and adjacent segments share an
+//! endpoint, and the trace's CD batches list every one of those motions.
+//! The scheduler's `CecduCdu` (in `mpaccel-core`), which dispatches a
+//! whole trace to the CECDU model, keeps a [`PoseCache`] of what the
+//! model answered for recent poses, so a repeat is served without
+//! rerunning FK and the OOCD walks. It is keyed on the pose's joint bits
+//! and compares the whole key, never a hash alone, so a hit returns
+//! exactly what the walk returned.
+//!
+//! The software checker keeps no such cache: the planners know which
+//! poses they check twice and replay those themselves (see
+//! [`check_motion_replaying`](crate::check_motion_replaying)).
 //!
 //! The cache holds [`POSE_CACHE_SLOTS`] poses in sets of
 //! [`POSE_CACHE_WAYS`]: a pose lives in the set its key hashes to, and a
@@ -23,10 +31,12 @@ pub const MAX_KEY_DOF: usize = 8;
 /// Poses a [`PoseCache`] holds.
 ///
 /// Sized from the reuse distance of MPNet's pose checks on the ten paper
-/// scenes (checks between a pose and its repeat on the same checker):
-/// p50 152, p95 399, p99 1,087. 54.4 of the 55.7 percentage points of
-/// repeated checks fall within 512 checks. With the software checker's
-/// 48-byte slots that is 24 KiB per checker.
+/// scenes, measured on the planner's own checker (checks between a pose
+/// and its repeat): p50 152, p95 399, p99 1,087. 54.4 of the 55.7
+/// percentage points of repeated checks fall within 512 checks. A trace's
+/// CD batches list those checks' motions in the same order; how the
+/// scheduler's dispatch order moves the reuse distance is not measured.
+/// With `CecduCdu`'s 72-byte slots that is 36 KiB per replayed trace.
 pub const POSE_CACHE_SLOTS: usize = 512;
 
 /// Poses per set of a [`PoseCache`]. On MPNet's checks a 512-pose cache
@@ -114,9 +124,8 @@ impl Hasher for FnvHasher {
 /// per-pose result `V`: [`POSE_CACHE_SLOTS`] slots in sets of
 /// [`POSE_CACHE_WAYS`], each set kept in most-recently-used order.
 ///
-/// It answers only for the checker state it was filled under: the owner
-/// must [`clear`](PoseCache::clear) it whenever anything that changes a
-/// pose's answer (environment, cascade, trig) changes.
+/// It answers only for the checker it was filled by; a checker cannot
+/// change its environment, cascade or trig once built.
 #[derive(Clone, Debug)]
 pub struct PoseCache<V> {
     // Empty until the first insert, then `POSE_CACHE_SLOTS` long.
@@ -155,11 +164,6 @@ impl<V: Copy + Default> PoseCache<V> {
         set.rotate_right(1);
         set[0] = (key, value);
     }
-
-    /// Forgets every cached result, keeping the storage.
-    pub fn clear(&mut self) {
-        self.slots.fill((PoseKey::EMPTY, V::default()));
-    }
 }
 
 #[cfg(test)]
@@ -197,8 +201,6 @@ mod tests {
         assert_eq!(cache.get(&a), Some(7));
         let b = PoseKey::new(&pose(&[0.25, -1.0])).unwrap();
         assert_eq!(cache.get(&b), None);
-        cache.clear();
-        assert_eq!(cache.get(&a), None);
     }
 
     #[test]

@@ -30,12 +30,12 @@
 
 use std::cell::Cell;
 
-use mp_collision::{CdStats, CollisionChecker, MotionResult, PoseCache, PoseKey};
+use mp_collision::{CdStats, CollisionChecker, PoseCache, PoseKey};
 use mp_geometry::Transform;
 use mp_octree::Octree;
 use mp_robot::fk::joint_frames_into;
 use mp_robot::trig::TRIG_LATENCY_CYCLES;
-use mp_robot::{JointConfig, Motion, RobotModel, TrigMode};
+use mp_robot::{JointConfig, RobotModel, TrigMode};
 use mp_sim::fault::FaultKind;
 use mp_sim::{CecduConfig, FaultInjector, OpCounter};
 
@@ -440,7 +440,7 @@ pub struct FaultyCecduOutcome {
 /// accumulates the functional stats of the clean (fault-free) model.
 ///
 /// The clean model answers every pose the same way with the same ops, so
-/// the adapter overrides [`CollisionChecker::replay_motion`]: a replayed
+/// the adapter overrides [`CollisionChecker::replay`]: a replayed pose or
 /// motion bills its recorded [`CdStats`] and the process-wide metrics
 /// they count, without walking a pose.
 #[derive(Clone, Debug)]
@@ -487,16 +487,10 @@ impl CollisionChecker for CecduChecker {
         self.stats = CdStats::default();
     }
 
-    fn replay_motion(
-        &mut self,
-        _motion: &Motion,
-        _step: f32,
-        result: MotionResult,
-        work: CdStats,
-    ) -> MotionResult {
+    fn replay(&mut self, work: CdStats) -> bool {
         self.stats.absorb(work);
         mp_collision::metrics::record_work(&work);
-        result
+        true
     }
 }
 

@@ -17,7 +17,8 @@ use std::hash::BuildHasherDefault;
 
 use mp_collision::pose_cache::FnvHasher;
 use mp_collision::{
-    attributed, check_motion, CdStats, CollisionChecker, MotionResult, PoseKey, CSPACE_STEP,
+    attributed, check_motion, check_motion_replaying, CdStats, CollisionChecker, EndpointWork,
+    MotionResult, PoseKey, CSPACE_STEP,
 };
 use mp_robot::{JointConfig, Motion, MotionDescriptor};
 use mp_sim::{EnergyLedger, OpCounter};
@@ -253,34 +254,59 @@ impl Phase {
     }
 }
 
-/// Every motion one plan has checked: the result its check returned and
-/// the [`CdStats`] it billed, keyed on the exact bits of both endpoints.
+type FnvBuild = BuildHasherDefault<FnvHasher>;
+
+/// Every pose and motion one plan has checked, keyed on exact bits: the
+/// [`CdStats`] each free pose billed, and the result and [`CdStats`] of
+/// each motion.
 ///
-/// MPNet re-validates the whole path after every repair, so most motions
-/// a plan checks it has checked before. A repeat is answered through
-/// [`CollisionChecker::replay_motion`], which bills the recorded work
-/// exactly (or, by default, checks the motion again). Free and colliding
-/// results are both kept. A motion with an endpoint [`PoseKey`] cannot
-/// hold is checked every time.
+/// MPNet only ever joins poses it already checked (start, goal and the
+/// accepted candidates), and it re-validates the whole path after every
+/// repair, so most motions a plan checks it has checked before. A repeat
+/// is billed through [`CollisionChecker::replay`]; a new motion replays
+/// its endpoints' recorded work ([`check_motion_replaying`]) and walks
+/// only the poses between. Where the checker declines a replay, the
+/// motion or pose is checked again. Free and colliding motions are both
+/// kept. A pose [`PoseKey`] cannot hold is never replayed.
 #[derive(Default)]
 struct MotionMemo {
-    checked: HashMap<(PoseKey, PoseKey), (MotionResult, CdStats), BuildHasherDefault<FnvHasher>>,
+    poses: HashMap<PoseKey, CdStats, FnvBuild>,
+    motions: HashMap<(PoseKey, PoseKey), (MotionResult, CdStats), FnvBuild>,
 }
 
 impl MotionMemo {
+    /// Checks `pose` and keeps its work if it is free.
+    fn check_pose(&mut self, checker: &mut impl CollisionChecker, pose: &JointConfig) -> bool {
+        let (colliding, work) = attributed(checker, |c| c.check_pose(pose));
+        if let (false, Some(key)) = (colliding, PoseKey::new(pose)) {
+            self.poses.insert(key, work);
+        }
+        colliding
+    }
+
     /// `motion`'s check at [`CSPACE_STEP`], replayed if this plan has
     /// checked it before.
     fn check(&mut self, checker: &mut impl CollisionChecker, motion: &Motion) -> MotionResult {
-        let Some(key) = PoseKey::new(&motion.from).zip(PoseKey::new(&motion.to)) else {
+        let (Some(from), Some(to)) = (PoseKey::new(&motion.from), PoseKey::new(&motion.to)) else {
             return check_motion(checker, motion, CSPACE_STEP);
         };
-        match self.checked.entry(key) {
+        match self.motions.entry((from, to)) {
             Entry::Occupied(e) => {
                 let (result, work) = *e.get();
-                checker.replay_motion(motion, CSPACE_STEP, result, work)
+                if checker.replay(work) {
+                    result
+                } else {
+                    check_motion(checker, motion, CSPACE_STEP)
+                }
             }
             Entry::Vacant(e) => {
-                let (result, work) = attributed(checker, |c| check_motion(c, motion, CSPACE_STEP));
+                let known = EndpointWork {
+                    from: self.poses.get(&from).copied(),
+                    to: self.poses.get(&to).copied(),
+                };
+                let ((result, _), work) = attributed(checker, |c| {
+                    check_motion_replaying(c, motion, CSPACE_STEP, known)
+                });
                 e.insert((result, work));
                 result
             }
@@ -290,11 +316,12 @@ impl MotionMemo {
 
 /// Plans a path from `start` to `goal`.
 ///
-/// Each motion the plan checks again (Phase 1's connection attempts,
-/// Phase 2's feasibility batches and the shortcutting) is answered from
-/// the plan's memo of checked motions through
-/// [`CollisionChecker::replay_motion`]; every `CdBatch` in the trace
-/// still lists it.
+/// Each motion the plan checks (Phase 1's connection attempts, Phase 2's
+/// feasibility batches and the shortcutting) goes through the plan's memo
+/// of checked poses and motions: a motion checked before is replayed
+/// whole, and a new one replays the endpoints the plan already proved
+/// free, both through [`CollisionChecker::replay`]. Every `CdBatch` in
+/// the trace still lists every motion.
 ///
 /// # Panics
 ///
@@ -354,10 +381,10 @@ pub fn plan(
     let mut phase = Phase::open("endpoints", checker);
     let result: Result<Vec<JointConfig>, PlanFailure> = 'attempt: {
         // Endpoint validity.
-        if checker.check_pose(start) {
+        if memo.check_pose(checker, start) {
             break 'attempt Err(PlanFailure::InvalidStart);
         }
-        if checker.check_pose(goal) {
+        if memo.check_pose(checker, goal) {
             break 'attempt Err(PlanFailure::InvalidGoal);
         }
 
@@ -414,7 +441,7 @@ pub fn plan(
                 } else {
                     proposal
                 };
-                if !checker.check_pose(&candidate) {
+                if !memo.check_pose(checker, &candidate) {
                     next = Some(candidate);
                     break;
                 }
@@ -497,7 +524,7 @@ pub fn plan(
                         .map(|&v| v + rng.gen_range(-amp..=amp))
                         .collect(),
                 ));
-                if !checker.check_pose(&candidate) {
+                if !memo.check_pose(checker, &candidate) {
                     detour = Some(candidate);
                     break;
                 }

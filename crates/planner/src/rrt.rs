@@ -6,7 +6,9 @@
 //! sampling-based motion planning algorithms"). They serve as workload
 //! baselines: far more collision-detection queries per solved query.
 
-use mp_collision::{check_motion, CollisionChecker, CSPACE_STEP};
+use mp_collision::{
+    attributed, check_motion_replaying, CdStats, CollisionChecker, EndpointWork, CSPACE_STEP,
+};
 use mp_robot::{JointConfig, Motion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,9 +64,15 @@ const NN_LANES: usize = 8;
 
 /// A growing RRT tree in joint-major SoA layout, with an 8-lane blocked
 /// nearest-neighbour scan (the planner-side hot loop).
+///
+/// Every node is a pose the planner proved free, and the tree keeps the
+/// [`CdStats`] its check billed, so an edge grown from the node replays
+/// that work instead of walking the node again
+/// ([`check_motion_replaying`]).
 pub(crate) struct Tree {
     nodes: Vec<JointConfig>,
     parents: Vec<usize>,
+    work: Vec<CdStats>,
     /// Joint-major copy of `nodes` (`lanes[j][i]` = joint `j` of node
     /// `i`): the nearest-neighbour scan is the planner-side hot loop, and
     /// the transposed layout lets it sweep eight nodes per step as packed
@@ -73,29 +81,33 @@ pub(crate) struct Tree {
 }
 
 impl Tree {
-    /// A tree containing only `root` (parent-linked to itself).
-    pub fn new(root: JointConfig) -> Tree {
+    /// A tree containing only `root` (parent-linked to itself), whose
+    /// check billed `work`.
+    pub fn new(root: JointConfig, work: CdStats) -> Tree {
         let mut t = Tree {
             nodes: Vec::new(),
             parents: Vec::new(),
+            work: Vec::new(),
             lanes: vec![Vec::new(); root.dof()],
         };
-        t.push(root, 0);
+        t.push(root, 0, work);
         t
     }
 
-    /// Appends node `q` with parent index `parent`.
+    /// Appends node `q`, whose check billed `work`, with parent index
+    /// `parent`.
     ///
     /// # Panics
     ///
     /// May panic (debug) if `q`'s DOF mismatches the root's.
-    pub fn push(&mut self, q: JointConfig, parent: usize) {
+    pub fn push(&mut self, q: JointConfig, parent: usize, work: CdStats) {
         debug_assert_eq!(q.dof(), self.lanes.len(), "DOF mismatch in tree push");
         for (lane, &v) in self.lanes.iter_mut().zip(q.as_slice()) {
             lane.push(v);
         }
         self.nodes.push(q);
         self.parents.push(parent);
+        self.work.push(work);
     }
 
     /// Node count.
@@ -107,6 +119,26 @@ impl Tree {
     /// The configuration at node `i`.
     pub fn node(&self, i: usize) -> &JointConfig {
         &self.nodes[i]
+    }
+
+    /// Checks the edge from node `near` to `to`, replaying the node's
+    /// recorded work. Returns the work of `to` if the edge is free.
+    fn extend(
+        &self,
+        checker: &mut impl CollisionChecker,
+        near: usize,
+        to: &JointConfig,
+    ) -> Option<CdStats> {
+        let edge = Motion::new(self.nodes[near].clone(), to.clone());
+        let known = EndpointWork {
+            from: Some(self.work[near]),
+            to: None,
+        };
+        let (result, walked) = check_motion_replaying(checker, &edge, CSPACE_STEP, known);
+        if result.colliding {
+            return None;
+        }
+        Some(walked.to.expect("a free edge walks its unknown last pose"))
     }
 
     /// Index of the node nearest to `q` (C-space L2), scanning eight
@@ -189,6 +221,21 @@ fn steer(from: &JointConfig, to: &JointConfig, step: f32) -> JointConfig {
     }
 }
 
+/// Checks `start`, then `goal`, and returns the work of each, or `None`
+/// as soon as one collides.
+fn free_endpoints(
+    checker: &mut impl CollisionChecker,
+    start: &JointConfig,
+    goal: &JointConfig,
+) -> Option<(CdStats, CdStats)> {
+    let (start_hit, start_work) = attributed(checker, |c| c.check_pose(start));
+    if start_hit {
+        return None;
+    }
+    let (goal_hit, goal_work) = attributed(checker, |c| c.check_pose(goal));
+    (!goal_hit).then_some((start_work, goal_work))
+}
+
 fn out_of_budget(checker: &impl CollisionChecker, cd_before: u64, cfg: &RrtConfig) -> bool {
     cfg.max_cd_queries
         .is_some_and(|cap| checker.stats().pose_queries - cd_before >= cap)
@@ -209,14 +256,14 @@ pub fn rrt(
     let robot = checker.robot().clone();
     let mut rng = StdRng::seed_from_u64(seed);
     let cd_before = checker.stats().pose_queries;
-    if checker.check_pose(start) || checker.check_pose(goal) {
+    let Some((start_work, goal_work)) = free_endpoints(checker, start, goal) else {
         return RrtOutcome {
             path: None,
             nodes: 0,
             cd_queries: checker.stats().pose_queries - cd_before,
         };
-    }
-    let mut tree = Tree::new(start.clone());
+    };
+    let mut tree = Tree::new(start.clone(), start_work);
     while tree.len() < cfg.max_nodes && !out_of_budget(checker, cd_before, cfg) {
         let target = if rng.gen::<f32>() < GOAL_BIAS {
             goal.clone()
@@ -225,15 +272,20 @@ pub fn rrt(
         };
         let near = tree.nearest(&target);
         let new = steer(tree.node(near), &target, cfg.steer_step);
-        let edge = Motion::new(tree.node(near).clone(), new.clone());
-        if check_motion(checker, &edge, CSPACE_STEP).colliding {
+        let Some(new_work) = tree.extend(checker, near, &new) else {
             continue;
-        }
-        tree.push(new.clone(), near);
-        // Goal connection attempt.
+        };
+        tree.push(new.clone(), near, new_work);
+        // Goal connection attempt, between two poses already proved free.
         let to_goal = Motion::new(new.clone(), goal.clone());
+        let known = EndpointWork {
+            from: Some(new_work),
+            to: Some(goal_work),
+        };
         if new.distance(goal) <= cfg.steer_step
-            && !check_motion(checker, &to_goal, CSPACE_STEP).colliding
+            && !check_motion_replaying(checker, &to_goal, CSPACE_STEP, known)
+                .0
+                .colliding
         {
             let mut path = tree.path_to_root(tree.len() - 1);
             path.push(goal.clone());
@@ -271,15 +323,15 @@ pub fn rrt_connect(
     let robot = checker.robot().clone();
     let mut rng = StdRng::seed_from_u64(seed);
     let cd_before = checker.stats().pose_queries;
-    if checker.check_pose(start) || checker.check_pose(goal) {
+    let Some((start_work, goal_work)) = free_endpoints(checker, start, goal) else {
         return RrtOutcome {
             path: None,
             nodes: 0,
             cd_queries: checker.stats().pose_queries - cd_before,
         };
-    }
-    let mut ta = Tree::new(start.clone());
-    let mut tb = Tree::new(goal.clone());
+    };
+    let mut ta = Tree::new(start.clone(), start_work);
+    let mut tb = Tree::new(goal.clone(), goal_work);
     let mut a_is_start = true;
 
     while ta.len() + tb.len() < cfg.max_nodes && !out_of_budget(checker, cd_before, cfg) {
@@ -287,9 +339,8 @@ pub fn rrt_connect(
         // Extend tree A toward the sample.
         let near_a = ta.nearest(&target);
         let new_a = steer(ta.node(near_a), &target, cfg.steer_step);
-        let edge = Motion::new(ta.node(near_a).clone(), new_a.clone());
-        if !check_motion(checker, &edge, CSPACE_STEP).colliding {
-            ta.push(new_a.clone(), near_a);
+        if let Some(work) = ta.extend(checker, near_a, &new_a) {
+            ta.push(new_a.clone(), near_a, work);
             // Greedily connect tree B toward the new node.
             loop {
                 if out_of_budget(checker, cd_before, cfg) {
@@ -297,11 +348,10 @@ pub fn rrt_connect(
                 }
                 let near_b = tb.nearest(&new_a);
                 let step_b = steer(tb.node(near_b), &new_a, cfg.steer_step);
-                let edge_b = Motion::new(tb.node(near_b).clone(), step_b.clone());
-                if check_motion(checker, &edge_b, CSPACE_STEP).colliding {
+                let Some(work) = tb.extend(checker, near_b, &step_b) else {
                     break;
-                }
-                tb.push(step_b.clone(), near_b);
+                };
+                tb.push(step_b.clone(), near_b, work);
                 if step_b.distance(&new_a) < 1e-4 {
                     // Trees met: assemble the path.
                     let pa = ta.path_to_root(ta.len() - 1);

@@ -5,14 +5,19 @@
 //! verdict and the box tests its walk added to `CdStats`, and
 //! `CecduSim::check_pose` one `core/cecdu_pose` span whose `links`
 //! argument is the links it sent to the OOCDs. Recording must not change
-//! a verdict or a counter.
+//! a verdict or a counter. A motion endpoint replayed from its recorded
+//! work is not walked, so it records no `cd_query` span, while every
+//! pose the motion walks records exactly one.
 
 use mpaccel::accel::cecdu::{CecduResult, CecduSim};
-use mpaccel::collision::{CdStats, CollisionChecker, SoftwareChecker};
+use mpaccel::collision::{
+    attributed, check_motion, check_motion_replaying, CdStats, CollisionChecker, EndpointWork,
+    SoftwareChecker, CSPACE_STEP,
+};
 use mpaccel::geometry::{Aabb, Vec3};
 use mpaccel::octree::Octree;
 use mpaccel::robot::fk::end_effector;
-use mpaccel::robot::{JointConfig, RobotModel};
+use mpaccel::robot::{JointConfig, Motion, RobotModel};
 use mpaccel::sim::CecduConfig;
 use mpaccel::telemetry::{ArgValue, Event, EventKind, Lane, TelemetrySession};
 
@@ -124,31 +129,53 @@ fn cecdu_records_one_cecdu_pose_span_per_pose() {
 }
 
 #[test]
-fn a_cached_pose_records_the_cd_query_args_of_its_walk() {
+fn a_replayed_endpoint_records_no_cd_query_span() {
     let (robot, tree, poses) = fixture();
-    let walked = software_checks(&robot, &tree, &poses);
-    // Every pose twice on one checker: the first query walks, the second
-    // is answered from the checker's pose cache.
-    let twice: Vec<JointConfig> = poses.iter().flat_map(|p| [p.clone(), p.clone()]).collect();
+    let free: Vec<&JointConfig> = software_checks(&robot, &tree, &poses)
+        .iter()
+        .zip(&poses)
+        .filter(|((colliding, _), _)| !colliding)
+        .map(|(_, pose)| pose)
+        .collect();
+    let motion = Motion::new(free[0].clone(), free[1].clone());
+    let discrete = motion.discretize(CSPACE_STEP);
+    let interior = software_checks(&robot, &tree, &discrete[1..discrete.len() - 1]);
+    assert!(
+        !interior.is_empty(),
+        "the fixture's motion has no pose between"
+    );
 
-    let session = TelemetrySession::new();
-    let traced = {
-        let _stream = session.install("hot", 0);
-        software_checks(&robot, &tree, &twice)
+    // Both endpoints are known free, so only the poses between are walked.
+    let mut checker = SoftwareChecker::new(robot.clone(), tree.clone());
+    let mut work_of = |pose: &JointConfig| attributed(&mut checker, |c| c.check_pose(pose)).1;
+    let known = EndpointWork {
+        from: Some(work_of(&motion.from)),
+        to: Some(work_of(&motion.to)),
     };
-    let expected: Vec<(bool, CdStats)> = walked.iter().flat_map(|w| [*w, *w]).collect();
+    let before = checker.stats();
+    let session = TelemetrySession::new();
+    let result = {
+        let _stream = session.install("hot", 0);
+        check_motion_replaying(&mut checker, &motion, CSPACE_STEP, known).0
+    };
+    assert!(!result.colliding, "the fixture's motion must be free");
+    let mut walked = SoftwareChecker::new(robot, tree);
+    assert_eq!(check_motion(&mut walked, &motion, CSPACE_STEP), result);
     assert_eq!(
-        traced, expected,
-        "a cached pose changed a verdict or a counter"
+        checker.stats().delta_since(&before),
+        walked.stats(),
+        "a replayed endpoint changed a counter"
     );
 
     let streams = session.streams();
     let ends = span_ends(&streams[0].events, "collision", "cd_query");
-    assert_eq!(ends.len(), twice.len(), "one cd_query span per query");
-    for (pair, (colliding, delta)) in ends.chunks(2).zip(&walked) {
-        for end in pair {
-            assert_eq!(arg(end, "colliding"), u64::from(*colliding));
-            assert_eq!(arg(end, "box_tests"), delta.box_tests);
-        }
+    assert_eq!(
+        ends.len(),
+        interior.len(),
+        "one cd_query span per walked pose"
+    );
+    for (end, (colliding, delta)) in ends.iter().zip(&interior) {
+        assert_eq!(arg(end, "colliding"), u64::from(*colliding));
+        assert_eq!(arg(end, "box_tests"), delta.box_tests);
     }
 }

@@ -1,13 +1,15 @@
-//! A repeated pose is answered from the checker's pose cache exactly as a
-//! walk answers it.
+//! A repeated pose is answered exactly as a walk answers it.
 //!
-//! `SoftwareChecker` keeps a bounded cache of its recent poses, and the
-//! CDU `MpAccelSystem::run_trace_ledgered` dispatches a whole trace to
-//! keeps one too. A hit must bill everything the walk would have: these
-//! tests replay MPNet-shaped pose sequences (recorded MPNet checks, a
-//! motion validated twice, motions sharing an endpoint, `0.0` and `-0.0`
-//! joints, a non-finite pose, and more distinct poses than the cache
-//! holds) and require, for every query:
+//! The CDU `MpAccelSystem::run_trace_ledgered` dispatches a whole trace
+//! to keeps a bounded cache of its recent poses, and a hit must bill
+//! everything the walk would have. `SoftwareChecker` keeps no cache: it
+//! walks every pose, and the planners replay a pose they already proved
+//! from the work its walk recorded, which is sound only because walking a
+//! pose again, after any other poses, bills the same. These tests replay
+//! MPNet-shaped pose sequences (recorded MPNet checks, a motion validated
+//! twice, motions sharing an endpoint, `0.0` and `-0.0` joints, a
+//! non-finite pose, and more distinct poses than the cache holds) and
+//! require, for every query:
 //!
 //! - the software checker's verdict, its `CdStats` after the call and the
 //!   process-wide `mp_collision::metrics` delta to equal those of a fresh
