@@ -79,7 +79,6 @@ pub fn experiments() -> Vec<Experiment> {
         exp!(faults),
         exp!(soak, capture),
         exp!(fleet, capture),
-        exp!(fleet_scaling),
         exp!(integrity, capture),
         exp!(energy_observatory),
     ]
@@ -221,11 +220,11 @@ mod tests {
     #[test]
     fn suite_is_complete_and_uniquely_named() {
         let all = experiments();
-        assert_eq!(all.len(), 21);
+        assert_eq!(all.len(), 20);
         let mut names: Vec<&str> = all.iter().map(|x| x.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 21, "duplicate experiment names");
+        assert_eq!(names.len(), 20, "duplicate experiment names");
         let captured: Vec<&str> = all
             .iter()
             .filter(|x| x.capture.is_some())

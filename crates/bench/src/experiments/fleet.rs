@@ -46,10 +46,6 @@ pub const LOAD: f64 = 2.0;
 /// The two shards the chaos scenarios kill mid-run.
 pub const KILLED: [usize; 2] = [3, 11];
 
-/// Shard counts swept by the goodput-vs-shards scaling curve, at the
-/// fixed offered load of the 16-shard reference fleet.
-pub const SCALING_SHARDS: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
 fn duration_ns(scale: Scale) -> VirtualNs {
     match scale {
         Scale::Quick => 50_000_000, // 50 ms simulated
@@ -205,84 +201,6 @@ fn sweep(catalog: &PlanCatalog, scale: Scale) -> Vec<FleetPoint> {
 /// Runs all scenarios against the cached per-scale soak catalog.
 pub fn data(scale: Scale) -> Vec<FleetPoint> {
     sweep(&soak::catalog(scale), scale)
-}
-
-/// One point of the goodput-vs-shards scaling curve.
-#[derive(Clone, Debug)]
-pub struct ScalingPoint {
-    /// Shard count of this run.
-    pub shards: usize,
-    /// The run's full fleet summary.
-    pub summary: FleetSummary,
-}
-
-fn scaling_sweep(catalog: &PlanCatalog, scale: Scale) -> Vec<ScalingPoint> {
-    // The offered load is FIXED at the 16-shard reference (2x its
-    // saturating rate) for every shard count: the curve shows how goodput
-    // scales out under one unmoving workload, not a per-size re-tune.
-    let tenants = tenants(catalog, false);
-    let policies = policies(catalog, false);
-    SCALING_SHARDS
-        .iter()
-        .map(|&shards| {
-            let cfg = FleetConfig {
-                shards,
-                ..fleet_config()
-            };
-            let summary = mp_service::run_fleet(
-                catalog,
-                &tenants,
-                &policies,
-                duration_ns(scale),
-                &cfg,
-                &ShardFaultPlan::none(cfg.seed),
-            );
-            ScalingPoint { shards, summary }
-        })
-        .collect()
-}
-
-/// Runs the scaling curve against the cached per-scale soak catalog.
-pub fn scaling_data(scale: Scale) -> Vec<ScalingPoint> {
-    scaling_sweep(&soak::catalog(scale), scale)
-}
-
-/// Renders the goodput-vs-shards curve as its own report (the
-/// `fleet_scaling` experiment, `results/csv/fleet_scaling.csv`).
-pub fn scaling_report(scale: Scale) -> Report {
-    let catalog = soak::catalog(scale);
-    let points = scaling_sweep(&catalog, scale);
-    render_scaling(&points, &catalog)
-}
-
-fn render_scaling(points: &[ScalingPoint], catalog: &PlanCatalog) -> Report {
-    let sat = catalog.saturating_rate_per_s(SHARDS * INSTANCES_PER_SHARD);
-    let mut r = Report::new("Fleet scaling: goodput vs shard count at fixed offered load");
-    r.note(format!(
-        "offered load fixed at {:.1}x the {}-shard saturating rate ({:.0} req/s); {} instances/shard; no chaos",
-        LOAD, SHARDS, sat, INSTANCES_PER_SHARD
-    ));
-    r.note("undersized fleets shed at the bounded queues; goodput should grow until the offered load is covered");
-    r.columns(&[
-        "shards", "offered", "goodput", "miss", "p50us", "p999us", "shed", "spill", "imbal", "util",
-    ]);
-    for p in points {
-        let s = &p.summary;
-        let cap_ns = s.fleet.duration_ns as u128 * (p.shards * INSTANCES_PER_SHARD) as u128;
-        r.row(&[
-            p.shards.to_string(),
-            s.fleet.offered.to_string(),
-            format!("{:.0}", s.fleet.goodput_rps()),
-            f3(s.fleet.miss_rate()),
-            format!("{:.1}", s.fleet.p50_us()),
-            format!("{:.1}", s.fleet.p999_us()),
-            s.fleet.shed().to_string(),
-            s.spills.to_string(),
-            format!("{:.2}", s.imbalance()),
-            f3(s.fleet.busy_ns as f64 / cap_ns as f64),
-        ]);
-    }
-    r
 }
 
 fn render(points: &[FleetPoint], catalog: &PlanCatalog) -> Report {

@@ -20,7 +20,6 @@ pub mod fig18;
 pub mod fig19;
 pub mod fig20;
 pub mod fleet;
-pub mod fleet_scaling;
 pub mod integrity;
 pub mod planners;
 pub mod soak;

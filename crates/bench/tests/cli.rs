@@ -54,7 +54,12 @@ fn usage_errors_exit_two() {
         );
     }
     assert_eq!(code(&["all", "extra"]), Some(2));
-    for retired in [&["perf"][..], &["perf", "fig99"], &["perf_compare"]] {
+    for retired in [
+        &["perf"][..],
+        &["perf", "fig99"],
+        &["perf_compare"],
+        &["fleet_scaling"],
+    ] {
         assert_eq!(code(retired), Some(2), "{retired:?} is not a command");
     }
     assert_eq!(code(&["traces", "a", "b"]), Some(2));

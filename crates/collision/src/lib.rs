@@ -30,11 +30,9 @@ pub mod checker;
 pub mod metrics;
 pub mod motion;
 pub mod pose_cache;
-pub mod self_collision;
 
 pub use checker::{attributed, CdStats, CollisionChecker, SoftwareChecker};
 pub use motion::{
     check_motion, check_motion_replaying, check_path, EndpointWork, MotionResult, CSPACE_STEP,
 };
 pub use pose_cache::{PoseCache, PoseKey};
-pub use self_collision::SelfCollisionMatrix;

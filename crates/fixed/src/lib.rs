@@ -253,7 +253,7 @@ impl Fx {
     /// Checked division (software helper, not part of the hardware datapath;
     /// the accelerator never divides). Returns `None` when `rhs` is zero.
     #[inline]
-    pub fn checked_div(self, rhs: Fx) -> Option<Fx> {
+    fn checked_div(self, rhs: Fx) -> Option<Fx> {
         if rhs.0 == 0 {
             return None;
         }

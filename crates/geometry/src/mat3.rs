@@ -37,7 +37,7 @@ impl<S: Scalar> Matrix3<S> {
 
     /// Creates a matrix from three columns.
     #[inline]
-    pub fn from_cols(c0: Vector3<S>, c1: Vector3<S>, c2: Vector3<S>) -> Matrix3<S> {
+    fn from_cols(c0: Vector3<S>, c1: Vector3<S>, c2: Vector3<S>) -> Matrix3<S> {
         Matrix3::from_rows(
             Vector3::new(c0.x, c1.x, c2.x),
             Vector3::new(c0.y, c1.y, c2.y),
@@ -140,28 +140,6 @@ impl Matrix3<f32> {
         )
     }
 
-    /// Rotation of `angle` radians about an arbitrary unit `axis`
-    /// (Rodrigues' formula).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis` is not approximately unit length.
-    pub fn from_axis_angle(axis: Vector3<f32>, angle: f32) -> Matrix3<f32> {
-        let len = axis.length();
-        assert!(
-            (len - 1.0).abs() < 1e-4,
-            "from_axis_angle requires a unit axis (|axis| = {len})"
-        );
-        let (s, c) = angle.sin_cos();
-        let t = 1.0 - c;
-        let (x, y, z) = (axis.x, axis.y, axis.z);
-        Matrix3::from_rows(
-            Vector3::new(t * x * x + c, t * x * y - s * z, t * x * z + s * y),
-            Vector3::new(t * x * y + s * z, t * y * y + c, t * y * z - s * x),
-            Vector3::new(t * x * z - s * y, t * y * z + s * x, t * z * z + c),
-        )
-    }
-
     /// Quantizes every element to fixed point.
     #[inline]
     pub fn quantize(&self) -> Matrix3<Fx> {
@@ -247,23 +225,6 @@ mod tests {
     fn rotation_x_and_y() {
         assert_vec_close(Mat3::rotation_x(FRAC_PI_2) * Vec3::basis(1), Vec3::basis(2));
         assert_vec_close(Mat3::rotation_y(FRAC_PI_2) * Vec3::basis(2), Vec3::basis(0));
-    }
-
-    #[test]
-    fn axis_angle_matches_dedicated_rotations() {
-        for angle in [0.3f32, -1.2, PI] {
-            let a = Mat3::from_axis_angle(Vec3::basis(2), angle);
-            let b = Mat3::rotation_z(angle);
-            for i in 0..3 {
-                assert_vec_close(a.row(i), b.row(i));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unit axis")]
-    fn axis_angle_rejects_non_unit_axis() {
-        let _ = Mat3::from_axis_angle(Vec3::new(2.0, 0.0, 0.0), 0.5);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub enum AxisClass {
 /// (3 products); OBB faces also need the `t·u_j` projection (6); cross
 /// axes need 2 products each for the two radii and the distance (6).
 #[inline]
-pub fn axis_mult_count(axis: AxisId) -> u32 {
+fn axis_mult_count(axis: AxisId) -> u32 {
     match axis.class() {
         AxisClass::AabbFace => 3,
         AxisClass::ObbFace => 6,
@@ -256,7 +256,7 @@ pub fn overlaps<S: Scalar>(obb: &Obb<S>, aabb: &Aabb<S>) -> bool {
 /// positive means the axis separates the boxes by that (projection-scaled)
 /// amount, negative means their projections overlap on it.
 /// [`test_axis`] is exactly `axis_signed_gap(..) > 0` for `f32`.
-pub fn axis_signed_gap(obb: &Obb<f32>, aabb: &Aabb<f32>, id: AxisId) -> f32 {
+fn axis_signed_gap(obb: &Obb<f32>, aabb: &Aabb<f32>, id: AxisId) -> f32 {
     let t = obb.center - aabb.center;
     let a = obb.half;
     let b = aabb.half;
@@ -293,16 +293,17 @@ pub fn axis_signed_gap(obb: &Obb<f32>, aabb: &Aabb<f32>, id: AxisId) -> f32 {
 }
 
 /// The pair's margin to the separated/colliding threshold: the largest
-/// [`axis_signed_gap`] over all 15 axes. Positive iff the exact `f32` SAT
-/// reports separation; its magnitude says how far the pair is from the
-/// verdict flipping.
+/// signed gap over all 15 axes (per axis, the projection-scaled amount by
+/// which it separates the boxes; negative where their projections
+/// overlap). Positive iff the exact `f32` SAT reports separation; its
+/// magnitude says how far the pair is from the verdict flipping.
 pub fn signed_separation(obb: &Obb<f32>, aabb: &Aabb<f32>) -> f32 {
     AxisId::all()
         .map(|id| axis_signed_gap(obb, aabb, id))
         .fold(f32::NEG_INFINITY, f32::max)
 }
 
-/// Worst-case amount (in [`axis_signed_gap`] units) by which Q3.12
+/// Worst-case amount (in [`signed_separation`] units) by which Q3.12
 /// quantization plus fixed-point SAT arithmetic can move any axis gap —
 /// the envelope inside which the fixed-point and `f32` verdicts may
 /// legitimately disagree.
@@ -327,63 +328,6 @@ pub fn quantization_margin(obb: &Obb<f32>, aabb: &Aabb<f32>) -> f32 {
     let t = obb.center - aabb.center;
     let l1 = |v: crate::Vector3<f32>| v.x.abs() + v.y.abs() + v.z.abs();
     mp_fixed::RESOLUTION * (16.0 + 2.0 * (l1(obb.half) + l1(aabb.half) + l1(t)))
-}
-
-/// General OBB–OBB separating-axis test (Gottschalk's 15 axes), `f32`.
-///
-/// This is not part of the accelerator datapath (the environment side is
-/// always an AABB there); it backs the *self-collision* extension in
-/// `mp-collision`, where pairs of robot links — both OBBs — are tested
-/// against each other.
-pub fn obb_obb_overlaps(a: &Obb<f32>, b: &Obb<f32>) -> bool {
-    // Work in A's local frame: C = Aᵀ·B is B's orientation there.
-    let a_rot_t = a.rotation.transpose();
-    let c = a_rot_t * b.rotation;
-    let abs_c = {
-        let eps = 1e-6;
-        crate::Matrix3::from_rows(
-            c.row(0).abs() + crate::Vector3::splat(eps),
-            c.row(1).abs() + crate::Vector3::splat(eps),
-            c.row(2).abs() + crate::Vector3::splat(eps),
-        )
-    };
-    let t = a_rot_t * (b.center - a.center);
-    let ha = a.half;
-    let hb = b.half;
-
-    // A's face axes.
-    for i in 0..3 {
-        let ra = ha[i];
-        let rb = abs_c.row(i).dot(hb);
-        if t[i].abs() > ra + rb {
-            return false;
-        }
-    }
-    // B's face axes.
-    for j in 0..3 {
-        let ra = abs_c.col(j).dot(ha);
-        let rb = hb[j];
-        let dist = (t.x * c.at(0, j) + t.y * c.at(1, j) + t.z * c.at(2, j)).abs();
-        if dist > ra + rb {
-            return false;
-        }
-    }
-    // Cross products a_i × b_j.
-    for i in 0..3 {
-        let i1 = (i + 1) % 3;
-        let i2 = (i + 2) % 3;
-        for j in 0..3 {
-            let j1 = (j + 1) % 3;
-            let j2 = (j + 2) % 3;
-            let ra = ha[i1] * abs_c.at(i2, j) + ha[i2] * abs_c.at(i1, j);
-            let rb = hb[j1] * abs_c.at(i, j2) + hb[j2] * abs_c.at(i, j1);
-            let dist = (t[i2] * c.at(i1, j) - t[i1] * c.at(i2, j)).abs();
-            if dist > ra + rb {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -524,64 +468,6 @@ mod tests {
         let c = Obb::axis_aligned(Vec3::new(6.0, 0.0, 0.0), Vec3::splat(0.2)).quantize();
         let d = Aabb::new(Vec3::new(6.1, 0.0, 0.0), Vec3::splat(0.2)).quantize();
         assert!(overlaps(&c, &d));
-    }
-
-    #[test]
-    fn obb_obb_basic_cases() {
-        let a = Obb::axis_aligned(Vec3::zero(), Vec3::splat(0.5));
-        // Disjoint along x.
-        let far = Obb::axis_aligned(Vec3::new(2.0, 0.0, 0.0), Vec3::splat(0.5));
-        assert!(!obb_obb_overlaps(&a, &far));
-        // Overlapping.
-        let near = Obb::axis_aligned(Vec3::new(0.7, 0.0, 0.0), Vec3::splat(0.5));
-        assert!(obb_obb_overlaps(&a, &near));
-        // Symmetric.
-        assert!(obb_obb_overlaps(&near, &a));
-        // Contained.
-        let inner = Obb::axis_aligned(Vec3::zero(), Vec3::splat(0.1));
-        assert!(obb_obb_overlaps(&a, &inner));
-    }
-
-    #[test]
-    fn obb_obb_rotated_cases() {
-        // Two thin rotated slabs crossing like an X: overlap.
-        let a = Obb::new(
-            Vec3::zero(),
-            Vec3::new(0.6, 0.05, 0.05),
-            Mat3::rotation_z(FRAC_PI_4),
-        );
-        let b = Obb::new(
-            Vec3::zero(),
-            Vec3::new(0.6, 0.05, 0.05),
-            Mat3::rotation_z(-FRAC_PI_4),
-        );
-        assert!(obb_obb_overlaps(&a, &b));
-        // Same slabs pulled apart along z: disjoint.
-        let b_up = Obb::new(
-            Vec3::new(0.0, 0.0, 0.2),
-            Vec3::new(0.6, 0.05, 0.05),
-            Mat3::rotation_z(-FRAC_PI_4),
-        );
-        assert!(!obb_obb_overlaps(&a, &b_up));
-    }
-
-    #[test]
-    fn obb_obb_agrees_with_obb_aabb_when_one_box_is_axis_aligned() {
-        let aabb = unit_aabb();
-        let aabb_as_obb = Obb::axis_aligned(aabb.center, aabb.half);
-        for i in 0..40 {
-            let angle = i as f32 * 0.17;
-            let obb = Obb::new(
-                Vec3::new((i as f32 * 0.23).sin(), 0.4, -0.2),
-                Vec3::new(0.3, 0.15, 0.1),
-                Mat3::rotation_z(angle) * Mat3::rotation_x(angle * 0.5),
-            );
-            assert_eq!(
-                obb_obb_overlaps(&obb, &aabb_as_obb),
-                overlaps(&obb, &aabb),
-                "disagreement at i={i}"
-            );
-        }
     }
 
     #[test]

@@ -188,14 +188,6 @@ impl Vector3<f32> {
     }
 }
 
-impl Vector3<Fx> {
-    /// Widens back to `f32` (exact).
-    #[inline]
-    pub fn dequantize(self) -> Vector3<f32> {
-        self.to_f32()
-    }
-}
-
 impl<S: Scalar> From<[S; 3]> for Vector3<S> {
     #[inline]
     fn from(a: [S; 3]) -> Vector3<S> {
@@ -344,9 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn quantize_dequantize() {
+    fn quantize_round_trip() {
         let v = Vec3::new(0.5, -0.25, 0.125);
-        assert_eq!(v.quantize().dequantize(), v);
+        assert_eq!(v.quantize().to_f32(), v);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   the **pure `f32` chain** (each child box is an exact eighth of its
 //!   parent — what `Octree::collides_with` computes on the fly) and the
 //!   **OOCD chain**, where the hardware model re-quantizes each level's box
-//!   to Q3.12 and children subdivide the *dequantized* box. Both are
+//!   to Q3.12 and children subdivide it widened back to `f32`. Both are
 //!   bit-identical to what the corresponding on-the-fly traversal produces.
 //!
 //! The entries and the `f32` chain are emitted during the build, not
@@ -76,8 +76,8 @@ struct OocdChain {
     /// Octant AABBs in Q3.12, SoA layout (the boxes the Intersection Unit
     /// is fed).
     aabbs: AabbSoa<Fx>,
-    /// Per-node box: the *dequantized* parent the hardware model
-    /// subdivides at this node.
+    /// Per-node box: the parent, round-tripped through Q3.12, that the
+    /// hardware model subdivides at this node.
     node_aabbs: Vec<AabbF>,
 }
 
@@ -135,8 +135,8 @@ impl FlatOctree {
     }
 
     /// The OOCD chain, derived on the first call in one pass over the
-    /// nodes in address order: each octant of a node's dequantized box is
-    /// quantized, and a partial entry's dequantized box becomes its child's
+    /// nodes in address order: each octant of a node's box is quantized,
+    /// and a partial entry's box, widened back to `f32`, becomes its child's
     /// node box. A child's address is above its parent's, so every node's
     /// box is known before its entries are visited.
     fn oocd(&self) -> &OocdChain {
@@ -223,7 +223,7 @@ impl FlatOctree {
         self.node_aabbs[addr as usize]
     }
 
-    /// Node `addr`'s *dequantized* parent box of the OOCD chain — what the
+    /// Node `addr`'s Q3.12-round-tripped parent box of the OOCD chain — what the
     /// hardware model subdivides when visiting the node (derived on the
     /// first OOCD call, see the module docs).
     #[inline]
@@ -292,8 +292,8 @@ mod tests {
     fn oocd_chain_matches_quantize_roundtrip_subdivision() {
         let t = sample_tree();
         let flat = t.flat();
-        // Walk like run_oocd does: quantize each level, subdivide the
-        // dequantized box.
+        // Walk like run_oocd does: quantize each level, subdivide the box
+        // widened back to f32.
         let mut stack = vec![(0u32, t.root_aabb())];
         let mut visited = 0;
         while let Some((addr, parent)) = stack.pop() {

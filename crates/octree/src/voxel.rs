@@ -66,7 +66,7 @@ impl VoxelGrid {
     }
 
     /// Edge length of one voxel.
-    pub fn voxel_size(&self) -> Vec3 {
+    fn voxel_size(&self) -> Vec3 {
         self.root.half * (2.0 / self.resolution as f32)
     }
 
@@ -103,7 +103,7 @@ impl VoxelGrid {
     }
 
     /// Maps a world point to its voxel index, or `None` outside the grid.
-    pub fn world_to_index(&self, p: Vec3) -> Option<(usize, usize, usize)> {
+    fn world_to_index(&self, p: Vec3) -> Option<(usize, usize, usize)> {
         let min = self.root.min_corner();
         let size = self.root.half * 2.0;
         let f = |v: f32, lo: f32, ext: f32| -> Option<usize> {
@@ -132,7 +132,7 @@ impl VoxelGrid {
     /// # Panics
     ///
     /// Panics if any index is out of range.
-    pub fn voxel_aabb(&self, ix: usize, iy: usize, iz: usize) -> AabbF {
+    fn voxel_aabb(&self, ix: usize, iy: usize, iz: usize) -> AabbF {
         assert!(
             ix < self.resolution && iy < self.resolution && iz < self.resolution,
             "voxel index out of range"

@@ -58,7 +58,7 @@ impl DhParam {
 
     /// The joint transform using the hardware's fifth-order trig
     /// approximation (what the OBB Generation Unit computes).
-    pub fn transform_hw(&self, theta: f32) -> Transform {
+    fn transform_hw(&self, theta: f32) -> Transform {
         self.transform_with(theta, approx_sin, approx_cos)
     }
 

@@ -362,70 +362,6 @@ impl RobotModel {
         RobotModel::new("baxter", dh, limits, links)
     }
 
-    /// Universal Robots UR5e: 6 DOF, 7 links. Not part of the paper's
-    /// evaluation; included to demonstrate that the stack generalizes
-    /// beyond the two evaluation arms (DH parameters from the UR spec).
-    pub fn ur5e() -> RobotModel {
-        use core::f32::consts::{FRAC_PI_2, PI};
-        let m = UNITS_PER_METER;
-        let (d1, a2, a3, d4, d5, d6) = (
-            0.1625 * m,
-            0.425 * m,
-            0.3922 * m,
-            0.1333 * m,
-            0.0997 * m,
-            0.0996 * m,
-        );
-        let r = 0.045 * m;
-        let dh = vec![
-            DhParam::new(0.0, FRAC_PI_2, d1, 0.0),
-            DhParam::new(-a2, 0.0, 0.0, 0.0),
-            DhParam::new(-a3, 0.0, 0.0, 0.0),
-            DhParam::new(0.0, FRAC_PI_2, d4, 0.0),
-            DhParam::new(0.0, -FRAC_PI_2, d5, 0.0),
-            DhParam::new(0.0, 0.0, d6, 0.0),
-        ];
-        let limits = vec![JointLimit::symmetric(PI); 6];
-        let links = vec![
-            LinkGeometry::new(
-                0,
-                Vec3::new(0.0, 0.0, d1 * 0.5),
-                Vec3::new(r, r, d1 * 0.5 + r),
-            ),
-            LinkGeometry::new(
-                1,
-                Vec3::new(0.0, 0.0, 0.0),
-                Vec3::new(r * 1.2, r * 1.2, r * 1.2),
-            ),
-            LinkGeometry::new(
-                2,
-                Vec3::new(a2 * 0.5, 0.0, 0.0),
-                Vec3::new(a2 * 0.5 + r, r, r),
-            ),
-            LinkGeometry::new(
-                3,
-                Vec3::new(a3 * 0.5, 0.0, 0.0),
-                Vec3::new(a3 * 0.5 + r, r, r),
-            ),
-            LinkGeometry::new(
-                4,
-                Vec3::new(0.0, 0.0, -d4 * 0.3),
-                Vec3::new(r * 0.9, r * 0.9, d4 * 0.4),
-            ),
-            LinkGeometry::new(
-                5,
-                Vec3::new(0.0, 0.0, -d5 * 0.3),
-                Vec3::new(r * 0.8, r * 0.8, d5 * 0.4),
-            ),
-            LinkGeometry::new(
-                6,
-                Vec3::new(0.0, 0.0, -d6 * 0.4),
-                Vec3::new(r * 0.8, r * 0.8, d6 * 0.5),
-            ),
-        ];
-        RobotModel::new("ur5e", dh, limits, links)
-    }
-
     /// A 2-DOF planar arm — the didactic robot of Fig 6a, handy for fast
     /// tests and examples.
     pub fn planar_2dof() -> RobotModel {
@@ -472,25 +408,6 @@ mod tests {
         let r = RobotModel::baxter();
         assert_eq!(r.dof(), 7);
         assert_eq!(r.link_count(), 7);
-    }
-
-    #[test]
-    fn ur5e_shape_and_reach() {
-        let r = RobotModel::ur5e();
-        assert_eq!(r.dof(), 6);
-        assert_eq!(r.link_count(), 7);
-        // Reach ≈ 0.85 m -> ~0.94 normalized; FK corners stay inside 1.5.
-        use crate::fk::link_obbs;
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..50 {
-            let cfg = r.sample_config(&mut rng);
-            for obb in link_obbs(&r, &cfg, crate::TrigMode::Exact) {
-                for c in obb.corners() {
-                    assert!(c.length() < 1.5, "corner {c:?} beyond reach");
-                }
-            }
-        }
     }
 
     #[test]

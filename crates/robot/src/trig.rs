@@ -32,7 +32,7 @@ const C5: f32 = 0.00761;
 
 /// Reduces an angle to `[-π, π)` (software helper; joint values are already
 /// bounded by joint limits in practice).
-pub fn wrap_angle(x: f32) -> f32 {
+fn wrap_angle(x: f32) -> f32 {
     let two_pi = core::f32::consts::TAU;
     let mut r = x % two_pi;
     if r >= core::f32::consts::PI {

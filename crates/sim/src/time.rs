@@ -28,7 +28,7 @@ impl ClockDomain {
     /// # Panics
     ///
     /// Panics if the period is not positive and finite.
-    pub fn from_period_ns(period_ns: f64) -> ClockDomain {
+    fn from_period_ns(period_ns: f64) -> ClockDomain {
         assert!(
             period_ns.is_finite() && period_ns > 0.0,
             "clock period must be positive, got {period_ns}"

@@ -37,7 +37,7 @@ fn bits(b: &AabbF) -> [u32; 6] {
 }
 
 /// The tree's OOCD chain: every entry's six Q3.12 lanes, and every node's
-/// dequantized box as bit patterns. Reading it derives it.
+/// Q3.12-round-tripped box as bit patterns. Reading it derives it.
 fn oocd_chain(tree: &Octree) -> ([Vec<Fx>; 6], Vec<[u32; 6]>) {
     let flat = tree.flat();
     let lanes = flat.aabbs_oocd().coord_lanes().map(<[Fx]>::to_vec);
