@@ -190,8 +190,7 @@ impl RunSummary {
 /// workloads — e.g. Baxter's — are built lazily by the first experiment
 /// that needs them, without blocking different-keyed cache hits).
 pub fn run_selected(list: &[Experiment], scale: Scale, pool: &ThreadPool) -> RunSummary {
-    let checks0 = mp_collision::metrics::pose_checks_total();
-    let energy0 = mp_collision::metrics::energy_pj_total();
+    let before = mp_collision::metrics::ops_total();
     let workload = BenchWorkload::cached(RobotModel::jaco2(), scale);
     let (scenes, traces) = (workload.scenes.len(), workload.traces.len());
     drop(workload);
@@ -201,12 +200,14 @@ pub fn run_selected(list: &[Experiment], scale: Scale, pool: &ThreadPool) -> Run
         report: (exp.runner)(scale),
     });
 
+    let after = mp_collision::metrics::ops_total();
+    let price = mp_sim::energy::dynamic_energy_pj;
     RunSummary {
         scale,
         scenes,
         traces,
-        cd_checks: mp_collision::metrics::pose_checks_total() - checks0,
-        cd_energy_pj: mp_collision::metrics::energy_pj_total() - energy0,
+        cd_checks: after.cd_queries - before.cd_queries,
+        cd_energy_pj: price(&after) - price(&before),
         uj_per_plan_full: e::soak::catalog(scale).mean_energy_pj(mp_planner::QualityTier::Full)
             / 1e6,
         results,

@@ -14,6 +14,13 @@ use mp_robot::{JointConfig, RobotModel, TrigMode};
 /// Counters accumulated across queries (the work metrics the paper's
 /// energy model is built on).
 ///
+/// This is the one record of collision work: one link's walk, one pose
+/// query, a replayed motion and a checker's running total are each a
+/// `CdStats`. A checker bills each pose it answers as one, into its own
+/// counters and through [`crate::metrics::record_work`], and
+/// [`CdStats::to_ops`] is the one mapping onto the energy model's op
+/// classes.
+///
 /// They count the modeled datapath's work, which walks every link of every
 /// pose of every motion it is sent. The host skips work whose answer it
 /// already holds exactly, in three places:
@@ -106,16 +113,6 @@ impl CdStats {
     pub fn energy_pj(&self) -> f64 {
         mp_sim::energy::dynamic_energy_pj(&self.to_ops())
     }
-
-    /// Exports the counters into a telemetry registry under
-    /// `<prefix>.<field>` names.
-    pub fn export_into(&self, prefix: &str, registry: &mp_telemetry::Registry) {
-        registry.set_counter(&format!("{prefix}.pose_queries"), self.pose_queries);
-        registry.set_counter(&format!("{prefix}.link_tests"), self.link_tests);
-        registry.set_counter(&format!("{prefix}.box_tests"), self.box_tests);
-        registry.set_counter(&format!("{prefix}.nodes_visited"), self.nodes_visited);
-        registry.set_counter(&format!("{prefix}.mults"), self.mults);
-    }
 }
 
 /// Anything that can answer "does the robot collide in this pose?".
@@ -189,39 +186,23 @@ pub fn attributed<C: CollisionChecker + ?Sized, T>(
     (out, checker.stats().delta_since(&before))
 }
 
-/// One link's octree walk: its verdict and the work it counted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct LinkWalk {
-    hit: bool,
-    nodes_visited: u64,
-    box_tests: u64,
-    mults: u64,
-}
-
-/// One pose query's work: the links tested before the early exit, and
-/// the verdict and counters of their walks summed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct PoseWork {
-    link_tests: u64,
-    walk: LinkWalk,
-}
-
-/// Walks `flat` for one link OBB. Flat traversal with the hoisted
-/// proposed cascade: squared radii and SAT constants are computed once per
-/// link and reused across every node the walk visits, with entries
-/// resolved in octant order so counters match the scalar early-exit walk
-/// exactly.
+/// Walks `flat` for one link OBB and returns its verdict and the work of
+/// one link test. Flat traversal with the hoisted proposed cascade:
+/// squared radii and SAT constants are computed once per link and reused
+/// across every node the walk visits, with entries resolved in octant
+/// order so counters match the scalar early-exit walk exactly.
 /// `stack` is a reusable traversal buffer.
 #[inline]
-fn walk_link(flat: &FlatOctree, obb: &Obb<f32>, stack: &mut Vec<u32>) -> LinkWalk {
+fn walk_link(flat: &FlatOctree, obb: &Obb<f32>, stack: &mut Vec<u32>) -> (bool, CdStats) {
     let [cx, cy, cz, hx, hy, hz] = flat.aabbs().coord_lanes();
     let mut cascade = HoistedCascade::new(obb);
-    // Walk-local counters stay in registers in the inner loop.
-    let mut w = LinkWalk::default();
+    // Walk-local counters stay in registers in the inner loop; the record
+    // is built once, at the return.
+    let (mut hit, mut nodes_visited, mut box_tests, mut mults) = (false, 0u64, 0u64, 0u64);
     stack.clear();
     stack.push(0u32);
     'walk: while let Some(addr) = stack.pop() {
-        w.nodes_visited += 1;
+        nodes_visited += 1;
         let r = flat.entries(addr);
         let (s, n) = (r.start, r.len());
         // One bounds check per lane per node instead of one per entry
@@ -230,19 +211,26 @@ fn walk_link(flat: &FlatOctree, obb: &Obb<f32>, stack: &mut Vec<u32>) -> LinkWal
         let (bhx, bhy, bhz) = (&hx[s..s + n], &hy[s..s + n], &hz[s..s + n]);
         for k in 0..n {
             let out = cascade.outcome(bcx[k], bcy[k], bcz[k], bhx[k], bhy[k], bhz[k]);
-            w.box_tests += 1;
-            w.mults += out.mults as u64;
+            box_tests += 1;
+            mults += out.mults as u64;
             if out.colliding {
                 let e = s + k;
                 if flat.is_full(e) {
-                    w.hit = true;
+                    hit = true;
                     break 'walk;
                 }
                 stack.push(flat.child(e));
             }
         }
     }
-    w
+    let work = CdStats {
+        pose_queries: 0,
+        link_tests: 1,
+        box_tests,
+        nodes_visited,
+        mults,
+    };
+    (hit, work)
 }
 
 /// The software oracle: exact `f32` kinematics + SAT-based octree queries.
@@ -274,7 +262,7 @@ pub struct SoftwareChecker {
     stats: CdStats,
     // Per link, the replayed walk of a base-frame link (`None` for a link
     // that moves); `None` until the first query derives it.
-    static_walks: Option<Vec<Option<LinkWalk>>>,
+    static_walks: Option<Vec<Option<(bool, CdStats)>>>,
     // FK buffers reused across `check_pose` calls (taken out for the
     // duration of a query so the borrow checker sees disjoint state).
     frame_buf: Vec<Transform>,
@@ -303,8 +291,8 @@ impl SoftwareChecker {
     }
 
     /// Runs FK for `cfg` and walks its links in order until the first
-    /// colliding one.
-    fn walk_pose(&mut self, cfg: &JointConfig) -> PoseWork {
+    /// colliding one: the pose's verdict and its one query's work.
+    fn walk_pose(&mut self, cfg: &JointConfig) -> (bool, CdStats) {
         let mut frames = std::mem::take(&mut self.frame_buf);
         let mut obbs = std::mem::take(&mut self.obb_buf);
         let mut stack = std::mem::take(&mut self.stack_buf);
@@ -318,26 +306,34 @@ impl SoftwareChecker {
                 .collect()
         });
         link_obbs_into(robot, cfg, TrigMode::Exact, &mut frames, &mut obbs);
-        let mut work = PoseWork::default();
+        let mut work = CdStats {
+            pose_queries: 1,
+            ..CdStats::default()
+        };
+        let mut hit = false;
         for (obb, static_walk) in obbs.iter().zip(static_walks) {
-            work.link_tests += 1;
-            let w = match static_walk {
+            let (link_hit, link) = match static_walk {
                 Some(w) => *w,
                 None => walk_link(flat, obb, &mut stack),
             };
-            work.walk.nodes_visited += w.nodes_visited;
-            work.walk.box_tests += w.box_tests;
-            work.walk.mults += w.mults;
-            if w.hit {
+            work.absorb(link);
+            if link_hit {
                 // Early exit: subsequent links are not checked (§7.2.2).
-                work.walk.hit = true;
+                hit = true;
                 break;
             }
         }
         self.frame_buf = frames;
         self.obb_buf = obbs;
         self.stack_buf = stack;
-        work
+        (hit, work)
+    }
+
+    /// Bills `work` into this checker's counters and the process-wide
+    /// metrics: the one write path of every query it answers or replays.
+    fn bill(&mut self, work: CdStats) {
+        self.stats.absorb(work);
+        crate::metrics::record_work(&work);
     }
 }
 
@@ -348,33 +344,25 @@ impl CollisionChecker for SoftwareChecker {
 
     fn check_pose(&mut self, cfg: &JointConfig) -> bool {
         assert_eq!(cfg.dof(), self.robot.dof(), "configuration DOF mismatch");
-        self.stats.pose_queries += 1;
-        crate::metrics::record_pose_checks(1);
         // A NaN or ±inf joint turns every link OBB into NaN, which every
         // sphere filter reads as "free": report the pose as colliding
         // instead (collision wins), without walking the octree.
         if !cfg.is_finite() {
+            self.bill(CdStats {
+                pose_queries: 1,
+                ..CdStats::default()
+            });
             return true;
         }
         let span = mp_telemetry::span("collision", "cd_query");
-        let work = self.walk_pose(cfg);
-        let LinkWalk {
-            hit: colliding,
-            nodes_visited,
-            box_tests,
-            mults,
-        } = work.walk;
-        self.stats.link_tests += work.link_tests;
-        self.stats.nodes_visited += nodes_visited;
-        self.stats.box_tests += box_tests;
-        self.stats.mults += mults;
-        crate::metrics::record_pose_work(nodes_visited, box_tests, mults);
+        let (colliding, work) = self.walk_pose(cfg);
+        self.bill(work);
         span.end_with(|| {
             mp_telemetry::arg2(
                 "colliding",
                 mp_telemetry::ArgValue::U64(colliding as u64),
                 "box_tests",
-                mp_telemetry::ArgValue::U64(box_tests),
+                mp_telemetry::ArgValue::U64(work.box_tests),
             )
         });
         colliding
@@ -389,8 +377,7 @@ impl CollisionChecker for SoftwareChecker {
     }
 
     fn replay(&mut self, work: CdStats) -> bool {
-        self.stats.absorb(work);
-        crate::metrics::record_work(&work);
+        self.bill(work);
         true
     }
 }

@@ -99,6 +99,23 @@ pub struct CecduResult {
     pub ops: OpCounter,
 }
 
+impl CecduResult {
+    /// This query's work as the collision checkers' record: its pose
+    /// queries, links checked, box tests, octree node reads (the OOCDs'
+    /// small-SRAM reads) and multiplications (the OBB Generation Unit's
+    /// included). It is what the query bills into the process-wide
+    /// [`mp_collision::metrics`] and a [`CecduChecker`]'s stats.
+    pub fn cd_stats(&self) -> CdStats {
+        CdStats {
+            pose_queries: self.ops.cd_queries,
+            link_tests: self.links_checked as u64,
+            box_tests: self.ops.box_tests,
+            nodes_visited: self.ops.sram_reads,
+            mults: self.ops.mults,
+        }
+    }
+}
+
 /// A [`CecduResult`] as a [`PoseCache`] slot holds it, in 40 bytes. A
 /// pose whose counts do not fit is not cached.
 #[derive(Clone, Copy, Debug, Default)]
@@ -252,9 +269,10 @@ impl CecduSim {
 
     fn query(&self, pose: &JointConfig, cache: Option<&mut PoseCache<CachedCecdu>>) -> CecduResult {
         assert_eq!(pose.dof(), self.robot.dof(), "configuration DOF mismatch");
-        mp_collision::metrics::record_pose_checks(1);
         if !pose.is_finite() {
-            return non_finite_pose();
+            let out = non_finite_pose();
+            mp_collision::metrics::record_work(&out.cd_stats());
+            return out;
         }
         let span = mp_telemetry::span("core", "cecdu_pose");
         let out = match cache.and_then(|c| Some((c, PoseKey::new(pose)?))) {
@@ -270,15 +288,9 @@ impl CecduSim {
             },
             None => self.waves(pose, None).result,
         };
-        // Feed the process-wide CD energy counters so hardware-model pose
-        // queries show up in `collision::metrics::energy_pj_total` next to
-        // the software oracle's (node reads land in the same small-SRAM
-        // class the software walk bills).
-        mp_collision::metrics::record_pose_work(
-            out.ops.sram_reads,
-            out.ops.box_tests,
-            out.ops.mults,
-        );
+        // Hardware-model pose queries feed the same process-wide CD work
+        // record as the software oracle's.
+        mp_collision::metrics::record_work(&out.cd_stats());
         span.end_with(|| {
             mp_telemetry::arg2(
                 "links",
@@ -471,11 +483,7 @@ impl CollisionChecker for CecduChecker {
 
     fn check_pose(&mut self, cfg: &JointConfig) -> bool {
         let out = self.sim.check_pose(cfg);
-        self.stats.pose_queries += 1;
-        self.stats.link_tests += out.links_checked as u64;
-        self.stats.box_tests += out.ops.box_tests;
-        self.stats.nodes_visited += out.ops.sram_reads;
-        self.stats.mults += out.ops.mults;
+        self.stats.absorb(out.cd_stats());
         out.colliding
     }
 

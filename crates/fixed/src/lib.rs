@@ -33,7 +33,7 @@
 use core::cmp::Ordering;
 use core::fmt;
 use core::iter::Sum;
-use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Number of fractional bits in [`Fx`] (Q3.12).
 pub const FRAC_BITS: u32 = 12;
@@ -249,23 +249,6 @@ impl Fx {
     pub const fn wide_mul(self, rhs: Fx) -> i32 {
         self.0 as i32 * rhs.0 as i32
     }
-
-    /// Checked division (software helper, not part of the hardware datapath;
-    /// the accelerator never divides). Returns `None` when `rhs` is zero.
-    #[inline]
-    fn checked_div(self, rhs: Fx) -> Option<Fx> {
-        if rhs.0 == 0 {
-            return None;
-        }
-        let wide = ((self.0 as i32) << FRAC_BITS) / rhs.0 as i32;
-        Some(if wide > i16::MAX as i32 {
-            Fx::MAX
-        } else if wide < i16::MIN as i32 {
-            Fx::MIN
-        } else {
-            Fx(wide as i16)
-        })
-    }
 }
 
 impl Add for Fx {
@@ -310,19 +293,6 @@ impl MulAssign for Fx {
     #[inline]
     fn mul_assign(&mut self, rhs: Fx) {
         *self = *self * rhs;
-    }
-}
-
-impl Div for Fx {
-    type Output = Fx;
-    /// Saturating division.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is zero.
-    #[inline]
-    fn div(self, rhs: Fx) -> Fx {
-        self.checked_div(rhs).expect("division by zero Fx")
     }
 }
 
@@ -518,21 +488,6 @@ mod tests {
         assert_eq!(Fx::MIN.abs(), Fx::MAX);
         assert_eq!(-Fx::MIN, Fx::MAX); // checked_neg saturates
         assert_eq!(Fx::from_f32(-2.5).abs().to_f32(), 2.5);
-    }
-
-    #[test]
-    fn division() {
-        assert_eq!(Fx::ONE / Fx::HALF, Fx::from_f32(2.0));
-        assert_eq!(Fx::from_f32(6.0) / Fx::from_f32(2.0), Fx::from_f32(3.0));
-        assert_eq!(Fx::ONE.checked_div(Fx::ZERO), None);
-        // Saturating: 7 / (1 LSB) would overflow.
-        assert_eq!(Fx::from_f32(7.0) / Fx::EPSILON, Fx::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn division_by_zero_panics() {
-        let _ = Fx::ONE / Fx::ZERO;
     }
 
     #[test]

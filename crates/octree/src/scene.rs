@@ -12,17 +12,20 @@ use rand::{Rng, SeedableRng};
 use crate::octree::Octree;
 use crate::voxel::VoxelGrid;
 
-/// Parameters of the random scene generator.
+/// Range of obstacle size per dimension as a fraction of the
+/// environment's extent (paper: 3%–12%).
+const SIZE_FRACTION: (f32, f32) = (0.03, 0.12);
+
+/// Obstacles are kept at least this far from the robot's mount column so
+/// the robot's base is never embedded in an obstacle.
+const CLEAR_RADIUS: f32 = 0.3;
+
+/// Parameters of the random scene generator. Every scene draws obstacle
+/// sizes from the paper's 3%–12% of the environment's extent.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SceneConfig {
     /// Inclusive range of obstacle counts (paper: 5–9).
     pub obstacle_count: (usize, usize),
-    /// Range of obstacle size per dimension as a fraction of the
-    /// environment's extent (paper: 3%–12%).
-    pub size_fraction: (f32, f32),
-    /// Obstacles are kept at least this far from the origin so the robot's
-    /// base is never embedded in an obstacle.
-    pub clear_radius: f32,
     /// Octree depth used by [`Scene::octree`].
     pub octree_depth: u32,
 }
@@ -32,8 +35,6 @@ impl SceneConfig {
     pub fn paper() -> SceneConfig {
         SceneConfig {
             obstacle_count: (5, 9),
-            size_fraction: (0.03, 0.12),
-            clear_radius: 0.3,
             octree_depth: 4,
         }
     }
@@ -78,28 +79,24 @@ impl Scene {
     ///
     /// # Panics
     ///
-    /// Panics if the configured ranges are empty or inverted.
+    /// Panics if the obstacle count range is empty or inverted.
     pub fn random(config: SceneConfig, seed: u64) -> Scene {
         assert!(
             config.obstacle_count.0 >= 1 && config.obstacle_count.0 <= config.obstacle_count.1,
             "invalid obstacle count range {:?}",
             config.obstacle_count
         );
-        assert!(
-            config.size_fraction.0 > 0.0 && config.size_fraction.0 <= config.size_fraction.1,
-            "invalid size fraction range {:?}",
-            config.size_fraction
-        );
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(config.obstacle_count.0..=config.obstacle_count.1);
         let mut obstacles = Vec::with_capacity(n);
         // The environment is the normalized [-1, 1]^3 cube, extent = 2.
         // A size fraction f gives a full side of 2f, i.e. half-extent f.
+        let (lo, hi) = SIZE_FRACTION;
         while obstacles.len() < n {
             let half = Vec3::new(
-                rng.gen_range(config.size_fraction.0..=config.size_fraction.1),
-                rng.gen_range(config.size_fraction.0..=config.size_fraction.1),
-                rng.gen_range(config.size_fraction.0..=config.size_fraction.1),
+                rng.gen_range(lo..=hi),
+                rng.gen_range(lo..=hi),
+                rng.gen_range(lo..=hi),
             );
             let center = Vec3::new(
                 rng.gen_range(-1.0 + half.x..=1.0 - half.x),
@@ -112,7 +109,7 @@ impl Scene {
             // immobile base link inside it).
             let too_close = (0..=4).any(|i| {
                 let p = Vec3::new(0.0, 0.0, 0.1 * i as f32);
-                (b.closest_point(p) - p).length() < config.clear_radius
+                (b.closest_point(p) - p).length() < CLEAR_RADIUS
             });
             if too_close {
                 continue;

@@ -246,9 +246,10 @@ pub enum Metric {
 /// A name-ordered collection of metrics with text/CSV export.
 ///
 /// The registry is the unification point for the stack's metric structs:
-/// `CdStats`, `OpCounter`, `ResilienceCounters`, and `ServiceSummary` all
-/// implement an `export_into(prefix, &Registry)` that lands here, so one
-/// dump shows the whole stack in a single name-sorted table.
+/// `OpCounter`, `EnergyLedger`, `ResilienceCounters`, and `ServiceSummary`
+/// all implement an `export_into(prefix, &Registry)` that lands here, and
+/// `mp_collision::metrics::export_into` adds the process-wide collision
+/// work, so one dump shows the whole stack in a single name-sorted table.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<BTreeMap<String, Metric>>,

@@ -6,15 +6,27 @@
 //! unguarded bounding-sphere filter exits "free". Both collision chains —
 //! the f32 software oracle and the Q3.12 CECDU model, with and without the
 //! fault injector — must instead resolve such a pose conservatively as
-//! colliding.
+//! colliding. The two clean checkers bill it as one pose query with no
+//! work, in their `CdStats` and in the process-wide
+//! `mp_collision::metrics`.
+//!
+//! The process-wide metrics are shared by every test in this binary, so
+//! each test holds `METRICS`.
+
+use std::sync::Mutex;
 
 use mpaccel::accel::cecdu::{CecduChecker, CecduSim};
-use mpaccel::collision::{check_path, CollisionChecker, SoftwareChecker, CSPACE_STEP};
+use mpaccel::collision::metrics::ops_total;
+use mpaccel::collision::{
+    attributed, check_path, CdStats, CollisionChecker, SoftwareChecker, CSPACE_STEP,
+};
 use mpaccel::geometry::{Aabb, Vec3};
 use mpaccel::octree::Octree;
 use mpaccel::robot::fk::end_effector;
 use mpaccel::robot::{JointConfig, RobotModel};
-use mpaccel::sim::{CecduConfig, FaultInjector, FaultPlan};
+use mpaccel::sim::{CecduConfig, FaultInjector, FaultPlan, OpCounter};
+
+static METRICS: Mutex<()> = Mutex::new(());
 
 /// Jaco2 with a box around its home-pose end effector: the home pose
 /// collides in both chains.
@@ -33,8 +45,32 @@ fn with_last_joint(home: &JointConfig, value: f32) -> JointConfig {
     pose
 }
 
+/// Checks the non-finite `pose` on `checker`, requires it to collide,
+/// and requires the check to bill one pose query and no work, in the
+/// checker's `CdStats` and in the process-wide metrics.
+fn collides_billing_one_query(checker: &mut impl CollisionChecker, pose: &JointConfig, what: &str) {
+    let before = ops_total();
+    let (colliding, work) = attributed(checker, |c| c.check_pose(pose));
+    assert!(colliding, "{what}");
+    let one_query = CdStats {
+        pose_queries: 1,
+        ..CdStats::default()
+    };
+    assert_eq!(work, one_query, "{what}: checker stats");
+    let one_check = OpCounter {
+        cd_queries: 1,
+        ..OpCounter::default()
+    };
+    assert_eq!(
+        ops_total(),
+        before + one_check,
+        "{what}: process-wide metrics"
+    );
+}
+
 #[test]
 fn non_finite_joints_are_reported_as_colliding() {
+    let _metrics = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     let (robot, octree, home) = fixture();
     let mut software = SoftwareChecker::new(robot.clone(), octree.clone());
     let sim = CecduSim::new(robot, octree, CecduConfig::default());
@@ -46,11 +82,8 @@ fn non_finite_joints_are_reported_as_colliding() {
 
     for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
         let pose = with_last_joint(&home, value);
-        assert!(
-            software.check_pose(&pose),
-            "software checker, joint {value}"
-        );
-        assert!(cecdu.check_pose(&pose), "CECDU checker, joint {value}");
+        collides_billing_one_query(&mut software, &pose, &format!("software, joint {value}"));
+        collides_billing_one_query(&mut cecdu, &pose, &format!("CECDU, joint {value}"));
         let faulty = sim.check_pose_with_faults(&pose, &mut injector, true);
         assert!(faulty.result.colliding, "faulty CECDU, joint {value}");
         assert_eq!(faulty.faults_injected, 0);
@@ -59,6 +92,7 @@ fn non_finite_joints_are_reported_as_colliding() {
 
 #[test]
 fn paths_without_an_edge_have_no_infeasible_edge() {
+    let _metrics = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     let (robot, octree, home) = fixture();
     let mut software = SoftwareChecker::new(robot.clone(), octree.clone());
     let mut cecdu = CecduChecker::new(CecduSim::new(robot, octree, CecduConfig::default()));

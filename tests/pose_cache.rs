@@ -27,7 +27,7 @@ use mpaccel::accel::{
     run_sas, CecduSim, FunctionMode, MpAccelSystem, PlannerTrace, RunReport, SasConfig,
     SystemConfig, TraceEvent,
 };
-use mpaccel::collision::metrics::{ops_total, pose_checks_total};
+use mpaccel::collision::metrics::ops_total;
 use mpaccel::collision::pose_cache::POSE_CACHE_SLOTS;
 use mpaccel::collision::{CdStats, CollisionChecker, SoftwareChecker};
 use mpaccel::octree::{benchmark_scenes, Scene, SceneConfig};
@@ -46,14 +46,14 @@ const STEP: f32 = 0.04;
 /// Runs `f` and returns its result with the process-wide pose checks and
 /// CD work it recorded.
 fn metered<T>(f: impl FnOnce() -> T) -> (T, (u64, OpCounter)) {
-    let (checks, ops) = (pose_checks_total(), ops_total());
+    let (checks, ops) = (ops_total().cd_queries, ops_total());
     let out = f();
     let mut work = ops_total();
     work.mults -= ops.mults;
     work.sram_reads -= ops.sram_reads;
     work.box_tests -= ops.box_tests;
     work.cd_queries -= ops.cd_queries;
-    (out, (pose_checks_total() - checks, work))
+    (out, (ops_total().cd_queries - checks, work))
 }
 
 /// A checker that records every pose it is asked.
