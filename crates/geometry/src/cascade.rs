@@ -42,7 +42,7 @@
 
 use crate::aabb::Aabb;
 use crate::obb::Obb;
-use crate::sat::{sat_batch_range, AxisId, SatResult};
+use crate::sat::{sat_batch_range, stage_mult_counts, AxisId, SatResult};
 use crate::scalar::Scalar;
 use crate::sphere::SPHERE_AABB_MULS;
 
@@ -77,7 +77,7 @@ impl StageSplit {
 
     /// The stage sizes.
     #[inline]
-    pub fn sizes(&self) -> [u8; 3] {
+    pub const fn sizes(&self) -> [u8; 3] {
         self.sizes
     }
 
@@ -97,6 +97,9 @@ impl StageSplit {
 
 /// The paper's 6‑5‑4 split (§4), the one the production kernel runs.
 pub(crate) const PAPER_SPLIT: StageSplit = StageSplit { sizes: [6, 5, 4] };
+
+/// Multiplications of each SAT stage of [`PAPER_SPLIT`].
+pub(crate) const PAPER_STAGE_MULS: [u32; 3] = stage_mult_counts(PAPER_SPLIT.sizes);
 
 impl Default for StageSplit {
     /// The paper's 6‑5‑4 split (§4).
@@ -302,6 +305,21 @@ mod tests {
         assert_eq!(s.stage_range(1), (7, 5));
         assert_eq!(s.stage_range(2), (12, 4));
         assert_eq!(StageSplit::new([5, 5, 5]).stage_range(2), (11, 5));
+    }
+
+    #[test]
+    fn paper_stage_mults_are_what_each_stage_spends() {
+        use crate::sat::SAT_ALL_MULS;
+        assert_eq!(PAPER_STAGE_MULS.iter().sum::<u32>(), SAT_ALL_MULS);
+        let obb = Obb::axis_aligned(Vec3::new(0.4, 0.0, 0.0), Vec3::splat(0.5));
+        for (k, &muls) in PAPER_STAGE_MULS.iter().enumerate() {
+            let (start, len) = PAPER_SPLIT.stage_range(k);
+            assert_eq!(
+                muls,
+                sat_batch_range(&obb, &unit_aabb(), start, len).mults,
+                "stage {k}"
+            );
+        }
     }
 
     #[test]

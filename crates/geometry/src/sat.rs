@@ -50,7 +50,7 @@ impl AxisId {
     }
 
     /// Which family this axis belongs to.
-    pub fn class(self) -> AxisClass {
+    pub const fn class(self) -> AxisClass {
         match self.0 {
             1..=3 => AxisClass::AabbFace,
             4..=6 => AxisClass::ObbFace,
@@ -82,7 +82,7 @@ pub enum AxisClass {
 /// (3 products); OBB faces also need the `t·u_j` projection (6); cross
 /// axes need 2 products each for the two radii and the distance (6).
 #[inline]
-fn axis_mult_count(axis: AxisId) -> u32 {
+const fn axis_mult_count(axis: AxisId) -> u32 {
     match axis.class() {
         AxisClass::AabbFace => 3,
         AxisClass::ObbFace => 6,
@@ -93,22 +93,23 @@ fn axis_mult_count(axis: AxisId) -> u32 {
 /// Total multiplications for all 15 axis tests (3×3 + 3×6 + 9×6 = 81).
 pub const SAT_ALL_MULS: u32 = 81;
 
-/// Multiplications spent by evaluating the contiguous axis range
-/// `start..start + len` (1-based ids) — the cost [`sat_batch_range`]
-/// reports, precomputable when the same range is swept over many pairs.
-///
-/// # Panics
-///
-/// Panics unless the range stays within `1..=15`.
-#[inline]
-pub fn range_mult_count(start: u8, len: u8) -> u32 {
-    assert!(
-        start >= 1 && len >= 1 && start + len - 1 <= 15,
-        "axis range {start}+{len} out of 1..=15"
-    );
-    (start..start + len)
-        .map(|raw| axis_mult_count(AxisId(raw)))
-        .sum()
+/// Multiplications of each stage when the 15 axes run, in [`AxisId`]
+/// order, as consecutive stages of `sizes` axes: the mults
+/// [`sat_batch_range`] reports per stage, summed from the one per-axis
+/// count at compile time.
+pub(crate) const fn stage_mult_counts(sizes: [u8; 3]) -> [u32; 3] {
+    let mut out = [0; 3];
+    let mut raw = 1;
+    let mut k = 0;
+    while k < 3 {
+        let end = raw + sizes[k];
+        while raw < end {
+            out[k] += axis_mult_count(AxisId(raw));
+            raw += 1;
+        }
+        k += 1;
+    }
+    out
 }
 
 /// Result of a (possibly early-exiting) separating-axis test sequence.

@@ -6,6 +6,8 @@ use core::ops::{Add, Mul, Neg, Sub};
 
 use mp_fixed::{Fx, FRAC_BITS};
 
+use crate::soa::{self, SatConsts};
+
 /// A numeric type the geometry kernels can run on.
 ///
 /// Implemented for `f32` (exact software reference) and [`Fx`] (the Q3.12
@@ -83,6 +85,22 @@ pub trait Scalar:
         let (dx, dy, dz) = (axis(0), axis(1), axis(2));
         dx * dx + dy * dy + dz * dz
     }
+    /// The first of the 15 candidate axes (1-based, in
+    /// [`AxisId`](crate::sat::AxisId) order) that separates the OBB whose
+    /// constants `c` holds from the box with translation `t` (OBB centre
+    /// minus box centre) and half extents `b`, or `None` if none does: the
+    /// SAT stages of [`HoistedCascade`](crate::soa::HoistedCascade), each
+    /// axis test straight-line code with its own literal axis.
+    ///
+    /// This default runs the scalar expressions of
+    /// [`test_axis`](crate::sat::test_axis). [`Fx`] runs them in exact
+    /// `i32` arithmetic for a box the saturating chain cannot clamp, and
+    /// calls the saturating chain, out of line, for any other box.
+    #[doc(hidden)]
+    #[inline(always)]
+    fn sat_first_separating(c: &SatConsts<Self>, t: [Self; 3], b: [Self; 3]) -> Option<u8> {
+        soa::scalar_lanes(c, t, b)
+    }
 }
 
 impl Scalar for f32 {
@@ -154,6 +172,10 @@ impl Scalar for Fx {
         };
         let sum = square(0) + square(1) + square(2);
         Fx::from_bits(sum.min(i32::from(i16::MAX)) as i16)
+    }
+    #[inline(always)]
+    fn sat_first_separating(c: &SatConsts<Fx>, t: [Fx; 3], b: [Fx; 3]) -> Option<u8> {
+        soa::fx_lanes(c, t, b)
     }
 }
 

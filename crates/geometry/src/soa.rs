@@ -25,15 +25,25 @@
 //! distance always ([`Scalar::box_dist2`]), and the SAT stages for a box
 //! whose translation and extents are small enough that no step of the
 //! chain can saturate.
+//!
+//! The SAT stages are straight-line code: the 15 axis tests run in
+//! [`crate::sat::AxisId`] order (stage 1: axes 1–6, stage 2: 7–11,
+//! stage 3: 12–15), each compiled with its own literal axis, and stop at
+//! the first separating axis. The stage a box exits in and the
+//! multiplications it spent are compile-time constants per axis, summed
+//! from the one per-axis count in [`crate::sat`]. Which lanes run is
+//! chosen by the scalar type ([`Scalar::sat_first_separating`]): `f32`
+//! and Q3.12's integer lanes inline into the stages, and Q3.12's
+//! saturating lanes, which few boxes take, are called out of line.
 
 use crate::aabb::Aabb;
-use crate::cascade::{CascadeOutcome, ExitStage, PAPER_SPLIT};
+use crate::cascade::{CascadeOutcome, ExitStage, PAPER_SPLIT, PAPER_STAGE_MULS};
 use crate::obb::Obb;
-use crate::sat::{range_mult_count, AxisId};
+use crate::sat::{AxisId, SAT_ALL_MULS};
 use crate::scalar::Scalar;
 use crate::sphere::SPHERE_AABB_MULS;
 use crate::vec3::Vector3;
-use mp_fixed::FRAC_BITS;
+use mp_fixed::{Fx, FRAC_BITS};
 
 /// A batch of AABBs in structure-of-arrays layout (center + half-extents,
 /// matching the hardware's center+size octant representation of §5.2 and the
@@ -211,6 +221,28 @@ impl<S: Scalar> SatConsts<S> {
     }
 }
 
+/// `Some(raw)` for the first of the 15 axes, in [`AxisId`] order, whose
+/// test `$separates` (an expression in the axis id `$raw`) holds, or
+/// `None`. Straight-line code: every axis test is its own copy of the
+/// expression with a literal id, so the `match` on the id and the index
+/// arithmetic of [`sat_axis_lane`] and [`IntSat::separates`] fold away at
+/// compile time. The sweep stops at the first separating axis, so the
+/// cascade's stages (axes 1–6, 7–11, 12–15) run in order and each
+/// short-circuits as the staged scalar cascade does.
+macro_rules! first_separating {
+    (|$raw:ident| $separates:expr) => {
+        first_separating!(@ $raw, $separates; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+    };
+    (@ $raw:ident, $separates:expr; $($axis:literal)*) => {
+        'sweep: {
+            $(if { let $raw: u8 = $axis; $separates } {
+                break 'sweep Some($axis);
+            })*
+            None
+        }
+    };
+}
+
 /// The largest raw Q3.12 magnitude, `Fx::MAX`.
 const RAIL: i32 = i16::MAX as i32;
 
@@ -307,9 +339,16 @@ impl IntSat {
         (within(ti, self.t_lim) && within(bi, self.b_lim)).then_some((ti, bi))
     }
 
+    /// The first separating axis, in [`first_separating!`]'s straight
+    /// line, for a box that [`IntSat::fits`].
+    #[inline(always)]
+    fn first_separating(&self, t: [i32; 3], b: [i32; 3]) -> Option<u8> {
+        first_separating!(|raw| self.separates(raw, t, b))
+    }
+
     /// [`sat_axis_lane`] in exact integer arithmetic, for a box that
     /// [`IntSat::fits`].
-    #[inline]
+    #[inline(always)]
     fn separates(&self, raw: u8, t: [i32; 3], b: [i32; 3]) -> bool {
         match raw {
             i @ 1..=3 => {
@@ -344,7 +383,7 @@ impl IntSat {
 /// Does axis `raw` (1-based, [`AxisId`] order) separate the pair with
 /// translation `t` and AABB half extents `b`? Same expressions and operand
 /// order as [`crate::sat::test_axis`].
-#[inline]
+#[inline(always)]
 fn sat_axis_lane<S: Scalar>(raw: u8, c: &SatConsts<S>, t: [S; 3], b: [S; 3]) -> bool {
     match raw {
         i @ 1..=3 => {
@@ -370,6 +409,35 @@ fn sat_axis_lane<S: Scalar>(raw: u8, c: &SatConsts<S>, t: [S; 3], b: [S; 3]) -> 
     }
 }
 
+/// The first separating axis of the pair with translation `t` and box
+/// half extents `b`, in the scalar's own arithmetic: the default of
+/// [`Scalar::sat_first_separating`], and Q3.12's saturating lane.
+#[inline(always)]
+pub(crate) fn scalar_lanes<S: Scalar>(c: &SatConsts<S>, t: [S; 3], b: [S; 3]) -> Option<u8> {
+    first_separating!(|raw| sat_axis_lane(raw, c, t, b))
+}
+
+/// Q3.12's [`Scalar::sat_first_separating`]: the exact integer lanes for
+/// a box the saturating chain cannot clamp, else the saturating lanes.
+#[inline(always)]
+pub(crate) fn fx_lanes(c: &SatConsts<Fx>, t: [Fx; 3], b: [Fx; 3]) -> Option<u8> {
+    if let Some(ic) = &c.int {
+        if let Some((ti, bi)) = ic.fits(t, b) {
+            return ic.first_separating(ti, bi);
+        }
+    }
+    saturating_lanes(c, t, b)
+}
+
+/// The saturating Q3.12 lanes, for boxes outside [`IntSat`]'s bounds.
+// Out of line: few boxes take them, and inlined they doubled the Q3.12
+// `sat_stages` (4.7 to 9.2 KB) for no gain on the OOCD walk (the
+// benchmark's `accel_replay` read 3% slower at p99, EXPERIMENTS.md).
+#[inline(never)]
+fn saturating_lanes(c: &SatConsts<Fx>, t: [Fx; 3], b: [Fx; 3]) -> Option<u8> {
+    scalar_lanes(c, t, b)
+}
+
 /// One OBB–AABB overlap test with the OBB-side constants hoisted: sweeps
 /// the 15 axes in [`crate::sat::AxisId`] order and reports whether none
 /// separates. The verdict is bit-identical to [`crate::sat::overlaps`];
@@ -387,12 +455,31 @@ pub fn sat_overlaps_hoisted<S: Scalar>(
         center.z - aabb.center.z,
     ];
     let b = [aabb.half.x, aabb.half.y, aabb.half.z];
-    !(1..=15u8).any(|raw| sat_axis_lane(raw, consts, t, b))
+    S::sat_first_separating(consts, t, b).is_none()
 }
 
 /// Multiplications of both sphere filters, which every box that passes
 /// the bounding-sphere filter spends.
 const SPHERE_FILTERS_MULS: u32 = 2 * SPHERE_AABB_MULS;
+
+/// Per axis id (entry 0 unused), the SAT stage of [`PAPER_SPLIT`] it runs
+/// in and the multiplications a box first separated by it has spent: both
+/// sphere filters and every stage through its own.
+const SAT_EXITS: [(u8, u32); 16] = {
+    let sizes = PAPER_SPLIT.sizes();
+    let mut out = [(0, 0); 16];
+    let (mut raw, mut mults, mut k) = (1, SPHERE_FILTERS_MULS, 0);
+    while k < 3 {
+        mults += PAPER_STAGE_MULS[k];
+        let end = raw + sizes[k] as usize;
+        while raw < end {
+            out[raw] = (k as u8 + 1, mults);
+            raw += 1;
+        }
+        k += 1;
+    }
+    out
+};
 
 /// One OBB's state of the proposed cascade, hoisted for a whole
 /// traversal: the sphere radii are squared once, and the SAT constants
@@ -483,7 +570,8 @@ impl<S: Scalar> HoistedCascade<S> {
     // inline into the octree walks without the SAT stages' register
     // pressure; measured 1–4% faster on the benchmark's planning workloads.
     // The box comes as scalars, not arrays, so the walk loop does not
-    // store it to memory for boxes the filters decide.
+    // store it to memory for boxes the filters decide. The axis lanes
+    // (`f32`, and Q3.12's integer lanes) inline here as straight-line code.
     #[inline(never)]
     fn sat_stages(&mut self, cx: S, cy: S, cz: S, hx: S, hy: S, hz: S) -> CascadeOutcome {
         let p = self.obb.center;
@@ -491,39 +579,24 @@ impl<S: Scalar> HoistedCascade<S> {
         let b = [hx, hy, hz];
         let obb = &self.obb;
         let c = self.consts.get_or_insert_with(|| SatConsts::new(obb));
-        // Q3.12 boxes the saturating chain cannot clamp on take the exact
-        // integer lanes.
-        let int = c
-            .int
-            .as_ref()
-            .and_then(|ic| ic.fits(t, b).map(|(ti, bi)| (ic, ti, bi)));
-        // Both sphere filters ran, in the cascade's first stage.
-        let mut mults = SPHERE_FILTERS_MULS;
-        let mut stages = 1;
-        for k in 0..3 {
-            let (start, len) = PAPER_SPLIT.stage_range(k);
-            mults += range_mult_count(start, len);
-            stages += 1;
-            let separating = match int {
-                Some((ic, ti, bi)) => (start..start + len).find(|&raw| ic.separates(raw, ti, bi)),
-                None => (start..start + len).find(|&raw| sat_axis_lane(raw, c, t, b)),
-            };
-            if let Some(raw) = separating {
-                return CascadeOutcome {
+        match S::sat_first_separating(c, t, b) {
+            Some(raw) => {
+                let (stage, mults) = SAT_EXITS[usize::from(raw)];
+                CascadeOutcome {
                     colliding: false,
-                    exit: ExitStage::Sat(k as u8 + 1),
+                    exit: ExitStage::Sat(stage),
                     separating_axis: Some(AxisId::new(raw)),
                     mults,
-                    stages_executed: stages,
-                };
+                    stages_executed: 1 + u32::from(stage),
+                }
             }
-        }
-        CascadeOutcome {
-            colliding: true,
-            exit: ExitStage::Exhausted,
-            separating_axis: None,
-            mults,
-            stages_executed: stages,
+            None => CascadeOutcome {
+                colliding: true,
+                exit: ExitStage::Exhausted,
+                separating_axis: None,
+                mults: SPHERE_FILTERS_MULS + SAT_ALL_MULS,
+                stages_executed: 4,
+            },
         }
     }
 }

@@ -123,13 +123,16 @@ impl Scene {
         }
     }
 
-    /// Builds a scene directly from explicit obstacles.
+    /// Builds a scene directly from explicit obstacles. Its config records
+    /// their count as a fixed count, as [`SceneConfig::with_obstacles`]
+    /// would.
     pub fn from_obstacles(obstacles: Vec<AabbF>, octree_depth: u32) -> Scene {
+        let n = obstacles.len();
         Scene {
             obstacles,
             config: SceneConfig {
+                obstacle_count: (n, n),
                 octree_depth,
-                ..SceneConfig::paper()
             },
             seed: 0,
         }
@@ -244,6 +247,21 @@ mod tests {
             assert!(t.contains_point(o.center));
             assert!(g.is_occupied_at(o.center));
         }
+    }
+
+    #[test]
+    fn explicit_scenes_record_their_own_obstacle_count() {
+        let boxes = vec![Aabb::new(Vec3::zero(), Vec3::splat(0.1)); 2];
+        let s = Scene::from_obstacles(boxes, 3);
+        assert_eq!(
+            *s.config(),
+            SceneConfig {
+                obstacle_count: (2, 2),
+                octree_depth: 3
+            }
+        );
+        let empty = Scene::from_obstacles(Vec::new(), 5);
+        assert_eq!(empty.config().obstacle_count, (0, 0));
     }
 
     #[test]
