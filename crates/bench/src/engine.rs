@@ -76,7 +76,6 @@ pub fn experiments() -> Vec<Experiment> {
         exp!(codacc),
         exp!(ablation),
         exp!(planners),
-        exp!(faults),
         exp!(soak, capture),
         exp!(fleet, capture),
         exp!(integrity, capture),
@@ -221,11 +220,11 @@ mod tests {
     #[test]
     fn suite_is_complete_and_uniquely_named() {
         let all = experiments();
-        assert_eq!(all.len(), 20);
+        assert_eq!(all.len(), 19);
         let mut names: Vec<&str> = all.iter().map(|x| x.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 20, "duplicate experiment names");
+        assert_eq!(names.len(), 19, "duplicate experiment names");
         let captured: Vec<&str> = all
             .iter()
             .filter(|x| x.capture.is_some())

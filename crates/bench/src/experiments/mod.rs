@@ -9,7 +9,6 @@ pub mod ablation;
 pub mod codacc;
 pub mod common;
 pub mod energy_observatory;
-pub mod faults;
 pub mod fig01b;
 pub mod fig07;
 pub mod fig08;

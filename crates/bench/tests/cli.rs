@@ -59,6 +59,7 @@ fn usage_errors_exit_two() {
         &["perf", "fig99"],
         &["perf_compare"],
         &["fleet_scaling"],
+        &["faults"],
     ] {
         assert_eq!(code(retired), Some(2), "{retired:?} is not a command");
     }

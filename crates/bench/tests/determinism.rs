@@ -4,9 +4,8 @@
 //!
 //! A representative subset keeps the test fast in debug builds while still
 //! crossing every source of shared state: the workload cache (all), the
-//! replay memo (fig01b, fig16), the process-wide fault plan (faults),
-//! per-experiment RNG seeding (fig17, planners), and the service soak
-//! campaign's catalog cache (soak).
+//! replay memo (fig01b, fig16), per-experiment RNG seeding (fig17,
+//! planners), and the service soak campaign's catalog cache (soak).
 
 use mp_bench::engine::{run_selected, select};
 use mp_bench::experiments::{energy_observatory, fleet, integrity, soak};
@@ -14,7 +13,7 @@ use mp_bench::Scale;
 use threadpool::ThreadPool;
 
 /// Experiments covering the engine's shared-state surfaces.
-const SUBSET: [&str; 6] = ["fig01b", "fig16", "fig17", "planners", "faults", "soak"];
+const SUBSET: [&str; 5] = ["fig01b", "fig16", "fig17", "planners", "soak"];
 
 fn rendered(threads: usize) -> Vec<(String, String)> {
     let pool = ThreadPool::new(threads);

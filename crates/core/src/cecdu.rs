@@ -21,12 +21,6 @@
 //! the OBB Generation Unit's fifth-order trig and the proposed cascade in
 //! every OOCD. It is bound to one environment; a new octree takes a new
 //! CECDU.
-//!
-//! One wave loop models this. [`CecduSim::check_pose`] runs it clean;
-//! [`CecduSim::check_pose_with_faults`] runs the same loop with a
-//! [`FaultInjector`] attached, so each dispatched link walks the OOCD
-//! through [`run_oocd_with_faults`] and may draw a saturation event. Both
-//! build a link's Q3.12 OBB the same way.
 
 use std::cell::Cell;
 
@@ -36,10 +30,9 @@ use mp_octree::Octree;
 use mp_robot::fk::joint_frames_into;
 use mp_robot::trig::TRIG_LATENCY_CYCLES;
 use mp_robot::{JointConfig, RobotModel, TrigMode};
-use mp_sim::fault::FaultKind;
-use mp_sim::{CecduConfig, FaultInjector, OpCounter};
+use mp_sim::{CecduConfig, OpCounter};
 
-use crate::oocd::{run_oocd, run_oocd_with_faults, OocdResult};
+use crate::oocd::{run_oocd, OocdResult};
 
 thread_local! {
     // The FK frame buffer reused across pose queries (a `CecduSim` does not
@@ -63,22 +56,6 @@ const OBB_GEN_TRIG: TrigMode = TrigMode::Hardware;
 /// Multiplications per generated link OBB (4×4 transform compose + box
 /// rotation): counted into the energy proxy.
 pub const OBB_GEN_MULTS: u64 = 24;
-
-/// The verdict for a pose with a non-finite joint: NaN or ±inf turns every
-/// link OBB into NaN, which the sphere filters read as "free", so the pose
-/// is rejected before OBB generation and resolved conservatively —
-/// collision wins — in the Result Collector's one reporting cycle.
-fn non_finite_pose() -> CecduResult {
-    CecduResult {
-        colliding: true,
-        cycles: 1,
-        links_checked: 0,
-        ops: OpCounter {
-            cd_queries: 1,
-            ..OpCounter::default()
-        },
-    }
-}
 
 /// Result of one robot-pose collision query on a CECDU.
 ///
@@ -179,9 +156,7 @@ impl CachedCecdu {
 /// for every pose, so their OOCD walk is the same too. The sim walks each
 /// of them once, in [`CecduSim::new`], and [`CecduSim::check_pose`]
 /// replays that walk's verdict, cycles and ops in the link's wave slot.
-/// The result is exactly what walking every link gives. The
-/// fault-injected path walks every link, so its fault draws keep their
-/// order.
+/// The result is exactly what walking every link gives.
 ///
 /// # Examples
 ///
@@ -270,7 +245,19 @@ impl CecduSim {
     fn query(&self, pose: &JointConfig, cache: Option<&mut PoseCache<CachedCecdu>>) -> CecduResult {
         assert_eq!(pose.dof(), self.robot.dof(), "configuration DOF mismatch");
         if !pose.is_finite() {
-            let out = non_finite_pose();
+            // NaN or ±inf turns every link OBB into NaN, which the sphere
+            // filters read as "free", so the pose is rejected before OBB
+            // generation and resolved conservatively — collision wins — in
+            // the Result Collector's one reporting cycle.
+            let out = CecduResult {
+                colliding: true,
+                cycles: 1,
+                links_checked: 0,
+                ops: OpCounter {
+                    cd_queries: 1,
+                    ..OpCounter::default()
+                },
+            };
             mp_collision::metrics::record_work(&out.cd_stats());
             return out;
         }
@@ -279,14 +266,14 @@ impl CecduSim {
             Some((cache, key)) => match cache.get(&key) {
                 Some(cached) => cached.unpack(),
                 None => {
-                    let out = self.waves(pose, None).result;
+                    let out = self.waves(pose);
                     if let Some(cached) = CachedCecdu::pack(&out) {
                         cache.insert(key, cached);
                     }
                     out
                 }
             },
-            None => self.waves(pose, None).result,
+            None => self.waves(pose),
         };
         // Hardware-model pose queries feed the same process-wide CD work
         // record as the software oracle's.
@@ -302,56 +289,18 @@ impl CecduSim {
         out
     }
 
-    /// [`CecduSim::check_pose`] with fault injection.
-    ///
-    /// Each link OBB traversal runs through [`run_oocd_with_faults`] (SRAM
-    /// upsets), and each link is additionally an opportunity for a
-    /// [`FaultKind::Saturation`] event in the fixed-point intersection
-    /// datapath, which inverts that link's verdict. With `detection`
-    /// enabled, SRAM parity checks run and saturation raises the sticky
-    /// overflow flag the Result Collector reads out; structural checks in
-    /// the OOCD are always active. Early exit on a colliding link is
-    /// preserved, so faults on later links may go unobserved — exactly as
-    /// in hardware. A non-finite pose is rejected as colliding before any
-    /// link is dispatched, so it injects no fault. Unlike
-    /// [`CecduSim::check_pose`], it records no process-wide metrics and
-    /// opens no span.
-    pub fn check_pose_with_faults(
-        &self,
-        pose: &JointConfig,
-        inj: &mut FaultInjector,
-        detection: bool,
-    ) -> FaultyCecduOutcome {
-        assert_eq!(pose.dof(), self.robot.dof(), "configuration DOF mismatch");
-        if !pose.is_finite() {
-            return FaultyCecduOutcome {
-                result: non_finite_pose(),
-                detected: false,
-                faults_injected: 0,
-            };
-        }
-        self.waves(pose, Some((inj, detection)))
-    }
-
-    /// The one wave loop behind [`CecduSim::check_pose`] and
-    /// [`CecduSim::check_pose_with_faults`]. `faults` attaches an injector
-    /// and says whether detection is on; only then do links run through
-    /// [`run_oocd_with_faults`] and draw a saturation event.
+    /// The wave loop behind [`CecduSim::check_pose`].
     ///
     /// Timing: links are dispatched to the OOCD array in synchronous waves
     /// of `n`; a wave starts once its last OBB has been generated and the
     /// previous wave has drained. Waves are evaluated lazily: only links
     /// the hardware actually dispatches get their Q3.12 OBB built from the
     /// per-link constants ([`LinkBox::place_fx`]: the centre and rotation
-    /// quantized), run their OOCD traversal and draw faults, and early
-    /// exit cancels the rest.
+    /// quantized) and run their OOCD traversal, and early exit cancels the
+    /// rest.
     ///
     /// [`LinkBox::place_fx`]: mp_robot::LinkBox::place_fx
-    fn waves(
-        &self,
-        pose: &JointConfig,
-        mut faults: Option<(&mut FaultInjector, bool)>,
-    ) -> FaultyCecduOutcome {
+    fn waves(&self, pose: &JointConfig) -> CecduResult {
         let mut frames = FK_SCRATCH.with(Cell::take);
         joint_frames_into(&self.robot, pose, OBB_GEN_TRIG, &mut frames);
         let boxes = self.robot.link_boxes();
@@ -360,8 +309,6 @@ impl CecduSim {
         let mut ops = OpCounter::default();
         let mut links_checked = 0usize;
         let mut colliding = false;
-        let mut detected = false;
-        let mut faults_injected = 0u32;
         let n = self.config.oocds.max(1);
 
         let ready = |i: usize| OBB_GEN_FIRST_READY + OBB_GEN_INTERVAL * i as u64;
@@ -375,30 +322,9 @@ impl CecduSim {
                 .iter()
                 .zip(&self.static_links[i..wave_end_idx]);
             for (link, static_link) in wave {
-                let obb = || link.place_fx(&frames[link.frame()]);
-                let (r, link_colliding) = match faults.as_mut() {
-                    None => {
-                        let r = match static_link {
-                            Some(r) => *r,
-                            None => run_oocd(&self.octree, &obb(), iu),
-                        };
-                        (r, r.colliding)
-                    }
-                    Some((inj, detection)) => {
-                        let f = run_oocd_with_faults(&self.octree, &obb(), iu, inj, *detection);
-                        detected |= f.detected();
-                        faults_injected += f.sram_upsets;
-                        let mut link_colliding = f.result.colliding;
-                        if inj.fires(FaultKind::Saturation) {
-                            faults_injected += 1;
-                            link_colliding = !link_colliding;
-                            // The saturating adder sets a sticky overflow
-                            // flag the Result Collector reads with the
-                            // verdict.
-                            detected |= *detection;
-                        }
-                        (f.result, link_colliding)
-                    }
+                let r = match static_link {
+                    Some(r) => *r,
+                    None => run_oocd(&self.octree, &link.place_fx(&frames[link.frame()]), iu),
                 };
                 dur = dur.max(r.cycles);
                 ops += r.ops;
@@ -408,7 +334,7 @@ impl CecduSim {
                 // configuration SRAM once per generated link OBB.
                 ops.big_sram_reads += 1;
                 links_checked += 1;
-                colliding |= link_colliding;
+                colliding |= r.colliding;
             }
             t = start + dur;
             if colliding {
@@ -419,39 +345,20 @@ impl CecduSim {
         FK_SCRATCH.set(frames);
         // +1 cycle for the Result Collector to report back.
         ops.cd_queries += 1;
-        FaultyCecduOutcome {
-            result: CecduResult {
-                colliding,
-                cycles: t + 1,
-                links_checked,
-                ops,
-            },
-            detected,
-            faults_injected,
+        CecduResult {
+            colliding,
+            cycles: t + 1,
+            links_checked,
+            ops,
         }
     }
 }
 
-/// Outcome of one fault-injected CECDU pose query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultyCecduOutcome {
-    /// The (possibly corrupted) query result. On detection the colliding
-    /// verdict is the unit's conservative fallback; callers with a retry
-    /// budget should re-dispatch instead.
-    pub result: CecduResult,
-    /// Whether any detection mechanism fired (SRAM parity, structural
-    /// traversal checks, or the sticky saturation flag).
-    pub detected: bool,
-    /// Faults injected while evaluating this query (SRAM upsets observed
-    /// by the traversals plus saturation events on checked links).
-    pub faults_injected: u32,
-}
-
 /// A [`CollisionChecker`] adapter over a CECDU, so planners and the
 /// software tooling can run directly on the hardware model. It
-/// accumulates the functional stats of the clean (fault-free) model.
+/// accumulates the model's functional stats.
 ///
-/// The clean model answers every pose the same way with the same ops, so
+/// The model answers every pose the same way with the same ops, so
 /// the adapter overrides [`CollisionChecker::replay`]: a replayed pose or
 /// motion bills its recorded [`CdStats`] and the process-wide metrics
 /// they count, without walking a pose.

@@ -16,9 +16,6 @@
 //!   in multi-cycle and pipelined variants;
 //! * [`mpaccel`] — the full system of Fig 11 (controller, DNN accelerator,
 //!   bus, SAS, CECDU array) replaying planner [`trace`]s;
-//! * [`fault`] — fault injection across the stack (SRAM upsets, stuck/slow
-//!   units, dropped/corrupted results, saturation) with detection,
-//!   bounded re-dispatch, quarantine, and a conservative oracle voter;
 //! * [`pool`] — per-instance busy/quarantine bookkeeping for a *pool* of
 //!   MPAccel instances serving a multi-tenant planning service
 //!   (`mp-service`).
@@ -29,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod cecdu;
-pub mod fault;
 pub mod intersection_unit;
 pub mod mpaccel;
 pub mod oocd;
@@ -39,7 +35,6 @@ pub mod sram;
 pub mod trace;
 
 pub use cecdu::{CecduChecker, CecduResult, CecduSim};
-pub use fault::{FaultTolerantCduArray, RecoveryMode};
 pub use mpaccel::{MpAccelSystem, RunReport, SystemConfig};
 pub use oocd::{run_oocd, OocdResult};
 pub use pool::{AcceleratorPool, InstanceStats};

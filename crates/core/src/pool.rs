@@ -4,10 +4,6 @@
 //! accelerators. This module owns the pool-side state: which instance is
 //! busy until when, which is quarantined by the circuit breaker, and the
 //! per-instance fault/served statistics the breaker's strike logic reads.
-//! Mirrors the per-*unit* strike/quarantine bookkeeping of
-//! [`FaultTolerantCduArray`](crate::fault::FaultTolerantCduArray), lifted
-//! from CECDUs inside one accelerator to whole accelerator instances
-//! inside a service.
 //!
 //! All timestamps are virtual nanoseconds (`mp_sim::vtime`); the pool is
 //! pure bookkeeping and never consults wall time, so service runs are

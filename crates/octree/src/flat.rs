@@ -223,9 +223,9 @@ impl FlatOctree {
         self.node_aabbs[addr as usize]
     }
 
-    /// Node `addr`'s Q3.12-round-tripped parent box of the OOCD chain — what the
-    /// hardware model subdivides when visiting the node (derived on the
-    /// first OOCD call, see the module docs).
+    /// Node `addr`'s Q3.12-round-tripped parent box of the OOCD chain — what a
+    /// decode of the node's packed word subdivides into its octant boxes
+    /// (derived on the first OOCD call, see the module docs).
     #[inline]
     pub fn node_aabb_oocd(&self, addr: u32) -> AabbF {
         self.oocd().node_aabbs[addr as usize]

@@ -1,8 +1,9 @@
 //! Independent plan certification against silent data corruption.
 //!
 //! Every robustness layer below this one defends against *detected*
-//! faults: parity catches storage flips, watchdogs catch dropped results,
-//! voting catches disagreement someone bothered to look for. A CDU that
+//! faults: the service retries a dispatch that completes faulted and
+//! quarantines a faulty instance, voting catches disagreement someone
+//! bothered to look for. A CDU that
 //! silently returns a wrong-but-plausible "no collision" verdict defeats
 //! them all — the unsafe plan flows straight into `Completed`.
 //!

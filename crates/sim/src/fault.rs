@@ -1,38 +1,37 @@
-//! Fault models for the resilience study: seeded fault plans, a
-//! deterministic injector, and the counters the recovery layers maintain.
+//! Fault models for the planning service's resilience study: seeded
+//! per-dispatch fault plans and their injector, shard-failure schedules,
+//! silent-data-corruption plans, and the counters the service keeps.
 //!
-//! The fault surface is MPAccel-specific: single-bit upsets in the packed
-//! 24-bit octree node words (§5.2's SRAM encoding), stuck-at and slowed
-//! CECDUs, collision-detection results dropped or corrupted on the result
-//! bus, and fixed-point saturation events in the intersection datapath.
-//! The injector is a pure function of its [`FaultPlan`] seed, so every
-//! campaign is reproducible bit-for-bit.
-//!
-//! Detection mechanisms live with the hardware models (`mpaccel-core`);
-//! this module only decides *when* a fault strikes and keeps the books.
+//! A dispatch fault is a roll, not a model of the datapath: the service
+//! (`mp-service`) draws [`FaultInjector::fires`] over [`FaultKind::ALL`]
+//! once per dispatch and acts on the first kind that fires. The injectors
+//! are pure functions of their plan seeds, so every run is reproducible
+//! bit-for-bit.
 
 use crate::rng::{exp_ns, mix, unit, Rng, GAMMA};
 
-/// The kinds of hardware fault the injector can introduce.
+/// The kinds of fault a service dispatch can roll.
+///
+/// Each kind is one per-dispatch roll of the service's accelerator
+/// instance. A [`FaultKind::SlowUnit`] dispatch completes, only slower;
+/// every other kind wastes the dispatch, which the service detects at
+/// completion and retries. The kind names the hardware event the roll
+/// stands for; nothing below the service models it. The variants and
+/// their [`FaultKind::ALL`] order fix the service's fault RNG stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// A single-bit upset in a packed 24-bit octree node word (or its
-    /// parity bit) read from the on-chip SRAM.
+    /// A single-bit upset in an octree node word read from SRAM.
     SramBitFlip,
-    /// A CECDU latches up and replays its previous result instead of
-    /// evaluating the dispatched pose.
+    /// An accelerator latches up and replays a stale result.
     StuckUnit,
-    /// A CECDU completes correctly but several times slower than modeled
-    /// (voltage droop / thermal throttling).
+    /// An accelerator completes correctly but several times slower than
+    /// modeled (voltage droop / thermal throttling).
     SlowUnit,
-    /// A collision-detection result is lost on the result bus and never
-    /// reaches the scheduler.
+    /// A result is lost on the result bus.
     DroppedResult,
-    /// A collision-detection verdict arrives with its collision bit
-    /// inverted.
+    /// A verdict arrives with its collision bit inverted.
     CorruptedVerdict,
-    /// A fixed-point saturation event in the intersection datapath flips
-    /// one link's verdict.
+    /// A fixed-point saturation event in the intersection datapath.
     Saturation,
 }
 
@@ -40,7 +39,7 @@ impl FaultKind {
     /// Number of fault kinds.
     pub const COUNT: usize = 6;
 
-    /// All fault kinds, in a fixed order.
+    /// All fault kinds, in the fixed order a dispatch rolls them.
     pub const ALL: [FaultKind; FaultKind::COUNT] = [
         FaultKind::SramBitFlip,
         FaultKind::StuckUnit,
@@ -75,11 +74,8 @@ impl FaultKind {
     }
 }
 
-/// Per-kind fault probabilities plus the campaign seed.
-///
-/// Rates are per *opportunity*: per SRAM word read for
-/// [`FaultKind::SramBitFlip`], per dispatched query for the unit- and
-/// bus-level kinds, per link for [`FaultKind::Saturation`].
+/// Per-kind fault probabilities plus the injector seed. Rates are per
+/// roll, and the service rolls each kind at most once per dispatch.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injector's RNG.
@@ -116,43 +112,42 @@ impl FaultPlan {
     }
 }
 
-/// Resilience bookkeeping shared by the injector and the recovery layers.
+/// Resilience bookkeeping of the service's fault rolls.
 ///
-/// The injector records injections; the hardware models and the recovery
-/// wrapper (`mpaccel-core::fault`) record everything else. `escaped`
-/// counts *undetected wrong verdicts*; undetected faults whose verdict
-/// still came out right are `masked`. Conservative "collision wins"
-/// resolutions are counted as `conservative_promotions` (and as
-/// `false_positives` when the pose was actually free) — never as escapes.
+/// The injector records injections; the service records its dispatch
+/// queries, detections, masked slow-unit faults, re-dispatches and
+/// quarantines. The service detects every other faulted dispatch, so the
+/// verdict classifications (`escaped`, `false_negatives`,
+/// `false_positives`) and the conservative-fallback and voter counts
+/// have no writer and stay 0. The committed soak, integrity and fleet
+/// metrics print every field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResilienceCounters {
-    /// Pose queries evaluated through the fault-tolerant path.
+    /// Dispatches that rolled for faults.
     pub queries: u64,
     /// Injected faults, indexed by [`FaultKind::index`].
     pub injected_by_kind: [u64; FaultKind::COUNT],
-    /// Faults caught by a detection mechanism (parity, structural checks,
-    /// sequence tags, watchdog, sticky saturation flags).
+    /// Faulted dispatches detected at completion.
     pub detected: u64,
-    /// Undetected faults whose final verdict was still correct.
+    /// Undetected faults whose outcome was still correct (a slow-unit
+    /// dispatch that completed).
     pub masked: u64,
-    /// Undetected faults that changed the final verdict.
+    /// Undetected faults that changed the final verdict (no writer).
     pub escaped: u64,
-    /// Query re-dispatches to a different unit after a detection.
+    /// Retries of a faulted dispatch.
     pub redispatches: u64,
     /// Queries resolved conservatively ("collision wins") after the
-    /// re-dispatch budget ran out.
+    /// re-dispatch budget ran out (no writer).
     pub conservative_promotions: u64,
-    /// Units quarantined after repeated strikes.
+    /// Instances quarantined after repeated strikes.
     pub quarantined: u64,
-    /// Software-oracle spot checks performed by the voter.
+    /// Software-oracle spot checks of free verdicts (no writer).
     pub oracle_checks: u64,
-    /// Voter overrides (free verdict promoted to collision).
+    /// Spot checks that promoted a free verdict to collision (no writer).
     pub oracle_overrides: u64,
-    /// Wrong-free verdicts delivered to the scheduler (the safety metric;
-    /// must be zero whenever detection is enabled).
+    /// Wrong-free verdicts delivered (no writer).
     pub false_negatives: u64,
-    /// Wrong-colliding verdicts delivered (includes conservative
-    /// promotions of actually-free poses).
+    /// Wrong-colliding verdicts delivered (no writer).
     pub false_positives: u64,
 }
 
@@ -167,8 +162,8 @@ impl ResilienceCounters {
         self.injected_by_kind.iter().sum()
     }
 
-    /// Accumulates another counter set into this one (campaigns aggregate
-    /// per-scene injector counters into a sweep-point total).
+    /// Accumulates another counter set into this one (a run sums its
+    /// per-instance injector counters).
     pub fn merge(&mut self, other: &ResilienceCounters) {
         self.queries += other.queries;
         for (into, from) in self
@@ -218,8 +213,8 @@ impl ResilienceCounters {
 }
 
 /// The kinds of *shard-level* failure the fleet chaos injector can
-/// introduce. Component-level faults ([`FaultKind`]) strike one dispatch
-/// on one accelerator; shard failures take a whole service shard — its
+/// introduce. Dispatch faults ([`FaultKind`]) strike one dispatch on one
+/// accelerator; shard failures take a whole service shard — its
 /// queue, its accelerator pool, its in-flight requests — out of the
 /// serving set at once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -433,30 +428,6 @@ impl SdcPlan {
     }
 }
 
-/// Number of data bits in a packed octree node word.
-pub const SRAM_WORD_BITS: u32 = 24;
-
-/// Data bits plus the even-parity bit stored alongside each word.
-pub const SRAM_PROTECTED_BITS: u32 = SRAM_WORD_BITS + 1;
-
-/// Even parity over the 24 data bits of a packed node word.
-pub fn parity24(word: u32) -> u32 {
-    (word & 0x00FF_FFFF).count_ones() & 1
-}
-
-/// One single-bit SRAM upset applied to a packed node word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SramUpset {
-    /// The (possibly corrupted) 24-bit data word after the upset.
-    pub word: u32,
-    /// Which of the 25 protected bits flipped (24 = the parity bit).
-    pub flipped_bit: u32,
-    /// Whether the stored parity still matches the data. A single-bit
-    /// upset always breaks even parity, so this is `false`; kept explicit
-    /// so multi-bit extensions stay honest.
-    pub parity_ok: bool,
-}
-
 /// A deterministic, seeded fault injector.
 ///
 /// # Examples
@@ -466,8 +437,6 @@ pub struct SramUpset {
 ///
 /// let mut inj = FaultInjector::new(FaultPlan::uniform(1.0, 7));
 /// assert!(inj.fires(FaultKind::SramBitFlip));
-/// let upset = inj.corrupt_sram_word(0x00AB_CDEF);
-/// assert!(!upset.parity_ok);
 /// assert_eq!(inj.counters().injected(FaultKind::SramBitFlip), 1);
 /// ```
 #[derive(Clone, Debug)]
@@ -514,25 +483,10 @@ impl FaultInjector {
         &self.counters
     }
 
-    /// Mutable counters, for the recovery layers to record detections,
-    /// retries, and verdict classifications.
+    /// Mutable counters, for the service to record detections, retries
+    /// and quarantines.
     pub fn counters_mut(&mut self) -> &mut ResilienceCounters {
         &mut self.counters
-    }
-
-    /// Zeroes the counters (the RNG stream is unaffected).
-    pub fn reset_counters(&mut self) {
-        self.counters = ResilienceCounters::default();
-    }
-
-    /// Uniform pick in `0..n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn pick(&mut self, n: usize) -> usize {
-        assert!(n > 0, "cannot pick from an empty range");
-        (self.rng.next_u64() % n as u64) as usize
     }
 
     /// Decides whether a fault of `kind` strikes at this opportunity and
@@ -548,23 +502,6 @@ impl FaultInjector {
             self.counters.injected_by_kind[kind.index()] += 1;
         }
         fire
-    }
-
-    /// Flips exactly one of the 25 protected bits (24 data + 1 parity) of
-    /// a packed node word. Flipping the parity bit leaves the data intact
-    /// but still breaks the stored parity.
-    pub fn corrupt_sram_word(&mut self, word: u32) -> SramUpset {
-        let bit = self.pick(SRAM_PROTECTED_BITS as usize) as u32;
-        let corrupted = if bit < SRAM_WORD_BITS {
-            word ^ (1 << bit)
-        } else {
-            word
-        };
-        SramUpset {
-            word: corrupted & 0x00FF_FFFF,
-            flipped_bit: bit,
-            parity_ok: false,
-        }
     }
 }
 
@@ -624,7 +561,6 @@ mod tests {
             }
         }
         assert_eq!(a.counters(), b.counters());
-        assert_eq!(a.corrupt_sram_word(0x123456), b.corrupt_sram_word(0x123456));
     }
 
     #[test]
@@ -662,29 +598,6 @@ mod tests {
         assert!(!inj.fires(FaultKind::SramBitFlip));
         assert_eq!(inj.counters().injected(FaultKind::StuckUnit), 1);
         assert_eq!(inj.counters().injected(FaultKind::SramBitFlip), 0);
-    }
-
-    #[test]
-    fn sram_upsets_flip_exactly_one_protected_bit() {
-        let mut inj = FaultInjector::new(FaultPlan::uniform(1.0, 3));
-        let word = 0x00A5_C3F0;
-        let mut parity_hits = 0;
-        for _ in 0..200 {
-            let upset = inj.corrupt_sram_word(word);
-            assert!(!upset.parity_ok);
-            assert!(upset.flipped_bit < SRAM_PROTECTED_BITS);
-            if upset.flipped_bit == SRAM_WORD_BITS {
-                parity_hits += 1;
-                assert_eq!(upset.word, word);
-            } else {
-                assert_eq!((upset.word ^ word).count_ones(), 1);
-            }
-            // An even-parity check against the original word's parity bit
-            // always catches the single-bit upset.
-            let stored_parity = parity24(word) ^ u32::from(upset.flipped_bit == SRAM_WORD_BITS);
-            assert_ne!(parity24(upset.word), stored_parity);
-        }
-        assert!(parity_hits > 0, "parity bit never targeted in 200 upsets");
     }
 
     #[test]
@@ -778,7 +691,5 @@ mod tests {
         assert_eq!(c.detected, 2);
         assert_eq!(c.redispatches, 1);
         assert_eq!(c.masked, 1);
-        inj.reset_counters();
-        assert_eq!(*inj.counters(), ResilienceCounters::default());
     }
 }

@@ -11,9 +11,9 @@
 //! 3. **Area/power** — per-block 45 nm synthesis results (Table 2),
 //!    composed structurally into unit and system totals. See [`power`].
 //!
-//! The resilience study adds a fourth ingredient: seeded hardware [`fault`]
-//! plans (SRAM bit flips, stuck/slow units, dropped or corrupted results,
-//! saturation events) with the counters the recovery layers maintain.
+//! The resilience study adds a fourth ingredient: seeded [`fault`] plans
+//! (per-dispatch fault rolls, shard failures, silent data corruption) with
+//! the counters the planning service keeps.
 //!
 //! The service study (overload robustness) adds simulated-time machinery:
 //! a deterministic discrete-event queue over integer-nanosecond [`vtime`]

@@ -3,17 +3,15 @@
 //! the paper's ordering claims.
 
 use mpaccel::accel::cecdu::{CecduChecker, CecduSim, OBB_GEN_MULTS};
-use mpaccel::accel::fault::{FaultTolerantCduArray, RecoveryMode};
 use mpaccel::accel::oocd::{reference_outcome, run_oocd};
 use mpaccel::accel::sas::{run_sas, CecduCdu, FunctionMode, IdealCdu, SasConfig};
 use mpaccel::collision::{CollisionChecker, SoftwareChecker};
 use mpaccel::geometry::cascade::{cascaded_obb_aabb, CascadeConfig};
 use mpaccel::geometry::FxObb;
-use mpaccel::octree::{benchmark_scenes, Octree, Scene, SceneConfig};
+use mpaccel::octree::{Octree, Scene, SceneConfig};
 use mpaccel::robot::fk::link_obbs;
 use mpaccel::robot::{Motion, RobotModel, TrigMode};
-use mpaccel::sim::fault::FaultKind;
-use mpaccel::sim::{CecduConfig, FaultInjector, FaultPlan, IuKind};
+use mpaccel::sim::{CecduConfig, IuKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -198,64 +196,4 @@ fn checker_adapter_is_a_drop_in_for_planners() {
     assert!(checker.stats().pose_queries > 0);
     assert!(checker.stats().link_tests > 0);
     let _ = out;
-}
-
-#[test]
-fn fault_layer_is_transparent_when_idle_and_safe_under_upsets() {
-    let robot = RobotModel::jaco2();
-    let scenes = benchmark_scenes();
-    for (si, scene) in [(0u64, &scenes[0]), (1, &scenes[5])] {
-        let mut rng = StdRng::seed_from_u64(70 + si);
-        let poses: Vec<_> = (0..40).map(|_| robot.sample_config(&mut rng)).collect();
-        let motions: Vec<_> = (0..6)
-            .map(|_| {
-                Motion::new(robot.sample_config(&mut rng), robot.sample_config(&mut rng))
-                    .descriptor(0.1)
-            })
-            .collect();
-        for iu in [IuKind::MultiCycle, IuKind::Pipelined] {
-            for oocds in [1, 4] {
-                let sim = CecduSim::new(robot.clone(), scene.octree(), CecduConfig::new(oocds, iu));
-                let at = format!("scene {si}, {iu:?}, {oocds} OOCD(s)");
-
-                // An injector that never fires leaves the one wave loop
-                // and OOCD walk exactly as the clean query runs them.
-                for detection in [false, true] {
-                    let mut inj = FaultInjector::new(FaultPlan::none(si));
-                    for pose in &poses {
-                        let clean = sim.check_pose(pose);
-                        let f = sim.check_pose_with_faults(pose, &mut inj, detection);
-                        assert_eq!(f.result, clean, "{at}");
-                        assert!(!f.detected, "{at}");
-                        assert_eq!(f.faults_injected, 0, "{at}");
-                    }
-                }
-
-                let campaign = |mode| {
-                    let plan = FaultPlan::uniform(2e-2, 0xF00D ^ si);
-                    let mut array = FaultTolerantCduArray::new(sim.clone(), 4, plan, mode);
-                    let r = run_sas(
-                        &motions,
-                        FunctionMode::Complete,
-                        &SasConfig::mcsp(8),
-                        &mut array,
-                    );
-                    assert!(r.motion_results.iter().all(Option::is_some), "{at}");
-                    *array.counters()
-                };
-                // With detection on, no upset yields a wrong free verdict
-                // or escapes unclassified.
-                for mode in [RecoveryMode::DetectRetry, RecoveryMode::DetectRetryVoter] {
-                    let c = campaign(mode);
-                    assert!(c.injected_total() > 0, "{at}, {mode:?}");
-                    assert_eq!(c.false_negatives, 0, "{at}, {mode:?}");
-                    assert_eq!(c.escaped, 0, "{at}, {mode:?}");
-                }
-                // Without detection, corrupted node words are decoded and
-                // walked: the on-the-fly branch of the walk ran.
-                let c = campaign(RecoveryMode::None);
-                assert!(c.injected(FaultKind::SramBitFlip) > 0, "{at}");
-            }
-        }
-    }
 }

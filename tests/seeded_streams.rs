@@ -21,6 +21,8 @@ fn digest(text: &str) -> u64 {
     })
 }
 
+/// The stream the service draws: `fires` over `FaultKind::ALL`, once per
+/// dispatch.
 #[test]
 fn fault_injector_streams_match_their_pinned_digest() {
     let mut text = String::new();
@@ -32,17 +34,15 @@ fn fault_injector_streams_match_their_pinned_digest() {
                 plan.with_rate(kind, 0.05 + 0.15 * i as f64)
             });
         let mut inj = FaultInjector::new(plan);
-        for step in 0..400u32 {
+        for _ in 0..400 {
             let fired: Vec<bool> = FaultKind::ALL.iter().map(|&k| inj.fires(k)).collect();
-            let upset = inj.corrupt_sram_word(0x00A5_C3F0 ^ step);
-            let pick = inj.pick(1 + step as usize % 13);
-            text.push_str(&format!("{fired:?}|{upset:?}|{pick}\n"));
+            text.push_str(&format!("{fired:?}\n"));
         }
         text.push_str(&format!("{:?}\n", inj.counters()));
     }
     assert_eq!(
         digest(&text),
-        0x1DFD_6240_70F3_D333,
+        0x1EE1_0E5C_5BD6_3267,
         "fault injector streams moved"
     );
 }
