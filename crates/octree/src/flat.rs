@@ -1,31 +1,31 @@
 //! Flattened, cache-ordered octree arena.
 //!
-//! [`crate::Octree`] stores BFS-ordered nodes whose octant AABBs are
-//! *recomputed* on every traversal (and, on the OOCD hardware-model path,
-//! re-*quantized* on every visit — the dominant cost in profiles). The
-//! [`FlatOctree`] mirror precomputes everything a traversal touches into
-//! linear arrays:
+//! [`crate::Octree`] stores BFS-ordered nodes whose octant AABBs would have
+//! to be *recomputed* on every traversal (and, on the OOCD hardware-model
+//! path, re-*quantized* on every visit). The [`FlatOctree`] mirror
+//! precomputes everything a traversal touches into linear arrays:
 //!
 //! * per node, the contiguous **entry range** of its occupied octants —
 //!   a traversal step yields a candidate *range*, not a candidate node;
 //! * per entry, the octant id, the child address (partials only; a full
-//!   entry has none), and the octant AABB mirrored into structure-of-arrays
-//!   form ([`AabbSoa`]) ready for the batch kernels in `mp_geometry::soa`;
+//!   entry has none), and the octant AABB in structure-of-arrays form
+//!   ([`AabbSoa`]), whose six coordinate lanes the collision walks feed to
+//!   `mp_geometry::soa::HoistedCascade`;
 //! * two AABB chains, because the two consumers derive boxes differently:
 //!   the **pure `f32` chain** (each child box is an exact eighth of its
-//!   parent — what `Octree::collides_with` computes on the fly) and the
-//!   **OOCD chain**, where the hardware model re-quantizes each level's box
-//!   to Q3.12 and children subdivide it widened back to `f32`. Both are
+//!   parent — what `Octree::collides_with` would compute on the fly) and
+//!   the **OOCD chain**, where the hardware model re-quantizes each level's
+//!   box to Q3.12 and children subdivide it widened back to `f32`. Both are
 //!   bit-identical to what the corresponding on-the-fly traversal produces.
 //!
 //! The entries and the `f32` chain are emitted during the build, not
 //! derived from the finished tree: the octree builder's one breadth-first
-//! loop classifies a node's octants and, in the same step, appends each
-//! occupied octant as an entry with its box, giving a partial one the next
-//! node address and its node box (`Octree::pruned` replays a tree through
-//! the same loop). Nodes are numbered in creation order, so every array
-//! only grows at its end, and the arena stays a pure function of the node
-//! array and root box.
+//! loop classifies a node's eight octants at once and, in the same step,
+//! appends each occupied octant as an entry with its box, giving a partial
+//! one the next node address and its node box (`Octree::pruned` replays a
+//! tree through the same loop). Nodes are numbered in creation order, so
+//! every array only grows at its end, and the arena stays a pure function
+//! of the node array and root box.
 //!
 //! Only the OOCD hardware model reads the Q3.12 chain, so the build leaves
 //! it out: the first [`FlatOctree::aabbs_oocd`] or
@@ -41,7 +41,19 @@
 //! geometry and any descendant's computed box and overlap test stays under
 //! 2^-19 of that magnitude, so a dropped obstacle touches no descendant:
 //! culling changes no occupancy, and so no entry or box of the arena.
+//!
+//! **Parked buffers.** A map-then-plan loop builds and drops a tree per
+//! query. When the last handle to an arena drops, its growing arrays are
+//! cleared, their capacity kept, and parked in one thread-local slot; the
+//! next arena built on that thread starts from them, and a later drop
+//! replaces (and frees) what is parked. Growing fresh arrays on every
+//! build instead let the allocator return the freed tree's pages to the
+//! system and fault them back in on the next build. The parked struct has
+//! no `Drop` impl of its own, and a thread that is exiting parks nothing.
+//! The OOCD chain is not parked; it is freed with its arena.
 
+use std::cell::Cell;
+use std::mem;
 use std::sync::OnceLock;
 
 use mp_fixed::Fx;
@@ -94,18 +106,71 @@ impl PartialEq for FlatOctree {
     }
 }
 
+thread_local! {
+    // The buffers of the last arena dropped on this thread, cleared with
+    // their capacity kept, for the next one built here (see the module
+    // docs).
+    static PARKED: Cell<ArenaBuffers> = Cell::new(ArenaBuffers::default());
+}
+
+/// A [`FlatOctree`]'s growing arrays, parked between trees. It has no
+/// `Drop` impl of its own, so a slot that is freed at thread exit parks
+/// nothing again.
+#[derive(Default)]
+struct ArenaBuffers {
+    entry_start: Vec<u32>,
+    octants: Vec<u8>,
+    children: Vec<u32>,
+    aabbs: AabbSoa<f32>,
+    node_aabbs: Vec<AabbF>,
+}
+
+/// Parks the arena's buffers for the next `FlatOctree::new` on this
+/// thread, replacing (and freeing) any parked before; on a thread that is
+/// exiting it frees them.
+impl Drop for FlatOctree {
+    fn drop(&mut self) {
+        let mut parked = ArenaBuffers {
+            entry_start: mem::take(&mut self.entry_start),
+            octants: mem::take(&mut self.octants),
+            children: mem::take(&mut self.children),
+            aabbs: mem::take(&mut self.aabbs),
+            node_aabbs: mem::take(&mut self.node_aabbs),
+        };
+        parked.entry_start.clear();
+        parked.octants.clear();
+        parked.children.clear();
+        parked.aabbs.clear();
+        parked.node_aabbs.clear();
+        let _ = PARKED.try_with(|slot| slot.set(parked));
+    }
+}
+
 impl FlatOctree {
-    /// An arena holding only the root node's box. The octree builder
-    /// appends nodes with [`FlatOctree::open_node`] and
-    /// [`FlatOctree::push_entry`] and seals it with [`FlatOctree::close`].
+    /// An arena holding only the root node's box, in the buffers parked on
+    /// this thread if there are any. The octree builder appends nodes with
+    /// [`FlatOctree::open_node`] and [`FlatOctree::push_entry`] and seals
+    /// it with [`FlatOctree::close`].
     pub(crate) fn new(root: AabbF) -> FlatOctree {
+        let mut b = PARKED.try_with(Cell::take).unwrap_or_default();
+        b.node_aabbs.push(root);
         FlatOctree {
-            node_aabbs: vec![root],
-            ..FlatOctree::default()
+            entry_start: b.entry_start,
+            octants: b.octants,
+            children: b.children,
+            aabbs: b.aabbs,
+            node_aabbs: b.node_aabbs,
+            oocd: OnceLock::new(),
         }
     }
 
+    /// How many nodes the arena has room for before it grows.
+    pub(crate) fn node_capacity(&self) -> usize {
+        self.node_aabbs.capacity()
+    }
+
     /// Starts the next node's entry range.
+    #[inline]
     pub(crate) fn open_node(&mut self) {
         self.entry_start.push(self.octants.len() as u32);
     }
@@ -114,6 +179,7 @@ impl FlatOctree {
     /// `child` is the address of the node refining a partial octant (`None`
     /// for a full one); it must be the next unused address, whose node box
     /// this records. The OOCD chain is not built here (see the module docs).
+    #[inline]
     pub(crate) fn push_entry(&mut self, octant: usize, aabb: &AabbF, child: Option<u32>) {
         self.octants.push(octant as u8);
         self.children.push(child.unwrap_or(NO_CHILD));
@@ -126,10 +192,9 @@ impl FlatOctree {
 
     /// Ends the last node's entry range.
     ///
-    /// Spare capacity from growth is kept on purpose: trimming every array
-    /// to its length leaves odd-sized holes when a tree is dropped, and in a
-    /// map-then-plan loop the next tree's growth could not reuse them, which
-    /// raised the process's peak resident set.
+    /// Spare capacity from growth is kept on purpose: the buffers are
+    /// parked when the tree is dropped, and the next tree built on the
+    /// thread grows into them.
     pub(crate) fn close(&mut self) {
         self.entry_start.push(self.octants.len() as u32);
     }

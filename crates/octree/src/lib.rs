@@ -36,6 +36,6 @@ pub mod voxel;
 
 pub use flat::FlatOctree;
 pub use node::{Node, Occupancy};
-pub use octree::{Octree, TraversalStats};
+pub use octree::{Octree, OctreeError, TraversalStats};
 pub use scene::{benchmark_scenes, Scene, SceneConfig};
 pub use voxel::VoxelGrid;

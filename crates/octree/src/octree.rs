@@ -1,7 +1,6 @@
 //! Octree construction and traversal.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mp_fixed::RESOLUTION;
@@ -18,6 +17,68 @@ thread_local! {
     // empty cell and allocates its own stack. Octant boxes come from the
     // flat arena now, so the stack holds bare node addresses.
     static TRAVERSAL_STACK: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+    // The builder's scratch, taken and put back the same way: a
+    // map-then-plan loop builds a tree per query.
+    static BUILD_SCRATCH: Cell<BuildScratch> = Cell::new(BuildScratch::default());
+}
+
+/// Octant masks of the low and high half along each axis: octant `i`'s
+/// bit is set when bit `axis` of `i` is clear (low) or set (high).
+const LOW_HALF: [u8; 3] = [0x55, 0x33, 0x0F];
+const HIGH_HALF: [u8; 3] = [0xAA, 0xCC, 0xF0];
+
+/// What [`Octree::try_build_in`] rejects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OctreeError {
+    /// The depth limit is 0 or above [`MAX_SUPPORTED_DEPTH`].
+    Depth(u32),
+    /// The root box has a NaN or infinite coordinate or a negative half
+    /// extent.
+    Root,
+    /// The obstacle at this index has a NaN or infinite centre or half
+    /// extent coordinate.
+    NonFiniteObstacle(usize),
+    /// The obstacle at this index has a negative half extent.
+    NegativeHalfExtent(usize),
+}
+
+impl std::fmt::Display for OctreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            OctreeError::Depth(depth) => write!(
+                f,
+                "max_depth must be in 1..={MAX_SUPPORTED_DEPTH}, got {depth}"
+            ),
+            OctreeError::Root => {
+                write!(
+                    f,
+                    "the root box has a non-finite coordinate or a negative half extent"
+                )
+            }
+            OctreeError::NonFiniteObstacle(i) => {
+                write!(f, "obstacle {i} has a non-finite centre or half extent")
+            }
+            OctreeError::NegativeHalfExtent(i) => {
+                write!(f, "obstacle {i} has a negative half extent")
+            }
+        }
+    }
+}
+
+impl std::error::Error for OctreeError {}
+
+/// The builder's reusable buffers (see `BUILD_SCRATCH`).
+#[derive(Default)]
+struct BuildScratch {
+    /// Candidate obstacle indices; a pending node's candidates are a range
+    /// of it.
+    pool: Vec<u32>,
+    /// Pending nodes in address order: candidate range and depth.
+    queue: Vec<((u32, u32), u32)>,
+    /// The culling mask of each candidate of the node being classified.
+    masks: Vec<u8>,
+    /// Per obstacle and axis: centre, half extent, culling half extent.
+    axes: Vec<[[f32; 3]; 3]>,
 }
 
 /// Maximum tree depth the builder accepts (leaf size = extent / 2^depth).
@@ -69,13 +130,24 @@ impl Octree {
     ///
     /// # Panics
     ///
-    /// Panics if `max_depth` is 0 or exceeds [`MAX_SUPPORTED_DEPTH`].
+    /// Panics with the message of the [`OctreeError`] that
+    /// [`Octree::try_build_in`] returns.
     pub fn build(obstacles: &[AabbF], max_depth: u32) -> Octree {
         Octree::build_in(
             AabbF::new(Vec3::zero(), Vec3::splat(1.0)),
             obstacles,
             max_depth,
         )
+    }
+
+    /// [`Octree::try_build_in`], panicking on its error.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of the [`OctreeError`] that
+    /// [`Octree::try_build_in`] returns.
+    pub fn build_in(root: AabbF, obstacles: &[AabbF], max_depth: u32) -> Octree {
+        Octree::try_build_in(root, obstacles, max_depth).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds an octree over an arbitrary root cube.
@@ -89,15 +161,56 @@ impl Octree {
     /// obstacle overlaps it, and empty otherwise. Each node is classified
     /// only against the obstacles that survived culling at its ancestors,
     /// which gives exactly the occupancies a scan over every obstacle would.
+    /// A node's eight octants are classified together: along each axis its
+    /// four low and four high octants share one centre coordinate and one
+    /// half extent, so each candidate obstacle takes the culling,
+    /// containment and overlap comparison once per axis and half, and the
+    /// results combine into one bit per octant.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `max_depth` is 0 or exceeds [`MAX_SUPPORTED_DEPTH`].
-    pub fn build_in(root: AabbF, obstacles: &[AabbF], max_depth: u32) -> Octree {
-        assert!(
-            (1..=MAX_SUPPORTED_DEPTH).contains(&max_depth),
-            "max_depth must be in 1..={MAX_SUPPORTED_DEPTH}, got {max_depth}"
-        );
+    /// [`OctreeError::Depth`] if `max_depth` is 0 or exceeds
+    /// [`MAX_SUPPORTED_DEPTH`]; [`OctreeError::Root`] if the root box has a
+    /// NaN or infinite coordinate or a negative half extent (a NaN root
+    /// maps nothing); [`OctreeError::NonFiniteObstacle`] or
+    /// [`OctreeError::NegativeHalfExtent`], naming the first such
+    /// obstacle, if a coordinate of one is NaN or infinite or a half
+    /// extent is negative. Such an obstacle compares false against every
+    /// octant, or misses its own centre, so it would drop out of the map.
+    pub fn try_build_in(
+        root: AabbF,
+        obstacles: &[AabbF],
+        max_depth: u32,
+    ) -> Result<Octree, OctreeError> {
+        if !(1..=MAX_SUPPORTED_DEPTH).contains(&max_depth) {
+            return Err(OctreeError::Depth(max_depth));
+        }
+        let finite = |b: &AabbF| {
+            [b.center, b.half]
+                .map(axes)
+                .as_flattened()
+                .iter()
+                .all(|v| v.is_finite())
+        };
+        let negative = |b: &AabbF| axes(b.half).iter().any(|&v| v < 0.0);
+        if !finite(&root) || negative(&root) {
+            return Err(OctreeError::Root);
+        }
+        for (i, o) in obstacles.iter().enumerate() {
+            if !finite(o) {
+                return Err(OctreeError::NonFiniteObstacle(i));
+            }
+            if negative(o) {
+                return Err(OctreeError::NegativeHalfExtent(i));
+            }
+        }
+        let mut scratch = BUILD_SCRATCH.with(Cell::take);
+        let BuildScratch {
+            pool,
+            queue,
+            masks,
+            axes: obstacle_axes,
+        } = &mut scratch;
         // Culling. A child octant keeps the parent's candidates whose
         // culling box overlaps it: the obstacle grown on every side by one
         // Q3.12 step times the largest coordinate magnitude in play (the
@@ -112,40 +225,66 @@ impl Octree {
         // tighter box would drop.
         let reach = |b: &AabbF| (b.center.abs() + b.half.abs()).max_element();
         let root_reach = reach(&root);
-        let culling: Vec<AabbF> = obstacles
-            .iter()
-            .map(|o| {
-                let slack = RESOLUTION * root_reach.max(reach(o));
-                AabbF::new(o.center, o.half + Vec3::splat(slack))
-            })
-            .collect();
+        obstacle_axes.clear();
+        obstacle_axes.extend(obstacles.iter().map(|o| {
+            let slack = RESOLUTION * root_reach.max(reach(o));
+            let culling = AabbF::new(o.center, o.half + Vec3::splat(slack));
+            let [c, h, hc] = [o.center, o.half, culling.half].map(axes);
+            [0, 1, 2].map(|a| [c[a], h[a], hc[a]])
+        }));
         // Candidate lists: a range of obstacle indices per pending node.
-        let mut pool: Vec<u32> = (0..obstacles.len() as u32).collect();
-        let all = (0, pool.len() as u32);
-        emit(root, max_depth, all, |&(lo, hi), _, oct, refine| {
-            let start = pool.len();
-            let mut occ = Occupancy::Empty;
-            for k in lo..hi {
-                let i = pool[k as usize] as usize;
-                if !culling[i].overlaps(oct) {
-                    continue;
+        pool.clear();
+        pool.extend(0..obstacles.len() as u32);
+        queue.clear();
+        queue.push(((0, pool.len() as u32), 0));
+        let tree = emit(root, max_depth, queue, |(lo, hi), split, refine| {
+            // One bit per octant: some culled-in candidate contains it
+            // (`full`) or overlaps it (`partial`).
+            let (mut full, mut partial) = (0u8, 0u8);
+            masks.clear();
+            for &i in &pool[lo as usize..hi as usize] {
+                let o = &obstacle_axes[i as usize];
+                let (mut cull, mut contains, mut overlaps) = (0xFFu8, 0xFFu8, 0xFFu8);
+                for a in 0..3 {
+                    let ([oc, oh, hc], qa) = (o[a], split.half[a]);
+                    let [dl, dh] = split.sides[a].map(|s| (oc - s).abs());
+                    let halves =
+                        |l: bool, h: bool| (LOW_HALF[a] * l as u8) | (HIGH_HALF[a] * h as u8);
+                    // `AabbF::overlaps` of the culling box and of the
+                    // obstacle, and `AabbF::contains_aabb`, on this axis.
+                    cull &= halves(dl <= hc + qa, dh <= hc + qa);
+                    contains &= halves(dl + qa <= oh, dh + qa <= oh);
+                    overlaps &= halves(dl <= oh + qa, dh <= oh + qa);
                 }
-                if obstacles[i].contains_aabb(oct) {
-                    pool.truncate(start);
-                    return (Occupancy::Full, (0, 0));
-                }
-                if obstacles[i].overlaps(oct) {
-                    occ = Occupancy::Partial;
-                }
+                full |= cull & contains;
+                partial |= cull & overlaps;
                 if refine {
-                    pool.push(i as u32);
+                    masks.push(cull);
                 }
             }
-            if occ == Occupancy::Empty {
-                pool.truncate(start);
+            let partial = partial & !full;
+            // A refined octant's candidates: every culled-in one, in the
+            // parent's order, whether or not it overlaps the octant.
+            let mut child = [(0, 0); 8];
+            if refine {
+                for octant in bits(partial) {
+                    let start = pool.len() as u32;
+                    for (k, &m) in (lo..hi).zip(masks.iter()) {
+                        if m >> octant & 1 != 0 {
+                            pool.push(pool[k as usize]);
+                        }
+                    }
+                    child[octant] = (start, pool.len() as u32);
+                }
             }
-            (occ, (start as u32, pool.len() as u32))
-        })
+            NodeClass {
+                full,
+                partial,
+                child,
+            }
+        });
+        BUILD_SCRATCH.with(|cell| cell.set(scratch));
+        Ok(tree)
     }
 
     /// The flattened arena mirror of this tree (entry ranges, precomputed
@@ -164,11 +303,7 @@ impl Octree {
     #[inline]
     pub fn octant_aabb(parent: &AabbF, octant: usize) -> AabbF {
         assert!(octant < 8, "octant index out of range: {octant}");
-        let q = parent.half * 0.5;
-        let sx = if octant & 1 != 0 { q.x } else { -q.x };
-        let sy = if octant & 2 != 0 { q.y } else { -q.y };
-        let sz = if octant & 4 != 0 { q.z } else { -q.z };
-        AabbF::new(parent.center + Vec3::new(sx, sy, sz), q)
+        Split::new(parent).octant(octant)
     }
 
     /// The node at `addr`.
@@ -319,10 +454,14 @@ impl Octree {
         }
         // Replay the stored occupancies; the emitter's leaf quantization
         // turns the partial octants at the new depth limit full.
-        emit(self.root, max_depth, 0u32, |&addr, octant, _, _| {
+        emit(self.root, max_depth, &mut vec![(0u32, 0)], |addr, _, _| {
             let node = &self.nodes[addr as usize];
-            let child = node.child_address(octant).unwrap_or(NO_CHILD);
-            (node.occupancy(octant), child)
+            let mask = |occ| (0..8).fold(0, |m, o| m | u8::from(node.occupancy(o) == occ) << o);
+            NodeClass {
+                full: mask(Occupancy::Full),
+                partial: mask(Occupancy::Partial),
+                child: std::array::from_fn(|o| node.child_address(o).unwrap_or(NO_CHILD)),
+            }
         })
     }
 
@@ -340,53 +479,104 @@ impl Octree {
     }
 }
 
-/// The breadth-first emitter behind [`Octree::build_in`] and
+/// A box's three coordinates in axis order.
+fn axes(v: Vec3) -> [f32; 3] {
+    [v.x, v.y, v.z]
+}
+
+/// The set bits of an octant mask, lowest first.
+fn bits(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let octant = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (octant < 8).then_some(octant)
+    })
+}
+
+/// A box split into its eight octants: along each axis, the centre
+/// coordinate of the four low and of the four high octants (the parent's
+/// centre minus and plus a quarter of its side), and the octants' half
+/// extent.
+struct Split {
+    sides: [[f32; 2]; 3],
+    half: [f32; 3],
+}
+
+impl Split {
+    fn new(parent: &AabbF) -> Split {
+        let q = parent.half * 0.5;
+        let (c, half, q) = (axes(parent.center), axes(q.abs()), axes(q));
+        Split {
+            sides: [0, 1, 2].map(|a| [c[a] + -q[a], c[a] + q[a]]),
+            half,
+        }
+    }
+
+    /// Octant `octant`'s box: bit `a` of `octant` picks the high half
+    /// along axis `a`.
+    fn octant(&self, octant: usize) -> AabbF {
+        let [x, y, z] = [0, 1, 2].map(|a| self.sides[a][octant >> a & 1]);
+        let [hx, hy, hz] = self.half;
+        AabbF::new(Vec3::new(x, y, z), Vec3::new(hx, hy, hz))
+    }
+}
+
+/// A node's classification: one bit per octant in each of the disjoint
+/// `full` and `partial` masks, and the state each partial octant's child
+/// node is classified from.
+struct NodeClass<S> {
+    full: u8,
+    partial: u8,
+    child: [S; 8],
+}
+
+/// The breadth-first emitter behind [`Octree::try_build_in`] and
 /// [`Octree::pruned`]: grows the node array and its flat arena's entries
 /// and `f32` chain in one pass. The arena derives its Q3.12 OOCD chain on
 /// first use, not here.
 ///
-/// `classify(state, octant, octant_box, refine)` gives an octant's
-/// occupancy and the state its child node is classified from; that state
-/// is kept only for a partial octant that is refined, i.e. above the depth
-/// limit. A partial octant at the depth limit becomes full (leaf
-/// quantization).
-fn emit<S>(
+/// `queue` holds the root's state and depth 0 on entry; the emitter
+/// appends each child's, so `queue[addr]` is node `addr`'s.
+/// `classify(state, split, refine)` classifies a whole node from its state
+/// and its box's [`Split`]; `refine` is whether the node lies above the
+/// depth limit, and only then are the child states read. A partial octant
+/// at the depth limit becomes full (leaf quantization).
+fn emit<S: Copy>(
     root: AabbF,
     max_depth: u32,
-    root_state: S,
-    mut classify: impl FnMut(&S, usize, &AabbF, bool) -> (Occupancy, S),
+    queue: &mut Vec<(S, u32)>,
+    mut classify: impl FnMut(S, &Split, bool) -> NodeClass<S>,
 ) -> Octree {
-    let mut nodes = vec![Node::empty()];
     let mut flat = FlatOctree::new(root);
+    let mut nodes = Vec::with_capacity(flat.node_capacity());
+    nodes.push(Node::empty());
     // A child takes the next free address when it is created, so the queue
-    // yields nodes in address order.
-    let mut queue = VecDeque::from([(root_state, 0u32)]);
-    let mut addr = 0u32;
-    while let Some((state, depth)) = queue.pop_front() {
+    // holds nodes in address order.
+    let mut addr = 0;
+    while let Some(&(state, depth)) = queue.get(addr) {
         let refine = depth + 1 < max_depth;
-        let parent = flat.node_aabb(addr);
-        let mut node = Node::empty();
-        node.set_child_base(nodes.len() as u32);
+        let split = Split::new(&flat.node_aabb(addr as u32));
+        let class = classify(state, &split, refine);
+        let (full, partial) = match refine {
+            true => (class.full, class.partial),
+            false => (class.full | class.partial, 0),
+        };
+        let child_base = nodes.len() as u32;
         flat.open_node();
-        for octant in 0..8 {
-            let oct = Octree::octant_aabb(&parent, octant);
-            let (occ, child_state) = classify(&state, octant, &oct, refine);
-            let occ = match occ {
-                Occupancy::Partial if !refine => Occupancy::Full,
-                occ => occ,
-            };
-            node.set_occupancy(octant, occ);
-            if !occ.is_occupied() {
-                continue;
-            }
-            let child = (occ == Occupancy::Partial).then(|| {
+        for octant in bits(full | partial) {
+            let child = (partial >> octant & 1 != 0).then(|| {
                 nodes.push(Node::empty());
-                queue.push_back((child_state, depth + 1));
+                queue.push((class.child[octant], depth + 1));
                 nodes.len() as u32 - 1
             });
-            flat.push_entry(octant, &oct, child);
+            flat.push_entry(octant, &split.octant(octant), child);
         }
-        nodes[addr as usize] = node;
+        let occupancy = std::array::from_fn(|o| match (full >> o & 1, partial >> o & 1) {
+            (1, _) => Occupancy::Full,
+            (_, 1) => Occupancy::Partial,
+            _ => Occupancy::Empty,
+        });
+        nodes[addr] = Node::new(occupancy, child_base);
         addr += 1;
     }
     flat.close();

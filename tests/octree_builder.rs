@@ -1,20 +1,26 @@
 //! The octree builder against its definition. `Octree::build_in` culls
-//! obstacles node by node and emits the flat arena's entries and `f32`
-//! chain while it classifies; the arena derives its Q3.12 OOCD chain on
-//! first use. This oracle re-derives every node from scratch, classifying
-//! each octant by a scan over *all* obstacles and subdividing every arena
-//! box on the fly in both chains. It runs on seeded clutter and on
-//! hand-placed boundary cases, in a unit, an off-origin and a non-unit
-//! root, at depths 1–7, and pins `Octree::pruned`, which shares the
-//! builder's emitter, to a direct build. `Octree`'s `==` leaves the derived
-//! OOCD chain out, so the chain is compared on its own, including across
-//! clones and threads that force it.
+//! obstacles node by node, classifies a node's eight octants together, and
+//! emits the flat arena's entries and `f32` chain while it classifies; the
+//! arena derives its Q3.12 OOCD chain on first use. This oracle re-derives
+//! every node from scratch, classifying each octant by a scan over *all*
+//! obstacles and subdividing every arena box on the fly in both chains. It
+//! runs on seeded clutter and on hand-placed boundary cases, in a unit, an
+//! off-origin and a non-unit root, at depths 1–7, and pins
+//! `Octree::pruned`, which shares the builder's emitter, to a direct build.
+//! `Octree`'s `==` leaves the derived OOCD chain out, so the chain is
+//! compared on its own, including across clones and threads that force it.
+//! A dropped tree parks its arena's buffers for the next build on its
+//! thread, so trees built after others are compared with the same builds on
+//! a fresh thread. Input the builder cannot map gets a typed error. The
+//! ignored `build_matches_its_definition_on_300_seeded_scenes` is the long
+//! sweep (`cargo test --release --test octree_builder -- --ignored`).
 
 use std::sync::Barrier;
 
 use mpaccel::fixed::{Fx, RESOLUTION};
 use mpaccel::geometry::{Aabb, AabbF, Vec3};
-use mpaccel::octree::{Occupancy, Octree, Scene, SceneConfig};
+use mpaccel::octree::octree::MAX_SUPPORTED_DEPTH;
+use mpaccel::octree::{Occupancy, Octree, OctreeError, Scene, SceneConfig};
 
 /// Classifies an octant by scanning every obstacle: full when one contains
 /// it, partial when one overlaps it, empty otherwise.
@@ -152,28 +158,33 @@ fn roots() -> [AabbF; 3] {
     ]
 }
 
+/// A seeded 24-obstacle scene in the unit root's frame.
+fn clutter(seed: u64) -> Vec<AabbF> {
+    Scene::random(SceneConfig::with_obstacles(24), seed)
+        .obstacles()
+        .to_vec()
+}
+
+/// Obstacles mapped from the unit root's frame into `root`'s.
+fn in_root(root: &AabbF, set: &[AabbF]) -> Vec<AabbF> {
+    set.iter()
+        .map(|o| {
+            Aabb::new(
+                root.center + o.center.mul_elementwise(root.half),
+                o.half.mul_elementwise(root.half),
+            )
+        })
+        .collect()
+}
+
 /// Two seeded 24-obstacle scenes, the boundary cases, and a set whose
 /// first obstacle covers the whole root, mapped from the unit root's frame
 /// into `root`'s.
 fn obstacle_sets(root: &AabbF) -> Vec<Vec<AabbF>> {
-    let clutter = |seed| {
-        Scene::random(SceneConfig::with_obstacles(24), seed)
-            .obstacles()
-            .to_vec()
-    };
     let covering = vec![cuboid([-1.5; 3], [1.5; 3]), cuboid([0.1; 3], [0.2; 3])];
     [clutter(0), clutter(1), boundary_cases(), covering]
-        .into_iter()
-        .map(|set| {
-            set.iter()
-                .map(|o| {
-                    Aabb::new(
-                        root.center + o.center.mul_elementwise(root.half),
-                        o.half.mul_elementwise(root.half),
-                    )
-                })
-                .collect()
-        })
+        .iter()
+        .map(|set| in_root(root, set))
         .collect()
 }
 
@@ -276,5 +287,119 @@ fn the_oocd_chain_is_derived_once_and_shared() {
             oocd_chain(&direct),
             "pruned to {depth}"
         );
+    }
+}
+
+#[test]
+fn a_parked_arena_builds_what_a_fresh_thread_does() {
+    // Park the buffers of a large tree whose OOCD chain was derived, once
+    // with the original dropped last and once with its clone dropped last.
+    let root = roots()[2];
+    let large = &obstacle_sets(&root)[0];
+    for clone_last in [false, true] {
+        let tree = Octree::build_in(root, large, 7);
+        let _ = tree.flat().aabbs_oocd();
+        let twin = tree.clone();
+        if clone_last {
+            drop(tree);
+            drop(twin);
+        } else {
+            drop(twin);
+            drop(tree);
+        }
+    }
+    // Every later build on this thread starts from the buffers its
+    // predecessor parked; a fresh thread has none parked.
+    for root in roots() {
+        for obstacles in obstacle_sets(&root) {
+            for depth in 1..=7 {
+                let tree = Octree::build_in(root, &obstacles, depth);
+                check_against_definition(&tree, &obstacles);
+                let fresh = std::thread::scope(|s| {
+                    s.spawn(|| Octree::build_in(root, &obstacles, depth))
+                        .join()
+                        .unwrap()
+                });
+                let at = format!("depth-{depth} tree in {root:?}");
+                assert!(tree == fresh, "{at}");
+                assert_eq!(oocd_chain(&tree), oocd_chain(&fresh), "{at}: OOCD chain");
+            }
+        }
+    }
+}
+
+#[test]
+fn input_the_builder_cannot_map_gets_a_typed_error() {
+    let root = roots()[0];
+    let good = cuboid([0.1; 3], [0.2; 3]);
+    for depth in [0, MAX_SUPPORTED_DEPTH + 1] {
+        assert_eq!(
+            Octree::try_build_in(root, &[good], depth),
+            Err(OctreeError::Depth(depth))
+        );
+    }
+    // A NaN root maps nothing; a negative half extent swaps its octants.
+    for root in [
+        Aabb::new(Vec3::new(f32::NAN, 0.0, 0.0), Vec3::splat(1.0)),
+        Aabb::new(Vec3::zero(), Vec3::new(1.0, f32::INFINITY, 1.0)),
+        Aabb {
+            center: Vec3::zero(),
+            half: Vec3::new(1.0, 1.0, -1.0),
+        },
+    ] {
+        assert_eq!(
+            Octree::try_build_in(root, &[good], 4),
+            Err(OctreeError::Root),
+            "{root:?}"
+        );
+    }
+    // A NaN or infinite coordinate compares false against every octant, so
+    // the obstacle would drop out of the map.
+    for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for axis in 0..3 {
+            let mut c = [0.15; 3];
+            c[axis] = v;
+            let centre = Aabb {
+                center: Vec3::new(c[0], c[1], c[2]),
+                half: good.half,
+            };
+            let half = Aabb {
+                center: good.center,
+                half: Vec3::new(c[0], c[1], c[2]),
+            };
+            for bad in [centre, half] {
+                assert_eq!(
+                    Octree::try_build_in(root, &[good, bad, good], 4),
+                    Err(OctreeError::NonFiniteObstacle(1)),
+                    "{bad:?}"
+                );
+            }
+        }
+    }
+    // A negative half extent would miss the obstacle's own centre.
+    let mut negative = good;
+    negative.half.y = -0.05;
+    assert_eq!(
+        Octree::try_build_in(root, &[good, good, negative], 4),
+        Err(OctreeError::NegativeHalfExtent(2))
+    );
+    // `build` keeps its signature and panics with the error's message.
+    let panic = std::panic::catch_unwind(|| Octree::build(&[negative], 4)).unwrap_err();
+    let message = panic.downcast_ref::<String>().expect("a formatted message");
+    assert_eq!(*message, OctreeError::NegativeHalfExtent(0).to_string());
+    assert!(message.contains("obstacle 0"), "{message}");
+}
+
+#[test]
+#[ignore = "long sweep: cargo test --release --test octree_builder -- --ignored"]
+fn build_matches_its_definition_on_300_seeded_scenes() {
+    for seed in 0..300 {
+        let unit = clutter(seed);
+        for root in roots() {
+            let obstacles = in_root(&root, &unit);
+            for depth in 4..=7 {
+                check_against_definition(&Octree::build_in(root, &obstacles, depth), &obstacles);
+            }
+        }
     }
 }
